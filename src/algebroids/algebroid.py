@@ -8,6 +8,7 @@ numerically by `verify_axioms`, never assumed by constructors.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Sequence
 
@@ -22,7 +23,11 @@ class AlgebroidChart:
 
     anchor[i][j] is the coefficient of d/dx^j in the image of the i-th frame
     section; brackets are stored canonically on pairs i < j as sparse maps
-    k -> coefficient.
+    k -> nonzero coefficient, in ascending k.  `anchor_terms[i]` lists the
+    nonzero entries (j, rho) of anchor row i in ascending j.  `d_A`, `bracket`,
+    `anchor_apply` and `verify_axioms` iterate only these sparse terms, in the
+    order of the dense loops over every frame and coordinate index, so they
+    build the same coefficient trees.
     """
 
     def __init__(
@@ -58,9 +63,13 @@ class AlgebroidChart:
                 signed = mul(Const(-1.0), coeff) if flip else coeff
                 row[k] = add(row.get(k, ZERO), signed)
         self.brackets = {
-            key: {k: c for k, c in row.items() if not c.is_zero()}
+            key: {k: c for k, c in sorted(row.items()) if not c.is_zero()}
             for key, row in table.items()
         }
+        self.anchor_terms = tuple(
+            tuple((j, rho) for j, rho in enumerate(row) if not rho.is_zero())
+            for row in self.anchor
+        )
 
     def gamma(self, i: int, j: int, k: int) -> ScalarField:
         """Structure function of [b_i, b_j] on b_k, antisymmetry included."""
@@ -196,35 +205,52 @@ def _require_same_chart(a: AlgebroidChart, b: AlgebroidChart) -> None:
 
 
 def anchor_apply(a: Section, f: ScalarField) -> ScalarField:
-    """The anchor image of `a` acting on a base function: xi^i rho_i^j df/dx^j."""
+    """The anchor image of `a` acting on a base function: xi^i rho_i^j df/dx^j.
+
+    Only nonzero anchor entries are visited, i-major and j-minor; each partial
+    derivative of `f` is taken once, when first needed.
+    """
+    if isinstance(f, Const):
+        return ZERO
     chart = a.chart
+    partials: dict[int, ScalarField] = {}
     result = ZERO
-    partials = [f.diff(j) for j in range(chart.dim)]
-    for i in range(chart.rank):
-        xi = a.comps[i]
+    for xi, terms in zip(a.comps, chart.anchor_terms):
         if xi.is_zero():
             continue
-        for j in range(chart.dim):
-            rho = chart.anchor[i][j]
-            if rho.is_zero() or partials[j].is_zero():
-                continue
-            result = add(result, mul(xi, mul(rho, partials[j])))
+        for j, rho in terms:
+            partial = partials.get(j)
+            if partial is None:
+                partial = partials[j] = f.diff(j)
+            if not partial.is_zero():
+                result = add(result, mul(xi, mul(rho, partial)))
+    return result
+
+
+def _frame_derivative(chart: AlgebroidChart, i: int, f: ScalarField) -> ScalarField:
+    """rho(b_i) f, the tree `anchor_apply(chart.basis_section(i), f)` builds."""
+    result = ZERO
+    for j, rho in chart.anchor_terms[i]:
+        partial = f.diff(j)
+        if not partial.is_zero():
+            result = add(result, mul(rho, partial))
     return result
 
 
 def bracket(a1: Section, a2: Section) -> Section:
-    """Leibniz extension of the frame brackets to arbitrary sections."""
+    """Leibniz extension of the frame brackets to arbitrary sections.
+
+    Visits only the nonzero components of both arguments and the stored
+    bracket terms of each frame pair.
+    """
     _require_same_chart(a1.chart, a2.chart)
     chart = a1.chart
     comps = [ZERO] * chart.rank
-    for i in range(chart.rank):
-        xi = a1.comps[i]
+    etas = [(j, eta) for j, eta in enumerate(a2.comps) if not eta.is_zero()]
+    for i, xi in enumerate(a1.comps):
         if xi.is_zero():
             continue
-        for j in range(chart.rank):
-            eta = a2.comps[j]
-            if eta.is_zero():
-                continue
+        for j, eta in etas:
             for k, coeff in chart.brackets.get((i, j) if i < j else (j, i), {}).items():
                 signed = coeff if i < j else mul(Const(-1.0), coeff)
                 comps[k] = add(comps[k], mul(mul(xi, eta), signed))
@@ -235,32 +261,37 @@ def bracket(a1: Section, a2: Section) -> Section:
 
 
 def d_A(omega: AForm) -> AForm:
-    """Exterior differential from the Cartan coefficient formula."""
+    """Exterior differential from the Cartan coefficient formula.
+
+    The anchor terms visit only nonzero anchor entries and non-constant
+    coefficients; the bracket terms visit only the stored terms of each pair,
+    by ascending target index.  Both keep the summation order of the dense
+    formula over every frame index.
+    """
     chart = omega.chart
     k = omega.degree
-    if k + 1 > chart.rank:
+    if k + 1 > chart.rank or omega.is_zero():
         return chart.zero_form(k + 1)
     table: dict[tuple[int, ...], ScalarField] = {}
     for index in combinations(range(chart.rank), k + 1):
         total = ZERO
         for r, i_r in enumerate(index):
-            rest = index[:r] + index[r + 1:]
-            inner = omega.data.coeff(rest) if k else omega.data.coeff(())
-            if inner.is_zero():
+            inner = omega.data.coeff(index[:r] + index[r + 1:])
+            if isinstance(inner, Const):
                 continue
-            term = anchor_apply(chart.basis_section(i_r), inner)
+            term = _frame_derivative(chart, i_r, inner)
             if r % 2:
                 term = mul(Const(-1.0), term)
             total = add(total, term)
         if k:
             for r in range(k + 1):
                 for t in range(r + 1, k + 1):
-                    i_r, i_t = index[r], index[t]
+                    terms = chart.brackets.get((index[r], index[t]))
+                    if not terms:
+                        continue
                     rest = tuple(v for p, v in enumerate(index) if p not in (r, t))
                     pair_sign = -1.0 if (r + t) % 2 else 1.0
-                    for m, coeff in enumerate(chart.bracket_basis(i_r, i_t)):
-                        if coeff.is_zero():
-                            continue
+                    for m, coeff in terms.items():
                         value = omega.data.coeff_signed((m,) + rest)
                         if value.is_zero():
                             continue
@@ -356,6 +387,12 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
     return AForm(chart, AFormData(k, chart.rank, table))
 
 
+def _magnitude(field: ScalarField, point) -> float:
+    """|field| at a point; a NaN or infinite value counts as inf, so it fails."""
+    value = abs(field.eval(point))
+    return value if math.isfinite(value) else math.inf
+
+
 def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
                   tol: float = 1e-9) -> list[CheckRecord]:
     """Numerically test the algebroid axioms at seeded sample points.
@@ -367,12 +404,11 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
     worst_anchor = 0.0
     worst_triple = None
     for i, j in combinations(range(chart.rank), 2):
-        gam = chart.bracket_basis(i, j)
+        terms = chart.brackets.get((i, j), {})
         for l in range(chart.dim):
             lhs = ZERO
-            for k in range(chart.rank):
-                if not gam[k].is_zero():
-                    lhs = add(lhs, mul(gam[k], chart.anchor[k][l]))
+            for k, coeff in terms.items():
+                lhs = add(lhs, mul(coeff, chart.anchor[k][l]))
             rhs = ZERO
             for m in range(chart.dim):
                 rhs = add(rhs, mul(chart.anchor[i][m], chart.anchor[j][l].diff(m)))
@@ -381,7 +417,7 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
             if delta.is_zero():
                 continue
             for point in points:
-                worst_anchor = max(worst_anchor, abs(delta.eval(point)))
+                worst_anchor = max(worst_anchor, _magnitude(delta, point))
     worst_jacobi = 0.0
     for i, j, k in combinations(range(chart.rank), 3):
         b_i, b_j, b_k = (chart.basis_section(t) for t in (i, j, k))
@@ -394,7 +430,7 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
             if comp.is_zero():
                 continue
             for point in points:
-                value = abs(comp.eval(point))
+                value = _magnitude(comp, point)
                 if value > worst_jacobi:
                     worst_jacobi = value
                     worst_triple = (i, j, k)
@@ -424,7 +460,7 @@ def check_morphism(phi: Morphism, n_points: int = 100, seed: int = 42,
             if delta.is_zero():
                 continue
             for point in points:
-                worst = max(worst, abs(delta.eval(point)))
+                worst = max(worst, _magnitude(delta, point))
     for i, j in combinations(range(source.rank), 2):
         lhs = phi.apply(bracket(source.basis_section(i), source.basis_section(j)))
         rhs = bracket(phi.apply(source.basis_section(i)),
@@ -434,7 +470,7 @@ def check_morphism(phi: Morphism, n_points: int = 100, seed: int = 42,
             if delta.is_zero():
                 continue
             for point in points:
-                worst = max(worst, abs(delta.eval(point)))
+                worst = max(worst, _magnitude(delta, point))
     return CheckRecord(
         f"morphism_{phi.name}", worst, tol, n_points,
         {"from": source.name, "to": target.name, "seed": seed},
@@ -491,7 +527,7 @@ class JetChart(AlgebroidChart):
         for p in range(rank):
             for q in range(p + 1, rank):
                 value = bracket(defining[p], defining[q])
-                coeffs = _jet_decompose(base_chart, value)
+                coeffs = _jet_decompose_section(base_chart, value)
                 cleaned = {r: c for r, c in coeffs.items() if not c.is_zero()}
                 if cleaned:
                     brackets[(p, q)] = cleaned
@@ -552,10 +588,6 @@ def _jet_decompose_section(base: AlgebroidChart, a: Section) -> dict[int, Scalar
         if not leading.is_zero():
             coeffs[k] = add(coeffs.get(k, ZERO), leading)
     return coeffs
-
-
-def _jet_decompose(base: AlgebroidChart, a: Section) -> dict[int, ScalarField]:
-    return _jet_decompose_section(base, a)
 
 
 def jet_prolong(chart: AlgebroidChart) -> JetChart:

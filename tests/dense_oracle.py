@@ -1,0 +1,90 @@
+"""Dense reference versions of `d_A`, `bracket` and `anchor_apply`.
+
+These scan every frame index through `AlgebroidChart.bracket_basis` and every
+anchor entry.  Tests require the sparse routes of `algebroids.algebroid`,
+which visit only the chart's nonzero bracket and anchor terms, to build the
+same coefficient trees as these.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+from algebroids.algebroid import AForm, Section, _require_same_chart
+from algebroids.expressions import Const, ScalarField, ZERO, add, mul, sub
+from algebroids.forms import AFormData
+
+
+def anchor_apply(a: Section, f: ScalarField) -> ScalarField:
+    """The anchor image of `a` acting on a base function: xi^i rho_i^j df/dx^j."""
+    chart = a.chart
+    result = ZERO
+    partials = [f.diff(j) for j in range(chart.dim)]
+    for i in range(chart.rank):
+        xi = a.comps[i]
+        if xi.is_zero():
+            continue
+        for j in range(chart.dim):
+            rho = chart.anchor[i][j]
+            if rho.is_zero() or partials[j].is_zero():
+                continue
+            result = add(result, mul(xi, mul(rho, partials[j])))
+    return result
+
+
+def bracket(a1: Section, a2: Section) -> Section:
+    """Leibniz extension of the frame brackets to arbitrary sections."""
+    _require_same_chart(a1.chart, a2.chart)
+    chart = a1.chart
+    comps = [ZERO] * chart.rank
+    for i in range(chart.rank):
+        xi = a1.comps[i]
+        if xi.is_zero():
+            continue
+        for j in range(chart.rank):
+            eta = a2.comps[j]
+            if eta.is_zero():
+                continue
+            for k, coeff in chart.brackets.get((i, j) if i < j else (j, i), {}).items():
+                signed = coeff if i < j else mul(Const(-1.0), coeff)
+                comps[k] = add(comps[k], mul(mul(xi, eta), signed))
+    for k in range(chart.rank):
+        comps[k] = add(comps[k], anchor_apply(a1, a2.comps[k]))
+        comps[k] = sub(comps[k], anchor_apply(a2, a1.comps[k]))
+    return Section(chart, comps)
+
+
+def d_A(omega: AForm) -> AForm:
+    """Exterior differential from the Cartan coefficient formula."""
+    chart = omega.chart
+    k = omega.degree
+    if k + 1 > chart.rank:
+        return chart.zero_form(k + 1)
+    table: dict[tuple[int, ...], ScalarField] = {}
+    for index in combinations(range(chart.rank), k + 1):
+        total = ZERO
+        for r, i_r in enumerate(index):
+            rest = index[:r] + index[r + 1:]
+            inner = omega.data.coeff(rest) if k else omega.data.coeff(())
+            if inner.is_zero():
+                continue
+            term = anchor_apply(chart.basis_section(i_r), inner)
+            if r % 2:
+                term = mul(Const(-1.0), term)
+            total = add(total, term)
+        if k:
+            for r in range(k + 1):
+                for t in range(r + 1, k + 1):
+                    i_r, i_t = index[r], index[t]
+                    rest = tuple(v for p, v in enumerate(index) if p not in (r, t))
+                    pair_sign = -1.0 if (r + t) % 2 else 1.0
+                    for m, coeff in enumerate(chart.bracket_basis(i_r, i_t)):
+                        if coeff.is_zero():
+                            continue
+                        value = omega.data.coeff_signed((m,) + rest)
+                        if value.is_zero():
+                            continue
+                        total = add(total, mul(Const(pair_sign), mul(coeff, value)))
+        if not total.is_zero():
+            table[index] = total
+    return AForm(chart, AFormData(k + 1, chart.rank, table))

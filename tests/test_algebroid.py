@@ -30,6 +30,16 @@ def _max_diff(form_a, form_b, points):
     return (form_a - form_b).max_abs(points)
 
 
+def _nan_jacobi_chart():
+    """[b0,b1] = c b2 with c = inf - inf (NaN) at every probe, [b0,b2] = b0."""
+    coords = ["x"]
+    big = "exp(700+x)*exp(700+x)"
+    c = parse_expression(f"{big} - {big}", coords)
+    return AlgebroidChart("nan_jacobi", coords, ["b0", "b1", "b2"],
+                          [[Const(0.0)]] * 3,
+                          {(0, 1): {2: c}, (0, 2): {0: Const(1.0)}})
+
+
 class TestAnchorApply:
     def test_de_rham_case(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
@@ -151,6 +161,13 @@ class TestVerifyAxioms:
         assert jacobi.residual >= 0.1
         assert jacobi.details["failing_triple"] == [0, 1, 2]
 
+    def test_nan_jacobiator_fails(self):
+        anchor, jacobi = verify_axioms(_nan_jacobi_chart())
+        assert anchor.passed and anchor.residual == 0.0
+        assert not jacobi.passed
+        assert jacobi.residual == float("inf")
+        assert jacobi.details["failing_triple"] == [0, 1, 2]
+
 
 class TestPullback:
     def test_identity_is_identity(self, so3, line_points):
@@ -210,6 +227,11 @@ class TestCheckMorphism:
         record = check_morphism(bad)
         assert not record.passed
         assert record.residual >= 0.5
+
+    def test_nan_bracket_residual_fails(self):
+        record = check_morphism(Morphism.identity(_nan_jacobi_chart()))
+        assert not record.passed
+        assert record.residual == float("inf")
 
 
 class TestLinkChart:

@@ -1,0 +1,130 @@
+"""The sparse `d_A`, `bracket` and `anchor_apply` against the dense oracle.
+
+The sparse routes must build the very expression trees of the dense loops:
+same table keys, same node kinds, constants and child order, hence
+`str()`-equal coefficients and byte-identical reports.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+
+import dense_oracle
+from algebroids.algebroid import (
+    AlgebroidChart,
+    Section,
+    anchor_apply,
+    bracket,
+    d_A,
+    verify_axioms,
+)
+from algebroids.expressions import Const, Coord, ScalarField, parse_expression
+from algebroids.forms import AFormData
+
+COORDS = ("x", "y")
+# Non-constant and constant coefficients; constants exercise the skips.
+POOL = {
+    1: ["x", "x^2", "sin(x)", "exp(x)", "1 + x", "x/(2 + x^2)", "2", "-3", "0.5"],
+    2: ["y", "x*y", "cos(y) - x", "y^3"],
+}
+
+
+def _tree(field: ScalarField):
+    """Node kinds, constants and child order of an expression tree."""
+    if isinstance(field, Const):
+        return ("Const", repr(field.value))
+    if isinstance(field, Coord):
+        return ("Coord", field.index)
+    kids = tuple(
+        _tree(value)
+        for cls in type(field).__mro__
+        for slot in getattr(cls, "__slots__", ())
+        if isinstance(value := getattr(field, slot, None), ScalarField)
+    )
+    return (type(field).__name__, getattr(field, "exponent", None), kids)
+
+
+def _assert_same_table(new: dict, old: dict) -> None:
+    assert list(new) == list(old)
+    for key in old:
+        assert str(new[key]) == str(old[key])
+        assert _tree(new[key]) == _tree(old[key])
+
+
+def _assert_same_fields(new, old) -> None:
+    _assert_same_table(dict(enumerate(new)), dict(enumerate(old)))
+
+
+def _fields(coords, zero_weight: int = 1):
+    texts = [t for d in range(1, len(coords) + 1) for t in POOL[d]]
+    return st.sampled_from(["0"] * zero_weight + texts).map(
+        lambda text: parse_expression(text, coords))
+
+
+@st.composite
+def charts(draw):
+    rank = draw(st.integers(1, 5))
+    coords = COORDS[:draw(st.integers(1, 2))]
+    sparse = _fields(coords, zero_weight=6)
+    anchor = [[draw(sparse) for _ in coords] for _ in range(rank)]
+    brackets = {}
+    for i, j in combinations(range(rank), 2):
+        targets = draw(st.lists(st.integers(0, rank - 1), max_size=rank, unique=True))
+        if targets:
+            key = (j, i) if draw(st.booleans()) else (i, j)
+            brackets[key] = {k: draw(_fields(coords, zero_weight=0)) for k in targets}
+    return AlgebroidChart("random", coords, [f"b{i}" for i in range(rank)],
+                          anchor, brackets)
+
+
+@given(charts(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_routes_match_dense_oracle(chart, data):
+    fields = _fields(chart.coords)
+    for degree in range(chart.rank + 1):
+        keys = data.draw(st.lists(
+            st.sampled_from(list(combinations(range(chart.rank), degree))),
+            unique=True))
+        table = {key: data.draw(fields) for key in keys}
+        omega = chart.form(AFormData(degree, chart.rank, table))
+        new, old = d_A(omega), dense_oracle.d_A(omega)
+        assert new.degree == old.degree
+        _assert_same_table(new.data.table, old.data.table)
+    a1, a2 = (Section(chart, data.draw(st.lists(fields, min_size=chart.rank,
+                                                 max_size=chart.rank)))
+              for _ in range(2))
+    _assert_same_fields(bracket(a1, a2).comps, dense_oracle.bracket(a1, a2).comps)
+    f = data.draw(fields)
+    _assert_same_fields([anchor_apply(a1, f)], [dense_oracle.anchor_apply(a1, f)])
+
+
+def _sa3_forms(chart):
+    x = chart.coordinate_field(0)
+    covectors = {(i,): parse_expression(f"x^2 + {i}*sin(x)", chart.coords)
+                 for i in range(chart.rank)}
+    two = {(i, j): parse_expression(f"{i}*x - {j}", chart.coords)
+           for i, j in combinations(range(0, chart.rank, 2), 2)}
+    return [
+        chart.function_form(parse_expression("exp(x) + x^3", chart.coords)),
+        chart.form(AFormData(1, chart.rank, covectors)),
+        chart.form(AFormData(2, chart.rank, two)),
+        chart.form(AFormData(3, chart.rank, {(0, 4, 9): x})),
+    ]
+
+
+def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, monkeypatch):
+    chart = sa3.chart("sa3")
+    forms = _sa3_forms(chart)
+    expected = [dense_oracle.d_A(omega).data.table for omega in forms]
+
+    def dense_scan(*args):
+        raise AssertionError("dense frame scan")
+
+    monkeypatch.setattr(AlgebroidChart, "gamma", dense_scan)
+    monkeypatch.setattr(AlgebroidChart, "bracket_basis", dense_scan)
+    for omega, table in zip(forms, expected):
+        _assert_same_table(d_A(omega).data.table, table)
+    assert d_A(chart.zero_form(2)).is_zero()
+    bracket(chart.basis_section(0), chart.basis_section(1))
+    for small in sl2aff.charts.values():
+        assert all(r.passed for r in verify_axioms(small, n_points=5))
