@@ -8,11 +8,13 @@ numerically by `verify_axioms`, never assumed by constructors.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Sequence
 
-from .expressions import Const, Coord, ScalarField, ZERO, add, mul, sub
+import numpy as np
+
+from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
+                          residual, sub)
 from .forms import AFormData, generalized_delta
 from .reports import CheckRecord
 from .sampling import sample_points
@@ -241,7 +243,8 @@ def bracket(a1: Section, a2: Section) -> Section:
     """Leibniz extension of the frame brackets to arbitrary sections.
 
     Visits only the nonzero components of both arguments and the stored
-    bracket terms of each frame pair.
+    bracket terms of each frame pair; on a chart with zero anchor the
+    anchor (Leibniz) terms are all zero and are skipped.
     """
     _require_same_chart(a1.chart, a2.chart)
     chart = a1.chart
@@ -254,9 +257,10 @@ def bracket(a1: Section, a2: Section) -> Section:
             for k, coeff in chart.brackets.get((i, j) if i < j else (j, i), {}).items():
                 signed = coeff if i < j else mul(Const(-1.0), coeff)
                 comps[k] = add(comps[k], mul(mul(xi, eta), signed))
-    for k in range(chart.rank):
-        comps[k] = add(comps[k], anchor_apply(a1, a2.comps[k]))
-        comps[k] = sub(comps[k], anchor_apply(a2, a1.comps[k]))
+    if any(chart.anchor_terms):
+        for k in range(chart.rank):
+            comps[k] = add(comps[k], anchor_apply(a1, a2.comps[k]))
+            comps[k] = sub(comps[k], anchor_apply(a2, a1.comps[k]))
     return Section(chart, comps)
 
 
@@ -387,22 +391,16 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
     return AForm(chart, AFormData(k, chart.rank, table))
 
 
-def _magnitude(field: ScalarField, point) -> float:
-    """|field| at a point; a NaN or infinite value counts as inf, so it fails."""
-    value = abs(field.eval(point))
-    return value if math.isfinite(value) else math.inf
-
-
 def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
                   tol: float = 1e-9) -> list[CheckRecord]:
     """Numerically test the algebroid axioms at seeded sample points.
 
     Checks (a) the anchor sends frame brackets to vector-field brackets and
-    (b) the Jacobiator of every frame triple vanishes.
+    (b) the Jacobiator of every frame triple vanishes.  A non-finite value
+    counts as an infinite residual.
     """
-    points = sample_points(chart.dim, n_points, seed)
-    worst_anchor = 0.0
-    worst_triple = None
+    points = np.asarray(sample_points(chart.dim, n_points, seed))
+    deltas = []
     for i, j in combinations(range(chart.rank), 2):
         terms = chart.brackets.get((i, j), {})
         for l in range(chart.dim):
@@ -413,12 +411,10 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
             for m in range(chart.dim):
                 rhs = add(rhs, mul(chart.anchor[i][m], chart.anchor[j][l].diff(m)))
                 rhs = sub(rhs, mul(chart.anchor[j][m], chart.anchor[i][l].diff(m)))
-            delta = sub(lhs, rhs)
-            if delta.is_zero():
-                continue
-            for point in points:
-                worst_anchor = max(worst_anchor, _magnitude(delta, point))
+            deltas.append(sub(lhs, rhs))
+    worst_anchor = residual(deltas, points)
     worst_jacobi = 0.0
+    worst_triple = None
     for i, j, k in combinations(range(chart.rank), 3):
         b_i, b_j, b_k = (chart.basis_section(t) for t in (i, j, k))
         jacobiator = (
@@ -426,14 +422,10 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
             + bracket(bracket(b_j, b_k), b_i)
             + bracket(bracket(b_k, b_i), b_j)
         )
-        for comp in jacobiator.comps:
-            if comp.is_zero():
-                continue
-            for point in points:
-                value = _magnitude(comp, point)
-                if value > worst_jacobi:
-                    worst_jacobi = value
-                    worst_triple = (i, j, k)
+        for value in field_maxima(jacobiator.comps, points):
+            if value > worst_jacobi:
+                worst_jacobi = value
+                worst_triple = (i, j, k)
     records = [
         CheckRecord("anchor_bracket_morphism", worst_anchor, tol, n_points,
                     {"chart": chart.name, "seed": seed}),
@@ -447,30 +439,24 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
 
 def check_morphism(phi: Morphism, n_points: int = 100, seed: int = 42,
                    tol: float = 1e-9) -> CheckRecord:
-    """Test anchor preservation and bracket preservation on frame sections."""
+    """Test anchor preservation and bracket preservation on frame sections.
+
+    A non-finite value counts as an infinite residual.
+    """
     source, target = phi.source, phi.target
-    points = sample_points(source.dim, n_points, seed)
-    worst = 0.0
+    deltas = []
     for i in range(source.rank):
         for j in range(source.dim):
             pushed = ZERO
             for u in range(target.rank):
                 pushed = add(pushed, mul(phi.matrix[i][u], target.anchor[u][j]))
-            delta = sub(pushed, source.anchor[i][j])
-            if delta.is_zero():
-                continue
-            for point in points:
-                worst = max(worst, _magnitude(delta, point))
+            deltas.append(sub(pushed, source.anchor[i][j]))
     for i, j in combinations(range(source.rank), 2):
         lhs = phi.apply(bracket(source.basis_section(i), source.basis_section(j)))
         rhs = bracket(phi.apply(source.basis_section(i)),
                       phi.apply(source.basis_section(j)))
-        for a, b in zip(lhs.comps, rhs.comps):
-            delta = sub(a, b)
-            if delta.is_zero():
-                continue
-            for point in points:
-                worst = max(worst, _magnitude(delta, point))
+        deltas.extend(sub(a, b) for a, b in zip(lhs.comps, rhs.comps))
+    worst = residual(deltas, sample_points(source.dim, n_points, seed))
     return CheckRecord(
         f"morphism_{phi.name}", worst, tol, n_points,
         {"from": source.name, "to": target.name, "seed": seed},

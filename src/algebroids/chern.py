@@ -17,7 +17,8 @@ import numpy as np
 
 from .algebroid import AForm, AlgebroidChart, d_A
 from .connections import AConnection, ConnectionFamily, FormMatrix, curvature, link_curvature
-from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul
+from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, max_abs_finite, mul,
+                          substitute)
 from .forms import AFormData, generalized_delta
 from .reports import CheckRecord
 from .sampling import sample_points
@@ -61,14 +62,14 @@ def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",
     matrix = np.asarray(matrix, dtype=float)
     r = matrix.shape[0]
     if algebra == "o":
-        residual = np.max(np.abs(matrix + matrix.T))
+        residual = max_abs_finite(matrix + matrix.T)
     elif algebra == "sp":
         if r % 2:
             raise ValueError("sp(q) needs even dimension")
         half = r // 2
         j = np.block([[np.zeros((half, half)), np.eye(half)],
                       [-np.eye(half), np.zeros((half, half))]])
-        residual = np.max(np.abs(matrix.T @ j + j @ matrix))
+        residual = max_abs_finite(matrix.T @ j + j @ matrix)
     else:
         raise ValueError("algebra must be 'o' or 'sp'")
     if residual > membership_tol:
@@ -138,8 +139,8 @@ def integrate_unit_interval(field: ScalarField, coord_index: int,
     """Exact Gauss integral over the coordinate `coord_index` in [0, 1]."""
     xs, ws = gauss_legendre_01(nodes)
     acc = ZERO
-    for x, w in zip(xs, ws):
-        acc = add(acc, mul(Const(float(w)), field.subs(coord_index, float(x))))
+    for w, sample in zip(ws, substitute(field, coord_index, [float(x) for x in xs])):
+        acc = add(acc, mul(Const(float(w)), sample))
     return acc
 
 
@@ -200,12 +201,11 @@ def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
         if index[-2:] != param_slots or any(i >= s for i in index[:-2]):
             continue
         acc = ZERO
-        for u, wu in zip(us, wus):
-            for v, wv in zip(vs, wvs):
-                t1 = float(u)
-                t2 = float(v * (1.0 - u))
+        rows = substitute(coeff, param_coords[0], [float(u) for u in us])
+        for u, wu, row in zip(us, wus, rows):
+            t2s = [float(v * (1.0 - u)) for v in vs]
+            for wv, sample in zip(wvs, substitute(row, param_coords[1], t2s)):
                 weight = float(wu * wv * (1.0 - u))
-                sample = coeff.subs(param_coords[0], t1).subs(param_coords[1], t2)
                 acc = add(acc, mul(Const(weight), sample))
         if not acc.is_zero():
             key = index[:-2]

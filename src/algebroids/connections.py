@@ -26,7 +26,8 @@ from .algebroid import (
     d_A,
     extend_with_parameters,
 )
-from .expressions import Const, ScalarField, ZERO, add, div, mul, square_root, sub
+from .expressions import (Const, ScalarField, ZERO, add, div, max_abs_finite, mul,
+                          residual, square_root, sub)
 from .forms import AFormData
 from .reports import CheckRecord
 from .sampling import sample_points
@@ -175,11 +176,9 @@ class FormMatrix:
         return FormMatrix(self.chart, out, self.degree)
 
     def max_abs(self, points) -> float:
-        worst = 0.0
-        for row in self.entries:
-            for entry in row:
-                worst = max(worst, entry.max_abs(points))
-        return worst
+        """Largest coefficient magnitude of any entry; inf if any is non-finite."""
+        return residual([coeff for row in self.entries for entry in row
+                         for coeff in entry.data.table.values()], points)
 
     def _check_compatible(self, other: "FormMatrix", same_degree: bool = True):
         if self.chart is not other.chart or self.size != other.size:
@@ -391,7 +390,7 @@ class QuasiMetric:
         worst = 0.0
         for point in points:
             g = self.eval(point)
-            worst = max(worst, float(np.max(np.abs(g - self.sign * g.T))))
+            worst = max(worst, max_abs_finite(g - self.sign * g.T))
         return worst
 
 
@@ -543,7 +542,7 @@ def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField],
         probe_points = sample_points(chart.dim, 16, 11)
     for point in probe_points:
         total = sum(w.eval(point) for w in weights)
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= tol:  # a NaN weight is not a partition of unity
             raise ValueError(f"weights sum to {total} at {point}, not a partition of unity")
     matrix = FormMatrix.zero(chart, rank, 1)
     for conn, weight in zip(connections, weights):
@@ -729,24 +728,21 @@ def metric_compat_check(conn: AConnection, g: QuasiMetric, n_points: int = 100,
     """Residual of anchor(g(v,w)) - g(nabla v, w) - g(v, nabla w) on frame pairs."""
     chart = conn.chart
     points = sample_points(chart.dim, n_points, seed)
-    worst = 0.0
+    fields = []
     for i in range(chart.rank):
         direction = chart.basis_section(i)
         for a in range(conn.rank):
             for b in range(conn.rank):
-                residual = anchor_apply(direction, g.matrix[a][b])
+                field = anchor_apply(direction, g.matrix[a][b])
                 for c in range(conn.rank):
                     w_ac = conn.omega(a, c).data.coeff((i,))
                     if not w_ac.is_zero() and not g.matrix[c][b].is_zero():
-                        residual = sub(residual, mul(w_ac, g.matrix[c][b]))
+                        field = sub(field, mul(w_ac, g.matrix[c][b]))
                     w_bc = conn.omega(b, c).data.coeff((i,))
                     if not w_bc.is_zero() and not g.matrix[a][c].is_zero():
-                        residual = sub(residual, mul(w_bc, g.matrix[a][c]))
-                if residual.is_zero():
-                    continue
-                for point in points:
-                    worst = max(worst, abs(residual.eval(point)))
-    return CheckRecord(name, worst, tol, n_points, {"seed": seed})
+                        field = sub(field, mul(w_bc, g.matrix[a][c]))
+                fields.append(field)
+    return CheckRecord(name, residual(fields, points), tol, n_points, {"seed": seed})
 
 
 def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
@@ -785,7 +781,7 @@ def k_flatness_check(conn_S: AConnection, phi: Morphism,
             for vec in vectors:
                 values = np.array([c.eval(point) for c in vec])
                 image = values @ matrix
-                worst = max(worst, float(np.max(np.abs(image))))
+                worst = max(worst, max_abs_finite(image))
                 evaluated += 1
     return CheckRecord("k_flatness", worst, tol, n_points,
                        {"seed": seed, "kernel_vectors": len(vectors)})
@@ -801,7 +797,7 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
     """
     g0 = g.eval(probe_points[0])
     for point in probe_points[1:]:
-        if np.max(np.abs(g.eval(point) - g0)) > 1e-10:
+        if max_abs_finite(g.eval(point) - g0) > 1e-10:
             raise ValueError("adapted frames are only computed for constant metrics")
     r = g.rank
     t_frame = np.array(
@@ -895,23 +891,21 @@ def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
             w = omega.eval_on((i,), point)
             adapted = frame @ w @ frame_inv
             if len(t_frame) and q:
-                worst_kernel = max(worst_kernel,
-                                   float(np.max(np.abs(adapted[q:, :q]))))
+                worst_kernel = max(worst_kernel, max_abs_finite(adapted[q:, :q]))
             if q:
                 block = adapted[:q, :q]
-                residual = block @ canonical + canonical @ block.T
-                worst_algebra = max(worst_algebra, float(np.max(np.abs(residual))))
+                defect = block @ canonical + canonical @ block.T
+                worst_algebra = max(worst_algebra, max_abs_finite(defect))
         for i, j in combinations(range(chart.rank), 2):
             w = curv.eval_on((i, j), point)
             adapted = frame @ w @ frame_inv
             if len(t_frame) and q:
                 worst_curv_kernel = max(worst_curv_kernel,
-                                        float(np.max(np.abs(adapted[q:, :q]))))
+                                        max_abs_finite(adapted[q:, :q]))
             if q:
                 block = adapted[:q, :q]
-                residual = block @ canonical + canonical @ block.T
-                worst_curv_algebra = max(worst_curv_algebra,
-                                         float(np.max(np.abs(residual))))
+                defect = block @ canonical + canonical @ block.T
+                worst_curv_algebra = max(worst_curv_algebra, max_abs_finite(defect))
     label = "orthogonal" if g.sign == 1 else "symplectic"
     return [
         CheckRecord("adapted_frame_kernel_block", worst_kernel, tol, n_points),

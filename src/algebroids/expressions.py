@@ -7,12 +7,36 @@ metric frames).  Differentiation is symbolic and closed under these node
 kinds, so identities downstream fail only through floating-point evaluation,
 never through truncation.  No canonicalization is attempted beyond cheap
 constant folding; equality of fields is always decided pointwise.
+
+The algebra built on the folding constructors reuses subtrees, so a tree is
+in fact a DAG: one node object can sit under many parents.  Numbers come out
+of it by two routes.
+
+* Residuals: `residual` and `field_maxima` evaluate a list of fields on an
+  (N, dim) array of probe points with numpy.  Each distinct node (by
+  identity) is computed once per call, and its values are released as soon
+  as its last parent has used them.  A NaN or infinite value, including one
+  hidden by a later division, exponential or negative power, makes the
+  result inf, so a check never passes on a non-finite residual.  Every
+  symbolic residual loop goes this way; `max_abs_finite` applies the same
+  rule to numeric matrices.
+* Single-point values: `ScalarField.eval(point)` walks the tree with Python
+  floats and `math`.  Form dumps and metric matrices at one point use it, so
+  their printed digits do not depend on numpy's kernels (`np.exp` and integer
+  powers can differ from `math.exp` and `**` in the last bit).  It is also
+  the test oracle for the vectorized route.
+
+`subs` and `tau_degree` are walks over distinct nodes with a per-call memo as
+well; `subs` returns a node unchanged when its children are.  Nodes define no
+`__eq__` or `__hash__`, so the memos, keyed by node, key by identity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class ExpressionError(ValueError):
@@ -37,11 +61,11 @@ class ScalarField:
 
     def subs(self, index: int, value: float) -> "ScalarField":
         """Substitute a constant for coordinate `index`, folding constants."""
-        raise NotImplementedError
+        return substitute(self, index, (value,))[0]
 
     def tau_degree(self, index: int) -> int | None:
         """Polynomial degree in coordinate `index`, or None if not polynomial."""
-        raise NotImplementedError
+        return tau_degree(self, index)
 
     def is_zero(self) -> bool:
         return isinstance(self, Const) and self.value == 0.0
@@ -99,12 +123,6 @@ class Const(ScalarField):
     def diff(self, index):
         return ZERO
 
-    def subs(self, index, value):
-        return self
-
-    def tau_degree(self, index):
-        return 0
-
     def __str__(self):
         return _format_number(self.value)
 
@@ -121,12 +139,6 @@ class Coord(ScalarField):
 
     def diff(self, index):
         return ONE if index == self.index else ZERO
-
-    def subs(self, index, value):
-        return Const(value) if index == self.index else self
-
-    def tau_degree(self, index):
-        return 1 if index == self.index else 0
 
     def __str__(self):
         return self.name
@@ -149,12 +161,6 @@ class Add(_Binary):
     def diff(self, index):
         return add(self.left.diff(index), self.right.diff(index))
 
-    def subs(self, index, value):
-        return add(self.left.subs(index, value), self.right.subs(index, value))
-
-    def tau_degree(self, index):
-        return _max_degree(self.left.tau_degree(index), self.right.tau_degree(index))
-
     def __str__(self):
         return f"{self.left} + {self.right}"
 
@@ -167,12 +173,6 @@ class Sub(_Binary):
 
     def diff(self, index):
         return sub(self.left.diff(index), self.right.diff(index))
-
-    def subs(self, index, value):
-        return sub(self.left.subs(index, value), self.right.subs(index, value))
-
-    def tau_degree(self, index):
-        return _max_degree(self.left.tau_degree(index), self.right.tau_degree(index))
 
     def __str__(self):
         return f"{self.left} - {_paren_additive(self.right)}"
@@ -189,16 +189,6 @@ class Mul(_Binary):
             mul(self.left.diff(index), self.right),
             mul(self.left, self.right.diff(index)),
         )
-
-    def subs(self, index, value):
-        return mul(self.left.subs(index, value), self.right.subs(index, value))
-
-    def tau_degree(self, index):
-        a = self.left.tau_degree(index)
-        b = self.right.tau_degree(index)
-        if a is None or b is None:
-            return None
-        return a + b
 
     def __str__(self):
         return f"{_paren_additive(self.left)}*{_paren_additive(self.right)}"
@@ -219,16 +209,6 @@ class Div(_Binary):
             mul(self.right, self.right),
         )
 
-    def subs(self, index, value):
-        return div(self.left.subs(index, value), self.right.subs(index, value))
-
-    def tau_degree(self, index):
-        a = self.left.tau_degree(index)
-        b = self.right.tau_degree(index)
-        if a is None or b != 0:
-            return None
-        return a
-
     def __str__(self):
         return f"{_paren_additive(self.left)}/{_paren_tight(self.right)}"
 
@@ -247,17 +227,6 @@ class Pow(ScalarField):
         n = self.exponent
         return mul(mul(Const(n), power(self.base, n - 1)), self.base.diff(index))
 
-    def subs(self, index, value):
-        return power(self.base.subs(index, value), self.exponent)
-
-    def tau_degree(self, index):
-        a = self.base.tau_degree(index)
-        if a is None:
-            return None
-        if self.exponent >= 0:
-            return a * self.exponent
-        return None if a != 0 else 0
-
     def __str__(self):
         return f"{_paren_tight(self.base)}^{self.exponent}"
 
@@ -267,9 +236,6 @@ class _Unary(ScalarField):
 
     def __init__(self, arg: ScalarField):
         self.arg = arg
-
-    def tau_degree(self, index):
-        return 0 if self.arg.tau_degree(index) == 0 else None
 
     def __str__(self):
         return f"{self._name}({self.arg})"
@@ -285,9 +251,6 @@ class Sin(_Unary):
     def diff(self, index):
         return mul(Cos(self.arg), self.arg.diff(index))
 
-    def subs(self, index, value):
-        return sine(self.arg.subs(index, value))
-
 
 class Cos(_Unary):
     __slots__ = ()
@@ -299,9 +262,6 @@ class Cos(_Unary):
     def diff(self, index):
         return sub(ZERO, mul(Sin(self.arg), self.arg.diff(index)))
 
-    def subs(self, index, value):
-        return cosine(self.arg.subs(index, value))
-
 
 class Exp(_Unary):
     __slots__ = ()
@@ -312,9 +272,6 @@ class Exp(_Unary):
 
     def diff(self, index):
         return mul(self, self.arg.diff(index))
-
-    def subs(self, index, value):
-        return exponential(self.arg.subs(index, value))
 
 
 class Sqrt(_Unary):
@@ -328,9 +285,6 @@ class Sqrt(_Unary):
 
     def diff(self, index):
         return div(self.arg.diff(index), mul(Const(2.0), self))
-
-    def subs(self, index, value):
-        return square_root(self.arg.subs(index, value))
 
 
 ZERO = Const(0.0)
@@ -431,14 +385,210 @@ def balanced_sum(terms: Sequence[ScalarField]) -> ScalarField:
     return terms[0]
 
 
-def _max_degree(a, b):
-    if a is None or b is None:
-        return None
-    return max(a, b)
+# --------------------------------------------------------------------------
+# Walks over distinct nodes: vectorized residuals, substitution, degrees
+# --------------------------------------------------------------------------
+
+
+def _children(node: ScalarField) -> tuple[ScalarField, ...]:
+    if isinstance(node, _Binary):
+        return (node.left, node.right)
+    if isinstance(node, _Unary):
+        return (node.arg,)
+    if isinstance(node, Pow):
+        return (node.base,)
+    return ()
+
+
+def _enter(node: ScalarField, pending: dict, order: list) -> None:
+    """Register `node` and every unregistered node under it, children first.
+
+    `pending[n]` counts the parent edges into n registered so far.  Recursion
+    goes as deep as the tree, as `eval` does.
+    """
+    pending[node] = 0
+    for kid in _children(node):
+        if kid not in pending:
+            _enter(kid, pending, order)
+        pending[kid] += 1
+    order.append(node)
+
+
+def _schedule(roots: Iterable[ScalarField]) -> tuple[list[ScalarField], dict]:
+    """Distinct nodes under `roots`, children first, and each one's parent-edge count."""
+    pending: dict[ScalarField, int] = {}
+    order: list[ScalarField] = []
+    for root in roots:
+        if root not in pending:
+            _enter(root, pending, order)
+    return order, pending
+
+
+def _release(kids: tuple[ScalarField, ...], pending: dict, memo: dict) -> None:
+    """Count one read of each kid; drop the memo entries no parent will read again."""
+    for kid in kids:
+        pending[kid] -= 1
+        if not pending[kid]:
+            del memo[kid]
+
+
+_VECTOR_OPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.divide,
+               Sin: np.sin, Cos: np.cos, Exp: np.exp, Sqrt: np.sqrt}
+
+
+def _nan_where_nonfinite(value, operand):
+    """`value` with NaN wherever `operand` is not finite.
+
+    Division by, the exponential of, and a non-positive power of an infinite
+    operand can be finite (x/inf = 0, exp(-inf) = 0, inf^-1 = 0).  The scalar
+    walk raises before it gets there, so the vectorized walk must not let the
+    non-finite value disappear either.
+    """
+    finite = np.isfinite(operand)
+    return value if finite.all() else np.where(finite, value, np.nan)
+
+
+def _eval_node(node: ScalarField, values: dict, columns: np.ndarray):
+    kind = type(node)
+    if kind is Const:
+        return np.float64(node.value)
+    if kind is Coord:
+        return columns[node.index]
+    if kind is Pow:
+        base = values[node.base]
+        value = base ** node.exponent
+        return value if node.exponent > 0 else _nan_where_nonfinite(value, base)
+    op = _VECTOR_OPS[kind]
+    if kind is Div:
+        right = values[node.right]
+        return _nan_where_nonfinite(op(values[node.left], right), right)
+    if isinstance(node, _Binary):
+        return op(values[node.left], values[node.right])
+    arg = values[node.arg]
+    return _nan_where_nonfinite(op(arg), arg) if kind is Exp else op(arg)
+
+
+def max_abs_finite(values) -> float:
+    """Largest magnitude in an array; inf if any entry is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return 0.0
+    worst = float(np.abs(values).max())
+    return worst if math.isfinite(worst) else math.inf
+
+
+def field_maxima(fields: Iterable[ScalarField], points) -> list[float]:
+    """max |field| over the points for each field; inf where a value is non-finite.
+
+    `points` is an (N, dim) array or a sequence of N coordinate tuples.  Each
+    distinct node under `fields` is evaluated once, on all points at a time,
+    and its values are dropped once every parent has read them.
+    """
+    fields = list(fields)
+    points = np.asarray(points, dtype=float)
+    if not len(points):
+        return [0.0] * len(fields)
+    columns = np.ascontiguousarray(points.T)
+    order, pending = _schedule(fields)
+    roots = set(fields)
+    maxima: dict[ScalarField, float] = {}
+    values: dict[ScalarField, object] = {}
+    with np.errstate(all="ignore"):
+        for node in order:
+            value = _eval_node(node, values, columns)
+            _release(_children(node), pending, values)
+            if node in roots:
+                maxima[node] = max_abs_finite(value)
+            if pending[node]:
+                values[node] = value
+    return [maxima[field] for field in fields]
+
+
+def residual(fields: Iterable[ScalarField], points) -> float:
+    """Largest |value| of any field at any point; inf if any value is non-finite."""
+    return max(field_maxima(fields, points), default=0.0)
+
+
+_REBUILD = {Add: add, Sub: sub, Mul: mul, Div: div,
+            Sin: sine, Cos: cosine, Exp: exponential, Sqrt: square_root}
+
+
+def substitute(field: ScalarField, index: int,
+               values: Sequence[float]) -> list[ScalarField]:
+    """`field` with each of `values` in turn for coordinate `index`, folding constants.
+
+    One walk serves every value.  A node without the coordinate is kept as it
+    is; every other distinct node is rebuilt once per value through the
+    folding constructors, so each result is the tree a node-by-node rebuild
+    folds to, with shared subtrees kept shared.
+    """
+    order, pending = _schedule((field,))
+    # node -> None where the coordinate does not occur, else one result per value
+    memo: dict[ScalarField, list[ScalarField] | None] = {}
+    for node in order:  # the last node is `field`
+        kind = type(node)
+        kids = _children(node)
+        results = [memo[kid] for kid in kids]
+        _release(kids, pending, memo)
+        if kind is Coord and node.index == index:
+            result = [Const(value) for value in values]
+        elif all(r is None for r in results):
+            result = None
+        else:
+            columns = [[kid] * len(values) if r is None else r
+                       for kid, r in zip(kids, results)]
+            if kind is Pow:
+                result = [power(base, node.exponent) for base in columns[0]]
+            else:
+                result = [_REBUILD[kind](*args) for args in zip(*columns)]
+        if pending[node]:
+            memo[node] = result
+    return result or [field] * len(values)
+
+
+def tau_degree(field: ScalarField, index: int) -> int | None:
+    """Polynomial degree of `field` in coordinate `index`, or None if not polynomial.
+
+    Each distinct node is measured once.
+    """
+    return _degree(field, index, {})
+
+
+def _degree(node: ScalarField, index: int, memo: dict) -> int | None:
+    if node in memo:
+        return memo[node]
+    kind = type(node)
+    if kind is Const:
+        degree = 0
+    elif kind is Coord:
+        degree = 1 if node.index == index else 0
+    elif kind is Pow:
+        a = _degree(node.base, index, memo)
+        if a is None:
+            degree = None
+        elif node.exponent >= 0:
+            degree = a * node.exponent
+        else:
+            degree = None if a != 0 else 0
+    elif isinstance(node, _Unary):
+        degree = 0 if _degree(node.arg, index, memo) == 0 else None
+    else:
+        a = _degree(node.left, index, memo)
+        b = _degree(node.right, index, memo)
+        if a is None or b is None:
+            degree = None
+        elif kind is Mul:
+            degree = a + b
+        elif kind is Div:
+            degree = a if b == 0 else None
+        else:
+            degree = max(a, b)
+    memo[node] = degree
+    return degree
 
 
 def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
+    if math.isfinite(value) and value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
 

@@ -65,6 +65,8 @@ def _parse_entry(text, coords, where: str) -> ScalarField:
         return parse_expression(text, coords)
     except ExpressionError as exc:
         raise FixtureError(f"{where}: {exc}") from exc
+    except (ArithmeticError, ValueError) as exc:  # e.g. 10^400, exp(1000), 0^-1
+        raise FixtureError(f"{where}: cannot fold the constants of {text!r}: {exc}") from exc
 
 
 def _parse_matrix(rows, coords, expect_shape: tuple[int, int], where: str):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Mapping
 
-from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul
+from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul, residual
 
 
 def generalized_delta(upper: Iterable[int], lower: Iterable[int]) -> int:
@@ -104,16 +104,23 @@ class AFormData:
         return self.table.get(tuple(index), ZERO)
 
     def coeff_signed(self, index: tuple[int, ...]) -> ScalarField:
-        """Value on an arbitrary (possibly unsorted) frame tuple."""
+        """Value on an arbitrary (possibly unsorted) frame tuple.
+
+        `d_A` asks for (m,) + rest with `rest` increasing; the sign of that
+        order is the parity of m's position in the sorted tuple.  Other orders
+        count inversions.
+        """
         index = tuple(index)
-        if len(set(index)) != len(index):
-            return ZERO
         ordered = tuple(sorted(index))
-        sign = generalized_delta(ordered, index)
-        base = self.table.get(ordered)
+        base = self.table.get(ordered)  # stored keys never repeat an index
         if base is None:
             return ZERO
-        return mul(Const(float(sign)), base)
+        position = ordered.index(index[0]) if index else 0
+        if ordered[:position] + ordered[position + 1:] == index[1:]:
+            sign = -1.0 if position % 2 else 1.0
+        else:
+            sign = float(permutation_sign([ordered.index(v) for v in index]))
+        return mul(Const(sign), base)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -161,12 +168,8 @@ class AFormData:
         return {index: coeff.eval(point) for index, coeff in self.table.items()}
 
     def max_abs(self, points) -> float:
-        """Largest coefficient magnitude over the sample points."""
-        worst = 0.0
-        for coeff in self.table.values():
-            for point in points:
-                worst = max(worst, abs(coeff.eval(point)))
-        return worst
+        """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
+        return residual(self.table.values(), points)
 
     def __repr__(self):
         if not self.table:

@@ -67,6 +67,19 @@ class TestFixtureLoading:
         with pytest.raises(FixtureError, match="anchor"):
             load_fixture(bad)
 
+    @pytest.mark.parametrize("entry", ["10^400", "x + exp(1000)", "0^-1"])
+    def test_constant_overflow_carries_location(self, tmp_path, entry):
+        bad = tmp_path / "overflow.json"
+        bad.write_text(json.dumps({
+            "base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1"], "anchor": [[entry]],
+                                 "brackets": []}},
+        }))
+        with pytest.raises(FixtureError, match=r"anchor\[1\]\[1\]: cannot fold"):
+            load_fixture(bad)
+        # The command line reports it as a fixture error (exit 2), no traceback.
+        assert main(["verify", str(bad), "--suite", "axioms"]) == 2
+
     def test_unknown_bundled_fixture(self):
         with pytest.raises(FixtureError, match="unknown bundled fixture"):
             builtin_fixture_path("nope")

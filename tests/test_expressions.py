@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from algebroids.expressions import (
     Const,
     ExpressionError,
+    _format_number,
     balanced_sum,
     differentiate,
     parse_expression,
@@ -134,3 +135,22 @@ def test_rendering_round_trips_through_parser():
     again = parse_expression(str(field), COORDS)
     for point in [(0.3, -0.7), (1.1, 0.2)]:
         assert field.eval(point) == pytest.approx(again.eval(point), rel=1e-14)
+
+
+@pytest.mark.parametrize("value,text", [
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    (2.0, "2"), (0.5, "0.5"), (1e20, "1e+20"),
+])
+def test_non_finite_constants_print(value, text):
+    # int(inf) used to raise OverflowError while printing the constant.
+    assert _format_number(value) == text
+    assert str(Const(value)) == text
+
+
+@pytest.mark.parametrize("source,error", [
+    ("10^400", OverflowError), ("exp(1000)", OverflowError),
+    ("0^-1", ZeroDivisionError),
+])
+def test_constant_folding_overflow_raises_arithmetic_error(source, error):
+    with pytest.raises(error):
+        parse_expression(source, COORDS)

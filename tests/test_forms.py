@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.expressions import Const, parse_expression
+from algebroids.expressions import Const, mul, parse_expression
 from algebroids.forms import AFormData, generalized_delta, shuffle_sign, wedge
 
 COORDS = ["x", "y"]
@@ -162,3 +162,19 @@ def test_shuffle_sign_matches_delta():
     left, right = (0, 3), (1, 2)
     merged = tuple(sorted(left + right))
     assert shuffle_sign(left, right) == generalized_delta(merged, left + right)
+
+
+@given(st.permutations([0, 2, 3, 5]), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_signed_lookup_matches_generalized_delta(perm, k):
+    # The sign of (m,) + rest from m's sorted position, and of any other
+    # order by inversions, is the permutation sign; the tree is unchanged.
+    index = tuple(perm[:k])
+    ordered = tuple(sorted(index))
+    data = AFormData(k, 6, {ordered: _field("x + y")})
+    expected = mul(Const(float(generalized_delta(ordered, index))), data.coeff(ordered))
+    signed = data.coeff_signed(index)
+    assert str(signed) == str(expected)
+    assert type(signed) is type(expected)
+    if index:
+        assert data.coeff_signed(index + index[:1]).is_zero()  # a repeated index

@@ -10,6 +10,7 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
+from expression_oracle import tree_shape as _tree
 from algebroids.algebroid import (
     AlgebroidChart,
     Section,
@@ -18,7 +19,7 @@ from algebroids.algebroid import (
     d_A,
     verify_axioms,
 )
-from algebroids.expressions import Const, Coord, ScalarField, parse_expression
+from algebroids.expressions import parse_expression
 from algebroids.forms import AFormData
 
 COORDS = ("x", "y")
@@ -27,21 +28,6 @@ POOL = {
     1: ["x", "x^2", "sin(x)", "exp(x)", "1 + x", "x/(2 + x^2)", "2", "-3", "0.5"],
     2: ["y", "x*y", "cos(y) - x", "y^3"],
 }
-
-
-def _tree(field: ScalarField):
-    """Node kinds, constants and child order of an expression tree."""
-    if isinstance(field, Const):
-        return ("Const", repr(field.value))
-    if isinstance(field, Coord):
-        return ("Coord", field.index)
-    kids = tuple(
-        _tree(value)
-        for cls in type(field).__mro__
-        for slot in getattr(cls, "__slots__", ())
-        if isinstance(value := getattr(field, slot, None), ScalarField)
-    )
-    return (type(field).__name__, getattr(field, "exponent", None), kids)
 
 
 def _assert_same_table(new: dict, old: dict) -> None:
