@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import AForm, AlgebroidChart, d_A
-from .connections import AConnection, ConnectionFamily, FormMatrix, curvature, link_curvature
+from .connections import (AConnection, ConnectionFamily, FormMatrix, curvature, lift_matrix,
+                          link_curvature)
 from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, max_abs_finite, mul,
                           substitute)
 from .forms import AFormData, generalized_delta
@@ -162,12 +163,12 @@ def _parameter_degree(form: AForm, coord_indices: Sequence[int]) -> int:
 
 
 def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
-                    degree: int | None = None, nodes: int | None = None) -> AForm:
+                    nodes: int | None = None) -> AForm:
     """Integrate the full-simplex-volume component of a form over the k-simplex.
 
     Components without all k parameter slots integrate to zero.  Coefficients
-    must be polynomial in the parameters (declared via `degree`, or inferred
-    exactly from the expression trees).
+    must be polynomial in the parameters; their degree is inferred exactly
+    from the expression trees.
     """
     if k == 0:
         table = {idx: c for idx, c in form.data.table.items()
@@ -179,8 +180,7 @@ def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
     m = base_chart.dim
     param_slots = tuple(s + c for c in range(k))
     param_coords = tuple(m + c for c in range(k))
-    if degree is None:
-        degree = _parameter_degree(form, param_coords)
+    degree = _parameter_degree(form, param_coords)
     table: dict[tuple[int, ...], ScalarField] = {}
     if k == 1:
         n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
@@ -229,7 +229,7 @@ def bott_delta(connections: Sequence[AConnection], h: int,
         c0, c1 = connections
         family = ConnectionFamily.affine_link(c0, c1)
         link = family.product_chart
-        alpha = _lift(c1.matrix - c0.matrix, link)
+        alpha = lift_matrix(c1.matrix - c0.matrix, link)
         omega_tau, _ = link_curvature(family)
         integrand = chern_polarized([alpha] + [omega_tau] * (h - 1))
         base = family.base_chart
@@ -255,19 +255,6 @@ def bott_delta(connections: Sequence[AConnection], h: int,
         sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
         return fiber_integrate(integrand, 2, base, nodes=nodes).scale(sign)
     raise ValueError("bott_delta supports k in {0, 1, 2}")
-
-
-def bott_delta_via_fiber_integration(connections: Sequence[AConnection], h: int,
-                                     nodes: int | None = None) -> AForm:
-    """The k = 1 case computed from the generic simplex formula (for cross-checks)."""
-    if len(connections) != 2:
-        raise ValueError("this route is the two-connection specialization")
-    family = ConnectionFamily.affine_link(*connections)
-    full = family.full_connection()
-    omega_tilde = curvature(full)
-    integrand = chern_polarized([omega_tilde] * h)
-    sign = -1.0  # (-1)^{floor((k+1)/2)} with k = 1
-    return fiber_integrate(integrand, 1, family.base_chart, nodes=nodes).scale(sign)
 
 
 def transgression_check(c0: AConnection, c1: AConnection, h: int,
@@ -298,10 +285,3 @@ def cocycle_check(c0: AConnection, c1: AConnection, c2: AConnection, h: int,
     points = sample_points(chart.dim, n_points, seed)
     residual = (lhs - rhs).max_abs(points)
     return CheckRecord(f"cocycle_c{h}", residual, tol, n_points, {"seed": seed})
-
-
-def _lift(matrix: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
-    from .connections import lift_form
-
-    rows = [[lift_form(e, chart) for e in row] for row in matrix.entries]
-    return FormMatrix(chart, rows, matrix.degree)

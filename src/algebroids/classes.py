@@ -90,66 +90,70 @@ def _default_metric(g: QuasiMetric | None, rank: int) -> QuasiMetric:
     return g if g is not None else QuasiMetric.identity(rank)
 
 
-def _orthogonal_sum(phi_source: AlgebroidChart, rank_first: int, rank_second: int,
-                    g_first: QuasiMetric | None, g_second: QuasiMetric | None) -> AConnection:
-    first = orthogonal_connection(phi_source, _default_metric(g_first, rank_first))
-    second = orthogonal_connection(phi_source, _default_metric(g_second, rank_second))
+def orthogonal_sum(chart: AlgebroidChart, rank_first: int, rank_second: int,
+                   g_first: QuasiMetric | None = None,
+                   g_second: QuasiMetric | None = None) -> AConnection:
+    """The metric reference connection on a sum E + F'*.
+
+    Orthogonal connections on the two summands (a `None` metric is the
+    identity), the second one dualized.
+    """
+    first = orthogonal_connection(chart, _default_metric(g_first, rank_first))
+    second = orthogonal_connection(chart, _default_metric(g_second, rank_second))
     return direct_sum(first, dual_connection(second))
+
+
+def _transgression_class(name: str, chart: AlgebroidChart, c0: AConnection,
+                         c1: AConnection, h: int, metadata: dict,
+                         check: bool) -> ClassReport:
+    """Delta(c0, c1)c_{2h-1} on `chart`, reported as `name_{2h-1}`."""
+    order = 2 * h - 1
+    if order > c1.rank:
+        form = chart.zero_form(4 * h - 3)
+    else:
+        form = bott_delta([c0, c1], order)
+    report = ClassReport(f"{name}_{order}", form, metadata)
+    if check:
+        report.metadata["closedness_residual"] = _closedness_residual(form)
+    return report
 
 
 def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
             g_target: QuasiMetric | None = None,
             orthogonal: AConnection | None = None,
-            nodes: int | None = None, check: bool = True) -> ClassReport:
+            check: bool = True) -> ClassReport:
     """Secondary characteristic form of a base-preserving morphism.
 
     Builds the compatible bracket-connection sum on A + A'* against the metric
     connection sum and returns the transgression of c_{2h-1}.  A degree beyond
-    the chart rank yields the zero form (not an error).
+    the bundle rank yields the zero form (not an error).
     """
     nabla1 = morphism_sum_connection(phi)
-    nabla0 = orthogonal if orthogonal is not None else _orthogonal_sum(
+    nabla0 = orthogonal if orthogonal is not None else orthogonal_sum(
         phi.source, phi.source.rank, phi.target.rank, g_source, g_target
     )
-    order = 2 * h - 1
-    if order > nabla1.rank:
-        form = phi.source.zero_form(4 * h - 3)
-    else:
-        form = bott_delta([nabla0, nabla1], order, nodes=nodes)
-    report = ClassReport(
-        f"mu_{order}", form,
-        {"morphism": phi.name, "h": h, "bundle_rank": nabla1.rank},
+    return _transgression_class(
+        "mu", phi.source, nabla0, nabla1, h,
+        {"morphism": phi.name, "h": h, "bundle_rank": nabla1.rank}, check,
     )
-    if check:
-        report.metadata["closedness_residual"] = _closedness_residual(form)
-    return report
 
 
 def bi_characteristic(phi1: Morphism, phi2: Morphism, h: int,
-                      nodes: int | None = None, check: bool = True) -> ClassReport:
+                      check: bool = True) -> ClassReport:
     """Difference form between two morphisms with the same source and target."""
     if phi1.source is not phi2.source or phi1.target is not phi2.target:
         raise ValueError("bi-characteristic forms need a parallel pair of morphisms")
-    nabla1 = morphism_sum_connection(phi1)
-    nabla2 = morphism_sum_connection(phi2)
-    order = 2 * h - 1
-    if order > nabla1.rank:
-        form = phi1.source.zero_form(4 * h - 3)
-    else:
-        form = bott_delta([nabla1, nabla2], order, nodes=nodes)
-    report = ClassReport(
-        f"bi_{order}", form,
-        {"morphisms": [phi1.name, phi2.name], "h": h},
+    return _transgression_class(
+        "bi", phi1.source, morphism_sum_connection(phi1),
+        morphism_sum_connection(phi2), h,
+        {"morphisms": [phi1.name, phi2.name], "h": h}, check,
     )
-    if check:
-        report.metadata["closedness_residual"] = _closedness_residual(form)
-    return report
 
 
 def relative_mu(phi: Morphism, psi: Morphism, h: int,
                 g_mid: QuasiMetric | None = None,
                 g_far: QuasiMetric | None = None,
-                nodes: int | None = None, check: bool = True) -> ClassReport:
+                check: bool = True) -> ClassReport:
     """Characteristic form of `psi` modulo `phi` for a two-step chain.
 
     phi: A -> A', psi: A' -> A''.  The source algebroid acts on both downstream
@@ -163,26 +167,16 @@ def relative_mu(phi: Morphism, psi: Morphism, h: int,
         morphism_target_connection(phi),
         dual_connection(morphism_target_connection(composite)),
     )
-    d0 = _orthogonal_sum(phi.source, phi.target.rank, psi.target.rank,
-                         g_mid, g_far)
-    order = 2 * h - 1
-    if order > d1.rank:
-        form = phi.source.zero_form(4 * h - 3)
-    else:
-        form = bott_delta([d0, d1], order, nodes=nodes)
-    report = ClassReport(
-        f"relative_{order}", form,
-        {"modulo": phi.name, "of": psi.name, "h": h},
+    d0 = orthogonal_sum(phi.source, phi.target.rank, psi.target.rank, g_mid, g_far)
+    return _transgression_class(
+        "relative", phi.source, d0, d1, h,
+        {"modulo": phi.name, "of": psi.name, "h": h}, check,
     )
-    if check:
-        report.metadata["closedness_residual"] = _closedness_residual(form)
-    return report
 
 
 def jet_relative(phi: Morphism, h: int, variant: str = "flat",
                  g_source: QuasiMetric | None = None,
                  g_target: QuasiMetric | None = None,
-                 nodes: int | None = None,
                  n_points: int = 50, seed: int = 42) -> ClassReport:
     """Relative characteristic form of a morphism modulo the jet projection.
 
@@ -202,30 +196,21 @@ def jet_relative(phi: Morphism, h: int, variant: str = "flat",
         d1 = pullback_connection(pi1, morphism_sum_connection(phi))
     else:
         raise ValueError("variant must be 'flat' or 'induced'")
-    absolute = mu_form(phi, h, g_source=g_source, g_target=g_target,
-                       nodes=nodes, check=False)
+    absolute = mu_form(phi, h, g_source=g_source, g_target=g_target, check=False)
     d0 = pullback_connection(
-        pi1,
-        _orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
-                        g_source, g_target),
+        pi1, orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
+                            g_source, g_target),
     )
-    order = 2 * h - 1
-    if order > d1.rank:
-        form = jet.zero_form(4 * h - 3)
-    else:
-        form = bott_delta([d0, d1], order, nodes=nodes)
+    report = _transgression_class(
+        "jet_relative", jet, d0, d1, h,
+        {"morphism": phi.name, "h": h, "variant": variant}, True,
+    )
     points = sample_points(jet.dim, n_points, seed)
     pulled = pullback(pi1, absolute.form)
-    metadata = {
-        "morphism": phi.name,
-        "h": h,
-        "variant": variant,
-        "pullback_residual": (form - pulled).max_abs(points),
-        "closedness_residual": _closedness_residual(form),
-    }
+    report.metadata["pullback_residual"] = (report.form - pulled).max_abs(points)
     if variant == "flat":
-        metadata["jet_connection_flatness"] = max(
+        report.metadata["jet_connection_flatness"] = max(
             curvature(near).max_abs(points),
             curvature(far).max_abs(points),
         )
-    return ClassReport(f"jet_relative_{order}", form, metadata)
+    return report

@@ -1,9 +1,9 @@
 """Command-line verification suites over fixture files.
 
 Commands: `verify` (named suites of residual checks), `modular`, `mu`, `jet`
-(form and chart dumps), and `identities` (the identity battery).  Reports are
-deterministic JSON; exit status is 0 when every check passes, 1 when any
-fails, 2 on usage or fixture errors.
+(form and chart dumps), and `identities` (the identity battery: the `all`
+suite without `axioms`).  Reports are deterministic JSON; exit status is 0
+when every check passes, 1 when any fails, 2 on usage or fixture errors.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .classes import (
     modular_form,
     modular_form_morphism,
     mu_form,
+    orthogonal_sum,
     relative_mu,
 )
 from .connections import (
@@ -39,8 +40,6 @@ from .connections import (
     FormMatrix,
     bracket_connection,
     curvature,
-    direct_sum,
-    dual_connection,
     jet_bracket_connection,
     jet_morphism_connection,
     k_flatness_check,
@@ -185,12 +184,9 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options) -> None:
 
 
 def _transgression_pair(fixture: Fixture, phi: Morphism) -> tuple[AConnection, AConnection]:
-    g_src = fixture.metric_for(phi.source.name)
-    g_tgt = fixture.metric_for(phi.target.name)
-    orth = direct_sum(
-        orthogonal_connection(phi.source, g_src),
-        dual_connection(orthogonal_connection(phi.source, g_tgt)),
-    )
+    orth = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
+                          fixture.metric_for(phi.source.name),
+                          fixture.metric_for(phi.target.name))
     return orth, morphism_sum_connection(phi)
 
 
@@ -326,12 +322,13 @@ _SUITE_RUNNERS = {
     "all": (_suite_axioms, _suite_connections, _suite_transgression,
             _suite_classes, _suite_composition, _suite_jet),
 }
+_SUITE_RUNNERS["identities"] = _SUITE_RUNNERS["all"][1:]
 
 
 def run_suite(fixture: Fixture, suite: str, opt: Options | None = None) -> Report:
     """Execute one named suite of checks against a fixture."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+    if suite not in _SUITE_RUNNERS:
+        raise ValueError(f"unknown suite {suite!r}; choose from {tuple(_SUITE_RUNNERS)}")
     opt = opt or Options()
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     for runner in _SUITE_RUNNERS[suite]:
@@ -402,15 +399,6 @@ def emit_jet(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     return report
 
 
-def run_identities(fixture: Fixture, opt: Options) -> Report:
-    """The form-level identity battery (everything except raw axioms)."""
-    report = Report(__version__, fixture.name, opt.seed, opt.points)
-    for runner in (_suite_connections, _suite_transgression, _suite_classes,
-                   _suite_composition, _suite_jet):
-        runner(fixture, report, opt)
-    return report
-
-
 def _write_report(report: Report, out: str | None) -> None:
     text = report.to_json()
     if out:
@@ -470,7 +458,7 @@ def main(argv=None) -> int:
         elif args.command == "jet":
             report = emit_jet(fixture, args.algebroid, opt)
         else:
-            report = run_identities(fixture, opt)
+            report = run_suite(fixture, "identities", opt)
     except (FixtureError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

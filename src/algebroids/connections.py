@@ -394,8 +394,7 @@ class QuasiMetric:
         return worst
 
 
-def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric,
-                          probe_points=None) -> AConnection:
+def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> AConnection:
     """Metric connection: zero matrix in the orthonormalized frame.
 
     Gram-Schmidt runs symbolically on the metric coefficients; the resulting
@@ -405,10 +404,13 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric,
     if g.sign != 1:
         raise ValueError("orthogonal connections need a symmetric metric")
     rank = g.rank
-    if probe_points is None:
-        probe_points = sample_points(chart.dim, 8, 7)
-    for point in probe_points:
-        eigvals = np.linalg.eigvalsh(g.eval(point))
+    for point in sample_points(chart.dim, 8, 7):
+        try:
+            values = g.eval(point)
+        except ArithmeticError as exc:
+            raise ValueError(f"metric on {chart.name!r} cannot be evaluated at probe "
+                             f"point {point}: {exc}") from exc
+        eigvals = np.linalg.eigvalsh(values)
         if np.min(eigvals) <= 1e-12:
             raise ValueError(f"metric is not positive definite at probe point {point}")
     frame: list[list[ScalarField]] = []
@@ -528,8 +530,7 @@ def conjugate_form_matrix(m: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> 
     return FormMatrix(m.chart, rows, m.degree)
 
 
-def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField],
-         probe_points=None, tol: float = 1e-9) -> AConnection:
+def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField]) -> AConnection:
     """Convex combination of connections by a partition of unity."""
     if len(connections) != len(weights) or not connections:
         raise ValueError("need matching nonempty connections and weights")
@@ -538,11 +539,9 @@ def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField],
     for conn in connections:
         if conn.chart is not chart or conn.rank != rank:
             raise ValueError("glued connections must share chart and rank")
-    if probe_points is None:
-        probe_points = sample_points(chart.dim, 16, 11)
-    for point in probe_points:
+    for point in sample_points(chart.dim, 16, 11):
         total = sum(w.eval(point) for w in weights)
-        if not abs(total - 1.0) <= tol:  # a NaN weight is not a partition of unity
+        if not abs(total - 1.0) <= 1e-9:  # a NaN weight is not a partition of unity
             raise ValueError(f"weights sum to {total} at {point}, not a partition of unity")
     matrix = FormMatrix.zero(chart, rank, 1)
     for conn, weight in zip(connections, weights):
@@ -558,48 +557,43 @@ def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField],
 class ConnectionFamily:
     """Family of connections over a parameter cell, as a matrix on the product chart.
 
-    `omega` carries only base-frame components; `lam` holds the transverse
-    components (functions of base point and parameters), one matrix per
-    parameter.
+    `omega` carries only base-frame components: the family has no transverse
+    (parameter-direction) components.
     """
 
     def __init__(self, base_chart: AlgebroidChart, product_chart: AlgebroidChart,
-                 rank: int, omega: FormMatrix,
-                 lam: Sequence[Sequence[Sequence[ScalarField]]] = ()):
+                 rank: int, omega: FormMatrix):
         self.base_chart = base_chart
         self.product_chart = product_chart
         self.rank = rank
         self.omega = omega
-        self.lam = tuple(tuple(tuple(row) for row in matrix) for matrix in lam)
         self.n_params = product_chart.rank - base_chart.rank
 
     @classmethod
-    def affine_link(cls, c0: AConnection, c1: AConnection,
-                    parameter: str = "tau") -> "ConnectionFamily":
-        """(1 - tau) c0 + tau c1 with no transverse components."""
+    def affine_link(cls, c0: AConnection, c1: AConnection) -> "ConnectionFamily":
+        """(1 - tau) c0 + tau c1."""
         if c0.chart is not c1.chart or c0.rank != c1.rank:
             raise ValueError("link endpoints must share chart and rank")
         chart = c0.chart
-        link = build_link_chart(chart, parameter)
+        link = build_link_chart(chart, "tau")
         tau = link.coordinate_field(chart.dim)
         one_minus = sub(Const(1.0), tau)
-        m0 = _lift_matrix(c0.matrix, link)
-        m1 = _lift_matrix(c1.matrix, link)
+        m0 = lift_matrix(c0.matrix, link)
+        m1 = lift_matrix(c1.matrix, link)
         omega = m0.scale(one_minus) + m1.scale(tau)
         return cls(chart, link, c0.rank, omega)
 
     @classmethod
-    def barycentric(cls, connections: Sequence[AConnection],
-                    prefix: str = "t") -> "ConnectionFamily":
+    def barycentric(cls, connections: Sequence[AConnection]) -> "ConnectionFamily":
         """Convex simplex family sum_a t^a nabla^a with t^0 = 1 - sum t^c."""
         k = len(connections) - 1
         chart = connections[0].chart
         for conn in connections:
             if conn.chart is not chart or conn.rank != connections[0].rank:
                 raise ValueError("family endpoints must share chart and rank")
-        names = [f"{prefix}{c}" for c in range(1, k + 1)]
+        names = [f"t{c}" for c in range(1, k + 1)]
         product = extend_with_parameters(chart, names)
-        lifted = [_lift_matrix(c.matrix, product) for c in connections]
+        lifted = [lift_matrix(c.matrix, product) for c in connections]
         omega = lifted[0]
         for c in range(1, k + 1):
             t_c = product.coordinate_field(chart.dim + c - 1)
@@ -607,23 +601,9 @@ class ConnectionFamily:
         return cls(chart, product, connections[0].rank, omega)
 
     def full_connection(self) -> AConnection:
-        """Connection on the product chart including transverse components."""
-        chart = self.product_chart
-        base_rank = self.base_chart.rank
-        rows = []
-        for u in range(self.rank):
-            row = []
-            for t in range(self.rank):
-                entry = self.omega.entries[u][t]
-                for c in range(self.n_params):
-                    lam_entry = self.lam[c][u][t] if self.lam else ZERO
-                    if not lam_entry.is_zero():
-                        extra = AForm(chart, AFormData(1, chart.rank,
-                                                       {(base_rank + c,): lam_entry}))
-                        entry = entry + extra
-                row.append(entry)
-            rows.append(row)
-        return AConnection(chart, self.rank, FormMatrix(chart, rows, 1),
+        """The family as one connection on the product chart."""
+        product = self.product_chart
+        return AConnection(product, self.rank, FormMatrix(product, self.omega.entries, 1),
                            frame="family")
 
     def slice_at(self, values: Sequence[float]) -> AConnection:
@@ -647,7 +627,8 @@ class ConnectionFamily:
         return AConnection(base, self.rank, FormMatrix(base, rows, 1))
 
 
-def _lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
+def lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
+    """Entrywise `lift_form` of a form matrix onto an extended chart."""
     rows = [[lift_form(e, chart) for e in row] for row in m.entries]
     return FormMatrix(chart, rows, m.degree)
 
@@ -655,42 +636,27 @@ def _lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
 def link_curvature(family: ConnectionFamily) -> tuple[FormMatrix, FormMatrix]:
     """Per-parameter curvature and transverse curvature of a 1-parameter link.
 
-    Returns (Omega_tau, Lambda) with Lambda = d(lam) + lam.omega - omega.lam
-    + d(omega)/d(tau), the index conventions matching the fixed matrix wedge
-    order.  Under this library's ordering of the product frame the full
-    product curvature carries -Lambda on the transverse slots when lam = 0;
-    the pure base part is always Omega_tau.
+    Returns (Omega_tau, Lambda) with Lambda = d(omega)/d(tau).  Under this
+    library's ordering of the product frame the full product curvature
+    carries -Lambda on the transverse slots; the pure base part is Omega_tau.
     """
     if family.n_params != 1:
         raise ValueError("link curvature needs a 1-parameter family")
     chart = family.product_chart
-    base_rank = family.base_chart.rank
     tau_index = family.base_chart.dim
     omega = family.omega
-    omega_tau = omega.d().pure_part(base_rank) - omega.wedge(omega)
-    n = family.rank
-    lam = family.lam[0] if family.lam else [[ZERO] * n for _ in range(n)]
+    omega_tau = omega.d().pure_part(family.base_chart.rank) - omega.wedge(omega)
     rows = []
-    for u in range(n):
-        row = []
-        for t in range(n):
-            acc = d_A(chart.function_form(lam[u][t])) if not lam[u][t].is_zero() \
-                else chart.zero_form(1)
-            acc = AForm(chart, AFormData(1, chart.rank, {
-                idx: c for idx, c in acc.data.table.items()
-                if all(i < base_rank for i in idx)
-            }))
-            for w in range(n):
-                if not lam[u][w].is_zero() and not omega.entries[w][t].is_zero():
-                    acc = acc + omega.entries[w][t].scale(lam[u][w])
-                if not omega.entries[u][w].is_zero() and not lam[w][t].is_zero():
-                    acc = acc + omega.entries[u][w].scale(mul(Const(-1.0), lam[w][t]))
-            acc = acc + AForm(chart, AFormData(1, chart.rank, {
-                idx: c.diff(tau_index) for idx, c in omega.entries[u][t].data.table.items()
-                if not c.diff(tau_index).is_zero()
-            }))
-            row.append(acc)
-        rows.append(row)
+    for row in omega.entries:
+        out = []
+        for entry in row:
+            table = {}
+            for idx, c in entry.data.table.items():
+                derivative = c.diff(tau_index)
+                if not derivative.is_zero():
+                    table[idx] = derivative
+            out.append(AForm(chart, AFormData(1, chart.rank, table)))
+        rows.append(out)
     return omega_tau, FormMatrix(chart, rows, 1)
 
 

@@ -10,7 +10,6 @@ from algebroids.algebroid import build_link_chart, d_A
 from algebroids.chern import (
     InvariantPolynomial,
     bott_delta,
-    bott_delta_via_fiber_integration,
     chern_form,
     chern_polarized,
     chern_scalar,
@@ -37,6 +36,7 @@ from algebroids.connections import (
 from algebroids.expressions import Const, parse_expression
 from algebroids.forms import AFormData
 from algebroids.sampling import sample_points
+from transgression_oracle import bott_delta_via_fiber_integration
 
 
 def _minor_chern(matrix, h):

@@ -98,9 +98,21 @@ class TestMuForm:
         rep = mu_form(ident, 2, orthogonal=nabla1)
         assert rep.form.max_abs(line_points) == 0.0
 
-    def test_degree_beyond_rank_is_zero_not_error(self, solvable2d, line_points):
-        rep = mu_form(solvable2d.morphism("phi"), 3)
-        assert rep.form.is_zero()
+    def test_degree_beyond_rank_is_zero_not_error(self, solvable2d, chain,
+                                                  line_points):
+        # Every class builder shares this branch: c_5 on a rank-3 bundle is
+        # the zero form of degree 4h - 3 = 9, not an error.
+        phi = solvable2d.morphism("phi")
+        reps = [
+            mu_form(phi, 3),
+            bi_characteristic(phi, solvable2d.morphism("phi2"), 3),
+            relative_mu(chain.morphism("phi"), chain.morphism("psi"), 3),
+            jet_relative(phi, 3),
+        ]
+        for rep in reps:
+            assert rep.identifier.endswith("_5"), rep.identifier
+            assert rep.form.is_zero(), rep.identifier
+            assert rep.form.degree == 9, rep.identifier
 
     def test_representatives_are_closed(self, sa3, line_points):
         rep = mu_form(sa3.morphism("zero"), 2)

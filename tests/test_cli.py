@@ -12,7 +12,6 @@ from algebroids.cli import (
     emit_jet,
     emit_modular,
     main,
-    run_identities,
     run_suite,
 )
 from algebroids.fixtures import (
@@ -80,6 +79,17 @@ class TestFixtureLoading:
         # The command line reports it as a fixture error (exit 2), no traceback.
         assert main(["verify", str(bad), "--suite", "axioms"]) == 2
 
+    def test_overflowing_metric_is_a_located_error(self, tmp_path, capsys):
+        fixture = json.loads(builtin_fixture_path("solvable2d").read_text())
+        fixture["metrics"]["gA"]["matrix"] = [["exp(1000*x)", "0"], ["0", "1"]]
+        bad = tmp_path / "overflow_metric.json"
+        bad.write_text(json.dumps(fixture))
+        code = main(["verify", str(bad), "--suite", "connections"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: metric on 'solvable' cannot be evaluated at probe point" in err
+        assert "Traceback" not in err
+
     def test_unknown_bundled_fixture(self):
         with pytest.raises(FixtureError, match="unknown bundled fixture"):
             builtin_fixture_path("nope")
@@ -110,9 +120,19 @@ class TestSuites:
             run_suite(so3, "everything")
 
     def test_identities_battery(self, chain):
-        report = run_identities(chain, Options(points=40))
+        report = run_suite(chain, "identities", Options(points=40))
         assert report.passed
         assert any(c.name.startswith("composition") for c in report.checks)
+
+    def test_identities_is_all_without_axioms(self, chain, capsys):
+        def records(report):
+            return [(c.name, c.residual, c.passed) for c in report.checks]
+
+        opt = Options(points=20)
+        everything = [r for r in records(run_suite(chain, "all", opt))
+                      if not r[0].startswith("axioms")]
+        assert records(run_suite(chain, "identities", opt)) == everything
+        assert main(["identities", "chain", "--points", "20"]) == 0
 
 
 class TestEmitters:
