@@ -8,10 +8,9 @@ numerically by `verify_axioms`, never assumed by constructors.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Sequence
-
-import numpy as np
 
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
                           residual, sub)
@@ -399,7 +398,7 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
     (b) the Jacobiator of every frame triple vanishes.  A non-finite value
     counts as an infinite residual.
     """
-    points = np.asarray(sample_points(chart.dim, n_points, seed))
+    points = sample_points(chart.dim, n_points, seed)
     deltas = []
     for i, j in combinations(range(chart.rank), 2):
         terms = chart.brackets.get((i, j), {})
@@ -415,13 +414,11 @@ def verify_axioms(chart: AlgebroidChart, n_points: int = 100, seed: int = 42,
     worst_anchor = residual(deltas, points)
     worst_jacobi = 0.0
     worst_triple = None
+    basis = [chart.basis_section(t) for t in range(chart.rank)]
+    inner = cache(lambda a, b: bracket(basis[a], basis[b]))  # once per ordered pair
     for i, j, k in combinations(range(chart.rank), 3):
-        b_i, b_j, b_k = (chart.basis_section(t) for t in (i, j, k))
-        jacobiator = (
-            bracket(bracket(b_i, b_j), b_k)
-            + bracket(bracket(b_j, b_k), b_i)
-            + bracket(bracket(b_k, b_i), b_j)
-        )
+        jacobiator = (bracket(inner(i, j), basis[k]) + bracket(inner(j, k), basis[i])
+                      + bracket(inner(k, i), basis[j]))
         for value in field_maxima(jacobiator.comps, points):
             if value > worst_jacobi:
                 worst_jacobi = value

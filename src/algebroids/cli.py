@@ -342,9 +342,9 @@ def _form_dump(form: AForm, points) -> dict:
         for index, coeff in sorted(form.data.table.items())
     }
     samples = []
-    for point in points:
+    for point in points.tolist():  # Python floats: the scalar walk raises on overflow
         samples.append({
-            "point": [float(v) for v in point],
+            "point": point,
             "values": {
                 ",".join(str(i + 1) for i in index): coeff.eval(point)
                 for index, coeff in sorted(form.data.table.items())

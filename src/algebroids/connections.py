@@ -26,11 +26,11 @@ from .algebroid import (
     d_A,
     extend_with_parameters,
 )
-from .expressions import (Const, ScalarField, ZERO, add, div, max_abs_finite, mul,
-                          residual, square_root, sub)
+from .expressions import (Const, ScalarField, ZERO, add, div, evaluate, max_abs_finite,
+                          mul, residual, square_root, sub)
 from .forms import AFormData
 from .reports import CheckRecord
-from .sampling import sample_points
+from .sampling import first_point, sample_points
 
 
 def lift_form(form: AForm, chart: AlgebroidChart) -> AForm:
@@ -151,15 +151,12 @@ class FormMatrix:
                 out[a.size + u][a.size + t] = b.entries[u][t]
         return FormMatrix(a.chart, out, degree)
 
-    def eval_on(self, frame_indices: tuple[int, ...], point) -> np.ndarray:
-        """Numeric matrix of entry values on a frame tuple at a point."""
-        out = np.zeros((self.size, self.size))
-        for u in range(self.size):
-            for t in range(self.size):
-                coeff = self.entries[u][t].data.coeff_signed(frame_indices)
-                if not coeff.is_zero():
-                    out[u, t] = coeff.eval(point)
-        return out
+    def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
+        """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
+        values = evaluate([entry.data.coeff_signed(frame) for frame in frames
+                           for row in self.entries for entry in row], points)
+        shape = (len(frames), self.size, self.size, len(points))
+        return np.ascontiguousarray(values.reshape(shape).transpose(0, 3, 1, 2))
 
     def pure_part(self, frame_rank: int) -> "FormMatrix":
         """Drop components whose multi-index touches frame slots >= frame_rank."""
@@ -383,15 +380,15 @@ class QuasiMetric:
                 acc = add(acc, mul(v[a], mul(self.matrix[a][b], w[b])))
         return acc
 
-    def eval(self, point) -> np.ndarray:
-        return np.array([[e.eval(point) for e in row] for row in self.matrix])
+    def values(self, points) -> np.ndarray:
+        """The matrix at each point, shape (N, rank, rank)."""
+        flat = evaluate([e for row in self.matrix for e in row], points)
+        return flat.T.reshape(len(points), self.rank, self.rank)
 
     def symmetry_residual(self, points) -> float:
-        worst = 0.0
-        for point in points:
-            g = self.eval(point)
-            worst = max(worst, max_abs_finite(g - self.sign * g.T))
-        return worst
+        g = self.values(points)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN: an infinite residual
+            return max_abs_finite(g - self.sign * np.swapaxes(g, 1, 2))
 
 
 def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> AConnection:
@@ -404,15 +401,15 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> AConnection:
     if g.sign != 1:
         raise ValueError("orthogonal connections need a symmetric metric")
     rank = g.rank
-    for point in sample_points(chart.dim, 8, 7):
-        try:
-            values = g.eval(point)
-        except ArithmeticError as exc:
-            raise ValueError(f"metric on {chart.name!r} cannot be evaluated at probe "
-                             f"point {point}: {exc}") from exc
-        eigvals = np.linalg.eigvalsh(values)
-        if np.min(eigvals) <= 1e-12:
-            raise ValueError(f"metric is not positive definite at probe point {point}")
+    points = sample_points(chart.dim, 8, 7)
+    values = g.values(points)
+    point = first_point(~np.isfinite(values), points)
+    if point is not None:
+        raise ValueError(f"metric on {chart.name!r} cannot be evaluated at probe "
+                         f"point {point}: value is not finite")
+    point = first_point(np.linalg.eigvalsh(values)[:, 0] <= 1e-12, points)
+    if point is not None:
+        raise ValueError(f"metric is not positive definite at probe point {point}")
     frame: list[list[ScalarField]] = []
     for u in range(rank):
         vec = [Const(1.0) if a == u else ZERO for a in range(rank)]
@@ -539,10 +536,12 @@ def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField]) -> 
     for conn in connections:
         if conn.chart is not chart or conn.rank != rank:
             raise ValueError("glued connections must share chart and rank")
-    for point in sample_points(chart.dim, 16, 11):
-        total = sum(w.eval(point) for w in weights)
+    points = sample_points(chart.dim, 16, 11)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN sum, rejected below
+        totals = evaluate(weights, points).sum(axis=0)
+    for point, total in zip(points.tolist(), totals):
         if not abs(total - 1.0) <= 1e-9:  # a NaN weight is not a partition of unity
-            raise ValueError(f"weights sum to {total} at {point}, not a partition of unity")
+            raise ValueError(f"weights sum to {total} at {tuple(point)}, not a partition of unity")
     matrix = FormMatrix.zero(chart, rank, 1)
     for conn, weight in zip(connections, weights):
         matrix = matrix + conn.matrix.scale(weight)
@@ -736,19 +735,11 @@ def k_flatness_check(conn_S: AConnection, phi: Morphism,
     chart = conn_S.chart
     vectors = kernel_frame_on_S(phi, ker_rows, coker_rows)
     points = sample_points(chart.dim, n_points, seed)
-    omega = curvature(conn_S)
-    worst = 0.0
-    evaluated = 0
-    for i, j in combinations(range(chart.rank), 2):
-        for point in points:
-            matrix = omega.eval_on((i, j), point)
-            if not matrix.any():
-                continue
-            for vec in vectors:
-                values = np.array([c.eval(point) for c in vec])
-                image = values @ matrix
-                worst = max(worst, max_abs_finite(image))
-                evaluated += 1
+    omega = curvature(conn_S).eval_on(list(combinations(range(chart.rank), 2)), points)
+    values = evaluate([c for vec in vectors for c in vec], points)
+    values = values.T.reshape(len(points), len(vectors), conn_S.rank)
+    with np.errstate(all="ignore"):  # a non-finite value makes the residual inf
+        worst = max_abs_finite(values @ omega)
     return CheckRecord("k_flatness", worst, tol, n_points,
                        {"seed": seed, "kernel_vectors": len(vectors)})
 
@@ -761,14 +752,16 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
     s-part Gram is diag(+/-1) in the symmetric case and the standard block
     skew form in the skew case.  Raises if g is not constant over the probes.
     """
-    g0 = g.eval(probe_points[0])
-    for point in probe_points[1:]:
-        if max_abs_finite(g.eval(point) - g0) > 1e-10:
-            raise ValueError("adapted frames are only computed for constant metrics")
     r = g.rank
-    t_frame = np.array(
-        [[c.eval(probe_points[0]) for c in vec] for vec in kernel_vectors]
-    ) if kernel_vectors else np.zeros((0, r))
+    metric = g.values(probe_points)
+    g0 = metric[0]
+    t_frame = evaluate([c for vec in kernel_vectors for c in vec],
+                       probe_points[:1]).reshape(len(kernel_vectors), r)
+    if not (np.isfinite(g0).all() and np.isfinite(t_frame).all()):
+        raise ValueError("adapted frame: the metric or a kernel vector is not finite at "
+                         f"probe point {tuple(float(v) for v in probe_points[0])}")
+    if max_abs_finite(metric - g0) > 1e-10:
+        raise ValueError("adapted frames are only computed for constant metrics")
     q = r - len(t_frame)
     # Complement of the kernel: columns of the identity completing t_frame.
     basis = list(t_frame)
@@ -843,35 +836,22 @@ def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
     chart = conn.chart
     points = sample_points(chart.dim, n_points, seed)
     s_frame, canonical, t_frame = adapted_frame(g, kernel_vectors, points)
-    frame = np.vstack([s_frame, t_frame]) if len(t_frame) else s_frame
+    frame = np.vstack([s_frame, t_frame])
     frame_inv = np.linalg.inv(frame)
     q = len(s_frame)
-    omega = conn.matrix
-    curv = curvature(conn)
-    worst_kernel = 0.0
-    worst_algebra = 0.0
-    worst_curv_kernel = 0.0
-    worst_curv_algebra = 0.0
-    for point in points:
-        for i in range(chart.rank):
-            w = omega.eval_on((i,), point)
-            adapted = frame @ w @ frame_inv
-            if len(t_frame) and q:
-                worst_kernel = max(worst_kernel, max_abs_finite(adapted[q:, :q]))
-            if q:
-                block = adapted[:q, :q]
-                defect = block @ canonical + canonical @ block.T
-                worst_algebra = max(worst_algebra, max_abs_finite(defect))
-        for i, j in combinations(range(chart.rank), 2):
-            w = curv.eval_on((i, j), point)
-            adapted = frame @ w @ frame_inv
-            if len(t_frame) and q:
-                worst_curv_kernel = max(worst_curv_kernel,
-                                        max_abs_finite(adapted[q:, :q]))
-            if q:
-                block = adapted[:q, :q]
-                defect = block @ canonical + canonical @ block.T
-                worst_curv_algebra = max(worst_curv_algebra, max_abs_finite(defect))
+
+    def worst_blocks(matrix: FormMatrix, frames) -> tuple[float, float]:
+        """Largest kernel-block entry and algebra defect in the adapted frame."""
+        with np.errstate(all="ignore"):  # a non-finite value makes the residual inf
+            adapted = frame @ matrix.eval_on(frames, points) @ frame_inv
+            block = adapted[..., :q, :q]
+            defect = block @ canonical + canonical @ np.swapaxes(block, -1, -2)
+        return max_abs_finite(adapted[..., q:, :q]), max_abs_finite(defect)
+
+    worst_kernel, worst_algebra = worst_blocks(
+        conn.matrix, [(i,) for i in range(chart.rank)])
+    worst_curv_kernel, worst_curv_algebra = worst_blocks(
+        curvature(conn), list(combinations(range(chart.rank), 2)))
     label = "orthogonal" if g.sign == 1 else "symplectic"
     return [
         CheckRecord("adapted_frame_kernel_block", worst_kernel, tol, n_points),

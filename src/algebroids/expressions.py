@@ -12,19 +12,19 @@ The algebra built on the folding constructors reuses subtrees, so a tree is
 in fact a DAG: one node object can sit under many parents.  Numbers come out
 of it by two routes.
 
-* Residuals: `residual` and `field_maxima` evaluate a list of fields on an
-  (N, dim) array of probe points with numpy.  Each distinct node (by
-  identity) is computed once per call, and its values are released as soon
-  as its last parent has used them.  A NaN or infinite value, including one
-  hidden by a later division, exponential or negative power, makes the
-  result inf, so a check never passes on a non-finite residual.  Every
-  symbolic residual loop goes this way; `max_abs_finite` applies the same
-  rule to numeric matrices.
+* Probe points: `evaluate` (values) and `field_maxima`/`residual` (max |value|)
+  share one numpy walk over an (N, dim) array of probe points.  Each
+  distinct node (by identity) is computed once per call, released once its
+  last parent has used it, and each root is reduced as soon as it is
+  computed.  A NaN or infinite value, including one hidden by a later
+  division, exponential or negative power, stays non-finite, so a maximum
+  over it is inf and no check passes on it.  Every check goes this way,
+  metric matrices and form matrices on frame tuples included;
+  `max_abs_finite` applies the same rule to numeric arrays.
 * Single-point values: `ScalarField.eval(point)` walks the tree with Python
-  floats and `math`.  Form dumps and metric matrices at one point use it, so
-  their printed digits do not depend on numpy's kernels (`np.exp` and integer
-  powers can differ from `math.exp` and `**` in the last bit).  It is also
-  the test oracle for the vectorized route.
+  floats and `math`.  Only form dumps use it, so their printed digits do not
+  depend on numpy's kernels (`np.exp` and integer powers can differ from
+  `math.exp` and `**` in the last bit).  It is also the test oracle.
 
 `subs` and `tau_degree` are walks over distinct nodes with a per-call memo as
 well; `subs` returns a node unchanged when its children are.  Nodes define no
@@ -477,31 +477,44 @@ def max_abs_finite(values) -> float:
     return worst if math.isfinite(worst) else math.inf
 
 
-def field_maxima(fields: Iterable[ScalarField], points) -> list[float]:
-    """max |field| over the points for each field; inf where a value is non-finite.
+def _walk(fields: list[ScalarField], points, reduce) -> list:
+    """`reduce(values)` of each field on the points (an (N, dim) array or N tuples).
 
-    `points` is an (N, dim) array or a sequence of N coordinate tuples.  Each
-    distinct node under `fields` is evaluated once, on all points at a time,
-    and its values are dropped once every parent has read them.
+    Each root is reduced as soon as it is computed; each node's values are
+    dropped once every parent has read them.
     """
-    fields = list(fields)
-    points = np.asarray(points, dtype=float)
-    if not len(points):
-        return [0.0] * len(fields)
-    columns = np.ascontiguousarray(points.T)
+    columns = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     order, pending = _schedule(fields)
     roots = set(fields)
-    maxima: dict[ScalarField, float] = {}
+    reduced: dict[ScalarField, object] = {}
     values: dict[ScalarField, object] = {}
     with np.errstate(all="ignore"):
         for node in order:
             value = _eval_node(node, values, columns)
             _release(_children(node), pending, values)
             if node in roots:
-                maxima[node] = max_abs_finite(value)
+                reduced[node] = reduce(value)
             if pending[node]:
                 values[node] = value
-    return [maxima[field] for field in fields]
+    return [reduced[field] for field in fields]
+
+
+def evaluate(fields: Iterable[ScalarField], points) -> np.ndarray:
+    """Values of each field at each point, shape (len(fields), N), non-finite ones kept."""
+    fields, n = list(fields), len(points)
+    rows = _walk(fields, points, lambda value: np.broadcast_to(value, (n,)))
+    return np.array(rows).reshape(len(fields), n)
+
+
+def field_maxima(fields: Iterable[ScalarField], points) -> list[float]:
+    """max |field| over the points for each field; inf where a value is non-finite.
+
+    Never holds a fields x N array: each field is reduced as the walk computes it.
+    """
+    fields = list(fields)
+    if not len(points):
+        return [0.0] * len(fields)
+    return _walk(fields, points, max_abs_finite)
 
 
 def residual(fields: Iterable[ScalarField], points) -> float:

@@ -164,9 +164,6 @@ class AFormData:
         table = {key: balanced_sum(terms) for key, terms in pending.items()}
         return AFormData(degree, self.rank, table)
 
-    def eval(self, point) -> dict[tuple[int, ...], float]:
-        return {index: coeff.eval(point) for index, coeff in self.table.items()}
-
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
         return residual(self.table.values(), points)

@@ -1,8 +1,11 @@
 """Charts, brackets, the exterior differential, morphisms, links, and jets."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from algebroids import algebroid
 from algebroids.algebroid import (
     AlgebroidChart,
     Morphism,
@@ -17,9 +20,10 @@ from algebroids.algebroid import (
     pullback,
     verify_axioms,
 )
-from algebroids.expressions import Const, parse_expression
+from algebroids.expressions import Const, field_maxima, parse_expression
 from algebroids.forms import AFormData
 from algebroids.sampling import sample_points
+from expression_oracle import tree_shape
 
 
 def _field(chart, text):
@@ -167,6 +171,36 @@ class TestVerifyAxioms:
         assert not jacobi.passed
         assert jacobi.residual == float("inf")
         assert jacobi.details["failing_triple"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("fixture_name, name", [("sa3", "sa3"),
+                                                    ("broken_jacobi", "broken")])
+    def test_inner_brackets_built_once_per_ordered_pair(self, request, monkeypatch,
+                                                         fixture_name, name):
+        chart = request.getfixturevalue(fixture_name).chart(name)
+        jacobiators, calls = [], []
+
+        def spy_maxima(fields, points):
+            jacobiators.append(list(fields))
+            return field_maxima(fields, points)
+
+        def spy_bracket(a, b):
+            calls.append(None)
+            return bracket(a, b)
+
+        monkeypatch.setattr(algebroid, "field_maxima", spy_maxima)
+        monkeypatch.setattr(algebroid, "bracket", spy_bracket)
+        verify_axioms(chart, 10, 42)
+        triples = list(combinations(range(chart.rank), 3))
+        pairs = {p for i, j, k in triples for p in ((i, j), (j, k), (k, i))}
+        assert len(calls) == 3 * len(triples) + len(pairs)
+        assert len(jacobiators) == len(triples)
+        for (i, j, k), comps in zip(triples, jacobiators):
+            b_i, b_j, b_k = (chart.basis_section(t) for t in (i, j, k))
+            per_triple = (bracket(bracket(b_i, b_j), b_k)
+                          + bracket(bracket(b_j, b_k), b_i)
+                          + bracket(bracket(b_k, b_i), b_j))
+            assert [tree_shape(c) for c in comps] == \
+                [tree_shape(c) for c in per_triple.comps]
 
 
 class TestPullback:

@@ -227,6 +227,52 @@ class TestMainEntry:
         assert "mu_1[phi]" in body["forms"]
 
 
+def _solvable2d_with(tmp_path, section, name, key, value):
+    """Bundled solvable2d with one entry replaced, written under tmp_path."""
+    fixture = json.loads(builtin_fixture_path("solvable2d").read_text())
+    fixture[section][name][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(fixture))
+    return str(path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNonFiniteProbeValues:
+    """A value that overflows at a probe point fails its check or is a located error."""
+
+    def test_overflowing_kernel_vector_fails_k_flatness(self, tmp_path, capsys):
+        # The curvature vanishes everywhere, so a loop that skipped points of
+        # zero curvature never evaluated the vector and reported 0.0.
+        path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
+                                [["0", "exp(1000*x)"]])
+        code = main(["verify", path, "--suite", "connections"])
+        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == 1
+        assert records["k_flatness[phi]"]["residual"] == float("inf")
+        assert records["k_flatness[phi]"]["passed"] is False
+
+    def test_kernel_vector_overflowing_at_the_frame_base_point(self, tmp_path, capsys):
+        path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
+                                [["0", "exp(1300*x)"]])
+        code = main(["verify", path, "--suite", "connections"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: adapted frame: ")
+        assert "not finite at probe point (" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_metric_is_not_finite_rather_than_asymmetric(self, tmp_path,
+                                                                      capsys):
+        path = _solvable2d_with(tmp_path, "metrics", "gA", "matrix",
+                                [["exp(800*x)*exp(800*x)/exp(800*x)", "0"], ["0", "1"]])
+        code = main(["verify", path, "--suite", "connections"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: metric 'gA' is not finite at probe point (")
+        assert "not symmetric" not in err
+        assert "Warning" not in err
+
+
 def test_console_script_round_trip(tmp_path):
     out = tmp_path / "cli.json"
     result = subprocess.run(

@@ -391,8 +391,7 @@ class TestQuasiMetrics:
         frame = kernel_frame_on_S(phi, ker, coker)
         points = sample_points(1, 10, 42)
         for g in (g_plus, g_minus):
-            for point in points:
-                matrix = g.eval(point)
+            for point, matrix in zip(points, g.values(points)):
                 expected_nullity = len(frame)
                 rank = np.linalg.matrix_rank(matrix, tol=1e-9)
                 assert matrix.shape[0] - rank == expected_nullity

@@ -111,7 +111,7 @@ def _outcome(fn, *args):
 def _scalar_maximum(field, points) -> float:
     """max |field| by the scalar walk; inf if any node raises or is non-finite."""
     worst = 0.0
-    for point in points:
+    for point in np.asarray(points).tolist():  # Python floats, which raise on overflow
         for node in _subtree(field):
             try:
                 value = node.eval(point)
