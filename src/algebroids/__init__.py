@@ -9,7 +9,6 @@ from .algebroid import (
     Section,
     anchor_apply,
     bracket,
-    build_link_chart,
     check_morphism,
     d_A,
     jet_lift,
@@ -19,7 +18,6 @@ from .algebroid import (
 )
 from .connections import (
     AConnection,
-    ConnectionFamily,
     FormMatrix,
     QuasiMetric,
     bracket_connection,
@@ -30,7 +28,6 @@ from .connections import (
     dual_connection,
     glue,
     k_flatness_check,
-    link_curvature,
     metric_compat_check,
     morphism_sum_connection,
     orthogonal_connection,
@@ -42,7 +39,6 @@ from .chern import (
     chern_polarized,
     chern_scalar,
     cocycle_check,
-    fiber_integrate,
     odd_vanishing_check,
     transgression_check,
 )

@@ -72,18 +72,6 @@ class AlgebroidChart:
             for row in self.anchor
         )
 
-    def gamma(self, i: int, j: int, k: int) -> ScalarField:
-        """Structure function of [b_i, b_j] on b_k, antisymmetry included."""
-        if i == j:
-            return ZERO
-        if i < j:
-            return self.brackets.get((i, j), {}).get(k, ZERO)
-        coeff = self.brackets.get((j, i), {}).get(k, ZERO)
-        return mul(Const(-1.0), coeff) if not coeff.is_zero() else ZERO
-
-    def bracket_basis(self, i: int, j: int) -> list[ScalarField]:
-        return [self.gamma(i, j, k) for k in range(self.rank)]
-
     def coordinate_field(self, index: int) -> ScalarField:
         return Coord(index, self.coords[index])
 
@@ -458,33 +446,6 @@ def check_morphism(phi: Morphism, n_points: int = 100, seed: int = 42,
         f"morphism_{phi.name}", worst, tol, n_points,
         {"from": source.name, "to": target.name, "seed": seed},
     )
-
-
-def extend_with_parameters(chart: AlgebroidChart, names: Sequence[str]) -> AlgebroidChart:
-    """Direct product with the tangent algebroid of a parameter cube.
-
-    Base coordinates gain the parameter names; the frame gains one section per
-    parameter whose anchor is the corresponding coordinate derivative and whose
-    brackets with everything vanish.
-    """
-    extra = len(names)
-    coords = chart.coords + tuple(names)
-    basis = chart.basis + tuple(f"d_{n}" for n in names)
-    anchor = []
-    for row in chart.anchor:
-        anchor.append(list(row) + [ZERO] * extra)
-    for c in range(extra):
-        row = [ZERO] * (chart.dim + extra)
-        row[chart.dim + c] = Const(1.0)
-        anchor.append(row)
-    brackets = {pair: dict(coeffs) for pair, coeffs in chart.brackets.items()}
-    return AlgebroidChart(f"{chart.name}*{'*'.join(names)}", coords, basis,
-                          anchor, brackets)
-
-
-def build_link_chart(chart: AlgebroidChart, parameter: str = "tau") -> AlgebroidChart:
-    """Product of the chart with the unit-interval tangent algebroid."""
-    return extend_with_parameters(chart, [parameter])
 
 
 class JetChart(AlgebroidChart):

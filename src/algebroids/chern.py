@@ -1,9 +1,11 @@
-"""Chern polynomials, fiber integration over simplices, and difference forms.
+"""Chern polynomials and Bott difference forms on the base chart.
 
 The polarized Chern evaluation keeps the single odd-degree argument first, so
-all signs in mixed contractions are pinned by one convention.  Parameter
-integrals use Gauss-Legendre rules sized from exact per-coefficient polynomial
-degrees, so quadrature is exact, never adaptive.
+all signs in mixed contractions are pinned by one convention.  Difference
+forms never leave the base chart: the transgression slices the affine link at
+h Gauss-Legendre nodes, which is exact because its integrand is a polynomial
+of known degree 2(h - 1) in the link parameter, and the three-connection form
+is Bott's simplex formula in closed form.
 """
 
 from __future__ import annotations
@@ -15,11 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebroid import AForm, AlgebroidChart, d_A
-from .connections import (AConnection, ConnectionFamily, FormMatrix, curvature, lift_matrix,
-                          link_curvature)
-from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, max_abs_finite, mul,
-                          substitute)
+from .algebroid import AForm, d_A
+from .connections import AConnection, FormMatrix, curvature
+from .expressions import Const, ScalarField, balanced_sum, max_abs_finite, mul
 from .forms import AFormData, generalized_delta
 from .reports import CheckRecord
 from .sampling import sample_points
@@ -135,125 +135,38 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def integrate_unit_interval(field: ScalarField, coord_index: int,
-                            nodes: int) -> ScalarField:
-    """Exact Gauss integral over the coordinate `coord_index` in [0, 1]."""
-    xs, ws = gauss_legendre_01(nodes)
-    acc = ZERO
-    for w, sample in zip(ws, substitute(field, coord_index, [float(x) for x in xs])):
-        acc = add(acc, mul(Const(float(w)), sample))
-    return acc
-
-
-class NonPolynomialError(ValueError):
-    """Raised when coefficients are not polynomial in the simplex parameters."""
-
-
-def _parameter_degree(form: AForm, coord_indices: Sequence[int]) -> int:
-    worst = 0
-    for coeff in form.data.table.values():
-        for index in coord_indices:
-            degree = coeff.tau_degree(index)
-            if degree is None:
-                raise NonPolynomialError(
-                    f"coefficient {coeff} is not polynomial in parameter {index}"
-                )
-            worst = max(worst, degree)
-    return worst
-
-
-def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
-                    nodes: int | None = None) -> AForm:
-    """Integrate the full-simplex-volume component of a form over the k-simplex.
-
-    Components without all k parameter slots integrate to zero.  Coefficients
-    must be polynomial in the parameters; their degree is inferred exactly
-    from the expression trees.
-    """
-    if k == 0:
-        table = {idx: c for idx, c in form.data.table.items()
-                 if all(i < base_chart.rank for i in idx)}
-        return AForm(base_chart, AFormData(form.degree, base_chart.rank, table))
-    if k not in (1, 2):
-        raise ValueError("fiber integration is implemented for k in {0, 1, 2}")
-    s = base_chart.rank
-    m = base_chart.dim
-    param_slots = tuple(s + c for c in range(k))
-    param_coords = tuple(m + c for c in range(k))
-    degree = _parameter_degree(form, param_coords)
-    table: dict[tuple[int, ...], ScalarField] = {}
-    if k == 1:
-        n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
-        for index, coeff in form.data.table.items():
-            if index[-1:] != (param_slots[0],) or any(i >= s for i in index[:-1]):
-                continue
-            value = integrate_unit_interval(coeff, param_coords[0], n)
-            if not value.is_zero():
-                key = index[:-1]
-                table[key] = add(table.get(key, ZERO), value)
-        return AForm(base_chart, AFormData(form.degree - 1, s, table))
-    # k == 2: collapsed-square transform t1 = u, t2 = v(1 - u), Jacobian (1 - u).
-    n_u = nodes if nodes is not None else max(1, math.ceil((degree + 2) / 2))
-    n_v = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
-    us, wus = gauss_legendre_01(n_u)
-    vs, wvs = gauss_legendre_01(n_v)
-    for index, coeff in form.data.table.items():
-        if index[-2:] != param_slots or any(i >= s for i in index[:-2]):
-            continue
-        acc = ZERO
-        rows = substitute(coeff, param_coords[0], [float(u) for u in us])
-        for u, wu, row in zip(us, wus, rows):
-            t2s = [float(v * (1.0 - u)) for v in vs]
-            for wv, sample in zip(wvs, substitute(row, param_coords[1], t2s)):
-                weight = float(wu * wv * (1.0 - u))
-                acc = add(acc, mul(Const(weight), sample))
-        if not acc.is_zero():
-            key = index[:-2]
-            table[key] = add(table.get(key, ZERO), acc)
-    return AForm(base_chart, AFormData(form.degree - 2, s, table))
-
-
-def bott_delta(connections: Sequence[AConnection], h: int,
-               nodes: int | None = None) -> AForm:
+def bott_delta(connections: Sequence[AConnection], h: int) -> AForm:
     """Difference homomorphism on k+1 connections evaluated on c_h.
 
-    k = 0 is the closed characteristic form c_h(Omega); k = 1 is the
-    transgression h * integral of c_h(alpha, Omega_tau, ...) over [0, 1];
-    k = 2 integrates c_h of the barycentric family curvature over the
-    2-simplex with the alternating-sign prefactor.
+    k = 0 is the closed characteristic form c_h(Omega).  k = 1 is the
+    transgression h * integral over [0, 1] of c_h(alpha, Omega_x, ..., Omega_x),
+    with alpha = omega1 - omega0 and Omega_x the curvature of the affine link
+    omega0 + x alpha; the integrand has degree 2(h - 1) in x, so h Gauss nodes
+    integrate it exactly.  k = 2 is Bott's simplex formula in closed form: zero
+    for h = 1 and c_2(omega1 - omega0, omega2 - omega0) for h = 2.
     """
+    if h < 1:
+        raise ValueError(f"c_{h} is not a Chern polynomial: the degree must be at least 1")
     k = len(connections) - 1
     if k == 0:
         return chern_form(curvature(connections[0]), h)
+    c0 = connections[0]
+    chart = c0.chart
     if k == 1:
-        c0, c1 = connections
-        family = ConnectionFamily.affine_link(c0, c1)
-        link = family.product_chart
-        alpha = lift_matrix(c1.matrix - c0.matrix, link)
-        omega_tau, _ = link_curvature(family)
-        integrand = chern_polarized([alpha] + [omega_tau] * (h - 1))
-        base = family.base_chart
-        if integrand.is_zero():
-            return base.zero_form(2 * h - 1)
-        tau_coord = base.dim
-        degree = _parameter_degree(integrand, (tau_coord,))
-        n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
-        table = {}
-        for index, coeff in integrand.data.table.items():
-            if any(i >= base.rank for i in index):
-                continue
-            value = integrate_unit_interval(coeff, tau_coord, n)
-            if not value.is_zero():
-                table[index] = value
-        return AForm(base, AFormData(2 * h - 1, base.rank, table)).scale(float(h))
+        alpha = connections[1].matrix - c0.matrix
+        if h == 1:  # c_1(alpha) does not depend on the link parameter
+            return chern_polarized([alpha])
+        total = chart.zero_form(2 * h - 1)
+        for x, w in zip(*gauss_legendre_01(h)):
+            omega_x = curvature(AConnection(chart, c0.rank, c0.matrix + alpha.scale(float(x))))
+            total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
+        return total.scale(float(h))
     if k == 2:
-        family = ConnectionFamily.barycentric(list(connections))
-        base = family.base_chart
-        full = family.full_connection()
-        omega_tilde = curvature(full)
-        integrand = chern_polarized([omega_tilde] * h)
-        sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
-        return fiber_integrate(integrand, 2, base, nodes=nodes).scale(sign)
+        if h == 1:
+            return chart.zero_form(0)
+        if h == 2:
+            return chern_polarized([c.matrix - c0.matrix for c in connections[1:]])
+        raise ValueError(f"Delta on three connections is implemented for c_1 and c_2, not c_{h}")
     raise ValueError("bott_delta supports k in {0, 1, 2}")
 
 

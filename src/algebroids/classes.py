@@ -31,7 +31,7 @@ from .connections import (
     pullback_connection,
 )
 from .chern import bott_delta
-from .expressions import ZERO, add
+from .expressions import Const, ScalarField, ZERO, add, mul
 from .forms import AFormData
 from .sampling import sample_points
 
@@ -57,11 +57,17 @@ def modular_form(chart: AlgebroidChart, check: bool = True) -> AForm:
 
     Coefficient on b*^i: sum_k gamma_ik^k + sum_j d(rho_i^j)/dx^j.
     """
+    traces: dict[int, dict[int, ScalarField]] = {}  # i -> {k: gamma_ik^k}, sparse rows
+    for (i, j), row in chart.brackets.items():
+        if j in row:
+            traces.setdefault(i, {})[j] = row[j]
+        if i in row:
+            traces.setdefault(j, {})[i] = mul(Const(-1.0), row[i])
     table = {}
     for i in range(chart.rank):
         coeff = ZERO
-        for k in range(chart.rank):
-            coeff = add(coeff, chart.gamma(i, k, k))
+        for _, gamma in sorted(traces.get(i, {}).items()):
+            coeff = add(coeff, gamma)
         for j in range(chart.dim):
             coeff = add(coeff, chart.anchor[i][j].diff(j))
         if not coeff.is_zero():

@@ -408,9 +408,16 @@ def _write_report(report: Report, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: a count of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("fixture", help="fixture path or bundled fixture name")
-    parser.add_argument("--points", type=int, default=100)
+    parser.add_argument("--points", type=_positive_int, default=100)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--out", default=None, help="write the JSON report here")
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     mu = sub.add_parser("mu", help="dump a secondary characteristic class form")
     _add_common(mu)
     mu.add_argument("--morphism", required=True)
-    mu.add_argument("--h", type=int, default=1)
+    mu.add_argument("--h", type=_positive_int, default=1)
     jet = sub.add_parser("jet", help="dump the first jet prolongation of an algebroid")
     _add_common(jet)
     jet.add_argument("--algebroid", required=True)

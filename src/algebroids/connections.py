@@ -22,22 +22,13 @@ from .algebroid import (
     Section,
     anchor_apply,
     bracket,
-    build_link_chart,
     d_A,
-    extend_with_parameters,
 )
 from .expressions import (Const, ScalarField, ZERO, add, div, evaluate, max_abs_finite,
                           mul, residual, square_root, sub)
 from .forms import AFormData
 from .reports import CheckRecord
 from .sampling import first_point, sample_points
-
-
-def lift_form(form: AForm, chart: AlgebroidChart) -> AForm:
-    """Reinterpret a form on a sub-frame as a form on an extended chart."""
-    if form.chart.rank > chart.rank:
-        raise ValueError("target chart has smaller rank")
-    return AForm(chart, AFormData(form.degree, chart.rank, dict(form.data.table)))
 
 
 class FormMatrix:
@@ -158,20 +149,6 @@ class FormMatrix:
         shape = (len(frames), self.size, self.size, len(points))
         return np.ascontiguousarray(values.reshape(shape).transpose(0, 3, 1, 2))
 
-    def pure_part(self, frame_rank: int) -> "FormMatrix":
-        """Drop components whose multi-index touches frame slots >= frame_rank."""
-        out = []
-        for row in self.entries:
-            new_row = []
-            for entry in row:
-                table = {
-                    idx: c for idx, c in entry.data.table.items()
-                    if all(i < frame_rank for i in idx)
-                }
-                new_row.append(AForm(self.chart, AFormData(entry.degree, self.chart.rank, table)))
-            out.append(new_row)
-        return FormMatrix(self.chart, out, self.degree)
-
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude of any entry; inf if any is non-finite."""
         return residual([coeff for row in self.entries for entry in row
@@ -273,8 +250,13 @@ def direct_sum(c1: AConnection, c2: AConnection) -> AConnection:
 
 def bracket_connection(chart: AlgebroidChart) -> AConnection:
     """The connection nabla_{b_i} b_j = [b_i, b_j] on the algebroid itself."""
+    gamma = {}  # (i, j, k) -> coefficient of [b_i, b_j] on b_k, from the sparse rows
+    for (i, j), row in chart.brackets.items():
+        for k, coeff in row.items():
+            gamma[i, j, k] = coeff
+            gamma[j, i, k] = mul(Const(-1.0), coeff)
     return AConnection.from_coefficients(
-        chart, chart.rank, lambda i, u, t: chart.gamma(i, u, t)
+        chart, chart.rank, lambda i, u, t: gamma.get((i, u, t), ZERO)
     )
 
 
@@ -546,117 +528,6 @@ def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField]) -> 
     for conn, weight in zip(connections, weights):
         matrix = matrix + conn.matrix.scale(weight)
     return AConnection(chart, rank, matrix, frame=connections[0].frame)
-
-
-# --------------------------------------------------------------------------
-# One-parameter links and simplex families
-# --------------------------------------------------------------------------
-
-
-class ConnectionFamily:
-    """Family of connections over a parameter cell, as a matrix on the product chart.
-
-    `omega` carries only base-frame components: the family has no transverse
-    (parameter-direction) components.
-    """
-
-    def __init__(self, base_chart: AlgebroidChart, product_chart: AlgebroidChart,
-                 rank: int, omega: FormMatrix):
-        self.base_chart = base_chart
-        self.product_chart = product_chart
-        self.rank = rank
-        self.omega = omega
-        self.n_params = product_chart.rank - base_chart.rank
-
-    @classmethod
-    def affine_link(cls, c0: AConnection, c1: AConnection) -> "ConnectionFamily":
-        """(1 - tau) c0 + tau c1."""
-        if c0.chart is not c1.chart or c0.rank != c1.rank:
-            raise ValueError("link endpoints must share chart and rank")
-        chart = c0.chart
-        link = build_link_chart(chart, "tau")
-        tau = link.coordinate_field(chart.dim)
-        one_minus = sub(Const(1.0), tau)
-        m0 = lift_matrix(c0.matrix, link)
-        m1 = lift_matrix(c1.matrix, link)
-        omega = m0.scale(one_minus) + m1.scale(tau)
-        return cls(chart, link, c0.rank, omega)
-
-    @classmethod
-    def barycentric(cls, connections: Sequence[AConnection]) -> "ConnectionFamily":
-        """Convex simplex family sum_a t^a nabla^a with t^0 = 1 - sum t^c."""
-        k = len(connections) - 1
-        chart = connections[0].chart
-        for conn in connections:
-            if conn.chart is not chart or conn.rank != connections[0].rank:
-                raise ValueError("family endpoints must share chart and rank")
-        names = [f"t{c}" for c in range(1, k + 1)]
-        product = extend_with_parameters(chart, names)
-        lifted = [lift_matrix(c.matrix, product) for c in connections]
-        omega = lifted[0]
-        for c in range(1, k + 1):
-            t_c = product.coordinate_field(chart.dim + c - 1)
-            omega = omega + (lifted[c] - lifted[0]).scale(t_c)
-        return cls(chart, product, connections[0].rank, omega)
-
-    def full_connection(self) -> AConnection:
-        """The family as one connection on the product chart."""
-        product = self.product_chart
-        return AConnection(product, self.rank, FormMatrix(product, self.omega.entries, 1),
-                           frame="family")
-
-    def slice_at(self, values: Sequence[float]) -> AConnection:
-        """The member connection at fixed parameter values."""
-        base = self.base_chart
-        rows = []
-        for u in range(self.rank):
-            row = []
-            for t in range(self.rank):
-                entry = self.omega.entries[u][t]
-                table = {}
-                for idx, coeff in entry.data.table.items():
-                    if any(i >= base.rank for i in idx):
-                        continue
-                    for c, value in enumerate(values):
-                        coeff = coeff.subs(base.dim + c, value)
-                    if not coeff.is_zero():
-                        table[idx] = coeff
-                row.append(AForm(base, AFormData(1, base.rank, table)))
-            rows.append(row)
-        return AConnection(base, self.rank, FormMatrix(base, rows, 1))
-
-
-def lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
-    """Entrywise `lift_form` of a form matrix onto an extended chart."""
-    rows = [[lift_form(e, chart) for e in row] for row in m.entries]
-    return FormMatrix(chart, rows, m.degree)
-
-
-def link_curvature(family: ConnectionFamily) -> tuple[FormMatrix, FormMatrix]:
-    """Per-parameter curvature and transverse curvature of a 1-parameter link.
-
-    Returns (Omega_tau, Lambda) with Lambda = d(omega)/d(tau).  Under this
-    library's ordering of the product frame the full product curvature
-    carries -Lambda on the transverse slots; the pure base part is Omega_tau.
-    """
-    if family.n_params != 1:
-        raise ValueError("link curvature needs a 1-parameter family")
-    chart = family.product_chart
-    tau_index = family.base_chart.dim
-    omega = family.omega
-    omega_tau = omega.d().pure_part(family.base_chart.rank) - omega.wedge(omega)
-    rows = []
-    for row in omega.entries:
-        out = []
-        for entry in row:
-            table = {}
-            for idx, c in entry.data.table.items():
-                derivative = c.diff(tau_index)
-                if not derivative.is_zero():
-                    table[idx] = derivative
-            out.append(AForm(chart, AFormData(1, chart.rank, table)))
-        rows.append(out)
-    return omega_tau, FormMatrix(chart, rows, 1)
 
 
 # --------------------------------------------------------------------------

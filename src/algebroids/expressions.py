@@ -26,9 +26,9 @@ of it by two routes.
   depend on numpy's kernels (`np.exp` and integer powers can differ from
   `math.exp` and `**` in the last bit).  It is also the test oracle.
 
-`subs` and `tau_degree` are walks over distinct nodes with a per-call memo as
-well; `subs` returns a node unchanged when its children are.  Nodes define no
-`__eq__` or `__hash__`, so the memos, keyed by node, key by identity.
+An empty point set is an error on the probe-point route, never a maximum of
+0.0.  Nodes define no `__eq__` or `__hash__`, so the walk's memos, keyed by
+node, key by identity.
 """
 
 from __future__ import annotations
@@ -58,14 +58,6 @@ class ScalarField:
     def diff(self, index: int) -> "ScalarField":
         """Exact partial derivative with respect to coordinate `index` (0-based)."""
         raise NotImplementedError
-
-    def subs(self, index: int, value: float) -> "ScalarField":
-        """Substitute a constant for coordinate `index`, folding constants."""
-        return substitute(self, index, (value,))[0]
-
-    def tau_degree(self, index: int) -> int | None:
-        """Polynomial degree in coordinate `index`, or None if not polynomial."""
-        return tau_degree(self, index)
 
     def is_zero(self) -> bool:
         return isinstance(self, Const) and self.value == 0.0
@@ -386,7 +378,7 @@ def balanced_sum(terms: Sequence[ScalarField]) -> ScalarField:
 
 
 # --------------------------------------------------------------------------
-# Walks over distinct nodes: vectorized residuals, substitution, degrees
+# Walks over distinct nodes: vectorized values and residuals
 # --------------------------------------------------------------------------
 
 
@@ -481,8 +473,11 @@ def _walk(fields: list[ScalarField], points, reduce) -> list:
     """`reduce(values)` of each field on the points (an (N, dim) array or N tuples).
 
     Each root is reduced as soon as it is computed; each node's values are
-    dropped once every parent has read them.
+    dropped once every parent has read them.  No points is an error, never an
+    empty maximum: a check with nothing to probe must not pass.
     """
+    if not len(points):
+        raise ValueError("no probe points to evaluate on")
     columns = np.ascontiguousarray(np.asarray(points, dtype=float).T)
     order, pending = _schedule(fields)
     roots = set(fields)
@@ -511,93 +506,12 @@ def field_maxima(fields: Iterable[ScalarField], points) -> list[float]:
 
     Never holds a fields x N array: each field is reduced as the walk computes it.
     """
-    fields = list(fields)
-    if not len(points):
-        return [0.0] * len(fields)
-    return _walk(fields, points, max_abs_finite)
+    return _walk(list(fields), points, max_abs_finite)
 
 
 def residual(fields: Iterable[ScalarField], points) -> float:
     """Largest |value| of any field at any point; inf if any value is non-finite."""
     return max(field_maxima(fields, points), default=0.0)
-
-
-_REBUILD = {Add: add, Sub: sub, Mul: mul, Div: div,
-            Sin: sine, Cos: cosine, Exp: exponential, Sqrt: square_root}
-
-
-def substitute(field: ScalarField, index: int,
-               values: Sequence[float]) -> list[ScalarField]:
-    """`field` with each of `values` in turn for coordinate `index`, folding constants.
-
-    One walk serves every value.  A node without the coordinate is kept as it
-    is; every other distinct node is rebuilt once per value through the
-    folding constructors, so each result is the tree a node-by-node rebuild
-    folds to, with shared subtrees kept shared.
-    """
-    order, pending = _schedule((field,))
-    # node -> None where the coordinate does not occur, else one result per value
-    memo: dict[ScalarField, list[ScalarField] | None] = {}
-    for node in order:  # the last node is `field`
-        kind = type(node)
-        kids = _children(node)
-        results = [memo[kid] for kid in kids]
-        _release(kids, pending, memo)
-        if kind is Coord and node.index == index:
-            result = [Const(value) for value in values]
-        elif all(r is None for r in results):
-            result = None
-        else:
-            columns = [[kid] * len(values) if r is None else r
-                       for kid, r in zip(kids, results)]
-            if kind is Pow:
-                result = [power(base, node.exponent) for base in columns[0]]
-            else:
-                result = [_REBUILD[kind](*args) for args in zip(*columns)]
-        if pending[node]:
-            memo[node] = result
-    return result or [field] * len(values)
-
-
-def tau_degree(field: ScalarField, index: int) -> int | None:
-    """Polynomial degree of `field` in coordinate `index`, or None if not polynomial.
-
-    Each distinct node is measured once.
-    """
-    return _degree(field, index, {})
-
-
-def _degree(node: ScalarField, index: int, memo: dict) -> int | None:
-    if node in memo:
-        return memo[node]
-    kind = type(node)
-    if kind is Const:
-        degree = 0
-    elif kind is Coord:
-        degree = 1 if node.index == index else 0
-    elif kind is Pow:
-        a = _degree(node.base, index, memo)
-        if a is None:
-            degree = None
-        elif node.exponent >= 0:
-            degree = a * node.exponent
-        else:
-            degree = None if a != 0 else 0
-    elif isinstance(node, _Unary):
-        degree = 0 if _degree(node.arg, index, memo) == 0 else None
-    else:
-        a = _degree(node.left, index, memo)
-        b = _degree(node.right, index, memo)
-        if a is None or b is None:
-            degree = None
-        elif kind is Mul:
-            degree = a + b
-        elif kind is Div:
-            degree = a if b == 0 else None
-        else:
-            degree = max(a, b)
-    memo[node] = degree
-    return degree
 
 
 def _format_number(value: float) -> str:

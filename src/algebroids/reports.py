@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -66,4 +67,21 @@ class Report:
         return body
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """Strict JSON (RFC 8259): a non-finite number is written as "inf", "-inf" or "nan"."""
+        return json.dumps(_finite_or_text(self.to_dict()), sort_keys=True, indent=2,
+                          allow_nan=False)
+
+
+def _finite_or_text(value):
+    """`value` with every non-finite float replaced by its text, at any depth.
+
+    Residuals are not the only floats: dumped form values come from the scalar
+    walk, where a product can overflow to inf without raising.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(float(value))
+    if isinstance(value, dict):
+        return {key: _finite_or_text(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_text(item) for item in value]
+    return value

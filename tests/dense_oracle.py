@@ -1,18 +1,34 @@
-"""Dense reference versions of `d_A`, `bracket` and `anchor_apply`.
+"""Dense reference versions of `d_A`, `bracket`, `anchor_apply`,
+`bracket_connection` and `modular_form`.
 
-These scan every frame index through `AlgebroidChart.bracket_basis` and every
-anchor entry.  Tests require the sparse routes of `algebroids.algebroid`,
-which visit only the chart's nonzero bracket and anchor terms, to build the
-same coefficient trees as these.
+These scan every frame index through the structure functions `gamma` and
+`bracket_basis` (once methods of `AlgebroidChart`) and every anchor entry.
+Tests require the sparse routes of `algebroids`, which visit only the chart's
+nonzero bracket and anchor terms, to build the same coefficient trees as these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from algebroids.algebroid import AForm, Section, _require_same_chart
+from algebroids.algebroid import AForm, AlgebroidChart, Section, _require_same_chart
+from algebroids.connections import AConnection
 from algebroids.expressions import Const, ScalarField, ZERO, add, mul, sub
 from algebroids.forms import AFormData
+
+
+def gamma(chart: AlgebroidChart, i: int, j: int, k: int) -> ScalarField:
+    """Structure function of [b_i, b_j] on b_k, antisymmetry included."""
+    if i == j:
+        return ZERO
+    if i < j:
+        return chart.brackets.get((i, j), {}).get(k, ZERO)
+    coeff = chart.brackets.get((j, i), {}).get(k, ZERO)
+    return mul(Const(-1.0), coeff) if not coeff.is_zero() else ZERO
+
+
+def bracket_basis(chart: AlgebroidChart, i: int, j: int) -> list[ScalarField]:
+    return [gamma(chart, i, j, k) for k in range(chart.rank)]
 
 
 def anchor_apply(a: Section, f: ScalarField) -> ScalarField:
@@ -78,7 +94,7 @@ def d_A(omega: AForm) -> AForm:
                     i_r, i_t = index[r], index[t]
                     rest = tuple(v for p, v in enumerate(index) if p not in (r, t))
                     pair_sign = -1.0 if (r + t) % 2 else 1.0
-                    for m, coeff in enumerate(chart.bracket_basis(i_r, i_t)):
+                    for m, coeff in enumerate(bracket_basis(chart, i_r, i_t)):
                         if coeff.is_zero():
                             continue
                         value = omega.data.coeff_signed((m,) + rest)
@@ -88,3 +104,24 @@ def d_A(omega: AForm) -> AForm:
         if not total.is_zero():
             table[index] = total
     return AForm(chart, AFormData(k + 1, chart.rank, table))
+
+
+def bracket_connection(chart: AlgebroidChart) -> AConnection:
+    """The connection nabla_{b_i} b_j = [b_i, b_j] on the algebroid itself."""
+    return AConnection.from_coefficients(
+        chart, chart.rank, lambda i, u, t: gamma(chart, i, u, t)
+    )
+
+
+def modular_form(chart: AlgebroidChart) -> AForm:
+    """Coefficient on b*^i: sum_k gamma_ik^k + sum_j d(rho_i^j)/dx^j (unchecked)."""
+    table = {}
+    for i in range(chart.rank):
+        coeff = ZERO
+        for k in range(chart.rank):
+            coeff = add(coeff, gamma(chart, i, k, k))
+        for j in range(chart.dim):
+            coeff = add(coeff, chart.anchor[i][j].diff(j))
+        if not coeff.is_zero():
+            table[(i,)] = coeff
+    return AForm(chart, AFormData(1, chart.rank, table))

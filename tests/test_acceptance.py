@@ -16,7 +16,6 @@ from algebroids.chern import (
     chern_polarized,
     chern_scalar,
     cocycle_check,
-    integrate_unit_interval,
     odd_vanishing_check,
     transgression_check,
 )
@@ -43,6 +42,7 @@ from algebroids.connections import (
 )
 from algebroids.expressions import Const, parse_expression
 from algebroids.sampling import sample_points
+from transgression_oracle import integrate_unit_interval
 
 POINTS = 100
 SEED = 42

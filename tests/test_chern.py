@@ -1,4 +1,8 @@
-"""Chern polynomials, fiber integration, difference forms, and identities."""
+"""Chern polynomials, fiber integration, difference forms, and identities.
+
+Fiber integration and the parameter-chart route to difference forms live in
+`transgression_oracle`; `bott_delta` is checked against them.
+"""
 
 import math
 from itertools import combinations
@@ -6,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from algebroids.algebroid import build_link_chart, d_A
+from algebroids.algebroid import d_A, jet_prolong
 from algebroids.chern import (
     InvariantPolynomial,
     bott_delta,
@@ -14,13 +18,11 @@ from algebroids.chern import (
     chern_polarized,
     chern_scalar,
     cocycle_check,
-    fiber_integrate,
     gauss_legendre_01,
-    integrate_unit_interval,
-    NonPolynomialError,
     odd_vanishing_check,
     transgression_check,
 )
+from algebroids.classes import orthogonal_sum
 from algebroids.connections import (
     AConnection,
     FormMatrix,
@@ -36,7 +38,15 @@ from algebroids.connections import (
 from algebroids.expressions import Const, parse_expression
 from algebroids.forms import AFormData
 from algebroids.sampling import sample_points
-from transgression_oracle import bott_delta_via_fiber_integration
+from transgression_oracle import (
+    NonPolynomialError,
+    bott_delta_reference,
+    bott_delta_via_fiber_integration,
+    build_link_chart,
+    extend_with_parameters,
+    fiber_integrate,
+    integrate_unit_interval,
+)
 
 
 def _minor_chern(matrix, h):
@@ -217,7 +227,6 @@ class TestFiberIntegration:
 
     def test_simplex_area(self, tangent_r2):
         chart = tangent_r2.chart("TR2")
-        from algebroids.algebroid import extend_with_parameters
         product = extend_with_parameters(chart, ["t1", "t2"])
         form = product.form(AFormData(2, 4, {(2, 3): Const(1.0)}))
         out = fiber_integrate(form, 2, chart)
@@ -225,7 +234,6 @@ class TestFiberIntegration:
 
     def test_simplex_polynomial_moments(self, tangent_r2):
         chart = tangent_r2.chart("TR2")
-        from algebroids.algebroid import extend_with_parameters
         product = extend_with_parameters(chart, ["t1", "t2"])
         t1 = product.coordinate_field(2)
         t2 = product.coordinate_field(3)
@@ -288,8 +296,8 @@ class TestBottDelta:
         c1 = morphism_sum_connection(phi)
         c0 = AConnection.flat(phi.source, 6)
         for h in (2, 3):
-            base = bott_delta([c0, c1], h, nodes=h)
-            double = bott_delta([c0, c1], h, nodes=2 * h)
+            base = bott_delta([c0, c1], h)
+            double = bott_delta_reference([c0, c1], h, nodes=2 * h)
             assert (base - double).max_abs(line_points) < 1e-13
 
     def test_argument_swap_antisymmetry(self, so3, line_points):
@@ -311,6 +319,87 @@ class TestBottDelta:
             abc = bott_delta([c0, c1, c2], h)
             bac = bott_delta([c1, c0, c2], h)
             assert (abc + bac).max_abs(line_points) < 1e-12
+
+
+class TestBottDeltaAgainstReference:
+    """The base-chart route against the parameter-chart route it replaced."""
+
+    def test_links_match_fiber_integration(self, solvable2d, so3, line_points):
+        for fixture, name in ((solvable2d, "phi"), (so3, "id")):
+            phi = fixture.morphism(name)
+            c1 = morphism_sum_connection(phi)
+            c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank)
+            for h in (1, 2, 3):
+                new = bott_delta([c0, c1], h)
+                old = bott_delta_reference([c0, c1], h)
+                assert new.degree == old.degree == 2 * h - 1
+                assert (new - old).max_abs(line_points) <= 1e-12, (fixture.name, h)
+
+    def test_curving_links_on_an_anchored_chart(self, tangent_r2):
+        # The fixtures' nonzero links sit on zero-anchor charts; here d_A of
+        # the link matrix has anchor terms and both endpoints curve.
+        chart = jet_prolong(tangent_r2.chart("TR2"))
+        x, y = chart.coordinate_field(0), chart.coordinate_field(1)
+        rng = np.random.default_rng(5)
+
+        def rand_conn(rank):
+            rows = []
+            for _ in range(rank):
+                row = []
+                for _ in range(rank):
+                    table = {}
+                    for i in range(chart.rank):
+                        c = rng.integers(-2, 3, 2)
+                        poly = Const(float(c[0])) + Const(float(c[1])) * x * y
+                        if not poly.is_zero():
+                            table[(i,)] = poly
+                    row.append(chart.form(AFormData(1, chart.rank, table)))
+                rows.append(row)
+            return AConnection(chart, rank, FormMatrix(chart, rows, 1))
+
+        c0, c1 = rand_conn(2), rand_conn(2)
+        points = sample_points(chart.dim, 50, 42)
+        for h in (1, 2):
+            old = bott_delta_reference([c0, c1], h)
+            scale = old.max_abs(points)
+            assert scale > 1.0
+            assert (bott_delta([c0, c1], h) - old).max_abs(points) <= 1e-12 * scale
+
+    def test_sa3_third_polynomial_matches_relative_to_size(self, sa3, line_points):
+        phi = sa3.morphism("zero")
+        c1 = morphism_sum_connection(phi)
+        c0 = AConnection.flat(phi.source, c1.rank)
+        new = bott_delta([c0, c1], 3)
+        old = bott_delta_reference([c0, c1], 3)
+        points = line_points[:10]
+        scale = old.max_abs(points)
+        assert scale > 0.1
+        assert (new - old).max_abs(points) <= 1e-12 * scale
+
+    def test_triangles_match_fiber_integration(self, solvable2d, so3_double,
+                                               line_points):
+        for fixture, first, second in ((solvable2d, "phi", "phi2"),
+                                       (so3_double, "id", "rot")):
+            p1, p2 = fixture.morphism(first), fixture.morphism(second)
+            c0 = orthogonal_sum(p1.source, p1.source.rank, p1.target.rank)
+            c1, c2 = morphism_sum_connection(p1), morphism_sum_connection(p2)
+            for h in (1, 2):
+                new = bott_delta([c0, c1, c2], h)
+                old = bott_delta_reference([c0, c1, c2], h)
+                assert new.degree == old.degree == 2 * h - 2
+                assert (new - old).max_abs(line_points) <= 1e-13, (fixture.name, h)
+        # so3_double's pair is not proportional, so its c_2 form is far from zero.
+        assert bott_delta([c0, c1, c2], 2).max_abs(line_points) > 0.1
+
+    def test_unsupported_degrees_are_rejected(self, so3_double):
+        p1, p2 = so3_double.morphism("id"), so3_double.morphism("rot")
+        c1, c2 = morphism_sum_connection(p1), morphism_sum_connection(p2)
+        c0 = AConnection.flat(p1.source, c1.rank)
+        with pytest.raises(ValueError, match="c_3"):
+            bott_delta([c0, c1, c2], 3)
+        for connections in ([c0], [c0, c1], [c0, c1, c2]):
+            with pytest.raises(ValueError, match="at least 1"):
+                bott_delta(connections, 0)
 
 
 class TestIdentities:

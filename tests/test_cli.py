@@ -219,12 +219,30 @@ class TestMainEntry:
         body = json.loads(out.read_text())
         assert body["fixture"] == "solvable2d"
 
+    @pytest.mark.parametrize("argv, option", [
+        (["verify", "broken_jacobi", "--suite", "axioms", "--points", "0"], "--points"),
+        (["verify", "so3", "--points", "0"], "--points"),
+        (["mu", "solvable2d", "--morphism", "phi", "--h", "0"], "--h"),
+    ])
+    def test_non_positive_counts_are_usage_errors(self, argv, option, capsys):
+        # With no probe points every maximum was 0.0, so broken_jacobi passed.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {option}: must be a positive integer, got '0'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_mu_command(self, capsys):
         code = main(["mu", "solvable2d", "--morphism", "phi", "--h", "1",
                      "--points", "20"])
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert "mu_1[phi]" in body["forms"]
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
 
 
 def _solvable2d_with(tmp_path, section, name, key, value):
@@ -246,9 +264,10 @@ class TestNonFiniteProbeValues:
         path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
                                 [["0", "exp(1000*x)"]])
         code = main(["verify", path, "--suite", "connections"])
-        records = {r["name"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        records = {r["name"]: r for r in report["checks"]}
         assert code == 1
-        assert records["k_flatness[phi]"]["residual"] == float("inf")
+        assert records["k_flatness[phi]"]["residual"] == "inf"
         assert records["k_flatness[phi]"]["passed"] is False
 
     def test_kernel_vector_overflowing_at_the_frame_base_point(self, tmp_path, capsys):

@@ -1,8 +1,9 @@
 """The vectorized residual reducer and the memoized walks over expression DAGs.
 
 `residual`/`field_maxima` are checked against the scalar tree walk
-(`ScalarField.eval`) at every point, and `substitute`/`tau_degree` against the
-recursive per-class versions kept in `expression_oracle`.  Random DAGs share
+(`ScalarField.eval`) at every point, and the memoized `substitute`/`tau_degree`
+of `transgression_oracle` against the recursive per-class versions kept in
+`expression_oracle`.  Random DAGs share
 subtrees and use every node kind, built through the folding constructors as
 the library builds them.
 """
@@ -37,12 +38,11 @@ from algebroids.expressions import (
     sine,
     square_root,
     sub,
-    substitute,
-    tau_degree,
 )
 from algebroids.forms import AFormData
 from algebroids.sampling import sample_points
 from expression_oracle import tree_shape
+from transgression_oracle import subs, substitute, tau_degree
 
 X, Y = Coord(0, "x"), Coord(1, "y")
 POINTS = sample_points(2, 25, 42)
@@ -160,8 +160,13 @@ class TestResidualAgainstScalarWalk:
         distinct = {id(node) for root in roots for node in _subtree(root)}
         assert sorted(calls) == sorted(distinct)
 
-    def test_no_points_gives_zero(self):
-        assert field_maxima([X, ONE], []) == [0.0, 0.0]
+    def test_no_points_is_rejected(self):
+        # A maximum over no points would let any check pass.
+        for reducer in (field_maxima, residual, expressions.evaluate):
+            with pytest.raises(ValueError, match="no probe points"):
+                reducer([X, ONE], [])
+            with pytest.raises(ValueError, match="no probe points"):
+                reducer([X], np.zeros((0, 2)))
         assert residual([], POINTS) == 0.0
 
     def test_constant_field(self):
@@ -246,7 +251,7 @@ class TestWalksAgainstOracle:
     def test_subs_matches_recursive_oracle(self, roots, index, value):
         for field in roots:
             # Folding sqrt(-1) or exp(1000) raises on both routes alike.
-            new = _outcome(field.subs, index, value)
+            new = _outcome(subs, field, index, value)
             old = _outcome(expression_oracle.subs, field, index, value)
             if isinstance(old, type):
                 assert new is old
@@ -273,18 +278,17 @@ class TestWalksAgainstOracle:
     def test_tau_degree_matches_recursive_oracle(self, roots, index):
         for field in roots:
             assert tau_degree(field, index) == expression_oracle.tau_degree(field, index)
-            assert field.tau_degree(index) == tau_degree(field, index)
 
     def test_unchanged_subtrees_are_kept(self):
         shared = mul(sine(Y), Y)
         field = add(mul(X, shared), shared)
-        new = field.subs(0, 2.0)
+        new = subs(field, 0, 2.0)
         assert new.left.right is shared and new.right is shared
-        assert field.subs(2, 1.0) is field
+        assert subs(field, 2, 1.0) is field
 
     def test_shared_subtree_is_copied_once(self):
         shared = add(X, Y)
         field = mul(shared, shared)
-        new = field.subs(1, 3.0)
+        new = subs(field, 1, 3.0)
         assert new.left is new.right
         assert str(new) == "(x + 3)*(x + 3)"

@@ -1,19 +1,432 @@
-"""Reference route for the two-connection difference form Delta(c0, c1)c_h.
+"""Reference routes for the difference forms Delta(c0, ..., ck)c_h.
 
-This is the generic simplex formula specialized to k = 1: c_h of the
-curvature of the affine link as one connection on the product chart,
-integrated over the parameter interval.  `algebroids.chern.bott_delta`
-computes the same form from the closed link-curvature formula
-h * integral of c_h(alpha, Omega_tau, ...); tests require the two to agree.
+`algebroids.chern.bott_delta` works on the base chart only: for k = 1 it
+slices the affine link at Gauss nodes, for k = 2 it uses the closed forms.
+This module keeps the parameter-chart route it replaced, unchanged: product
+charts with extra tau (or t1, t2) coordinates, connection families on them,
+polynomial degrees inferred from the coefficient trees, and coefficient trees
+rebuilt at every Gauss node.  `bott_delta_reference` is the old `bott_delta`;
+`bott_delta_via_fiber_integration` is the generic simplex formula specialized
+to k = 1.  Tests require the routes to agree.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from algebroids.algebroid import AForm
-from algebroids.chern import chern_polarized, fiber_integrate
-from algebroids.connections import AConnection, ConnectionFamily, curvature
+from algebroids.algebroid import AForm, AlgebroidChart
+from algebroids.chern import chern_form, chern_polarized, gauss_legendre_01
+from algebroids.connections import AConnection, FormMatrix, curvature
+from algebroids.expressions import (
+    Add,
+    Const,
+    Coord,
+    Cos,
+    Div,
+    Exp,
+    Mul,
+    Pow,
+    ScalarField,
+    Sin,
+    Sqrt,
+    Sub,
+    ZERO,
+    _Unary,
+    _children,
+    _release,
+    _schedule,
+    add,
+    cosine,
+    div,
+    exponential,
+    mul,
+    power,
+    sine,
+    square_root,
+    sub,
+)
+from algebroids.forms import AFormData
+
+
+# --------------------------------------------------------------------------
+# Substitution and polynomial degree: memoized walks over distinct nodes
+# --------------------------------------------------------------------------
+
+
+_REBUILD = {Add: add, Sub: sub, Mul: mul, Div: div,
+            Sin: sine, Cos: cosine, Exp: exponential, Sqrt: square_root}
+
+
+def substitute(field: ScalarField, index: int,
+               values: Sequence[float]) -> list[ScalarField]:
+    """`field` with each of `values` in turn for coordinate `index`, folding constants.
+
+    One walk serves every value.  A node without the coordinate is kept as it
+    is; every other distinct node is rebuilt once per value through the
+    folding constructors, so each result is the tree a node-by-node rebuild
+    folds to, with shared subtrees kept shared.
+    """
+    order, pending = _schedule((field,))
+    # node -> None where the coordinate does not occur, else one result per value
+    memo: dict[ScalarField, list[ScalarField] | None] = {}
+    for node in order:  # the last node is `field`
+        kind = type(node)
+        kids = _children(node)
+        results = [memo[kid] for kid in kids]
+        _release(kids, pending, memo)
+        if kind is Coord and node.index == index:
+            result = [Const(value) for value in values]
+        elif all(r is None for r in results):
+            result = None
+        else:
+            columns = [[kid] * len(values) if r is None else r
+                       for kid, r in zip(kids, results)]
+            if kind is Pow:
+                result = [power(base, node.exponent) for base in columns[0]]
+            else:
+                result = [_REBUILD[kind](*args) for args in zip(*columns)]
+        if pending[node]:
+            memo[node] = result
+    return result or [field] * len(values)
+
+
+def subs(field: ScalarField, index: int, value: float) -> ScalarField:
+    """Substitute a constant for coordinate `index`, folding constants."""
+    return substitute(field, index, (value,))[0]
+
+
+def tau_degree(field: ScalarField, index: int) -> int | None:
+    """Polynomial degree of `field` in coordinate `index`, or None if not polynomial.
+
+    Each distinct node is measured once.
+    """
+    return _degree(field, index, {})
+
+
+def _degree(node: ScalarField, index: int, memo: dict) -> int | None:
+    if node in memo:
+        return memo[node]
+    kind = type(node)
+    if kind is Const:
+        degree = 0
+    elif kind is Coord:
+        degree = 1 if node.index == index else 0
+    elif kind is Pow:
+        a = _degree(node.base, index, memo)
+        if a is None:
+            degree = None
+        elif node.exponent >= 0:
+            degree = a * node.exponent
+        else:
+            degree = None if a != 0 else 0
+    elif isinstance(node, _Unary):
+        degree = 0 if _degree(node.arg, index, memo) == 0 else None
+    else:
+        a = _degree(node.left, index, memo)
+        b = _degree(node.right, index, memo)
+        if a is None or b is None:
+            degree = None
+        elif kind is Mul:
+            degree = a + b
+        elif kind is Div:
+            degree = a if b == 0 else None
+        else:
+            degree = max(a, b)
+    memo[node] = degree
+    return degree
+
+
+# --------------------------------------------------------------------------
+# Parameter charts and connection families on them
+# --------------------------------------------------------------------------
+
+
+def extend_with_parameters(chart: AlgebroidChart, names: Sequence[str]) -> AlgebroidChart:
+    """Direct product with the tangent algebroid of a parameter cube.
+
+    Base coordinates gain the parameter names; the frame gains one section per
+    parameter whose anchor is the corresponding coordinate derivative and whose
+    brackets with everything vanish.
+    """
+    extra = len(names)
+    coords = chart.coords + tuple(names)
+    basis = chart.basis + tuple(f"d_{n}" for n in names)
+    anchor = []
+    for row in chart.anchor:
+        anchor.append(list(row) + [ZERO] * extra)
+    for c in range(extra):
+        row = [ZERO] * (chart.dim + extra)
+        row[chart.dim + c] = Const(1.0)
+        anchor.append(row)
+    brackets = {pair: dict(coeffs) for pair, coeffs in chart.brackets.items()}
+    return AlgebroidChart(f"{chart.name}*{'*'.join(names)}", coords, basis,
+                          anchor, brackets)
+
+
+def build_link_chart(chart: AlgebroidChart, parameter: str = "tau") -> AlgebroidChart:
+    """Product of the chart with the unit-interval tangent algebroid."""
+    return extend_with_parameters(chart, [parameter])
+
+
+def lift_form(form: AForm, chart: AlgebroidChart) -> AForm:
+    """Reinterpret a form on a sub-frame as a form on an extended chart."""
+    if form.chart.rank > chart.rank:
+        raise ValueError("target chart has smaller rank")
+    return AForm(chart, AFormData(form.degree, chart.rank, dict(form.data.table)))
+
+
+def lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
+    """Entrywise `lift_form` of a form matrix onto an extended chart."""
+    rows = [[lift_form(e, chart) for e in row] for row in m.entries]
+    return FormMatrix(chart, rows, m.degree)
+
+
+def pure_part(matrix: FormMatrix, frame_rank: int) -> FormMatrix:
+    """Drop components whose multi-index touches frame slots >= frame_rank."""
+    out = []
+    for row in matrix.entries:
+        new_row = []
+        for entry in row:
+            table = {
+                idx: c for idx, c in entry.data.table.items()
+                if all(i < frame_rank for i in idx)
+            }
+            new_row.append(AForm(matrix.chart, AFormData(entry.degree, matrix.chart.rank, table)))
+        out.append(new_row)
+    return FormMatrix(matrix.chart, out, matrix.degree)
+
+
+class ConnectionFamily:
+    """Family of connections over a parameter cell, as a matrix on the product chart.
+
+    `omega` carries only base-frame components: the family has no transverse
+    (parameter-direction) components.
+    """
+
+    def __init__(self, base_chart: AlgebroidChart, product_chart: AlgebroidChart,
+                 rank: int, omega: FormMatrix):
+        self.base_chart = base_chart
+        self.product_chart = product_chart
+        self.rank = rank
+        self.omega = omega
+        self.n_params = product_chart.rank - base_chart.rank
+
+    @classmethod
+    def affine_link(cls, c0: AConnection, c1: AConnection) -> "ConnectionFamily":
+        """(1 - tau) c0 + tau c1."""
+        if c0.chart is not c1.chart or c0.rank != c1.rank:
+            raise ValueError("link endpoints must share chart and rank")
+        chart = c0.chart
+        link = build_link_chart(chart, "tau")
+        tau = link.coordinate_field(chart.dim)
+        one_minus = sub(Const(1.0), tau)
+        m0 = lift_matrix(c0.matrix, link)
+        m1 = lift_matrix(c1.matrix, link)
+        omega = m0.scale(one_minus) + m1.scale(tau)
+        return cls(chart, link, c0.rank, omega)
+
+    @classmethod
+    def barycentric(cls, connections: Sequence[AConnection]) -> "ConnectionFamily":
+        """Convex simplex family sum_a t^a nabla^a with t^0 = 1 - sum t^c."""
+        k = len(connections) - 1
+        chart = connections[0].chart
+        for conn in connections:
+            if conn.chart is not chart or conn.rank != connections[0].rank:
+                raise ValueError("family endpoints must share chart and rank")
+        names = [f"t{c}" for c in range(1, k + 1)]
+        product = extend_with_parameters(chart, names)
+        lifted = [lift_matrix(c.matrix, product) for c in connections]
+        omega = lifted[0]
+        for c in range(1, k + 1):
+            t_c = product.coordinate_field(chart.dim + c - 1)
+            omega = omega + (lifted[c] - lifted[0]).scale(t_c)
+        return cls(chart, product, connections[0].rank, omega)
+
+    def full_connection(self) -> AConnection:
+        """The family as one connection on the product chart."""
+        product = self.product_chart
+        return AConnection(product, self.rank, FormMatrix(product, self.omega.entries, 1),
+                           frame="family")
+
+    def slice_at(self, values: Sequence[float]) -> AConnection:
+        """The member connection at fixed parameter values."""
+        base = self.base_chart
+        rows = []
+        for u in range(self.rank):
+            row = []
+            for t in range(self.rank):
+                entry = self.omega.entries[u][t]
+                table = {}
+                for idx, coeff in entry.data.table.items():
+                    if any(i >= base.rank for i in idx):
+                        continue
+                    for c, value in enumerate(values):
+                        coeff = subs(coeff, base.dim + c, value)
+                    if not coeff.is_zero():
+                        table[idx] = coeff
+                row.append(AForm(base, AFormData(1, base.rank, table)))
+            rows.append(row)
+        return AConnection(base, self.rank, FormMatrix(base, rows, 1))
+
+
+def link_curvature(family: ConnectionFamily) -> tuple[FormMatrix, FormMatrix]:
+    """Per-parameter curvature and transverse curvature of a 1-parameter link.
+
+    Returns (Omega_tau, Lambda) with Lambda = d(omega)/d(tau).  Under this
+    library's ordering of the product frame the full product curvature
+    carries -Lambda on the transverse slots; the pure base part is Omega_tau.
+    """
+    if family.n_params != 1:
+        raise ValueError("link curvature needs a 1-parameter family")
+    chart = family.product_chart
+    tau_index = family.base_chart.dim
+    omega = family.omega
+    omega_tau = pure_part(omega.d(), family.base_chart.rank) - omega.wedge(omega)
+    rows = []
+    for row in omega.entries:
+        out = []
+        for entry in row:
+            table = {}
+            for idx, c in entry.data.table.items():
+                derivative = c.diff(tau_index)
+                if not derivative.is_zero():
+                    table[idx] = derivative
+            out.append(AForm(chart, AFormData(1, chart.rank, table)))
+        rows.append(out)
+    return omega_tau, FormMatrix(chart, rows, 1)
+
+
+# --------------------------------------------------------------------------
+# Fiber integration over the parameter simplex
+# --------------------------------------------------------------------------
+
+
+def integrate_unit_interval(field: ScalarField, coord_index: int,
+                            nodes: int) -> ScalarField:
+    """Exact Gauss integral over the coordinate `coord_index` in [0, 1]."""
+    xs, ws = gauss_legendre_01(nodes)
+    acc = ZERO
+    for w, sample in zip(ws, substitute(field, coord_index, [float(x) for x in xs])):
+        acc = add(acc, mul(Const(float(w)), sample))
+    return acc
+
+
+class NonPolynomialError(ValueError):
+    """Raised when coefficients are not polynomial in the simplex parameters."""
+
+
+def _parameter_degree(form: AForm, coord_indices: Sequence[int]) -> int:
+    worst = 0
+    for coeff in form.data.table.values():
+        for index in coord_indices:
+            degree = tau_degree(coeff, index)
+            if degree is None:
+                raise NonPolynomialError(
+                    f"coefficient {coeff} is not polynomial in parameter {index}"
+                )
+            worst = max(worst, degree)
+    return worst
+
+
+def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
+                    nodes: int | None = None) -> AForm:
+    """Integrate the full-simplex-volume component of a form over the k-simplex.
+
+    Components without all k parameter slots integrate to zero.  Coefficients
+    must be polynomial in the parameters; their degree is inferred exactly
+    from the expression trees.
+    """
+    if k == 0:
+        table = {idx: c for idx, c in form.data.table.items()
+                 if all(i < base_chart.rank for i in idx)}
+        return AForm(base_chart, AFormData(form.degree, base_chart.rank, table))
+    if k not in (1, 2):
+        raise ValueError("fiber integration is implemented for k in {0, 1, 2}")
+    s = base_chart.rank
+    m = base_chart.dim
+    param_slots = tuple(s + c for c in range(k))
+    param_coords = tuple(m + c for c in range(k))
+    degree = _parameter_degree(form, param_coords)
+    table: dict[tuple[int, ...], ScalarField] = {}
+    if k == 1:
+        n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
+        for index, coeff in form.data.table.items():
+            if index[-1:] != (param_slots[0],) or any(i >= s for i in index[:-1]):
+                continue
+            value = integrate_unit_interval(coeff, param_coords[0], n)
+            if not value.is_zero():
+                key = index[:-1]
+                table[key] = add(table.get(key, ZERO), value)
+        return AForm(base_chart, AFormData(form.degree - 1, s, table))
+    # k == 2: collapsed-square transform t1 = u, t2 = v(1 - u), Jacobian (1 - u).
+    n_u = nodes if nodes is not None else max(1, math.ceil((degree + 2) / 2))
+    n_v = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
+    us, wus = gauss_legendre_01(n_u)
+    vs, wvs = gauss_legendre_01(n_v)
+    for index, coeff in form.data.table.items():
+        if index[-2:] != param_slots or any(i >= s for i in index[:-2]):
+            continue
+        acc = ZERO
+        rows = substitute(coeff, param_coords[0], [float(u) for u in us])
+        for u, wu, row in zip(us, wus, rows):
+            t2s = [float(v * (1.0 - u)) for v in vs]
+            for wv, sample in zip(wvs, substitute(row, param_coords[1], t2s)):
+                weight = float(wu * wv * (1.0 - u))
+                acc = add(acc, mul(Const(weight), sample))
+        if not acc.is_zero():
+            key = index[:-2]
+            table[key] = add(table.get(key, ZERO), acc)
+    return AForm(base_chart, AFormData(form.degree - 2, s, table))
+
+
+# --------------------------------------------------------------------------
+# Difference forms on parameter charts
+# --------------------------------------------------------------------------
+
+
+def bott_delta_reference(connections: Sequence[AConnection], h: int,
+                         nodes: int | None = None) -> AForm:
+    """Difference homomorphism on k+1 connections evaluated on c_h.
+
+    k = 0 is the closed characteristic form c_h(Omega); k = 1 is the
+    transgression h * integral of c_h(alpha, Omega_tau, ...) over [0, 1];
+    k = 2 integrates c_h of the barycentric family curvature over the
+    2-simplex with the alternating-sign prefactor.
+    """
+    k = len(connections) - 1
+    if k == 0:
+        return chern_form(curvature(connections[0]), h)
+    if k == 1:
+        c0, c1 = connections
+        family = ConnectionFamily.affine_link(c0, c1)
+        link = family.product_chart
+        alpha = lift_matrix(c1.matrix - c0.matrix, link)
+        omega_tau, _ = link_curvature(family)
+        integrand = chern_polarized([alpha] + [omega_tau] * (h - 1))
+        base = family.base_chart
+        if integrand.is_zero():
+            return base.zero_form(2 * h - 1)
+        tau_coord = base.dim
+        degree = _parameter_degree(integrand, (tau_coord,))
+        n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
+        table = {}
+        for index, coeff in integrand.data.table.items():
+            if any(i >= base.rank for i in index):
+                continue
+            value = integrate_unit_interval(coeff, tau_coord, n)
+            if not value.is_zero():
+                table[index] = value
+        return AForm(base, AFormData(2 * h - 1, base.rank, table)).scale(float(h))
+    if k == 2:
+        family = ConnectionFamily.barycentric(list(connections))
+        base = family.base_chart
+        full = family.full_connection()
+        omega_tilde = curvature(full)
+        integrand = chern_polarized([omega_tilde] * h)
+        sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
+        return fiber_integrate(integrand, 2, base, nodes=nodes).scale(sign)
+    raise ValueError("bott_delta supports k in {0, 1, 2}")
 
 
 def bott_delta_via_fiber_integration(connections: Sequence[AConnection], h: int,
