@@ -122,63 +122,83 @@ def _bianchi_record(name: str, conn: AConnection, points, tol: float) -> CheckRe
     return CheckRecord(name, residual_matrix.max_abs(points), tol, len(points))
 
 
-def _suite_axioms(fixture: Fixture, report: Report, opt: Options) -> None:
+def _closed_record(name: str, points, tol: float, *forms: AForm) -> CheckRecord:
+    """The largest |d_A form| over `forms` at the probe points."""
+    return CheckRecord(name, max(d_A(form).max_abs(points) for form in forms), tol,
+                       len(points))
+
+
+def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
+    """The run's one draw of probe points, max(N, 10) rows.
+
+    Every chart of a fixture, jets included, has the fixture's coordinates,
+    and the generator fills rows in order, so each check's prefix of this
+    draw equals a smaller draw with the same seed.  Checks take the first N
+    rows, the adapted-frame checks min(N, 50), the jet suite max(10, N // 2)
+    and form dumps min(N, 10).  Every fixture metric is validated on the
+    first N rows before any check runs.
+    """
+    points = sample_points(len(fixture.coords), max(opt.points, 10), opt.seed)
+    for name, (_, metric) in fixture.metrics.items():
+        try:
+            metric.validate(points[:opt.points])
+        except ValueError as exc:
+            raise FixtureError(f"metric {name!r} is {exc}") from exc
+    return points
+
+
+def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw) -> None:
     rng = np.random.default_rng(opt.seed)
+    points = draw[:opt.points]
     for name, chart in fixture.charts.items():
-        for record in verify_axioms(chart, opt.points, opt.seed, opt.tol):
+        for record in verify_axioms(chart, points, opt.tol):
             record.name = f"axioms[{name}].{record.name}"
             report.add(record)
-        points = sample_points(chart.dim, opt.points, opt.seed)
         worst = 0.0
         for degree in (0, 1):
             for _ in range(3):
                 form = _random_form(chart, degree, rng)
                 worst = max(worst, d_A(d_A(form)).max_abs(points))
         report.add(CheckRecord(f"axioms[{name}].d_squared", worst, opt.tol,
-                               opt.points, {"seed": opt.seed}))
+                               len(points)))
     for name, phi in fixture.morphisms.items():
-        record = check_morphism(phi, opt.points, opt.seed, opt.tol)
+        record = check_morphism(phi, points, opt.tol)
         record.name = f"axioms.morphism[{name}]"
         report.add(record)
 
 
-def _suite_connections(fixture: Fixture, report: Report, opt: Options) -> None:
+def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> None:
     rng = np.random.default_rng(opt.seed + 1)
+    points = draw[:opt.points]
     for name, chart in fixture.charts.items():
-        points = sample_points(chart.dim, opt.points, opt.seed)
         report.add(_bianchi_record(f"bianchi[{name}].bracket",
                                    bracket_connection(chart), points, opt.tol))
         metric = fixture.metric_for(name)
         orth = orthogonal_connection(chart, metric)
         report.add(_bianchi_record(f"bianchi[{name}].orthogonal", orth, points,
                                    opt.tol))
-        record = metric_compat_check(orth, metric, opt.points, opt.seed,
-                                     opt.tight_tol,
-                                     name=f"metric_parallel[{name}]")
+        record = metric_compat_check(orth, metric, points, opt.tight_tol)
+        record.name = f"metric_parallel[{name}]"
         report.add(record)
         random_conn = _random_connection(chart, 2, rng)
         report.add(_bianchi_record(f"bianchi[{name}].random", random_conn,
                                    points, opt.tol))
     for name, phi in fixture.morphisms.items():
-        points = sample_points(phi.source.dim, opt.points, opt.seed)
         conn_S = morphism_sum_connection(phi)
         g_plus, g_minus = quasi_metric_on_S(phi)
         for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-            record = metric_compat_check(conn_S, g, opt.points, opt.seed,
-                                         opt.tol,
-                                         name=f"compat[{name}].{label}")
+            record = metric_compat_check(conn_S, g, points, opt.tol)
+            record.name = f"compat[{name}].{label}"
             report.add(record)
         ker, coker = fixture.kernel_rows(name)
         if ker or coker:
-            record = k_flatness_check(conn_S, phi, ker, coker, opt.points,
-                                      opt.seed, opt.tight_tol)
+            record = k_flatness_check(conn_S, phi, ker, coker, points, opt.tight_tol)
             record.name = f"k_flatness[{name}]"
             report.add(record)
             frame = kernel_frame_on_S(phi, ker, coker)
             for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-                for rec in quasi_metric_frame_check(conn_S, g, frame,
-                                                    min(opt.points, 50),
-                                                    opt.seed, opt.tol):
+                for rec in quasi_metric_frame_check(conn_S, g, frame, points[:50],
+                                                    opt.tol):
                     rec.name = f"adapted[{name}].{label}.{rec.name}"
                     report.add(rec)
 
@@ -190,49 +210,43 @@ def _transgression_pair(fixture: Fixture, phi: Morphism) -> tuple[AConnection, A
     return orth, morphism_sum_connection(phi)
 
 
-def _suite_transgression(fixture: Fixture, report: Report, opt: Options) -> None:
+def _suite_transgression(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+    points = draw[:opt.points]
     for name, phi in fixture.morphisms.items():
         nabla0, nabla1 = _transgression_pair(fixture, phi)
         for h in (1, 2):
-            record = transgression_check(nabla0, nabla1, h, opt.points,
-                                         opt.seed, opt.loose_tol)
+            record = transgression_check(nabla0, nabla1, h, points, opt.loose_tol)
             record.name = f"transgression[{name}].c{h}"
             report.add(record)
-        points = sample_points(phi.source.dim, opt.points, opt.seed)
         for h in (1, 2):
-            closed = d_A(bott_delta([nabla1], h))
-            report.add(CheckRecord(f"closed_chern[{name}].c{h}",
-                                   closed.max_abs(points), opt.tol, opt.points))
+            report.add(_closed_record(f"closed_chern[{name}].c{h}", points, opt.tol,
+                                      bott_delta([nabla1], h)))
 
 
-def _suite_classes(fixture: Fixture, report: Report, opt: Options) -> None:
+def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw) -> None:
     # Identity metrics keep the frames orthonormal, which is what makes the
     # modular identity hold at form level (other metrics shift it by an exact
     # form only).
+    points = draw[:opt.points]
     for name, phi in fixture.morphisms.items():
-        points = sample_points(phi.source.dim, opt.points, opt.seed)
         rep1 = mu_form(phi, 1)
         target = modular_form_morphism(phi)
         report.add(CheckRecord(
             f"mu1_equals_modular[{name}]",
-            (rep1.form - target).max_abs(points), opt.tight_tol, opt.points,
+            (rep1.form - target).max_abs(points), opt.tight_tol, len(points),
         ))
-        report.add(CheckRecord(
-            f"closed_mu1[{name}]", rep1.metadata["closedness_residual"],
-            opt.tol, opt.points,
-        ))
-        rep2 = mu_form(phi, 2)
-        report.add(CheckRecord(
-            f"closed_mu3[{name}]", rep2.metadata["closedness_residual"],
-            opt.tol, opt.points,
-        ))
+        report.add(_closed_record(f"closed_modular[{name}]", points, opt.tol,
+                                  modular_form(phi.source), modular_form(phi.target),
+                                  target))
+        report.add(_closed_record(f"closed_mu1[{name}]", points, opt.tol, rep1.form))
+        report.add(_closed_record(f"closed_mu3[{name}]", points, opt.tol,
+                                  mu_form(phi, 2).form))
     by_signature: dict[tuple[str, str], list[str]] = {}
     for name, phi in fixture.morphisms.items():
         by_signature.setdefault((phi.source.name, phi.target.name), []).append(name)
     for (src, tgt), names in by_signature.items():
         for first, second in combinations(names, 2):
             phi1, phi2 = fixture.morphism(first), fixture.morphism(second)
-            points = sample_points(phi1.source.dim, opt.points, opt.seed)
             nabla0, nabla1 = _transgression_pair(fixture, phi1)
             _, nabla2 = _transgression_pair(fixture, phi2)
             bi = bi_characteristic(phi1, phi2, 1)
@@ -241,21 +255,21 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options) -> None:
             report.add(CheckRecord(
                 f"bi_characteristic[{first},{second}]",
                 (lhs - (bi.form + correction)).max_abs(points),
-                opt.loose_tol, opt.points,
+                opt.loose_tol, len(points),
             ))
             for h in (1, 2):
-                record = cocycle_check(nabla0, nabla1, nabla2, h, opt.points,
-                                       opt.seed, opt.loose_tol)
+                record = cocycle_check(nabla0, nabla1, nabla2, h, points,
+                                       opt.loose_tol)
                 record.name = f"cocycle[{first},{second}].c{h}"
                 report.add(record)
 
 
-def _suite_composition(fixture: Fixture, report: Report, opt: Options) -> None:
+def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+    points = draw[:opt.points]
     for first, phi in fixture.morphisms.items():
         for second, psi in fixture.morphisms.items():
             if psi.source is not phi.target or phi.source is psi.target:
                 continue
-            points = sample_points(phi.source.dim, opt.points, opt.seed)
             composite = psi.compose(phi)
             g_a = fixture.metric_for(phi.source.name)
             g_b = fixture.metric_for(phi.target.name)
@@ -267,48 +281,47 @@ def _suite_composition(fixture: Fixture, report: Report, opt: Options) -> None:
             label = f"{second}.{first}"
             report.add(CheckRecord(
                 f"composition_relative[{label}]",
-                (mu_comp - (mu_phi + rel)).max_abs(points), opt.tol, opt.points,
+                (mu_comp - (mu_phi + rel)).max_abs(points), opt.tol, len(points),
             ))
             report.add(CheckRecord(
                 f"relative_is_pullback[{label}]",
                 (rel - pullback(phi, mu_psi)).max_abs(points), opt.tol,
-                opt.points,
+                len(points),
             ))
             report.add(CheckRecord(
                 f"composition_total[{label}]",
                 (mu_comp - (mu_phi + pullback(phi, mu_psi))).max_abs(points),
-                opt.tol, opt.points,
+                opt.tol, len(points),
             ))
 
 
-def _suite_jet(fixture: Fixture, report: Report, opt: Options) -> None:
-    jet_points = max(10, opt.points // 2)
+def _suite_jet(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+    points = draw[:max(10, opt.points // 2)]
     for name, chart in fixture.charts.items():
         jet = jet_prolong(chart)
-        for record in verify_axioms(jet, jet_points, opt.seed, opt.tol):
+        for record in verify_axioms(jet, points, opt.tol):
             record.name = f"jet_axioms[{name}].{record.name}"
             report.add(record)
-        points = sample_points(jet.dim, jet_points, opt.seed)
         flat = jet_bracket_connection(jet)
         report.add(CheckRecord(
             f"jet_flat[{name}]", curvature(flat).max_abs(points),
-            opt.tight_tol, jet_points,
+            opt.tight_tol, len(points),
         ))
     for name, phi in fixture.morphisms.items():
         jet = jet_prolong(phi.source)
-        points = sample_points(jet.dim, jet_points, opt.seed)
         far = jet_morphism_connection(jet, phi)
         report.add(CheckRecord(
             f"jet_flat_target[{name}]", curvature(far).max_abs(points),
-            opt.tight_tol, jet_points,
+            opt.tight_tol, len(points),
         ))
-        rep = jet_relative(phi, 1,
-                           g_source=fixture.metric_for(phi.source.name),
-                           g_target=fixture.metric_for(phi.target.name),
-                           n_points=jet_points, seed=opt.seed)
+        g_source = fixture.metric_for(phi.source.name)
+        g_target = fixture.metric_for(phi.target.name)
+        rep = jet_relative(phi, 1, g_source=g_source, g_target=g_target)
+        absolute = mu_form(phi, 1, g_source=g_source, g_target=g_target)
+        pulled = pullback(rep.form.chart.projection(), absolute.form)
         report.add(CheckRecord(
-            f"jet_relative_pullback[{name}]", rep.metadata["pullback_residual"],
-            opt.tol, jet_points,
+            f"jet_relative_pullback[{name}]", (rep.form - pulled).max_abs(points),
+            opt.tol, len(points),
         ))
 
 
@@ -330,9 +343,10 @@ def run_suite(fixture: Fixture, suite: str, opt: Options | None = None) -> Repor
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {tuple(_SUITE_RUNNERS)}")
     opt = opt or Options()
+    draw = _probe_points(fixture, opt)
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     for runner in _SUITE_RUNNERS[suite]:
-        runner(fixture, report, opt)
+        runner(fixture, report, opt, draw)
     return report
 
 
@@ -356,35 +370,34 @@ def _form_dump(form: AForm, points) -> dict:
 
 def emit_modular(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     chart = fixture.chart(algebroid)
+    points = _probe_points(fixture, opt)[:opt.points]
     report = Report(__version__, fixture.name, opt.seed, opt.points)
-    form = modular_form(chart, check=False)
-    points = sample_points(chart.dim, min(opt.points, 10), opt.seed)
-    report.add(CheckRecord(f"closed_modular[{algebroid}]",
-                           d_A(form).max_abs(points), opt.tol, len(points)))
-    report.forms[f"modular[{algebroid}]"] = _form_dump(form, points)
+    form = modular_form(chart)
+    report.add(_closed_record(f"closed_modular[{algebroid}]", points, opt.tol, form))
+    report.forms[f"modular[{algebroid}]"] = _form_dump(form, points[:10])
     return report
 
 
 def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
     """Secondary-class form dump with coefficient strings and probe values."""
     phi = fixture.morphism(morphism)
+    points = _probe_points(fixture, opt)[:opt.points]
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     rep = mu_form(phi, h,
                   g_source=fixture.metric_for(phi.source.name),
                   g_target=fixture.metric_for(phi.target.name))
-    points = sample_points(phi.source.dim, min(opt.points, 10), opt.seed)
-    report.add(CheckRecord(f"closed_{rep.identifier}[{morphism}]",
-                           rep.metadata["closedness_residual"], opt.tol,
-                           opt.points))
-    report.forms[f"{rep.identifier}[{morphism}]"] = _form_dump(rep.form, points)
+    report.add(_closed_record(f"closed_{rep.identifier}[{morphism}]", points, opt.tol,
+                              rep.form))
+    report.forms[f"{rep.identifier}[{morphism}]"] = _form_dump(rep.form, points[:10])
     return report
 
 
 def emit_jet(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     chart = fixture.chart(algebroid)
+    points = _probe_points(fixture, opt)[:opt.points]
     jet = jet_prolong(chart)
     report = Report(__version__, fixture.name, opt.seed, opt.points)
-    for record in verify_axioms(jet, opt.points, opt.seed, opt.tol):
+    for record in verify_axioms(jet, points, opt.tol):
         record.name = f"jet_axioms[{algebroid}].{record.name}"
         report.add(record)
     report.forms[f"jet[{algebroid}]"] = {

@@ -372,26 +372,32 @@ class QuasiMetric:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN: an infinite residual
             return max_abs_finite(g - self.sign * np.swapaxes(g, 1, 2))
 
+    def validate(self, points) -> None:
+        """Raise ValueError at the first probe point where the matrix is not
+        finite, not symmetric, or not positive definite."""
+        g = self.values(points)
+        point = first_point(~np.isfinite(g), points)
+        if point is not None:
+            raise ValueError(f"not finite at probe point {point}")
+        point = first_point(np.abs(g - np.swapaxes(g, 1, 2)) > 1e-9, points)
+        if point is not None:
+            raise ValueError(f"not symmetric at probe point {point}")
+        point = first_point(np.linalg.eigvalsh(g)[:, 0] <= 1e-12, points)
+        if point is not None:
+            raise ValueError(f"not positive definite at probe point {point}")
+
 
 def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> AConnection:
     """Metric connection: zero matrix in the orthonormalized frame.
 
     Gram-Schmidt runs symbolically on the metric coefficients; the resulting
     frame-change matrix G (lower triangular) gives omega = -G^-1 dG in the
-    working frame, which satisfies nabla g = 0.
+    working frame, which satisfies nabla g = 0.  `g` must be positive
+    definite (`QuasiMetric.validate`); elsewhere the frame is not finite.
     """
     if g.sign != 1:
         raise ValueError("orthogonal connections need a symmetric metric")
     rank = g.rank
-    points = sample_points(chart.dim, 8, 7)
-    values = g.values(points)
-    point = first_point(~np.isfinite(values), points)
-    if point is not None:
-        raise ValueError(f"metric on {chart.name!r} cannot be evaluated at probe "
-                         f"point {point}: value is not finite")
-    point = first_point(np.linalg.eigvalsh(values)[:, 0] <= 1e-12, points)
-    if point is not None:
-        raise ValueError(f"metric is not positive definite at probe point {point}")
     frame: list[list[ScalarField]] = []
     for u in range(rank):
         vec = [Const(1.0) if a == u else ZERO for a in range(rank)]
@@ -558,12 +564,10 @@ def quasi_metric_on_S(phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
     return build(1), build(-1)
 
 
-def metric_compat_check(conn: AConnection, g: QuasiMetric, n_points: int = 100,
-                        seed: int = 42, tol: float = 1e-9,
-                        name: str = "metric_compatibility") -> CheckRecord:
+def metric_compat_check(conn: AConnection, g: QuasiMetric, points,
+                        tol: float = 1e-9) -> CheckRecord:
     """Residual of anchor(g(v,w)) - g(nabla v, w) - g(v, nabla w) on frame pairs."""
     chart = conn.chart
-    points = sample_points(chart.dim, n_points, seed)
     fields = []
     for i in range(chart.rank):
         direction = chart.basis_section(i)
@@ -578,7 +582,8 @@ def metric_compat_check(conn: AConnection, g: QuasiMetric, n_points: int = 100,
                     if not w_bc.is_zero() and not g.matrix[a][c].is_zero():
                         field = sub(field, mul(w_bc, g.matrix[a][c]))
                 fields.append(field)
-    return CheckRecord(name, residual(fields, points), tol, n_points, {"seed": seed})
+    return CheckRecord("metric_compatibility", residual(fields, points), tol,
+                       len(points))
 
 
 def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
@@ -600,19 +605,17 @@ def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
 def k_flatness_check(conn_S: AConnection, phi: Morphism,
                      ker_rows: Sequence[Sequence[ScalarField]],
                      coker_rows: Sequence[Sequence[ScalarField]],
-                     n_points: int = 100, seed: int = 42,
-                     tol: float = 1e-10) -> CheckRecord:
+                     points, tol: float = 1e-10) -> CheckRecord:
     """Curvature of the sum connection applied to the annihilator frame."""
     chart = conn_S.chart
     vectors = kernel_frame_on_S(phi, ker_rows, coker_rows)
-    points = sample_points(chart.dim, n_points, seed)
     omega = curvature(conn_S).eval_on(list(combinations(range(chart.rank), 2)), points)
     values = evaluate([c for vec in vectors for c in vec], points)
     values = values.T.reshape(len(points), len(vectors), conn_S.rank)
     with np.errstate(all="ignore"):  # a non-finite value makes the residual inf
         worst = max_abs_finite(values @ omega)
-    return CheckRecord("k_flatness", worst, tol, n_points,
-                       {"seed": seed, "kernel_vectors": len(vectors)})
+    return CheckRecord("k_flatness", worst, tol, len(points),
+                       {"kernel_vectors": len(vectors)})
 
 
 def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]],
@@ -696,8 +699,7 @@ def _symplectic_basis(gram: np.ndarray, complement: np.ndarray) -> tuple[np.ndar
 
 def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
                              kernel_vectors: Sequence[Sequence[ScalarField]],
-                             n_points: int = 50, seed: int = 42,
-                             tol: float = 1e-9) -> list[CheckRecord]:
+                             points, tol: float = 1e-9) -> list[CheckRecord]:
     """Pointwise checks in an adapted frame for a quasi-metric connection.
 
     Verifies that derivatives of the kernel frame stay in the kernel, and that
@@ -705,7 +707,6 @@ def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
     the canonical Gram (orthogonal/symplectic valued).
     """
     chart = conn.chart
-    points = sample_points(chart.dim, n_points, seed)
     s_frame, canonical, t_frame = adapted_frame(g, kernel_vectors, points)
     frame = np.vstack([s_frame, t_frame])
     frame_inv = np.linalg.inv(frame)
@@ -724,11 +725,10 @@ def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
     worst_curv_kernel, worst_curv_algebra = worst_blocks(
         curvature(conn), list(combinations(range(chart.rank), 2)))
     label = "orthogonal" if g.sign == 1 else "symplectic"
+    n = len(points)
     return [
-        CheckRecord("adapted_frame_kernel_block", worst_kernel, tol, n_points),
-        CheckRecord(f"adapted_frame_{label}_block", worst_algebra, tol, n_points),
-        CheckRecord("adapted_frame_curvature_kernel_block", worst_curv_kernel,
-                    tol, n_points),
-        CheckRecord(f"adapted_frame_curvature_{label}_block", worst_curv_algebra,
-                    tol, n_points),
+        CheckRecord("adapted_frame_kernel_block", worst_kernel, tol, n),
+        CheckRecord(f"adapted_frame_{label}_block", worst_algebra, tol, n),
+        CheckRecord("adapted_frame_curvature_kernel_block", worst_curv_kernel, tol, n),
+        CheckRecord(f"adapted_frame_curvature_{label}_block", worst_curv_algebra, tol, n),
     ]

@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from .algebroid import AlgebroidChart, Morphism
 from .connections import QuasiMetric
 from .expressions import ExpressionError, ScalarField, parse_expression
-from .sampling import first_point, sample_points
 
 
 class FixtureError(ValueError):
@@ -141,14 +138,7 @@ def load_fixture(path: str | Path) -> Fixture:
         rank = fixture.charts[on].rank
         matrix = _parse_matrix(spec.get("matrix", []), coords, (rank, rank),
                                f"metric {name!r}")
-        metric = QuasiMetric(rank, 1, matrix)
-        points = sample_points(len(coords), 5, 3)
-        point = first_point(~np.isfinite(metric.values(points)), points)
-        if point is not None:
-            raise FixtureError(f"metric {name!r} is not finite at probe point {point}")
-        if metric.symmetry_residual(points) > 1e-9:
-            raise FixtureError(f"metric {name!r} is not symmetric")
-        fixture.metrics[name] = (on, metric)
+        fixture.metrics[name] = (on, QuasiMetric(rank, 1, matrix))
     for morphism_name, spec in raw.get("kernels", {}).items():
         if morphism_name not in fixture.morphisms:
             raise FixtureError(f"kernels: unknown morphism {morphism_name!r}")

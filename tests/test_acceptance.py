@@ -71,14 +71,15 @@ def test_criterion_01_axiom_suite(tangent_r2, so3, solvable2d, action_x,
     ]
     rng = np.random.default_rng(SEED)
     for chart in charts:
-        for record in verify_axioms(chart, POINTS, SEED, 1e-9):
-            assert record.passed, (chart.name, record.name, record.residual)
         points = sample_points(chart.dim, POINTS, SEED)
+        for record in verify_axioms(chart, points, 1e-9):
+            assert record.passed, (chart.name, record.name, record.residual)
         for degree in (0, 1):
             for _ in range(3):
                 form = _random_form(chart, degree, rng)
                 assert d_A(d_A(form)).max_abs(points) <= 1e-9, chart.name
-    corrupted = verify_axioms(broken_jacobi.chart("broken"), POINTS, SEED, 1e-9)
+    corrupted = verify_axioms(broken_jacobi.chart("broken"),
+                              sample_points(1, POINTS, SEED), 1e-9)
     jacobi = next(r for r in corrupted if "jacobi" in r.name)
     assert jacobi.residual >= 0.1
     _report(1, "axioms and d^2 = 0 on five fixtures; corrupted fixture fails")
@@ -138,7 +139,7 @@ def test_criterion_04_closedness(solvable2d, action_x, so3, so3_double, chain,
         for h in (1, 2):
             closed_chern = d_A(chern_form(curvature(nabla1), h))
             assert closed_chern.max_abs(points) <= 1e-9, (fixture.name, name, h)
-            rep = mu_form(phi, h, check=False)
+            rep = mu_form(phi, h)
             if rep.form.degree < phi.source.rank:
                 assert d_A(rep.form).max_abs(points) <= 1e-9, (fixture.name, name, h)
     _report(4, "d(c_h(Omega)) and d(Xi_{2h-1}) vanish for h in {1, 2}")
@@ -156,8 +157,9 @@ def test_criterion_05_transgression(solvable2d, action_x, so3, so3_double,
         nabla1 = morphism_sum_connection(phi)
         assert nabla1.rank <= 6
         nabla0 = _orthogonal_sum_for(phi)
+        points = sample_points(phi.source.dim, POINTS, SEED)
         for h in (1, 2):
-            record = transgression_check(nabla0, nabla1, h, POINTS, SEED, 1e-8)
+            record = transgression_check(nabla0, nabla1, h, points, 1e-8)
             assert record.passed, (fixture.name, name, h, record.residual)
     _report(5, "transgression identity on S bundles of rank <= 6, h in {1, 2}")
 
@@ -172,7 +174,7 @@ def test_criterion_06_cocycle_and_bi_characteristic(solvable2d, so3_double):
         nabla1 = morphism_sum_connection(phi1)
         nabla2 = morphism_sum_connection(phi2)
         for h in (1, 2):
-            record = cocycle_check(nabla0, nabla1, nabla2, h, POINTS, SEED, 1e-8)
+            record = cocycle_check(nabla0, nabla1, nabla2, h, points, 1e-8)
             assert record.passed, (fixture.name, h, record.residual)
         lhs = mu_form(phi1, 1).form - mu_form(phi2, 1).form
         rhs = bi_characteristic(phi1, phi2, 1).form \
@@ -213,7 +215,8 @@ def test_criterion_09_k_flatness(solvable2d):
     phi = solvable2d.morphism("phi")
     conn = morphism_sum_connection(phi)
     ker, coker = solvable2d.kernel_rows("phi")
-    record = k_flatness_check(conn, phi, ker, coker, POINTS, SEED, 1e-10)
+    record = k_flatness_check(conn, phi, ker, coker,
+                              sample_points(phi.source.dim, POINTS, SEED), 1e-10)
     assert record.passed, record.residual
     _report(9, "distinguished sum connection is flat on the annihilator")
 
@@ -235,9 +238,14 @@ def test_criterion_10_composition_laws(chain):
 def test_criterion_11_jet_theorem(solvable2d, action_x, so3):
     for fixture, name in ((solvable2d, "phi"), (action_x, "sharp")):
         phi = fixture.morphism(name)
-        rep = jet_relative(phi, 1, n_points=POINTS, seed=SEED)
-        assert rep.metadata["pullback_residual"] <= 1e-9, fixture.name
-        assert rep.metadata["jet_connection_flatness"] <= 1e-10, fixture.name
+        rep = jet_relative(phi, 1)
+        jet = rep.form.chart
+        points = sample_points(jet.dim, POINTS, SEED)
+        pulled = pullback(jet.projection(), mu_form(phi, 1).form)
+        assert (rep.form - pulled).max_abs(points) <= 1e-9, fixture.name
+        flatness = max(curvature(jet_bracket_connection(jet)).max_abs(points),
+                       curvature(jet_morphism_connection(jet, phi)).max_abs(points))
+        assert flatness <= 1e-10, fixture.name
     jet = jet_prolong(so3.chart("so3"))
     points = sample_points(jet.dim, POINTS, SEED)
     near = jet_bracket_connection(jet)

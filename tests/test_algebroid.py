@@ -152,22 +152,22 @@ class TestExteriorDifferential:
 
 
 class TestVerifyAxioms:
-    def test_so3_passes(self, so3):
-        records = verify_axioms(so3.chart("so3"))
+    def test_so3_passes(self, so3, line_points):
+        records = verify_axioms(so3.chart("so3"), line_points)
         assert all(r.passed and r.residual == 0.0 for r in records)
 
-    def test_tangent_passes(self, tangent_r2):
-        assert all(r.passed for r in verify_axioms(tangent_r2.chart("TR2")))
+    def test_tangent_passes(self, tangent_r2, plane_points):
+        assert all(r.passed for r in verify_axioms(tangent_r2.chart("TR2"), plane_points))
 
-    def test_corrupted_bracket_fails(self, broken_jacobi):
-        records = verify_axioms(broken_jacobi.chart("broken"))
+    def test_corrupted_bracket_fails(self, broken_jacobi, line_points):
+        records = verify_axioms(broken_jacobi.chart("broken"), line_points)
         jacobi = next(r for r in records if "jacobi" in r.name)
         assert not jacobi.passed
         assert jacobi.residual >= 0.1
         assert jacobi.details["failing_triple"] == [0, 1, 2]
 
-    def test_nan_jacobiator_fails(self):
-        anchor, jacobi = verify_axioms(_nan_jacobi_chart())
+    def test_nan_jacobiator_fails(self, line_points):
+        anchor, jacobi = verify_axioms(_nan_jacobi_chart(), line_points)
         assert anchor.passed and anchor.residual == 0.0
         assert not jacobi.passed
         assert jacobi.residual == float("inf")
@@ -190,7 +190,7 @@ class TestVerifyAxioms:
 
         monkeypatch.setattr(algebroid, "field_maxima", spy_maxima)
         monkeypatch.setattr(algebroid, "bracket", spy_bracket)
-        verify_axioms(chart, 10, 42)
+        verify_axioms(chart, sample_points(chart.dim, 10, 42))
         triples = list(combinations(range(chart.rank), 3))
         pairs = {p for i, j, k in triples for p in ((i, j), (j, k), (k, i))}
         assert len(calls) == 3 * len(triples) + len(pairs)
@@ -248,23 +248,23 @@ class TestPullback:
 
 
 class TestCheckMorphism:
-    def test_identity_passes(self, so3):
-        assert check_morphism(Morphism.identity(so3.chart("so3"))).passed
+    def test_identity_passes(self, so3, line_points):
+        assert check_morphism(Morphism.identity(so3.chart("so3")), line_points).passed
 
-    def test_solvable_to_abelian_passes(self, solvable2d):
-        record = check_morphism(solvable2d.morphism("phi"))
+    def test_solvable_to_abelian_passes(self, solvable2d, line_points):
+        record = check_morphism(solvable2d.morphism("phi"), line_points)
         assert record.passed and record.residual == 0.0
 
-    def test_bracket_violation_detected(self, solvable2d):
+    def test_bracket_violation_detected(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
         bad = Morphism(phi.source, phi.target,
                        [[Const(1.0)], [Const(1.0)]], "bad")
-        record = check_morphism(bad)
+        record = check_morphism(bad, line_points)
         assert not record.passed
         assert record.residual >= 0.5
 
-    def test_nan_bracket_residual_fails(self):
-        record = check_morphism(Morphism.identity(_nan_jacobi_chart()))
+    def test_nan_bracket_residual_fails(self, line_points):
+        record = check_morphism(Morphism.identity(_nan_jacobi_chart()), line_points)
         assert not record.passed
         assert record.residual == float("inf")
 
@@ -282,11 +282,11 @@ class TestLinkChart:
     def test_tangent_line_extends_to_plane(self, action_x):
         chart = action_x.chart("tangent")
         link = build_link_chart(chart)
-        assert all(r.passed for r in verify_axioms(link, n_points=40))
+        assert all(r.passed for r in verify_axioms(link, sample_points(link.dim, 40, 42)))
 
     def test_linked_so3_passes_axioms(self, so3):
         link = build_link_chart(so3.chart("so3"))
-        assert all(r.passed for r in verify_axioms(link, n_points=40))
+        assert all(r.passed for r in verify_axioms(link, sample_points(link.dim, 40, 42)))
 
 
 class TestJets:
@@ -324,11 +324,11 @@ class TestJets:
             {"so3": "so3", "solvable2d": "solvable2d", "action_x": "action_x",
              "tangent_r2": "tangent_r2"}[fixture_name])
         jet = jet_prolong(fixture.chart(chart_name))
-        assert all(r.passed for r in verify_axioms(jet, n_points=40))
+        assert all(r.passed for r in verify_axioms(jet, sample_points(jet.dim, 40, 42)))
 
     def test_jet_projection_is_a_morphism(self, solvable2d):
         jet = jet_prolong(solvable2d.chart("solvable"))
-        assert check_morphism(jet.projection(), n_points=40).passed
+        assert check_morphism(jet.projection(), sample_points(jet.dim, 40, 42)).passed
 
 
 class TestFormEvaluation:

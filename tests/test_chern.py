@@ -427,7 +427,8 @@ class TestIdentities:
                     phi.source, QuasiMetric.identity(phi.target.rank))),
             )
             for h in (1, 2):
-                record = transgression_check(c0, c1, h, 60, 42, 1e-8)
+                record = transgression_check(
+                    c0, c1, h, sample_points(phi.source.dim, 60, 42), 1e-8)
                 assert record.passed, (fixture.name, name, h, record.residual)
 
     def test_transgression_with_curving_connections(self, tangent_r2):
@@ -453,7 +454,7 @@ class TestIdentities:
             return AConnection(chart, rank, FormMatrix(chart, rows, 1))
 
         c0, c1 = rand_conn(2), rand_conn(2)
-        assert transgression_check(c0, c1, 1, 60, 42, 1e-8).passed
+        assert transgression_check(c0, c1, 1, sample_points(2, 60, 42), 1e-8).passed
         lhs = bott_delta([c1], 1) - bott_delta([c0], 1)
         points = sample_points(2, 20, 4)
         assert lhs.max_abs(points) > 0.1  # genuinely nonzero on both sides
@@ -467,12 +468,12 @@ class TestIdentities:
             dual_connection(orthogonal_connection(p1.source, QuasiMetric.identity(3))),
         )
         for h in (1, 2):
-            record = cocycle_check(c0, c1, c2, h, 60, 42, 1e-8)
+            record = cocycle_check(c0, c1, c2, h, sample_points(1, 60, 42), 1e-8)
             assert record.passed, (h, record.residual)
 
     def test_equal_connections_cocycle_trivial(self, so3, line_points):
         conn = morphism_sum_connection(so3.morphism("id"))
-        record = cocycle_check(conn, conn, conn, 2, 30, 42, 1e-12)
+        record = cocycle_check(conn, conn, conn, 2, sample_points(1, 30, 42), 1e-12)
         assert record.residual == 0.0
 
 

@@ -87,8 +87,22 @@ class TestFixtureLoading:
         code = main(["verify", str(bad), "--suite", "connections"])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: metric on 'solvable' cannot be evaluated at probe point" in err
+        assert "error: metric 'gA' is not finite at probe point (" in err
         assert "Traceback" not in err
+
+    def test_indefinite_metric_is_a_located_error(self, tmp_path, capsys):
+        # Negative near x = 0.05: a metric connection does not exist there.
+        fixture = json.loads(builtin_fixture_path("action_x").read_text())
+        fixture["metrics"]["g_exp"]["matrix"] = [["(x-0.05)^2-0.01"]]
+        bad = tmp_path / "indefinite_metric.json"
+        bad.write_text(json.dumps(fixture))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: metric 'g_exp' is not positive definite at probe point (")
+        assert "Traceback" not in captured.err
 
     def test_unknown_bundled_fixture(self):
         with pytest.raises(FixtureError, match="unknown bundled fixture"):
@@ -232,6 +246,21 @@ class TestMainEntry:
         assert captured.out == ""
         assert f"argument {option}: must be a positive integer, got '0'" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_non_closed_modular_form_is_reported(self, tmp_path, capsys):
+        fixture = json.loads(builtin_fixture_path("broken_jacobi").read_text())
+        fixture["algebroids"]["abelian1"] = {"basis": ["a"], "anchor": [["0"]],
+                                             "brackets": []}
+        fixture["morphisms"] = {"zero": {"from": "broken", "to": "abelian1",
+                                         "matrix": [["0"], ["0"], ["0"]]}}
+        path = tmp_path / "broken_zero.json"
+        path.write_text(json.dumps(fixture))
+        code = main(["verify", str(path)])
+        report = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        passed = {r["name"]: r["passed"] for r in report["checks"]}
+        assert code == 1
+        assert passed["axioms[broken].jacobi_identity"] is False
+        assert passed["closed_modular[zero]"] is False
 
     def test_mu_command(self, capsys):
         code = main(["mu", "solvable2d", "--morphism", "phi", "--h", "1",

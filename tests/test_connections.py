@@ -247,7 +247,7 @@ class TestOrthogonalConnection:
         chart = action_x.chart("action")
         g = action_x.metric_for("action")
         conn = orthogonal_connection(chart, g)
-        assert metric_compat_check(conn, g, 100, 42, 1e-10).passed
+        assert metric_compat_check(conn, g, sample_points(1, 100, 42), 1e-10).passed
 
     def test_rank_two_mixed_metric(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
@@ -256,7 +256,7 @@ class TestOrthogonalConnection:
             [_field(chart, "0"), _field(chart, "1")],
         ])
         conn = orthogonal_connection(chart, g)
-        assert metric_compat_check(conn, g, 60, 42, 1e-10).passed
+        assert metric_compat_check(conn, g, sample_points(2, 60, 42), 1e-10).passed
 
     def test_degenerate_metric_rejected(self, tangent_r2):
         chart = tangent_r2.chart("TR2")
@@ -265,7 +265,7 @@ class TestOrthogonalConnection:
             [Const(0.0), Const(1.0)],
         ])
         with pytest.raises(ValueError, match="positive definite"):
-            orthogonal_connection(chart, g)
+            g.validate(sample_points(2, 8, 7))
 
 
 class TestGlue:
@@ -301,7 +301,7 @@ class TestGlue:
         conn = orthogonal_connection(chart, g)
         theta = _field(chart, "1/(2+x^2)")
         glued = glue([conn, conn], [theta, Const(1.0) - theta])
-        assert metric_compat_check(glued, g, 60, 42, 1e-10).passed
+        assert metric_compat_check(glued, g, sample_points(2, 60, 42), 1e-10).passed
 
 
 class TestLinks:
@@ -411,8 +411,9 @@ class TestQuasiMetrics:
             phi = fixture.morphism(name)
             conn = morphism_sum_connection(phi)
             g_plus, g_minus = quasi_metric_on_S(phi)
-            assert metric_compat_check(conn, g_plus, 60, 42, 1e-9).passed
-            assert metric_compat_check(conn, g_minus, 60, 42, 1e-9).passed
+            points = sample_points(1, 60, 42)
+            assert metric_compat_check(conn, g_plus, points, 1e-9).passed
+            assert metric_compat_check(conn, g_minus, points, 1e-9).passed
 
     def test_perturbed_connection_breaks_compatibility(self, solvable2d):
         phi = solvable2d.morphism("phi")
@@ -423,7 +424,7 @@ class TestQuasiMetrics:
         rows[0][2] = rows[0][2] + bump
         perturbed = AConnection(chart, 3, FormMatrix(chart, rows, 1))
         g_plus, _ = quasi_metric_on_S(phi)
-        record = metric_compat_check(perturbed, g_plus, 60, 42, 1e-9)
+        record = metric_compat_check(perturbed, g_plus, sample_points(1, 60, 42), 1e-9)
         assert not record.passed and record.residual > 0.1
 
 
@@ -432,20 +433,21 @@ class TestKFlatness:
         phi = solvable2d.morphism("phi")
         conn = morphism_sum_connection(phi)
         ker, coker = solvable2d.kernel_rows("phi")
-        record = k_flatness_check(conn, phi, ker, coker, 60, 42, 1e-10)
+        record = k_flatness_check(conn, phi, ker, coker, sample_points(1, 60, 42), 1e-10)
         assert record.passed and record.residual == 0.0
 
     def test_identity_morphism_vacuous_pass(self, so3):
         ident = Morphism.identity(so3.chart("so3"))
         conn = morphism_sum_connection(ident)
-        record = k_flatness_check(conn, ident, [], [], 40, 42, 1e-10)
+        record = k_flatness_check(conn, ident, [], [], sample_points(1, 40, 42), 1e-10)
         assert record.passed
 
     def test_generic_connection_is_not_kernel_flat(self, solvable2d):
         phi = solvable2d.morphism("phi")
         ker, coker = solvable2d.kernel_rows("phi")
         random_conn = _random_connection(phi.source, 3, 23)
-        record = k_flatness_check(random_conn, phi, ker, coker, 60, 42, 1e-10)
+        record = k_flatness_check(random_conn, phi, ker, coker, sample_points(1, 60, 42),
+                                  1e-10)
         assert not record.passed
 
 
@@ -457,7 +459,8 @@ class TestAdaptedFrames:
         ker, coker = solvable2d.kernel_rows("phi")
         frame = kernel_frame_on_S(phi, ker, coker)
         for g in (g_plus, g_minus):
-            for record in quasi_metric_frame_check(conn, g, frame, 40, 42, 1e-9):
+            for record in quasi_metric_frame_check(conn, g, frame, sample_points(1, 40, 42),
+                                                   1e-9):
                 assert record.passed, record.name
 
     def test_full_kernel_case(self, so3):
@@ -466,5 +469,6 @@ class TestAdaptedFrames:
         g_plus, _ = quasi_metric_on_S(phi)
         ker, coker = so3.kernel_rows("zero")
         frame = kernel_frame_on_S(phi, ker, coker)
-        for record in quasi_metric_frame_check(conn, g_plus, frame, 20, 42, 1e-9):
+        for record in quasi_metric_frame_check(conn, g_plus, frame, sample_points(1, 20, 42),
+                                               1e-9):
             assert record.passed

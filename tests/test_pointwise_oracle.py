@@ -100,10 +100,11 @@ def test_metric_values_and_symmetry(request, fixture_name, morphism):
 def test_k_flatness_matches_oracle(request, fixture_name, morphism):
     phi, ker, coker, connections = _case(request, fixture_name, morphism)
     for conn in connections:
-        new = k_flatness_check(conn, phi, ker, coker, 30, 42, 1e-10)
+        new = k_flatness_check(conn, phi, ker, coker, sample_points(phi.source.dim, 30, 42),
+                               1e-10)
         old = oracle.k_flatness_check(conn, phi, ker, coker, 30, 42, 1e-10)
         _same(new.residual, old.residual)
-        assert new.details == old.details
+        assert new.details == {k: v for k, v in old.details.items() if k != "seed"}
     # The random connection is curved: the comparison is not between zeros.
     assert old.residual > 1e-3
 
@@ -115,7 +116,8 @@ def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
     nonzero = 0
     for conn in connections:
         for g in quasi_metric_on_S(phi):
-            new = quasi_metric_frame_check(conn, g, frame, 20, 42, 1e-9)
+            new = quasi_metric_frame_check(conn, g, frame,
+                                           sample_points(phi.source.dim, 20, 42), 1e-9)
             old = oracle.quasi_metric_frame_check(conn, g, frame, 20, 42, 1e-9)
             assert [r.name for r in new] == [r.name for r in old]
             for a, b in zip(new, old):

@@ -24,6 +24,7 @@ from algebroids.classes import modular_form
 from algebroids.connections import bracket_connection
 from algebroids.expressions import parse_expression
 from algebroids.forms import AFormData
+from algebroids.sampling import sample_points
 
 COORDS = ("x", "y")
 # Non-constant and constant coefficients; constants exercise the skips.
@@ -90,7 +91,7 @@ def test_sparse_routes_match_dense_oracle(chart, data):
     for new_row, old_row in zip(new.entries, old.entries):
         for new_entry, old_entry in zip(new_row, old_row):
             _assert_same_table(new_entry.data.table, old_entry.data.table)
-    _assert_same_table(modular_form(chart, check=False).data.table,
+    _assert_same_table(modular_form(chart).data.table,
                        dense_oracle.modular_form(chart).data.table)
 
 
@@ -117,4 +118,4 @@ def test_d_A_never_scans_the_dense_frame(sa3, sl2aff):
     assert d_A(chart.zero_form(2)).is_zero()
     bracket(chart.basis_section(0), chart.basis_section(1))
     for small in sl2aff.charts.values():
-        assert all(r.passed for r in verify_axioms(small, n_points=5))
+        assert all(r.passed for r in verify_axioms(small, sample_points(small.dim, 5, 42)))
