@@ -1,9 +1,8 @@
 """Exterior calculus on Lie algebroid charts and characteristic class forms."""
 
 from .expressions import ScalarField, parse_expression, differentiate
-from .forms import AFormData, generalized_delta, wedge
+from .forms import AForm, generalized_delta
 from .algebroid import (
-    AForm,
     AlgebroidChart,
     Morphism,
     Section,
@@ -11,16 +10,15 @@ from .algebroid import (
     bracket,
     check_morphism,
     d_A,
-    jet_lift,
     jet_prolong,
     pullback,
     verify_axioms,
 )
 from .connections import (
-    AConnection,
     FormMatrix,
     QuasiMetric,
     bracket_connection,
+    connection_from_coefficients,
     covariant_derivative,
     curvature,
     direct_sum,

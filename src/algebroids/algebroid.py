@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
                           residual, sub)
-from .forms import AFormData, generalized_delta
+from .forms import AForm, _alternating_assignments, _require_same_chart
 from .reports import CheckRecord
 
 
@@ -79,17 +79,14 @@ class AlgebroidChart:
         comps[i] = Const(1.0)
         return Section(self, comps)
 
-    def zero_form(self, degree: int) -> "AForm":
-        return AForm(self, AFormData.zero(degree, self.rank))
+    def zero_form(self, degree: int) -> AForm:
+        return AForm(self, degree)
 
-    def form(self, data: AFormData) -> "AForm":
-        return AForm(self, data)
+    def basis_covector(self, i: int) -> AForm:
+        return AForm(self, 1, {(i,): Const(1.0)})
 
-    def basis_covector(self, i: int) -> "AForm":
-        return AForm(self, AFormData.basis((i,), self.rank))
-
-    def function_form(self, field: ScalarField) -> "AForm":
-        return AForm(self, AFormData.function(field, self.rank))
+    def function_form(self, field: ScalarField) -> AForm:
+        return AForm(self, 0, {(): field})
 
     def __repr__(self):
         return f"AlgebroidChart({self.name!r}, rank={self.rank}, dim={self.dim})"
@@ -121,75 +118,6 @@ class Section:
     def __repr__(self):
         body = ", ".join(str(c) for c in self.comps)
         return f"Section[{body}]"
-
-
-class AForm:
-    """A degree-k form on an algebroid chart."""
-
-    __slots__ = ("chart", "data")
-
-    def __init__(self, chart: AlgebroidChart, data: AFormData):
-        if data.rank != chart.rank:
-            raise ValueError("form rank must match chart rank")
-        self.chart = chart
-        self.data = data
-
-    @property
-    def degree(self) -> int:
-        return self.data.degree
-
-    def coeff(self, index) -> ScalarField:
-        return self.data.coeff(index)
-
-    def is_zero(self) -> bool:
-        return self.data.is_zero()
-
-    def __add__(self, other: "AForm") -> "AForm":
-        _require_same_chart(self.chart, other.chart)
-        return AForm(self.chart, self.data + other.data)
-
-    def __sub__(self, other: "AForm") -> "AForm":
-        _require_same_chart(self.chart, other.chart)
-        return AForm(self.chart, self.data - other.data)
-
-    def scale(self, factor) -> "AForm":
-        return AForm(self.chart, self.data.scale(factor))
-
-    def wedge(self, other: "AForm") -> "AForm":
-        _require_same_chart(self.chart, other.chart)
-        return AForm(self.chart, self.data.wedge(other.data))
-
-    def evaluate_on(self, sections: Sequence[Section], point) -> float:
-        """Value on a tuple of sections at a point (multilinear expansion)."""
-        values = [s.eval(point) for s in sections]
-        total = 0.0
-        for index, coeff in self.data.table.items():
-            base = coeff.eval(point)
-            for assignment, sign in _alternating_assignments(index):
-                term = base * sign
-                for slot, frame_idx in enumerate(assignment):
-                    term *= values[slot][frame_idx]
-                total += term
-        return total
-
-    def max_abs(self, points) -> float:
-        return self.data.max_abs(points)
-
-    def __repr__(self):
-        return f"AForm({self.chart.name!r}, {self.data!r})"
-
-
-def _alternating_assignments(index: tuple[int, ...]):
-    """All orderings of an increasing tuple with their permutation signs."""
-    from itertools import permutations
-
-    for perm in permutations(index):
-        yield perm, generalized_delta(index, perm)
-
-
-def _require_same_chart(a: AlgebroidChart, b: AlgebroidChart) -> None:
-    if a is not b:
-        raise ValueError(f"chart mismatch: {a.name!r} vs {b.name!r}")
 
 
 def anchor_apply(a: Section, f: ScalarField) -> ScalarField:
@@ -266,7 +194,7 @@ def d_A(omega: AForm) -> AForm:
     for index in combinations(range(chart.rank), k + 1):
         total = ZERO
         for r, i_r in enumerate(index):
-            inner = omega.data.coeff(index[:r] + index[r + 1:])
+            inner = omega.coeff(index[:r] + index[r + 1:])
             if isinstance(inner, Const):
                 continue
             term = _frame_derivative(chart, i_r, inner)
@@ -282,13 +210,13 @@ def d_A(omega: AForm) -> AForm:
                     rest = tuple(v for p, v in enumerate(index) if p not in (r, t))
                     pair_sign = -1.0 if (r + t) % 2 else 1.0
                     for m, coeff in terms.items():
-                        value = omega.data.coeff_signed((m,) + rest)
+                        value = omega.coeff_signed((m,) + rest)
                         if value.is_zero():
                             continue
                         total = add(total, mul(Const(pair_sign), mul(coeff, value)))
         if not total.is_zero():
             table[index] = total
-    return AForm(chart, AFormData(k + 1, chart.rank, table))
+    return AForm(chart, k + 1, table)
 
 
 class Morphism:
@@ -353,13 +281,13 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
     chart = phi.source
     k = omega.degree
     if k == 0:
-        return AForm(chart, AFormData(0, chart.rank, dict(omega.data.table)))
+        return AForm(chart, 0, omega.table)
     if k > chart.rank:
         return chart.zero_form(k)
     table: dict[tuple[int, ...], ScalarField] = {}
     for index in combinations(range(chart.rank), k):
         total = ZERO
-        for target_index, coeff in omega.data.table.items():
+        for target_index, coeff in omega.table.items():
             # Expand omega(phi b_{i_1}, ..., phi b_{i_k}) over orderings of the key.
             for assignment, sign in _alternating_assignments(target_index):
                 factor = Const(float(sign))
@@ -374,7 +302,7 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
                     total = add(total, mul(factor, coeff))
         if not total.is_zero():
             table[index] = total
-    return AForm(chart, AFormData(k, chart.rank, table))
+    return AForm(chart, k, table)
 
 
 def verify_axioms(chart: AlgebroidChart, points,
@@ -534,6 +462,3 @@ def jet_prolong(chart: AlgebroidChart) -> JetChart:
     """Build the first jet algebroid of a chart."""
     return JetChart(chart)
 
-
-def jet_lift(jet: JetChart, a: Section) -> Section:
-    return jet.lift(a)

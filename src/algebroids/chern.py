@@ -11,31 +11,16 @@ is Bott's simplex formula in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
 
 import numpy as np
 
-from .algebroid import AForm, d_A
-from .connections import AConnection, FormMatrix, curvature
+from .algebroid import d_A
+from .connections import FormMatrix, _require_connection, curvature
 from .expressions import Const, ScalarField, balanced_sum, max_abs_finite, mul
-from .forms import AFormData, generalized_delta
+from .forms import AForm, generalized_delta
 from .reports import CheckRecord
-
-
-@dataclass(frozen=True)
-class InvariantPolynomial:
-    """A Chern polynomial c_h on r x r matrices."""
-
-    degree: int
-    dimension: int
-
-    def __post_init__(self):
-        if not 1 <= self.degree <= self.dimension:
-            raise ValueError(
-                f"c_{self.degree} is out of range for {self.dimension}x{self.dimension} matrices"
-            )
 
 
 def chern_scalar(matrix: np.ndarray, h: int) -> float:
@@ -44,7 +29,8 @@ def chern_scalar(matrix: np.ndarray, h: int) -> float:
     r = matrix.shape[0]
     if matrix.shape != (r, r):
         raise ValueError("chern_scalar needs a square matrix")
-    InvariantPolynomial(h, r)
+    if not 1 <= h <= r:
+        raise ValueError(f"c_{h} is out of range for {r}x{r} matrices")
     total = 0.0
     for sigma in permutations(range(r), h):
         for kappa in permutations(sigma):
@@ -106,7 +92,7 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
                 if entry.is_zero():
                     dead = True
                     break
-                product = entry.data if product is None else product.wedge(entry.data)
+                product = entry if product is None else product.wedge(entry)
                 if product.is_zero():
                     dead = True
                     break
@@ -120,7 +106,7 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
         key: mul(Const(scale), balanced_sum(terms))
         for key, terms in pending.items()
     }
-    return AForm(chart, AFormData(degree, chart.rank, table))
+    return AForm(chart, degree, table)
 
 
 def chern_form(matrix: FormMatrix, h: int) -> AForm:
@@ -134,7 +120,7 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def bott_delta(connections: Sequence[AConnection], h: int) -> AForm:
+def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
     """Difference homomorphism on k+1 connections evaluated on c_h.
 
     k = 0 is the closed characteristic form c_h(Omega).  k = 1 is the
@@ -146,30 +132,32 @@ def bott_delta(connections: Sequence[AConnection], h: int) -> AForm:
     """
     if h < 1:
         raise ValueError(f"c_{h} is not a Chern polynomial: the degree must be at least 1")
+    for conn in connections:
+        _require_connection(conn)
     k = len(connections) - 1
     if k == 0:
         return chern_form(curvature(connections[0]), h)
     c0 = connections[0]
     chart = c0.chart
     if k == 1:
-        alpha = connections[1].matrix - c0.matrix
+        alpha = connections[1] - c0
         if h == 1:  # c_1(alpha) does not depend on the link parameter
             return chern_polarized([alpha])
         total = chart.zero_form(2 * h - 1)
         for x, w in zip(*gauss_legendre_01(h)):
-            omega_x = curvature(AConnection(chart, c0.rank, c0.matrix + alpha.scale(float(x))))
+            omega_x = curvature(c0 + alpha.scale(float(x)))
             total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
         return total.scale(float(h))
     if k == 2:
         if h == 1:
             return chart.zero_form(0)
         if h == 2:
-            return chern_polarized([c.matrix - c0.matrix for c in connections[1:]])
+            return chern_polarized([c - c0 for c in connections[1:]])
         raise ValueError(f"Delta on three connections is implemented for c_1 and c_2, not c_{h}")
     raise ValueError("bott_delta supports k in {0, 1, 2}")
 
 
-def transgression_check(c0: AConnection, c1: AConnection, h: int, points,
+def transgression_check(c0: FormMatrix, c1: FormMatrix, h: int, points,
                         tol: float = 1e-8) -> CheckRecord:
     """Residual of Delta(c1)c_h - Delta(c0)c_h = d Delta(c0, c1)c_h at the probe points."""
     lhs = bott_delta([c1], h) - bott_delta([c0], h)
@@ -178,7 +166,7 @@ def transgression_check(c0: AConnection, c1: AConnection, h: int, points,
                        len(points))
 
 
-def cocycle_check(c0: AConnection, c1: AConnection, c2: AConnection, h: int,
+def cocycle_check(c0: FormMatrix, c1: FormMatrix, c2: FormMatrix, h: int,
                   points, tol: float = 1e-8) -> CheckRecord:
     """Simplicial coboundary identity for three connections.
 

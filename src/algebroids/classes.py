@@ -10,14 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebroid import (
-    AForm,
     AlgebroidChart,
     Morphism,
     jet_prolong,
     pullback,
 )
 from .connections import (
-    AConnection,
+    FormMatrix,
     QuasiMetric,
     direct_sum,
     dual_connection,
@@ -30,7 +29,7 @@ from .connections import (
 )
 from .chern import bott_delta
 from .expressions import Const, ScalarField, ZERO, add, mul
-from .forms import AFormData
+from .forms import AForm
 
 
 @dataclass
@@ -62,7 +61,7 @@ def modular_form(chart: AlgebroidChart) -> AForm:
             coeff = add(coeff, chart.anchor[i][j].diff(j))
         if not coeff.is_zero():
             table[(i,)] = coeff
-    return AForm(chart, AFormData(1, chart.rank, table))
+    return AForm(chart, 1, table)
 
 
 def modular_form_morphism(phi: Morphism) -> AForm:
@@ -76,7 +75,7 @@ def _default_metric(g: QuasiMetric | None, rank: int) -> QuasiMetric:
 
 def orthogonal_sum(chart: AlgebroidChart, rank_first: int, rank_second: int,
                    g_first: QuasiMetric | None = None,
-                   g_second: QuasiMetric | None = None) -> AConnection:
+                   g_second: QuasiMetric | None = None) -> FormMatrix:
     """The metric reference connection on a sum E + F'*.
 
     Orthogonal connections on the two summands (a `None` metric is the
@@ -87,11 +86,11 @@ def orthogonal_sum(chart: AlgebroidChart, rank_first: int, rank_second: int,
     return direct_sum(first, dual_connection(second))
 
 
-def _transgression_class(name: str, chart: AlgebroidChart, c0: AConnection,
-                         c1: AConnection, h: int, metadata: dict) -> ClassReport:
+def _transgression_class(name: str, chart: AlgebroidChart, c0: FormMatrix,
+                         c1: FormMatrix, h: int, metadata: dict) -> ClassReport:
     """Delta(c0, c1)c_{2h-1} on `chart`, reported as `name_{2h-1}`."""
     order = 2 * h - 1
-    if order > c1.rank:
+    if order > c1.size:
         form = chart.zero_form(4 * h - 3)
     else:
         form = bott_delta([c0, c1], order)
@@ -100,7 +99,7 @@ def _transgression_class(name: str, chart: AlgebroidChart, c0: AConnection,
 
 def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
             g_target: QuasiMetric | None = None,
-            orthogonal: AConnection | None = None) -> ClassReport:
+            orthogonal: FormMatrix | None = None) -> ClassReport:
     """Secondary characteristic form of a base-preserving morphism.
 
     Builds the compatible bracket-connection sum on A + A'* against the metric
@@ -113,7 +112,7 @@ def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
     )
     return _transgression_class(
         "mu", phi.source, nabla0, nabla1, h,
-        {"morphism": phi.name, "h": h, "bundle_rank": nabla1.rank},
+        {"morphism": phi.name, "h": h, "bundle_rank": nabla1.size},
     )
 
 

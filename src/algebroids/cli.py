@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .algebroid import (
-    AForm,
     AlgebroidChart,
     Morphism,
     check_morphism,
@@ -36,7 +35,6 @@ from .classes import (
     relative_mu,
 )
 from .connections import (
-    AConnection,
     FormMatrix,
     bracket_connection,
     curvature,
@@ -52,7 +50,7 @@ from .connections import (
 )
 from .expressions import Const, ScalarField, add, mul
 from .fixtures import Fixture, FixtureError, resolve_fixture
-from .forms import AFormData
+from .forms import AForm
 from .reports import CheckRecord, Report
 from .sampling import sample_points
 
@@ -98,10 +96,10 @@ def _random_form(chart: AlgebroidChart, degree: int, rng) -> AForm:
     table = {}
     for index in combinations(range(chart.rank), degree):
         table[index] = _random_polynomial(chart, rng)
-    return chart.form(AFormData(degree, chart.rank, table))
+    return AForm(chart, degree, table)
 
 
-def _random_connection(chart: AlgebroidChart, rank: int, rng) -> AConnection:
+def _random_connection(chart: AlgebroidChart, rank: int, rng) -> FormMatrix:
     rows = []
     for _ in range(rank):
         row = []
@@ -110,15 +108,14 @@ def _random_connection(chart: AlgebroidChart, rank: int, rng) -> AConnection:
             for i in range(chart.rank):
                 if rng.integers(0, 2):
                     table[(i,)] = _random_polynomial(chart, rng)
-            row.append(chart.form(AFormData(1, chart.rank, table)))
+            row.append(AForm(chart, 1, table))
         rows.append(row)
-    return AConnection(chart, rank, FormMatrix(chart, rows, 1))
+    return FormMatrix(chart, rows, 1)
 
 
-def _bianchi_record(name: str, conn: AConnection, points, tol: float) -> CheckRecord:
-    omega = conn.matrix
+def _bianchi_record(name: str, conn: FormMatrix, points, tol: float) -> CheckRecord:
     curv = curvature(conn)
-    residual_matrix = curv.d() - (omega.wedge(curv) - curv.wedge(omega))
+    residual_matrix = curv.d() - (conn.wedge(curv) - curv.wedge(conn))
     return CheckRecord(name, residual_matrix.max_abs(points), tol, len(points))
 
 
@@ -203,7 +200,7 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> 
                     report.add(rec)
 
 
-def _transgression_pair(fixture: Fixture, phi: Morphism) -> tuple[AConnection, AConnection]:
+def _transgression_pair(fixture: Fixture, phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
     orth = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
                           fixture.metric_for(phi.source.name),
                           fixture.metric_for(phi.target.name))
@@ -350,21 +347,24 @@ def run_suite(fixture: Fixture, suite: str, opt: Options | None = None) -> Repor
     return report
 
 
-def _form_dump(form: AForm, points) -> dict:
-    coefficients = {
-        ",".join(str(i + 1) for i in index): str(coeff)
-        for index, coeff in sorted(form.data.table.items())
-    }
+def _form_dump(name: str, form: AForm, points) -> dict:
+    """Coefficient strings and values at `points`, by the scalar `math` walk.
+
+    A value the walk cannot compute (overflow, domain error) is a ValueError
+    located at its probe point.
+    """
+    terms = [(",".join(str(i + 1) for i in index), coeff)
+             for index, coeff in sorted(form.table.items())]
     samples = []
     for point in points.tolist():  # Python floats: the scalar walk raises on overflow
-        samples.append({
-            "point": point,
-            "values": {
-                ",".join(str(i + 1) for i in index): coeff.eval(point)
-                for index, coeff in sorted(form.data.table.items())
-            },
-        })
-    return {"degree": form.degree, "coefficients": coefficients,
+        try:
+            values = {key: coeff.eval(point) for key, coeff in terms}
+        except (ArithmeticError, ValueError) as exc:
+            raise ValueError(f"form {name!r} cannot be evaluated at probe point "
+                             f"{tuple(point)}: {exc}") from exc
+        samples.append({"point": point, "values": values})
+    return {"degree": form.degree,
+            "coefficients": {key: str(coeff) for key, coeff in terms},
             "samples": samples}
 
 
@@ -374,7 +374,8 @@ def emit_modular(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     form = modular_form(chart)
     report.add(_closed_record(f"closed_modular[{algebroid}]", points, opt.tol, form))
-    report.forms[f"modular[{algebroid}]"] = _form_dump(form, points[:10])
+    name = f"modular[{algebroid}]"
+    report.forms[name] = _form_dump(name, form, points[:10])
     return report
 
 
@@ -388,7 +389,8 @@ def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
                   g_target=fixture.metric_for(phi.target.name))
     report.add(_closed_record(f"closed_{rep.identifier}[{morphism}]", points, opt.tol,
                               rep.form))
-    report.forms[f"{rep.identifier}[{morphism}]"] = _form_dump(rep.form, points[:10])
+    name = f"{rep.identifier}[{morphism}]"
+    report.forms[name] = _form_dump(name, rep.form, points[:10])
     return report
 
 

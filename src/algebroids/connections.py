@@ -1,4 +1,8 @@
-"""Connections along algebroid sections, stored as matrices of 1-forms.
+"""Connections along algebroid sections: a connection is a `FormMatrix` of 1-forms.
+
+`FormMatrix.zero(chart, r, 1)` is the flat connection on a rank-r bundle, and
+`connection_from_coefficients` builds one from its coefficients on the frame;
+`curvature` and `bott_delta` reject a matrix of any other degree.
 
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
@@ -15,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import (
-    AForm,
     AlgebroidChart,
     JetChart,
     Morphism,
@@ -23,10 +26,11 @@ from .algebroid import (
     anchor_apply,
     bracket,
     d_A,
+    pullback,
 )
 from .expressions import (Const, ScalarField, ZERO, add, div, evaluate, max_abs_finite,
                           mul, residual, square_root, sub)
-from .forms import AFormData
+from .forms import AForm
 from .reports import CheckRecord
 from .sampling import first_point, sample_points
 
@@ -112,39 +116,15 @@ class FormMatrix:
             self.degree + 1,
         )
 
-    def transpose_negate(self) -> "FormMatrix":
-        return FormMatrix(
-            self.chart,
-            [[self.entries[t][u].scale(-1.0) for t in range(self.size)]
-             for u in range(self.size)],
-            self.degree,
-        )
-
     def trace(self) -> AForm:
         acc = self.chart.zero_form(self.degree)
         for u in range(self.size):
             acc = acc + self.entries[u][u]
         return acc
 
-    @staticmethod
-    def block_diag(a: "FormMatrix", b: "FormMatrix") -> "FormMatrix":
-        if a.chart is not b.chart:
-            raise ValueError("chart mismatch in block sum")
-        degree = a.degree if not _matrix_is_zero(a) else b.degree
-        size = a.size + b.size
-        zero = a.chart.zero_form(degree)
-        out = [[zero] * size for _ in range(size)]
-        for u in range(a.size):
-            for t in range(a.size):
-                out[u][t] = a.entries[u][t]
-        for u in range(b.size):
-            for t in range(b.size):
-                out[a.size + u][a.size + t] = b.entries[u][t]
-        return FormMatrix(a.chart, out, degree)
-
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
         """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
-        values = evaluate([entry.data.coeff_signed(frame) for frame in frames
+        values = evaluate([entry.coeff_signed(frame) for frame in frames
                            for row in self.entries for entry in row], points)
         shape = (len(frames), self.size, self.size, len(points))
         return np.ascontiguousarray(values.reshape(shape).transpose(0, 3, 1, 2))
@@ -152,7 +132,7 @@ class FormMatrix:
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude of any entry; inf if any is non-finite."""
         return residual([coeff for row in self.entries for entry in row
-                         for coeff in entry.data.table.values()], points)
+                         for coeff in entry.table.values()], points)
 
     def _check_compatible(self, other: "FormMatrix", same_degree: bool = True):
         if self.chart is not other.chart or self.size != other.size:
@@ -161,106 +141,86 @@ class FormMatrix:
             raise ValueError("form matrices must share a degree")
 
 
-def _matrix_is_zero(m: FormMatrix) -> bool:
-    return all(e.is_zero() for row in m.entries for e in row)
+def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:
+    """The rank x rank connection matrix with coeff(i, u, t) -> omega_u^t on b_i."""
+    rows = []
+    for u in range(rank):
+        row = []
+        for t in range(rank):
+            table = {}
+            for i in range(chart.rank):
+                c = coeff(i, u, t)
+                if not c.is_zero():
+                    table[(i,)] = c
+            row.append(AForm(chart, 1, table))
+        rows.append(row)
+    return FormMatrix(chart, rows, 1)
 
 
-class AConnection:
-    """Connection on a rank-r bundle, as an r x r matrix of 1-forms."""
-
-    __slots__ = ("chart", "rank", "matrix", "frame")
-
-    def __init__(self, chart: AlgebroidChart, rank: int, matrix: FormMatrix,
-                 frame: str = "standard"):
-        if matrix.size != rank or matrix.chart is not chart:
-            raise ValueError("connection matrix shape or chart mismatch")
-        if not _matrix_is_zero(matrix) and matrix.degree != 1:
-            raise ValueError("connection matrix entries must be 1-forms")
-        self.chart = chart
-        self.rank = rank
-        self.matrix = matrix
-        self.frame = frame
-
-    @classmethod
-    def flat(cls, chart: AlgebroidChart, rank: int, frame: str = "standard") -> "AConnection":
-        return cls(chart, rank, FormMatrix.zero(chart, rank, 1), frame)
-
-    @classmethod
-    def from_coefficients(cls, chart: AlgebroidChart, rank: int, coeff, frame: str = "standard"):
-        """Build from coeff(i, u, t) -> ScalarField of omega_u^t on b_i."""
-        rows = []
-        for u in range(rank):
-            row = []
-            for t in range(rank):
-                table = {}
-                for i in range(chart.rank):
-                    c = coeff(i, u, t)
-                    if not c.is_zero():
-                        table[(i,)] = c
-                row.append(AForm(chart, AFormData(1, chart.rank, table)))
-            rows.append(row)
-        return cls(chart, rank, FormMatrix(chart, rows, 1), frame)
-
-    def omega(self, u: int, t: int) -> AForm:
-        return self.matrix.entries[u][t]
-
-    def __repr__(self):
-        return f"AConnection(rank={self.rank} on {self.chart.name!r})"
+def _require_connection(conn: FormMatrix) -> None:
+    if conn.degree != 1:
+        raise ValueError("connection matrices must hold 1-forms")
 
 
-def covariant_derivative(conn: AConnection, a: Section,
+def covariant_derivative(conn: FormMatrix, a: Section,
                          v: Sequence[ScalarField] | Section) -> list[ScalarField]:
     """(nabla_a v)^t = anchor(a)(v^t) + v^u omega_u^t(a)."""
     comps = v.comps if isinstance(v, Section) else tuple(v)
-    if len(comps) != conn.rank:
+    if len(comps) != conn.size:
         raise ValueError("bundle section has wrong rank")
     out = []
-    for t in range(conn.rank):
+    for t in range(conn.size):
         acc = anchor_apply(a, comps[t])
-        for u in range(conn.rank):
+        for u in range(conn.size):
             if comps[u].is_zero():
                 continue
-            entry = conn.omega(u, t)
             pairing = ZERO
-            for (i,), c in entry.data.table.items():
+            for (i,), c in conn.entries[u][t].table.items():
                 pairing = add(pairing, mul(a.comps[i], c))
             acc = add(acc, mul(comps[u], pairing))
         out.append(acc)
     return out
 
 
-def curvature(conn: AConnection) -> FormMatrix:
+def curvature(conn: FormMatrix) -> FormMatrix:
     """Omega = d(omega) - omega ^ omega."""
-    return conn.matrix.d() - conn.matrix.wedge(conn.matrix)
+    _require_connection(conn)
+    return conn.d() - conn.wedge(conn)
 
 
-def dual_connection(conn: AConnection) -> AConnection:
+def dual_connection(conn: FormMatrix) -> FormMatrix:
     """Connection induced on the dual bundle: negative transpose matrix."""
-    return AConnection(conn.chart, conn.rank, conn.matrix.transpose_negate(),
-                       frame=f"{conn.frame}*")
+    return FormMatrix(conn.chart, [[e.scale(-1.0) for e in column]
+                                   for column in zip(*conn.entries)], conn.degree)
 
 
-def direct_sum(c1: AConnection, c2: AConnection) -> AConnection:
+def direct_sum(c1: FormMatrix, c2: FormMatrix) -> FormMatrix:
+    """Block-diagonal connection on the sum of the two bundles."""
     if c1.chart is not c2.chart:
         raise ValueError("chart mismatch in connection sum")
-    matrix = FormMatrix.block_diag(c1.matrix, c2.matrix)
-    return AConnection(c1.chart, c1.rank + c2.rank, matrix,
-                       frame=f"{c1.frame}+{c2.frame}")
+    size = c1.size + c2.size
+    zero = c1.chart.zero_form(1)
+    out = [[zero] * size for _ in range(size)]
+    for u, row in enumerate(c1.entries):
+        out[u][:c1.size] = row
+    for u, row in enumerate(c2.entries):
+        out[c1.size + u][c1.size:] = row
+    return FormMatrix(c1.chart, out, 1)
 
 
-def bracket_connection(chart: AlgebroidChart) -> AConnection:
+def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
     """The connection nabla_{b_i} b_j = [b_i, b_j] on the algebroid itself."""
     gamma = {}  # (i, j, k) -> coefficient of [b_i, b_j] on b_k, from the sparse rows
     for (i, j), row in chart.brackets.items():
         for k, coeff in row.items():
             gamma[i, j, k] = coeff
             gamma[j, i, k] = mul(Const(-1.0), coeff)
-    return AConnection.from_coefficients(
+    return connection_from_coefficients(
         chart, chart.rank, lambda i, u, t: gamma.get((i, u, t), ZERO)
     )
 
 
-def morphism_target_connection(phi: Morphism) -> AConnection:
+def morphism_target_connection(phi: Morphism) -> FormMatrix:
     """Source-algebroid connection on the target bundle via [phi b_i, b'_u]."""
     source, target = phi.source, phi.target
     columns = []
@@ -270,23 +230,23 @@ def morphism_target_connection(phi: Morphism) -> AConnection:
             image = phi.apply(source.basis_section(i))
             per_direction.append(bracket(image, target.basis_section(u)).comps)
         columns.append(per_direction)
-    return AConnection.from_coefficients(
+    return connection_from_coefficients(
         source, target.rank, lambda i, u, t: columns[u][i][t]
     )
 
 
-def distinguished_pair(phi: Morphism) -> tuple[AConnection, AConnection]:
+def distinguished_pair(phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
     """Bracket connection on the source and the induced one on the target."""
     return bracket_connection(phi.source), morphism_target_connection(phi)
 
 
-def morphism_sum_connection(phi: Morphism) -> AConnection:
+def morphism_sum_connection(phi: Morphism) -> FormMatrix:
     """The compatible connection on A + A'* built from a distinguished pair."""
     nabla, nabla_prime = distinguished_pair(phi)
     return direct_sum(nabla, dual_connection(nabla_prime))
 
 
-def jet_bracket_connection(jet: JetChart) -> AConnection:
+def jet_bracket_connection(jet: JetChart) -> FormMatrix:
     """Flat jet-algebroid connection on the underlying bundle.
 
     Covariant derivative along each jet frame element is the bracket with its
@@ -296,12 +256,12 @@ def jet_bracket_connection(jet: JetChart) -> AConnection:
     table = []
     for sec in jet.defining:
         table.append([bracket(sec, base.basis_section(j)).comps for j in range(base.rank)])
-    return AConnection.from_coefficients(
+    return connection_from_coefficients(
         jet, base.rank, lambda p, u, t: table[p][u][t]
     )
 
 
-def jet_morphism_connection(jet: JetChart, phi: Morphism) -> AConnection:
+def jet_morphism_connection(jet: JetChart, phi: Morphism) -> FormMatrix:
     """Flat jet-algebroid connection on the morphism target bundle."""
     if phi.source is not jet.base_chart:
         raise ValueError("morphism must start at the jet's underlying chart")
@@ -311,20 +271,16 @@ def jet_morphism_connection(jet: JetChart, phi: Morphism) -> AConnection:
         image = phi.apply(sec)
         table.append([bracket(image, target.basis_section(u)).comps
                       for u in range(target.rank)])
-    return AConnection.from_coefficients(
+    return connection_from_coefficients(
         jet, target.rank, lambda p, u, t: table[p][u][t]
     )
 
 
-def pullback_connection(phi: Morphism, conn: AConnection) -> AConnection:
+def pullback_connection(phi: Morphism, conn: FormMatrix) -> FormMatrix:
     """Connection with matrix pulled back along a base-preserving morphism."""
-    from .algebroid import pullback
-
     if conn.chart is not phi.target:
         raise ValueError("connection must live on the morphism target algebroid")
-    rows = [[pullback(phi, e) for e in row] for row in conn.matrix.entries]
-    return AConnection(phi.source, conn.rank,
-                       FormMatrix(phi.source, rows, 1), frame=conn.frame)
+    return FormMatrix(phi.source, [[pullback(phi, e) for e in row] for row in conn.entries], 1)
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +343,7 @@ class QuasiMetric:
             raise ValueError(f"not positive definite at probe point {point}")
 
 
-def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> AConnection:
+def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
     """Metric connection: zero matrix in the orthonormalized frame.
 
     Gram-Schmidt runs symbolically on the metric coefficients; the resulting
@@ -421,7 +377,7 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> AConnection:
                 acc = acc + dG.scale(inverse[u][s])
             row.append(acc.scale(-1.0))
         rows.append(row)
-    return AConnection(chart, rank, FormMatrix(chart, rows, 1), frame="orthogonal")
+    return FormMatrix(chart, rows, 1)
 
 
 def _invert_lower_triangular(m: list[list[ScalarField]]) -> list[list[ScalarField]]:
@@ -464,7 +420,7 @@ def invert_field_matrix(m: Sequence[Sequence[ScalarField]]) -> list[list[ScalarF
     return inv
 
 
-def conjugate_connection(conn: AConnection, p: Sequence[Sequence[ScalarField]]) -> AConnection:
+def conjugate_connection(conn: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> FormMatrix:
     """Connection matrix in the frame whose rows over the old frame are P.
 
     With the fixed index layout (bundle index as row, wedge order
@@ -473,9 +429,9 @@ def conjugate_connection(conn: AConnection, p: Sequence[Sequence[ScalarField]]) 
     P Omega P^-1 and every Chern form is unchanged.
     """
     chart = conn.chart
-    n = conn.rank
+    n = conn.size
     p_inv = invert_field_matrix(p)
-    conj = conjugate_form_matrix(conn.matrix, p)
+    conj = conjugate_form_matrix(conn, p)
     d_p = [[d_A(chart.function_form(p[a][b])) for b in range(n)] for a in range(n)]
     rows = []
     for u in range(n):
@@ -488,7 +444,7 @@ def conjugate_connection(conn: AConnection, p: Sequence[Sequence[ScalarField]]) 
                 acc = acc + d_p[u][a].scale(p_inv[a][t])
             row.append(acc)
         rows.append(row)
-    return AConnection(chart, n, FormMatrix(chart, rows, 1), frame=f"{conn.frame}|P")
+    return FormMatrix(chart, rows, 1)
 
 
 def conjugate_form_matrix(m: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> FormMatrix:
@@ -515,14 +471,14 @@ def conjugate_form_matrix(m: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> 
     return FormMatrix(m.chart, rows, m.degree)
 
 
-def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField]) -> AConnection:
+def glue(connections: Sequence[FormMatrix], weights: Sequence[ScalarField]) -> FormMatrix:
     """Convex combination of connections by a partition of unity."""
     if len(connections) != len(weights) or not connections:
         raise ValueError("need matching nonempty connections and weights")
     chart = connections[0].chart
-    rank = connections[0].rank
+    rank = connections[0].size
     for conn in connections:
-        if conn.chart is not chart or conn.rank != rank:
+        if conn.chart is not chart or conn.size != rank:
             raise ValueError("glued connections must share chart and rank")
     points = sample_points(chart.dim, 16, 11)
     with np.errstate(invalid="ignore"):  # inf - inf is a NaN sum, rejected below
@@ -532,8 +488,8 @@ def glue(connections: Sequence[AConnection], weights: Sequence[ScalarField]) -> 
             raise ValueError(f"weights sum to {total} at {tuple(point)}, not a partition of unity")
     matrix = FormMatrix.zero(chart, rank, 1)
     for conn, weight in zip(connections, weights):
-        matrix = matrix + conn.matrix.scale(weight)
-    return AConnection(chart, rank, matrix, frame=connections[0].frame)
+        matrix = matrix + conn.scale(weight)
+    return matrix
 
 
 # --------------------------------------------------------------------------
@@ -564,21 +520,21 @@ def quasi_metric_on_S(phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
     return build(1), build(-1)
 
 
-def metric_compat_check(conn: AConnection, g: QuasiMetric, points,
+def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,
                         tol: float = 1e-9) -> CheckRecord:
     """Residual of anchor(g(v,w)) - g(nabla v, w) - g(v, nabla w) on frame pairs."""
     chart = conn.chart
     fields = []
     for i in range(chart.rank):
         direction = chart.basis_section(i)
-        for a in range(conn.rank):
-            for b in range(conn.rank):
+        for a in range(conn.size):
+            for b in range(conn.size):
                 field = anchor_apply(direction, g.matrix[a][b])
-                for c in range(conn.rank):
-                    w_ac = conn.omega(a, c).data.coeff((i,))
+                for c in range(conn.size):
+                    w_ac = conn.entries[a][c].coeff((i,))
                     if not w_ac.is_zero() and not g.matrix[c][b].is_zero():
                         field = sub(field, mul(w_ac, g.matrix[c][b]))
-                    w_bc = conn.omega(b, c).data.coeff((i,))
+                    w_bc = conn.entries[b][c].coeff((i,))
                     if not w_bc.is_zero() and not g.matrix[a][c].is_zero():
                         field = sub(field, mul(w_bc, g.matrix[a][c]))
                 fields.append(field)
@@ -602,7 +558,7 @@ def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
     return vectors
 
 
-def k_flatness_check(conn_S: AConnection, phi: Morphism,
+def k_flatness_check(conn_S: FormMatrix, phi: Morphism,
                      ker_rows: Sequence[Sequence[ScalarField]],
                      coker_rows: Sequence[Sequence[ScalarField]],
                      points, tol: float = 1e-10) -> CheckRecord:
@@ -611,7 +567,7 @@ def k_flatness_check(conn_S: AConnection, phi: Morphism,
     vectors = kernel_frame_on_S(phi, ker_rows, coker_rows)
     omega = curvature(conn_S).eval_on(list(combinations(range(chart.rank), 2)), points)
     values = evaluate([c for vec in vectors for c in vec], points)
-    values = values.T.reshape(len(points), len(vectors), conn_S.rank)
+    values = values.T.reshape(len(points), len(vectors), conn_S.size)
     with np.errstate(all="ignore"):  # a non-finite value makes the residual inf
         worst = max_abs_finite(values @ omega)
     return CheckRecord("k_flatness", worst, tol, len(points),
@@ -697,7 +653,7 @@ def _symplectic_basis(gram: np.ndarray, complement: np.ndarray) -> tuple[np.ndar
     return s_frame, canonical
 
 
-def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
+def quasi_metric_frame_check(conn: FormMatrix, g: QuasiMetric,
                              kernel_vectors: Sequence[Sequence[ScalarField]],
                              points, tol: float = 1e-9) -> list[CheckRecord]:
     """Pointwise checks in an adapted frame for a quasi-metric connection.
@@ -721,7 +677,7 @@ def quasi_metric_frame_check(conn: AConnection, g: QuasiMetric,
         return max_abs_finite(adapted[..., q:, :q]), max_abs_finite(defect)
 
     worst_kernel, worst_algebra = worst_blocks(
-        conn.matrix, [(i,) for i in range(chart.rank)])
+        conn, [(i,) for i in range(chart.rank)])
     worst_curv_kernel, worst_curv_algebra = worst_blocks(
         curvature(conn), list(combinations(range(chart.rank), 2)))
     label = "orthogonal" if g.sign == 1 else "symplectic"

@@ -1,6 +1,6 @@
-"""Sparse alternating coefficient tables over strictly increasing multi-indices.
+"""Forms on an algebroid chart: `AForm`, a chart, a degree and a sparse table.
 
-A degree-k table maps increasing k-tuples of frame indices (0-based) to scalar
+A degree-k form maps increasing k-tuples of frame indices (0-based) to scalar
 fields; absent keys are zero.  The determinant convention is used throughout:
 the stored coefficient *is* the value on the increasing frame tuple, with no
 1/k! normalization anywhere.
@@ -8,9 +8,13 @@ the stored coefficient *is* the value on the increasing frame tuple, with no
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from itertools import permutations
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul, residual
+
+if TYPE_CHECKING:
+    from .algebroid import AlgebroidChart, Section
 
 
 def generalized_delta(upper: Iterable[int], lower: Iterable[int]) -> int:
@@ -68,37 +72,29 @@ def check_multi_index(index: tuple[int, ...], rank: int) -> None:
         raise ValueError(f"multi-index {index} out of range for rank {rank}")
 
 
-class AFormData:
-    """Degree-k alternating coefficient table on a rank-s frame."""
+class AForm:
+    """A degree-k form on an algebroid chart: a sparse alternating table.
 
-    __slots__ = ("degree", "rank", "table")
+    Keys are increasing k-tuples of frame indices below `chart.rank`; zero
+    coefficients are dropped on construction.
+    """
 
-    def __init__(self, degree: int, rank: int, table: Mapping[tuple[int, ...], ScalarField] | None = None):
+    __slots__ = ("chart", "degree", "table")
+
+    def __init__(self, chart: "AlgebroidChart", degree: int,
+                 table: Mapping[tuple[int, ...], ScalarField] | None = None):
+        self.chart = chart
         self.degree = degree
-        self.rank = rank
         clean: dict[tuple[int, ...], ScalarField] = {}
         if table:
             for index, coeff in table.items():
                 index = tuple(index)
                 if len(index) != degree:
                     raise ValueError(f"key {index} has wrong length for degree {degree}")
-                check_multi_index(index, rank)
+                check_multi_index(index, chart.rank)
                 if not coeff.is_zero():
                     clean[index] = coeff
         self.table = clean
-
-    @classmethod
-    def zero(cls, degree: int, rank: int) -> "AFormData":
-        return cls(degree, rank, None)
-
-    @classmethod
-    def basis(cls, index: tuple[int, ...], rank: int, coeff: ScalarField = Const(1.0)) -> "AFormData":
-        """The form coeff * b*^{i1} ^ ... ^ b*^{ik} for an increasing tuple."""
-        return cls(len(index), rank, {tuple(index): coeff})
-
-    @classmethod
-    def function(cls, field: ScalarField, rank: int) -> "AFormData":
-        return cls(0, rank, {(): field})
 
     def coeff(self, index: tuple[int, ...]) -> ScalarField:
         return self.table.get(tuple(index), ZERO)
@@ -125,31 +121,30 @@ class AFormData:
     def is_zero(self) -> bool:
         return not self.table
 
-    def map_coeffs(self, fn: Callable[[ScalarField], ScalarField]) -> "AFormData":
-        return AFormData(self.degree, self.rank, {k: fn(c) for k, c in self.table.items()})
-
-    def __add__(self, other: "AFormData") -> "AFormData":
-        if self.degree != other.degree or self.rank != other.rank:
-            raise ValueError("cannot add forms of different degree or rank")
+    def __add__(self, other: "AForm") -> "AForm":
+        _require_same_chart(self.chart, other.chart)
+        if self.degree != other.degree:
+            raise ValueError("cannot add forms of different degree")
         table = dict(self.table)
         for index, coeff in other.table.items():
             table[index] = add(table.get(index, ZERO), coeff)
-        return AFormData(self.degree, self.rank, table)
+        return AForm(self.chart, self.degree, table)
 
-    def __sub__(self, other: "AFormData") -> "AFormData":
+    def __sub__(self, other: "AForm") -> "AForm":
         return self + other.scale(Const(-1.0))
 
-    def scale(self, factor: ScalarField | float) -> "AFormData":
+    def scale(self, factor: ScalarField | float) -> "AForm":
         if not isinstance(factor, ScalarField):
             factor = Const(factor)
-        return self.map_coeffs(lambda c: mul(factor, c))
+        return AForm(self.chart, self.degree,
+                     {k: mul(factor, c) for k, c in self.table.items()})
 
-    def wedge(self, other: "AFormData") -> "AFormData":
-        if self.rank != other.rank:
-            raise ValueError("wedge requires forms on frames of equal rank")
+    def wedge(self, other: "AForm") -> "AForm":
+        """Exterior product (signed shuffle convolution of the tables)."""
+        _require_same_chart(self.chart, other.chart)
         degree = self.degree + other.degree
-        if degree > self.rank:
-            return AFormData.zero(degree, self.rank)
+        if degree > self.chart.rank:
+            return AForm(self.chart, degree)
         pending: dict[tuple[int, ...], list[ScalarField]] = {}
         for left, f in self.table.items():
             for right, g in other.table.items():
@@ -162,19 +157,38 @@ class AFormData:
                     term = mul(Const(-1.0), term)
                 pending.setdefault(key, []).append(term)
         table = {key: balanced_sum(terms) for key, terms in pending.items()}
-        return AFormData(degree, self.rank, table)
+        return AForm(self.chart, degree, table)
 
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
         return residual(self.table.values(), points)
 
+    def evaluate_on(self, sections: Sequence["Section"], point) -> float:
+        """Value on a tuple of sections at a point (multilinear expansion)."""
+        values = [s.eval(point) for s in sections]
+        total = 0.0
+        for index, coeff in self.table.items():
+            base = coeff.eval(point)
+            for assignment, sign in _alternating_assignments(index):
+                term = base * sign
+                for slot, frame_idx in enumerate(assignment):
+                    term *= values[slot][frame_idx]
+                total += term
+        return total
+
     def __repr__(self):
         if not self.table:
-            return f"AFormData(degree={self.degree}, 0)"
+            return f"AForm({self.chart.name!r}, degree={self.degree}, 0)"
         parts = ", ".join(f"{k}: {c}" for k, c in sorted(self.table.items()))
-        return f"AFormData(degree={self.degree}, {{{parts}}})"
+        return f"AForm({self.chart.name!r}, degree={self.degree}, {{{parts}}})"
 
 
-def wedge(alpha: AFormData, beta: AFormData) -> AFormData:
-    """Exterior product of coefficient tables (signed shuffle convolution)."""
-    return alpha.wedge(beta)
+def _alternating_assignments(index: tuple[int, ...]):
+    """All orderings of an increasing tuple with their permutation signs."""
+    for perm in permutations(index):
+        yield perm, generalized_delta(index, perm)
+
+
+def _require_same_chart(a: "AlgebroidChart", b: "AlgebroidChart") -> None:
+    if a is not b:
+        raise ValueError(f"chart mismatch: {a.name!r} vs {b.name!r}")

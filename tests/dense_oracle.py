@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from algebroids.algebroid import AForm, AlgebroidChart, Section, _require_same_chart
-from algebroids.connections import AConnection
+from algebroids.algebroid import AlgebroidChart, Section, _require_same_chart
+from algebroids.connections import FormMatrix, connection_from_coefficients
 from algebroids.expressions import Const, ScalarField, ZERO, add, mul, sub
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 
 
 def gamma(chart: AlgebroidChart, i: int, j: int, k: int) -> ScalarField:
@@ -81,7 +81,7 @@ def d_A(omega: AForm) -> AForm:
         total = ZERO
         for r, i_r in enumerate(index):
             rest = index[:r] + index[r + 1:]
-            inner = omega.data.coeff(rest) if k else omega.data.coeff(())
+            inner = omega.coeff(rest) if k else omega.coeff(())
             if inner.is_zero():
                 continue
             term = anchor_apply(chart.basis_section(i_r), inner)
@@ -97,18 +97,18 @@ def d_A(omega: AForm) -> AForm:
                     for m, coeff in enumerate(bracket_basis(chart, i_r, i_t)):
                         if coeff.is_zero():
                             continue
-                        value = omega.data.coeff_signed((m,) + rest)
+                        value = omega.coeff_signed((m,) + rest)
                         if value.is_zero():
                             continue
                         total = add(total, mul(Const(pair_sign), mul(coeff, value)))
         if not total.is_zero():
             table[index] = total
-    return AForm(chart, AFormData(k + 1, chart.rank, table))
+    return AForm(chart, k + 1, table)
 
 
-def bracket_connection(chart: AlgebroidChart) -> AConnection:
+def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
     """The connection nabla_{b_i} b_j = [b_i, b_j] on the algebroid itself."""
-    return AConnection.from_coefficients(
+    return connection_from_coefficients(
         chart, chart.rank, lambda i, u, t: gamma(chart, i, u, t)
     )
 
@@ -124,4 +124,4 @@ def modular_form(chart: AlgebroidChart) -> AForm:
             coeff = add(coeff, chart.anchor[i][j].diff(j))
         if not coeff.is_zero():
             table[(i,)] = coeff
-    return AForm(chart, AFormData(1, chart.rank, table))
+    return AForm(chart, 1, table)

@@ -32,7 +32,7 @@ def eval_on(matrix, frame_indices: tuple[int, ...], point) -> np.ndarray:
     out = np.zeros((matrix.size, matrix.size))
     for u in range(matrix.size):
         for t in range(matrix.size):
-            coeff = matrix.entries[u][t].data.coeff_signed(frame_indices)
+            coeff = matrix.entries[u][t].coeff_signed(frame_indices)
             if not coeff.is_zero():
                 out[u, t] = coeff.eval(point)
     return out
@@ -83,7 +83,7 @@ def quasi_metric_frame_check(conn, g, kernel_vectors, n_points: int = 50,
     frame = np.vstack([s_frame, t_frame]) if len(t_frame) else s_frame
     frame_inv = np.linalg.inv(frame)
     q = len(s_frame)
-    omega = conn.matrix
+    omega = conn
     curv = curvature(conn)
     worst_kernel = 0.0
     worst_algebra = 0.0

@@ -14,13 +14,12 @@ from algebroids.algebroid import (
     bracket,
     check_morphism,
     d_A,
-    jet_lift,
     jet_prolong,
     pullback,
     verify_axioms,
 )
 from algebroids.expressions import Const, field_maxima, parse_expression
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from dense_oracle import gamma
 from expression_oracle import tree_shape
@@ -107,9 +106,9 @@ class TestBracket:
 class TestExteriorDifferential:
     def test_de_rham_differential(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
-        omega = chart.form(AFormData(1, 2, {(1,): _field(chart, "x")}))
+        omega = AForm(chart, 1, {(1,): _field(chart, "x")})
         out = d_A(omega)
-        expected = chart.form(AFormData(2, 2, {(0, 1): Const(1.0)}))
+        expected = AForm(chart, 2, {(0, 1): Const(1.0)})
         assert _max_diff(out, expected, plane_points) < 1e-14
 
     def test_constant_function_zero_anchor(self, so3):
@@ -120,7 +119,7 @@ class TestExteriorDifferential:
     def test_so3_dual_covector(self, so3, line_points):
         chart = so3.chart("so3")
         out = d_A(chart.basis_covector(2))
-        expected = chart.form(AFormData(2, 3, {(0, 1): Const(-1.0)}))
+        expected = AForm(chart, 2, {(0, 1): Const(-1.0)})
         assert _max_diff(out, expected, line_points) < 1e-14
 
     def test_d_squared_vanishes_on_random_forms(self, so3, tangent_r2, solvable2d,
@@ -138,14 +137,13 @@ class TestExteriorDifferential:
                     for c, i in zip(coeffs[1:], range(fixture_chart.dim)):
                         poly = poly + Const(float(c)) * fixture_chart.coordinate_field(i)
                     table[index] = poly
-                form = fixture_chart.form(AFormData(degree, fixture_chart.rank, table))
+                form = AForm(fixture_chart, degree, table)
                 assert d_A(d_A(form)).max_abs(points) < 1e-9
 
     def test_graded_leibniz_over_wedge(self, so3, line_points):
         chart = so3.chart("so3")
-        alpha = chart.form(AFormData(1, 3, {(0,): _field(chart, "x"),
-                                            (2,): Const(2.0)}))
-        beta = chart.form(AFormData(1, 3, {(1,): _field(chart, "1+x")}))
+        alpha = AForm(chart, 1, {(0,): _field(chart, "x"), (2,): Const(2.0)})
+        beta = AForm(chart, 1, {(1,): _field(chart, "1+x")})
         lhs = d_A(alpha.wedge(beta))
         rhs = d_A(alpha).wedge(beta) - alpha.wedge(d_A(beta))
         assert _max_diff(lhs, rhs, line_points) < 1e-9
@@ -208,8 +206,7 @@ class TestPullback:
     def test_identity_is_identity(self, so3, line_points):
         chart = so3.chart("so3")
         ident = Morphism.identity(chart)
-        omega = chart.form(AFormData(2, 3, {(0, 1): _field(chart, "x"),
-                                            (1, 2): Const(3.0)}))
+        omega = AForm(chart, 2, {(0, 1): _field(chart, "x"), (1, 2): Const(3.0)})
         assert _max_diff(pullback(ident, omega), omega, line_points) < 1e-14
 
     def test_zero_morphism_kills_positive_degree(self, solvable2d):
@@ -230,10 +227,8 @@ class TestPullback:
                                                  chain, line_points):
         for phi in (solvable2d.morphism("phi"), action_x.morphism("sharp"),
                     chain.morphism("phi")):
-            omega = phi.target.form(AFormData(
-                1, phi.target.rank,
-                {(0,): parse_expression("x^2+1", phi.target.coords)},
-            ))
+            omega = AForm(phi.target, 1,
+                          {(0,): parse_expression("x^2+1", phi.target.coords)})
             lhs = pullback(phi, d_A(omega))
             rhs = d_A(pullback(phi, omega))
             assert _max_diff(lhs, rhs, line_points) < 1e-9
@@ -241,7 +236,7 @@ class TestPullback:
     def test_pullback_commutes_with_wedge(self, chain, line_points):
         phi = chain.morphism("phi")
         a = phi.target.basis_covector(0)
-        b = phi.target.form(AFormData(1, 2, {(1,): _field(phi.target, "x")}))
+        b = AForm(phi.target, 1, {(1,): _field(phi.target, "x")})
         lhs = pullback(phi, a.wedge(b))
         rhs = pullback(phi, a).wedge(pullback(phi, b))
         assert _max_diff(lhs, rhs, line_points) < 1e-12
@@ -301,7 +296,7 @@ class TestJets:
     def test_jet_lift_of_frame_section(self, so3):
         chart = so3.chart("so3")
         jet = jet_prolong(chart)
-        lifted = jet_lift(jet, chart.basis_section(1))
+        lifted = jet.lift(chart.basis_section(1))
         assert lifted.comps[1].eval((0.3,)) == pytest.approx(1.0)
         assert sum(not c.is_zero() for c in lifted.comps) == 1
 
@@ -309,7 +304,7 @@ class TestJets:
         chart = action_x.chart("action")
         jet = jet_prolong(chart)
         section = chart.basis_section(0).scale(_field(chart, "x^2"))
-        lifted = jet_lift(jet, section)
+        lifted = jet.lift(section)
         # xi = x^2: leading coefficient xi - x xi' = -x^2, jet-coordinate part xi' = 2x
         assert lifted.comps[0].eval((0.5,)) == pytest.approx(-0.25)
         assert lifted.comps[1].eval((0.5,)) == pytest.approx(1.0)
@@ -334,8 +329,7 @@ class TestJets:
 class TestFormEvaluation:
     def test_multilinear_antisymmetric_evaluation(self, so3, line_points):
         chart = so3.chart("so3")
-        omega = chart.form(AFormData(2, 3, {(0, 1): _field(chart, "x"),
-                                            (1, 2): Const(2.0)}))
+        omega = AForm(chart, 2, {(0, 1): _field(chart, "x"), (1, 2): Const(2.0)})
         a = Section(chart, [Const(1.0), _field(chart, "x"), Const(0.0)])
         b = Section(chart, [Const(0.0), Const(1.0), _field(chart, "x^2")])
         for point in line_points[:10]:
@@ -348,7 +342,7 @@ class TestFormEvaluation:
 
     def test_function_linearity_in_each_slot(self, so3, line_points):
         chart = so3.chart("so3")
-        omega = chart.form(AFormData(2, 3, {(0, 2): Const(1.0)}))
+        omega = AForm(chart, 2, {(0, 2): Const(1.0)})
         f = _field(chart, "1+x^2")
         a = chart.basis_section(0)
         b = chart.basis_section(2)

@@ -99,7 +99,7 @@ class TestMuForm:
         coeff = rep.form.coeff((0,))
         for point in line_points[:20]:
             assert abs(coeff.eval(point) - 1.0) < 1e-12
-        assert len(rep.form.data.table) == 1
+        assert len(rep.form.table) == 1
 
     def test_isomorphism_classes_vanish(self, so3, line_points):
         ident = so3.morphism("id")
@@ -158,8 +158,8 @@ class TestBiCharacteristic:
         phi1 = solvable2d.morphism("phi")
         phi2 = solvable2d.morphism("phi2")
         rep = bi_characteristic(phi1, phi2, 1)
-        trace_diff = (morphism_sum_connection(phi2).matrix
-                      - morphism_sum_connection(phi1).matrix).trace()
+        trace_diff = (morphism_sum_connection(phi2)
+                      - morphism_sum_connection(phi1)).trace()
         assert (rep.form - trace_diff).max_abs(line_points) == 0.0
 
     def test_difference_identity_at_form_level(self, solvable2d, so3_double,

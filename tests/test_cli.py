@@ -104,6 +104,22 @@ class TestFixtureLoading:
             "error: metric 'g_exp' is not positive definite at probe point (")
         assert "Traceback" not in captured.err
 
+    def test_overflowing_form_dump_is_a_located_error(self, tmp_path, capsys):
+        # The modular form 800*exp(800*x) overflows the scalar dump walk for x > 0.88.
+        bad = tmp_path / "overflow_anchor.json"
+        bad.write_text(json.dumps({
+            "base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1"], "anchor": [["exp(800*x)"]],
+                                 "brackets": []}},
+        }))
+        code = main(["modular", str(bad), "--algebroid", "A"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: form 'modular[A]' cannot be evaluated at probe point (")
+        assert "Traceback" not in captured.err
+
     def test_unknown_bundled_fixture(self):
         with pytest.raises(FixtureError, match="unknown bundled fixture"):
             builtin_fixture_path("nope")

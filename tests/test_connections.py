@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from algebroids.algebroid import Morphism, Section, anchor_apply
+from algebroids.chern import bott_delta
 from algebroids.connections import (
-    AConnection,
     FormMatrix,
     QuasiMetric,
     bracket_connection,
@@ -26,7 +26,7 @@ from algebroids.connections import (
     quasi_metric_on_S,
 )
 from algebroids.expressions import Const, parse_expression
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from dense_oracle import gamma
 from transgression_oracle import ConnectionFamily, link_curvature
@@ -50,16 +50,16 @@ def _random_connection(chart, rank, seed):
                     poly = poly + Const(float(coeffs[1])) * chart.coordinate_field(0)
                 if not poly.is_zero():
                     table[(i,)] = poly
-            row.append(chart.form(AFormData(1, chart.rank, table)))
+            row.append(AForm(chart, 1, table))
         rows.append(row)
-    return AConnection(chart, rank, FormMatrix(chart, rows, 1))
+    return FormMatrix(chart, rows, 1)
 
 
 class TestCovariantDerivative:
     def test_flat_matrix_gives_directional_derivative(self, tangent_r2,
                                                       plane_points):
         chart = tangent_r2.chart("TR2")
-        conn = AConnection.flat(chart, 2)
+        conn = FormMatrix.zero(chart, 2, 1)
         a = chart.basis_section(0)
         v = [_field(chart, "x*y"), _field(chart, "y^2")]
         out = covariant_derivative(conn, a, v)
@@ -92,7 +92,14 @@ class TestCovariantDerivative:
 class TestCurvature:
     def test_flat_connection_on_tangent(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
-        assert curvature(AConnection.flat(chart, 3)).max_abs(plane_points) == 0.0
+        assert curvature(FormMatrix.zero(chart, 3, 1)).max_abs(plane_points) == 0.0
+
+    def test_only_matrices_of_one_forms_are_connections(self, so3):
+        curv = curvature(bracket_connection(so3.chart("so3")))
+        with pytest.raises(ValueError, match="connection matrices must hold 1-forms"):
+            curvature(curv)
+        with pytest.raises(ValueError, match="connection matrices must hold 1-forms"):
+            bott_delta([curv, curv], 1)
 
     def test_bracket_connection_flat_on_lie_algebra(self, so3, sl2aff,
                                                     line_points):
@@ -102,13 +109,10 @@ class TestCurvature:
 
     def test_rank_one_examples_on_tangent_plane(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
-        omega_x = FormMatrix(chart, [[chart.form(
-            AFormData(1, 2, {(0,): _field(chart, "x")}))]], 1)
-        conn = AConnection(chart, 1, omega_x)
-        assert curvature(conn).max_abs(plane_points) < 1e-14
-        omega_y = FormMatrix(chart, [[chart.form(
-            AFormData(1, 2, {(0,): _field(chart, "y")}))]], 1)
-        curv = curvature(AConnection(chart, 1, omega_y))
+        omega_x = FormMatrix(chart, [[AForm(chart, 1, {(0,): _field(chart, "x")})]], 1)
+        assert curvature(omega_x).max_abs(plane_points) < 1e-14
+        omega_y = FormMatrix(chart, [[AForm(chart, 1, {(0,): _field(chart, "y")})]], 1)
+        curv = curvature(omega_y)
         value = curv.entries[0][0].coeff((0, 1))
         for point in plane_points[:5]:
             assert value.eval(point) == pytest.approx(-1.0)
@@ -122,7 +126,7 @@ class TestCurvature:
         ]
         for conn in cases:
             points = sample_points(conn.chart.dim, 60, 42)
-            omega, curv = conn.matrix, curvature(conn)
+            omega, curv = conn, curvature(conn)
             residual = curv.d() - (omega.wedge(curv) - curv.wedge(omega))
             assert residual.max_abs(points) < 1e-9
 
@@ -139,13 +143,13 @@ class TestCurvature:
 
 class TestDualAndSums:
     def test_zero_dualizes_to_zero(self, so3, line_points):
-        conn = AConnection.flat(so3.chart("so3"), 3)
-        assert dual_connection(conn).matrix.max_abs(line_points) == 0.0
+        conn = FormMatrix.zero(so3.chart("so3"), 3, 1)
+        assert dual_connection(conn).max_abs(line_points) == 0.0
 
     def test_double_dual_is_identity(self, so3, line_points):
         conn = bracket_connection(so3.chart("so3"))
         twice = dual_connection(dual_connection(conn))
-        assert (twice.matrix - conn.matrix).max_abs(line_points) == 0.0
+        assert (twice - conn).max_abs(line_points) == 0.0
 
     def test_so3_dual_matrix_entries(self, so3):
         chart = so3.chart("so3")
@@ -155,7 +159,7 @@ class TestDualAndSums:
             for s in range(3):
                 for i in range(3):
                     expected = -gamma(chart, i, s, u).eval((0.0,))
-                    got = dual.omega(u, s).data.coeff((i,)).eval((0.0,))
+                    got = dual.entries[u][s].coeff((i,)).eval((0.0,))
                     assert got == pytest.approx(expected)
 
     def test_block_sum_curvature(self, so3, line_points):
@@ -188,13 +192,13 @@ class TestDistinguishedPair:
             for u in range(3):
                 for t in range(3):
                     for i in range(3):
-                        assert conn.omega(u, t).data.coeff((i,)).eval((0.0,)) == \
+                        assert conn.entries[u][t].coeff((i,)).eval((0.0,)) == \
                             pytest.approx(gamma(chart, i, u, t).eval((0.0,)))
 
     def test_abelian_target_connection_vanishes(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
         _, nabla_prime = distinguished_pair(phi)
-        assert nabla_prime.matrix.max_abs(line_points) == 0.0
+        assert nabla_prime.max_abs(line_points) == 0.0
 
     def test_compatibility_with_morphism(self, solvable2d, action_x, chain):
         for phi in (solvable2d.morphism("phi"), action_x.morphism("sharp"),
@@ -222,7 +226,7 @@ class TestDistinguishedPair:
         # The A'* block must carry -phi_i^t gamma'_tu^s + rho'_u d(phi_i^s)
         phi = action_x.morphism("sharp")
         conn = morphism_sum_connection(phi)
-        entry = conn.omega(1, 1).data.coeff((0,))
+        entry = conn.entries[1][1].coeff((0,))
         for point in line_points[:10]:
             assert entry.eval(point) == pytest.approx(1.0)
 
@@ -231,14 +235,14 @@ class TestOrthogonalConnection:
     def test_identity_metric_gives_zero_matrix(self, so3, line_points):
         chart = so3.chart("so3")
         conn = orthogonal_connection(chart, QuasiMetric.identity(3))
-        assert conn.matrix.max_abs(line_points) == 0.0
+        assert conn.max_abs(line_points) == 0.0
 
     def test_exponential_metric_matches_hand_conjugation(self, action_x,
                                                          line_points):
         chart = action_x.chart("action")
         g = action_x.metric_for("action")
         conn = orthogonal_connection(chart, g)
-        entry = conn.omega(0, 0).data.coeff((0,))
+        entry = conn.entries[0][0].coeff((0,))
         # Orthonormal frame e^{-x} b_1 and anchor x d/dx give omega = x b*1.
         for point in line_points[:20]:
             assert entry.eval(point) == pytest.approx(point[0], rel=1e-12)
@@ -272,19 +276,19 @@ class TestGlue:
     def test_single_unit_weight(self, so3, line_points):
         conn = bracket_connection(so3.chart("so3"))
         glued = glue([conn], [Const(1.0)])
-        assert (glued.matrix - conn.matrix).max_abs(line_points) == 0.0
+        assert (glued - conn).max_abs(line_points) == 0.0
 
     def test_equal_halves_idempotent(self, so3, line_points):
         conn = bracket_connection(so3.chart("so3"))
         glued = glue([conn, conn], [Const(0.5), Const(0.5)])
-        assert (glued.matrix - conn.matrix).max_abs(line_points) < 1e-15
+        assert (glued - conn).max_abs(line_points) < 1e-15
 
     def test_affine_average(self, so3, line_points):
         chart = so3.chart("so3")
-        c0 = AConnection.flat(chart, 3)
+        c0 = FormMatrix.zero(chart, 3, 1)
         c1 = bracket_connection(chart)
         glued = glue([c0, c1], [Const(0.5), Const(0.5)])
-        assert (glued.matrix - c1.matrix.scale(0.5)).max_abs(line_points) < 1e-15
+        assert (glued - c1.scale(0.5)).max_abs(line_points) < 1e-15
 
     def test_partition_of_unity_enforced(self, so3):
         chart = so3.chart("so3")
@@ -307,18 +311,18 @@ class TestGlue:
 class TestLinks:
     def test_affine_link_transverse_curvature_is_difference(self, so3):
         chart = so3.chart("so3")
-        c0 = AConnection.flat(chart, 3)
+        c0 = FormMatrix.zero(chart, 3, 1)
         c1 = bracket_connection(chart)
         family = ConnectionFamily.affine_link(c0, c1)
         _, lam = link_curvature(family)
-        alpha = c1.matrix - c0.matrix
+        alpha = c1 - c0
         points = sample_points(family.product_chart.dim, 30, 42)
         worst = 0.0
         for u in range(3):
             for t in range(3):
                 for i in range(3):
-                    a = alpha.entries[u][t].data.coeff((i,))
-                    l = lam.entries[u][t].data.coeff((i,))
+                    a = alpha.entries[u][t].coeff((i,))
+                    l = lam.entries[u][t].coeff((i,))
                     for point in points[:10]:
                         worst = max(worst, abs(l.eval(point) - a.eval(point[:1])))
         assert worst < 1e-14
@@ -333,19 +337,19 @@ class TestLinks:
     def test_zero_anchor_affine_link_curvature(self, so3):
         # Omega_tau = tau (1 - tau) alpha ^ alpha for a flat affine pair.
         chart = so3.chart("so3")
-        c0 = AConnection.flat(chart, 3)
+        c0 = FormMatrix.zero(chart, 3, 1)
         c1 = bracket_connection(chart)
         family = ConnectionFamily.affine_link(c0, c1)
         omega_tau, _ = link_curvature(family)
         link = family.product_chart
         points = sample_points(link.dim, 25, 42)
-        alpha = c1.matrix - c0.matrix
+        alpha = c1 - c0
         wedge_part = alpha.wedge(alpha)
         worst = 0.0
         for u in range(3):
             for t in range(3):
-                for key, coeff in omega_tau.entries[u][t].data.table.items():
-                    base = wedge_part.entries[u][t].data.coeff(key)
+                for key, coeff in omega_tau.entries[u][t].table.items():
+                    base = wedge_part.entries[u][t].coeff(key)
                     for point in points:
                         tau = point[-1]
                         expected = tau * (1 - tau) * base.eval(point[:1])
@@ -354,17 +358,17 @@ class TestLinks:
 
     def test_full_connection_slices_back_to_endpoints(self, so3, line_points):
         chart = so3.chart("so3")
-        c0 = AConnection.flat(chart, 3)
+        c0 = FormMatrix.zero(chart, 3, 1)
         c1 = bracket_connection(chart)
         family = ConnectionFamily.affine_link(c0, c1)
         for value, endpoint in ((0.0, c0), (1.0, c1)):
             sliced = family.slice_at([value])
-            assert (sliced.matrix - endpoint.matrix).max_abs(line_points) < 1e-14
+            assert (sliced - endpoint).max_abs(line_points) < 1e-14
 
     def test_product_curvature_transverse_block_sign(self, so3):
         # Under this library's ordering, the b*^i ^ dtau block carries -Lambda.
         chart = so3.chart("so3")
-        c0 = AConnection.flat(chart, 3)
+        c0 = FormMatrix.zero(chart, 3, 1)
         c1 = bracket_connection(chart)
         family = ConnectionFamily.affine_link(c0, c1)
         full_curv = curvature(family.full_connection())
@@ -373,10 +377,10 @@ class TestLinks:
         worst = 0.0
         for u in range(3):
             for t in range(3):
-                for (i, j), coeff in full_curv.entries[u][t].data.table.items():
+                for (i, j), coeff in full_curv.entries[u][t].table.items():
                     if j != 3:
                         continue
-                    lam_value = lam.entries[u][t].data.coeff((i,))
+                    lam_value = lam.entries[u][t].coeff((i,))
                     for point in points:
                         worst = max(worst, abs(coeff.eval(point)
                                                + lam_value.eval(point)))
@@ -419,10 +423,10 @@ class TestQuasiMetrics:
         phi = solvable2d.morphism("phi")
         conn = morphism_sum_connection(phi)
         chart = phi.source
-        bump = chart.form(AFormData(1, 2, {(0,): Const(1.0)}))
-        rows = [list(row) for row in conn.matrix.entries]
+        bump = AForm(chart, 1, {(0,): Const(1.0)})
+        rows = [list(row) for row in conn.entries]
         rows[0][2] = rows[0][2] + bump
-        perturbed = AConnection(chart, 3, FormMatrix(chart, rows, 1))
+        perturbed = FormMatrix(chart, rows, 1)
         g_plus, _ = quasi_metric_on_S(phi)
         record = metric_compat_check(perturbed, g_plus, sample_points(1, 60, 42), 1e-9)
         assert not record.passed and record.residual > 0.1

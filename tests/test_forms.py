@@ -1,16 +1,26 @@
 """Multi-index tables, the generalized Kronecker delta, and wedge products."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids.expressions import Const, mul, parse_expression
-from algebroids.forms import AFormData, generalized_delta, shuffle_sign, wedge
+from algebroids.algebroid import AlgebroidChart
+from algebroids.expressions import ZERO, Const, mul, parse_expression
+from algebroids.forms import AForm, generalized_delta, shuffle_sign
 
 COORDS = ["x", "y"]
 
 
 def _field(text):
     return parse_expression(text, COORDS)
+
+
+@cache
+def _chart(rank):
+    """A zero-anchor, bracket-free chart of the given rank over (x, y)."""
+    return AlgebroidChart(f"R{rank}", COORDS, [f"e{i}" for i in range(rank)],
+                          [[ZERO] * len(COORDS) for _ in range(rank)])
 
 
 class TestGeneralizedDelta:
@@ -43,33 +53,33 @@ class TestGeneralizedDelta:
 
 class TestWedge:
     def test_basis_wedge(self):
-        a = AFormData.basis((0,), 3)
-        b = AFormData.basis((1,), 3)
-        result = wedge(a, b)
+        a = _chart(3).basis_covector(0)
+        b = _chart(3).basis_covector(1)
+        result = a.wedge(b)
         assert set(result.table) == {(0, 1)}
         assert result.coeff((0, 1)).eval((0, 0)) == 1.0
 
     def test_repeated_factor_vanishes(self):
-        a = AFormData.basis((0,), 3)
-        assert wedge(a, a).is_zero()
+        a = _chart(3).basis_covector(0)
+        assert a.wedge(a).is_zero()
 
     def test_shuffle_expansion_by_hand(self):
         # (x b*1) ^ (y b*2 + b*3) = x y on (1,2) and x on (1,3)
-        a = AFormData(1, 3, {(0,): _field("x")})
-        b = AFormData(1, 3, {(1,): _field("y"), (2,): Const(1.0)})
-        result = wedge(a, b)
+        a = AForm(_chart(3), 1, {(0,): _field("x")})
+        b = AForm(_chart(3), 1, {(1,): _field("y"), (2,): Const(1.0)})
+        result = a.wedge(b)
         point = (2.0, 5.0)
         assert result.coeff((0, 1)).eval(point) == pytest.approx(10.0)
         assert result.coeff((0, 2)).eval(point) == pytest.approx(2.0)
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            wedge(AFormData.basis((0,), 2), AFormData.basis((0,), 3))
+            _chart(2).basis_covector(0).wedge(_chart(3).basis_covector(0))
 
     def test_degree_above_rank_is_zero(self):
-        a = AFormData(1, 2, {(0,): Const(1.0)})
-        b = AFormData(2, 2, {(0, 1): Const(1.0)})
-        assert wedge(a, b).is_zero()
+        a = AForm(_chart(2), 1, {(0,): Const(1.0)})
+        b = AForm(_chart(2), 2, {(0, 1): Const(1.0)})
+        assert a.wedge(b).is_zero()
 
 
 def _random_form(draw_coeffs, degree, rank):
@@ -83,7 +93,7 @@ def _random_form(draw_coeffs, degree, rank):
     for index, value in zip(index_set, draw_coeffs):
         if value:
             table[index] = Const(float(value))
-    return AFormData(degree if degree else 0, rank, table)
+    return AForm(_chart(rank), degree if degree else 0, table)
 
 
 small_ints = st.lists(st.integers(min_value=-3, max_value=3), min_size=4,
@@ -96,8 +106,8 @@ def test_graded_commutativity_degree_one(ca, cb):
     rank = 4
     a = _random_form(ca, 1, rank)
     b = _random_form(cb, 1, rank)
-    lhs = wedge(a, b)
-    rhs = wedge(b, a).scale(-1.0)  # (-1)^{1*1}
+    lhs = a.wedge(b)
+    rhs = b.wedge(a).scale(-1.0)  # (-1)^{1*1}
     diff = lhs - rhs
     assert all(abs(c.eval(())) < 1e-12 for c in diff.table.values())
 
@@ -109,51 +119,53 @@ def test_wedge_associativity(ca, cb, cc):
     a = _random_form(ca, 1, rank)
     b = _random_form(cb, 1, rank)
     c = _random_form(cc, 1, rank)
-    left = wedge(wedge(a, b), c)
-    right = wedge(a, wedge(b, c))
+    left = a.wedge(b).wedge(c)
+    right = a.wedge(b.wedge(c))
     diff = left - right
     assert all(abs(coeff.eval(())) < 1e-12 for coeff in diff.table.values())
 
 
 def test_even_degree_commutes():
-    a = AFormData(2, 4, {(0, 1): Const(2.0), (2, 3): Const(-1.0)})
-    b = AFormData(2, 4, {(0, 2): Const(3.0), (1, 3): Const(1.0)})
-    diff = wedge(a, b) - wedge(b, a)
+    a = AForm(_chart(4), 2, {(0, 1): Const(2.0), (2, 3): Const(-1.0)})
+    b = AForm(_chart(4), 2, {(0, 2): Const(3.0), (1, 3): Const(1.0)})
+    diff = a.wedge(b) - b.wedge(a)
     assert all(abs(c.eval(())) < 1e-12 for c in diff.table.values())
 
 
 def test_graded_commutativity_mixed_degrees():
     # deg 1 against deg 2: the sign (-1)^{pq} is +1
-    a = AFormData(1, 4, {(0,): _field("x"), (3,): Const(2.0)})
-    b = AFormData(2, 4, {(1, 2): _field("y"), (0, 1): Const(-1.0)})
-    diff = wedge(a, b) - wedge(b, a)
+    a = AForm(_chart(4), 1, {(0,): _field("x"), (3,): Const(2.0)})
+    b = AForm(_chart(4), 2, {(1, 2): _field("y"), (0, 1): Const(-1.0)})
+    diff = a.wedge(b) - b.wedge(a)
     for point in [(0.5, -0.25), (1.0, 2.0)]:
         assert all(abs(c.eval(point)) < 1e-12 for c in diff.table.values())
 
 
 class TestAFormDataInvariants:
+    """Construction invariants of an `AForm`'s coefficient table."""
+
     def test_keys_must_be_increasing(self):
         with pytest.raises(ValueError):
-            AFormData(2, 3, {(1, 0): Const(1.0)})
+            AForm(_chart(3), 2, {(1, 0): Const(1.0)})
 
     def test_keys_must_fit_rank(self):
         with pytest.raises(ValueError):
-            AFormData(1, 2, {(5,): Const(1.0)})
+            AForm(_chart(2), 1, {(5,): Const(1.0)})
 
     def test_key_length_must_match_degree(self):
         with pytest.raises(ValueError):
-            AFormData(2, 3, {(0,): Const(1.0)})
+            AForm(_chart(3), 2, {(0,): Const(1.0)})
 
     def test_zero_coefficients_are_dropped(self):
-        data = AFormData(1, 2, {(0,): Const(0.0)})
+        data = AForm(_chart(2), 1, {(0,): Const(0.0)})
         assert data.is_zero()
 
     def test_degree_zero_uses_empty_key(self):
-        data = AFormData.function(Const(3.0), 2)
+        data = _chart(2).function_form(Const(3.0))
         assert data.coeff(()).eval(()) == 3.0
 
     def test_signed_lookup(self):
-        data = AFormData(2, 3, {(0, 2): Const(2.0)})
+        data = AForm(_chart(3), 2, {(0, 2): Const(2.0)})
         assert data.coeff_signed((2, 0)).eval(()) == -2.0
         assert data.coeff_signed((2, 2)).eval(()) == 0.0
 
@@ -171,7 +183,7 @@ def test_signed_lookup_matches_generalized_delta(perm, k):
     # order by inversions, is the permutation sign; the tree is unchanged.
     index = tuple(perm[:k])
     ordered = tuple(sorted(index))
-    data = AFormData(k, 6, {ordered: _field("x + y")})
+    data = AForm(_chart(6), k, {ordered: _field("x + y")})
     expected = mul(Const(float(generalized_delta(ordered, index))), data.coeff(ordered))
     signed = data.coeff_signed(index)
     assert str(signed) == str(expected)

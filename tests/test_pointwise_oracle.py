@@ -14,7 +14,6 @@ import pytest
 
 import pointwise_oracle as oracle
 from algebroids.connections import (
-    AConnection,
     FormMatrix,
     curvature,
     k_flatness_check,
@@ -24,7 +23,7 @@ from algebroids.connections import (
     quasi_metric_on_S,
 )
 from algebroids.expressions import Const, cosine, exponential, sine
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 
 CASES = [("so3", "zero"), ("sl2aff", "zero"), ("solvable2d", "phi"),
@@ -38,7 +37,7 @@ def _same(new: float, old: float) -> None:
         assert new == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
-def _random_connection(chart, rank: int, seed: int) -> AConnection:
+def _random_connection(chart, rank: int, seed: int) -> FormMatrix:
     """Coefficients a + b*x + c*sin(x) + d*exp(x)*cos(x) with small random integers."""
     rng = np.random.default_rng(seed)
     x = chart.coordinate_field(0)
@@ -54,9 +53,9 @@ def _random_connection(chart, rank: int, seed: int) -> AConnection:
                     coeff = coeff + Const(float(c)) * shape
                 if not coeff.is_zero():
                     table[(i,)] = coeff
-            row.append(chart.form(AFormData(1, chart.rank, table)))
+            row.append(AForm(chart, 1, table))
         rows.append(row)
-    return AConnection(chart, rank, FormMatrix(chart, rows, 1))
+    return FormMatrix(chart, rows, 1)
 
 
 def _case(request, fixture_name: str, morphism: str):
@@ -64,7 +63,7 @@ def _case(request, fixture_name: str, morphism: str):
     phi = fixture.morphism(morphism)
     ker, coker = fixture.kernel_rows(morphism)
     conn = morphism_sum_connection(phi)
-    return phi, ker, coker, [conn, _random_connection(phi.source, conn.rank, 5)]
+    return phi, ker, coker, [conn, _random_connection(phi.source, conn.size, 5)]
 
 
 @pytest.mark.parametrize("fixture_name, morphism", CASES)
@@ -73,10 +72,10 @@ def test_eval_on_matches_the_scalar_walk(request, fixture_name, morphism):
     chart = connections[0].chart
     points = sample_points(chart.dim, 12, 42)
     for conn in connections:
-        for matrix, degree in ((conn.matrix, 1), (curvature(conn), 2)):
+        for matrix, degree in ((conn, 1), (curvature(conn), 2)):
             frames = list(combinations(range(chart.rank), degree))
             values = matrix.eval_on(frames, points)
-            assert values.shape == (len(frames), 12, conn.rank, conn.rank)
+            assert values.shape == (len(frames), 12, conn.size, conn.size)
             for f, frame in enumerate(frames):
                 for n, point in enumerate(points.tolist()):
                     expected = oracle.eval_on(matrix, frame, point)
@@ -125,4 +124,4 @@ def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
                 nonzero += b.residual > 0.0
     # The random connection leaves nonzero blocks, unless the kernel frame
     # spans the whole bundle (zero morphisms), where every block is empty.
-    assert nonzero or len(frame) == connections[0].rank
+    assert nonzero or len(frame) == connections[0].size

@@ -19,7 +19,7 @@ import expression_oracle
 from algebroids import expressions
 from algebroids.algebroid import AlgebroidChart
 from algebroids.chern import odd_vanishing_check
-from algebroids.connections import AConnection, FormMatrix, QuasiMetric, glue
+from algebroids.connections import FormMatrix, QuasiMetric, glue
 from algebroids.expressions import (
     Const,
     Coord,
@@ -39,7 +39,7 @@ from algebroids.expressions import (
     square_root,
     sub,
 )
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from expression_oracle import tree_shape
 from transgression_oracle import subs, substitute, tau_degree
@@ -212,13 +212,14 @@ class TestNonFiniteFailsClosed:
 
     def test_nan_coefficient_in_a_form(self):
         # max(0.0, nan) used to report 0.0.
-        form = AFormData(1, 2, {(0,): X, (1,): NAN})
+        chart = AlgebroidChart("plane", ["x", "y"], ["b0", "b1"], [[ZERO, ZERO]] * 2)
+        form = AForm(chart, 1, {(0,): X, (1,): NAN})
         assert form.max_abs(POINTS) == math.inf
 
     def test_nan_entry_in_a_form_matrix(self):
         chart = AlgebroidChart("plane", ["x", "y"], ["b0"], [[ZERO, ZERO]])
-        good = chart.form(AFormData(1, 1, {(0,): X}))
-        bad = chart.form(AFormData(1, 1, {(0,): NAN}))
+        good = AForm(chart, 1, {(0,): X})
+        bad = AForm(chart, 1, {(0,): NAN})
         matrix = FormMatrix(chart, [[good, good], [good, bad]], 1)
         assert matrix.max_abs(POINTS) == math.inf
         ok = FormMatrix(chart, [[good, good], [good, good]], 1)
@@ -240,7 +241,7 @@ class TestNonFiniteFailsClosed:
 
     def test_glue_rejects_nan_weights(self):
         chart = AlgebroidChart("line", ["x"], ["b0"], [[ONE]])
-        flat = AConnection.flat(chart, 1)
+        flat = FormMatrix.zero(chart, 1, 1)
         with pytest.raises(ValueError, match="partition of unity"):
             glue([flat, flat], [NAN, ONE])
 

@@ -23,7 +23,7 @@ from algebroids.algebroid import (
 from algebroids.classes import modular_form
 from algebroids.connections import bracket_connection
 from algebroids.expressions import parse_expression
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 
 COORDS = ("x", "y")
@@ -77,22 +77,22 @@ def test_sparse_routes_match_dense_oracle(chart, data):
             st.sampled_from(list(combinations(range(chart.rank), degree))),
             unique=True))
         table = {key: data.draw(fields) for key in keys}
-        omega = chart.form(AFormData(degree, chart.rank, table))
+        omega = AForm(chart, degree, table)
         new, old = d_A(omega), dense_oracle.d_A(omega)
         assert new.degree == old.degree
-        _assert_same_table(new.data.table, old.data.table)
+        _assert_same_table(new.table, old.table)
     a1, a2 = (Section(chart, data.draw(st.lists(fields, min_size=chart.rank,
                                                  max_size=chart.rank)))
               for _ in range(2))
     _assert_same_fields(bracket(a1, a2).comps, dense_oracle.bracket(a1, a2).comps)
     f = data.draw(fields)
     _assert_same_fields([anchor_apply(a1, f)], [dense_oracle.anchor_apply(a1, f)])
-    new, old = bracket_connection(chart).matrix, dense_oracle.bracket_connection(chart).matrix
+    new, old = bracket_connection(chart), dense_oracle.bracket_connection(chart)
     for new_row, old_row in zip(new.entries, old.entries):
         for new_entry, old_entry in zip(new_row, old_row):
-            _assert_same_table(new_entry.data.table, old_entry.data.table)
-    _assert_same_table(modular_form(chart).data.table,
-                       dense_oracle.modular_form(chart).data.table)
+            _assert_same_table(new_entry.table, old_entry.table)
+    _assert_same_table(modular_form(chart).table,
+                       dense_oracle.modular_form(chart).table)
 
 
 def _sa3_forms(chart):
@@ -103,18 +103,18 @@ def _sa3_forms(chart):
            for i, j in combinations(range(0, chart.rank, 2), 2)}
     return [
         chart.function_form(parse_expression("exp(x) + x^3", chart.coords)),
-        chart.form(AFormData(1, chart.rank, covectors)),
-        chart.form(AFormData(2, chart.rank, two)),
-        chart.form(AFormData(3, chart.rank, {(0, 4, 9): x})),
+        AForm(chart, 1, covectors),
+        AForm(chart, 2, two),
+        AForm(chart, 3, {(0, 4, 9): x}),
     ]
 
 
 def test_d_A_never_scans_the_dense_frame(sa3, sl2aff):
     chart = sa3.chart("sa3")
     forms = _sa3_forms(chart)
-    expected = [dense_oracle.d_A(omega).data.table for omega in forms]
+    expected = [dense_oracle.d_A(omega).table for omega in forms]
     for omega, table in zip(forms, expected):
-        _assert_same_table(d_A(omega).data.table, table)
+        _assert_same_table(d_A(omega).table, table)
     assert d_A(chart.zero_form(2)).is_zero()
     bracket(chart.basis_section(0), chart.basis_section(1))
     for small in sl2aff.charts.values():

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from algebroids.algebroid import AForm, AlgebroidChart
+from algebroids.algebroid import AlgebroidChart
 from algebroids.chern import chern_form, chern_polarized, gauss_legendre_01
-from algebroids.connections import AConnection, FormMatrix, curvature
+from algebroids.connections import FormMatrix, curvature
 from algebroids.expressions import (
     Add,
     Const,
@@ -46,7 +46,7 @@ from algebroids.expressions import (
     square_root,
     sub,
 )
-from algebroids.forms import AFormData
+from algebroids.forms import AForm
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def lift_form(form: AForm, chart: AlgebroidChart) -> AForm:
     """Reinterpret a form on a sub-frame as a form on an extended chart."""
     if form.chart.rank > chart.rank:
         raise ValueError("target chart has smaller rank")
-    return AForm(chart, AFormData(form.degree, chart.rank, dict(form.data.table)))
+    return AForm(chart, form.degree, dict(form.table))
 
 
 def lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
@@ -189,10 +189,10 @@ def pure_part(matrix: FormMatrix, frame_rank: int) -> FormMatrix:
         new_row = []
         for entry in row:
             table = {
-                idx: c for idx, c in entry.data.table.items()
+                idx: c for idx, c in entry.table.items()
                 if all(i < frame_rank for i in idx)
             }
-            new_row.append(AForm(matrix.chart, AFormData(entry.degree, matrix.chart.rank, table)))
+            new_row.append(AForm(matrix.chart, entry.degree, table))
         out.append(new_row)
     return FormMatrix(matrix.chart, out, matrix.degree)
 
@@ -213,43 +213,42 @@ class ConnectionFamily:
         self.n_params = product_chart.rank - base_chart.rank
 
     @classmethod
-    def affine_link(cls, c0: AConnection, c1: AConnection) -> "ConnectionFamily":
+    def affine_link(cls, c0: FormMatrix, c1: FormMatrix) -> "ConnectionFamily":
         """(1 - tau) c0 + tau c1."""
-        if c0.chart is not c1.chart or c0.rank != c1.rank:
+        if c0.chart is not c1.chart or c0.size != c1.size:
             raise ValueError("link endpoints must share chart and rank")
         chart = c0.chart
         link = build_link_chart(chart, "tau")
         tau = link.coordinate_field(chart.dim)
         one_minus = sub(Const(1.0), tau)
-        m0 = lift_matrix(c0.matrix, link)
-        m1 = lift_matrix(c1.matrix, link)
+        m0 = lift_matrix(c0, link)
+        m1 = lift_matrix(c1, link)
         omega = m0.scale(one_minus) + m1.scale(tau)
-        return cls(chart, link, c0.rank, omega)
+        return cls(chart, link, c0.size, omega)
 
     @classmethod
-    def barycentric(cls, connections: Sequence[AConnection]) -> "ConnectionFamily":
+    def barycentric(cls, connections: Sequence[FormMatrix]) -> "ConnectionFamily":
         """Convex simplex family sum_a t^a nabla^a with t^0 = 1 - sum t^c."""
         k = len(connections) - 1
         chart = connections[0].chart
         for conn in connections:
-            if conn.chart is not chart or conn.rank != connections[0].rank:
+            if conn.chart is not chart or conn.size != connections[0].size:
                 raise ValueError("family endpoints must share chart and rank")
         names = [f"t{c}" for c in range(1, k + 1)]
         product = extend_with_parameters(chart, names)
-        lifted = [lift_matrix(c.matrix, product) for c in connections]
+        lifted = [lift_matrix(c, product) for c in connections]
         omega = lifted[0]
         for c in range(1, k + 1):
             t_c = product.coordinate_field(chart.dim + c - 1)
             omega = omega + (lifted[c] - lifted[0]).scale(t_c)
-        return cls(chart, product, connections[0].rank, omega)
+        return cls(chart, product, connections[0].size, omega)
 
-    def full_connection(self) -> AConnection:
+    def full_connection(self) -> FormMatrix:
         """The family as one connection on the product chart."""
         product = self.product_chart
-        return AConnection(product, self.rank, FormMatrix(product, self.omega.entries, 1),
-                           frame="family")
+        return FormMatrix(product, self.omega.entries, 1)
 
-    def slice_at(self, values: Sequence[float]) -> AConnection:
+    def slice_at(self, values: Sequence[float]) -> FormMatrix:
         """The member connection at fixed parameter values."""
         base = self.base_chart
         rows = []
@@ -258,16 +257,16 @@ class ConnectionFamily:
             for t in range(self.rank):
                 entry = self.omega.entries[u][t]
                 table = {}
-                for idx, coeff in entry.data.table.items():
+                for idx, coeff in entry.table.items():
                     if any(i >= base.rank for i in idx):
                         continue
                     for c, value in enumerate(values):
                         coeff = subs(coeff, base.dim + c, value)
                     if not coeff.is_zero():
                         table[idx] = coeff
-                row.append(AForm(base, AFormData(1, base.rank, table)))
+                row.append(AForm(base, 1, table))
             rows.append(row)
-        return AConnection(base, self.rank, FormMatrix(base, rows, 1))
+        return FormMatrix(base, rows, 1)
 
 
 def link_curvature(family: ConnectionFamily) -> tuple[FormMatrix, FormMatrix]:
@@ -288,11 +287,11 @@ def link_curvature(family: ConnectionFamily) -> tuple[FormMatrix, FormMatrix]:
         out = []
         for entry in row:
             table = {}
-            for idx, c in entry.data.table.items():
+            for idx, c in entry.table.items():
                 derivative = c.diff(tau_index)
                 if not derivative.is_zero():
                     table[idx] = derivative
-            out.append(AForm(chart, AFormData(1, chart.rank, table)))
+            out.append(AForm(chart, 1, table))
         rows.append(out)
     return omega_tau, FormMatrix(chart, rows, 1)
 
@@ -318,7 +317,7 @@ class NonPolynomialError(ValueError):
 
 def _parameter_degree(form: AForm, coord_indices: Sequence[int]) -> int:
     worst = 0
-    for coeff in form.data.table.values():
+    for coeff in form.table.values():
         for index in coord_indices:
             degree = tau_degree(coeff, index)
             if degree is None:
@@ -338,9 +337,9 @@ def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
     from the expression trees.
     """
     if k == 0:
-        table = {idx: c for idx, c in form.data.table.items()
+        table = {idx: c for idx, c in form.table.items()
                  if all(i < base_chart.rank for i in idx)}
-        return AForm(base_chart, AFormData(form.degree, base_chart.rank, table))
+        return AForm(base_chart, form.degree, table)
     if k not in (1, 2):
         raise ValueError("fiber integration is implemented for k in {0, 1, 2}")
     s = base_chart.rank
@@ -351,20 +350,20 @@ def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
     table: dict[tuple[int, ...], ScalarField] = {}
     if k == 1:
         n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
-        for index, coeff in form.data.table.items():
+        for index, coeff in form.table.items():
             if index[-1:] != (param_slots[0],) or any(i >= s for i in index[:-1]):
                 continue
             value = integrate_unit_interval(coeff, param_coords[0], n)
             if not value.is_zero():
                 key = index[:-1]
                 table[key] = add(table.get(key, ZERO), value)
-        return AForm(base_chart, AFormData(form.degree - 1, s, table))
+        return AForm(base_chart, form.degree - 1, table)
     # k == 2: collapsed-square transform t1 = u, t2 = v(1 - u), Jacobian (1 - u).
     n_u = nodes if nodes is not None else max(1, math.ceil((degree + 2) / 2))
     n_v = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
     us, wus = gauss_legendre_01(n_u)
     vs, wvs = gauss_legendre_01(n_v)
-    for index, coeff in form.data.table.items():
+    for index, coeff in form.table.items():
         if index[-2:] != param_slots or any(i >= s for i in index[:-2]):
             continue
         acc = ZERO
@@ -377,7 +376,7 @@ def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
         if not acc.is_zero():
             key = index[:-2]
             table[key] = add(table.get(key, ZERO), acc)
-    return AForm(base_chart, AFormData(form.degree - 2, s, table))
+    return AForm(base_chart, form.degree - 2, table)
 
 
 # --------------------------------------------------------------------------
@@ -385,7 +384,7 @@ def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
 # --------------------------------------------------------------------------
 
 
-def bott_delta_reference(connections: Sequence[AConnection], h: int,
+def bott_delta_reference(connections: Sequence[FormMatrix], h: int,
                          nodes: int | None = None) -> AForm:
     """Difference homomorphism on k+1 connections evaluated on c_h.
 
@@ -401,7 +400,7 @@ def bott_delta_reference(connections: Sequence[AConnection], h: int,
         c0, c1 = connections
         family = ConnectionFamily.affine_link(c0, c1)
         link = family.product_chart
-        alpha = lift_matrix(c1.matrix - c0.matrix, link)
+        alpha = lift_matrix(c1 - c0, link)
         omega_tau, _ = link_curvature(family)
         integrand = chern_polarized([alpha] + [omega_tau] * (h - 1))
         base = family.base_chart
@@ -411,13 +410,13 @@ def bott_delta_reference(connections: Sequence[AConnection], h: int,
         degree = _parameter_degree(integrand, (tau_coord,))
         n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
         table = {}
-        for index, coeff in integrand.data.table.items():
+        for index, coeff in integrand.table.items():
             if any(i >= base.rank for i in index):
                 continue
             value = integrate_unit_interval(coeff, tau_coord, n)
             if not value.is_zero():
                 table[index] = value
-        return AForm(base, AFormData(2 * h - 1, base.rank, table)).scale(float(h))
+        return AForm(base, 2 * h - 1, table).scale(float(h))
     if k == 2:
         family = ConnectionFamily.barycentric(list(connections))
         base = family.base_chart
@@ -429,7 +428,7 @@ def bott_delta_reference(connections: Sequence[AConnection], h: int,
     raise ValueError("bott_delta supports k in {0, 1, 2}")
 
 
-def bott_delta_via_fiber_integration(connections: Sequence[AConnection], h: int,
+def bott_delta_via_fiber_integration(connections: Sequence[FormMatrix], h: int,
                                      nodes: int | None = None) -> AForm:
     """The k = 1 case computed from the generic simplex formula (for cross-checks)."""
     if len(connections) != 2:
