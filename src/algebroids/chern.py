@@ -1,7 +1,12 @@
 """Chern polynomials and Bott difference forms on the base chart.
 
-The polarized Chern evaluation keeps the single odd-degree argument first, so
-all signs in mixed contractions are pinned by one convention.  Difference
+Chern polynomials are computed from traces.  `chern_scalar` uses Newton's
+identities on the traces of matrix powers.  `chern_polarized` is the cycle
+expansion over S_h: traces of matrix words, each term with the Koszul sign of
+moving its wedge factors from argument order into cycle order, so it is exact
+for arguments of any degree and costs at most h! terms whatever the rank.  The
+polarized evaluation keeps the single odd-degree argument first, so all signs
+in mixed contractions are pinned by one convention.  Difference
 forms never leave the base chart: the transgression slices the affine link at
 h Gauss-Legendre nodes, which is exact because its integrand is a polynomial
 of known degree 2(h - 1) in the link parameter, and the three-connection form
@@ -11,7 +16,6 @@ is Bott's simplex formula in closed form.
 from __future__ import annotations
 
 import math
-from itertools import permutations
 from typing import Sequence
 
 import numpy as np
@@ -19,27 +23,31 @@ import numpy as np
 from .algebroid import d_A
 from .connections import FormMatrix, _require_connection, curvature
 from .expressions import Const, ScalarField, balanced_sum, max_abs_finite, mul
-from .forms import AForm, generalized_delta
+from .forms import AForm
 from .reports import CheckRecord
 
 
 def chern_scalar(matrix: np.ndarray, h: int) -> float:
-    """c_h(F) = (1/h!) delta^{v...}_{u...} F^u_v ... = sum of principal h-minors."""
+    """c_h(F), the sum of principal h-minors, by Newton's identities.
+
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i with the power sums
+    p_i = tr(F^i).
+    """
     matrix = np.asarray(matrix, dtype=float)
     r = matrix.shape[0]
     if matrix.shape != (r, r):
         raise ValueError("chern_scalar needs a square matrix")
     if not 1 <= h <= r:
         raise ValueError(f"c_{h} is out of range for {r}x{r} matrices")
-    total = 0.0
-    for sigma in permutations(range(r), h):
-        for kappa in permutations(sigma):
-            sign = generalized_delta(sigma, kappa)
-            term = float(sign)
-            for s, k in zip(sigma, kappa):
-                term *= matrix[s, k]
-            total += term
-    return total / math.factorial(h)
+    power = np.eye(r)
+    power_sums = []
+    elementary = [1.0]
+    for k in range(1, h + 1):
+        power = power @ matrix
+        power_sums.append(float(np.trace(power)))
+        elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power_sums[i - 1]
+                              for i in range(1, k + 1)) / k)
+    return elementary[h]
 
 
 def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",
@@ -64,11 +72,23 @@ def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",
 
 
 def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
-    """Polarized Chern evaluation on matrices of forms.
+    """Polarized Chern evaluation c_h(A_1, ..., A_h) on matrices of forms.
 
-    (1/h!) delta^{sigma...}_{kappa...} (A_1)_{sigma_1}^{kappa_1} ^ ... with the
-    arguments wedged in the given order; callers place the odd-degree argument
-    first.
+    The generalized-delta contraction (1/h!) delta^{sigma...}_{kappa...}
+    (A_1)_{sigma_1}^{kappa_1} ^ ... ^ (A_h)_{sigma_h}^{kappa_h}, with the
+    arguments wedged in the given order (callers place the odd-degree argument
+    first), evaluated as the cycle expansion
+
+        (1/h!) sum over pi in S_h of sgn(pi) eps(pi) prod_{cycles} tr(A_i1 ^ ... ^ A_ik),
+
+    each cycle read (i, pi(i), pi^2(i), ...) from its smallest index.  eps(pi)
+    is the Koszul sign of moving the wedge factors from argument order into
+    cycle order.  The sum over all index maps, not only injective ones, is
+    exact: a repeated index pairs pi with a transposition of it, and the two
+    terms cancel because their wedge order is fixed by argument position.
+    Permutations with the same trace words are summed before any wedge, and
+    matrix words are built once per call, keyed by which arguments are the
+    same object, so the work does not grow like r^h.
     """
     if not args:
         raise ValueError("need at least one matrix argument")
@@ -81,32 +101,80 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
     degree = sum(m.degree for m in args)
     if h > r or degree > chart.rank:
         return chart.zero_form(degree)
+    label = [next(j for j, m in enumerate(args) if m is a) for a in args]
+    weights: dict[tuple[tuple[int, ...], ...], int] = {}
+    for cycles in _cycle_forms(tuple(range(h))):
+        order = [i for cycle in cycles for i in cycle]
+        sign = (-1) ** (h - len(cycles)) * _koszul_sign(order, [m.degree for m in args])
+        words = tuple(tuple(label[i] for i in cycle) for cycle in cycles)
+        weights[words] = weights.get(words, 0) + sign
+    products: dict[tuple[int, ...], FormMatrix] = {}
+    traces: dict[tuple[int, ...], AForm] = {}
     pending: dict[tuple[int, ...], list[ScalarField]] = {}
-    for sigma in permutations(range(r), h):
-        for kappa in permutations(sigma):
-            sign = generalized_delta(sigma, kappa)
-            product = None
-            dead = False
-            for matrix, s, k in zip(args, sigma, kappa):
-                entry = matrix.entries[s][k]
-                if entry.is_zero():
-                    dead = True
-                    break
-                product = entry if product is None else product.wedge(entry)
-                if product.is_zero():
-                    dead = True
-                    break
-            if dead:
-                continue
-            for key, coeff in product.table.items():
-                term = coeff if sign > 0 else mul(Const(-1.0), coeff)
-                pending.setdefault(key, []).append(term)
+    for words, weight in weights.items():
+        if weight == 0:
+            continue
+        term = None
+        for word in words:
+            if word not in traces:
+                traces[word] = _word_trace(args, word, products)
+            term = traces[word] if term is None else term.wedge(traces[word])
+            if term.is_zero():
+                break
+        for key, coeff in term.table.items():
+            pending.setdefault(key, []).append(mul(Const(float(weight)), coeff))
     scale = 1.0 / math.factorial(h)
     table = {
         key: mul(Const(scale), balanced_sum(terms))
         for key, terms in pending.items()
     }
     return AForm(chart, degree, table)
+
+
+def _word_trace(args: Sequence[FormMatrix], word: tuple[int, ...],
+                products: dict[tuple[int, ...], FormMatrix]) -> AForm:
+    """tr(A_w1 ^ ... ^ A_wk), building only the diagonal of the last product.
+
+    The proper prefixes of the word are looked up in, or added to, `products`.
+    """
+    if len(word) == 1:
+        return args[word[0]].trace()
+    prefix = args[word[0]]
+    for k in range(2, len(word)):
+        if word[:k] not in products:
+            products[word[:k]] = prefix.wedge(args[word[k - 1]])
+        prefix = products[word[:k]]
+    return prefix.trace_wedge(args[word[-1]])
+
+
+def _cycle_forms(indices: tuple[int, ...]):
+    """Every permutation of `indices` once, as its list of cycles.
+
+    Each cycle (i, pi(i), pi^2(i), ...) starts at its smallest index, and the
+    cycles come in order of their smallest index.
+    """
+    if not indices:
+        yield []
+        return
+
+    def grow(cycle, remaining):
+        yield cycle, remaining
+        for j, i in enumerate(remaining):
+            yield from grow(cycle + (i,), remaining[:j] + remaining[j + 1:])
+
+    for cycle, remaining in grow(indices[:1], indices[1:]):
+        for others in _cycle_forms(remaining):
+            yield [cycle] + others
+
+
+def _koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
+    """Sign of reordering wedge factors of these degrees from 0, 1, ... into `order`."""
+    sign = 1
+    for p in range(len(order)):
+        for q in range(p + 1, len(order)):
+            if order[p] > order[q] and degrees[order[p]] * degrees[order[q]] % 2:
+                sign = -sign
+    return sign
 
 
 def chern_form(matrix: FormMatrix, h: int) -> AForm:

@@ -122,6 +122,19 @@ class FormMatrix:
             acc = acc + self.entries[u][u]
         return acc
 
+    def trace_wedge(self, other: "FormMatrix") -> AForm:
+        """tr(self ^ other), building only the diagonal of the product."""
+        self._check_compatible(other, same_degree=False)
+        acc = self.chart.zero_form(self.degree + other.degree)
+        for u in range(self.size):
+            for s in range(self.size):
+                a = self.entries[u][s]
+                b = other.entries[s][u]
+                if a.is_zero() or b.is_zero():
+                    continue
+                acc = acc + a.wedge(b)
+        return acc
+
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
         """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
         values = evaluate([entry.coeff_signed(frame) for frame in frames

@@ -5,10 +5,14 @@ Fiber integration and the parameter-chart route to difference forms live in
 """
 
 import math
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from algebroids.algebroid import AlgebroidChart
 
 from algebroids.algebroid import d_A, jet_prolong
 from algebroids.chern import (
@@ -24,18 +28,19 @@ from algebroids.chern import (
 from algebroids.classes import orthogonal_sum
 from algebroids.connections import (
     FormMatrix,
+    morphism_sum_connection,
     QuasiMetric,
     bracket_connection,
     conjugate_form_matrix,
     curvature,
     direct_sum,
     dual_connection,
-    morphism_sum_connection,
     orthogonal_connection,
 )
-from algebroids.expressions import Const, parse_expression
+from algebroids.expressions import ZERO, Const, parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
+from chern_oracle import chern_polarized_reference, chern_scalar_reference
 from transgression_oracle import (
     NonPolynomialError,
     bott_delta_reference,
@@ -79,6 +84,14 @@ class TestChernScalar:
                 m = rng.normal(size=(r, r))
                 assert chern_scalar(m, h) == pytest.approx(
                     _minor_chern(m, h), rel=1e-10)
+
+    def test_matches_permutation_sum(self):
+        rng = np.random.default_rng(17)
+        for r in (1, 2, 3, 4, 5):
+            for h in range(1, r + 1):
+                m = rng.normal(size=(r, r))
+                assert chern_scalar(m, h) == pytest.approx(
+                    chern_scalar_reference(m, h), rel=1e-10, abs=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -187,6 +200,107 @@ class TestChernPolarized:
         b = self._constant_matrix(chart, np.eye(3))
         with pytest.raises(ValueError):
             chern_polarized([a, b])
+
+
+@cache
+def _plane_chart():
+    """A zero-anchor, bracket-free chart of rank 6 over (x, y)."""
+    return AlgebroidChart("R6", ["x", "y"], [f"e{i}" for i in range(6)],
+                          [[ZERO, ZERO] for _ in range(6)])
+
+
+def _random_form_matrix(chart, size, degree, rng):
+    """A sparse size x size matrix of degree-k forms with coordinate-dependent entries."""
+    keys = list(combinations(range(chart.rank), degree))
+    coord = chart.coords[int(rng.integers(len(chart.coords)))]
+    rows = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            table = {}
+            if rng.random() < 0.6:
+                for j in rng.choice(len(keys), size=min(len(keys), 3), replace=False):
+                    a, b = rng.uniform(-2.0, 2.0, size=2)
+                    table[keys[j]] = parse_expression(f"{a:.3f}+{b:.3f}*sin({coord})",
+                                                      chart.coords)
+            row.append(AForm(chart, degree, table))
+        rows.append(row)
+    return FormMatrix(chart, rows, degree)
+
+
+def _argument_pattern(pattern, chart, size, h, rng):
+    """The h polarized arguments of one named pattern, repeated objects included."""
+    def draw(degree):
+        return _random_form_matrix(chart, size, degree, rng)
+
+    if pattern == "all_even":
+        return [draw(int(rng.choice([0, 2])))] * h
+    if pattern == "all_odd":
+        return [draw(1)] * h
+    if pattern == "odd_then_even":
+        even = draw(int(rng.choice([0, 2])))
+        return [draw(1)] + [even] * (h - 1)
+    if pattern == "two_one_forms":
+        pair = (draw(1), draw(1))
+        return [pair[int(i)] for i in rng.integers(2, size=h)]
+    return [draw(int(d)) for d in rng.integers(3, size=h)]  # mixed degrees, any order
+
+
+class TestChernAgainstPermutationSum:
+    """The cycle expansion against the generalized-delta sum it replaced."""
+
+    @given(on_plane=st.booleans(),
+           pattern=st.sampled_from(["all_even", "all_odd", "odd_then_even",
+                                    "two_one_forms", "mixed"]),
+           h=st.integers(1, 4), wider=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sparse_matrices(self, sl2aff, on_plane, pattern, h, wider, seed):
+        # Two charts: sl2aff (rank 5 over x) and a rank-6 chart over (x, y).
+        chart = _plane_chart() if on_plane else sl2aff.chart("sl2aff")
+        rng = np.random.default_rng(seed)
+        size = min(max(h, 2) + wider, 4)
+        args = _argument_pattern(pattern, chart, size, h, rng)
+        points = sample_points(chart.dim, 20, seed % 1000)
+        new = chern_polarized(args)
+        old = chern_polarized_reference(args)
+        assert new.degree == old.degree
+        assert (new - old).max_abs(points) <= 1e-12 * max(1.0, old.max_abs(points))
+
+    def test_transgression_slice_on_sa3(self, sa3, line_points):
+        # The rank-12 argument pattern (alpha, Omega, Omega) of `mu sa3 --h 2`.
+        phi = sa3.morphism("zero")
+        c1 = morphism_sum_connection(phi)
+        c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
+                            sa3.metric_for(phi.source.name),
+                            sa3.metric_for(phi.target.name))
+        alpha = c1 - c0
+        omega = curvature(c0 + alpha.scale(0.3))
+        args = [alpha, omega, omega]
+        points = line_points[:10]
+        old = chern_polarized_reference(args)
+        scale = old.max_abs(points)
+        assert scale > 0.1
+        assert (chern_polarized(args) - old).max_abs(points) <= 1e-12 * scale
+
+    def test_wedge_count_does_not_grow_like_rank_to_the_h(self, sa3, monkeypatch):
+        # Delta(c0, c1)c_3 of `mu sa3 --h 2`: 11,301 form wedges by the
+        # permutation sum, 1,959 by the cycle expansion.
+        phi = sa3.morphism("zero")
+        c1 = morphism_sum_connection(phi)
+        c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
+                            sa3.metric_for(phi.source.name),
+                            sa3.metric_for(phi.target.name))
+        calls = 0
+        wedge = AForm.wedge
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return wedge(self, other)
+
+        monkeypatch.setattr(AForm, "wedge", counted)
+        bott_delta([c0, c1], 3)
+        assert 0 < calls <= 3000
 
 
 class TestFiberIntegration:
