@@ -98,14 +98,15 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
         if m.chart is not chart or m.size != r:
             raise ValueError("polarized arguments must share chart and dimension")
     h = len(args)
-    degree = sum(m.degree for m in args)
+    degrees = [m.degree for m in args]
+    degree = sum(degrees)
     if h > r or degree > chart.rank:
         return chart.zero_form(degree)
     label = [next(j for j, m in enumerate(args) if m is a) for a in args]
     weights: dict[tuple[tuple[int, ...], ...], int] = {}
     for cycles in _cycle_forms(tuple(range(h))):
         order = [i for cycle in cycles for i in cycle]
-        sign = (-1) ** (h - len(cycles)) * _koszul_sign(order, [m.degree for m in args])
+        sign = (-1) ** (h - len(cycles)) * _koszul_sign(order, degrees)
         words = tuple(tuple(label[i] for i in cycle) for cycle in cycles)
         weights[words] = weights.get(words, 0) + sign
     products: dict[tuple[int, ...], FormMatrix] = {}
