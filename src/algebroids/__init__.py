@@ -22,7 +22,6 @@ from .connections import (
     covariant_derivative,
     curvature,
     direct_sum,
-    distinguished_pair,
     dual_connection,
     glue,
     k_flatness_check,
@@ -43,6 +42,7 @@ from .chern import (
 from .classes import (
     ClassReport,
     bi_characteristic,
+    chain_pair,
     jet_relative,
     modular_form,
     modular_form_morphism,

@@ -1,13 +1,18 @@
 """Representative forms for modular, secondary, relative, and jet classes.
 
 Class equality is always realized at form level with the canonical connection
-constructions (bracket connections against metric connections) plus the
-transgression identities; no cohomology spaces are computed.
+constructions plus the transgression identities; no cohomology spaces are
+computed.  The secondary classes are all one construction: for a chain
+A -alpha-> B -beta-> C, transgress from the metric reference connection on
+B + C* to the bracket-induced connection [alpha a, b] + dual of
+[beta alpha a, c] (`chain_pair`).  The class of a morphism phi is the chain
+(id, phi), the class of psi relative to phi is (phi, psi), and the jet class
+of phi is (pi, phi) with pi: J1 A -> A the jet projection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebroid import (
     AlgebroidChart,
@@ -20,12 +25,9 @@ from .connections import (
     QuasiMetric,
     direct_sum,
     dual_connection,
-    jet_bracket_connection,
-    jet_morphism_connection,
     morphism_sum_connection,
     morphism_target_connection,
     orthogonal_connection,
-    pullback_connection,
 )
 from .chern import bott_delta
 from .expressions import Const, ScalarField, ZERO, add, mul
@@ -34,11 +36,10 @@ from .forms import AForm
 
 @dataclass
 class ClassReport:
-    """A representative form together with how it was constructed."""
+    """A representative form and its identifier, e.g. `mu_3`."""
 
     identifier: str
     form: AForm
-    metadata: dict = field(default_factory=dict)
 
 
 def modular_form(chart: AlgebroidChart) -> AForm:
@@ -69,10 +70,6 @@ def modular_form_morphism(phi: Morphism) -> AForm:
     return modular_form(phi.source) - pullback(phi, modular_form(phi.target))
 
 
-def _default_metric(g: QuasiMetric | None, rank: int) -> QuasiMetric:
-    return g if g is not None else QuasiMetric.identity(rank)
-
-
 def orthogonal_sum(chart: AlgebroidChart, rank_first: int, rank_second: int,
                    g_first: QuasiMetric | None = None,
                    g_second: QuasiMetric | None = None) -> FormMatrix:
@@ -81,100 +78,66 @@ def orthogonal_sum(chart: AlgebroidChart, rank_first: int, rank_second: int,
     Orthogonal connections on the two summands (a `None` metric is the
     identity), the second one dualized.
     """
-    first = orthogonal_connection(chart, _default_metric(g_first, rank_first))
-    second = orthogonal_connection(chart, _default_metric(g_second, rank_second))
+    first = orthogonal_connection(chart, g_first or QuasiMetric.identity(rank_first))
+    second = orthogonal_connection(chart, g_second or QuasiMetric.identity(rank_second))
     return direct_sum(first, dual_connection(second))
 
 
+def chain_pair(alpha: Morphism, beta: Morphism, g_mid: QuasiMetric | None = None,
+               g_far: QuasiMetric | None = None) -> tuple[FormMatrix, FormMatrix]:
+    """The pair (d0, d1) on B + C* of a chain A -alpha-> B -beta-> C, over A.
+
+    d0 is the orthogonal sum for the metrics g_mid on B and g_far on C; d1 is
+    [alpha a, b] on B plus the dual of [beta alpha a, c] on C.
+    """
+    composite = beta.compose(alpha)  # a ValueError unless beta starts where alpha ends
+    d1 = direct_sum(morphism_target_connection(alpha),
+                    dual_connection(morphism_target_connection(composite)))
+    d0 = orthogonal_sum(alpha.source, alpha.target.rank, beta.target.rank, g_mid, g_far)
+    return d0, d1
+
+
 def _transgression_class(name: str, chart: AlgebroidChart, c0: FormMatrix,
-                         c1: FormMatrix, h: int, metadata: dict) -> ClassReport:
+                         c1: FormMatrix, h: int) -> ClassReport:
     """Delta(c0, c1)c_{2h-1} on `chart`, reported as `name_{2h-1}`."""
     order = 2 * h - 1
     if order > c1.size:
         form = chart.zero_form(4 * h - 3)
     else:
         form = bott_delta([c0, c1], order)
-    return ClassReport(f"{name}_{order}", form, metadata)
+    return ClassReport(f"{name}_{order}", form)
 
 
 def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
-            g_target: QuasiMetric | None = None,
-            orthogonal: FormMatrix | None = None) -> ClassReport:
-    """Secondary characteristic form of a base-preserving morphism.
-
-    Builds the compatible bracket-connection sum on A + A'* against the metric
-    connection sum and returns the transgression of c_{2h-1}.  A degree beyond
-    the bundle rank yields the zero form (not an error).
-    """
-    nabla1 = morphism_sum_connection(phi)
-    nabla0 = orthogonal if orthogonal is not None else orthogonal_sum(
-        phi.source, phi.source.rank, phi.target.rank, g_source, g_target
-    )
-    return _transgression_class(
-        "mu", phi.source, nabla0, nabla1, h,
-        {"morphism": phi.name, "h": h, "bundle_rank": nabla1.size},
-    )
+            g_target: QuasiMetric | None = None) -> ClassReport:
+    """Secondary characteristic form of a base-preserving morphism: the chain
+    (id, phi).  A degree beyond the bundle rank yields the zero form (not an
+    error)."""
+    pair = chain_pair(Morphism.identity(phi.source), phi, g_source, g_target)
+    return _transgression_class("mu", phi.source, *pair, h)
 
 
 def bi_characteristic(phi1: Morphism, phi2: Morphism, h: int) -> ClassReport:
     """Difference form between two morphisms with the same source and target."""
     if phi1.source is not phi2.source or phi1.target is not phi2.target:
         raise ValueError("bi-characteristic forms need a parallel pair of morphisms")
-    return _transgression_class(
-        "bi", phi1.source, morphism_sum_connection(phi1),
-        morphism_sum_connection(phi2), h,
-        {"morphisms": [phi1.name, phi2.name], "h": h},
-    )
+    return _transgression_class("bi", phi1.source, morphism_sum_connection(phi1),
+                                morphism_sum_connection(phi2), h)
 
 
 def relative_mu(phi: Morphism, psi: Morphism, h: int,
                 g_mid: QuasiMetric | None = None,
                 g_far: QuasiMetric | None = None) -> ClassReport:
-    """Characteristic form of `psi` modulo `phi` for a two-step chain.
-
-    phi: A -> A', psi: A' -> A''.  The source algebroid acts on both downstream
-    bundles through the induced bracket connections; the result is a form on
-    the chain source.
-    """
-    if psi.source is not phi.target:
-        raise ValueError("relative classes need composable morphisms")
-    composite = psi.compose(phi)
-    d1 = direct_sum(
-        morphism_target_connection(phi),
-        dual_connection(morphism_target_connection(composite)),
-    )
-    d0 = orthogonal_sum(phi.source, phi.target.rank, psi.target.rank, g_mid, g_far)
-    return _transgression_class(
-        "relative", phi.source, d0, d1, h,
-        {"modulo": phi.name, "of": psi.name, "h": h},
-    )
+    """Characteristic form of psi: A' -> A'' modulo phi: A -> A', on A: the
+    chain (phi, psi)."""
+    return _transgression_class("relative", phi.source,
+                                *chain_pair(phi, psi, g_mid, g_far), h)
 
 
-def jet_relative(phi: Morphism, h: int, variant: str = "flat",
-                 g_source: QuasiMetric | None = None,
+def jet_relative(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
                  g_target: QuasiMetric | None = None) -> ClassReport:
-    """Relative characteristic form of a morphism modulo the jet projection.
-
-    `variant="flat"` uses the flat jet connections (covariant derivative along
-    a jet frame element is the bracket with its defining section);
-    `variant="induced"` pulls the chart-level compatible connections back
-    along the jet projection.  The jet theorem says the form equals the
-    pullback of `mu_form(phi, h)` along the projection.
-    """
+    """Relative form of a morphism modulo the jet projection pi: J1 A -> A:
+    the chain (pi, phi).  By the jet theorem it is pi* of `mu_form(phi, h)`."""
     jet = jet_prolong(phi.source)
-    pi1 = jet.projection()
-    if variant == "flat":
-        d1 = direct_sum(jet_bracket_connection(jet),
-                        dual_connection(jet_morphism_connection(jet, phi)))
-    elif variant == "induced":
-        d1 = pullback_connection(pi1, morphism_sum_connection(phi))
-    else:
-        raise ValueError("variant must be 'flat' or 'induced'")
-    d0 = pullback_connection(
-        pi1, orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
-                            g_source, g_target),
-    )
-    return _transgression_class(
-        "jet_relative", jet, d0, d1, h,
-        {"morphism": phi.name, "h": h, "variant": variant},
-    )
+    pair = chain_pair(jet.projection(), phi, g_source, g_target)
+    return _transgression_class("jet_relative", jet, *pair, h)

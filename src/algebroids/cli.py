@@ -9,6 +9,7 @@ when every check passes, 1 when any fails, 2 on usage or fixture errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import combinations
 
@@ -27,23 +28,22 @@ from .algebroid import (
 from .chern import bott_delta, cocycle_check, transgression_check
 from .classes import (
     bi_characteristic,
+    chain_pair,
     jet_relative,
     modular_form,
     modular_form_morphism,
     mu_form,
-    orthogonal_sum,
     relative_mu,
 )
 from .connections import (
     FormMatrix,
     bracket_connection,
     curvature,
-    jet_bracket_connection,
-    jet_morphism_connection,
     k_flatness_check,
     kernel_frame_on_S,
     metric_compat_check,
     morphism_sum_connection,
+    morphism_target_connection,
     orthogonal_connection,
     quasi_metric_frame_check,
     quasi_metric_on_S,
@@ -201,10 +201,10 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> 
 
 
 def _transgression_pair(fixture: Fixture, phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
-    orth = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
-                          fixture.metric_for(phi.source.name),
-                          fixture.metric_for(phi.target.name))
-    return orth, morphism_sum_connection(phi)
+    """The pair of the chain (id, phi) with the fixture's metrics."""
+    return chain_pair(Morphism.identity(phi.source), phi,
+                      fixture.metric_for(phi.source.name),
+                      fixture.metric_for(phi.target.name))
 
 
 def _suite_transgression(fixture: Fixture, report: Report, opt: Options, draw) -> None:
@@ -299,14 +299,14 @@ def _suite_jet(fixture: Fixture, report: Report, opt: Options, draw) -> None:
         for record in verify_axioms(jet, points, opt.tol):
             record.name = f"jet_axioms[{name}].{record.name}"
             report.add(record)
-        flat = jet_bracket_connection(jet)
+        flat = morphism_target_connection(jet.projection())
         report.add(CheckRecord(
             f"jet_flat[{name}]", curvature(flat).max_abs(points),
             opt.tight_tol, len(points),
         ))
     for name, phi in fixture.morphisms.items():
         jet = jet_prolong(phi.source)
-        far = jet_morphism_connection(jet, phi)
+        far = morphism_target_connection(phi.compose(jet.projection()))
         report.add(CheckRecord(
             f"jet_flat_target[{name}]", curvature(far).max_abs(points),
             opt.tight_tol, len(points),
@@ -423,18 +423,31 @@ def _write_report(report: Report, out: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: a count of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _integer(minimum: int, kind: str):
+    """An argparse type: an integer of at least `minimum`, called `kind` in errors."""
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+        return int(text)
+    return parse
+
+
+def _positive_finite(text: str) -> float:
+    """An argparse type: a tolerance, finite and above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:  # false for nan
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("fixture", help="fixture path or bundled fixture name")
-    parser.add_argument("--points", type=_positive_int, default=100)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--points", type=_integer(1, "positive"), default=100)
+    parser.add_argument("--seed", type=_integer(0, "non-negative"), default=42)
+    parser.add_argument("--tol", type=_positive_finite, default=1e-9)
     parser.add_argument("--out", default=None, help="write the JSON report here")
 
 
@@ -453,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     mu = sub.add_parser("mu", help="dump a secondary characteristic class form")
     _add_common(mu)
     mu.add_argument("--morphism", required=True)
-    mu.add_argument("--h", type=_positive_int, default=1)
+    mu.add_argument("--h", type=_integer(1, "positive"), default=1)
     jet = sub.add_parser("jet", help="dump the first jet prolongation of an algebroid")
     _add_common(jet)
     jet.add_argument("--algebroid", required=True)

@@ -2,7 +2,9 @@
 
 `FormMatrix.zero(chart, r, 1)` is the flat connection on a rank-r bundle, and
 `connection_from_coefficients` builds one from its coefficients on the frame;
-`curvature` and `bott_delta` reject a matrix of any other degree.
+`curvature` and `bott_delta` reject a matrix of any other degree.  Every
+bracket-induced connection, the bracket and the flat jet connections among
+them, is `morphism_target_connection(phi)`: nabla_a b' = [phi a, b'].
 
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
@@ -20,13 +22,11 @@ import numpy as np
 
 from .algebroid import (
     AlgebroidChart,
-    JetChart,
     Morphism,
     Section,
     anchor_apply,
     bracket,
     d_A,
-    pullback,
 )
 from .expressions import (Const, ScalarField, ZERO, add, div, evaluate, max_abs_finite,
                           mul, residual, square_root, sub)
@@ -223,77 +223,28 @@ def direct_sum(c1: FormMatrix, c2: FormMatrix) -> FormMatrix:
 
 def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
     """The connection nabla_{b_i} b_j = [b_i, b_j] on the algebroid itself."""
-    gamma = {}  # (i, j, k) -> coefficient of [b_i, b_j] on b_k, from the sparse rows
-    for (i, j), row in chart.brackets.items():
-        for k, coeff in row.items():
-            gamma[i, j, k] = coeff
-            gamma[j, i, k] = mul(Const(-1.0), coeff)
-    return connection_from_coefficients(
-        chart, chart.rank, lambda i, u, t: gamma.get((i, u, t), ZERO)
-    )
+    return morphism_target_connection(Morphism.identity(chart))
 
 
 def morphism_target_connection(phi: Morphism) -> FormMatrix:
-    """Source-algebroid connection on the target bundle via [phi b_i, b'_u]."""
-    source, target = phi.source, phi.target
+    """Source-algebroid connection on the target bundle via [phi b_i, b'_u].
+
+    The one bracket-induced builder; `bracket_connection` is its identity case."""
+    target = phi.target
+    images = [Section(target, row) for row in phi.matrix]  # phi b_i
     columns = []
     for u in range(target.rank):
-        per_direction = []
-        for i in range(source.rank):
-            image = phi.apply(source.basis_section(i))
-            per_direction.append(bracket(image, target.basis_section(u)).comps)
-        columns.append(per_direction)
+        b_u = target.basis_section(u)
+        columns.append([bracket(image, b_u).comps for image in images])
     return connection_from_coefficients(
-        source, target.rank, lambda i, u, t: columns[u][i][t]
+        phi.source, target.rank, lambda i, u, t: columns[u][i][t]
     )
-
-
-def distinguished_pair(phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
-    """Bracket connection on the source and the induced one on the target."""
-    return bracket_connection(phi.source), morphism_target_connection(phi)
 
 
 def morphism_sum_connection(phi: Morphism) -> FormMatrix:
-    """The compatible connection on A + A'* built from a distinguished pair."""
-    nabla, nabla_prime = distinguished_pair(phi)
-    return direct_sum(nabla, dual_connection(nabla_prime))
-
-
-def jet_bracket_connection(jet: JetChart) -> FormMatrix:
-    """Flat jet-algebroid connection on the underlying bundle.
-
-    Covariant derivative along each jet frame element is the bracket with its
-    defining section.
-    """
-    base = jet.base_chart
-    table = []
-    for sec in jet.defining:
-        table.append([bracket(sec, base.basis_section(j)).comps for j in range(base.rank)])
-    return connection_from_coefficients(
-        jet, base.rank, lambda p, u, t: table[p][u][t]
-    )
-
-
-def jet_morphism_connection(jet: JetChart, phi: Morphism) -> FormMatrix:
-    """Flat jet-algebroid connection on the morphism target bundle."""
-    if phi.source is not jet.base_chart:
-        raise ValueError("morphism must start at the jet's underlying chart")
-    target = phi.target
-    table = []
-    for sec in jet.defining:
-        image = phi.apply(sec)
-        table.append([bracket(image, target.basis_section(u)).comps
-                      for u in range(target.rank)])
-    return connection_from_coefficients(
-        jet, target.rank, lambda p, u, t: table[p][u][t]
-    )
-
-
-def pullback_connection(phi: Morphism, conn: FormMatrix) -> FormMatrix:
-    """Connection with matrix pulled back along a base-preserving morphism."""
-    if conn.chart is not phi.target:
-        raise ValueError("connection must live on the morphism target algebroid")
-    return FormMatrix(phi.source, [[pullback(phi, e) for e in row] for row in conn.entries], 1)
+    """The compatible connection on A + A'*: brackets on A, the dual of phi's on A'."""
+    return direct_sum(bracket_connection(phi.source),
+                      dual_connection(morphism_target_connection(phi)))
 
 
 # --------------------------------------------------------------------------
@@ -376,8 +327,7 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
                 vec = [sub(v, mul(proj, p)) for v, p in zip(vec, prev)]
         norm = square_root(g.pairing(vec, vec))
         frame.append([div(v, norm) for v in vec])
-    # frame[u][t] is G_u^t; invert the lower triangular system.
-    inverse = _invert_lower_triangular(frame)
+    inverse = invert_field_matrix(frame)  # frame[u][t] is G_u^t
     rows = []
     for u in range(rank):
         row = []
@@ -391,19 +341,6 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
             row.append(acc.scale(-1.0))
         rows.append(row)
     return FormMatrix(chart, rows, 1)
-
-
-def _invert_lower_triangular(m: list[list[ScalarField]]) -> list[list[ScalarField]]:
-    n = len(m)
-    inv = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        inv[i][i] = div(Const(1.0), m[i][i])
-        for j in range(i - 1, -1, -1):
-            acc = ZERO
-            for k in range(j, i):
-                acc = add(acc, mul(m[i][k], inv[k][j]))
-            inv[i][j] = div(mul(Const(-1.0), acc), m[i][i])
-    return inv
 
 
 def invert_field_matrix(m: Sequence[Sequence[ScalarField]]) -> list[list[ScalarField]]:

@@ -68,9 +68,35 @@ def _parse_entry(text, coords, where: str) -> ScalarField:
         raise FixtureError(f"{where}: cannot fold the constants of {text!r}: {exc}") from exc
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise FixtureError(f"{where}: expected a JSON object, got {value!r}")
+    return value
+
+
+def _rows(value, where: str) -> list:
+    """A JSON list of lists; a string is not a matrix."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise FixtureError(f"{where}: expected a list of rows, got {value!r}")
+    return value
+
+
+def _names(value, where: str) -> tuple[str, ...]:
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value)):
+        raise FixtureError(f"{where}: expected a list of distinct names, got {value!r}")
+    return tuple(value)
+
+
+def _known(name, table: dict, what: str, where: str):
+    if not isinstance(name, str) or name not in table:
+        raise FixtureError(f"{where}: unknown {what} {name!r}")
+    return table[name]
+
+
 def _parse_matrix(rows, coords, expect_shape: tuple[int, int], where: str):
     n_rows, n_cols = expect_shape
-    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+    if len(_rows(rows, where)) != n_rows or any(len(row) != n_cols for row in rows):
         raise FixtureError(
             f"{where}: expected a {n_rows}x{n_cols} matrix, "
             f"got {len(rows)} rows of lengths {[len(r) for r in rows]}"
@@ -79,89 +105,78 @@ def _parse_matrix(rows, coords, expect_shape: tuple[int, int], where: str):
              for c, e in enumerate(row)] for r, row in enumerate(rows)]
 
 
+def _brackets(entries, rank: int, coords, where: str) -> dict:
+    """Frame brackets {(i, j): {k: coefficient}} from 1-based JSON entries."""
+    if not isinstance(entries, list):
+        raise FixtureError(f"{where}: brackets must be a list, got {entries!r}")
+    brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
+    for entry in entries:
+        try:
+            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
+            texts = {int(k) - 1: text for k, text in entry.get("coeffs", {}).items()}
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise FixtureError(f"{where}: bracket {entry!r} needs integer i and j "
+                               "and coefficients keyed by integers")
+        coeffs = {k: _parse_entry(text, coords, f"{where} bracket ({i + 1},{j + 1})")
+                  for k, text in texts.items()}
+        if not (0 <= i < rank and 0 <= j < rank) or any(not 0 <= k < rank for k in coeffs):
+            raise FixtureError(f"{where}: bracket indices out of range for rank {rank}")
+        brackets.setdefault((i, j), {}).update(coeffs)
+    return brackets
+
+
 def load_fixture(path: str | Path) -> Fixture:
-    """Load and shape-check a fixture file; all expressions are parsed eagerly."""
+    """Load and shape-check a fixture file; all expressions are parsed eagerly.
+
+    Malformed structure is a FixtureError that names its section.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FixtureError(f"{path}: not valid JSON ({exc})") from exc
-    if "base" not in raw or "coords" not in raw["base"]:
+    if not isinstance(raw, dict) or "coords" not in _object(raw.get("base", {}), "base"):
         raise FixtureError(f"{path}: missing base.coords")
-    coords = tuple(raw["base"]["coords"])
+    coords = _names(raw["base"]["coords"], "base.coords")
     fixture = Fixture(path.stem, coords)
-    for name, spec in raw.get("algebroids", {}).items():
-        basis = spec.get("basis")
+    for name, spec in _object(raw.get("algebroids", {}), "algebroids").items():
+        where = f"algebroid {name!r}"
+        basis = _names(_object(spec, where).get("basis", []), f"{where} basis")
         if not basis:
-            raise FixtureError(f"algebroid {name!r}: missing basis")
+            raise FixtureError(f"{where}: missing basis")
         rank = len(basis)
-        anchor = _parse_matrix(spec.get("anchor", []), coords,
-                               (rank, len(coords)), f"algebroid {name!r} anchor")
-        brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
-        for entry in spec.get("brackets", []):
-            try:
-                i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-            except (KeyError, TypeError, ValueError):
-                raise FixtureError(f"algebroid {name!r}: bracket needs integer i, j")
-            coeffs = {}
-            for k, expr in entry.get("coeffs", {}).items():
-                coeffs[int(k) - 1] = _parse_entry(
-                    expr, coords, f"algebroid {name!r} bracket ({i + 1},{j + 1})"
-                )
-            if not (0 <= i < rank and 0 <= j < rank) or \
-               any(not 0 <= k < rank for k in coeffs):
-                raise FixtureError(
-                    f"algebroid {name!r}: bracket indices out of range for rank {rank}"
-                )
-            key = (i, j)
-            merged = brackets.setdefault(key, {})
-            merged.update(coeffs)
+        anchor = _parse_matrix(spec.get("anchor", []), coords, (rank, len(coords)),
+                               f"{where} anchor")
+        brackets = _brackets(spec.get("brackets", []), rank, coords, where)
         try:
             fixture.charts[name] = AlgebroidChart(name, coords, basis, anchor, brackets)
         except ValueError as exc:
-            raise FixtureError(f"algebroid {name!r}: {exc}") from exc
-    for name, spec in raw.get("morphisms", {}).items():
-        source_name, target_name = spec.get("from"), spec.get("to")
-        if source_name not in fixture.charts:
-            raise FixtureError(f"morphism {name!r}: unknown source {source_name!r}")
-        if target_name not in fixture.charts:
-            raise FixtureError(f"morphism {name!r}: unknown target {target_name!r}")
-        source = fixture.charts[source_name]
-        target = fixture.charts[target_name]
+            raise FixtureError(f"{where}: {exc}") from exc
+    for name, spec in _object(raw.get("morphisms", {}), "morphisms").items():
+        where = f"morphism {name!r}"
+        source = _known(_object(spec, where).get("from"), fixture.charts, "source", where)
+        target = _known(spec.get("to"), fixture.charts, "target", where)
         matrix = _parse_matrix(spec.get("matrix", []), coords,
-                               (source.rank, target.rank), f"morphism {name!r}")
+                               (source.rank, target.rank), where)
         fixture.morphisms[name] = Morphism(source, target, matrix, name)
-    for name, spec in raw.get("metrics", {}).items():
-        on = spec.get("on")
-        if on not in fixture.charts:
-            raise FixtureError(f"metric {name!r}: unknown algebroid {on!r}")
-        rank = fixture.charts[on].rank
-        matrix = _parse_matrix(spec.get("matrix", []), coords, (rank, rank),
-                               f"metric {name!r}")
+    for name, spec in _object(raw.get("metrics", {}), "metrics").items():
+        where = f"metric {name!r}"
+        on = _object(spec, where).get("on")
+        rank = _known(on, fixture.charts, "algebroid", where).rank
+        matrix = _parse_matrix(spec.get("matrix", []), coords, (rank, rank), where)
         fixture.metrics[name] = (on, QuasiMetric(rank, 1, matrix))
-    for morphism_name, spec in raw.get("kernels", {}).items():
-        if morphism_name not in fixture.morphisms:
-            raise FixtureError(f"kernels: unknown morphism {morphism_name!r}")
-        phi = fixture.morphisms[morphism_name]
-        ker = [
-            [_parse_entry(e, coords, f"kernel of {morphism_name!r}") for e in row]
-            for row in spec.get("ker", [])
-        ]
-        coker = [
-            [_parse_entry(e, coords, f"cokernel of {morphism_name!r}") for e in row]
-            for row in spec.get("coker", [])
-        ]
-        for row in ker:
-            if len(row) != phi.source.rank:
-                raise FixtureError(
-                    f"kernel rows of {morphism_name!r} must have length {phi.source.rank}"
-                )
-        for row in coker:
-            if len(row) != phi.target.rank:
-                raise FixtureError(
-                    f"cokernel rows of {morphism_name!r} must have length {phi.target.rank}"
-                )
-        fixture.kernels[morphism_name] = (ker, coker)
+    for name, spec in _object(raw.get("kernels", {}), "kernels").items():
+        phi = _known(name, fixture.morphisms, "morphism", "kernels")
+        spec = _object(spec, f"kernels of {name!r}")
+        rows = []
+        for key, label, length in (("ker", "kernel", phi.source.rank),
+                                   ("coker", "cokernel", phi.target.rank)):
+            where = f"{label} of {name!r}"
+            found = _rows(spec.get(key, []), where)
+            if any(len(row) != length for row in found):
+                raise FixtureError(f"{label} rows of {name!r} must have length {length}")
+            rows.append([[_parse_entry(e, coords, where) for e in row] for row in found])
+        fixture.kernels[name] = (rows[0], rows[1])
     return fixture
 
 

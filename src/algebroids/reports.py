@@ -19,7 +19,8 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        """A non-finite residual fails whatever the tolerance."""
+        return math.isfinite(self.residual) and self.residual <= self.tolerance
 
     def to_dict(self) -> dict:
         record = {

@@ -1,18 +1,30 @@
 """Dense reference versions of `d_A`, `bracket`, `anchor_apply`,
-`bracket_connection` and `modular_form`.
+`bracket_connection` and `modular_form`, and the per-case connection builders
+that `morphism_target_connection` replaced.
 
-These scan every frame index through the structure functions `gamma` and
-`bracket_basis` (once methods of `AlgebroidChart`) and every anchor entry.
-Tests require the sparse routes of `algebroids`, which visit only the chart's
-nonzero bracket and anchor terms, to build the same coefficient trees as these.
+The dense versions scan every frame index through the structure functions
+`gamma` and `bracket_basis` (once methods of `AlgebroidChart`) and every
+anchor entry.  Tests require the sparse routes of `algebroids`, which visit
+only the chart's nonzero bracket and anchor terms, to build the same
+coefficient trees as these.
+
+`jet_bracket_connection`, `jet_morphism_connection`, `distinguished_pair` and
+`morphism_sum_connection` are the former `algebroids.connections` builders,
+bodies unchanged; here `bracket` and `bracket_connection` resolve to the dense
+versions above.  Tests require `morphism_target_connection` of the identity,
+of a jet projection and of a morphism composed with one, and the chain
+(id, phi), to build the same trees as these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from algebroids.algebroid import AlgebroidChart, Section, _require_same_chart
-from algebroids.connections import FormMatrix, connection_from_coefficients
+from algebroids.algebroid import (AlgebroidChart, JetChart, Morphism, Section,
+                                  _require_same_chart)
+from algebroids.connections import (FormMatrix, connection_from_coefficients,
+                                    direct_sum, dual_connection,
+                                    morphism_target_connection)
 from algebroids.expressions import Const, ScalarField, ZERO, add, mul, sub
 from algebroids.forms import AForm
 
@@ -125,3 +137,44 @@ def modular_form(chart: AlgebroidChart) -> AForm:
         if not coeff.is_zero():
             table[(i,)] = coeff
     return AForm(chart, 1, table)
+
+
+def distinguished_pair(phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
+    """Bracket connection on the source and the induced one on the target."""
+    return bracket_connection(phi.source), morphism_target_connection(phi)
+
+
+def morphism_sum_connection(phi: Morphism) -> FormMatrix:
+    """The compatible connection on A + A'* built from a distinguished pair."""
+    nabla, nabla_prime = distinguished_pair(phi)
+    return direct_sum(nabla, dual_connection(nabla_prime))
+
+
+def jet_bracket_connection(jet: JetChart) -> FormMatrix:
+    """Flat jet-algebroid connection on the underlying bundle.
+
+    Covariant derivative along each jet frame element is the bracket with its
+    defining section.
+    """
+    base = jet.base_chart
+    table = []
+    for sec in jet.defining:
+        table.append([bracket(sec, base.basis_section(j)).comps for j in range(base.rank)])
+    return connection_from_coefficients(
+        jet, base.rank, lambda p, u, t: table[p][u][t]
+    )
+
+
+def jet_morphism_connection(jet: JetChart, phi: Morphism) -> FormMatrix:
+    """Flat jet-algebroid connection on the morphism target bundle."""
+    if phi.source is not jet.base_chart:
+        raise ValueError("morphism must start at the jet's underlying chart")
+    target = phi.target
+    table = []
+    for sec in jet.defining:
+        image = phi.apply(sec)
+        table.append([bracket(image, target.basis_section(u)).comps
+                      for u in range(target.rank)])
+    return connection_from_coefficients(
+        jet, target.rank, lambda p, u, t: table[p][u][t]
+    )

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from algebroids.algebroid import d_A, jet_prolong, pullback, verify_axioms
+from algebroids.algebroid import Morphism, d_A, jet_prolong, pullback, verify_axioms
 from algebroids.chern import (
     bott_delta,
     chern_form,
@@ -21,6 +21,7 @@ from algebroids.chern import (
 )
 from algebroids.classes import (
     bi_characteristic,
+    chain_pair,
     jet_relative,
     modular_form_morphism,
     mu_form,
@@ -34,10 +35,9 @@ from algebroids.connections import (
     curvature,
     direct_sum,
     dual_connection,
-    jet_bracket_connection,
-    jet_morphism_connection,
     k_flatness_check,
     morphism_sum_connection,
+    morphism_target_connection,
     orthogonal_connection,
 )
 from algebroids.expressions import Const, parse_expression
@@ -206,8 +206,10 @@ def test_criterion_08_isomorphism_vanishing(so3):
     for h in (1, 2):
         rep = mu_form(ident, h, g_source=g, g_target=g)
         assert rep.form.max_abs(points) <= 1e-12, h
-    matched = mu_form(ident, 2, orthogonal=morphism_sum_connection(ident))
-    assert matched.form.max_abs(points) <= 1e-12
+    # The compatible sum as the metric reference connection of mu_3.
+    _, d1 = chain_pair(Morphism.identity(ident.source), ident)
+    matched = bott_delta([morphism_sum_connection(ident), d1], 3)
+    assert matched.max_abs(points) <= 1e-12
     _report(8, "identity on so(3) with the invariant metric has zero classes")
 
 
@@ -243,13 +245,15 @@ def test_criterion_11_jet_theorem(solvable2d, action_x, so3):
         points = sample_points(jet.dim, POINTS, SEED)
         pulled = pullback(jet.projection(), mu_form(phi, 1).form)
         assert (rep.form - pulled).max_abs(points) <= 1e-9, fixture.name
-        flatness = max(curvature(jet_bracket_connection(jet)).max_abs(points),
-                       curvature(jet_morphism_connection(jet, phi)).max_abs(points))
+        projection = jet.projection()
+        flatness = max(
+            curvature(morphism_target_connection(projection)).max_abs(points),
+            curvature(morphism_target_connection(phi.compose(projection))).max_abs(points))
         assert flatness <= 1e-10, fixture.name
     jet = jet_prolong(so3.chart("so3"))
     points = sample_points(jet.dim, POINTS, SEED)
-    near = jet_bracket_connection(jet)
-    far = jet_morphism_connection(jet, so3.morphism("zero"))
+    near = morphism_target_connection(jet.projection())
+    far = morphism_target_connection(so3.morphism("zero").compose(jet.projection()))
     assert curvature(near).max_abs(points) <= 1e-10
     assert curvature(far).max_abs(points) <= 1e-10
     _report(11, "jet-relative classes pull back; jet connections are flat")

@@ -6,6 +6,7 @@ from algebroids.algebroid import Morphism, d_A, jet_prolong, pullback
 from algebroids.chern import bott_delta
 from algebroids.classes import (
     bi_characteristic,
+    chain_pair,
     jet_relative,
     modular_form,
     modular_form_morphism,
@@ -13,12 +14,12 @@ from algebroids.classes import (
     relative_mu,
 )
 from algebroids.connections import (
+    FormMatrix,
     curvature,
     direct_sum,
     dual_connection,
-    jet_bracket_connection,
-    jet_morphism_connection,
     morphism_sum_connection,
+    morphism_target_connection,
     QuasiMetric,
     orthogonal_connection,
 )
@@ -29,18 +30,24 @@ def _jet_points(phi):
     return sample_points(phi.source.dim, 50, 42)
 
 
-def _jet_pullback_residual(rep, phi, h):
-    """Distance from a jet-relative form to the pullback of mu_form(phi, h)."""
-    pulled = pullback(rep.form.chart.projection(), mu_form(phi, h).form)
-    return (rep.form - pulled).max_abs(_jet_points(phi))
+def _jet_pullback_residual(form, phi, h):
+    """Distance from a form on the jet chart to the pullback of mu_form(phi, h)."""
+    pulled = pullback(form.chart.projection(), mu_form(phi, h).form)
+    return (form - pulled).max_abs(_jet_points(phi))
 
 
 def _jet_flatness(phi):
     """Largest curvature of the two flat jet connections of `phi`."""
-    jet = jet_prolong(phi.source)
+    projection = jet_prolong(phi.source).projection()
     points = _jet_points(phi)
-    return max(curvature(jet_bracket_connection(jet)).max_abs(points),
-               curvature(jet_morphism_connection(jet, phi)).max_abs(points))
+    return max(curvature(morphism_target_connection(projection)).max_abs(points),
+               curvature(morphism_target_connection(phi.compose(projection)))
+               .max_abs(points))
+
+
+def _pullback_connection(phi, conn):
+    """A connection on phi's target with its matrix pulled back to phi's source."""
+    return FormMatrix(phi.source, [[pullback(phi, e) for e in row] for row in conn.entries], 1)
 
 
 class TestModularForm:
@@ -113,8 +120,9 @@ class TestMuForm:
         # matrix then vanishes identically.
         ident = so3.morphism("id")
         nabla1 = morphism_sum_connection(ident)
-        rep = mu_form(ident, 2, orthogonal=nabla1)
-        assert rep.form.max_abs(line_points) == 0.0
+        _, d1 = chain_pair(Morphism.identity(ident.source), ident)
+        form = bott_delta([nabla1, d1], 3)
+        assert form.max_abs(line_points) == 0.0
 
     def test_degree_beyond_rank_is_zero_not_error(self, solvable2d, chain,
                                                   line_points):
@@ -226,7 +234,7 @@ class TestJetRelative:
                                                         line_points):
         phi = solvable2d.morphism("phi")
         rep = jet_relative(phi, 1)
-        assert _jet_pullback_residual(rep, phi, 1) < 1e-9
+        assert _jet_pullback_residual(rep.form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10
         jet = rep.form.chart
         expected = pullback(jet.projection(),
@@ -243,18 +251,22 @@ class TestJetRelative:
             phi = fixture.morphism(morphism_name)
             jet = jet_prolong(fixture.chart(chart_name))
             points = sample_points(jet.dim, 40, 42)
-            near = jet_bracket_connection(jet)
-            far = jet_morphism_connection(jet, phi)
+            near = morphism_target_connection(jet.projection())
+            far = morphism_target_connection(phi.compose(jet.projection()))
             assert curvature(near).max_abs(points) < 1e-10
             assert curvature(far).max_abs(points) < 1e-10
 
     def test_induced_variant_is_exact_pullback_for_higher_degree(self, so3):
+        # The chart-level pair of the chain (id, ident) pulled back along the
+        # jet projection.
         ident = so3.morphism("id")
-        rep = jet_relative(ident, 2, variant="induced")
-        assert _jet_pullback_residual(rep, ident, 2) < 1e-12
+        projection = jet_prolong(ident.source).projection()
+        pair = chain_pair(Morphism.identity(ident.source), ident)
+        form = bott_delta([_pullback_connection(projection, c) for c in pair], 3)
+        assert _jet_pullback_residual(form, ident, 2) < 1e-12
 
     def test_anchored_fixture(self, action_x):
         phi = action_x.morphism("sharp")
         rep = jet_relative(phi, 1)
-        assert _jet_pullback_residual(rep, phi, 1) < 1e-9
+        assert _jet_pullback_residual(rep.form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10

@@ -263,6 +263,31 @@ class TestMainEntry:
         assert f"argument {option}: must be a positive integer, got '0'" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, option, message", [
+        (["verify", "so3", "--tol", "inf"], "--tol", "a positive finite number, got 'inf'"),
+        (["verify", "so3", "--tol", "nan"], "--tol", "a positive finite number, got 'nan'"),
+        (["verify", "so3", "--tol", "0"], "--tol", "a positive finite number, got '0'"),
+        (["verify", "so3", "--tol=-1e-9"], "--tol", "a positive finite number, got '-1e-9'"),
+        (["verify", "so3", "--tol", "tiny"], "--tol", "a positive finite number, got 'tiny'"),
+        (["verify", "so3", "--seed=-1"], "--seed", "a non-negative integer, got '-1'"),
+        (["mu", "so3", "--morphism", "id", "--seed", "1.5"], "--seed",
+         "a non-negative integer, got '1.5'"),
+    ])
+    def test_tolerance_and_seed_are_checked_options(self, argv, option, message, capsys):
+        # An infinite or NaN tolerance could pass an infinite residual, and a
+        # negative seed would fail inside numpy without naming the option.
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"argument {option}: must be {message}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_seed_zero_is_a_seed(self, capsys):
+        assert main(["verify", "solvable2d", "--suite", "axioms", "--seed", "0",
+                     "--points", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+
     def test_non_closed_modular_form_is_reported(self, tmp_path, capsys):
         fixture = json.loads(builtin_fixture_path("broken_jacobi").read_text())
         fixture["algebroids"]["abelian1"] = {"basis": ["a"], "anchor": [["0"]],
@@ -284,6 +309,64 @@ class TestMainEntry:
         assert code == 0
         body = json.loads(capsys.readouterr().out)
         assert "mu_1[phi]" in body["forms"]
+
+
+def _small_fixture():
+    """Two charts over x, a morphism between rank-1 charts, a metric and a kernel."""
+    return {
+        "base": {"coords": ["x"]},
+        "algebroids": {
+            "A": {"basis": ["b1", "b2"], "anchor": [["0"], ["0"]],
+                  "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]},
+            "B": {"basis": ["c1"], "anchor": [["0"]], "brackets": []},
+        },
+        "morphisms": {"phi": {"from": "B", "to": "B", "matrix": [["1"]]},
+                      "psi": {"from": "A", "to": "B", "matrix": [["1"], ["0"]]}},
+        "metrics": {"g": {"on": "A", "matrix": [["1", "0"], ["0", "1"]]}},
+        "kernels": {"psi": {"ker": [["0", "1"]], "coker": []}},
+    }
+
+
+def test_small_fixture_is_well_formed(tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(_small_fixture()))
+    assert main(["verify", str(path), "--points", "10"]) == 0
+
+
+@pytest.mark.parametrize("keys, value, section", [
+    (("algebroids", "A"), 5, "algebroid 'A'"),
+    (("algebroids",), ["A"], "algebroids"),
+    (("algebroids", "B", "anchor"), "0", "algebroid 'B' anchor"),
+    (("algebroids", "A", "anchor", 0), "0", "algebroid 'A' anchor"),
+    (("algebroids", "A", "basis"), "b1", "algebroid 'A' basis"),
+    (("algebroids", "A", "brackets"), {"i": 1}, "algebroid 'A'"),
+    (("algebroids", "A", "brackets", 0, "coeffs"), {"a": "1"}, "algebroid 'A': bracket"),
+    (("algebroids", "A", "brackets", 0, "coeffs"), ["1"], "algebroid 'A': bracket"),
+    (("morphisms", "phi", "matrix"), "1", "morphism 'phi'"),
+    (("morphisms", "phi", "from"), ["B"], "morphism 'phi': unknown source"),
+    (("metrics", "g"), "1", "metric 'g'"),
+    (("metrics", "g", "on"), {"A": 1}, "metric 'g': unknown algebroid"),
+    (("kernels", "psi", "ker"), "01", "kernel of 'psi'"),
+    (("base", "coords"), "xy", "base.coords"),
+    (("base", "coords"), ["x", "x"], "base.coords"),
+    (("base",), ["x"], "base"),
+])
+def test_malformed_fixture_structure_is_located(tmp_path, capsys, keys, value, section):
+    # Python reads a string as a list of characters, so a string matrix or
+    # coordinate list must be rejected before it is indexed.
+    fixture = _small_fixture()
+    parent = fixture
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(fixture))
+    code = main(["verify", str(path), "--points", "10"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {section}")
+    assert "Traceback" not in captured.err
 
 
 def _reject_constant(token):
@@ -314,6 +397,15 @@ class TestNonFiniteProbeValues:
         assert code == 1
         assert records["k_flatness[phi]"]["residual"] == "inf"
         assert records["k_flatness[phi]"]["passed"] is False
+
+    def test_infinite_tolerance_is_a_usage_error(self, tmp_path, capsys):
+        path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
+                                [["0", "exp(1000*x)"]])
+        code = main(["verify", path, "--suite", "connections", "--tol", "inf"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "argument --tol: must be a positive finite number" in captured.err
 
     def test_kernel_vector_overflowing_at_the_frame_base_point(self, tmp_path, capsys):
         path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",

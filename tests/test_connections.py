@@ -14,13 +14,13 @@ from algebroids.connections import (
     covariant_derivative,
     curvature,
     direct_sum,
-    distinguished_pair,
     dual_connection,
     glue,
     k_flatness_check,
     kernel_frame_on_S,
     metric_compat_check,
     morphism_sum_connection,
+    morphism_target_connection,
     orthogonal_connection,
     quasi_metric_frame_check,
     quasi_metric_on_S,
@@ -182,6 +182,11 @@ class TestDualAndSums:
             for t in range(2):
                 assert curv.entries[u][3 + t].is_zero()
                 assert curv.entries[3 + t][u].is_zero()
+
+
+def distinguished_pair(phi):
+    """The bracket connection on phi's source and the one phi induces on its target."""
+    return bracket_connection(phi.source), morphism_target_connection(phi)
 
 
 class TestDistinguishedPair:

@@ -20,6 +20,7 @@ from algebroids import expressions
 from algebroids.algebroid import AlgebroidChart
 from algebroids.chern import odd_vanishing_check
 from algebroids.connections import FormMatrix, QuasiMetric, glue
+from algebroids.reports import CheckRecord
 from algebroids.expressions import (
     Const,
     Coord,
@@ -238,6 +239,15 @@ class TestNonFiniteFailsClosed:
     def test_odd_vanishing_rejects_a_nan_matrix(self):
         with pytest.raises(ValueError, match="not in o"):
             odd_vanishing_check(np.array([[0.0, np.nan], [0.0, 0.0]]), 1)
+
+    @pytest.mark.parametrize("residual_value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("tolerance", [1e-9, math.inf, math.nan])
+    def test_non_finite_residual_fails_whatever_the_tolerance(self, residual_value,
+                                                              tolerance):
+        record = CheckRecord("check", residual_value, tolerance, 1)
+        assert record.passed is False
+        assert record.to_dict()["passed"] is False
+        assert CheckRecord("check", 0.0, 1e-9, 1).passed
 
     def test_glue_rejects_nan_weights(self):
         chart = AlgebroidChart("line", ["x"], ["b0"], [[ONE]])

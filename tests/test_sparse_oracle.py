@@ -1,5 +1,6 @@
 """The sparse `d_A`, `bracket`, `anchor_apply`, `bracket_connection` and
-`modular_form` against the dense oracle.
+`modular_form` against the dense oracle, and the one bracket-induced
+connection builder against the per-case builders it replaced.
 
 The sparse routes must build the very expression trees of the dense loops:
 same table keys, same node kinds, constants and child order, hence
@@ -14,14 +15,16 @@ import dense_oracle
 from expression_oracle import tree_shape as _tree
 from algebroids.algebroid import (
     AlgebroidChart,
+    Morphism,
     Section,
     anchor_apply,
     bracket,
     d_A,
+    jet_prolong,
     verify_axioms,
 )
-from algebroids.classes import modular_form
-from algebroids.connections import bracket_connection
+from algebroids.classes import chain_pair, modular_form
+from algebroids.connections import bracket_connection, morphism_target_connection
 from algebroids.expressions import parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
@@ -34,6 +37,11 @@ POOL = {
 }
 
 
+# Largest jet rank s(1 + dim) whose jet connections the chart test compares:
+# the jet of a rank-5 chart over (x, y) has rank 15 and 105 bracket pairs.
+JET_RANK_CAP = 9
+
+
 def _assert_same_table(new: dict, old: dict) -> None:
     assert list(new) == list(old)
     for key in old:
@@ -43,6 +51,13 @@ def _assert_same_table(new: dict, old: dict) -> None:
 
 def _assert_same_fields(new, old) -> None:
     _assert_same_table(dict(enumerate(new)), dict(enumerate(old)))
+
+
+def _assert_same_connection(new, old) -> None:
+    assert new.chart is old.chart and new.size == old.size
+    for new_row, old_row in zip(new.entries, old.entries):
+        for new_entry, old_entry in zip(new_row, old_row):
+            _assert_same_table(new_entry.table, old_entry.table)
 
 
 def _fields(coords, zero_weight: int = 1):
@@ -87,12 +102,22 @@ def test_sparse_routes_match_dense_oracle(chart, data):
     _assert_same_fields(bracket(a1, a2).comps, dense_oracle.bracket(a1, a2).comps)
     f = data.draw(fields)
     _assert_same_fields([anchor_apply(a1, f)], [dense_oracle.anchor_apply(a1, f)])
-    new, old = bracket_connection(chart), dense_oracle.bracket_connection(chart)
-    for new_row, old_row in zip(new.entries, old.entries):
-        for new_entry, old_entry in zip(new_row, old_row):
-            _assert_same_table(new_entry.table, old_entry.table)
+    _assert_same_connection(bracket_connection(chart),
+                            dense_oracle.bracket_connection(chart))
     _assert_same_table(modular_form(chart).table,
                        dense_oracle.modular_form(chart).table)
+    phi = Morphism(chart, chart, [data.draw(st.lists(fields, min_size=chart.rank,
+                                                     max_size=chart.rank))
+                                  for _ in range(chart.rank)])
+    _, d1 = chain_pair(Morphism.identity(chart), phi)
+    _assert_same_connection(d1, dense_oracle.morphism_sum_connection(phi))
+    if chart.rank * (1 + chart.dim) <= JET_RANK_CAP:
+        jet = jet_prolong(chart)
+        projection = jet.projection()
+        _assert_same_connection(morphism_target_connection(projection),
+                                dense_oracle.jet_bracket_connection(jet))
+        _assert_same_connection(morphism_target_connection(phi.compose(projection)),
+                                dense_oracle.jet_morphism_connection(jet, phi))
 
 
 def _sa3_forms(chart):
