@@ -1,6 +1,6 @@
 """Exterior calculus on Lie algebroid charts and characteristic class forms."""
 
-from .expressions import ScalarField, parse_expression, differentiate
+from .expressions import ScalarField, parse_expression
 from .forms import AForm, generalized_delta
 from .algebroid import (
     AlgebroidChart,
@@ -19,11 +19,9 @@ from .connections import (
     QuasiMetric,
     bracket_connection,
     connection_from_coefficients,
-    covariant_derivative,
     curvature,
     direct_sum,
     dual_connection,
-    glue,
     k_flatness_check,
     metric_compat_check,
     morphism_sum_connection,
@@ -36,7 +34,6 @@ from .chern import (
     chern_polarized,
     chern_scalar,
     cocycle_check,
-    odd_vanishing_check,
     transgression_check,
 )
 from .classes import (

@@ -82,9 +82,6 @@ class AlgebroidChart:
     def zero_form(self, degree: int) -> AForm:
         return AForm(self, degree)
 
-    def basis_covector(self, i: int) -> AForm:
-        return AForm(self, 1, {(i,): Const(1.0)})
-
     def function_form(self, field: ScalarField) -> AForm:
         return AForm(self, 0, {(): field})
 
@@ -102,9 +99,6 @@ class Section:
             raise ValueError("section component count must match chart rank")
         self.chart = chart
         self.comps = tuple(comps)
-
-    def eval(self, point) -> list[float]:
-        return [c.eval(point) for c in self.comps]
 
     def __add__(self, other: "Section") -> "Section":
         _require_same_chart(self.chart, other.chart)
@@ -403,15 +397,6 @@ class JetChart(AlgebroidChart):
                          anchor, brackets)
         self.base_chart = base_chart
         self.defining = defining
-
-    def lift(self, a: Section) -> Section:
-        """The 1-jet of a section, decomposed on the jet frame."""
-        _require_same_chart(a.chart, self.base_chart)
-        comps = [ZERO] * self.rank
-        lifted = _jet_decompose_section(self.base_chart, a)
-        for r, coeff in lifted.items():
-            comps[r] = coeff
-        return Section(self, comps)
 
     def projection(self) -> Morphism:
         """Jet-to-value projection as a base-preserving morphism."""

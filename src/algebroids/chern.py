@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebroid import d_A
 from .connections import FormMatrix, _require_connection, curvature
-from .expressions import Const, ScalarField, balanced_sum, max_abs_finite, mul
+from .expressions import Const, ScalarField, balanced_sum, mul
 from .forms import AForm
 from .reports import CheckRecord
 
@@ -48,27 +48,6 @@ def chern_scalar(matrix: np.ndarray, h: int) -> float:
         elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power_sums[i - 1]
                               for i in range(1, k + 1)) / k)
     return elementary[h]
-
-
-def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",
-                        membership_tol: float = 1e-9) -> float:
-    """|c_{2l-1}| of a matrix in o(q) or sp(q, R); rejects foreign input."""
-    matrix = np.asarray(matrix, dtype=float)
-    r = matrix.shape[0]
-    if algebra == "o":
-        residual = max_abs_finite(matrix + matrix.T)
-    elif algebra == "sp":
-        if r % 2:
-            raise ValueError("sp(q) needs even dimension")
-        half = r // 2
-        j = np.block([[np.zeros((half, half)), np.eye(half)],
-                      [-np.eye(half), np.zeros((half, half))]])
-        residual = max_abs_finite(matrix.T @ j + j @ matrix)
-    else:
-        raise ValueError("algebra must be 'o' or 'sp'")
-    if residual > membership_tol:
-        raise ValueError(f"matrix is not in {algebra}({r}) (residual {residual:.3g})")
-    return abs(chern_scalar(matrix, 2 * l - 1))
 
 
 def chern_polarized(args: Sequence[FormMatrix]) -> AForm:

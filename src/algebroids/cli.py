@@ -48,11 +48,11 @@ from .connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from .expressions import Const, ScalarField, add, mul
+from .expressions import Const, ScalarField, add, evaluate, mul
 from .fixtures import Fixture, FixtureError, resolve_fixture
 from .forms import AForm
 from .reports import CheckRecord, Report
-from .sampling import sample_points
+from .sampling import first_point, sample_points
 
 SUITES = ("axioms", "connections", "transgression", "classes", "composition",
           "jet", "all")
@@ -348,24 +348,22 @@ def run_suite(fixture: Fixture, suite: str, opt: Options | None = None) -> Repor
 
 
 def _form_dump(name: str, form: AForm, points) -> dict:
-    """Coefficient strings and values at `points`, by the scalar `math` walk.
+    """Coefficient strings and values at `points`, by the numpy walk the checks use.
 
-    A value the walk cannot compute (overflow, domain error) is a ValueError
-    located at its probe point.
+    A value that is not finite (an overflow, a domain error, inf - inf) is a
+    ValueError located at its first probe point.
     """
     terms = [(",".join(str(i + 1) for i in index), coeff)
              for index, coeff in sorted(form.table.items())]
-    samples = []
-    for point in points.tolist():  # Python floats: the scalar walk raises on overflow
-        try:
-            values = {key: coeff.eval(point) for key, coeff in terms}
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError(f"form {name!r} cannot be evaluated at probe point "
-                             f"{tuple(point)}: {exc}") from exc
-        samples.append({"point": point, "values": values})
+    values = evaluate([coeff for _, coeff in terms], points).T  # one row per point
+    bad = first_point(~np.isfinite(values), points)
+    if bad is not None:
+        raise ValueError(f"form {name!r} cannot be evaluated at probe point {bad}")
+    keys = [key for key, _ in terms]
     return {"degree": form.degree,
             "coefficients": {key: str(coeff) for key, coeff in terms},
-            "samples": samples}
+            "samples": [{"point": point, "values": dict(zip(keys, row))}
+                        for point, row in zip(points.tolist(), values.tolist())]}
 
 
 def emit_modular(fixture: Fixture, algebroid: str, opt: Options) -> Report:

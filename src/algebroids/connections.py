@@ -9,7 +9,6 @@ them, is `morphism_target_connection(phi)`: nabla_a b' = [phi a, b'].
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
   * curvature Omega = d(omega) - omega ^ omega,
-  * frame change omega -> P^-1 omega P + P^-1 dP,
   * dual connection matrix = negative transpose in dual frames.
 """
 
@@ -32,7 +31,7 @@ from .expressions import (Const, ScalarField, ZERO, add, div, evaluate, max_abs_
                           mul, residual, square_root, sub)
 from .forms import AForm
 from .reports import CheckRecord
-from .sampling import first_point, sample_points
+from .sampling import first_point
 
 
 class FormMatrix:
@@ -175,26 +174,6 @@ def _require_connection(conn: FormMatrix) -> None:
         raise ValueError("connection matrices must hold 1-forms")
 
 
-def covariant_derivative(conn: FormMatrix, a: Section,
-                         v: Sequence[ScalarField] | Section) -> list[ScalarField]:
-    """(nabla_a v)^t = anchor(a)(v^t) + v^u omega_u^t(a)."""
-    comps = v.comps if isinstance(v, Section) else tuple(v)
-    if len(comps) != conn.size:
-        raise ValueError("bundle section has wrong rank")
-    out = []
-    for t in range(conn.size):
-        acc = anchor_apply(a, comps[t])
-        for u in range(conn.size):
-            if comps[u].is_zero():
-                continue
-            pairing = ZERO
-            for (i,), c in conn.entries[u][t].table.items():
-                pairing = add(pairing, mul(a.comps[i], c))
-            acc = add(acc, mul(comps[u], pairing))
-        out.append(acc)
-    return out
-
-
 def curvature(conn: FormMatrix) -> FormMatrix:
     """Omega = d(omega) - omega ^ omega."""
     _require_connection(conn)
@@ -287,11 +266,6 @@ class QuasiMetric:
         flat = evaluate([e for row in self.matrix for e in row], points)
         return flat.T.reshape(len(points), self.rank, self.rank)
 
-    def symmetry_residual(self, points) -> float:
-        g = self.values(points)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN: an infinite residual
-            return max_abs_finite(g - self.sign * np.swapaxes(g, 1, 2))
-
     def validate(self, points) -> None:
         """Raise ValueError at the first probe point where the matrix is not
         finite, not symmetric, or not positive definite."""
@@ -368,78 +342,6 @@ def invert_field_matrix(m: Sequence[Sequence[ScalarField]]) -> list[list[ScalarF
             work[r] = [sub(a, mul(factor, b)) for a, b in zip(work[r], work[col])]
             inv[r] = [sub(a, mul(factor, b)) for a, b in zip(inv[r], inv[col])]
     return inv
-
-
-def conjugate_connection(conn: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> FormMatrix:
-    """Connection matrix in the frame whose rows over the old frame are P.
-
-    With the fixed index layout (bundle index as row, wedge order
-    (AB)_u^t = A_u^s ^ B_s^t) the transformation law is
-    omega -> P omega P^-1 + dP P^-1, under which the curvature conjugates to
-    P Omega P^-1 and every Chern form is unchanged.
-    """
-    chart = conn.chart
-    n = conn.size
-    p_inv = invert_field_matrix(p)
-    conj = conjugate_form_matrix(conn, p)
-    d_p = [[d_A(chart.function_form(p[a][b])) for b in range(n)] for a in range(n)]
-    rows = []
-    for u in range(n):
-        row = []
-        for t in range(n):
-            acc = conj.entries[u][t]
-            for a in range(n):
-                if d_p[u][a].is_zero() or p_inv[a][t].is_zero():
-                    continue
-                acc = acc + d_p[u][a].scale(p_inv[a][t])
-            row.append(acc)
-        rows.append(row)
-    return FormMatrix(chart, rows, 1)
-
-
-def conjugate_form_matrix(m: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> FormMatrix:
-    """P M P^-1 for a scalar-field frame change."""
-    n = m.size
-    p_inv = invert_field_matrix(p)
-    zero = m.chart.zero_form(m.degree)
-    rows = []
-    for u in range(n):
-        row = []
-        for t in range(n):
-            acc = zero
-            for a in range(n):
-                for b in range(n):
-                    entry = m.entries[a][b]
-                    if entry.is_zero():
-                        continue
-                    factor = mul(p[u][a], p_inv[b][t])
-                    if factor.is_zero():
-                        continue
-                    acc = acc + entry.scale(factor)
-            row.append(acc)
-        rows.append(row)
-    return FormMatrix(m.chart, rows, m.degree)
-
-
-def glue(connections: Sequence[FormMatrix], weights: Sequence[ScalarField]) -> FormMatrix:
-    """Convex combination of connections by a partition of unity."""
-    if len(connections) != len(weights) or not connections:
-        raise ValueError("need matching nonempty connections and weights")
-    chart = connections[0].chart
-    rank = connections[0].size
-    for conn in connections:
-        if conn.chart is not chart or conn.size != rank:
-            raise ValueError("glued connections must share chart and rank")
-    points = sample_points(chart.dim, 16, 11)
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN sum, rejected below
-        totals = evaluate(weights, points).sum(axis=0)
-    for point, total in zip(points.tolist(), totals):
-        if not abs(total - 1.0) <= 1e-9:  # a NaN weight is not a partition of unity
-            raise ValueError(f"weights sum to {total} at {tuple(point)}, not a partition of unity")
-    matrix = FormMatrix.zero(chart, rank, 1)
-    for conn, weight in zip(connections, weights):
-        matrix = matrix + conn.scale(weight)
-    return matrix
 
 
 # --------------------------------------------------------------------------

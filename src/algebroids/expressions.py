@@ -10,25 +10,20 @@ constant folding; equality of fields is always decided pointwise.
 
 The algebra built on the folding constructors reuses subtrees, so a tree is
 in fact a DAG: one node object can sit under many parents.  Numbers come out
-of it by two routes.
+of it by one route: `evaluate` (values) and `field_maxima`/`residual`
+(max |value|) share one numpy walk over an (N, dim) array of probe points.
+Each distinct node (by identity) is computed once per call, released once its
+last parent has used it, and each root is reduced as soon as it is computed.
+A NaN or infinite value, including one hidden by a later division,
+exponential or negative power, stays non-finite, so a maximum over it is inf
+and no check passes on it.  Every check and every form dump goes this way,
+metric matrices and form matrices on frame tuples included; `max_abs_finite`
+applies the same rule to numeric arrays.  The recursive single-point walk
+with Python floats and `math` is kept only as a test oracle,
+`scalar_eval` in `tests/expression_oracle.py`.
 
-* Probe points: `evaluate` (values) and `field_maxima`/`residual` (max |value|)
-  share one numpy walk over an (N, dim) array of probe points.  Each
-  distinct node (by identity) is computed once per call, released once its
-  last parent has used it, and each root is reduced as soon as it is
-  computed.  A NaN or infinite value, including one hidden by a later
-  division, exponential or negative power, stays non-finite, so a maximum
-  over it is inf and no check passes on it.  Every check goes this way,
-  metric matrices and form matrices on frame tuples included;
-  `max_abs_finite` applies the same rule to numeric arrays.
-* Single-point values: `ScalarField.eval(point)` walks the tree with Python
-  floats and `math`.  Only form dumps use it, so their printed digits do not
-  depend on numpy's kernels (`np.exp` and integer powers can differ from
-  `math.exp` and `**` in the last bit).  It is also the test oracle.
-
-An empty point set is an error on the probe-point route, never a maximum of
-0.0.  Nodes define no `__eq__` or `__hash__`, so the walk's memos, keyed by
-node, key by identity.
+An empty point set is an error, never a maximum of 0.0.  Nodes define no
+`__eq__` or `__hash__`, so the walk's memos, keyed by node, key by identity.
 """
 
 from __future__ import annotations
@@ -51,9 +46,6 @@ class ScalarField:
     """Base class for expression nodes. Instances are immutable and pure."""
 
     __slots__ = ()
-
-    def eval(self, point: Sequence[float]) -> float:
-        raise NotImplementedError
 
     def diff(self, index: int) -> "ScalarField":
         """Exact partial derivative with respect to coordinate `index` (0-based)."""
@@ -109,9 +101,6 @@ class Const(ScalarField):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def eval(self, point):
-        return self.value
-
     def diff(self, index):
         return ZERO
 
@@ -125,9 +114,6 @@ class Coord(ScalarField):
     def __init__(self, index: int, name: str):
         self.index = index
         self.name = name
-
-    def eval(self, point):
-        return point[self.index]
 
     def diff(self, index):
         return ONE if index == self.index else ZERO
@@ -147,9 +133,6 @@ class _Binary(ScalarField):
 class Add(_Binary):
     __slots__ = ()
 
-    def eval(self, point):
-        return self.left.eval(point) + self.right.eval(point)
-
     def diff(self, index):
         return add(self.left.diff(index), self.right.diff(index))
 
@@ -160,9 +143,6 @@ class Add(_Binary):
 class Sub(_Binary):
     __slots__ = ()
 
-    def eval(self, point):
-        return self.left.eval(point) - self.right.eval(point)
-
     def diff(self, index):
         return sub(self.left.diff(index), self.right.diff(index))
 
@@ -172,9 +152,6 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
-
-    def eval(self, point):
-        return self.left.eval(point) * self.right.eval(point)
 
     def diff(self, index):
         return add(
@@ -188,9 +165,6 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-
-    def eval(self, point):
-        return self.left.eval(point) / self.right.eval(point)
 
     def diff(self, index):
         return div(
@@ -211,9 +185,6 @@ class Pow(ScalarField):
     def __init__(self, base: ScalarField, exponent: int):
         self.base = base
         self.exponent = int(exponent)
-
-    def eval(self, point):
-        return self.base.eval(point) ** self.exponent
 
     def diff(self, index):
         n = self.exponent
@@ -237,9 +208,6 @@ class Sin(_Unary):
     __slots__ = ()
     _name = "sin"
 
-    def eval(self, point):
-        return math.sin(self.arg.eval(point))
-
     def diff(self, index):
         return mul(Cos(self.arg), self.arg.diff(index))
 
@@ -248,9 +216,6 @@ class Cos(_Unary):
     __slots__ = ()
     _name = "cos"
 
-    def eval(self, point):
-        return math.cos(self.arg.eval(point))
-
     def diff(self, index):
         return sub(ZERO, mul(Sin(self.arg), self.arg.diff(index)))
 
@@ -258,9 +223,6 @@ class Cos(_Unary):
 class Exp(_Unary):
     __slots__ = ()
     _name = "exp"
-
-    def eval(self, point):
-        return math.exp(self.arg.eval(point))
 
     def diff(self, index):
         return mul(self, self.arg.diff(index))
@@ -271,9 +233,6 @@ class Sqrt(_Unary):
 
     __slots__ = ()
     _name = "sqrt"
-
-    def eval(self, point):
-        return math.sqrt(self.arg.eval(point))
 
     def diff(self, index):
         return div(self.arg.diff(index), mul(Const(2.0), self))
@@ -359,11 +318,6 @@ def square_root(arg: ScalarField) -> ScalarField:
     return Sqrt(arg)
 
 
-def differentiate(field: ScalarField, index: int) -> ScalarField:
-    """Exact partial derivative of `field` along coordinate `index` (0-based)."""
-    return field.diff(index)
-
-
 def balanced_sum(terms: Sequence[ScalarField]) -> ScalarField:
     """Sum many fields as a balanced tree, keeping evaluation depth logarithmic."""
     terms = [t for t in terms if not t.is_zero()]
@@ -396,7 +350,7 @@ def _enter(node: ScalarField, pending: dict, order: list) -> None:
     """Register `node` and every unregistered node under it, children first.
 
     `pending[n]` counts the parent edges into n registered so far.  Recursion
-    goes as deep as the tree, as `eval` does.
+    goes as deep as the tree.
     """
     pending[node] = 0
     for kid in _children(node):
@@ -432,9 +386,9 @@ def _nan_where_nonfinite(value, operand):
     """`value` with NaN wherever `operand` is not finite.
 
     Division by, the exponential of, and a non-positive power of an infinite
-    operand can be finite (x/inf = 0, exp(-inf) = 0, inf^-1 = 0).  The scalar
-    walk raises before it gets there, so the vectorized walk must not let the
-    non-finite value disappear either.
+    operand can be finite (x/inf = 0, exp(-inf) = 0, inf^-1 = 0).  Python
+    float arithmetic raises before it gets there, so the walk must not let
+    the non-finite value disappear either.
     """
     finite = np.isfinite(operand)
     return value if finite.all() else np.where(finite, value, np.nan)

@@ -105,6 +105,13 @@ def _parse_matrix(rows, coords, expect_shape: tuple[int, int], where: str):
              for c, e in enumerate(row)] for r, row in enumerate(rows)]
 
 
+def _json_int(value) -> int:
+    """A JSON integer as it is; a float, a boolean or a numeric string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _brackets(entries, rank: int, coords, where: str) -> dict:
     """Frame brackets {(i, j): {k: coefficient}} from 1-based JSON entries."""
     if not isinstance(entries, list):
@@ -112,7 +119,7 @@ def _brackets(entries, rank: int, coords, where: str) -> dict:
     brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
     for entry in entries:
         try:
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
+            i, j = _json_int(entry["i"]) - 1, _json_int(entry["j"]) - 1
             texts = {int(k) - 1: text for k, text in entry.get("coeffs", {}).items()}
         except (AttributeError, KeyError, TypeError, ValueError):
             raise FixtureError(f"{where}: bracket {entry!r} needs integer i and j "

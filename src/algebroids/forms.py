@@ -9,12 +9,12 @@ the stored coefficient *is* the value on the increasing frame tuple, with no
 from __future__ import annotations
 
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul, residual
 
 if TYPE_CHECKING:
-    from .algebroid import AlgebroidChart, Section
+    from .algebroid import AlgebroidChart
 
 
 def generalized_delta(upper: Iterable[int], lower: Iterable[int]) -> int:
@@ -162,19 +162,6 @@ class AForm:
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
         return residual(self.table.values(), points)
-
-    def evaluate_on(self, sections: Sequence["Section"], point) -> float:
-        """Value on a tuple of sections at a point (multilinear expansion)."""
-        values = [s.eval(point) for s in sections]
-        total = 0.0
-        for index, coeff in self.table.items():
-            base = coeff.eval(point)
-            for assignment, sign in _alternating_assignments(index):
-                term = base * sign
-                for slot, frame_idx in enumerate(assignment):
-                    term *= values[slot][frame_idx]
-                total += term
-        return total
 
     def __repr__(self):
         if not self.table:

@@ -1,12 +1,15 @@
-"""Reference versions of expression substitution and polynomial degree.
+"""Reference versions of expression evaluation, substitution and polynomial degree.
 
-These are the per-node-class recursive methods `subs` and `tau_degree` that
-`algebroids.expressions` replaced with memoized walks over distinct nodes.
-They revisit a shared subtree at every use and copy every node they pass.
-Tests require the walks to return the same folded trees and the same degrees.
+These are the per-node-class recursive methods `eval`, `subs` and
+`tau_degree` that `algebroids.expressions` replaced with walks over distinct
+nodes.  They revisit a shared subtree at every use.  Tests require the walks
+to return the same values (to the last bits numpy's kernels may change), the
+same folded trees and the same degrees.
 """
 
 from __future__ import annotations
+
+import math
 
 from algebroids.expressions import (
     Add,
@@ -31,6 +34,36 @@ from algebroids.expressions import (
     square_root,
     sub,
 )
+
+
+def scalar_eval(node: ScalarField, point) -> float:
+    """Value at one point with Python floats and `math`.
+
+    Raises where they do: OverflowError, ZeroDivisionError, a domain error.
+    """
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Coord):
+        return point[node.index]
+    if isinstance(node, Add):
+        return scalar_eval(node.left, point) + scalar_eval(node.right, point)
+    if isinstance(node, Sub):
+        return scalar_eval(node.left, point) - scalar_eval(node.right, point)
+    if isinstance(node, Mul):
+        return scalar_eval(node.left, point) * scalar_eval(node.right, point)
+    if isinstance(node, Div):
+        return scalar_eval(node.left, point) / scalar_eval(node.right, point)
+    if isinstance(node, Pow):
+        return scalar_eval(node.base, point) ** node.exponent
+    if isinstance(node, Sin):
+        return math.sin(scalar_eval(node.arg, point))
+    if isinstance(node, Cos):
+        return math.cos(scalar_eval(node.arg, point))
+    if isinstance(node, Exp):
+        return math.exp(scalar_eval(node.arg, point))
+    if isinstance(node, Sqrt):
+        return math.sqrt(scalar_eval(node.arg, point))
+    raise TypeError(f"unknown node {node!r}")
 
 
 def subs(node: ScalarField, index: int, value: float) -> ScalarField:

@@ -2,11 +2,11 @@
 
 These are the per-point loops that `algebroids.connections` replaced with
 array operations on all probe points at once: each value comes from the
-scalar tree walk (`ScalarField.eval`), one probe point at a time.  They are
-kept unchanged, as functions of the object they were methods of, and draw
-their probe points as tuples of Python floats, as the library did while it
-used them, so the scalar walk raises on overflow as it did then.  Tests
-require the array route to give the same residuals.
+scalar tree walk (`expression_oracle.scalar_eval`), one probe point at a
+time.  They are kept unchanged, as functions of the object they were
+methods of, and draw their probe points as tuples of Python floats, as the
+library did while it used them, so the scalar walk raises on overflow as it
+did then.  Tests require the array route to give the same residuals.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 from algebroids.connections import adapted_frame, curvature, kernel_frame_on_S
 from algebroids.expressions import max_abs_finite
 from algebroids.reports import CheckRecord
+from expression_oracle import scalar_eval
 
 
 def sample_points(dimension: int, count: int, seed: int) -> list[tuple[float, ...]]:
@@ -34,13 +35,13 @@ def eval_on(matrix, frame_indices: tuple[int, ...], point) -> np.ndarray:
         for t in range(matrix.size):
             coeff = matrix.entries[u][t].coeff_signed(frame_indices)
             if not coeff.is_zero():
-                out[u, t] = coeff.eval(point)
+                out[u, t] = scalar_eval(coeff, point)
     return out
 
 
 def metric_eval(g, point) -> np.ndarray:
     """`QuasiMetric.eval`: the metric matrix at one point."""
-    return np.array([[e.eval(point) for e in row] for row in g.matrix])
+    return np.array([[scalar_eval(e, point) for e in row] for row in g.matrix])
 
 
 def symmetry_residual(g, points) -> float:
@@ -66,7 +67,7 @@ def k_flatness_check(conn_S, phi, ker_rows, coker_rows, n_points: int = 100,
             if not matrix.any():
                 continue
             for vec in vectors:
-                values = np.array([c.eval(point) for c in vec])
+                values = np.array([scalar_eval(c, point) for c in vec])
                 image = values @ matrix
                 worst = max(worst, max_abs_finite(image))
                 evaluated += 1

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from algebroids import cli
+from algebroids.algebroid import jet_prolong
 from algebroids.cli import (
     Options,
     emit_class,
@@ -19,7 +22,9 @@ from algebroids.fixtures import (
     builtin_fixture_names,
     builtin_fixture_path,
     load_fixture,
+    resolve_fixture,
 )
+from expression_oracle import scalar_eval
 
 
 class TestFixtureLoading:
@@ -105,7 +110,7 @@ class TestFixtureLoading:
         assert "Traceback" not in captured.err
 
     def test_overflowing_form_dump_is_a_located_error(self, tmp_path, capsys):
-        # The modular form 800*exp(800*x) overflows the scalar dump walk for x > 0.88.
+        # The modular form 800*exp(800*x) is not finite in the dump for x > 0.88.
         bad = tmp_path / "overflow_anchor.json"
         bad.write_text(json.dumps({
             "base": {"coords": ["x"]},
@@ -118,6 +123,19 @@ class TestFixtureLoading:
         assert captured.out == ""
         assert captured.err.startswith(
             "error: form 'modular[A]' cannot be evaluated at probe point (")
+        assert "Traceback" not in captured.err
+        # Here the modular form is inf - inf there: NaN, not an overflow.
+        bad.write_text(json.dumps({
+            "base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1"],
+                                 "anchor": [["exp(800*x) - exp(800*x)"]],
+                                 "brackets": []}},
+        }))
+        code = main(["modular", str(bad), "--algebroid", "A"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "cannot be evaluated at probe point" in captured.err
         assert "Traceback" not in captured.err
 
     def test_unknown_bundled_fixture(self):
@@ -350,6 +368,12 @@ def test_small_fixture_is_well_formed(tmp_path, capsys):
     (("base", "coords"), "xy", "base.coords"),
     (("base", "coords"), ["x", "x"], "base.coords"),
     (("base",), ["x"], "base"),
+    # int() would read 1.5, true and "1" as frame index 1.
+    (("algebroids", "A", "brackets", 0, "i"), 1.5, "algebroid 'A': bracket {'i': 1.5,"),
+    (("algebroids", "A", "brackets", 0, "i"), True, "algebroid 'A': bracket {'i': True,"),
+    (("algebroids", "A", "brackets", 0, "i"), "1", "algebroid 'A': bracket {'i': '1',"),
+    (("algebroids", "A", "brackets", 0, "i"), None, "algebroid 'A': bracket {'i': None,"),
+    (("algebroids", "A", "brackets", 0, "i"), [], "algebroid 'A': bracket {'i': [],"),
 ])
 def test_malformed_fixture_structure_is_located(tmp_path, capsys, keys, value, section):
     # Python reads a string as a list of characters, so a string matrix or
@@ -367,6 +391,47 @@ def test_malformed_fixture_structure_is_located(tmp_path, capsys, keys, value, s
     assert captured.out == ""
     assert captured.err.startswith(f"error: {section}")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "sa3", "--morphism", "zero", "--h", "2"],
+    ["mu", "solvable2d", "--morphism", "phi", "--h", "1"],
+    ["jet", "so3", "--algebroid", "so3"],
+    ["modular", "solvable2d", "--algebroid", "solvable"],
+    ["mu", "action_x", "--morphism", "sharp", "--h", "1"],
+], ids=" ".join)
+def test_dumps_match_the_scalar_walk(argv, monkeypatch, capsys):
+    """Dumped strings are the coefficients' own; dumped values are within
+    4 ulp of the recursive `math` walk at the same point."""
+    forms = {}
+    dump = cli._form_dump
+
+    def recording_dump(name, form, points):
+        forms[name] = form
+        return dump(name, form, points)
+
+    monkeypatch.setattr(cli, "_form_dump", recording_dump)
+    assert main(argv) == 0
+    dumped = json.loads(capsys.readouterr().out)["forms"]
+    if argv[0] == "jet":
+        jet = jet_prolong(resolve_fixture(argv[1]).chart(argv[3]))
+        assert dumped[f"jet[{argv[3]}]"]["anchor"] == [[str(e) for e in row]
+                                                       for row in jet.anchor]
+        assert dumped[f"jet[{argv[3]}]"]["brackets"] == {
+            f"{i + 1},{j + 1}": {str(k + 1): str(c) for k, c in row.items()}
+            for (i, j), row in jet.brackets.items()}
+        return
+    assert forms and forms.keys() == dumped.keys()
+    for name, form in forms.items():
+        coeffs = {",".join(str(i + 1) for i in index): coeff
+                  for index, coeff in form.table.items()}
+        assert dumped[name]["coefficients"] == {k: str(c) for k, c in coeffs.items()}
+        assert len(dumped[name]["samples"]) == 10
+        for sample in dumped[name]["samples"]:
+            assert sample["values"].keys() == coeffs.keys()
+            for key, value in sample["values"].items():
+                expected = scalar_eval(coeffs[key], sample["point"])
+                assert abs(value - expected) <= 4 * np.spacing(abs(expected))
 
 
 def _reject_constant(token):

@@ -9,13 +9,9 @@ from algebroids.connections import (
     FormMatrix,
     QuasiMetric,
     bracket_connection,
-    conjugate_connection,
-    conjugate_form_matrix,
-    covariant_derivative,
     curvature,
     direct_sum,
     dual_connection,
-    glue,
     k_flatness_check,
     kernel_frame_on_S,
     metric_compat_check,
@@ -28,7 +24,15 @@ from algebroids.connections import (
 from algebroids.expressions import Const, parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
+from constructions import (
+    conjugate_connection,
+    conjugate_form_matrix,
+    covariant_derivative,
+    glue,
+    symmetry_residual,
+)
 from dense_oracle import gamma
+from expression_oracle import scalar_eval
 from transgression_oracle import ConnectionFamily, link_curvature
 
 
@@ -64,15 +68,15 @@ class TestCovariantDerivative:
         v = [_field(chart, "x*y"), _field(chart, "y^2")]
         out = covariant_derivative(conn, a, v)
         for point in plane_points[:10]:
-            assert out[0].eval(point) == pytest.approx(point[1])
-            assert out[1].eval(point) == pytest.approx(0.0)
+            assert scalar_eval(out[0], point) == pytest.approx(point[1])
+            assert scalar_eval(out[1], point) == pytest.approx(0.0)
 
     def test_distinguished_so3_reproduces_bracket(self, so3):
         chart = so3.chart("so3")
         conn = bracket_connection(chart)
         out = covariant_derivative(conn, chart.basis_section(0),
                                    chart.basis_section(1))
-        assert out[2].eval((0.0,)) == pytest.approx(1.0)
+        assert scalar_eval(out[2], (0.0,)) == pytest.approx(1.0)
         assert out[0].is_zero() and out[1].is_zero()
 
     def test_leibniz_rule_in_bundle_slot(self, action_x, line_points):
@@ -84,9 +88,9 @@ class TestCovariantDerivative:
         lhs = covariant_derivative(conn, a, [f * v[0]])
         direct = covariant_derivative(conn, a, v)
         for point in line_points[:20]:
-            expected = f.eval(point) * direct[0].eval(point) \
-                + anchor_apply(a, f).eval(point) * v[0].eval(point)
-            assert lhs[0].eval(point) == pytest.approx(expected)
+            expected = scalar_eval(f, point) * scalar_eval(direct[0], point) \
+                + scalar_eval(anchor_apply(a, f), point) * scalar_eval(v[0], point)
+            assert scalar_eval(lhs[0], point) == pytest.approx(expected)
 
 
 class TestCurvature:
@@ -115,7 +119,7 @@ class TestCurvature:
         curv = curvature(omega_y)
         value = curv.entries[0][0].coeff((0, 1))
         for point in plane_points[:5]:
-            assert value.eval(point) == pytest.approx(-1.0)
+            assert scalar_eval(value, point) == pytest.approx(-1.0)
 
     def test_bianchi_identity(self, so3, action_x, tangent_r2):
         cases = [
@@ -158,8 +162,8 @@ class TestDualAndSums:
         for u in range(3):
             for s in range(3):
                 for i in range(3):
-                    expected = -gamma(chart, i, s, u).eval((0.0,))
-                    got = dual.entries[u][s].coeff((i,)).eval((0.0,))
+                    expected = -scalar_eval(gamma(chart, i, s, u), (0.0,))
+                    got = scalar_eval(dual.entries[u][s].coeff((i,)), (0.0,))
                     assert got == pytest.approx(expected)
 
     def test_block_sum_curvature(self, so3, line_points):
@@ -197,8 +201,8 @@ class TestDistinguishedPair:
             for u in range(3):
                 for t in range(3):
                     for i in range(3):
-                        assert conn.entries[u][t].coeff((i,)).eval((0.0,)) == \
-                            pytest.approx(gamma(chart, i, u, t).eval((0.0,)))
+                        assert scalar_eval(conn.entries[u][t].coeff((i,)), (0.0,)) == \
+                            pytest.approx(scalar_eval(gamma(chart, i, u, t), (0.0,)))
 
     def test_abelian_target_connection_vanishes(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
@@ -224,8 +228,8 @@ class TestDistinguishedPair:
                     )
                     for l, r in zip(lhs.comps, rhs):
                         for point in points[:15]:
-                            assert l.eval(point) == pytest.approx(
-                                r.eval(point), abs=1e-10)
+                            assert scalar_eval(l, point) == pytest.approx(
+                                scalar_eval(r, point), abs=1e-10)
 
     def test_sum_matrix_reproduces_block_formulas(self, action_x, line_points):
         # The A'* block must carry -phi_i^t gamma'_tu^s + rho'_u d(phi_i^s)
@@ -233,7 +237,7 @@ class TestDistinguishedPair:
         conn = morphism_sum_connection(phi)
         entry = conn.entries[1][1].coeff((0,))
         for point in line_points[:10]:
-            assert entry.eval(point) == pytest.approx(1.0)
+            assert scalar_eval(entry, point) == pytest.approx(1.0)
 
 
 class TestOrthogonalConnection:
@@ -250,7 +254,7 @@ class TestOrthogonalConnection:
         entry = conn.entries[0][0].coeff((0,))
         # Orthonormal frame e^{-x} b_1 and anchor x d/dx give omega = x b*1.
         for point in line_points[:20]:
-            assert entry.eval(point) == pytest.approx(point[0], rel=1e-12)
+            assert scalar_eval(entry, point) == pytest.approx(point[0], rel=1e-12)
 
     def test_metric_parallel_residual(self, action_x):
         chart = action_x.chart("action")
@@ -329,7 +333,7 @@ class TestLinks:
                     a = alpha.entries[u][t].coeff((i,))
                     l = lam.entries[u][t].coeff((i,))
                     for point in points[:10]:
-                        worst = max(worst, abs(l.eval(point) - a.eval(point[:1])))
+                        worst = max(worst, abs(scalar_eval(l, point) - scalar_eval(a, point[:1])))
         assert worst < 1e-14
 
     def test_constant_family_has_no_transverse_curvature(self, so3, line_points):
@@ -357,8 +361,8 @@ class TestLinks:
                     base = wedge_part.entries[u][t].coeff(key)
                     for point in points:
                         tau = point[-1]
-                        expected = tau * (1 - tau) * base.eval(point[:1])
-                        worst = max(worst, abs(coeff.eval(point) - expected))
+                        expected = tau * (1 - tau) * scalar_eval(base, point[:1])
+                        worst = max(worst, abs(scalar_eval(coeff, point) - expected))
         assert worst < 1e-12
 
     def test_full_connection_slices_back_to_endpoints(self, so3, line_points):
@@ -387,8 +391,8 @@ class TestLinks:
                         continue
                     lam_value = lam.entries[u][t].coeff((i,))
                     for point in points:
-                        worst = max(worst, abs(coeff.eval(point)
-                                               + lam_value.eval(point)))
+                        worst = max(worst, abs(scalar_eval(coeff, point)
+                                               + scalar_eval(lam_value, point)))
         assert worst < 1e-12
 
 
@@ -405,15 +409,15 @@ class TestQuasiMetrics:
                 rank = np.linalg.matrix_rank(matrix, tol=1e-9)
                 assert matrix.shape[0] - rank == expected_nullity
                 for vec in frame:
-                    values = np.array([c.eval(point) for c in vec])
+                    values = np.array([scalar_eval(c, point) for c in vec])
                     assert np.max(np.abs(values @ matrix)) < 1e-12
 
     def test_symmetry_signs(self, solvable2d):
         phi = solvable2d.morphism("phi")
         g_plus, g_minus = quasi_metric_on_S(phi)
         points = sample_points(1, 10, 42)
-        assert g_plus.symmetry_residual(points) == 0.0
-        assert g_minus.symmetry_residual(points) == 0.0
+        assert symmetry_residual(g_plus, points) == 0.0
+        assert symmetry_residual(g_minus, points) == 0.0
 
     def test_distinguished_sum_is_metric_compatible(self, solvable2d, action_x):
         for fixture, name in ((solvable2d, "phi"), (action_x, "sharp")):

@@ -1,9 +1,9 @@
 """The vectorized residual reducer and the memoized walks over expression DAGs.
 
 `residual`/`field_maxima` are checked against the scalar tree walk
-(`ScalarField.eval`) at every point, and the memoized `substitute`/`tau_degree`
-of `transgression_oracle` against the recursive per-class versions kept in
-`expression_oracle`.  Random DAGs share
+(`expression_oracle.scalar_eval`) at every point, and the memoized
+`substitute`/`tau_degree` of `transgression_oracle` against the recursive
+per-class versions kept in `expression_oracle`.  Random DAGs share
 subtrees and use every node kind, built through the folding constructors as
 the library builds them.
 """
@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 import expression_oracle
 from algebroids import expressions
 from algebroids.algebroid import AlgebroidChart
-from algebroids.chern import odd_vanishing_check
-from algebroids.connections import FormMatrix, QuasiMetric, glue
+from algebroids.connections import FormMatrix, QuasiMetric
 from algebroids.reports import CheckRecord
 from algebroids.expressions import (
     Const,
@@ -42,7 +41,8 @@ from algebroids.expressions import (
 )
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
-from expression_oracle import tree_shape
+from constructions import glue, odd_vanishing_check, symmetry_residual
+from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import subs, substitute, tau_degree
 
 X, Y = Coord(0, "x"), Coord(1, "y")
@@ -115,12 +115,12 @@ def _scalar_maximum(field, points) -> float:
     for point in np.asarray(points).tolist():  # Python floats, which raise on overflow
         for node in _subtree(field):
             try:
-                value = node.eval(point)
+                value = scalar_eval(node, point)
             except (ArithmeticError, ValueError):
                 return math.inf
             if not math.isfinite(value):
                 return math.inf
-        worst = max(worst, abs(field.eval(point)))
+        worst = max(worst, abs(scalar_eval(field, point)))
     return worst
 
 
@@ -234,7 +234,7 @@ class TestNonFiniteFailsClosed:
 
     def test_symmetry_residual_of_a_nan_metric(self):
         metric = QuasiMetric(2, 1, [[ONE, NAN], [ZERO, ONE]])
-        assert metric.symmetry_residual(POINTS[:3]) == math.inf
+        assert symmetry_residual(metric, POINTS[:3]) == math.inf
 
     def test_odd_vanishing_rejects_a_nan_matrix(self):
         with pytest.raises(ValueError, match="not in o"):
