@@ -32,7 +32,6 @@ from .chern import (
     bott_delta,
     chern_form,
     chern_polarized,
-    chern_scalar,
     cocycle_check,
     transgression_check,
 )

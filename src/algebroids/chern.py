@@ -1,16 +1,17 @@
 """Chern polynomials and Bott difference forms on the base chart.
 
-Chern polynomials are computed from traces.  `chern_scalar` uses Newton's
-identities on the traces of matrix powers.  `chern_polarized` is the cycle
+Chern polynomials are computed from traces.  `chern_polarized` is the cycle
 expansion over S_h: traces of matrix words, each term with the Koszul sign of
 moving its wedge factors from argument order into cycle order, so it is exact
 for arguments of any degree and costs at most h! terms whatever the rank.  The
 polarized evaluation keeps the single odd-degree argument first, so all signs
 in mixed contractions are pinned by one convention.  Difference
-forms never leave the base chart: the transgression slices the affine link at
-h Gauss-Legendre nodes, which is exact because its integrand is a polynomial
-of known degree 2(h - 1) in the link parameter, and the three-connection form
-is Bott's simplex formula in closed form.
+forms never leave the base chart: the transgression slices the affine link
+omega0 + x alpha at h Gauss-Legendre nodes, which is exact because its
+integrand is a polynomial of known degree 2(h - 1) in x, and the
+three-connection form is Bott's simplex formula in closed form.  Since d is
+linear, the link curvature at each node is d(omega0) + x d(alpha) - link ^ link
+with the two d's taken once.
 """
 
 from __future__ import annotations
@@ -25,29 +26,6 @@ from .connections import FormMatrix, _require_connection, curvature
 from .expressions import Const, ScalarField, balanced_sum, mul
 from .forms import AForm
 from .reports import CheckRecord
-
-
-def chern_scalar(matrix: np.ndarray, h: int) -> float:
-    """c_h(F), the sum of principal h-minors, by Newton's identities.
-
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i with the power sums
-    p_i = tr(F^i).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    r = matrix.shape[0]
-    if matrix.shape != (r, r):
-        raise ValueError("chern_scalar needs a square matrix")
-    if not 1 <= h <= r:
-        raise ValueError(f"c_{h} is out of range for {r}x{r} matrices")
-    power = np.eye(r)
-    power_sums = []
-    elementary = [1.0]
-    for k in range(1, h + 1):
-        power = power @ matrix
-        power_sums.append(float(np.trace(power)))
-        elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power_sums[i - 1]
-                              for i in range(1, k + 1)) / k)
-    return elementary[h]
 
 
 def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
@@ -175,7 +153,8 @@ def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
     transgression h * integral over [0, 1] of c_h(alpha, Omega_x, ..., Omega_x),
     with alpha = omega1 - omega0 and Omega_x the curvature of the affine link
     omega0 + x alpha; the integrand has degree 2(h - 1) in x, so h Gauss nodes
-    integrate it exactly.  k = 2 is Bott's simplex formula in closed form: zero
+    integrate it exactly.  d(omega0) and d(alpha) are taken once for all the
+    nodes.  k = 2 is Bott's simplex formula in closed form: zero
     for h = 1 and c_2(omega1 - omega0, omega2 - omega0) for h = 2.
     """
     if h < 1:
@@ -192,8 +171,10 @@ def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
         if h == 1:  # c_1(alpha) does not depend on the link parameter
             return chern_polarized([alpha])
         total = chart.zero_form(2 * h - 1)
+        d0, dalpha = c0.d(), alpha.d()  # d is linear: d(link) = d0 + x dalpha
         for x, w in zip(*gauss_legendre_01(h)):
-            omega_x = curvature(c0 + alpha.scale(float(x)))
+            link = c0 + alpha.scale(float(x))
+            omega_x = (d0 + dalpha.scale(float(x))) - link.wedge(link)
             total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
         return total.scale(float(h))
     if k == 2:

@@ -15,7 +15,7 @@ Conventions fixed once and used everywhere:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,9 +27,9 @@ from .algebroid import (
     bracket,
     d_A,
 )
-from .expressions import (Const, ScalarField, ZERO, add, div, evaluate, max_abs_finite,
-                          mul, residual, square_root, sub)
-from .forms import AForm
+from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, div, evaluate,
+                          max_abs_finite, mul, residual, square_root, sub)
+from .forms import AForm, _accumulate, _trusted_form
 from .reports import CheckRecord
 from .sampling import first_point
 
@@ -92,20 +92,9 @@ class FormMatrix:
         """Matrix product with entrywise wedge: (AB)_u^t = A_u^s ^ B_s^t."""
         self._check_compatible(other, same_degree=False)
         degree = self.degree + other.degree
-        zero = self.chart.zero_form(degree)
-        out = []
-        for u in range(self.size):
-            row = []
-            for t in range(self.size):
-                acc = zero
-                for s in range(self.size):
-                    a = self.entries[u][s]
-                    b = other.entries[s][t]
-                    if a.is_zero() or b.is_zero():
-                        continue
-                    acc = acc + a.wedge(b)
-                row.append(acc)
-            out.append(row)
+        columns = tuple(zip(*other.entries))
+        out = [[_trusted_form(self.chart, degree, _add_wedges({}, zip(row, column)))
+                for column in columns] for row in self.entries]
         return FormMatrix(self.chart, out, degree)
 
     def d(self) -> "FormMatrix":
@@ -116,23 +105,19 @@ class FormMatrix:
         )
 
     def trace(self) -> AForm:
-        acc = self.chart.zero_form(self.degree)
+        table: dict[tuple[int, ...], ScalarField] = {}
         for u in range(self.size):
-            acc = acc + self.entries[u][u]
-        return acc
+            for key, coeff in self.entries[u][u].table.items():
+                _accumulate(table, key, coeff)
+        return _trusted_form(self.chart, self.degree, table)
 
     def trace_wedge(self, other: "FormMatrix") -> AForm:
         """tr(self ^ other), building only the diagonal of the product."""
         self._check_compatible(other, same_degree=False)
-        acc = self.chart.zero_form(self.degree + other.degree)
-        for u in range(self.size):
-            for s in range(self.size):
-                a = self.entries[u][s]
-                b = other.entries[s][u]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a.wedge(b)
-        return acc
+        n = self.size
+        table = _add_wedges({}, ((self.entries[u][s], other.entries[s][u])
+                                 for u in range(n) for s in range(n)))
+        return _trusted_form(self.chart, self.degree + other.degree, table)
 
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
         """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
@@ -151,6 +136,24 @@ class FormMatrix:
             raise ValueError("form matrices are not compatible")
         if same_degree and self.degree != other.degree:
             raise ValueError("form matrices must share a degree")
+
+
+def _add_wedges(table: dict[tuple[int, ...], ScalarField],
+                pairs: Iterable[tuple[AForm, AForm]]) -> dict[tuple[int, ...], ScalarField]:
+    """Add the coefficients of a ^ b for each pair, in order, into `table`.
+
+    Each product's terms are summed by `balanced_sum` and the products are
+    added left to right with `AForm.__add__`'s rule, so the trees are those of
+    `acc = acc + a.wedge(b)` without the intermediate forms.
+    """
+    for a, b in pairs:
+        if a.is_zero() or b.is_zero():
+            continue
+        pending: dict[tuple[int, ...], list[ScalarField]] = {}
+        a.wedge_terms(b, pending)
+        for key, terms in pending.items():
+            _accumulate(table, key, balanced_sum(terms))
+    return table
 
 
 def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:

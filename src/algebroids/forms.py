@@ -8,6 +8,7 @@ the stored coefficient *is* the value on the increasing frame tuple, with no
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
@@ -57,6 +58,7 @@ def shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
+@lru_cache(maxsize=None)
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Merge disjoint increasing tuples; None if they share an index."""
     if set(left) & set(right):
@@ -127,8 +129,8 @@ class AForm:
             raise ValueError("cannot add forms of different degree")
         table = dict(self.table)
         for index, coeff in other.table.items():
-            table[index] = add(table.get(index, ZERO), coeff)
-        return AForm(self.chart, self.degree, table)
+            _accumulate(table, index, coeff)
+        return _trusted_form(self.chart, self.degree, table)
 
     def __sub__(self, other: "AForm") -> "AForm":
         return self + other.scale(Const(-1.0))
@@ -136,16 +138,25 @@ class AForm:
     def scale(self, factor: ScalarField | float) -> "AForm":
         if not isinstance(factor, ScalarField):
             factor = Const(factor)
-        return AForm(self.chart, self.degree,
-                     {k: mul(factor, c) for k, c in self.table.items()})
+        return _trusted_form(self.chart, self.degree,
+                             {k: mul(factor, c) for k, c in self.table.items()})
 
     def wedge(self, other: "AForm") -> "AForm":
         """Exterior product (signed shuffle convolution of the tables)."""
-        _require_same_chart(self.chart, other.chart)
-        degree = self.degree + other.degree
-        if degree > self.chart.rank:
-            return AForm(self.chart, degree)
         pending: dict[tuple[int, ...], list[ScalarField]] = {}
+        self.wedge_terms(other, pending)
+        table = {key: balanced_sum(terms) for key, terms in pending.items()}
+        return _trusted_form(self.chart, self.degree + other.degree, table)
+
+    def wedge_terms(self, other: "AForm",
+                    pending: dict[tuple[int, ...], list[ScalarField]]) -> None:
+        """Append the signed products f * g of `self ^ other` to `pending[key]`.
+
+        Nothing is appended when the degree of the product exceeds the rank.
+        """
+        _require_same_chart(self.chart, other.chart)
+        if self.degree + other.degree > self.chart.rank:
+            return
         for left, f in self.table.items():
             for right, g in other.table.items():
                 merged = merge_indices(left, right)
@@ -156,8 +167,6 @@ class AForm:
                 if sign < 0:
                     term = mul(Const(-1.0), term)
                 pending.setdefault(key, []).append(term)
-        table = {key: balanced_sum(terms) for key, terms in pending.items()}
-        return AForm(self.chart, degree, table)
 
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
@@ -168,6 +177,31 @@ class AForm:
             return f"AForm({self.chart.name!r}, degree={self.degree}, 0)"
         parts = ", ".join(f"{k}: {c}" for k, c in sorted(self.table.items()))
         return f"AForm({self.chart.name!r}, degree={self.degree}, {{{parts}}})"
+
+
+def _trusted_form(chart: "AlgebroidChart", degree: int,
+                  table: Mapping[tuple[int, ...], ScalarField]) -> AForm:
+    """An `AForm` from keys taken from valid forms of this degree: no key checks.
+
+    Zero coefficients are still dropped.
+    """
+    form = AForm.__new__(AForm)
+    form.chart = chart
+    form.degree = degree
+    form.table = {index: coeff for index, coeff in table.items() if not coeff.is_zero()}
+    return form
+
+
+def _accumulate(table: dict[tuple[int, ...], ScalarField], key: tuple[int, ...],
+                term: ScalarField) -> None:
+    """table[key] += term, dropping the key when the sum is zero."""
+    if term.is_zero():
+        return
+    total = add(table.get(key, ZERO), term)
+    if total.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = total
 
 
 def _alternating_assignments(index: tuple[int, ...]):

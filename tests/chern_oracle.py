@@ -1,13 +1,21 @@
 """Reference routes for the Chern polynomials: the generalized-delta sums.
 
-`algebroids.chern` evaluates c_h by traces: Newton's identities on matrix
-powers for `chern_scalar`, and the cycle expansion over S_h with graded signs
-for `chern_polarized`.  This module keeps the permutation sums they replaced,
+c_h is evaluated by traces: Newton's identities on matrix powers for
+`constructions.chern_scalar`, and the cycle expansion over S_h with graded
+signs for `algebroids.chern.chern_polarized`.  This module keeps the permutation sums they replaced,
 unchanged: every injective index map sigma and every rearrangement kappa of
 it, r!/(r - h)! * h! pairs, each with its own Kronecker-delta sign and wedge
 chain.  `chern_polarized_reference` is the old `chern_polarized` and
 `chern_scalar_reference` the old `chern_scalar`.  Tests require the routes to
 agree.
+
+It also keeps the matrix products and the transgression slice that built an
+intermediate form per summand, unchanged: `form_matrix_wedge_reference` and
+`trace_wedge_reference` are the old `FormMatrix.wedge` and
+`FormMatrix.trace_wedge` (`self` is the left factor), folding
+`acc = acc + a.wedge(b)`, and `bott_delta_link_reference` is the old k = 1
+branch of `bott_delta`, which took the curvature of the link afresh at each
+Gauss node.  The new products must build the same coefficient trees.
 """
 
 from __future__ import annotations
@@ -18,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from algebroids.connections import FormMatrix
+from algebroids.chern import chern_polarized, gauss_legendre_01
+from algebroids.connections import FormMatrix, _require_connection, curvature
 from algebroids.expressions import Const, ScalarField, balanced_sum, mul
 from algebroids.forms import AForm, generalized_delta
 
@@ -86,3 +95,56 @@ def chern_polarized_reference(args: Sequence[FormMatrix]) -> AForm:
         for key, terms in pending.items()
     }
     return AForm(chart, degree, table)
+
+
+def form_matrix_wedge_reference(self: FormMatrix, other: FormMatrix) -> FormMatrix:
+    """Matrix product with entrywise wedge: (AB)_u^t = A_u^s ^ B_s^t."""
+    self._check_compatible(other, same_degree=False)
+    degree = self.degree + other.degree
+    zero = self.chart.zero_form(degree)
+    out = []
+    for u in range(self.size):
+        row = []
+        for t in range(self.size):
+            acc = zero
+            for s in range(self.size):
+                a = self.entries[u][s]
+                b = other.entries[s][t]
+                if a.is_zero() or b.is_zero():
+                    continue
+                acc = acc + a.wedge(b)
+            row.append(acc)
+        out.append(row)
+    return FormMatrix(self.chart, out, degree)
+
+
+def trace_wedge_reference(self: FormMatrix, other: FormMatrix) -> AForm:
+    """tr(self ^ other), building only the diagonal of the product."""
+    self._check_compatible(other, same_degree=False)
+    acc = self.chart.zero_form(self.degree + other.degree)
+    for u in range(self.size):
+        for s in range(self.size):
+            a = self.entries[u][s]
+            b = other.entries[s][u]
+            if a.is_zero() or b.is_zero():
+                continue
+            acc = acc + a.wedge(b)
+    return acc
+
+
+def bott_delta_link_reference(connections: Sequence[FormMatrix], h: int) -> AForm:
+    """Delta(omega0, omega1)c_h with the link curvature rebuilt at every node."""
+    if h < 1:
+        raise ValueError(f"c_{h} is not a Chern polynomial: the degree must be at least 1")
+    for conn in connections:
+        _require_connection(conn)
+    c0 = connections[0]
+    chart = c0.chart
+    alpha = connections[1] - c0
+    if h == 1:  # c_1(alpha) does not depend on the link parameter
+        return chern_polarized([alpha])
+    total = chart.zero_form(2 * h - 1)
+    for x, w in zip(*gauss_legendre_01(h)):
+        omega_x = curvature(c0 + alpha.scale(float(x)))
+        total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
+    return total.scale(float(h))

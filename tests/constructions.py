@@ -16,12 +16,34 @@ import numpy as np
 
 from algebroids.algebroid import (AlgebroidChart, JetChart, Section, _jet_decompose_section,
                                   anchor_apply, d_A)
-from algebroids.chern import chern_scalar
 from algebroids.connections import FormMatrix, QuasiMetric, invert_field_matrix
 from algebroids.expressions import Const, ScalarField, ZERO, add, evaluate, max_abs_finite, mul
 from algebroids.forms import AForm, _alternating_assignments, _require_same_chart
 from algebroids.sampling import sample_points
 from expression_oracle import scalar_eval
+
+
+def chern_scalar(matrix: np.ndarray, h: int) -> float:
+    """c_h(F), the sum of principal h-minors, by Newton's identities.
+
+    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i with the power sums
+    p_i = tr(F^i).
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    r = matrix.shape[0]
+    if matrix.shape != (r, r):
+        raise ValueError("chern_scalar needs a square matrix")
+    if not 1 <= h <= r:
+        raise ValueError(f"c_{h} is out of range for {r}x{r} matrices")
+    power = np.eye(r)
+    power_sums = []
+    elementary = [1.0]
+    for k in range(1, h + 1):
+        power = power @ matrix
+        power_sums.append(float(np.trace(power)))
+        elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power_sums[i - 1]
+                              for i in range(1, k + 1)) / k)
+    return elementary[h]
 
 
 def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",

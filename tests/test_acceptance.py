@@ -14,7 +14,6 @@ from algebroids.chern import (
     bott_delta,
     chern_form,
     chern_polarized,
-    chern_scalar,
     cocycle_check,
     transgression_check,
 )
@@ -41,7 +40,7 @@ from algebroids.connections import (
 )
 from algebroids.expressions import Const, parse_expression
 from algebroids.sampling import sample_points
-from constructions import odd_vanishing_check
+from constructions import chern_scalar, odd_vanishing_check
 from expression_oracle import scalar_eval
 from transgression_oracle import integrate_unit_interval
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import algebroids.forms
 from algebroids.algebroid import AlgebroidChart
 
 from algebroids.algebroid import d_A, jet_prolong
@@ -19,7 +20,6 @@ from algebroids.chern import (
     bott_delta,
     chern_form,
     chern_polarized,
-    chern_scalar,
     cocycle_check,
     gauss_legendre_01,
     transgression_check,
@@ -38,9 +38,15 @@ from algebroids.connections import (
 from algebroids.expressions import ZERO, Const, parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
-from chern_oracle import chern_polarized_reference, chern_scalar_reference
-from constructions import conjugate_form_matrix, odd_vanishing_check
-from expression_oracle import scalar_eval
+from chern_oracle import (
+    bott_delta_link_reference,
+    chern_polarized_reference,
+    chern_scalar_reference,
+    form_matrix_wedge_reference,
+    trace_wedge_reference,
+)
+from constructions import chern_scalar, conjugate_form_matrix, odd_vanishing_check
+from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import (
     NonPolynomialError,
     bott_delta_reference,
@@ -209,7 +215,7 @@ def _plane_chart():
                           [[ZERO, ZERO] for _ in range(6)])
 
 
-def _random_form_matrix(chart, size, degree, rng):
+def _random_form_matrix(chart, size, degree, rng, density=0.6, keys_per_entry=3):
     """A sparse size x size matrix of degree-k forms with coordinate-dependent entries."""
     keys = list(combinations(range(chart.rank), degree))
     coord = chart.coords[int(rng.integers(len(chart.coords)))]
@@ -218,8 +224,9 @@ def _random_form_matrix(chart, size, degree, rng):
         row = []
         for _ in range(size):
             table = {}
-            if rng.random() < 0.6:
-                for j in rng.choice(len(keys), size=min(len(keys), 3), replace=False):
+            if rng.random() < density:
+                for j in rng.choice(len(keys), size=min(len(keys), keys_per_entry),
+                                    replace=False):
                     a, b = rng.uniform(-2.0, 2.0, size=2)
                     table[keys[j]] = parse_expression(f"{a:.3f}+{b:.3f}*sin({coord})",
                                                       chart.coords)
@@ -246,6 +253,15 @@ def _argument_pattern(pattern, chart, size, h, rng):
     return [draw(int(d)) for d in rng.integers(3, size=h)]  # mixed degrees, any order
 
 
+def _sa3_mu_pair(sa3):
+    """The connections (c0, c1) whose transgression is `mu sa3 --morphism zero`."""
+    phi = sa3.morphism("zero")
+    c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
+                        sa3.metric_for(phi.source.name),
+                        sa3.metric_for(phi.target.name))
+    return c0, morphism_sum_connection(phi)
+
+
 class TestChernAgainstPermutationSum:
     """The cycle expansion against the generalized-delta sum it replaced."""
 
@@ -268,11 +284,7 @@ class TestChernAgainstPermutationSum:
 
     def test_transgression_slice_on_sa3(self, sa3, line_points):
         # The rank-12 argument pattern (alpha, Omega, Omega) of `mu sa3 --h 2`.
-        phi = sa3.morphism("zero")
-        c1 = morphism_sum_connection(phi)
-        c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
-                            sa3.metric_for(phi.source.name),
-                            sa3.metric_for(phi.target.name))
+        c0, c1 = _sa3_mu_pair(sa3)
         alpha = c1 - c0
         omega = curvature(c0 + alpha.scale(0.3))
         args = [alpha, omega, omega]
@@ -285,11 +297,7 @@ class TestChernAgainstPermutationSum:
     def test_wedge_count_does_not_grow_like_rank_to_the_h(self, sa3, monkeypatch):
         # Delta(c0, c1)c_3 of `mu sa3 --h 2`: 11,301 form wedges by the
         # permutation sum, 1,959 by the cycle expansion.
-        phi = sa3.morphism("zero")
-        c1 = morphism_sum_connection(phi)
-        c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
-                            sa3.metric_for(phi.source.name),
-                            sa3.metric_for(phi.target.name))
+        c0, c1 = _sa3_mu_pair(sa3)
         calls = 0
         wedge = AForm.wedge
 
@@ -301,6 +309,101 @@ class TestChernAgainstPermutationSum:
         monkeypatch.setattr(AForm, "wedge", counted)
         bott_delta([c0, c1], 3)
         assert 0 < calls <= 3000
+
+
+@cache
+def _anchored_plane_chart():
+    """A bracket-free rank-7 chart over (x, y), its frame anchored on d/dx and d/dy in turn.
+
+    Rank 7 leaves room for the degree-7 transgression form of c_4."""
+    one = Const(1.0)
+    return AlgebroidChart("R7_anchored", ["x", "y"], [f"e{i}" for i in range(7)],
+                          [[one, ZERO] if i % 2 == 0 else [ZERO, one] for i in range(7)])
+
+
+class TestProductsAgainstIntermediateForms:
+    """Matrix products without intermediate forms against `acc = acc + a.wedge(b)`."""
+
+    CHARTS = ["sl2aff", "action_x", "plane", "anchored_plane"]
+
+    @staticmethod
+    def _chart(name, sl2aff, action_x):
+        if name == "sl2aff":
+            return sl2aff.chart("sl2aff")
+        if name == "action_x":
+            return action_x.chart("action")
+        return _plane_chart() if name == "plane" else _anchored_plane_chart()
+
+    @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4),
+           degrees=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_products_build_the_same_trees(self, sl2aff, action_x, chart_name, size,
+                                           degrees, seed):
+        chart = self._chart(chart_name, sl2aff, action_x)
+        rng = np.random.default_rng(seed)
+        a, b = (_random_form_matrix(chart, size, min(d, chart.rank), rng) for d in degrees)
+        product, old = a.wedge(b), form_matrix_wedge_reference(a, b)
+        assert product.degree == old.degree
+        pairs = [(new, ref) for new_row, ref_row in zip(product.entries, old.entries)
+                 for new, ref in zip(new_row, ref_row)]
+        pairs.append((a.trace_wedge(b), trace_wedge_reference(a, b)))
+        for new, ref in pairs:
+            assert list(new.table) == list(ref.table)
+            for key, coeff in ref.table.items():
+                assert str(new.table[key]) == str(coeff), key
+                assert tree_shape(new.table[key]) == tree_shape(coeff), key
+
+    @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4), h=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_transgression_matches_rebuilt_link_curvature(self, sl2aff, action_x,
+                                                          chart_name, size, h, seed):
+        chart = self._chart(chart_name, sl2aff, action_x)
+        rng = np.random.default_rng(seed)
+        c0, c1 = (_random_form_matrix(chart, size, 1, rng, density=0.5, keys_per_entry=2)
+                  for _ in range(2))
+        points = sample_points(chart.dim, 20, seed % 1000)
+        new = bott_delta([c0, c1], h)
+        old = bott_delta_link_reference([c0, c1], h)
+        assert new.degree == old.degree == 2 * h - 1
+        assert (new - old).max_abs(points) <= 1e-12 * max(1.0, old.max_abs(points))
+
+
+class TestTransgressionWork:
+    """Work counts of the transgression on the connections of `mu sa3`."""
+
+    @pytest.mark.parametrize("h", [2, 3, 4])
+    def test_d_is_taken_twice_whatever_the_node_count(self, sa3, monkeypatch, h):
+        # Rebuilding the link curvature at each of the h Gauss nodes took d h times.
+        calls = 0
+        d = FormMatrix.d
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return d(self)
+
+        monkeypatch.setattr(FormMatrix, "d", counted)
+        bott_delta(list(_sa3_mu_pair(sa3)), h)
+        assert calls == 2
+
+    def test_matrix_products_check_no_keys(self, sa3, monkeypatch):
+        c0, c1 = _sa3_mu_pair(sa3)
+        calls = 0
+        check = algebroids.forms.check_multi_index
+
+        def counted(index, rank):
+            nonlocal calls
+            calls += 1
+            return check(index, rank)
+
+        monkeypatch.setattr(algebroids.forms, "check_multi_index", counted)
+        # c0 is the zero connection of the constant metrics; c1 ^ c1 is not zero.
+        products = [a.wedge(b) for a, b in ((c0, c1), (c1, c0), (c1, c1))]
+        c1.trace_wedge(c1)
+        assert calls == 0
+        assert any(not entry.is_zero() for row in products[-1].entries for entry in row)
 
 
 class TestFiberIntegration:

@@ -158,6 +158,21 @@ class TestAFormDataInvariants:
         with pytest.raises(ValueError):
             AForm(_chart(3), 2, {(0,): Const(1.0)})
 
+    @pytest.mark.parametrize("key", [(2, 0), (1, 1), (0, 3), (-1, 0), (0,), (0, 1, 2)],
+                             ids=["unsorted", "repeated", "above_rank", "negative",
+                                  "short", "long"])
+    def test_public_constructor_checks_every_key(self, key):
+        # The public constructor is the input boundary; only products and sums
+        # of valid forms skip the checks.
+        with pytest.raises(ValueError):
+            AForm(_chart(3), 2, {(0, 1): Const(1.0), key: Const(2.0)})
+
+    def test_trusted_constructor_is_not_exported(self):
+        import algebroids
+
+        assert not any("trusted" in name for name in dir(algebroids))
+        assert not any("trusted" in name for name in dir(AForm))
+
     def test_zero_coefficients_are_dropped(self):
         data = AForm(_chart(2), 1, {(0,): Const(0.0)})
         assert data.is_zero()
