@@ -32,8 +32,7 @@ from .chern import (
     bott_delta,
     chern_form,
     chern_polarized,
-    cocycle_check,
-    transgression_check,
+    coboundary_check,
 )
 from .classes import (
     ClassReport,

@@ -5,13 +5,12 @@ expansion over S_h: traces of matrix words, each term with the Koszul sign of
 moving its wedge factors from argument order into cycle order, so it is exact
 for arguments of any degree and costs at most h! terms whatever the rank.  The
 polarized evaluation keeps the single odd-degree argument first, so all signs
-in mixed contractions are pinned by one convention.  Difference
-forms never leave the base chart: the transgression slices the affine link
-omega0 + x alpha at h Gauss-Legendre nodes, which is exact because its
-integrand is a polynomial of known degree 2(h - 1) in x, and the
-three-connection form is Bott's simplex formula in closed form.  Since d is
-linear, the link curvature at each node is d(omega0) + x d(alpha) - link ^ link
-with the two d's taken once.
+in mixed contractions are pinned by one convention.  Difference forms
+Delta(omega0, ..., omegak)c_h are Bott's simplex formula on the base chart:
+the link omega0 + sum t_i alpha_i is sliced at the nodes of a Gauss rule on
+the k-simplex, exact for the integrand's degree 2(h - k) in t, and its
+curvature d(omega0) + sum t_i d(alpha_i) - link ^ link takes each d once.
+`coboundary_check` is the one residual of Bott's cocycle identity.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import d_A
-from .connections import FormMatrix, _require_connection, curvature
+from .connections import FormMatrix, _require_connection
 from .expressions import Const, ScalarField, balanced_sum, mul
 from .forms import AForm
 from .reports import CheckRecord
@@ -146,63 +145,69 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
-def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
-    """Difference homomorphism on k+1 connections evaluated on c_h.
+def simplex_rule(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on the k-simplex, n nodes per axis, exact to degree 2n - k.
 
-    k = 0 is the closed characteristic form c_h(Omega).  k = 1 is the
-    transgression h * integral over [0, 1] of c_h(alpha, Omega_x, ..., Omega_x),
-    with alpha = omega1 - omega0 and Omega_x the curvature of the affine link
-    omega0 + x alpha; the integrand has degree 2(h - 1) in x, so h Gauss nodes
-    integrate it exactly.  d(omega0) and d(alpha) are taken once for all the
-    nodes.  k = 2 is Bott's simplex formula in closed form: zero
-    for h = 1 and c_2(omega1 - omega0, omega2 - omega0) for h = 2.
+    Collapsed: t = (u, (1 - u) s) with s on the (k - 1)-simplex, Jacobian (1 - u)^(k - 1).
+    The nodes are the rows of an (n^k, k) array; k = 1 is `gauss_legendre_01(n)`.
+    """
+    us, ws = gauss_legendre_01(n)
+    shrink = 1.0 - us
+    nodes, weights = np.empty((1, 0)), np.ones(1)
+    for m in range(1, k + 1):
+        nodes = np.hstack([np.repeat(us, len(weights))[:, None],
+                           np.kron(shrink[:, None], nodes)])
+        weights = np.kron(ws * shrink ** (m - 1), weights)
+    return nodes, weights
+
+
+def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
+    """Bott's difference form Delta(omega0, ..., omegak)c_h by the simplex formula
+
+        (h!/(h - k)!) int_{Delta^k} c_h(alpha_1, ..., alpha_k, Omega_t, ..., Omega_t) dt,
+
+    alpha_i = omega_i - omega0, Omega_t the curvature of omega0 + sum t_i alpha_i:
+    degree 2(h - k) in t, exact on `simplex_rule(k, h - floor(k/2))`.  Omega_t and
+    the d's, each taken once, are built only when h > k.  The degree 2h - k form
+    is zero, with nothing built, for k > h, h above the bundle rank or 2h - k
+    above the chart rank.  k = 0 is c_h(Omega) and k = 1 the transgression.
     """
     if h < 1:
         raise ValueError(f"c_{h} is not a Chern polynomial: the degree must be at least 1")
+    k = len(connections) - 1
+    if k > 2 * h:
+        raise ValueError(f"Delta on {k + 1} connections has negative degree on c_{h}")
     for conn in connections:
         _require_connection(conn)
-    k = len(connections) - 1
-    if k == 0:
-        return chern_form(curvature(connections[0]), h)
     c0 = connections[0]
-    chart = c0.chart
-    if k == 1:
-        alpha = connections[1] - c0
-        if h == 1:  # c_1(alpha) does not depend on the link parameter
-            return chern_polarized([alpha])
-        total = chart.zero_form(2 * h - 1)
-        d0, dalpha = c0.d(), alpha.d()  # d is linear: d(link) = d0 + x dalpha
-        for x, w in zip(*gauss_legendre_01(h)):
-            link = c0 + alpha.scale(float(x))
-            omega_x = (d0 + dalpha.scale(float(x))) - link.wedge(link)
-            total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
-        return total.scale(float(h))
-    if k == 2:
-        if h == 1:
-            return chart.zero_form(0)
-        if h == 2:
-            return chern_polarized([c - c0 for c in connections[1:]])
-        raise ValueError(f"Delta on three connections is implemented for c_1 and c_2, not c_{h}")
-    raise ValueError("bott_delta supports k in {0, 1, 2}")
+    degree = 2 * h - k
+    if k > h or h > c0.size or degree > c0.chart.rank:
+        return c0.chart.zero_form(degree)
+    alphas = [c - c0 for c in connections[1:]]
+    d0, dalphas = (c0.d(), [alpha.d() for alpha in alphas]) if h > k else (None, [])
+    total = c0.chart.zero_form(degree)
+    for t, w in zip(*simplex_rule(k, h - k // 2)):
+        args = list(alphas)
+        if h > k:
+            link, dlink = c0, d0
+            for ti, alpha, dalpha in zip(t, alphas, dalphas):
+                link = link + alpha.scale(float(ti))
+                dlink = dlink + dalpha.scale(float(ti))
+            args += [dlink - link.wedge(link)] * (h - k)
+        total = total + chern_polarized(args).scale(float(w))
+    return total.scale(math.factorial(h) / math.factorial(h - k))
 
 
-def transgression_check(c0: FormMatrix, c1: FormMatrix, h: int, points,
-                        tol: float = 1e-8) -> CheckRecord:
-    """Residual of Delta(c1)c_h - Delta(c0)c_h = d Delta(c0, c1)c_h at the probe points."""
-    lhs = bott_delta([c1], h) - bott_delta([c0], h)
-    rhs = d_A(bott_delta([c0, c1], h))
-    return CheckRecord(f"transgression_c{h}", (lhs - rhs).max_abs(points), tol,
-                       len(points))
-
-
-def cocycle_check(c0: FormMatrix, c1: FormMatrix, c2: FormMatrix, h: int,
-                  points, tol: float = 1e-8) -> CheckRecord:
-    """Simplicial coboundary identity for three connections.
-
-    d Delta(c0, c1, c2)c_h = Delta(c1, c2)c_h - Delta(c0, c2)c_h
-                             + Delta(c0, c1)c_h.
-    """
-    lhs = d_A(bott_delta([c0, c1, c2], h))
-    rhs = (bott_delta([c1, c2], h) - bott_delta([c0, c2], h)
-           + bott_delta([c0, c1], h))
-    return CheckRecord(f"cocycle_c{h}", (lhs - rhs).max_abs(points), tol, len(points))
+def coboundary_check(connections: Sequence[FormMatrix], h: int, points,
+                     tol: float = 1e-8) -> CheckRecord:
+    """Residual of Bott's cocycle identity on k + 1 connections, sum_i (-1)^i
+    Delta(..., c_i omitted, ...)c_h = d Delta(c0, ..., ck)c_h.  k = 1 is the
+    transgression Delta(c1)c_h - Delta(c0)c_h = d Delta(c0, c1)c_h, and k = 0,
+    with no faces, the closedness of c_h(Omega)."""
+    k = len(connections) - 1
+    total = connections[0].chart.zero_form(2 * h - k + 1)
+    for i in range(k + 1 if k else 0):
+        face = bott_delta([c for j, c in enumerate(connections) if j != i], h)
+        total = total - face if i % 2 else total + face
+    residual = total - d_A(bott_delta(connections, h))
+    return CheckRecord(f"coboundary_c{h}", residual.max_abs(points), tol, len(points))

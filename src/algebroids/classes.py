@@ -97,15 +97,10 @@ def chain_pair(alpha: Morphism, beta: Morphism, g_mid: QuasiMetric | None = None
     return d0, d1
 
 
-def _transgression_class(name: str, chart: AlgebroidChart, c0: FormMatrix,
-                         c1: FormMatrix, h: int) -> ClassReport:
-    """Delta(c0, c1)c_{2h-1} on `chart`, reported as `name_{2h-1}`."""
-    order = 2 * h - 1
-    if order > c1.size:
-        form = chart.zero_form(4 * h - 3)
-    else:
-        form = bott_delta([c0, c1], order)
-    return ClassReport(f"{name}_{order}", form)
+def _transgression_class(name: str, c0: FormMatrix, c1: FormMatrix,
+                         h: int) -> ClassReport:
+    """Delta(c0, c1)c_{2h-1}, reported as `name_{2h-1}`."""
+    return ClassReport(f"{name}_{2 * h - 1}", bott_delta([c0, c1], 2 * h - 1))
 
 
 def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
@@ -114,14 +109,14 @@ def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
     (id, phi).  A degree beyond the bundle rank yields the zero form (not an
     error)."""
     pair = chain_pair(Morphism.identity(phi.source), phi, g_source, g_target)
-    return _transgression_class("mu", phi.source, *pair, h)
+    return _transgression_class("mu", *pair, h)
 
 
 def bi_characteristic(phi1: Morphism, phi2: Morphism, h: int) -> ClassReport:
-    """Difference form between two morphisms with the same source and target."""
+    """Delta(nabla_phi1, nabla_phi2)c_{2h-1} of a parallel pair of morphisms."""
     if phi1.source is not phi2.source or phi1.target is not phi2.target:
         raise ValueError("bi-characteristic forms need a parallel pair of morphisms")
-    return _transgression_class("bi", phi1.source, morphism_sum_connection(phi1),
+    return _transgression_class("bi", morphism_sum_connection(phi1),
                                 morphism_sum_connection(phi2), h)
 
 
@@ -130,8 +125,7 @@ def relative_mu(phi: Morphism, psi: Morphism, h: int,
                 g_far: QuasiMetric | None = None) -> ClassReport:
     """Characteristic form of psi: A' -> A'' modulo phi: A -> A', on A: the
     chain (phi, psi)."""
-    return _transgression_class("relative", phi.source,
-                                *chain_pair(phi, psi, g_mid, g_far), h)
+    return _transgression_class("relative", *chain_pair(phi, psi, g_mid, g_far), h)
 
 
 def jet_relative(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
@@ -140,4 +134,4 @@ def jet_relative(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
     the chain (pi, phi).  By the jet theorem it is pi* of `mu_form(phi, h)`."""
     jet = jet_prolong(phi.source)
     pair = chain_pair(jet.projection(), phi, g_source, g_target)
-    return _transgression_class("jet_relative", jet, *pair, h)
+    return _transgression_class("jet_relative", *pair, h)

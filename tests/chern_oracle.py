@@ -16,6 +16,12 @@ intermediate form per summand, unchanged: `form_matrix_wedge_reference` and
 `acc = acc + a.wedge(b)`, and `bott_delta_link_reference` is the old k = 1
 branch of `bott_delta`, which took the curvature of the link afresh at each
 Gauss node.  The new products must build the same coefficient trees.
+
+`bott_delta_branch_reference` is the whole `bott_delta` that had one branch
+per simplex: c_h(Omega) for k = 0, the Gauss-node transgression for k = 1
+(with c_1(alpha) as a shortcut), and the closed forms 0 and c_2(alpha_1,
+alpha_2) for k = 2.  The simplex formula must build the same trees for
+k = 0 and k = 1, and the same values for k = 2.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from algebroids.chern import chern_polarized, gauss_legendre_01
+from algebroids.chern import chern_form, chern_polarized, gauss_legendre_01
 from algebroids.connections import FormMatrix, _require_connection, curvature
 from algebroids.expressions import Const, ScalarField, balanced_sum, mul
 from algebroids.forms import AForm, generalized_delta
@@ -148,3 +154,43 @@ def bott_delta_link_reference(connections: Sequence[FormMatrix], h: int) -> AFor
         omega_x = curvature(c0 + alpha.scale(float(x)))
         total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
     return total.scale(float(h))
+
+
+def bott_delta_branch_reference(connections: Sequence[FormMatrix], h: int) -> AForm:
+    """Difference homomorphism on k+1 connections evaluated on c_h.
+
+    k = 0 is the closed characteristic form c_h(Omega).  k = 1 is the
+    transgression h * integral over [0, 1] of c_h(alpha, Omega_x, ..., Omega_x),
+    with alpha = omega1 - omega0 and Omega_x the curvature of the affine link
+    omega0 + x alpha; the integrand has degree 2(h - 1) in x, so h Gauss nodes
+    integrate it exactly.  d(omega0) and d(alpha) are taken once for all the
+    nodes.  k = 2 is Bott's simplex formula in closed form: zero
+    for h = 1 and c_2(omega1 - omega0, omega2 - omega0) for h = 2.
+    """
+    if h < 1:
+        raise ValueError(f"c_{h} is not a Chern polynomial: the degree must be at least 1")
+    for conn in connections:
+        _require_connection(conn)
+    k = len(connections) - 1
+    if k == 0:
+        return chern_form(curvature(connections[0]), h)
+    c0 = connections[0]
+    chart = c0.chart
+    if k == 1:
+        alpha = connections[1] - c0
+        if h == 1:  # c_1(alpha) does not depend on the link parameter
+            return chern_polarized([alpha])
+        total = chart.zero_form(2 * h - 1)
+        d0, dalpha = c0.d(), alpha.d()  # d is linear: d(link) = d0 + x dalpha
+        for x, w in zip(*gauss_legendre_01(h)):
+            link = c0 + alpha.scale(float(x))
+            omega_x = (d0 + dalpha.scale(float(x))) - link.wedge(link)
+            total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
+        return total.scale(float(h))
+    if k == 2:
+        if h == 1:
+            return chart.zero_form(0)
+        if h == 2:
+            return chern_polarized([c - c0 for c in connections[1:]])
+        raise ValueError(f"Delta on three connections is implemented for c_1 and c_2, not c_{h}")
+    raise ValueError("bott_delta supports k in {0, 1, 2}")

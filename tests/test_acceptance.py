@@ -14,8 +14,7 @@ from algebroids.chern import (
     bott_delta,
     chern_form,
     chern_polarized,
-    cocycle_check,
-    transgression_check,
+    coboundary_check,
 )
 from algebroids.classes import (
     bi_characteristic,
@@ -159,7 +158,7 @@ def test_criterion_05_transgression(solvable2d, action_x, so3, so3_double,
         nabla0 = _orthogonal_sum_for(phi)
         points = sample_points(phi.source.dim, POINTS, SEED)
         for h in (1, 2):
-            record = transgression_check(nabla0, nabla1, h, points, 1e-8)
+            record = coboundary_check([nabla0, nabla1], h, points, 1e-8)
             assert record.passed, (fixture.name, name, h, record.residual)
     _report(5, "transgression identity on S bundles of rank <= 6, h in {1, 2}")
 
@@ -174,11 +173,13 @@ def test_criterion_06_cocycle_and_bi_characteristic(solvable2d, so3_double):
         nabla1 = morphism_sum_connection(phi1)
         nabla2 = morphism_sum_connection(phi2)
         for h in (1, 2):
-            record = cocycle_check(nabla0, nabla1, nabla2, h, points, 1e-8)
+            record = coboundary_check([nabla0, nabla1, nabla2], h, points, 1e-8)
             assert record.passed, (fixture.name, h, record.residual)
+        # Bott's cocycle identity with mu_phi = Delta(nabla0, nabla_phi) and
+        # bi = Delta(nabla_phi1, nabla_phi2).
         lhs = mu_form(phi1, 1).form - mu_form(phi2, 1).form
-        rhs = bi_characteristic(phi1, phi2, 1).form \
-            + d_A(bott_delta([nabla0, nabla1, nabla2], 1))
+        rhs = d_A(bott_delta([nabla0, nabla1, nabla2], 1)) \
+            - bi_characteristic(phi1, phi2, 1).form
         assert (lhs - rhs).max_abs(points) <= 1e-8, fixture.name
     _report(6, "two-simplex cocycle and bi-characteristic identities")
 

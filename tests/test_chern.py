@@ -6,7 +6,7 @@ Fiber integration and the parameter-chart route to difference forms live in
 
 import math
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -20,9 +20,9 @@ from algebroids.chern import (
     bott_delta,
     chern_form,
     chern_polarized,
-    cocycle_check,
+    coboundary_check,
     gauss_legendre_01,
-    transgression_check,
+    simplex_rule,
 )
 from algebroids.classes import orthogonal_sum
 from algebroids.connections import (
@@ -39,6 +39,7 @@ from algebroids.expressions import ZERO, Const, parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from chern_oracle import (
+    bott_delta_branch_reference,
     bott_delta_link_reference,
     chern_polarized_reference,
     chern_scalar_reference,
@@ -466,6 +467,23 @@ class TestGaussQuadrature:
                 value = float(np.sum(ws * xs ** d))
                 assert value == pytest.approx(1.0 / (d + 1), rel=1e-13)
 
+    def test_simplex_rule_reproduces_dirichlet_moments(self):
+        # integral of t^a over the k-simplex = a! / (|a| + k)!, exact for |a| <= 2n - k;
+        # on the interval the rule is Gauss-Legendre's, node for node
+        for k in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                nodes, weights = simplex_rule(k, n)
+                assert nodes.shape == (n ** k, k)
+                for a in product(range(2 * n - k + 1), repeat=k):
+                    if sum(a) > 2 * n - k:
+                        continue
+                    value = float(np.sum(weights * np.prod(nodes ** np.array(a), axis=1)))
+                    exact = math.prod(map(math.factorial, a)) / math.factorial(sum(a) + k)
+                    assert value == pytest.approx(exact, rel=1e-13), (k, n, a)
+            xs, ws = gauss_legendre_01(n)
+            nodes, weights = simplex_rule(1, n)
+            assert np.array_equal(nodes[:, 0], xs) and np.array_equal(weights, ws)
+
     def test_scalar_field_integration(self):
         tau = parse_expression("t", ["t"])
         poly = tau ** 3 - tau
@@ -606,15 +624,119 @@ class TestBottDeltaAgainstReference:
         # so3_double's pair is not proportional, so its c_2 form is far from zero.
         assert bott_delta([c0, c1, c2], 2).max_abs(line_points) > 0.1
 
-    def test_unsupported_degrees_are_rejected(self, so3_double):
+    def test_degree_bounds_of_the_simplex_formula(self, so3_double):
+        # Delta(c0, ..., ck)c_h has degree 2h - k: an error for h < 1 or k > 2h,
+        # and the zero form for h < k <= 2h, where c_h has too few arguments.
         p1, p2 = so3_double.morphism("id"), so3_double.morphism("rot")
         c1, c2 = morphism_sum_connection(p1), morphism_sum_connection(p2)
         c0 = FormMatrix.zero(p1.source, c1.size, 1)
-        with pytest.raises(ValueError, match="c_3"):
-            bott_delta([c0, c1, c2], 3)
         for connections in ([c0], [c0, c1], [c0, c1, c2]):
             with pytest.raises(ValueError, match="at least 1"):
                 bott_delta(connections, 0)
+        for connections, h in (([c0, c1, c2, c1], 1), ([c0, c1, c2, c1, c2, c0], 2)):
+            with pytest.raises(ValueError, match="negative degree"):
+                bott_delta(connections, h)
+        for connections, h in (([c0, c1, c2], 1), ([c0, c1, c2, c1], 2),
+                               ([c0, c1, c2, c1, c2], 2)):
+            out = bott_delta(connections, h)
+            assert out.is_zero() and out.degree == 2 * h - (len(connections) - 1)
+
+
+class TestSimplexRoute:
+    """The simplex formula against the branch per k that it replaced."""
+
+    @staticmethod
+    def _pairs(sl2aff, action_x, sa3):
+        rng = np.random.default_rng(13)
+        for chart in (sl2aff.chart("sl2aff"), action_x.chart("action")):
+            yield chart.name, [_random_form_matrix(chart, 3, 1, rng, density=0.5,
+                                                   keys_per_entry=2) for _ in range(2)]
+        yield "sa3", list(_sa3_mu_pair(sa3))
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_one_and_two_connections_build_the_same_trees(self, sl2aff, action_x, sa3, h):
+        compared = 0
+        for name, (c0, c1) in self._pairs(sl2aff, action_x, sa3):
+            for connections in ([c0], [c1], [c0, c1]):
+                new = bott_delta(connections, h)
+                old = bott_delta_branch_reference(connections, h)
+                assert new.degree == old.degree
+                assert list(new.table) == list(old.table), (name, len(connections))
+                for key, coeff in old.table.items():
+                    assert str(new.table[key]) == str(coeff), (name, key)
+                    assert tree_shape(new.table[key]) == tree_shape(coeff), (name, key)
+                compared += len(old.table)
+        assert compared > 0
+
+    def test_three_connections_match_the_closed_forms(self, solvable2d, so3_double,
+                                                      line_points):
+        for fixture, first, second in ((solvable2d, "phi", "phi2"),
+                                       (so3_double, "id", "rot")):
+            p1, p2 = fixture.morphism(first), fixture.morphism(second)
+            c0 = orthogonal_sum(p1.source, p1.source.rank, p1.target.rank)
+            connections = [c0, morphism_sum_connection(p1), morphism_sum_connection(p2)]
+            for h in (1, 2):
+                new = bott_delta(connections, h)
+                old = bott_delta_branch_reference(connections, h)
+                assert new.degree == old.degree == 2 * h - 2
+                assert (new - old).max_abs(line_points) == 0.0, (fixture.name, h)
+
+    @pytest.mark.parametrize("k, h", [(1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (2, 3)])
+    def test_d_only_for_the_curvature_and_once_per_connection(self, sl2aff, monkeypatch,
+                                                             k, h):
+        chart = sl2aff.chart("sl2aff")
+        rng = np.random.default_rng(k + 10 * h)
+        connections = [_random_form_matrix(chart, 3, 1, rng, density=0.5, keys_per_entry=2)
+                       for _ in range(k + 1)]
+        calls = 0
+        d = FormMatrix.d
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return d(self)
+
+        monkeypatch.setattr(FormMatrix, "d", counted)
+        assert not bott_delta(connections, h).is_zero()
+        assert calls == (k + 1 if h > k else 0)
+
+    def test_third_polynomial_on_three_connections_matches_fiber_integration(
+            self, sl2aff, line_points):
+        chart = sl2aff.chart("sl2aff")
+        rng = np.random.default_rng(3)
+        connections = [_random_form_matrix(chart, 3, 1, rng, density=0.5, keys_per_entry=2)
+                       for _ in range(3)]
+        points = line_points[:20]
+        old = bott_delta_reference(connections, 3)
+        scale = old.max_abs(points)
+        assert scale > 1.0
+        assert (bott_delta(connections, 3) - old).max_abs(points) <= 1e-12 * scale
+
+    def test_coboundary_on_one_connection_is_closedness(self, sl2aff, line_points):
+        # k = 0 has no faces: the residual is |d c_h(Omega)|.
+        chart = sl2aff.chart("sl2aff")
+        conn = _random_form_matrix(chart, 3, 1, np.random.default_rng(2), density=0.5,
+                                   keys_per_entry=2)
+        for h in (1, 2):
+            closed = d_A(bott_delta([conn], h))
+            record = coboundary_check([conn], h, line_points[:20], 1e-9)
+            assert record.residual == closed.max_abs(line_points[:20])
+            assert record.passed
+
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_coboundary_on_four_connections(self, sl2aff, line_points, h):
+        # At h = 2 the form on four connections is zero, and the identity says the
+        # alternating sum of the four nonzero faces vanishes.
+        chart = sl2aff.chart("sl2aff")
+        rng = np.random.default_rng(11)
+        connections = [_random_form_matrix(chart, 3, 1, rng, density=0.5, keys_per_entry=2)
+                       for _ in range(4)]
+        points = line_points[:20]
+        scale = max(bott_delta(connections[:i] + connections[i + 1:], h).max_abs(points)
+                    for i in range(4))
+        assert scale > 1.0
+        record = coboundary_check(connections, h, points, 1e-12 * scale)
+        assert record.passed, (record.residual, scale)
 
 
 class TestIdentities:
@@ -642,8 +764,8 @@ class TestIdentities:
                     phi.source, QuasiMetric.identity(phi.target.rank))),
             )
             for h in (1, 2):
-                record = transgression_check(
-                    c0, c1, h, sample_points(phi.source.dim, 60, 42), 1e-8)
+                record = coboundary_check(
+                    [c0, c1], h, sample_points(phi.source.dim, 60, 42), 1e-8)
                 assert record.passed, (fixture.name, name, h, record.residual)
 
     def test_transgression_with_curving_connections(self, tangent_r2):
@@ -669,7 +791,7 @@ class TestIdentities:
             return FormMatrix(chart, rows, 1)
 
         c0, c1 = rand_conn(2), rand_conn(2)
-        assert transgression_check(c0, c1, 1, sample_points(2, 60, 42), 1e-8).passed
+        assert coboundary_check([c0, c1], 1, sample_points(2, 60, 42), 1e-8).passed
         lhs = bott_delta([c1], 1) - bott_delta([c0], 1)
         points = sample_points(2, 20, 4)
         assert lhs.max_abs(points) > 0.1  # genuinely nonzero on both sides
@@ -683,12 +805,12 @@ class TestIdentities:
             dual_connection(orthogonal_connection(p1.source, QuasiMetric.identity(3))),
         )
         for h in (1, 2):
-            record = cocycle_check(c0, c1, c2, h, sample_points(1, 60, 42), 1e-8)
+            record = coboundary_check([c0, c1, c2], h, sample_points(1, 60, 42), 1e-8)
             assert record.passed, (h, record.residual)
 
     def test_equal_connections_cocycle_trivial(self, so3, line_points):
         conn = morphism_sum_connection(so3.morphism("id"))
-        record = cocycle_check(conn, conn, conn, 2, sample_points(1, 30, 42), 1e-12)
+        record = coboundary_check([conn, conn, conn], 2, sample_points(1, 30, 42), 1e-12)
         assert record.residual == 0.0
 
 

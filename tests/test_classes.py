@@ -23,6 +23,7 @@ from algebroids.connections import (
     QuasiMetric,
     orthogonal_connection,
 )
+from algebroids.expressions import ZERO, Const
 from algebroids.sampling import sample_points
 from constructions import basis_covector
 from expression_oracle import scalar_eval
@@ -174,10 +175,14 @@ class TestBiCharacteristic:
 
     def test_difference_identity_at_form_level(self, solvable2d, so3_double,
                                                line_points):
-        for fixture, first, second in ((solvable2d, "phi", "phi2"),
-                                       (so3_double, "id", "rot")):
-            phi1 = fixture.morphism(first)
-            phi2 = fixture.morphism(second)
+        # The bundled pairs have bi = 0 at c_1, where bi + d Delta and d Delta - bi
+        # agree; id and diag(2, 1) on the solvable chart tell them apart.
+        chart = solvable2d.chart("solvable")
+        scaled = Morphism(chart, chart, [[Const(2.0), ZERO], [ZERO, Const(1.0)]], "scaled")
+        bi_sizes = []
+        for phi1, phi2 in ((solvable2d.morphism("phi"), solvable2d.morphism("phi2")),
+                           (so3_double.morphism("id"), so3_double.morphism("rot")),
+                           (Morphism.identity(chart), scaled)):
             n1 = morphism_sum_connection(phi1)
             n2 = morphism_sum_connection(phi2)
             rank_a = phi1.source.rank
@@ -187,10 +192,12 @@ class TestBiCharacteristic:
                 dual_connection(orthogonal_connection(
                     phi1.source, QuasiMetric.identity(rank_b))),
             )
+            bi = bi_characteristic(phi1, phi2, 1).form
             lhs = mu_form(phi1, 1).form - mu_form(phi2, 1).form
-            rhs = bi_characteristic(phi1, phi2, 1).form \
-                + d_A(bott_delta([n0, n1, n2], 1))
+            rhs = d_A(bott_delta([n0, n1, n2], 1)) - bi
             assert (lhs - rhs).max_abs(line_points) < 1e-8
+            bi_sizes.append(bi.max_abs(line_points))
+        assert bi_sizes == [0.0, 0.0, pytest.approx(1.0)]
 
     def test_mismatched_pair_rejected(self, solvable2d, so3):
         with pytest.raises(ValueError):

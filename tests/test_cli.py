@@ -155,6 +155,27 @@ class TestSuites:
         names = [c.name for c in report.checks]
         assert "mu1_equals_modular[phi]" in names
 
+    def test_bi_characteristic_relation_with_nonzero_bi(self, tmp_path):
+        # id and diag(2, 1) on solvable2d's chart: bi = Delta(nabla_id, nabla_scaled)c_1
+        # has magnitude 1, so the record sees the sign of bi in the relation
+        # (every bundled parallel pair has bi = 0 at c_1).
+        path = tmp_path / "scaled_pair.json"
+        path.write_text(json.dumps({
+            "base": {"coords": ["x"]},
+            "algebroids": {"solvable": {"basis": ["b1", "b2"], "anchor": [["0"], ["0"]],
+                                        "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}},
+            "morphisms": {
+                "id": {"from": "solvable", "to": "solvable", "matrix": [["1", "0"], ["0", "1"]]},
+                "scaled": {"from": "solvable", "to": "solvable",
+                           "matrix": [["2", "0"], ["0", "1"]]},
+            },
+        }))
+        report = run_suite(load_fixture(path), "classes", Options(points=20))
+        records = {c.name: c for c in report.checks}
+        assert records["bi_characteristic[id,scaled]"].passed
+        assert records["bi_characteristic[id,scaled]"].residual < 1e-12
+        assert records["cocycle[id,scaled].c1"].passed
+
     def test_broken_fixture_fails_with_named_triple(self, broken_jacobi):
         report = run_suite(broken_jacobi, "axioms", Options(points=50))
         assert not report.passed

@@ -1,7 +1,7 @@
 """Reference routes for the difference forms Delta(c0, ..., ck)c_h.
 
-`algebroids.chern.bott_delta` works on the base chart only: for k = 1 it
-slices the affine link at Gauss nodes, for k = 2 it uses the closed forms.
+`algebroids.chern.bott_delta` works on the base chart only: it slices the
+link omega0 + sum t_i alpha_i at the nodes of a Gauss rule on the k-simplex.
 This module keeps the parameter-chart route it replaced, unchanged: product
 charts with extra tau (or t1, t2) coordinates, connection families on them,
 polynomial degrees inferred from the coefficient trees, and coefficient trees
