@@ -24,10 +24,12 @@ class AlgebroidChart:
     anchor[i][j] is the coefficient of d/dx^j in the image of the i-th frame
     section; brackets are stored canonically on pairs i < j as sparse maps
     k -> nonzero coefficient, in ascending k.  `anchor_terms[i]` lists the
-    nonzero entries (j, rho) of anchor row i in ascending j.  `d_A`, `bracket`,
-    `anchor_apply` and `verify_axioms` iterate only these sparse terms, in the
-    order of the dense loops over every frame and coordinate index, so they
-    build the same coefficient trees.
+    nonzero entries (j, rho) of anchor row i in ascending j, and
+    `bracket_sources[m]` the pairs (a, b) whose bracket has a nonzero m-term.
+    `d_A`, `bracket`, `anchor_apply` and `verify_axioms` iterate only these
+    sparse terms, in the order of the dense loops over every frame and
+    coordinate index, so they build the same coefficient trees; `d_A` visits
+    only the output keys that some term reaches.
     """
 
     def __init__(
@@ -70,6 +72,11 @@ class AlgebroidChart:
             tuple((j, rho) for j, rho in enumerate(row) if not rho.is_zero())
             for row in self.anchor
         )
+        sources: dict[int, list[tuple[int, int]]] = {}
+        for pair, terms in self.brackets.items():
+            for m in terms:
+                sources.setdefault(m, []).append(pair)
+        self.bracket_sources = {m: tuple(pairs) for m, pairs in sources.items()}
 
     def coordinate_field(self, index: int) -> ScalarField:
         return Coord(index, self.coords[index])
@@ -178,14 +185,17 @@ def d_A(omega: AForm) -> AForm:
     The anchor terms visit only nonzero anchor entries and non-constant
     coefficients; the bracket terms visit only the stored terms of each pair,
     by ascending target index.  Both keep the summation order of the dense
-    formula over every frame index.
+    formula over every frame index.  Only the output keys that some term
+    reaches are visited, in the order of `combinations`: K + {i} for a
+    non-constant coefficient on K and an anchored i not in K, and
+    (K - {m}) + {a, b} for m in K and a pair (a, b) in `bracket_sources[m]`.
     """
     chart = omega.chart
     k = omega.degree
     if k + 1 > chart.rank or omega.is_zero():
         return chart.zero_form(k + 1)
     table: dict[tuple[int, ...], ScalarField] = {}
-    for index in combinations(range(chart.rank), k + 1):
+    for index in sorted(_reached_keys(omega)):
         total = ZERO
         for r, i_r in enumerate(index):
             inner = omega.coeff(index[:r] + index[r + 1:])
@@ -211,6 +221,22 @@ def d_A(omega: AForm) -> AForm:
         if not total.is_zero():
             table[index] = total
     return AForm(chart, k + 1, table)
+
+
+def _reached_keys(omega: AForm) -> set[tuple[int, ...]]:
+    """The keys of d_A(omega) on which some Cartan term can be nonzero."""
+    chart = omega.chart
+    anchored = [i for i, terms in enumerate(chart.anchor_terms) if terms]
+    keys = set()
+    for key, coeff in omega.table.items():
+        if not isinstance(coeff, Const):
+            keys.update(tuple(sorted(key + (i,))) for i in anchored if i not in key)
+        for p, m in enumerate(key):
+            rest = key[:p] + key[p + 1:]
+            keys.update(tuple(sorted(rest + pair))
+                        for pair in chart.bracket_sources.get(m, ())
+                        if pair[0] not in rest and pair[1] not in rest)
+    return keys
 
 
 class Morphism:

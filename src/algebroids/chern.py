@@ -168,7 +168,8 @@ def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
 
     alpha_i = omega_i - omega0, Omega_t the curvature of omega0 + sum t_i alpha_i:
     degree 2(h - k) in t, exact on `simplex_rule(k, h - floor(k/2))`.  Omega_t and
-    the d's, each taken once, are built only when h > k.  The degree 2h - k form
+    the d's, each taken once, are built only when h > k; at h = k the constant
+    integrand is evaluated once, times the rule's weight sum.  The degree 2h - k form
     is zero, with nothing built, for k > h, h above the bundle rank or 2h - k
     above the chart rank.  k = 0 is c_h(Omega) and k = 1 the transgression.
     """
@@ -184,17 +185,19 @@ def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
     if k > h or h > c0.size or degree > c0.chart.rank:
         return c0.chart.zero_form(degree)
     alphas = [c - c0 for c in connections[1:]]
-    d0, dalphas = (c0.d(), [alpha.d() for alpha in alphas]) if h > k else (None, [])
+    nodes, weights = simplex_rule(k, h - k // 2)
     total = c0.chart.zero_form(degree)
-    for t, w in zip(*simplex_rule(k, h - k // 2)):
-        args = list(alphas)
-        if h > k:
+    if h == k:  # a constant integrand: one evaluation times the simplex volume
+        total = total + chern_polarized(alphas).scale(float(weights.sum()))
+    else:
+        d0, dalphas = c0.d(), [alpha.d() for alpha in alphas]
+        for t, w in zip(nodes, weights):
             link, dlink = c0, d0
             for ti, alpha, dalpha in zip(t, alphas, dalphas):
                 link = link + alpha.scale(float(ti))
                 dlink = dlink + dalpha.scale(float(ti))
-            args += [dlink - link.wedge(link)] * (h - k)
-        total = total + chern_polarized(args).scale(float(w))
+            args = alphas + [dlink - link.wedge(link)] * (h - k)
+            total = total + chern_polarized(args).scale(float(w))
     return total.scale(math.factorial(h) / math.factorial(h - k))
 
 

@@ -6,7 +6,10 @@ power, sin, cos, exp (plus an internal square root used when orthonormalizing
 metric frames).  Differentiation is symbolic and closed under these node
 kinds, so identities downstream fail only through floating-point evaluation,
 never through truncation.  No canonicalization is attempted beyond cheap
-constant folding; equality of fields is always decided pointwise.
+constant folding; equality of fields is always decided pointwise.  A fold
+whose value is +0.0 returns the one shared `ZERO` node, so the zeros that a
+Jacobiator or a cancelling sum folds to are a single node to every walk;
+-0.0 and every other value get a `Const` of their own.
 
 The algebra built on the folding constructors reuses subtrees, so a tree is
 in fact a DAG: one node object can sit under many parents.  Numbers come out
@@ -83,7 +86,7 @@ class ScalarField:
         return power(self, exponent)
 
     def __neg__(self):
-        return sub(Const(0.0), self)
+        return sub(ZERO, self)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
@@ -242,9 +245,19 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
+def _folded(value: float) -> Const:
+    """A folded constant: the shared `ZERO` for +0.0, a new `Const` otherwise.
+
+    -0.0 keeps its own node, so folding never changes a value's bits.
+    """
+    if value == 0.0 and math.copysign(1.0, value) > 0.0:
+        return ZERO
+    return Const(value)
+
+
 def add(a: ScalarField, b: ScalarField) -> ScalarField:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
+        return _folded(a.value + b.value)
     if a.is_zero():
         return b
     if b.is_zero():
@@ -254,7 +267,7 @@ def add(a: ScalarField, b: ScalarField) -> ScalarField:
 
 def sub(a: ScalarField, b: ScalarField) -> ScalarField:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
+        return _folded(a.value - b.value)
     if b.is_zero():
         return a
     return Sub(a, b)
@@ -262,7 +275,7 @@ def sub(a: ScalarField, b: ScalarField) -> ScalarField:
 
 def mul(a: ScalarField, b: ScalarField) -> ScalarField:
     if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+        return _folded(a.value * b.value)
     if a.is_zero() or b.is_zero():
         return ZERO
     if isinstance(a, Const) and a.value == 1.0:
@@ -277,7 +290,7 @@ def div(a: ScalarField, b: ScalarField) -> ScalarField:
         if b.value == 1.0:
             return a
         if isinstance(a, Const) and b.value != 0.0:
-            return Const(a.value / b.value)
+            return _folded(a.value / b.value)
     if a.is_zero():
         return ZERO
     return Div(a, b)
@@ -290,36 +303,38 @@ def power(base: ScalarField, exponent: int) -> ScalarField:
     if exponent == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** exponent)
+        return _folded(base.value ** exponent)
     return Pow(base, exponent)
 
 
 def sine(arg: ScalarField) -> ScalarField:
     if isinstance(arg, Const):
-        return Const(math.sin(arg.value))
+        return _folded(math.sin(arg.value))
     return Sin(arg)
 
 
 def cosine(arg: ScalarField) -> ScalarField:
     if isinstance(arg, Const):
-        return Const(math.cos(arg.value))
+        return _folded(math.cos(arg.value))
     return Cos(arg)
 
 
 def exponential(arg: ScalarField) -> ScalarField:
     if isinstance(arg, Const):
-        return Const(math.exp(arg.value))
+        return _folded(math.exp(arg.value))
     return Exp(arg)
 
 
 def square_root(arg: ScalarField) -> ScalarField:
     if isinstance(arg, Const):
-        return Const(math.sqrt(arg.value))
+        return _folded(math.sqrt(arg.value))
     return Sqrt(arg)
 
 
 def balanced_sum(terms: Sequence[ScalarField]) -> ScalarField:
     """Sum many fields as a balanced tree, keeping evaluation depth logarithmic."""
+    if len(terms) == 1:
+        return ZERO if terms[0].is_zero() else terms[0]
     terms = [t for t in terms if not t.is_zero()]
     if not terms:
         return ZERO

@@ -140,7 +140,7 @@ def load_fixture(path: str | Path) -> Fixture:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FixtureError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "coords" not in _object(raw.get("base", {}), "base"):
         raise FixtureError(f"{path}: missing base.coords")

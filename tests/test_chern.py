@@ -700,6 +700,29 @@ class TestSimplexRoute:
         assert not bott_delta(connections, h).is_zero()
         assert calls == (k + 1 if h > k else 0)
 
+    def test_constant_integrand_is_evaluated_once(self, sl2aff, line_points, monkeypatch):
+        # At h = k the integrand c_h(alpha_1, ..., alpha_k) does not depend on t,
+        # so the simplex rule's 8 nodes collapse to one evaluation.
+        chart = sl2aff.chart("sl2aff")
+        rng = np.random.default_rng(5)
+        connections = [_random_form_matrix(chart, 3, 1, rng, density=0.5, keys_per_entry=2)
+                       for _ in range(4)]
+        expected = chern_polarized([c - connections[0] for c in connections[1:]])
+        calls = 0
+
+        def counted(args):
+            nonlocal calls
+            calls += 1
+            return chern_polarized(args)
+
+        monkeypatch.setattr("algebroids.chern.chern_polarized", counted)
+        out = bott_delta(connections, 3)
+        assert calls == 1
+        points = line_points[:20]
+        scale = expected.max_abs(points)
+        assert scale > 0.1
+        assert (out - expected).max_abs(points) <= 1e-12 * scale
+
     def test_third_polynomial_on_three_connections_matches_fiber_integration(
             self, sl2aff, line_points):
         chart = sl2aff.chart("sl2aff")

@@ -138,6 +138,12 @@ class TestFixtureLoading:
         assert "cannot be evaluated at probe point" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_undecodable_fixture_is_a_fixture_error(self, tmp_path, capsys):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert main(["verify", str(bad), "--suite", "axioms"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_unknown_bundled_fixture(self):
         with pytest.raises(FixtureError, match="unknown bundled fixture"):
             builtin_fixture_path("nope")
@@ -279,6 +285,15 @@ class TestMainEntry:
     def test_exit_two_on_usage_error(self):
         code = main(["verify", "so3", "--suite", "bogus"])
         assert code == 2
+
+    def test_a_program_error_is_not_a_fixture_error(self, monkeypatch):
+        # Exit 2 means bad input; a ValueError from the program keeps its traceback.
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli._SUITE_RUNNERS, "axioms", (boom,))
+        with pytest.raises(ValueError, match="boom"):
+            main(["verify", "so3", "--suite", "axioms", "--points", "5"])
 
     def test_report_written_to_file(self, tmp_path):
         out = tmp_path / "report.json"

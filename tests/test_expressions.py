@@ -6,11 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.expressions import (
+    ONE,
+    ZERO,
     Const,
     ExpressionError,
     _format_number,
+    add,
     balanced_sum,
+    cosine,
+    div,
+    exponential,
+    mul,
     parse_expression,
+    power,
+    sine,
+    square_root,
+    sub,
 )
 from expression_oracle import scalar_eval
 from transgression_oracle import subs, tau_degree
@@ -128,6 +139,41 @@ def test_balanced_sum_matches_sequential_sum():
     total = balanced_sum(terms)
     expected = sum(0.9 ** k for k in range(1, 40))
     assert scalar_eval(total, (0.9, 0.0)) == pytest.approx(expected)
+
+
+def test_balanced_sum_of_one_term_is_that_term():
+    term = parse_expression("x*y", COORDS)
+    assert balanced_sum([term]) is term
+    assert balanced_sum([Const(-0.0)]) is ZERO
+    assert balanced_sum([Const(0.0)]) is ZERO
+
+
+def test_exact_zero_folds_to_the_shared_node():
+    assert add(ONE, Const(-1.0)) is ZERO
+    assert add(ZERO, ZERO) is ZERO
+    for value in (0.0, -0.0, 2.5, -3.0, 1e300):
+        x = Const(value)
+        assert sub(x, x) is ZERO
+    assert mul(Const(0.0), Const(4.0)) is ZERO
+    assert div(Const(0.0), Const(2.0)) is ZERO
+    assert power(Const(0.0), 3) is ZERO
+    assert sine(Const(0.0)) is ZERO
+    assert square_root(Const(0.0)) is ZERO
+    assert exponential(Const(-1000.0)) is ZERO  # underflows to +0.0
+
+
+def test_negative_zero_and_other_folds_keep_their_bits():
+    negative = mul(Const(-1.0), ZERO)
+    assert negative is not ZERO and repr(negative.value) == "-0.0"
+    for folded in (add(Const(-0.0), Const(-0.0)), div(Const(-0.0), Const(2.0)),
+                   sine(Const(-0.0))):
+        assert folded is not ZERO and math.copysign(1.0, folded.value) == -1.0
+    for folded, value in ((add(Const(0.5), Const(0.25)), 0.75),
+                          (sub(Const(0.1), Const(0.3)), 0.1 - 0.3),
+                          (mul(Const(3.0), Const(1.5)), 4.5),
+                          (cosine(Const(0.0)), 1.0)):
+        assert repr(folded) == repr(Const(value))
+        assert repr(folded.value) == repr(value)
 
 
 def test_rendering_round_trips_through_parser():

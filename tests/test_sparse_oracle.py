@@ -8,11 +8,13 @@ same table keys, same node kinds, constants and child order, hence
 """
 
 from itertools import combinations
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from expression_oracle import tree_shape as _tree
+from algebroids import algebroid, expressions
 from algebroids.algebroid import (
     AlgebroidChart,
     Morphism,
@@ -25,7 +27,7 @@ from algebroids.algebroid import (
 )
 from algebroids.classes import chain_pair, modular_form
 from algebroids.connections import bracket_connection, morphism_target_connection
-from algebroids.expressions import parse_expression
+from algebroids.expressions import ZERO, Const, parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 
@@ -35,6 +37,7 @@ POOL = {
     1: ["x", "x^2", "sin(x)", "exp(x)", "1 + x", "x/(2 + x^2)", "2", "-3", "0.5"],
     2: ["y", "x*y", "cos(y) - x", "y^3"],
 }
+CONSTANTS = ["0", "2", "-3", "0.5"]
 
 
 # Largest jet rank s(1 + dim) whose jet connections the chart test compares:
@@ -66,6 +69,23 @@ def _fields(coords, zero_weight: int = 1):
         lambda text: parse_expression(text, coords))
 
 
+def _constants(coords):
+    return st.sampled_from(CONSTANTS).map(lambda text: parse_expression(text, coords))
+
+
+def _draw_form(data, chart, degree, coefficients, max_keys=None) -> AForm:
+    keys = data.draw(st.lists(
+        st.sampled_from(list(combinations(range(chart.rank), degree))),
+        unique=True, max_size=max_keys))
+    return AForm(chart, degree, {key: data.draw(coefficients) for key in keys})
+
+
+def _assert_same_d_A(omega: AForm) -> None:
+    new, old = d_A(omega), dense_oracle.d_A(omega)
+    assert new.degree == old.degree
+    _assert_same_table(new.table, old.table)
+
+
 @st.composite
 def charts(draw):
     rank = draw(st.integers(1, 5))
@@ -87,15 +107,10 @@ def charts(draw):
 @settings(max_examples=80, deadline=None)
 def test_sparse_routes_match_dense_oracle(chart, data):
     fields = _fields(chart.coords)
+    # Constant coefficients reach only bracket keys, also on anchored charts.
     for degree in range(chart.rank + 1):
-        keys = data.draw(st.lists(
-            st.sampled_from(list(combinations(range(chart.rank), degree))),
-            unique=True))
-        table = {key: data.draw(fields) for key in keys}
-        omega = AForm(chart, degree, table)
-        new, old = d_A(omega), dense_oracle.d_A(omega)
-        assert new.degree == old.degree
-        _assert_same_table(new.table, old.table)
+        for coefficients in (fields, _constants(chart.coords)):
+            _assert_same_d_A(_draw_form(data, chart, degree, coefficients))
     a1, a2 = (Section(chart, data.draw(st.lists(fields, min_size=chart.rank,
                                                  max_size=chart.rank)))
               for _ in range(2))
@@ -113,6 +128,9 @@ def test_sparse_routes_match_dense_oracle(chart, data):
     _assert_same_connection(d1, dense_oracle.morphism_sum_connection(phi))
     if chart.rank * (1 + chart.dim) <= JET_RANK_CAP:
         jet = jet_prolong(chart)
+        for degree in (0, 1, 2):
+            for coefficients in (fields, _constants(chart.coords)):
+                _assert_same_d_A(_draw_form(data, jet, degree, coefficients, max_keys=8))
         projection = jet.projection()
         _assert_same_connection(morphism_target_connection(projection),
                                 dense_oracle.jet_bracket_connection(jet))
@@ -134,7 +152,26 @@ def _sa3_forms(chart):
     ]
 
 
-def test_d_A_never_scans_the_dense_frame(sa3, sl2aff):
+def _d_A_bodies(monkeypatch, omega: AForm) -> tuple[AForm, int]:
+    """d_A(omega) and the number of per-key bodies it ran.
+
+    Each body reads one coefficient of omega per slot of its key.
+    """
+    reads = 0
+    coeff = AForm.coeff
+
+    def counted(self, index):
+        nonlocal reads
+        reads += self is omega
+        return coeff(self, index)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AForm, "coeff", counted)
+        out = d_A(omega)
+    return out, reads // (omega.degree + 1)
+
+
+def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, tangent_r2, monkeypatch):
     chart = sa3.chart("sa3")
     forms = _sa3_forms(chart)
     expected = [dense_oracle.d_A(omega).table for omega in forms]
@@ -144,3 +181,42 @@ def test_d_A_never_scans_the_dense_frame(sa3, sl2aff):
     bracket(chart.basis_section(0), chart.basis_section(1))
     for small in sl2aff.charts.values():
         assert all(r.passed for r in verify_axioms(small, sample_points(small.dim, 5, 42)))
+    # On a one-key 1-form, d_A runs a body only on the keys a Cartan term
+    # reaches: the bracket pairs with an m-term, and with a non-constant
+    # coefficient {m, i} for each anchored i.
+    jet = jet_prolong(chart)
+    assert jet.rank == 22 and not any(jet.anchor_terms)
+    anchored_jet = jet_prolong(tangent_r2.chart("TR2"))
+    assert all(anchored_jet.anchor_terms)
+    for big in (jet, anchored_jet):
+        anchored = {i for i, terms in enumerate(big.anchor_terms) if terms}
+        for m in range(big.rank):
+            for text in ("x^2", "2"):
+                omega = AForm(big, 1, {(m,): parse_expression(text, big.coords)})
+                reached = {pair for pair, terms in big.brackets.items() if m in terms}
+                if text != "2":
+                    reached |= {tuple(sorted((m, i))) for i in anchored - {m}}
+                out, bodies = _d_A_bodies(monkeypatch, omega)
+                assert bodies == len(reached) < comb(big.rank, 2), (big.name, m, text)
+                assert set(out.table) <= reached
+                if m in (0, big.rank - 1):
+                    _assert_same_table(out.table, dense_oracle.d_A(omega).table)
+
+
+def test_jacobiator_zeros_reach_the_walk_as_one_node(sa3, monkeypatch):
+    # The zero components of the jet's Jacobiators fold to the shared ZERO, so
+    # the walk schedules and reduces them as one root, not one per component.
+    roots = []
+    walk = expressions.field_maxima
+
+    def recording(fields, points):
+        fields = list(fields)
+        roots.extend(fields)
+        return walk(fields, points)
+
+    monkeypatch.setattr(expressions, "field_maxima", recording)
+    monkeypatch.setattr(algebroid, "field_maxima", recording)
+    records = verify_axioms(jet_prolong(sa3.chart("sa3")), sample_points(1, 5, 42))
+    assert all(record.passed for record in records)
+    assert sum(root is ZERO for root in roots) > 30_000
+    assert [root for root in roots if isinstance(root, Const) and root is not ZERO] == []
