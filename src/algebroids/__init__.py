@@ -30,7 +30,6 @@ from .connections import (
 )
 from .chern import (
     bott_delta,
-    chern_form,
     chern_polarized,
     coboundary_check,
 )

@@ -134,11 +134,6 @@ def _koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
     return sign
 
 
-def chern_form(matrix: FormMatrix, h: int) -> AForm:
-    """c_h evaluated with all arguments equal to the given matrix."""
-    return chern_polarized([matrix] * h)
-
-
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n - 1."""
     nodes, weights = np.polynomial.legendre.leggauss(n)

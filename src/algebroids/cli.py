@@ -37,7 +37,9 @@ from .classes import (
 )
 from .connections import (
     FormMatrix,
+    adapted_frame,
     bracket_connection,
+    connection_from_coefficients,
     curvature,
     k_flatness_check,
     kernel_frame_on_S,
@@ -48,7 +50,7 @@ from .connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from .expressions import Const, ScalarField, add, evaluate, mul
+from .expressions import Const, ScalarField, ZERO, add, evaluate, mul
 from .fixtures import Fixture, FixtureError, resolve_fixture
 from .forms import AForm
 from .reports import CheckRecord, Report
@@ -100,17 +102,9 @@ def _random_form(chart: AlgebroidChart, degree: int, rng) -> AForm:
 
 
 def _random_connection(chart: AlgebroidChart, rank: int, rng) -> FormMatrix:
-    rows = []
-    for _ in range(rank):
-        row = []
-        for _ in range(rank):
-            table = {}
-            for i in range(chart.rank):
-                if rng.integers(0, 2):
-                    table[(i,)] = _random_polynomial(chart, rng)
-            row.append(AForm(chart, 1, table))
-        rows.append(row)
-    return FormMatrix(chart, rows, 1)
+    return connection_from_coefficients(
+        chart, rank,
+        lambda i, u, t: _random_polynomial(chart, rng) if rng.integers(0, 2) else ZERO)
 
 
 def _bianchi_record(name: str, conn: FormMatrix, points, tol: float) -> CheckRecord:
@@ -132,8 +126,10 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
     and the generator fills rows in order, so each check's prefix of this
     draw equals a smaller draw with the same seed.  Checks take the first N
     rows, the adapted-frame checks min(N, 50), the jet suite max(10, N // 2)
-    and form dumps min(N, 10).  Every fixture metric is validated on the
-    first N rows before any check runs.
+    and form dumps min(N, 10).  Before any check runs, every fixture metric
+    is validated on the first N rows, and the kernel rows of each morphism
+    must give an adapted frame of g+ and g- on the rows the adapted-frame
+    checks take.
     """
     points = sample_points(len(fixture.coords), max(opt.points, 10), opt.seed)
     for name, (_, metric) in fixture.metrics.items():
@@ -141,6 +137,16 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
             metric.validate(points[:opt.points])
         except ValueError as exc:
             raise FixtureError(f"metric {name!r} is {exc}") from exc
+    for name, (ker, coker) in fixture.kernels.items():
+        if not (ker or coker):
+            continue
+        phi = fixture.morphism(name)
+        frame = kernel_frame_on_S(phi, ker, coker)
+        for g in quasi_metric_on_S(phi):
+            try:
+                adapted_frame(g, frame, points[:min(opt.points, 50)])
+            except ValueError as exc:  # kernel rows that admit no adapted frame
+                raise FixtureError(str(exc)) from exc
     return points
 
 
@@ -194,12 +200,8 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> 
             report.add(record)
             frame = kernel_frame_on_S(phi, ker, coker)
             for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-                try:
-                    records = quasi_metric_frame_check(conn_S, g, frame, points[:50],
-                                                       opt.tol)
-                except ValueError as exc:  # kernel rows that admit no adapted frame
-                    raise FixtureError(str(exc)) from exc
-                for rec in records:
+                for rec in quasi_metric_frame_check(conn_S, g, frame, points[:50],
+                                                    opt.tol):
                     rec.name = f"adapted[{name}].{label}.{rec.name}"
                     report.add(rec)
 

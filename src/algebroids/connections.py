@@ -9,7 +9,9 @@ them, is `morphism_target_connection(phi)`: nabla_a b' = [phi a, b'].
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
   * curvature Omega = d(omega) - omega ^ omega,
-  * dual connection matrix = negative transpose in dual frames.
+  * metric compatibility dG - omega ^ G - G ^ omega^T = 0, with G the
+    0-form matrix of the metric (`FormMatrix.of_functions`),
+  * dual connection matrix = -omega^T, the negative transpose in dual frames.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .algebroid import (
     AlgebroidChart,
     Morphism,
     Section,
-    anchor_apply,
     bracket,
     d_A,
 )
@@ -40,17 +41,11 @@ class FormMatrix:
     __slots__ = ("chart", "size", "degree", "entries")
 
     def __init__(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
-                 degree: int | None = None):
+                 degree: int):
         self.chart = chart
         self.size = len(entries)
         if any(len(row) != self.size for row in entries):
             raise ValueError("form matrix must be square")
-        if degree is None:
-            degree = 0
-            for row in entries:
-                for entry in row:
-                    if not entry.is_zero():
-                        degree = entry.degree
         self.degree = degree
         for row in entries:
             for entry in row:
@@ -64,6 +59,15 @@ class FormMatrix:
     def zero(cls, chart: AlgebroidChart, size: int, degree: int) -> "FormMatrix":
         zero = chart.zero_form(degree)
         return cls(chart, [[zero] * size for _ in range(size)], degree)
+
+    @classmethod
+    def of_functions(cls, chart: AlgebroidChart,
+                     rows: Sequence[Sequence[ScalarField]]) -> "FormMatrix":
+        """The matrix of 0-forms with these scalar fields as entries."""
+        return cls(chart, [[chart.function_form(f) for f in row] for row in rows], 0)
+
+    def transpose(self) -> "FormMatrix":
+        return FormMatrix(self.chart, list(zip(*self.entries)), self.degree)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         self._check_compatible(other)
@@ -158,18 +162,9 @@ def _add_wedges(table: dict[tuple[int, ...], ScalarField],
 
 def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:
     """The rank x rank connection matrix with coeff(i, u, t) -> omega_u^t on b_i."""
-    rows = []
-    for u in range(rank):
-        row = []
-        for t in range(rank):
-            table = {}
-            for i in range(chart.rank):
-                c = coeff(i, u, t)
-                if not c.is_zero():
-                    table[(i,)] = c
-            row.append(AForm(chart, 1, table))
-        rows.append(row)
-    return FormMatrix(chart, rows, 1)
+    return FormMatrix(chart, [[_trusted_form(chart, 1, {(i,): coeff(i, u, t)
+                                                        for i in range(chart.rank)})
+                               for t in range(rank)] for u in range(rank)], 1)
 
 
 def _require_connection(conn: FormMatrix) -> None:
@@ -185,8 +180,7 @@ def curvature(conn: FormMatrix) -> FormMatrix:
 
 def dual_connection(conn: FormMatrix) -> FormMatrix:
     """Connection induced on the dual bundle: negative transpose matrix."""
-    return FormMatrix(conn.chart, [[e.scale(-1.0) for e in column]
-                                   for column in zip(*conn.entries)], conn.degree)
+    return conn.transpose().scale(-1.0)
 
 
 def direct_sum(c1: FormMatrix, c2: FormMatrix) -> FormMatrix:
@@ -304,20 +298,9 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
                 vec = [sub(v, mul(proj, p)) for v, p in zip(vec, prev)]
         norm = square_root(g.pairing(vec, vec))
         frame.append([div(v, norm) for v in vec])
-    inverse = invert_field_matrix(frame)  # frame[u][t] is G_u^t
-    rows = []
-    for u in range(rank):
-        row = []
-        for t in range(rank):
-            acc = chart.zero_form(1)
-            for s in range(rank):
-                dG = d_A(chart.function_form(frame[s][t]))
-                if dG.is_zero() or inverse[u][s].is_zero():
-                    continue
-                acc = acc + dG.scale(inverse[u][s])
-            row.append(acc.scale(-1.0))
-        rows.append(row)
-    return FormMatrix(chart, rows, 1)
+    G = FormMatrix.of_functions(chart, frame)  # frame[u][t] is G_u^t
+    inverse = FormMatrix.of_functions(chart, invert_field_matrix(frame))
+    return inverse.wedge(G.d()).scale(-1.0)
 
 
 def invert_field_matrix(m: Sequence[Sequence[ScalarField]]) -> list[list[ScalarField]]:
@@ -365,11 +348,9 @@ def quasi_metric_on_S(phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
         for i in range(s):
             for u in range(sp):
                 entry = phi.matrix[i][u]
-                if entry.is_zero():
-                    continue
-                matrix[i][s + u] = add(matrix[i][s + u], entry)
-                signed = entry if sign == 1 else mul(Const(-1.0), entry)
-                matrix[s + u][i] = add(matrix[s + u][i], signed)
+                if not entry.is_zero():
+                    matrix[i][s + u] = entry
+                    matrix[s + u][i] = entry if sign == 1 else mul(Const(-1.0), entry)
         return QuasiMetric(total, sign, matrix)
 
     return build(1), build(-1)
@@ -377,24 +358,14 @@ def quasi_metric_on_S(phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
 
 def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,
                         tol: float = 1e-9) -> CheckRecord:
-    """Residual of anchor(g(v,w)) - g(nabla v, w) - g(v, nabla w) on frame pairs."""
-    chart = conn.chart
-    fields = []
-    for i in range(chart.rank):
-        direction = chart.basis_section(i)
-        for a in range(conn.size):
-            for b in range(conn.size):
-                field = anchor_apply(direction, g.matrix[a][b])
-                for c in range(conn.size):
-                    w_ac = conn.entries[a][c].coeff((i,))
-                    if not w_ac.is_zero() and not g.matrix[c][b].is_zero():
-                        field = sub(field, mul(w_ac, g.matrix[c][b]))
-                    w_bc = conn.entries[b][c].coeff((i,))
-                    if not w_bc.is_zero() and not g.matrix[a][c].is_zero():
-                        field = sub(field, mul(w_bc, g.matrix[a][c]))
-                fields.append(field)
-    return CheckRecord("metric_compatibility", residual(fields, points), tol,
-                       len(points))
+    """Residual of dG - omega ^ G - G ^ omega^T, G the 0-form matrix of g.
+
+    On b_i its (a, b) entry is anchor(g(b_a, b_b)) - g(nabla b_a, b_b) -
+    g(b_a, nabla b_b) with nabla_{b_i} b_a = omega_a^c(b_i) b_c.
+    """
+    G = FormMatrix.of_functions(conn.chart, g.matrix)
+    parallel = G.d() - conn.wedge(G) - G.wedge(conn.transpose())
+    return CheckRecord("metric_compatibility", parallel.max_abs(points), tol, len(points))
 
 
 def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],

@@ -113,7 +113,7 @@ def _json_int(value) -> int:
 
 
 def _brackets(entries, rank: int, coords, where: str) -> dict:
-    """Frame brackets {(i, j): {k: coefficient}} from 1-based JSON entries."""
+    """Frame brackets {(i, j): {k: coefficient}} from 1-based JSON entries, one per pair."""
     if not isinstance(entries, list):
         raise FixtureError(f"{where}: brackets must be a list, got {entries!r}")
     brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
@@ -128,7 +128,10 @@ def _brackets(entries, rank: int, coords, where: str) -> dict:
                   for k, text in texts.items()}
         if not (0 <= i < rank and 0 <= j < rank) or any(not 0 <= k < rank for k in coeffs):
             raise FixtureError(f"{where}: bracket indices out of range for rank {rank}")
-        brackets.setdefault((i, j), {}).update(coeffs)
+        if (i, j) in brackets or (j, i) in brackets:
+            raise FixtureError(f"{where}: bracket ({i + 1},{j + 1}) repeats the pair "
+                               f"{{{min(i, j) + 1},{max(i, j) + 1}}}")
+        brackets[(i, j)] = coeffs
     return brackets
 
 

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from algebroids.chern import chern_form, chern_polarized, gauss_legendre_01
+from algebroids.chern import chern_polarized, gauss_legendre_01
 from algebroids.connections import FormMatrix, _require_connection, curvature
 from algebroids.expressions import Const, ScalarField, balanced_sum, mul
 from algebroids.forms import AForm, generalized_delta
@@ -173,7 +173,7 @@ def bott_delta_branch_reference(connections: Sequence[FormMatrix], h: int) -> AF
         _require_connection(conn)
     k = len(connections) - 1
     if k == 0:
-        return chern_form(curvature(connections[0]), h)
+        return chern_polarized([curvature(connections[0])] * h)
     c0 = connections[0]
     chart = c0.chart
     if k == 1:

@@ -10,10 +10,17 @@ coefficient trees as these.
 
 `jet_bracket_connection`, `jet_morphism_connection`, `distinguished_pair` and
 `morphism_sum_connection` are the former `algebroids.connections` builders,
-bodies unchanged; here `bracket` and `bracket_connection` resolve to the dense
-versions above.  Tests require `morphism_target_connection` of the identity,
-of a jet projection and of a morphism composed with one, and the chain
-(id, phi), to build the same trees as these.
+bodies unchanged; here `bracket`, `bracket_connection` and `dual_connection`
+resolve to the versions in this module.  Tests require
+`morphism_target_connection` of the identity, of a jet projection and of a
+morphism composed with one, and the chain (id, phi), to build the same trees
+as these.
+
+`metric_compat_check`, `orthogonal_connection` and `dual_connection` are the
+former entry-by-entry loops of the metric layer, bodies unchanged; their
+`anchor_apply` and `d_A` are the dense ones above, which build the sparse
+ones' trees.  Tests require the `FormMatrix` products that replaced them to
+give equal residuals and the same trees.
 """
 
 from __future__ import annotations
@@ -22,11 +29,13 @@ from itertools import combinations
 
 from algebroids.algebroid import (AlgebroidChart, JetChart, Morphism, Section,
                                   _require_same_chart)
-from algebroids.connections import (FormMatrix, connection_from_coefficients,
-                                    direct_sum, dual_connection,
+from algebroids.connections import (FormMatrix, QuasiMetric, connection_from_coefficients,
+                                    direct_sum, invert_field_matrix,
                                     morphism_target_connection)
-from algebroids.expressions import Const, ScalarField, ZERO, add, mul, sub
+from algebroids.expressions import (Const, ScalarField, ZERO, add, div, mul, residual,
+                                    square_root, sub)
 from algebroids.forms import AForm
+from algebroids.reports import CheckRecord
 
 
 def gamma(chart: AlgebroidChart, i: int, j: int, k: int) -> ScalarField:
@@ -178,3 +187,67 @@ def jet_morphism_connection(jet: JetChart, phi: Morphism) -> FormMatrix:
     return connection_from_coefficients(
         jet, target.rank, lambda p, u, t: table[p][u][t]
     )
+
+
+def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,
+                        tol: float = 1e-9) -> CheckRecord:
+    """Residual of anchor(g(v,w)) - g(nabla v, w) - g(v, nabla w) on frame pairs."""
+    chart = conn.chart
+    fields = []
+    for i in range(chart.rank):
+        direction = chart.basis_section(i)
+        for a in range(conn.size):
+            for b in range(conn.size):
+                field = anchor_apply(direction, g.matrix[a][b])
+                for c in range(conn.size):
+                    w_ac = conn.entries[a][c].coeff((i,))
+                    if not w_ac.is_zero() and not g.matrix[c][b].is_zero():
+                        field = sub(field, mul(w_ac, g.matrix[c][b]))
+                    w_bc = conn.entries[b][c].coeff((i,))
+                    if not w_bc.is_zero() and not g.matrix[a][c].is_zero():
+                        field = sub(field, mul(w_bc, g.matrix[a][c]))
+                fields.append(field)
+    return CheckRecord("metric_compatibility", residual(fields, points), tol,
+                       len(points))
+
+
+def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
+    """Metric connection: zero matrix in the orthonormalized frame.
+
+    Gram-Schmidt runs symbolically on the metric coefficients; the resulting
+    frame-change matrix G (lower triangular) gives omega = -G^-1 dG in the
+    working frame, which satisfies nabla g = 0.  `g` must be positive
+    definite (`QuasiMetric.validate`); elsewhere the frame is not finite.
+    """
+    if g.sign != 1:
+        raise ValueError("orthogonal connections need a symmetric metric")
+    rank = g.rank
+    frame: list[list[ScalarField]] = []
+    for u in range(rank):
+        vec = [Const(1.0) if a == u else ZERO for a in range(rank)]
+        for prev in frame:
+            proj = g.pairing(vec, prev)
+            if not proj.is_zero():
+                vec = [sub(v, mul(proj, p)) for v, p in zip(vec, prev)]
+        norm = square_root(g.pairing(vec, vec))
+        frame.append([div(v, norm) for v in vec])
+    inverse = invert_field_matrix(frame)  # frame[u][t] is G_u^t
+    rows = []
+    for u in range(rank):
+        row = []
+        for t in range(rank):
+            acc = chart.zero_form(1)
+            for s in range(rank):
+                dG = d_A(chart.function_form(frame[s][t]))
+                if dG.is_zero() or inverse[u][s].is_zero():
+                    continue
+                acc = acc + dG.scale(inverse[u][s])
+            row.append(acc.scale(-1.0))
+        rows.append(row)
+    return FormMatrix(chart, rows, 1)
+
+
+def dual_connection(conn: FormMatrix) -> FormMatrix:
+    """Connection induced on the dual bundle: negative transpose matrix."""
+    return FormMatrix(conn.chart, [[e.scale(-1.0) for e in column]
+                                   for column in zip(*conn.entries)], conn.degree)

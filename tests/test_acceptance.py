@@ -12,7 +12,6 @@ import pytest
 from algebroids.algebroid import Morphism, d_A, jet_prolong, pullback, verify_axioms
 from algebroids.chern import (
     bott_delta,
-    chern_form,
     chern_polarized,
     coboundary_check,
 )
@@ -136,7 +135,7 @@ def test_criterion_04_closedness(solvable2d, action_x, so3, so3_double, chain,
         points = sample_points(phi.source.dim, POINTS, SEED)
         nabla1 = morphism_sum_connection(phi)
         for h in (1, 2):
-            closed_chern = d_A(chern_form(curvature(nabla1), h))
+            closed_chern = d_A(chern_polarized([curvature(nabla1)] * h))
             assert closed_chern.max_abs(points) <= 1e-9, (fixture.name, name, h)
             rep = mu_form(phi, h)
             if rep.form.degree < phi.source.rank:

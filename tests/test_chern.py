@@ -18,7 +18,6 @@ from algebroids.algebroid import AlgebroidChart
 from algebroids.algebroid import d_A, jet_prolong
 from algebroids.chern import (
     bott_delta,
-    chern_form,
     chern_polarized,
     coboundary_check,
     gauss_legendre_01,
@@ -169,7 +168,7 @@ class TestChernPolarized:
         conn = bracket_connection(chart)
         curv = curvature(direct_sum(conn, conn))
         for h in (1, 2, 3):
-            lhs = chern_form(curv, h)
+            lhs = chern_polarized([curv] * h)
             rhs_table = {}
             points = sample_points(1, 10, 42)
             rhs = chart.zero_form(2 * h)
@@ -197,8 +196,8 @@ class TestChernPolarized:
         p_fields = [[Const(v) for v in row] for row in p]
         conjugated = conjugate_form_matrix(curv, p_fields)
         for h in (1, 2):
-            lhs = chern_form(conjugated, h)
-            rhs = chern_form(curv, h)
+            lhs = chern_polarized([conjugated] * h)
+            rhs = chern_polarized([curv] * h)
             assert (lhs - rhs).max_abs(line_points) < 1e-9
 
     def test_dimension_mismatch_rejected(self, so3):
@@ -377,6 +376,8 @@ class TestTransgressionWork:
     @pytest.mark.parametrize("h", [2, 3, 4])
     def test_d_is_taken_twice_whatever_the_node_count(self, sa3, monkeypatch, h):
         # Rebuilding the link curvature at each of the h Gauss nodes took d h times.
+        # The pair is built first: `orthogonal_connection` takes d of its frame.
+        pair = list(_sa3_mu_pair(sa3))
         calls = 0
         d = FormMatrix.d
 
@@ -386,7 +387,7 @@ class TestTransgressionWork:
             return d(self)
 
         monkeypatch.setattr(FormMatrix, "d", counted)
-        bott_delta(list(_sa3_mu_pair(sa3)), h)
+        bott_delta(pair, h)
         assert calls == 2
 
     def test_matrix_products_check_no_keys(self, sa3, monkeypatch):
@@ -496,7 +497,7 @@ class TestBottDelta:
         chart = so3.chart("so3")
         conn = direct_sum(bracket_connection(chart), bracket_connection(chart))
         lhs = bott_delta([conn], 2)
-        rhs = chern_form(curvature(conn), 2)
+        rhs = chern_polarized([curvature(conn)] * 2)
         assert (lhs - rhs).max_abs(line_points) == 0.0
 
     def test_degenerate_link_vanishes(self, so3, line_points):
@@ -768,7 +769,7 @@ class TestIdentities:
                                                         (2,))):
             conn = bracket_connection(chart)
             for h in (1, 2):
-                closed = d_A(chern_form(curvature(conn), h))
+                closed = d_A(chern_polarized([curvature(conn)] * h))
                 assert closed.max_abs(line_points) < 1e-9
 
     def test_transgression_on_morphism_pairs(self, solvable2d, so3, chain,

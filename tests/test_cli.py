@@ -84,6 +84,24 @@ class TestFixtureLoading:
         # The command line reports it as a fixture error (exit 2), no traceback.
         assert main(["verify", str(bad), "--suite", "axioms"]) == 2
 
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 1)])
+    def test_repeated_bracket_pair_is_located(self, tmp_path, capsys, i, j):
+        # Merged, a second entry would overwrite or add to the first one.
+        bad = tmp_path / "repeated.json"
+        bad.write_text(json.dumps({
+            "base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["0"], ["0"]],
+                                 "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}},
+                                              {"i": i, "j": j, "coeffs": {"2": "5"}}]}},
+        }))
+        with pytest.raises(FixtureError, match=(
+                rf"algebroid 'A': bracket \({i},{j}\) repeats the pair \{{1,2\}}")):
+            load_fixture(bad)
+        assert main(["verify", str(bad), "--suite", "axioms"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: algebroid 'A': bracket ({i},{j}) repeats")
+        assert "Traceback" not in err
+
     def test_overflowing_metric_is_a_located_error(self, tmp_path, capsys):
         fixture = json.loads(builtin_fixture_path("solvable2d").read_text())
         fixture["metrics"]["gA"]["matrix"] = [["exp(1000*x)", "0"], ["0", "1"]]
@@ -517,6 +535,26 @@ class TestNonFiniteProbeValues:
         assert err.startswith("error: adapted frame: ")
         assert "not finite at probe point (" in err
         assert "Traceback" not in err
+
+    def test_kernel_rows_are_checked_before_any_suite(self, tmp_path, capsys):
+        # The axioms suite builds no adapted frame; the probe set is checked first.
+        path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
+                                [["0", "exp(1300*x)"]])
+        code = main(["verify", path, "--suite", "axioms"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: adapted frame: the metric or a kernel "
+                                       "vector is not finite at probe point (")
+        assert "Traceback" not in captured.err
+
+    def test_program_error_in_the_frame_check_keeps_its_traceback(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("a program error")
+
+        monkeypatch.setattr(cli, "quasi_metric_frame_check", broken)
+        with pytest.raises(ValueError, match="a program error"):
+            main(["verify", "solvable2d", "--suite", "connections", "--points", "10"])
 
     def test_overflowing_metric_is_not_finite_rather_than_asymmetric(self, tmp_path,
                                                                       capsys):

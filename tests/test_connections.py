@@ -22,6 +22,7 @@ from algebroids.connections import (
     quasi_metric_on_S,
 )
 from algebroids.expressions import Const, parse_expression
+from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import (
@@ -31,8 +32,9 @@ from constructions import (
     glue,
     symmetry_residual,
 )
+import dense_oracle
 from dense_oracle import gamma
-from expression_oracle import scalar_eval
+from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import ConnectionFamily, link_curvature
 
 
@@ -238,6 +240,83 @@ class TestDistinguishedPair:
         entry = conn.entries[1][1].coeff((0,))
         for point in line_points[:10]:
             assert scalar_eval(entry, point) == pytest.approx(1.0)
+
+
+def _assert_same_entries(new: FormMatrix, old: FormMatrix) -> None:
+    """Same chart, size, degree, keys and coefficient trees in every entry."""
+    assert (new.chart, new.size, new.degree) == (old.chart, old.size, old.degree)
+    for new_row, old_row in zip(new.entries, old.entries):
+        for new_entry, old_entry in zip(new_row, old_row):
+            assert list(new_entry.table) == list(old_entry.table)
+            for key, coeff in old_entry.table.items():
+                assert str(new_entry.table[key]) == str(coeff)
+                assert tree_shape(new_entry.table[key]) == tree_shape(coeff)
+
+
+class TestMetricLayerMatchesEntryLoops:
+    """The metric layer's `FormMatrix` products against the loops they replaced."""
+
+    def test_transpose(self, so3):
+        conn = _random_connection(so3.chart("so3"), 3, 5)
+        transposed = conn.transpose()
+        assert all(transposed.entries[u][t] is conn.entries[t][u]
+                   for u in range(3) for t in range(3))
+        assert transposed.transpose().entries == conn.entries
+        _assert_same_entries(dual_connection(conn), transposed.scale(-1.0))
+
+    def test_of_functions(self, tangent_r2):
+        chart = tangent_r2.chart("TR2")
+        rows = [[_field(chart, "x*y"), Const(0.0)], [Const(2.0), _field(chart, "y")]]
+        matrix = FormMatrix.of_functions(chart, rows)
+        assert matrix.degree == 0
+        assert [[str(entry.coeff(())) for entry in row] for row in matrix.entries] == [
+            [str(f) for f in row] for row in rows]
+
+    @pytest.mark.parametrize("name", builtin_fixture_names())
+    def test_connections_build_the_same_trees(self, name):
+        fixture = resolve_fixture(name)
+        for chart_name, chart in fixture.charts.items():
+            metric = fixture.metric_for(chart_name)
+            _assert_same_entries(orthogonal_connection(chart, metric),
+                                 dense_oracle.orthogonal_connection(chart, metric))
+            conn = bracket_connection(chart)
+            _assert_same_entries(dual_connection(conn), dense_oracle.dual_connection(conn))
+        for phi in fixture.morphisms.values():
+            conn = morphism_target_connection(phi)
+            _assert_same_entries(dual_connection(conn), dense_oracle.dual_connection(conn))
+
+    @pytest.mark.parametrize("name", builtin_fixture_names())
+    def test_metric_compat_residuals_are_equal(self, name):
+        fixture = resolve_fixture(name)
+        residuals = []
+        for seed in (0, 1, 2):
+            points = sample_points(len(fixture.coords), 20, seed)
+            cases = []
+            for chart_name, chart in fixture.charts.items():
+                metric = fixture.metric_for(chart_name)
+                cases.append((orthogonal_connection(chart, metric), metric))
+                # Not metric: its residual is far from zero.
+                cases.append((_random_connection(chart, metric.rank, seed), metric))
+            for phi in fixture.morphisms.values():
+                conn = morphism_sum_connection(phi)
+                cases.extend((conn, g) for g in quasi_metric_on_S(phi))
+            for conn, g in cases:
+                new = metric_compat_check(conn, g, points).residual
+                assert new == dense_oracle.metric_compat_check(conn, g, points).residual
+                residuals.append(new)
+        assert max(residuals) > 1.0
+
+    def test_full_metric(self, tangent_r2):
+        chart = tangent_r2.chart("TR2")
+        g = QuasiMetric(2, 1, [[_field(chart, "exp(2*x)"), _field(chart, "x*y/4")],
+                               [_field(chart, "x*y/4"), _field(chart, "1 + y^2")]])
+        points = sample_points(2, 20, 3)
+        g.validate(points)
+        orth = orthogonal_connection(chart, g)
+        _assert_same_entries(orth, dense_oracle.orthogonal_connection(chart, g))
+        for conn in (orth, _random_connection(chart, 2, 3)):
+            assert (metric_compat_check(conn, g, points).residual
+                    == dense_oracle.metric_compat_check(conn, g, points).residual)
 
 
 class TestOrthogonalConnection:

@@ -16,7 +16,7 @@ import math
 from typing import Sequence
 
 from algebroids.algebroid import AlgebroidChart
-from algebroids.chern import chern_form, chern_polarized, gauss_legendre_01
+from algebroids.chern import chern_polarized, gauss_legendre_01
 from algebroids.connections import FormMatrix, curvature
 from algebroids.expressions import (
     Add,
@@ -395,7 +395,7 @@ def bott_delta_reference(connections: Sequence[FormMatrix], h: int,
     """
     k = len(connections) - 1
     if k == 0:
-        return chern_form(curvature(connections[0]), h)
+        return chern_polarized([curvature(connections[0])] * h)
     if k == 1:
         c0, c1 = connections
         family = ConnectionFamily.affine_link(c0, c1)
