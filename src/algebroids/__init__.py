@@ -1,7 +1,7 @@
 """Exterior calculus on Lie algebroid charts and characteristic class forms."""
 
 from .expressions import ScalarField, parse_expression
-from .forms import AForm, generalized_delta
+from .forms import AForm
 from .algebroid import (
     AlgebroidChart,
     Morphism,

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
                           residual, sub)
-from .forms import AForm, _alternating_assignments, _require_same_chart
+from .forms import AForm, _require_same_chart, _trusted_form
 from .reports import CheckRecord
 
 
@@ -296,7 +296,12 @@ class Morphism:
 
 
 def pullback(phi: Morphism, omega: AForm) -> AForm:
-    """Pull a form on the target back to the source by multilinear expansion."""
+    """Pull a form on the target back to the source, key by key of `omega`.
+
+    phi^*(f theta^{u_1} ^ ... ^ theta^{u_k}) = f phi^*theta^{u_1} ^ ... ^
+    phi^*theta^{u_k}, where phi^*theta^u = sum_i phi_i^u theta^i is column u
+    of the matrix, read as a sparse 1-form.
+    """
     _require_same_chart(omega.chart, phi.target)
     chart = phi.source
     k = omega.degree
@@ -304,25 +309,18 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
         return AForm(chart, 0, omega.table)
     if k > chart.rank:
         return chart.zero_form(k)
-    table: dict[tuple[int, ...], ScalarField] = {}
-    for index in combinations(range(chart.rank), k):
-        total = ZERO
-        for target_index, coeff in omega.table.items():
-            # Expand omega(phi b_{i_1}, ..., phi b_{i_k}) over orderings of the key.
-            for assignment, sign in _alternating_assignments(target_index):
-                factor = Const(float(sign))
-                dead = False
-                for slot, u in zip(index, assignment):
-                    entry = phi.matrix[slot][u]
-                    if entry.is_zero():
-                        dead = True
-                        break
-                    factor = mul(factor, entry)
-                if not dead:
-                    total = add(total, mul(factor, coeff))
-        if not total.is_zero():
-            table[index] = total
-    return AForm(chart, k, table)
+    needed = {u for key in omega.table for u in key}
+    columns = {u: _trusted_form(chart, 1, {(i,): row[u] for i, row in enumerate(phi.matrix)})
+               for u in needed}
+    total = chart.zero_form(k)
+    for key, coeff in omega.table.items():
+        chain = columns[key[0]]
+        for u in key[1:]:
+            if chain.is_zero():
+                break
+            chain = chain.wedge(columns[u])
+        total = total + chain.scale(coeff)
+    return total
 
 
 def verify_axioms(chart: AlgebroidChart, points,

@@ -499,7 +499,12 @@ def main(argv=None) -> int:
     except FixtureError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _write_report(report, args.out)
+    try:
+        _write_report(report, args.out)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write report to {args.out or 'stdout'}: "
+                         f"{exc.strerror or exc}\n")
+        return 2
     return 0 if report.passed else 1
 
 

@@ -5,7 +5,7 @@ Schema (JSON, frame and bracket indices are 1-based):
   algebroids {name: {"basis": [names], "anchor": [[expr..], ..],
                      "brackets": [{"i": int, "j": int, "coeffs": {"k": expr}}]}}
   morphisms  {name: {"from": name, "to": name, "matrix": [[expr..], ..]}}
-  metrics    {name: {"on": algebroid, "matrix": [[expr..], ..]}}
+  metrics    {name: {"on": algebroid, "matrix": [[expr..], ..]}}, one per algebroid
   kernels    {morphism: {"ker": [[expr..], ..], "coker": [[expr..], ..]}}
 """
 
@@ -47,7 +47,7 @@ class Fixture:
             raise FixtureError(f"fixture {self.name!r} has no morphism {name!r}")
 
     def metric_for(self, chart_name: str) -> QuasiMetric:
-        """Named metric on a chart if present, identity otherwise."""
+        """The chart's metric (at most one, checked on load), identity otherwise."""
         for on, metric in self.metrics.values():
             if on == chart_name:
                 return metric
@@ -143,6 +143,8 @@ def load_fixture(path: str | Path) -> Fixture:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
+    except OSError as exc:  # a directory, a missing or an unreadable file
+        raise FixtureError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FixtureError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict) or "coords" not in _object(raw.get("base", {}), "base"):
@@ -173,6 +175,9 @@ def load_fixture(path: str | Path) -> Fixture:
         where = f"metric {name!r}"
         on = _object(spec, where).get("on")
         rank = _known(on, fixture.charts, "algebroid", where).rank
+        for other, (other_on, _) in fixture.metrics.items():
+            if other_on == on:
+                raise FixtureError(f"{where}: algebroid {on!r} already has metric {other!r}")
         matrix = _parse_matrix(spec.get("matrix", []), coords, (rank, rank), where)
         fixture.metrics[name] = (on, QuasiMetric(rank, 1, matrix))
     for name, spec in _object(raw.get("kernels", {}), "kernels").items():

@@ -9,32 +9,12 @@ the stored coefficient *is* the value on the increasing frame tuple, with no
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul, residual
 
 if TYPE_CHECKING:
     from .algebroid import AlgebroidChart
-
-
-def generalized_delta(upper: Iterable[int], lower: Iterable[int]) -> int:
-    """Multi-index Kronecker delta: the sign of the permutation upper -> lower.
-
-    Returns +1/-1 when `lower` is an even/odd rearrangement of `upper` with all
-    entries distinct, and 0 otherwise (repeats, or different index sets).
-    """
-    upper = tuple(upper)
-    lower = tuple(lower)
-    if len(upper) != len(lower):
-        raise ValueError("index tuples must have equal length")
-    if len(set(upper)) != len(upper) or len(set(lower)) != len(lower):
-        return 0
-    if set(upper) != set(lower):
-        return 0
-    position = {v: i for i, v in enumerate(upper)}
-    perm = [position[v] for v in lower]
-    return permutation_sign(perm)
 
 
 def permutation_sign(perm: Iterable[int]) -> int:
@@ -202,12 +182,6 @@ def _accumulate(table: dict[tuple[int, ...], ScalarField], key: tuple[int, ...],
         table.pop(key, None)
     else:
         table[key] = total
-
-
-def _alternating_assignments(index: tuple[int, ...]):
-    """All orderings of an increasing tuple with their permutation signs."""
-    for perm in permutations(index):
-        yield perm, generalized_delta(index, perm)
 
 
 def _require_same_chart(a: "AlgebroidChart", b: "AlgebroidChart") -> None:

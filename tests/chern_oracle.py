@@ -35,7 +35,8 @@ import numpy as np
 from algebroids.chern import chern_polarized, gauss_legendre_01
 from algebroids.connections import FormMatrix, _require_connection, curvature
 from algebroids.expressions import Const, ScalarField, balanced_sum, mul
-from algebroids.forms import AForm, generalized_delta
+from algebroids.forms import AForm
+from dense_oracle import generalized_delta
 
 
 def chern_scalar_reference(matrix: np.ndarray, h: int) -> float:

@@ -18,8 +18,9 @@ from algebroids.algebroid import (AlgebroidChart, JetChart, Section, _jet_decomp
                                   anchor_apply, d_A)
 from algebroids.connections import FormMatrix, QuasiMetric, invert_field_matrix
 from algebroids.expressions import Const, ScalarField, ZERO, add, evaluate, max_abs_finite, mul
-from algebroids.forms import AForm, _alternating_assignments, _require_same_chart
+from algebroids.forms import AForm, _require_same_chart
 from algebroids.sampling import sample_points
+from dense_oracle import alternating_assignments
 from expression_oracle import scalar_eval
 
 
@@ -187,7 +188,7 @@ def evaluate_on(form: AForm, sections: Sequence[Section], point) -> float:
     total = 0.0
     for index, coeff in form.table.items():
         base = scalar_eval(coeff, point)
-        for assignment, sign in _alternating_assignments(index):
+        for assignment, sign in alternating_assignments(index):
             term = base * sign
             for slot, frame_idx in enumerate(assignment):
                 term *= values[slot][frame_idx]

@@ -21,11 +21,18 @@ former entry-by-entry loops of the metric layer, bodies unchanged; their
 `anchor_apply` and `d_A` are the dense ones above, which build the sparse
 ones' trees.  Tests require the `FormMatrix` products that replaced them to
 give equal residuals and the same trees.
+
+`pullback` is the former multilinear expansion of `algebroids.pullback`, body
+unchanged: every increasing source key against every target key and all k!
+orderings of it, signed by `generalized_delta` through
+`alternating_assignments`.  Tests require the wedge route that replaced it to
+give the same keys and equal values.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Iterable
 
 from algebroids.algebroid import (AlgebroidChart, JetChart, Morphism, Section,
                                   _require_same_chart)
@@ -34,8 +41,63 @@ from algebroids.connections import (FormMatrix, QuasiMetric, connection_from_coe
                                     morphism_target_connection)
 from algebroids.expressions import (Const, ScalarField, ZERO, add, div, mul, residual,
                                     square_root, sub)
-from algebroids.forms import AForm
+from algebroids.forms import AForm, permutation_sign
 from algebroids.reports import CheckRecord
+
+
+def generalized_delta(upper: Iterable[int], lower: Iterable[int]) -> int:
+    """Multi-index Kronecker delta: the sign of the permutation upper -> lower.
+
+    Returns +1/-1 when `lower` is an even/odd rearrangement of `upper` with all
+    entries distinct, and 0 otherwise (repeats, or different index sets).
+    """
+    upper = tuple(upper)
+    lower = tuple(lower)
+    if len(upper) != len(lower):
+        raise ValueError("index tuples must have equal length")
+    if len(set(upper)) != len(upper) or len(set(lower)) != len(lower):
+        return 0
+    if set(upper) != set(lower):
+        return 0
+    position = {v: i for i, v in enumerate(upper)}
+    perm = [position[v] for v in lower]
+    return permutation_sign(perm)
+
+
+def alternating_assignments(index: tuple[int, ...]):
+    """All orderings of an increasing tuple with their permutation signs."""
+    for perm in permutations(index):
+        yield perm, generalized_delta(index, perm)
+
+
+def pullback(phi: Morphism, omega: AForm) -> AForm:
+    """Pull a form on the target back to the source by multilinear expansion."""
+    _require_same_chart(omega.chart, phi.target)
+    chart = phi.source
+    k = omega.degree
+    if k == 0:
+        return AForm(chart, 0, omega.table)
+    if k > chart.rank:
+        return chart.zero_form(k)
+    table: dict[tuple[int, ...], ScalarField] = {}
+    for index in combinations(range(chart.rank), k):
+        total = ZERO
+        for target_index, coeff in omega.table.items():
+            # Expand omega(phi b_{i_1}, ..., phi b_{i_k}) over orderings of the key.
+            for assignment, sign in alternating_assignments(target_index):
+                factor = Const(float(sign))
+                dead = False
+                for slot, u in zip(index, assignment):
+                    entry = phi.matrix[slot][u]
+                    if entry.is_zero():
+                        dead = True
+                        break
+                    factor = mul(factor, entry)
+                if not dead:
+                    total = add(total, mul(factor, coeff))
+        if not total.is_zero():
+            table[index] = total
+    return AForm(chart, k, table)
 
 
 def gamma(chart: AlgebroidChart, i: int, j: int, k: int) -> ScalarField:

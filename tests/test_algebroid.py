@@ -1,5 +1,6 @@
 """Charts, brackets, the exterior differential, morphisms, links, and jets."""
 
+import time
 from itertools import combinations
 
 import numpy as np
@@ -18,11 +19,14 @@ from algebroids.algebroid import (
     pullback,
     verify_axioms,
 )
+from algebroids.classes import mu_form
+from algebroids.cli import _random_polynomial
 from algebroids.expressions import Const, field_maxima, parse_expression
+from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import basis_covector, evaluate_on, lift
-from dense_oracle import gamma
+from dense_oracle import gamma, pullback as dense_pullback
 from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import build_link_chart
 
@@ -241,6 +245,71 @@ class TestPullback:
         lhs = pullback(phi, a.wedge(b))
         rhs = pullback(phi, a).wedge(pullback(phi, b))
         assert _max_diff(lhs, rhs, line_points) < 1e-12
+
+
+def _pullback_cases():
+    """Every bundled morphism, and the jet projection onto each morphism source."""
+    cases = []
+    for fixture_name in builtin_fixture_names():
+        fixture = resolve_fixture(fixture_name)
+        sources = {}
+        for name, phi in fixture.morphisms.items():
+            cases.append((f"{fixture_name}.{name}", phi))
+            sources.setdefault(phi.source.name, phi.source)
+        for name, chart in sources.items():
+            cases.append((f"{fixture_name}.J1({name})", jet_prolong(chart).projection()))
+    return cases
+
+
+_PULLBACK_CASES = _pullback_cases()
+
+
+def _sparse_random_form(chart, degree, rng, n_keys=2):
+    """A form with a few random keys, each with a random quadratic coefficient."""
+    if degree == 0:
+        return chart.function_form(_random_polynomial(chart, rng))
+    keys = list(combinations(range(chart.rank), degree))
+    picked = sorted(rng.choice(len(keys), size=min(n_keys, len(keys)), replace=False))
+    return AForm(chart, degree, {keys[p]: _random_polynomial(chart, rng) for p in picked})
+
+
+class TestPullbackMatchesDenseOracle:
+    @pytest.mark.parametrize("label, phi", _PULLBACK_CASES,
+                             ids=[label for label, _ in _PULLBACK_CASES])
+    def test_wedge_route_equals_multilinear_expansion(self, label, phi):
+        rng = np.random.default_rng(sum(map(ord, label)))
+        points = sample_points(len(phi.source.coords), 20, 3)
+        for degree in range(min(4, phi.target.rank) + 1):
+            omega = _sparse_random_form(phi.target, degree, rng)
+            new, oracle = pullback(phi, omega), dense_pullback(phi, omega)
+            assert new.degree == oracle.degree == degree
+            assert set(new.table) == set(oracle.table), (label, degree)
+            scale = max(1.0, oracle.max_abs(points))
+            assert (new - oracle).max_abs(points) <= 1e-12 * scale, (label, degree)
+
+    def test_degree_five_jet_pullback_is_fast_and_evaluates_on_images(self, sa3):
+        # The dense expansion took minutes here: 26,334 source keys x 8 keys x 5!.
+        phi = sa3.morphism("zero")
+        mu_3 = mu_form(phi, 2).form
+        projection = jet_prolong(phi.source).projection()
+        start = time.perf_counter()
+        pulled = pullback(projection, mu_3)
+        assert time.perf_counter() - start < 5.0
+        assert pulled.degree == 5 and pulled.table
+        rng = np.random.default_rng(42)
+        present = sorted(pulled.table)
+        keys = [present[p] for p in rng.choice(len(present), size=12, replace=False)]
+        while len(keys) < 20:
+            key = tuple(sorted(rng.choice(projection.source.rank, size=5, replace=False).tolist()))
+            if key not in pulled.table:
+                keys.append(key)
+        point = sample_points(len(sa3.coords), 1, 42)[0].tolist()
+        source = projection.source
+        for key in keys:
+            images = [projection.apply(source.basis_section(i)) for i in key]
+            expected = evaluate_on(mu_3, images, point)
+            assert scalar_eval(pulled.coeff(key), point) == pytest.approx(
+                expected, rel=1e-12, abs=1e-12), key
 
 
 class TestCheckMorphism:

@@ -162,6 +162,27 @@ class TestFixtureLoading:
         assert main(["verify", str(bad), "--suite", "axioms"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_directory_fixture_path_is_a_fixture_error(self, tmp_path, capsys):
+        # It exists, so it is not looked up as a bundled name, but it cannot be read.
+        assert main(["verify", str(tmp_path), "--suite", "axioms"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path}: cannot read (Is a directory)\n"
+
+    def test_second_metric_on_one_algebroid_is_located(self, tmp_path, capsys):
+        # Only the first metric of a chart was ever used; the second was checked for nothing.
+        fixture = json.loads(builtin_fixture_path("solvable2d").read_text())
+        fixture["metrics"]["gA2"] = dict(fixture["metrics"]["gA"])
+        bad = tmp_path / "two_metrics.json"
+        bad.write_text(json.dumps(fixture))
+        with pytest.raises(FixtureError,
+                           match="metric 'gA2': algebroid 'solvable' already has metric 'gA'"):
+            load_fixture(bad)
+        assert main(["verify", str(bad), "--suite", "connections"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: metric 'gA2': algebroid 'solvable' already has")
+        assert "Traceback" not in err
+
     def test_unknown_bundled_fixture(self):
         with pytest.raises(FixtureError, match="unknown bundled fixture"):
             builtin_fixture_path("nope")
@@ -320,6 +341,17 @@ class TestMainEntry:
         assert code == 0
         body = json.loads(out.read_text())
         assert body["fixture"] == "solvable2d"
+
+    def test_unwritable_report_path_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "chain", "--suite", "axioms", "--points", "5",
+                     "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write report to {out}: "
+                                "No such file or directory\n")
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("argv, option", [
         (["verify", "broken_jacobi", "--suite", "axioms", "--points", "0"], "--points"),

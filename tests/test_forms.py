@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from algebroids.algebroid import AlgebroidChart
 from algebroids.expressions import ZERO, Const, mul, parse_expression
-from algebroids.forms import AForm, generalized_delta, shuffle_sign
+from algebroids.forms import AForm, shuffle_sign
 from constructions import basis_covector
+from dense_oracle import generalized_delta
 from expression_oracle import scalar_eval
 
 COORDS = ["x", "y"]
