@@ -49,6 +49,13 @@ def _nan_jacobi_chart():
                           {(0, 1): {2: c}, (0, 2): {0: Const(1.0)}})
 
 
+def _anchor_only_chart():
+    """Rank 2 over x, anchor rows 1 and x, no brackets: only the anchor axiom fails."""
+    coords = ["x"]
+    return AlgebroidChart("anchor_only", coords, ["b0", "b1"],
+                          [[Const(1.0)], [parse_expression("x", coords)]])
+
+
 class TestAnchorApply:
     def test_de_rham_case(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
@@ -175,6 +182,12 @@ class TestVerifyAxioms:
         assert not jacobi.passed
         assert jacobi.residual == float("inf")
         assert jacobi.details["failing_triple"] == [0, 1, 2]
+
+    def test_anchor_only_violation_fails(self, line_points):
+        # rho(b_0) = d/dx and rho(b_1) = x d/dx have bracket d/dx, but [b_0, b_1] = 0.
+        anchor, jacobi = verify_axioms(_anchor_only_chart(), line_points)
+        assert not anchor.passed and anchor.residual == 1.0
+        assert jacobi.passed and jacobi.residual == 0.0
 
     @pytest.mark.parametrize("fixture_name, name", [("sa3", "sa3"),
                                                     ("broken_jacobi", "broken")])
@@ -327,6 +340,13 @@ class TestCheckMorphism:
         record = check_morphism(bad, line_points)
         assert not record.passed
         assert record.residual >= 0.5
+
+    def test_anchor_violation_detected(self, tangent_r2, plane_points):
+        chart = tangent_r2.chart("TR2")
+        double = Morphism(chart, chart, [[Const(2.0), Const(0.0)],
+                                         [Const(0.0), Const(2.0)]], "double")
+        record = check_morphism(double, plane_points)
+        assert not record.passed and record.residual == 1.0
 
     def test_nan_bracket_residual_fails(self, line_points):
         record = check_morphism(Morphism.identity(_nan_jacobi_chart()), line_points)
