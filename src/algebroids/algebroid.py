@@ -2,14 +2,15 @@
 
 Everything lives over a single global coordinate chart (desk scale); an
 algebroid is its rank, an anchor matrix of scalar fields, and antisymmetric
-structure functions.  Conformance with the algebroid axioms is checked
-numerically by `verify_axioms`, never assumed by constructors.
+structure functions.  The whole structure is encoded in the differential
+`d_A`: the algebroid axioms are d_A^2 = 0 on the coordinate functions and the
+dual frame, and a morphism is a phi with phi^* d_B = d_A phi^* on the same
+generators.  `verify_axioms` and `check_morphism` test exactly these,
+numerically at probe points; constructors never assume them.
 """
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations
 from typing import Sequence
 
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
@@ -26,10 +27,10 @@ class AlgebroidChart:
     k -> nonzero coefficient, in ascending k.  `anchor_terms[i]` lists the
     nonzero entries (j, rho) of anchor row i in ascending j, and
     `bracket_sources[m]` the pairs (a, b) whose bracket has a nonzero m-term.
-    `d_A`, `bracket`, `anchor_apply` and `verify_axioms` iterate only these
-    sparse terms, in the order of the dense loops over every frame and
-    coordinate index, so they build the same coefficient trees; `d_A` visits
-    only the output keys that some term reaches.
+    `d_A`, `bracket` and `anchor_apply` iterate only these sparse terms, in
+    the order of the dense loops over every frame and coordinate index, so
+    they build the same coefficient trees; `d_A` visits only the output keys
+    that some term reaches.
     """
 
     def __init__(
@@ -106,10 +107,6 @@ class Section:
             raise ValueError("section component count must match chart rank")
         self.chart = chart
         self.comps = tuple(comps)
-
-    def __add__(self, other: "Section") -> "Section":
-        _require_same_chart(self.chart, other.chart)
-        return Section(self.chart, [add(a, b) for a, b in zip(self.comps, other.comps)])
 
     def scale(self, factor: ScalarField | float) -> "Section":
         if not isinstance(factor, ScalarField):
@@ -263,18 +260,6 @@ class Morphism:
         ]
         return cls(chart, chart, matrix, name)
 
-    def apply(self, a: Section) -> Section:
-        _require_same_chart(a.chart, self.source)
-        comps = [ZERO] * self.target.rank
-        for i, xi in enumerate(a.comps):
-            if xi.is_zero():
-                continue
-            for u in range(self.target.rank):
-                entry = self.matrix[i][u]
-                if not entry.is_zero():
-                    comps[u] = add(comps[u], mul(xi, entry))
-        return Section(self.target, comps)
-
     def compose(self, inner: "Morphism") -> "Morphism":
         """self o inner, i.e. inner maps into self's source."""
         if inner.target is not self.source:
@@ -323,69 +308,67 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
     return total
 
 
+def _coordinate(chart: AlgebroidChart, l: int) -> AForm:
+    """The coordinate function x^l as a 0-form."""
+    return chart.function_form(chart.coordinate_field(l))
+
+
+def _dual_frame(chart: AlgebroidChart, m: int) -> AForm:
+    """theta^m, the 1-form dual to the frame section b_m."""
+    return AForm(chart, 1, {(m,): Const(1.0)})
+
+
 def verify_axioms(chart: AlgebroidChart, points,
                   tol: float = 1e-9) -> list[CheckRecord]:
-    """Numerically test the algebroid axioms at the probe points, shape (N, dim).
+    """The algebroid axioms as d_A^2 = 0 on generators, at the probe points (N, dim).
 
-    Checks (a) the anchor sends frame brackets to vector-field brackets and
-    (b) the Jacobiator of every frame triple vanishes.  A non-finite value
-    counts as an infinite residual.
+    (a) The (i, j) coefficient of d_A(d_A x^l) is rho_i(rho_j^l) - rho_j(rho_i^l)
+    - sum_k c_ij^k rho_k^l, so the anchor sends frame brackets to vector-field
+    brackets exactly when it vanishes for every coordinate l.  (b) The
+    (i, j, k) coefficient of d_A(d_A theta^m) is theta^m of the Jacobiator
+    [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], whether or not
+    (a) holds; one walk per m.  The failing triple is the smallest key that
+    reaches the worst value.  A non-finite value counts as an infinite
+    residual.
     """
-    deltas = []
-    for i, j in combinations(range(chart.rank), 2):
-        terms = chart.brackets.get((i, j), {})
-        for l in range(chart.dim):
-            lhs = ZERO
-            for k, coeff in terms.items():
-                lhs = add(lhs, mul(coeff, chart.anchor[k][l]))
-            rhs = ZERO
-            for m in range(chart.dim):
-                rhs = add(rhs, mul(chart.anchor[i][m], chart.anchor[j][l].diff(m)))
-                rhs = sub(rhs, mul(chart.anchor[j][m], chart.anchor[i][l].diff(m)))
-            deltas.append(sub(lhs, rhs))
-    worst_anchor = residual(deltas, points)
-    worst_jacobi = 0.0
-    worst_triple = None
-    basis = [chart.basis_section(t) for t in range(chart.rank)]
-    inner = cache(lambda a, b: bracket(basis[a], basis[b]))  # once per ordered pair
-    for i, j, k in combinations(range(chart.rank), 3):
-        jacobiator = (bracket(inner(i, j), basis[k]) + bracket(inner(j, k), basis[i])
-                      + bracket(inner(k, i), basis[j]))
-        for value in field_maxima(jacobiator.comps, points):
-            if value > worst_jacobi:
-                worst_jacobi = value
-                worst_triple = (i, j, k)
+    anchor_fields = [c for l in range(chart.dim)
+                     for c in d_A(d_A(_coordinate(chart, l))).table.values()]
+    worst_anchor = residual(anchor_fields, points)
+    maxima: dict[tuple[int, ...], float] = {}
+    for m in range(chart.rank):
+        table = d_A(d_A(_dual_frame(chart, m))).table
+        for key, value in zip(table, field_maxima(table.values(), points)):
+            maxima[key] = max(maxima.get(key, 0.0), value)
+    worst_jacobi = max(maxima.values(), default=0.0)
     records = [
         CheckRecord("anchor_bracket_morphism", worst_anchor, tol, len(points),
                     {"chart": chart.name}),
         CheckRecord("jacobi_identity", worst_jacobi, tol, len(points),
                     {"chart": chart.name}),
     ]
-    if worst_triple is not None and worst_jacobi > tol:
+    if worst_jacobi > tol:
+        worst_triple = min(key for key, value in maxima.items() if value == worst_jacobi)
         records[1].details["failing_triple"] = list(worst_triple)
     return records
 
 
 def check_morphism(phi: Morphism, points, tol: float = 1e-9) -> CheckRecord:
-    """Test anchor and bracket preservation on frame sections at the probe points.
+    """Test phi^* d_B = d_A phi^* on generators at the probe points.
 
-    A non-finite value counts as an infinite residual.
+    On the coordinates, d_A x^l - phi^*(d_B x^l) vanishes exactly when phi
+    preserves anchors; on the dual frame, d_A(phi^* theta^u) - phi^*(d_B
+    theta^u) then vanishes exactly when it preserves frame brackets.  A
+    non-finite value counts as an infinite residual.
     """
     source, target = phi.source, phi.target
-    deltas = []
-    for i in range(source.rank):
-        for j in range(source.dim):
-            pushed = ZERO
-            for u in range(target.rank):
-                pushed = add(pushed, mul(phi.matrix[i][u], target.anchor[u][j]))
-            deltas.append(sub(pushed, source.anchor[i][j]))
-    for i, j in combinations(range(source.rank), 2):
-        lhs = phi.apply(bracket(source.basis_section(i), source.basis_section(j)))
-        rhs = bracket(phi.apply(source.basis_section(i)),
-                      phi.apply(source.basis_section(j)))
-        deltas.extend(sub(a, b) for a, b in zip(lhs.comps, rhs.comps))
+    differences = [d_A(_coordinate(source, l)) - pullback(phi, d_A(_coordinate(target, l)))
+                   for l in range(source.dim)]
+    for u in range(target.rank):
+        theta = _dual_frame(target, u)
+        differences.append(d_A(pullback(phi, theta)) - pullback(phi, d_A(theta)))
+    fields = [c for form in differences for c in form.table.values()]
     return CheckRecord(
-        f"morphism_{phi.name}", residual(deltas, points), tol, len(points),
+        f"morphism_{phi.name}", residual(fields, points), tol, len(points),
         {"from": source.name, "to": target.name},
     )
 

@@ -6,9 +6,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from algebroids import algebroid
 from algebroids.algebroid import (
     AlgebroidChart,
+    JetChart,
     Morphism,
     Section,
     anchor_apply,
@@ -21,13 +21,14 @@ from algebroids.algebroid import (
 )
 from algebroids.classes import mu_form
 from algebroids.cli import _random_polynomial
-from algebroids.expressions import Const, field_maxima, parse_expression
+from algebroids.expressions import Const, evaluate, parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import basis_covector, evaluate_on, lift
-from dense_oracle import gamma, pullback as dense_pullback
-from expression_oracle import scalar_eval, tree_shape
+import dense_oracle
+from dense_oracle import apply, gamma, pullback as dense_pullback
+from expression_oracle import scalar_eval
 from transgression_oracle import build_link_chart
 
 
@@ -49,11 +50,20 @@ def _nan_jacobi_chart():
                           {(0, 1): {2: c}, (0, 2): {0: Const(1.0)}})
 
 
-def _anchor_only_chart():
-    """Rank 2 over x, anchor rows 1 and x, no brackets: only the anchor axiom fails."""
-    coords = ["x"]
+def _anchor_only_chart(coords=("x",)):
+    """Rank 2, anchor rows d/dx^l and x^l d/dx^l for the last coordinate l, no
+    brackets: only the anchor axiom fails."""
+    zeros = [Const(0.0)] * (len(coords) - 1)
     return AlgebroidChart("anchor_only", coords, ["b0", "b1"],
-                          [[Const(1.0)], [parse_expression("x", coords)]])
+                          [zeros + [Const(1.0)],
+                           zeros + [parse_expression(coords[-1], coords)]])
+
+
+def _tied_jacobi_chart():
+    """[b1,b3] = b2 and [b0,b2] = b1: the triples (0,1,3) and (0,2,3) both fail by 1."""
+    return AlgebroidChart("tied_jacobi", ["x"], ["b0", "b1", "b2", "b3"],
+                          [[Const(0.0)]] * 4,
+                          {(1, 3): {2: Const(1.0)}, (0, 2): {1: Const(1.0)}})
 
 
 class TestAnchorApply:
@@ -183,41 +193,18 @@ class TestVerifyAxioms:
         assert jacobi.residual == float("inf")
         assert jacobi.details["failing_triple"] == [0, 1, 2]
 
-    def test_anchor_only_violation_fails(self, line_points):
+    @pytest.mark.parametrize("coords", [("x",), ("x", "y")])
+    def test_anchor_only_violation_fails(self, coords):
         # rho(b_0) = d/dx and rho(b_1) = x d/dx have bracket d/dx, but [b_0, b_1] = 0.
-        anchor, jacobi = verify_axioms(_anchor_only_chart(), line_points)
+        points = sample_points(len(coords), 100, 42)
+        anchor, jacobi = verify_axioms(_anchor_only_chart(coords), points)
         assert not anchor.passed and anchor.residual == 1.0
         assert jacobi.passed and jacobi.residual == 0.0
 
-    @pytest.mark.parametrize("fixture_name, name", [("sa3", "sa3"),
-                                                    ("broken_jacobi", "broken")])
-    def test_inner_brackets_built_once_per_ordered_pair(self, request, monkeypatch,
-                                                         fixture_name, name):
-        chart = request.getfixturevalue(fixture_name).chart(name)
-        jacobiators, calls = [], []
-
-        def spy_maxima(fields, points):
-            jacobiators.append(list(fields))
-            return field_maxima(fields, points)
-
-        def spy_bracket(a, b):
-            calls.append(None)
-            return bracket(a, b)
-
-        monkeypatch.setattr(algebroid, "field_maxima", spy_maxima)
-        monkeypatch.setattr(algebroid, "bracket", spy_bracket)
-        verify_axioms(chart, sample_points(chart.dim, 10, 42))
-        triples = list(combinations(range(chart.rank), 3))
-        pairs = {p for i, j, k in triples for p in ((i, j), (j, k), (k, i))}
-        assert len(calls) == 3 * len(triples) + len(pairs)
-        assert len(jacobiators) == len(triples)
-        for (i, j, k), comps in zip(triples, jacobiators):
-            b_i, b_j, b_k = (chart.basis_section(t) for t in (i, j, k))
-            per_triple = (bracket(bracket(b_i, b_j), b_k)
-                          + bracket(bracket(b_j, b_k), b_i)
-                          + bracket(bracket(b_k, b_i), b_j))
-            assert [tree_shape(c) for c in comps] == \
-                [tree_shape(c) for c in per_triple.comps]
+    def test_failing_triple_is_the_first_that_reaches_the_worst_value(self, line_points):
+        _, jacobi = verify_axioms(_tied_jacobi_chart(), line_points)
+        assert jacobi.residual == 1.0
+        assert jacobi.details["failing_triple"] == [0, 1, 3]
 
 
 class TestPullback:
@@ -319,7 +306,7 @@ class TestPullbackMatchesDenseOracle:
         point = sample_points(len(sa3.coords), 1, 42)[0].tolist()
         source = projection.source
         for key in keys:
-            images = [projection.apply(source.basis_section(i)) for i in key]
+            images = [apply(projection, source.basis_section(i)) for i in key]
             expected = evaluate_on(mu_3, images, point)
             assert scalar_eval(pulled.coeff(key), point) == pytest.approx(
                 expected, rel=1e-12, abs=1e-12), key
@@ -352,6 +339,83 @@ class TestCheckMorphism:
         record = check_morphism(Morphism.identity(_nan_jacobi_chart()), line_points)
         assert not record.passed
         assert record.residual == float("inf")
+
+
+def _axiom_charts():
+    """Every bundled chart and its jet, and the hand-built failing charts above."""
+    charts = []
+    for fixture_name in builtin_fixture_names():
+        for name, chart in resolve_fixture(fixture_name).charts.items():
+            charts.append((f"{fixture_name}.{name}", chart))
+            charts.append((f"{fixture_name}.J1({name})", jet_prolong(chart)))
+    return charts + [("nan_jacobi", _nan_jacobi_chart()), ("tied_jacobi", _tied_jacobi_chart()),
+                     ("anchor_only", _anchor_only_chart()),
+                     ("anchor_only_xy", _anchor_only_chart(("x", "y")))]
+
+
+def _morphisms():
+    """Every bundled morphism and jet projection, the NaN identity and 2 id on TR2."""
+    morphisms = [(label, phi) for label, phi in _PULLBACK_CASES
+                 if ".J1(" not in label]
+    morphisms += [(label, chart.projection()) for label, chart in _AXIOM_CHARTS
+                  if isinstance(chart, JetChart)]
+    tangent = resolve_fixture("tangent_r2").chart("TR2")
+    double = Morphism(tangent, tangent, [[Const(2.0), Const(0.0)],
+                                         [Const(0.0), Const(2.0)]], "double")
+    return morphisms + [("nan_jacobi.id", Morphism.identity(_nan_jacobi_chart())),
+                        ("tangent_r2.double", double)]
+
+
+_AXIOM_CHARTS = _axiom_charts()
+_MORPHISMS = _morphisms()
+
+
+def _assert_same_record(new, old):
+    assert (new.name, new.passed, new.details) == (old.name, old.passed, old.details)
+    if old.passed:
+        assert abs(new.residual - old.residual) <= 1e-14
+    else:
+        assert new.residual == old.residual
+
+
+class TestAxiomChecksMatchDenseOracle:
+    """d_A^2 = 0 and phi^* d = d phi^* on generators against the frame-by-frame loops."""
+
+    @pytest.mark.parametrize("label, chart", _AXIOM_CHARTS,
+                             ids=[label for label, _ in _AXIOM_CHARTS])
+    def test_verify_axioms(self, label, chart):
+        points = sample_points(chart.dim, 100, 42)
+        for new, old in zip(verify_axioms(chart, points),
+                            dense_oracle.verify_axioms(chart, points), strict=True):
+            _assert_same_record(new, old)
+
+    @pytest.mark.parametrize("label, phi", _MORPHISMS,
+                             ids=[label for label, _ in _MORPHISMS])
+    def test_check_morphism(self, label, phi):
+        points = sample_points(phi.source.dim, 100, 42)
+        _assert_same_record(check_morphism(phi, points),
+                            dense_oracle.check_morphism(phi, points))
+
+    @pytest.mark.parametrize("label, chart", [case for case in _AXIOM_CHARTS
+                                              if case[1].rank >= 3],
+                             ids=[label for label, chart in _AXIOM_CHARTS if chart.rank >= 3])
+    def test_second_differential_of_the_dual_frame_is_the_jacobiator(self, label, chart):
+        # d_A(d_A theta^m)(b_i, b_j, b_k) = theta^m(Jacobiator), key by key: the
+        # zero Jacobiator components are exactly the keys d_A^2 leaves out.
+        tables = [d_A(d_A(basis_covector(chart, m))).table for m in range(chart.rank)]
+        new, old = [], []
+        for triple, jacobiator in dense_oracle.frame_jacobiators(chart):
+            for table, component in zip(tables, jacobiator.comps, strict=True):
+                assert (triple in table) == (not component.is_zero()), (triple, component)
+                if triple in table:
+                    new.append(table[triple])
+                    old.append(component)
+        values = evaluate(new + old, sample_points(chart.dim, 20, 42))
+        new_values, old_values = values[:len(new)], values[len(new):]
+        scale = np.maximum(1.0, np.abs(old_values))
+        assert np.array_equal(np.isfinite(new_values), np.isfinite(old_values))
+        finite = np.isfinite(old_values)
+        assert (np.abs(new_values - old_values)[finite] <= 1e-14 * scale[finite]).all()
 
 
 class TestLinkChart:

@@ -33,7 +33,7 @@ from constructions import (
     symmetry_residual,
 )
 import dense_oracle
-from dense_oracle import gamma
+from dense_oracle import apply, gamma
 from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import ConnectionFamily, link_curvature
 
@@ -219,14 +219,14 @@ class TestDistinguishedPair:
             for i in range(phi.source.rank):
                 direction = phi.source.basis_section(i)
                 for j in range(phi.source.rank):
-                    lhs = phi.apply(Section(
+                    lhs = apply(phi, Section(
                         phi.source,
                         covariant_derivative(nabla, direction,
                                              phi.source.basis_section(j)),
                     ))
                     rhs = covariant_derivative(
                         nabla_prime, direction,
-                        phi.apply(phi.source.basis_section(j)),
+                        apply(phi, phi.source.basis_section(j)),
                     )
                     for l, r in zip(lhs.comps, rhs):
                         for point in points[:15]:

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 import dense_oracle
 from expression_oracle import tree_shape as _tree
-from algebroids import algebroid, expressions
 from algebroids.algebroid import (
     AlgebroidChart,
     Morphism,
@@ -27,7 +26,7 @@ from algebroids.algebroid import (
 )
 from algebroids.classes import chain_pair, modular_form
 from algebroids.connections import bracket_connection, morphism_target_connection
-from algebroids.expressions import ZERO, Const, parse_expression
+from algebroids.expressions import parse_expression
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 
@@ -201,22 +200,3 @@ def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, tangent_r2, monkeypatch):
                 assert set(out.table) <= reached
                 if m in (0, big.rank - 1):
                     _assert_same_table(out.table, dense_oracle.d_A(omega).table)
-
-
-def test_jacobiator_zeros_reach_the_walk_as_one_node(sa3, monkeypatch):
-    # The zero components of the jet's Jacobiators fold to the shared ZERO, so
-    # the walk schedules and reduces them as one root, not one per component.
-    roots = []
-    walk = expressions.field_maxima
-
-    def recording(fields, points):
-        fields = list(fields)
-        roots.extend(fields)
-        return walk(fields, points)
-
-    monkeypatch.setattr(expressions, "field_maxima", recording)
-    monkeypatch.setattr(algebroid, "field_maxima", recording)
-    records = verify_axioms(jet_prolong(sa3.chart("sa3")), sample_points(1, 5, 42))
-    assert all(record.passed for record in records)
-    assert sum(root is ZERO for root in roots) > 30_000
-    assert [root for root in roots if isinstance(root, Const) and root is not ZERO] == []
