@@ -355,8 +355,8 @@ def _axiom_charts():
 
 def _morphisms():
     """Every bundled morphism and jet projection, the NaN identity and 2 id on TR2."""
-    morphisms = [(label, phi) for label, phi in _PULLBACK_CASES
-                 if ".J1(" not in label]
+    morphisms = [(f"{fixture_name}.{name}", phi) for fixture_name in builtin_fixture_names()
+                 for name, phi in resolve_fixture(fixture_name).morphisms.items()]
     morphisms += [(label, chart.projection()) for label, chart in _AXIOM_CHARTS
                   if isinstance(chart, JetChart)]
     tangent = resolve_fixture("tangent_r2").chart("TR2")
@@ -367,6 +367,7 @@ def _morphisms():
 
 
 _AXIOM_CHARTS = _axiom_charts()
+_TRIPLE_CHARTS = [(label, chart) for label, chart in _AXIOM_CHARTS if chart.rank >= 3]
 _MORPHISMS = _morphisms()
 
 
@@ -396,9 +397,8 @@ class TestAxiomChecksMatchDenseOracle:
         _assert_same_record(check_morphism(phi, points),
                             dense_oracle.check_morphism(phi, points))
 
-    @pytest.mark.parametrize("label, chart", [case for case in _AXIOM_CHARTS
-                                              if case[1].rank >= 3],
-                             ids=[label for label, chart in _AXIOM_CHARTS if chart.rank >= 3])
+    @pytest.mark.parametrize("label, chart", _TRIPLE_CHARTS,
+                             ids=[label for label, _ in _TRIPLE_CHARTS])
     def test_second_differential_of_the_dual_frame_is_the_jacobiator(self, label, chart):
         # d_A(d_A theta^m)(b_i, b_j, b_k) = theta^m(Jacobiator), key by key: the
         # zero Jacobiator components are exactly the keys d_A^2 leaves out.
