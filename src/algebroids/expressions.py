@@ -12,21 +12,24 @@ Jacobiator or a cancelling sum folds to are a single node to every walk;
 -0.0 and every other value get a `Const` of their own.
 
 The algebra built on the folding constructors reuses subtrees, so a tree is
-in fact a DAG: one node object can sit under many parents.  Numbers come out
-of it by one route: `evaluate` (values) and `field_maxima`/`residual`
-(max |value|) share one numpy walk over an (N, dim) array of probe points.
-Each distinct node (by identity) is computed once per call, released once its
-last parent has used it, and each root is reduced as soon as it is computed.
-A NaN or infinite value, including one hidden by a later division,
-exponential or negative power, stays non-finite, so a maximum over it is inf
-and no check passes on it.  Every check and every form dump goes this way,
-metric matrices and form matrices on frame tuples included; `max_abs_finite`
-applies the same rule to numeric arrays.  The recursive single-point walk
-with Python floats and `math` is kept only as a test oracle,
-`scalar_eval` in `tests/expression_oracle.py`.
+in fact a DAG: one node object can sit under many parents.  Evaluation and
+differentiation are each one children-first walk (`_schedule`) over its
+distinct nodes (by identity), with each node kind's rules side by side in
+`_eval_node` and `_diff_node`, so `diff` costs time linear in the DAG, not
+the tree.  Numbers come out by one route: `evaluate` (values) and
+`field_maxima`/`residual` (max |value|) share one numpy walk over an
+(N, dim) array of probe points, which drops each node's values once its last
+parent has read them and reduces each root as soon as it is computed.  A NaN
+or infinite value, including one hidden by a later division, exponential or
+negative power, stays non-finite, so a maximum over it is inf and no check
+passes on it.  Every check and every form dump goes this way, metric
+matrices and form matrices on frame tuples included; `max_abs_finite`
+applies the same rule to numeric arrays.  The recursive walks over the tree
+are kept only as test oracles in `tests/expression_oracle.py`: `scalar_eval`
+(one point, Python floats and `math`) and `recursive_diff`.
 
 An empty point set is an error, never a maximum of 0.0.  Nodes define no
-`__eq__` or `__hash__`, so the walk's memos, keyed by node, key by identity.
+`__eq__` or `__hash__`, so the walks' memos, keyed by node, key by identity.
 """
 
 from __future__ import annotations
@@ -51,8 +54,15 @@ class ScalarField:
     __slots__ = ()
 
     def diff(self, index: int) -> "ScalarField":
-        """Exact partial derivative with respect to coordinate `index` (0-based)."""
-        raise NotImplementedError
+        """Exact partial derivative with respect to coordinate `index` (0-based).
+
+        A shared subtree is differentiated once, however many parents it has.
+        """
+        order, _ = _schedule((self,))
+        partials: dict[ScalarField, ScalarField] = {}
+        for node in order:
+            partials[node] = _diff_node(node, index, partials)
+        return partials[self]
 
     def is_zero(self) -> bool:
         return isinstance(self, Const) and self.value == 0.0
@@ -104,9 +114,6 @@ class Const(ScalarField):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def diff(self, index):
-        return ZERO
-
     def __str__(self):
         return _format_number(self.value)
 
@@ -117,9 +124,6 @@ class Coord(ScalarField):
     def __init__(self, index: int, name: str):
         self.index = index
         self.name = name
-
-    def diff(self, index):
-        return ONE if index == self.index else ZERO
 
     def __str__(self):
         return self.name
@@ -136,18 +140,12 @@ class _Binary(ScalarField):
 class Add(_Binary):
     __slots__ = ()
 
-    def diff(self, index):
-        return add(self.left.diff(index), self.right.diff(index))
-
     def __str__(self):
         return f"{self.left} + {self.right}"
 
 
 class Sub(_Binary):
     __slots__ = ()
-
-    def diff(self, index):
-        return sub(self.left.diff(index), self.right.diff(index))
 
     def __str__(self):
         return f"{self.left} - {_paren_additive(self.right)}"
@@ -156,27 +154,12 @@ class Sub(_Binary):
 class Mul(_Binary):
     __slots__ = ()
 
-    def diff(self, index):
-        return add(
-            mul(self.left.diff(index), self.right),
-            mul(self.left, self.right.diff(index)),
-        )
-
     def __str__(self):
         return f"{_paren_additive(self.left)}*{_paren_additive(self.right)}"
 
 
 class Div(_Binary):
     __slots__ = ()
-
-    def diff(self, index):
-        return div(
-            sub(
-                mul(self.left.diff(index), self.right),
-                mul(self.left, self.right.diff(index)),
-            ),
-            mul(self.right, self.right),
-        )
 
     def __str__(self):
         return f"{_paren_additive(self.left)}/{_paren_tight(self.right)}"
@@ -188,10 +171,6 @@ class Pow(ScalarField):
     def __init__(self, base: ScalarField, exponent: int):
         self.base = base
         self.exponent = int(exponent)
-
-    def diff(self, index):
-        n = self.exponent
-        return mul(mul(Const(n), power(self.base, n - 1)), self.base.diff(index))
 
     def __str__(self):
         return f"{_paren_tight(self.base)}^{self.exponent}"
@@ -211,24 +190,15 @@ class Sin(_Unary):
     __slots__ = ()
     _name = "sin"
 
-    def diff(self, index):
-        return mul(Cos(self.arg), self.arg.diff(index))
-
 
 class Cos(_Unary):
     __slots__ = ()
     _name = "cos"
 
-    def diff(self, index):
-        return sub(ZERO, mul(Sin(self.arg), self.arg.diff(index)))
-
 
 class Exp(_Unary):
     __slots__ = ()
     _name = "exp"
-
-    def diff(self, index):
-        return mul(self, self.arg.diff(index))
 
 
 class Sqrt(_Unary):
@@ -236,9 +206,6 @@ class Sqrt(_Unary):
 
     __slots__ = ()
     _name = "sqrt"
-
-    def diff(self, index):
-        return div(self.arg.diff(index), mul(Const(2.0), self))
 
 
 ZERO = Const(0.0)
@@ -347,7 +314,7 @@ def balanced_sum(terms: Sequence[ScalarField]) -> ScalarField:
 
 
 # --------------------------------------------------------------------------
-# Walks over distinct nodes: vectorized values and residuals
+# Walks over distinct nodes: derivatives, vectorized values and residuals
 # --------------------------------------------------------------------------
 
 
@@ -427,6 +394,36 @@ def _eval_node(node: ScalarField, values: dict, columns: np.ndarray):
         return op(values[node.left], values[node.right])
     arg = values[node.arg]
     return _nan_where_nonfinite(op(arg), arg) if kind is Exp else op(arg)
+
+
+def _diff_node(node: ScalarField, index: int, partials: dict) -> ScalarField:
+    """d(node)/dx^index from the children's derivatives in `partials`."""
+    kind = type(node)
+    if kind is Const:
+        return ZERO
+    if kind is Coord:
+        return ONE if index == node.index else ZERO
+    if kind is Pow:
+        n = node.exponent
+        return mul(mul(Const(n), power(node.base, n - 1)), partials[node.base])
+    if isinstance(node, _Binary):
+        left, right = node.left, node.right
+        d_left, d_right = partials[left], partials[right]
+        if kind is Add:
+            return add(d_left, d_right)
+        if kind is Sub:
+            return sub(d_left, d_right)
+        if kind is Mul:
+            return add(mul(d_left, right), mul(left, d_right))
+        return div(sub(mul(d_left, right), mul(left, d_right)), mul(right, right))
+    d_arg = partials[node.arg]
+    if kind is Sin:
+        return mul(Cos(node.arg), d_arg)
+    if kind is Cos:
+        return sub(ZERO, mul(Sin(node.arg), d_arg))
+    if kind is Exp:
+        return mul(node, d_arg)
+    return div(d_arg, mul(Const(2.0), node))  # Sqrt
 
 
 def max_abs_finite(values) -> float:

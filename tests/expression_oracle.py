@@ -1,9 +1,16 @@
-"""Reference expression evaluation, and the tree shape that tests compare.
+"""Reference expression evaluation and differentiation, and the tree shape
+that tests compare.
 
 `scalar_eval` is the per-node-class recursive `eval` that
 `algebroids.expressions` replaced with a numpy walk over distinct nodes; it
 revisits a shared subtree at every use.  Tests require the walk to return the
 same values, to the last bits numpy's kernels may change.
+
+`recursive_diff` is the per-node-class recursive `diff` that
+`ScalarField.diff` replaced with one children-first pass over distinct nodes,
+rules unchanged; it re-derives a shared subtree at every use, so its cost is
+exponential in the depth of the sharing.  Tests require the pass to build the
+same trees (node kinds, constants and child order).
 """
 
 from __future__ import annotations
@@ -23,6 +30,13 @@ from algebroids.expressions import (
     Sin,
     Sqrt,
     Sub,
+    ONE,
+    ZERO,
+    add,
+    div,
+    mul,
+    power,
+    sub,
 )
 
 
@@ -53,6 +67,43 @@ def scalar_eval(node: ScalarField, point) -> float:
         return math.exp(scalar_eval(node.arg, point))
     if isinstance(node, Sqrt):
         return math.sqrt(scalar_eval(node.arg, point))
+    raise TypeError(f"unknown node {node!r}")
+
+
+def recursive_diff(node: ScalarField, index: int) -> ScalarField:
+    """Exact partial derivative along coordinate `index`, by recursion over the tree."""
+    if isinstance(node, Const):
+        return ZERO
+    if isinstance(node, Coord):
+        return ONE if index == node.index else ZERO
+    if isinstance(node, Add):
+        return add(recursive_diff(node.left, index), recursive_diff(node.right, index))
+    if isinstance(node, Sub):
+        return sub(recursive_diff(node.left, index), recursive_diff(node.right, index))
+    if isinstance(node, Mul):
+        return add(
+            mul(recursive_diff(node.left, index), node.right),
+            mul(node.left, recursive_diff(node.right, index)),
+        )
+    if isinstance(node, Div):
+        return div(
+            sub(
+                mul(recursive_diff(node.left, index), node.right),
+                mul(node.left, recursive_diff(node.right, index)),
+            ),
+            mul(node.right, node.right),
+        )
+    if isinstance(node, Pow):
+        n = node.exponent
+        return mul(mul(Const(n), power(node.base, n - 1)), recursive_diff(node.base, index))
+    if isinstance(node, Sin):
+        return mul(Cos(node.arg), recursive_diff(node.arg, index))
+    if isinstance(node, Cos):
+        return sub(ZERO, mul(Sin(node.arg), recursive_diff(node.arg, index)))
+    if isinstance(node, Exp):
+        return mul(node, recursive_diff(node.arg, index))
+    if isinstance(node, Sqrt):
+        return div(recursive_diff(node.arg, index), mul(Const(2.0), node))
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from algebroids.algebroid import Morphism, Section, anchor_apply
+from algebroids.algebroid import AlgebroidChart, Morphism, Section, anchor_apply
 from algebroids.chern import bott_delta
 from algebroids.connections import (
     FormMatrix,
@@ -21,7 +21,7 @@ from algebroids.connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from algebroids.expressions import Const, parse_expression
+from algebroids.expressions import Const, evaluate, parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
@@ -349,6 +349,29 @@ class TestOrthogonalConnection:
         ])
         conn = orthogonal_connection(chart, g)
         assert metric_compat_check(conn, g, sample_points(2, 60, 42), 1e-10).passed
+
+    def test_rank_five_tridiagonal_metric_on_an_anchored_chart(self):
+        # Gram-Schmidt on this metric shares subtrees so deeply that the largest
+        # omega entry has 848 distinct nodes but about 1.5e8 tree nodes, so the
+        # oracle is compared by value, not by `str` or `tree_shape`.
+        one, zero = Const(1.0), Const(0.0)
+        x = parse_expression("x", ["x"])
+        chart = AlgebroidChart("A", ["x"], ["b1", "b2", "b3", "b4", "b5"],
+                               [[one], [x], [zero], [zero], [zero]],
+                               {(0, 1): {0: one}, (2, 3): {4: one}})
+        diagonal, beside = parse_expression("2+x^2", ["x"]), parse_expression("0.3*x", ["x"])
+        g = QuasiMetric(5, 1, [[diagonal if a == b else beside if abs(a - b) == 1 else zero
+                                for b in range(5)] for a in range(5)])
+        points = sample_points(1, 50, 42)
+        g.validate(points)
+        conn = orthogonal_connection(chart, g)
+        assert metric_compat_check(conn, g, points, 1e-10).passed
+        new = [entry.table for row in conn.entries for entry in row]
+        old = [entry.table for row in dense_oracle.orthogonal_connection(chart, g).entries
+               for entry in row]
+        assert [list(table) for table in new] == [list(table) for table in old]
+        assert np.array_equal(evaluate([c for table in new for c in table.values()], points),
+                              evaluate([c for table in old for c in table.values()], points))
 
     def test_degenerate_metric_rejected(self, tangent_r2):
         chart = tangent_r2.chart("TR2")

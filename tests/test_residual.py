@@ -1,8 +1,9 @@
 """The vectorized residual reducer and the memoized walks over expression DAGs.
 
 `residual`/`field_maxima` are checked against the scalar tree walk
-(`expression_oracle.scalar_eval`) at every point, and the memoized `subs` of
-`transgression_oracle` for the sharing it keeps.  Random DAGs share subtrees
+(`expression_oracle.scalar_eval`) at every point, `ScalarField.diff` against
+the recursive tree derivative (`expression_oracle.recursive_diff`), and the
+memoized `subs` of `transgression_oracle` for the sharing it keeps.  Random DAGs share subtrees
 and use every node kind, built through the folding constructors as the
 library builds them.
 """
@@ -40,7 +41,7 @@ from algebroids.expressions import (
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import glue, odd_vanishing_check, symmetry_residual
-from expression_oracle import scalar_eval
+from expression_oracle import recursive_diff, scalar_eval, tree_shape
 from transgression_oracle import subs
 
 X, Y = Coord(0, "x"), Coord(1, "y")
@@ -260,3 +261,22 @@ class TestSubsKeepsSharing:
         new = subs(field, 1, 3.0)
         assert new.left is new.right
         assert str(new) == "(x + 3)*(x + 3)"
+
+
+class TestDiffOverDistinctNodes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dags())
+    def test_diff_builds_the_recursive_trees(self, roots):
+        for root in roots:
+            for j in (0, 1):
+                new, old = root.diff(j), recursive_diff(root, j)
+                assert tree_shape(new) == tree_shape(old)
+                assert str(new) == str(old)
+
+    def test_cost_is_linear_in_distinct_nodes(self):
+        # As a tree, f has about 2^60 nodes; as a DAG, 121.
+        field = X
+        for _ in range(60):
+            field = mul(sine(field), field)
+        distinct = len(expressions._schedule([field])[0])
+        assert len(expressions._schedule([field.diff(0)])[0]) <= 4 * distinct
