@@ -374,80 +374,75 @@ def check_morphism(phi: Morphism, points, tol: float = 1e-9) -> CheckRecord:
 
 
 class JetChart(AlgebroidChart):
-    """First jet prolongation of an algebroid chart.
+    """First jet prolongation J1 A of an algebroid chart, in the split frame.
 
-    Frame ordering: the jets of the frame sections first, then the jets of
-    each coordinate multiple, grouped by coordinate.  The projection back to
-    the underlying chart is the coordinate map on the first block.
+    The frame is J_i = j1(b_i), then E_{h,i} = dx^h (x) b_i = j1(x^h b_i) -
+    x^h j1(b_i), grouped by coordinate: E_{h,i} is row s + h s + i, with s
+    the rank of A.  Its data follows in closed form from the anchor rho_i^h
+    and the structure functions c_ij^k of A:
+
+      rho(J_i) = rho_i,  rho(E_{h,i}) = 0,
+      [J_i, J_j] = c_ij^k J_k + d_m c_ij^k E_{m,k},
+      [J_i, E_{h,j}] = c_ij^k E_{h,k} + d_m rho_i^h E_{m,j},
+      [E_{g,i}, E_{h,j}] = rho_i^h E_{g,j} - rho_j^g E_{h,i},
+
+    and the projection pi: J1 A -> A sends J_i to b_i and every E_{h,i} to
+    zero.  `cotangent_rows` lists (p, h, q) for each E row p = E_{h,i}, with
+    q = J_i the row of the same b_i: all a connection builder needs of the
+    layout.
     """
 
     def __init__(self, base_chart: AlgebroidChart):
         s, m = base_chart.rank, base_chart.dim
-        basis = [f"j.{name}" for name in base_chart.basis]
-        defining: list[Section] = [base_chart.basis_section(i) for i in range(s)]
-        for h in range(m):
-            x_h = base_chart.coordinate_field(h)
-            for i in range(s):
-                basis.append(f"j.{base_chart.coords[h]}.{base_chart.basis[i]}")
-                defining.append(base_chart.basis_section(i).scale(x_h))
-        anchor = [list(_section_anchor_row(sec)) for sec in defining]
-        rank = s * (1 + m)
+
+        def e(h: int, i: int) -> int:
+            return s + h * s + i
+
+        cotangent = tuple((e(h, i), h, i) for h in range(m) for i in range(s))
+        signed: dict[tuple[int, int], dict[int, ScalarField]] = {}  # c_ij^k, any i, j
+        for (i, j), terms in base_chart.brackets.items():
+            signed[i, j] = terms
+            signed[j, i] = {k: mul(Const(-1.0), coeff) for k, coeff in terms.items()}
         brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
-        for p in range(rank):
-            for q in range(p + 1, rank):
-                value = bracket(defining[p], defining[q])
-                coeffs = _jet_decompose_section(base_chart, value)
-                cleaned = {r: c for r, c in coeffs.items() if not c.is_zero()}
-                if cleaned:
-                    brackets[(p, q)] = cleaned
+
+        def put(p: int, q: int, r: int, coeff: ScalarField) -> None:
+            if not coeff.is_zero():
+                row = brackets.setdefault((p, q), {})
+                row[r] = add(row.get(r, ZERO), coeff)
+
+        for (i, j), terms in base_chart.brackets.items():  # [J_i, J_j]
+            for k, coeff in terms.items():
+                put(i, j, k, coeff)
+                for n in range(m):
+                    put(i, j, e(n, k), coeff.diff(n))
+        for i in range(s):  # [J_i, E_{h,j}]
+            for h in range(m):
+                partials = [(n, base_chart.anchor[i][h].diff(n)) for n in range(m)]
+                for j in range(s):
+                    for k, coeff in signed.get((i, j), {}).items():
+                        put(i, e(h, j), e(h, k), coeff)
+                    for n, partial in partials:
+                        put(i, e(h, j), e(n, j), partial)
+        for p, g, i in cotangent:  # [E_{g,i}, E_{h,j}]
+            for q, h, j in cotangent:
+                if p < q:
+                    put(p, q, e(g, j), base_chart.anchor[i][h])
+                    put(p, q, e(h, i), mul(Const(-1.0), base_chart.anchor[j][g]))
+        basis = [f"j.{name}" for name in base_chart.basis]
+        basis += [f"d{coord}.{name}" for coord in base_chart.coords
+                  for name in base_chart.basis]
+        anchor = list(base_chart.anchor) + [[ZERO] * m] * (s * m)
         super().__init__(f"J1({base_chart.name})", base_chart.coords, basis,
                          anchor, brackets)
         self.base_chart = base_chart
-        self.defining = defining
+        self.cotangent_rows = cotangent
 
     def projection(self) -> Morphism:
-        """Jet-to-value projection as a base-preserving morphism."""
+        """pi: J_i -> b_i, E_{h,i} -> 0, as a base-preserving morphism."""
         base = self.base_chart
-        matrix = []
-        for sec in self.defining:
-            matrix.append(list(sec.comps))
+        matrix = [[Const(1.0) if u == p else ZERO for u in range(base.rank)]
+                  for p in range(self.rank)]
         return Morphism(self, base, matrix, name=f"proj_{base.name}")
-
-
-def _section_anchor_row(a: Section) -> list[ScalarField]:
-    chart = a.chart
-    row = []
-    for j in range(chart.dim):
-        acc = ZERO
-        for i in range(chart.rank):
-            if not a.comps[i].is_zero():
-                acc = add(acc, mul(a.comps[i], chart.anchor[i][j]))
-        row.append(acc)
-    return row
-
-
-def _jet_decompose_section(base: AlgebroidChart, a: Section) -> dict[int, ScalarField]:
-    """Coefficients of j1(a) on the jet frame.
-
-    j1(xi^k b_k) = (xi^k - x^h dxi^k/dx^h) j1(b_k) + (dxi^k/dx^h) j1(x^h b_k).
-    """
-    s, m = base.rank, base.dim
-    coeffs: dict[int, ScalarField] = {}
-    for k in range(s):
-        xi = a.comps[k]
-        if xi.is_zero():
-            continue
-        leading = xi
-        for h in range(m):
-            partial = xi.diff(h)
-            if partial.is_zero():
-                continue
-            leading = sub(leading, mul(base.coordinate_field(h), partial))
-            slot = s + h * s + k
-            coeffs[slot] = add(coeffs.get(slot, ZERO), partial)
-        if not leading.is_zero():
-            coeffs[k] = add(coeffs.get(k, ZERO), leading)
-    return coeffs
 
 
 def jet_prolong(chart: AlgebroidChart) -> JetChart:

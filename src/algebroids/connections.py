@@ -4,7 +4,9 @@
 `connection_from_coefficients` builds one from its coefficients on the frame;
 `curvature` and `bott_delta` reject a matrix of any other degree.  Every
 bracket-induced connection, the bracket and the flat jet connections among
-them, is `morphism_target_connection(phi)`: nabla_a b' = [phi a, b'].
+them, is `morphism_target_connection(phi)`: nabla_a b' = [phi a, b'] on each
+frame section a, plus, on a jet source, the Leibniz term -rho'_u^h phi(j1 b_i)
+on each row dx^h (x) b_i of the split jet frame.
 
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
@@ -23,6 +25,7 @@ import numpy as np
 
 from .algebroid import (
     AlgebroidChart,
+    JetChart,
     Morphism,
     Section,
     bracket,
@@ -205,13 +208,25 @@ def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
 def morphism_target_connection(phi: Morphism) -> FormMatrix:
     """Source-algebroid connection on the target bundle via [phi b_i, b'_u].
 
-    The one bracket-induced builder; `bracket_connection` is its identity case."""
+    The one bracket-induced builder; `bracket_connection` is its identity case.
+    On a jet source each row E = dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i) also
+    carries the Leibniz term -rho'_u^h phi(j1 b_i), so that the connection
+    along j1(x^h b_i) is [phi j1(x^h b_i), b'_u] like along every holonomic
+    frame section."""
     target = phi.target
     images = [Section(target, row) for row in phi.matrix]  # phi b_i
     columns = []
     for u in range(target.rank):
         b_u = target.basis_section(u)
         columns.append([bracket(image, b_u).comps for image in images])
+    if isinstance(phi.source, JetChart):
+        for p, h, q in phi.source.cotangent_rows:
+            for u, column in enumerate(columns):
+                rho = target.anchor[u][h]
+                if rho.is_zero():
+                    continue
+                column[p] = [sub(value, mul(rho, image))
+                             for value, image in zip(column[p], phi.matrix[q])]
     return connection_from_coefficients(
         phi.source, target.rank, lambda i, u, t: columns[u][i][t]
     )

@@ -14,8 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from algebroids.algebroid import (AlgebroidChart, JetChart, Section, _jet_decompose_section,
-                                  anchor_apply, d_A)
+from algebroids.algebroid import AlgebroidChart, JetChart, Section, anchor_apply, d_A
 from algebroids.connections import FormMatrix, QuasiMetric, invert_field_matrix
 from algebroids.expressions import Const, ScalarField, ZERO, add, evaluate, max_abs_finite, mul
 from algebroids.forms import AForm, _require_same_chart
@@ -168,12 +167,12 @@ def symmetry_residual(g: QuasiMetric, points) -> float:
 
 
 def lift(jet: JetChart, a: Section) -> Section:
-    """The 1-jet of a section, decomposed on the jet frame."""
+    """The 1-jet of a section on the split jet frame:
+    j1(xi^i b_i) = xi^i j1(b_i) + (dxi^i/dx^h) dx^h (x) b_i."""
     _require_same_chart(a.chart, jet.base_chart)
-    comps = [ZERO] * jet.rank
-    lifted = _jet_decompose_section(jet.base_chart, a)
-    for r, coeff in lifted.items():
-        comps[r] = coeff
+    comps = list(a.comps) + [ZERO] * (jet.rank - a.chart.rank)
+    for p, h, q in jet.cotangent_rows:
+        comps[p] = a.comps[q].diff(h)
     return Section(jet, comps)
 
 

@@ -8,13 +8,19 @@ anchor entry.  Tests require the sparse routes of `algebroids`, which visit
 only the chart's nonzero bracket and anchor terms, to build the same
 coefficient trees as these.
 
+`HolonomicJet` is the former `algebroids.JetChart`: the first jet in the frame
+of holonomic sections j1(b_i), j1(x^h b_i), built by bracketing those
+sections and decomposing the result (`jet_decompose_section`).  Tests require
+the split frame of `jet_prolong` to give the same anchors, brackets and flat
+jet connections under dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i), pointwise.
+
 `jet_bracket_connection`, `jet_morphism_connection`, `distinguished_pair` and
 `morphism_sum_connection` are the former `algebroids.connections` builders,
 bodies unchanged; here `bracket`, `bracket_connection` and `dual_connection`
 resolve to the versions in this module.  Tests require
-`morphism_target_connection` of the identity, of a jet projection and of a
-morphism composed with one, and the chain (id, phi), to build the same trees
-as these.
+`morphism_target_connection` of the identity, of a `HolonomicJet` projection
+and of a morphism composed with one, and the chain (id, phi), to build the
+same trees as these.
 
 `metric_compat_check`, `orthogonal_connection` and `dual_connection` are the
 former entry-by-entry loops of the metric layer, bodies unchanged; their
@@ -46,7 +52,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import Iterable
 
-from algebroids.algebroid import (AlgebroidChart, JetChart, Morphism, Section,
+from algebroids.algebroid import (AlgebroidChart, Morphism, Section,
                                   _require_same_chart, bracket as sparse_bracket)
 from algebroids.connections import (FormMatrix, QuasiMetric, connection_from_coefficients,
                                     direct_sum, invert_field_matrix,
@@ -329,7 +335,87 @@ def morphism_sum_connection(phi: Morphism) -> FormMatrix:
     return direct_sum(nabla, dual_connection(nabla_prime))
 
 
-def jet_bracket_connection(jet: JetChart) -> FormMatrix:
+class HolonomicJet(AlgebroidChart):
+    """The first jet prolongation in the frame of holonomic sections.
+
+    Frame ordering: the jets j1(b_i) of the frame sections first, then the
+    jets j1(x^h b_i) of each coordinate multiple, grouped by coordinate.
+    Anchors are those of the defining sections, and brackets are the
+    brackets of the defining sections decomposed on the jet frame.  The
+    projection back to the underlying chart is the coordinate map on the
+    defining sections.
+    """
+
+    def __init__(self, base_chart: AlgebroidChart):
+        s, m = base_chart.rank, base_chart.dim
+        basis = [f"j.{name}" for name in base_chart.basis]
+        defining: list[Section] = [base_chart.basis_section(i) for i in range(s)]
+        for h in range(m):
+            x_h = base_chart.coordinate_field(h)
+            for i in range(s):
+                basis.append(f"j.{base_chart.coords[h]}.{base_chart.basis[i]}")
+                defining.append(base_chart.basis_section(i).scale(x_h))
+        anchor = [list(_section_anchor_row(sec)) for sec in defining]
+        rank = s * (1 + m)
+        brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
+        for p in range(rank):
+            for q in range(p + 1, rank):
+                value = sparse_bracket(defining[p], defining[q])
+                coeffs = jet_decompose_section(base_chart, value)
+                cleaned = {r: c for r, c in coeffs.items() if not c.is_zero()}
+                if cleaned:
+                    brackets[(p, q)] = cleaned
+        super().__init__(f"J1({base_chart.name})", base_chart.coords, basis,
+                         anchor, brackets)
+        self.base_chart = base_chart
+        self.defining = defining
+
+    def projection(self) -> Morphism:
+        """Jet-to-value projection as a base-preserving morphism."""
+        base = self.base_chart
+        matrix = []
+        for sec in self.defining:
+            matrix.append(list(sec.comps))
+        return Morphism(self, base, matrix, name=f"proj_{base.name}")
+
+
+def _section_anchor_row(a: Section) -> list[ScalarField]:
+    chart = a.chart
+    row = []
+    for j in range(chart.dim):
+        acc = ZERO
+        for i in range(chart.rank):
+            if not a.comps[i].is_zero():
+                acc = add(acc, mul(a.comps[i], chart.anchor[i][j]))
+        row.append(acc)
+    return row
+
+
+def jet_decompose_section(base: AlgebroidChart, a: Section) -> dict[int, ScalarField]:
+    """Coefficients of j1(a) on the holonomic jet frame.
+
+    j1(xi^k b_k) = (xi^k - x^h dxi^k/dx^h) j1(b_k) + (dxi^k/dx^h) j1(x^h b_k).
+    """
+    s, m = base.rank, base.dim
+    coeffs: dict[int, ScalarField] = {}
+    for k in range(s):
+        xi = a.comps[k]
+        if xi.is_zero():
+            continue
+        leading = xi
+        for h in range(m):
+            partial = xi.diff(h)
+            if partial.is_zero():
+                continue
+            leading = sub(leading, mul(base.coordinate_field(h), partial))
+            slot = s + h * s + k
+            coeffs[slot] = add(coeffs.get(slot, ZERO), partial)
+        if not leading.is_zero():
+            coeffs[k] = add(coeffs.get(k, ZERO), leading)
+    return coeffs
+
+
+def jet_bracket_connection(jet: HolonomicJet) -> FormMatrix:
     """Flat jet-algebroid connection on the underlying bundle.
 
     Covariant derivative along each jet frame element is the bracket with its
@@ -344,7 +430,7 @@ def jet_bracket_connection(jet: JetChart) -> FormMatrix:
     )
 
 
-def jet_morphism_connection(jet: JetChart, phi: Morphism) -> FormMatrix:
+def jet_morphism_connection(jet: HolonomicJet, phi: Morphism) -> FormMatrix:
     """Flat jet-algebroid connection on the morphism target bundle."""
     if phi.source is not jet.base_chart:
         raise ValueError("morphism must start at the jet's underlying chart")

@@ -296,10 +296,11 @@ class TestPullbackMatchesDenseOracle:
         pulled = pullback(projection, mu_3)
         assert time.perf_counter() - start < 5.0
         assert pulled.degree == 5 and pulled.table
+        # pi^* keeps the keys of mu_3: J_i is row i of the jet and pi kills the rest.
+        assert set(pulled.table) == set(mu_3.table)
         rng = np.random.default_rng(42)
-        present = sorted(pulled.table)
-        keys = [present[p] for p in rng.choice(len(present), size=12, replace=False)]
-        while len(keys) < 20:
+        keys = sorted(pulled.table)
+        while len(keys) < len(pulled.table) + 8:
             key = tuple(sorted(rng.choice(projection.source.rank, size=5, replace=False).tolist()))
             if key not in pulled.table:
                 keys.append(key)
@@ -459,8 +460,9 @@ class TestJets:
         jet = jet_prolong(chart)
         section = chart.basis_section(0).scale(_field(chart, "x^2"))
         lifted = lift(jet, section)
-        # xi = x^2: leading coefficient xi - x xi' = -x^2, jet-coordinate part xi' = 2x
-        assert scalar_eval(lifted.comps[0], (0.5,)) == pytest.approx(-0.25)
+        # j1(x^2 b_0) = x^2 j1(b_0) + 2x dx (x) b_0
+        assert jet.basis == ("j.v", "dx.v")
+        assert scalar_eval(lifted.comps[0], (0.5,)) == pytest.approx(0.25)
         assert scalar_eval(lifted.comps[1], (0.5,)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("fixture_name,chart_name", [

@@ -17,9 +17,7 @@ POINTS, SEED = 100, 42
 # (case, record name) -> (residual, passed, failing_triple)
 NONZERO = {
     ("broken_jacobi.broken", "jacobi_identity"): (1.0, False, [0, 1, 2]),
-    ("broken_jacobi.J1(broken)", "jacobi_identity"): (2.912303199178573, False, [3, 4, 5]),
-    ("sa3.J1(sa3)", "jacobi_identity"): (8.881784197001252e-16, True, None),
-    ("sl2aff.J1(sl2aff)", "jacobi_identity"): (4.440892098500626e-16, True, None),
+    ("broken_jacobi.J1(broken)", "jacobi_identity"): (1.0, False, [0, 1, 2]),
 }
 
 

@@ -274,6 +274,14 @@ class TestJetRelative:
         form = bott_delta([_pullback_connection(projection, c) for c in pair], 3)
         assert _jet_pullback_residual(form, ident, 2) < 1e-12
 
+    def test_degree_five_class_has_exactly_the_keys_of_its_pullback(self, sa3):
+        # The split jet frame builds no cancelling terms, so no key is dead.
+        phi = sa3.morphism("zero")
+        form = jet_relative(phi, 2).form
+        pulled = pullback(form.chart.projection(), mu_form(phi, 2).form)
+        assert set(form.table) == set(pulled.table) and len(pulled.table) == 8
+        assert (form - pulled).max_abs(_jet_points(phi)) <= 1e-12
+
     def test_anchored_fixture(self, action_x):
         phi = action_x.morphism("sharp")
         rep = jet_relative(phi, 1)
