@@ -5,9 +5,6 @@ from .forms import AForm
 from .algebroid import (
     AlgebroidChart,
     Morphism,
-    Section,
-    anchor_apply,
-    bracket,
     check_morphism,
     d_A,
     jet_prolong,
@@ -37,7 +34,6 @@ from .classes import (
     ClassReport,
     bi_characteristic,
     chain_pair,
-    jet_relative,
     modular_form,
     modular_form_morphism,
     mu_form,

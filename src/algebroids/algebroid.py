@@ -7,6 +7,13 @@ structure functions.  The whole structure is encoded in the differential
 dual frame, and a morphism is a phi with phi^* d_B = d_A phi^* on the same
 generators.  `verify_axioms` and `check_morphism` test exactly these,
 numerically at probe points; constructors never assume them.
+
+A chart is its anchor rho_i^h and its structure functions c_ij^k; nothing
+here brackets general sections.  The bracket-induced connection reads
+omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t) off
+`AlgebroidChart.structure` and `_frame_derivative`, `JetChart` builds J1 A in
+closed form from the same data, and the jet class of phi is `relative_mu` on
+the chain (pi, phi) with pi: J1 A -> A the jet projection.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
-                          residual, sub)
+                          residual)
 from .forms import AForm, _require_same_chart, _trusted_form
 from .reports import CheckRecord
 
@@ -24,13 +31,14 @@ class AlgebroidChart:
 
     anchor[i][j] is the coefficient of d/dx^j in the image of the i-th frame
     section; brackets are stored canonically on pairs i < j as sparse maps
-    k -> nonzero coefficient, in ascending k.  `anchor_terms[i]` lists the
-    nonzero entries (j, rho) of anchor row i in ascending j, and
+    k -> nonzero coefficient, in ascending k.  `structure[i, j]` is the same
+    map of c_ij^k for every ordered pair, c_ji^k = -c_ij^k.  `anchor_terms[i]`
+    lists the nonzero entries (j, rho) of anchor row i in ascending j, and
     `bracket_sources[m]` the pairs (a, b) whose bracket has a nonzero m-term.
-    `d_A`, `bracket` and `anchor_apply` iterate only these sparse terms, in
-    the order of the dense loops over every frame and coordinate index, so
-    they build the same coefficient trees; `d_A` visits only the output keys
-    that some term reaches.
+    `d_A` and `_frame_derivative` iterate only these sparse terms, in the
+    order of the dense loops over every frame and coordinate index, so they
+    build the same coefficient trees; `d_A` visits only the output keys that
+    some term reaches.
     """
 
     def __init__(
@@ -69,6 +77,10 @@ class AlgebroidChart:
             key: {k: c for k, c in sorted(row.items()) if not c.is_zero()}
             for key, row in table.items()
         }
+        self.structure: dict[tuple[int, int], dict[int, ScalarField]] = {}
+        for (i, j), terms in self.brackets.items():
+            self.structure[i, j] = terms
+            self.structure[j, i] = {k: mul(Const(-1.0), c) for k, c in terms.items()}
         self.anchor_terms = tuple(
             tuple((j, rho) for j, rho in enumerate(row) if not rho.is_zero())
             for row in self.anchor
@@ -82,11 +94,6 @@ class AlgebroidChart:
     def coordinate_field(self, index: int) -> ScalarField:
         return Coord(index, self.coords[index])
 
-    def basis_section(self, i: int) -> "Section":
-        comps = [ZERO] * self.rank
-        comps[i] = Const(1.0)
-        return Section(self, comps)
-
     def zero_form(self, degree: int) -> AForm:
         return AForm(self, degree)
 
@@ -97,83 +104,19 @@ class AlgebroidChart:
         return f"AlgebroidChart({self.name!r}, rank={self.rank}, dim={self.dim})"
 
 
-class Section:
-    """Cross section xi^i b_i with scalar-field components."""
-
-    __slots__ = ("chart", "comps")
-
-    def __init__(self, chart: AlgebroidChart, comps: Sequence[ScalarField]):
-        if len(comps) != chart.rank:
-            raise ValueError("section component count must match chart rank")
-        self.chart = chart
-        self.comps = tuple(comps)
-
-    def scale(self, factor: ScalarField | float) -> "Section":
-        if not isinstance(factor, ScalarField):
-            factor = Const(factor)
-        return Section(self.chart, [mul(factor, c) for c in self.comps])
-
-    def __repr__(self):
-        body = ", ".join(str(c) for c in self.comps)
-        return f"Section[{body}]"
-
-
-def anchor_apply(a: Section, f: ScalarField) -> ScalarField:
-    """The anchor image of `a` acting on a base function: xi^i rho_i^j df/dx^j.
-
-    Only nonzero anchor entries are visited, i-major and j-minor; each partial
-    derivative of `f` is taken once, when first needed.
-    """
-    if isinstance(f, Const):
-        return ZERO
-    chart = a.chart
-    partials: dict[int, ScalarField] = {}
-    result = ZERO
-    for xi, terms in zip(a.comps, chart.anchor_terms):
-        if xi.is_zero():
-            continue
-        for j, rho in terms:
-            partial = partials.get(j)
-            if partial is None:
-                partial = partials[j] = f.diff(j)
-            if not partial.is_zero():
-                result = add(result, mul(xi, mul(rho, partial)))
-    return result
-
-
 def _frame_derivative(chart: AlgebroidChart, i: int, f: ScalarField) -> ScalarField:
-    """rho(b_i) f, the tree `anchor_apply(chart.basis_section(i), f)` builds."""
+    """rho(b_i) f = rho_i^j df/dx^j, over the nonzero anchor entries in ascending j.
+
+    The one route for a frame section acting on a base function: `d_A` reads
+    it for its anchor terms and `morphism_target_connection` for its
+    -rho'(b'_u)(phi_i^t) term.
+    """
     result = ZERO
     for j, rho in chart.anchor_terms[i]:
         partial = f.diff(j)
         if not partial.is_zero():
             result = add(result, mul(rho, partial))
     return result
-
-
-def bracket(a1: Section, a2: Section) -> Section:
-    """Leibniz extension of the frame brackets to arbitrary sections.
-
-    Visits only the nonzero components of both arguments and the stored
-    bracket terms of each frame pair; on a chart with zero anchor the
-    anchor (Leibniz) terms are all zero and are skipped.
-    """
-    _require_same_chart(a1.chart, a2.chart)
-    chart = a1.chart
-    comps = [ZERO] * chart.rank
-    etas = [(j, eta) for j, eta in enumerate(a2.comps) if not eta.is_zero()]
-    for i, xi in enumerate(a1.comps):
-        if xi.is_zero():
-            continue
-        for j, eta in etas:
-            for k, coeff in chart.brackets.get((i, j) if i < j else (j, i), {}).items():
-                signed = coeff if i < j else mul(Const(-1.0), coeff)
-                comps[k] = add(comps[k], mul(mul(xi, eta), signed))
-    if any(chart.anchor_terms):
-        for k in range(chart.rank):
-            comps[k] = add(comps[k], anchor_apply(a1, a2.comps[k]))
-            comps[k] = sub(comps[k], anchor_apply(a2, a1.comps[k]))
-    return Section(chart, comps)
 
 
 def d_A(omega: AForm) -> AForm:
@@ -399,10 +342,6 @@ class JetChart(AlgebroidChart):
             return s + h * s + i
 
         cotangent = tuple((e(h, i), h, i) for h in range(m) for i in range(s))
-        signed: dict[tuple[int, int], dict[int, ScalarField]] = {}  # c_ij^k, any i, j
-        for (i, j), terms in base_chart.brackets.items():
-            signed[i, j] = terms
-            signed[j, i] = {k: mul(Const(-1.0), coeff) for k, coeff in terms.items()}
         brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
 
         def put(p: int, q: int, r: int, coeff: ScalarField) -> None:
@@ -419,7 +358,7 @@ class JetChart(AlgebroidChart):
             for h in range(m):
                 partials = [(n, base_chart.anchor[i][h].diff(n)) for n in range(m)]
                 for j in range(s):
-                    for k, coeff in signed.get((i, j), {}).items():
+                    for k, coeff in base_chart.structure.get((i, j), {}).items():
                         put(i, e(h, j), e(h, k), coeff)
                     for n, partial in partials:
                         put(i, e(h, j), e(n, j), partial)

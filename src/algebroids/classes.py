@@ -5,21 +5,19 @@ constructions plus the transgression identities; no cohomology spaces are
 computed.  The secondary classes are all one construction: for a chain
 A -alpha-> B -beta-> C, transgress from the metric reference connection on
 B + C* to the bracket-induced connection [alpha a, b] + dual of
-[beta alpha a, c] (`chain_pair`).  The class of a morphism phi is the chain
-(id, phi), the class of psi relative to phi is (phi, psi), and the jet class
-of phi is (pi, phi) with pi: J1 A -> A the jet projection.
+[beta alpha a, c] (`chain_pair`).  Each bracket-induced connection has the
+closed form omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t)
+(`morphism_target_connection`).  The class of a morphism phi is the chain
+(id, phi) (`mu_form`), the class of psi relative to phi is (phi, psi)
+(`relative_mu`), and the jet class of phi is `relative_mu` on (pi, phi), with
+pi = `jet_prolong(phi.source).projection()` the jet projection J1 A -> A.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebroid import (
-    AlgebroidChart,
-    Morphism,
-    jet_prolong,
-    pullback,
-)
+from .algebroid import AlgebroidChart, Morphism, pullback
 from .connections import (
     FormMatrix,
     QuasiMetric,
@@ -30,7 +28,7 @@ from .connections import (
     orthogonal_connection,
 )
 from .chern import bott_delta
-from .expressions import Const, ScalarField, ZERO, add, mul
+from .expressions import ZERO, add
 from .forms import AForm
 
 
@@ -45,19 +43,15 @@ class ClassReport:
 def modular_form(chart: AlgebroidChart) -> AForm:
     """Degree-1 representative of the modular class on a trivialized chart.
 
-    Coefficient on b*^i: sum_k gamma_ik^k + sum_j d(rho_i^j)/dx^j.
+    Coefficient on b*^i: sum_k c_ik^k + sum_j d(rho_i^j)/dx^j.
     """
-    traces: dict[int, dict[int, ScalarField]] = {}  # i -> {k: gamma_ik^k}, sparse rows
-    for (i, j), row in chart.brackets.items():
-        if j in row:
-            traces.setdefault(i, {})[j] = row[j]
-        if i in row:
-            traces.setdefault(j, {})[i] = mul(Const(-1.0), row[i])
     table = {}
     for i in range(chart.rank):
         coeff = ZERO
-        for _, gamma in sorted(traces.get(i, {}).items()):
-            coeff = add(coeff, gamma)
+        for k in range(chart.rank):
+            gamma = chart.structure.get((i, k), {}).get(k)
+            if gamma is not None:
+                coeff = add(coeff, gamma)
         for j in range(chart.dim):
             coeff = add(coeff, chart.anchor[i][j].diff(j))
         if not coeff.is_zero():
@@ -127,11 +121,3 @@ def relative_mu(phi: Morphism, psi: Morphism, h: int,
     chain (phi, psi)."""
     return _transgression_class("relative", *chain_pair(phi, psi, g_mid, g_far), h)
 
-
-def jet_relative(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
-                 g_target: QuasiMetric | None = None) -> ClassReport:
-    """Relative form of a morphism modulo the jet projection pi: J1 A -> A:
-    the chain (pi, phi).  By the jet theorem it is pi* of `mu_form(phi, h)`."""
-    jet = jet_prolong(phi.source)
-    pair = chain_pair(jet.projection(), phi, g_source, g_target)
-    return _transgression_class("jet_relative", *pair, h)

@@ -4,9 +4,14 @@
 `connection_from_coefficients` builds one from its coefficients on the frame;
 `curvature` and `bott_delta` reject a matrix of any other degree.  Every
 bracket-induced connection, the bracket and the flat jet connections among
-them, is `morphism_target_connection(phi)`: nabla_a b' = [phi a, b'] on each
-frame section a, plus, on a jet source, the Leibniz term -rho'_u^h phi(j1 b_i)
-on each row dx^h (x) b_i of the split jet frame.
+them, is `morphism_target_connection(phi)`: nabla_{b_i} b'_u = [phi b_i, b'_u],
+read off the target's structure functions and anchor in closed form,
+
+  omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t),
+
+plus, on a jet source, the Leibniz term -rho'_u^h phi(j1 b_i) on each row
+dx^h (x) b_i of the split jet frame.  The jet class of phi is `relative_mu` on
+the chain (pi, phi), with pi: J1 A -> A the jet projection.
 
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
@@ -27,8 +32,7 @@ from .algebroid import (
     AlgebroidChart,
     JetChart,
     Morphism,
-    Section,
-    bracket,
+    _frame_derivative,
     d_A,
 )
 from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, div, evaluate,
@@ -208,17 +212,27 @@ def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
 def morphism_target_connection(phi: Morphism) -> FormMatrix:
     """Source-algebroid connection on the target bundle via [phi b_i, b'_u].
 
-    The one bracket-induced builder; `bracket_connection` is its identity case.
-    On a jet source each row E = dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i) also
+    omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t): the frame
+    bracket terms by ascending s, then the anchor term.  The one
+    bracket-induced builder; `bracket_connection` is its identity case.  On
+    a jet source each row E = dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i) also
     carries the Leibniz term -rho'_u^h phi(j1 b_i), so that the connection
     along j1(x^h b_i) is [phi j1(x^h b_i), b'_u] like along every holonomic
     frame section."""
     target = phi.target
-    images = [Section(target, row) for row in phi.matrix]  # phi b_i
     columns = []
     for u in range(target.rank):
-        b_u = target.basis_section(u)
-        columns.append([bracket(image, b_u).comps for image in images])
+        column = []
+        for row in phi.matrix:  # phi b_i = phi_i^s b'_s
+            values = [ZERO] * target.rank
+            for s, entry in enumerate(row):
+                if entry.is_zero():
+                    continue
+                for t, coeff in target.structure.get((s, u), {}).items():
+                    values[t] = add(values[t], mul(entry, coeff))
+            column.append([sub(value, _frame_derivative(target, u, entry))
+                           for value, entry in zip(values, row)])
+        columns.append(column)
     if isinstance(phi.source, JetChart):
         for p, h, q in phi.source.cotangent_rows:
             for u, column in enumerate(columns):

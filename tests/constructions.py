@@ -14,12 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from algebroids.algebroid import AlgebroidChart, JetChart, Section, anchor_apply, d_A
+from algebroids.algebroid import AlgebroidChart, JetChart, d_A
 from algebroids.connections import FormMatrix, QuasiMetric, invert_field_matrix
 from algebroids.expressions import Const, ScalarField, ZERO, add, evaluate, max_abs_finite, mul
 from algebroids.forms import AForm, _require_same_chart
 from algebroids.sampling import sample_points
-from dense_oracle import alternating_assignments
+from dense_oracle import Section, alternating_assignments, anchor_apply
 from expression_oracle import scalar_eval
 
 

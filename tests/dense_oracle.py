@@ -1,11 +1,18 @@
-"""Dense reference versions of `d_A`, `bracket`, `anchor_apply`,
-`bracket_connection` and `modular_form`, and the per-case connection builders
-that `morphism_target_connection` replaced.
+"""Dense reference versions of `d_A`, `bracket_connection` and `modular_form`,
+the section algebra they rest on, and the per-case connection builders that
+`morphism_target_connection` replaced.
 
-The dense versions scan every frame index through the structure functions
-`gamma` and `bracket_basis` (once methods of `AlgebroidChart`) and every
-anchor entry.  Tests require the sparse routes of `algebroids`, which visit
-only the chart's nonzero bracket and anchor terms, to build the same
+`Section`, `basis_section`, `anchor_apply` and `bracket` are the general
+section algebra (sections xi^i b_i, the anchor acting on functions, the
+Leibniz extension of the frame brackets), which `algebroids` no longer needs:
+it reads the bracket-induced connection off the structure functions in closed
+form, omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t), and
+builds the jet class as `relative_mu` on the chain (pi, phi).
+`target_connection` is that connection as the bracket [phi b_i, b'_u] of
+sections.  The dense versions scan every frame index through the structure
+functions `gamma` and `bracket_basis` (once methods of `AlgebroidChart`) and
+every anchor entry.  Tests require the sparse routes of `algebroids`, which
+visit only the chart's nonzero bracket and anchor terms, to build the same
 coefficient trees as these.
 
 `HolonomicJet` is the former `algebroids.JetChart`: the first jet in the frame
@@ -39,21 +46,21 @@ checks: the anchor loop over every frame pair and coordinate, the Jacobiator
 of every frame triple (`frame_jacobiators`, inner brackets built once per
 ordered pair), and the bracket of morphism images on every frame pair.  Bodies
 are unchanged, except that `section_sum` and `apply` are the former
-`Section.__add__` and `Morphism.apply`, and `sparse_bracket` is
-`algebroids.bracket` as before (the dense `bracket` above builds its trees,
-about ten times slower on J1(sa3)).  Tests require the d_A^2 = 0 and
-phi^* d = d phi^* routes that replaced them to give the same passed flags and
-failing triples, and residuals equal up to rounding.
+`Section.__add__` and `Morphism.apply`, and `sparse_bracket` is the former
+`algebroids.bracket`, reading the signed table `AlgebroidChart.structure`
+(the dense `bracket` builds its trees, about ten times slower on J1(sa3)).
+Tests require the d_A^2 = 0 and phi^* d = d phi^* routes that replaced them
+to give the same passed flags and failing triples, and residuals equal up to
+rounding.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from algebroids.algebroid import (AlgebroidChart, Morphism, Section,
-                                  _require_same_chart, bracket as sparse_bracket)
+from algebroids.algebroid import AlgebroidChart, Morphism, _require_same_chart
 from algebroids.connections import (FormMatrix, QuasiMetric, connection_from_coefficients,
                                     direct_sum, invert_field_matrix,
                                     morphism_target_connection)
@@ -118,6 +125,34 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
     return AForm(chart, k, table)
 
 
+class Section:
+    """Cross section xi^i b_i with scalar-field components."""
+
+    __slots__ = ("chart", "comps")
+
+    def __init__(self, chart: AlgebroidChart, comps: Sequence[ScalarField]):
+        if len(comps) != chart.rank:
+            raise ValueError("section component count must match chart rank")
+        self.chart = chart
+        self.comps = tuple(comps)
+
+    def scale(self, factor: ScalarField | float) -> "Section":
+        if not isinstance(factor, ScalarField):
+            factor = Const(factor)
+        return Section(self.chart, [mul(factor, c) for c in self.comps])
+
+    def __repr__(self):
+        body = ", ".join(str(c) for c in self.comps)
+        return f"Section[{body}]"
+
+
+def basis_section(chart: AlgebroidChart, i: int) -> Section:
+    """The frame section b_i."""
+    comps = [ZERO] * chart.rank
+    comps[i] = Const(1.0)
+    return Section(chart, comps)
+
+
 def gamma(chart: AlgebroidChart, i: int, j: int, k: int) -> ScalarField:
     """Structure function of [b_i, b_j] on b_k, antisymmetry included."""
     if i == j:
@@ -171,6 +206,28 @@ def bracket(a1: Section, a2: Section) -> Section:
     return Section(chart, comps)
 
 
+def sparse_bracket(a1: Section, a2: Section) -> Section:
+    """`bracket` over the nonzero components of both arguments and the signed
+    structure functions `chart.structure` only, with the Leibniz terms
+    skipped on a chart with zero anchor: the same trees, about ten times
+    faster on J1(sa3)."""
+    _require_same_chart(a1.chart, a2.chart)
+    chart = a1.chart
+    comps = [ZERO] * chart.rank
+    etas = [(j, eta) for j, eta in enumerate(a2.comps) if not eta.is_zero()]
+    for i, xi in enumerate(a1.comps):
+        if xi.is_zero():
+            continue
+        for j, eta in etas:
+            for k, coeff in chart.structure.get((i, j), {}).items():
+                comps[k] = add(comps[k], mul(mul(xi, eta), coeff))
+    if any(chart.anchor_terms):
+        for k in range(chart.rank):
+            comps[k] = add(comps[k], anchor_apply(a1, a2.comps[k]))
+            comps[k] = sub(comps[k], anchor_apply(a2, a1.comps[k]))
+    return Section(chart, comps)
+
+
 def d_A(omega: AForm) -> AForm:
     """Exterior differential from the Cartan coefficient formula."""
     chart = omega.chart
@@ -185,7 +242,7 @@ def d_A(omega: AForm) -> AForm:
             inner = omega.coeff(rest) if k else omega.coeff(())
             if inner.is_zero():
                 continue
-            term = anchor_apply(chart.basis_section(i_r), inner)
+            term = anchor_apply(basis_section(chart, i_r), inner)
             if r % 2:
                 term = mul(Const(-1.0), term)
             total = add(total, term)
@@ -232,7 +289,7 @@ def frame_jacobiators(chart: AlgebroidChart):
     [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]; the inner
     brackets are built once per ordered pair.
     """
-    basis = [chart.basis_section(t) for t in range(chart.rank)]
+    basis = [basis_section(chart, t) for t in range(chart.rank)]
     inner = cache(lambda a, b: sparse_bracket(basis[a], basis[b]))
     for i, j, k in combinations(range(chart.rank), 3):
         yield (i, j, k), section_sum(section_sum(sparse_bracket(inner(i, j), basis[k]),
@@ -293,9 +350,9 @@ def check_morphism(phi: Morphism, points, tol: float = 1e-9) -> CheckRecord:
                 pushed = add(pushed, mul(phi.matrix[i][u], target.anchor[u][j]))
             deltas.append(sub(pushed, source.anchor[i][j]))
     for i, j in combinations(range(source.rank), 2):
-        lhs = apply(phi, sparse_bracket(source.basis_section(i), source.basis_section(j)))
-        rhs = sparse_bracket(apply(phi, source.basis_section(i)),
-                             apply(phi, source.basis_section(j)))
+        lhs = apply(phi, sparse_bracket(basis_section(source, i), basis_section(source, j)))
+        rhs = sparse_bracket(apply(phi, basis_section(source, i)),
+                             apply(phi, basis_section(source, j)))
         deltas.extend(sub(a, b) for a, b in zip(lhs.comps, rhs.comps))
     return CheckRecord(
         f"morphism_{phi.name}", residual(deltas, points), tol, len(points),
@@ -324,6 +381,16 @@ def modular_form(chart: AlgebroidChart) -> AForm:
     return AForm(chart, 1, table)
 
 
+def target_connection(phi: Morphism) -> FormMatrix:
+    """nabla_{b_i} b'_u = [phi b_i, b'_u], by the dense `bracket` of sections."""
+    target = phi.target
+    table = [[bracket(apply(phi, basis_section(phi.source, i)), basis_section(target, u)).comps
+              for u in range(target.rank)] for i in range(phi.source.rank)]
+    return connection_from_coefficients(
+        phi.source, target.rank, lambda i, u, t: table[i][u][t]
+    )
+
+
 def distinguished_pair(phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
     """Bracket connection on the source and the induced one on the target."""
     return bracket_connection(phi.source), morphism_target_connection(phi)
@@ -349,12 +416,12 @@ class HolonomicJet(AlgebroidChart):
     def __init__(self, base_chart: AlgebroidChart):
         s, m = base_chart.rank, base_chart.dim
         basis = [f"j.{name}" for name in base_chart.basis]
-        defining: list[Section] = [base_chart.basis_section(i) for i in range(s)]
+        defining: list[Section] = [basis_section(base_chart, i) for i in range(s)]
         for h in range(m):
             x_h = base_chart.coordinate_field(h)
             for i in range(s):
                 basis.append(f"j.{base_chart.coords[h]}.{base_chart.basis[i]}")
-                defining.append(base_chart.basis_section(i).scale(x_h))
+                defining.append(basis_section(base_chart, i).scale(x_h))
         anchor = [list(_section_anchor_row(sec)) for sec in defining]
         rank = s * (1 + m)
         brackets: dict[tuple[int, int], dict[int, ScalarField]] = {}
@@ -424,7 +491,7 @@ def jet_bracket_connection(jet: HolonomicJet) -> FormMatrix:
     base = jet.base_chart
     table = []
     for sec in jet.defining:
-        table.append([bracket(sec, base.basis_section(j)).comps for j in range(base.rank)])
+        table.append([bracket(sec, basis_section(base, j)).comps for j in range(base.rank)])
     return connection_from_coefficients(
         jet, base.rank, lambda p, u, t: table[p][u][t]
     )
@@ -438,7 +505,7 @@ def jet_morphism_connection(jet: HolonomicJet, phi: Morphism) -> FormMatrix:
     table = []
     for sec in jet.defining:
         image = apply(phi, sec)
-        table.append([bracket(image, target.basis_section(u)).comps
+        table.append([bracket(image, basis_section(target, u)).comps
                       for u in range(target.rank)])
     return connection_from_coefficients(
         jet, target.rank, lambda p, u, t: table[p][u][t]
@@ -451,7 +518,7 @@ def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,
     chart = conn.chart
     fields = []
     for i in range(chart.rank):
-        direction = chart.basis_section(i)
+        direction = basis_section(chart, i)
         for a in range(conn.size):
             for b in range(conn.size):
                 field = anchor_apply(direction, g.matrix[a][b])

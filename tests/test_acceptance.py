@@ -18,7 +18,6 @@ from algebroids.chern import (
 from algebroids.classes import (
     bi_characteristic,
     chain_pair,
-    jet_relative,
     modular_form_morphism,
     mu_form,
     relative_mu,
@@ -240,7 +239,7 @@ def test_criterion_10_composition_laws(chain):
 def test_criterion_11_jet_theorem(solvable2d, action_x, so3):
     for fixture, name in ((solvable2d, "phi"), (action_x, "sharp")):
         phi = fixture.morphism(name)
-        rep = jet_relative(phi, 1)
+        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         jet = rep.form.chart
         points = sample_points(jet.dim, POINTS, SEED)
         pulled = pullback(jet.projection(), mu_form(phi, 1).form)

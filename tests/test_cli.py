@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from algebroids import cli
-from algebroids.algebroid import jet_prolong
+from algebroids.algebroid import JetChart, jet_prolong
 from algebroids.cli import (
     Options,
     emit_class,
@@ -247,6 +247,21 @@ class TestSuites:
                       if not r[0].startswith("axioms")]
         assert records(run_suite(chain, "identities", opt)) == everything
         assert main(["identities", "chain", "--points", "20"]) == 0
+
+    @pytest.mark.parametrize("name", ["sa3", "chain"])
+    def test_jet_suite_builds_one_jet_per_chart(self, name, monkeypatch):
+        fixture = resolve_fixture(name)
+        built = []
+        init = JetChart.__init__
+
+        def counted(self, base_chart):
+            built.append(base_chart.name)
+            init(self, base_chart)
+
+        monkeypatch.setattr(JetChart, "__init__", counted)
+        report = run_suite(fixture, "jet", Options(points=20))
+        assert report.passed
+        assert sorted(built) == sorted(fixture.charts)
 
 
 class TestEmitters:

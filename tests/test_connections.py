@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from algebroids.algebroid import AlgebroidChart, Morphism, Section, anchor_apply
+from algebroids.algebroid import AlgebroidChart, Morphism
 from algebroids.chern import bott_delta
 from algebroids.connections import (
     FormMatrix,
@@ -33,7 +33,7 @@ from constructions import (
     symmetry_residual,
 )
 import dense_oracle
-from dense_oracle import apply, gamma
+from dense_oracle import Section, anchor_apply, apply, basis_section, gamma
 from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import ConnectionFamily, link_curvature
 
@@ -66,7 +66,7 @@ class TestCovariantDerivative:
                                                       plane_points):
         chart = tangent_r2.chart("TR2")
         conn = FormMatrix.zero(chart, 2, 1)
-        a = chart.basis_section(0)
+        a = basis_section(chart, 0)
         v = [_field(chart, "x*y"), _field(chart, "y^2")]
         out = covariant_derivative(conn, a, v)
         for point in plane_points[:10]:
@@ -76,15 +76,15 @@ class TestCovariantDerivative:
     def test_distinguished_so3_reproduces_bracket(self, so3):
         chart = so3.chart("so3")
         conn = bracket_connection(chart)
-        out = covariant_derivative(conn, chart.basis_section(0),
-                                   chart.basis_section(1))
+        out = covariant_derivative(conn, basis_section(chart, 0),
+                                   basis_section(chart, 1))
         assert scalar_eval(out[2], (0.0,)) == pytest.approx(1.0)
         assert out[0].is_zero() and out[1].is_zero()
 
     def test_leibniz_rule_in_bundle_slot(self, action_x, line_points):
         chart = action_x.chart("action")
         conn = bracket_connection(chart)
-        a = chart.basis_section(0)
+        a = basis_section(chart, 0)
         f = _field(chart, "1+x^2")
         v = [_field(chart, "x")]
         lhs = covariant_derivative(conn, a, [f * v[0]])
@@ -217,16 +217,16 @@ class TestDistinguishedPair:
             nabla, nabla_prime = distinguished_pair(phi)
             points = sample_points(phi.source.dim, 40, 42)
             for i in range(phi.source.rank):
-                direction = phi.source.basis_section(i)
+                direction = basis_section(phi.source, i)
                 for j in range(phi.source.rank):
                     lhs = apply(phi, Section(
                         phi.source,
                         covariant_derivative(nabla, direction,
-                                             phi.source.basis_section(j)),
+                                             basis_section(phi.source, j)),
                     ))
                     rhs = covariant_derivative(
                         nabla_prime, direction,
-                        apply(phi, phi.source.basis_section(j)),
+                        apply(phi, basis_section(phi.source, j)),
                     )
                     for l, r in zip(lhs.comps, rhs):
                         for point in points[:15]:

@@ -1,6 +1,12 @@
-"""The sparse `d_A`, `bracket`, `anchor_apply`, `bracket_connection` and
-`modular_form` against the dense oracle, and the one bracket-induced
-connection builder against the per-case builders it replaced.
+"""The sparse `d_A`, `bracket_connection` and `modular_form` against the dense
+oracle, and the one bracket-induced connection builder against the per-case
+builders it replaced and against the bracket of sections.
+
+`morphism_target_connection` reads omega_u^t(b_i) = sum_s phi_i^s c'_su^t -
+rho'(b'_u)(phi_i^t) off the target's structure functions and anchor; the
+oracle brackets the sections phi b_i and b'_u with the dense `bracket`, also
+for a target with its own anchor and brackets.  The jet class is
+`relative_mu` on the chain (pi, phi) and needs no builder of its own.
 
 The sparse routes must build the very expression trees of the dense loops:
 same table keys, same node kinds, constants and child order, hence
@@ -17,9 +23,6 @@ from expression_oracle import tree_shape as _tree
 from algebroids.algebroid import (
     AlgebroidChart,
     Morphism,
-    Section,
-    anchor_apply,
-    bracket,
     d_A,
     jet_prolong,
     verify_axioms,
@@ -49,10 +52,6 @@ def _assert_same_table(new: dict, old: dict) -> None:
     for key in old:
         assert str(new[key]) == str(old[key])
         assert _tree(new[key]) == _tree(old[key])
-
-
-def _assert_same_fields(new, old) -> None:
-    _assert_same_table(dict(enumerate(new)), dict(enumerate(old)))
 
 
 def _assert_same_connection(new, old) -> None:
@@ -86,9 +85,10 @@ def _assert_same_d_A(omega: AForm) -> None:
 
 
 @st.composite
-def charts(draw):
+def charts(draw, coords=None):
+    """A random chart, over `coords` if given, else over x or (x, y)."""
     rank = draw(st.integers(1, 5))
-    coords = COORDS[:draw(st.integers(1, 2))]
+    coords = coords or COORDS[:draw(st.integers(1, 2))]
     sparse = _fields(coords, zero_weight=6)
     anchor = [[draw(sparse) for _ in coords] for _ in range(rank)]
     brackets = {}
@@ -110,12 +110,6 @@ def test_sparse_routes_match_dense_oracle(chart, data):
     for degree in range(chart.rank + 1):
         for coefficients in (fields, _constants(chart.coords)):
             _assert_same_d_A(_draw_form(data, chart, degree, coefficients))
-    a1, a2 = (Section(chart, data.draw(st.lists(fields, min_size=chart.rank,
-                                                 max_size=chart.rank)))
-              for _ in range(2))
-    _assert_same_fields(bracket(a1, a2).comps, dense_oracle.bracket(a1, a2).comps)
-    f = data.draw(fields)
-    _assert_same_fields([anchor_apply(a1, f)], [dense_oracle.anchor_apply(a1, f)])
     _assert_same_connection(bracket_connection(chart),
                             dense_oracle.bracket_connection(chart))
     _assert_same_table(modular_form(chart).table,
@@ -125,6 +119,13 @@ def test_sparse_routes_match_dense_oracle(chart, data):
                                   for _ in range(chart.rank)])
     _, d1 = chain_pair(Morphism.identity(chart), phi)
     _assert_same_connection(d1, dense_oracle.morphism_sum_connection(phi))
+    # A target with its own anchor and brackets: the -rho'(b'_u)(phi_i^t) term.
+    target = data.draw(charts(chart.coords))
+    psi = Morphism(chart, target, [data.draw(st.lists(fields, min_size=target.rank,
+                                                      max_size=target.rank))
+                                   for _ in range(chart.rank)])
+    _assert_same_connection(morphism_target_connection(psi),
+                            dense_oracle.target_connection(psi))
     if chart.rank * (1 + chart.dim) <= JET_RANK_CAP:
         jet = jet_prolong(chart)
         for degree in (0, 1, 2):
@@ -178,7 +179,6 @@ def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, tangent_r2, monkeypatch):
     for omega, table in zip(forms, expected):
         _assert_same_table(d_A(omega).table, table)
     assert d_A(chart.zero_form(2)).is_zero()
-    bracket(chart.basis_section(0), chart.basis_section(1))
     for small in sl2aff.charts.values():
         assert all(r.passed for r in verify_axioms(small, sample_points(small.dim, 5, 42)))
     # On a one-key 1-form, d_A runs a body only on the keys a Cartan term
