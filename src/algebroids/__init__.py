@@ -15,13 +15,13 @@ from .connections import (
     FormMatrix,
     QuasiMetric,
     bracket_connection,
+    chain_connection,
     connection_from_coefficients,
     curvature,
     direct_sum,
     dual_connection,
     k_flatness_check,
     metric_compat_check,
-    morphism_sum_connection,
     orthogonal_connection,
     quasi_metric_on_S,
 )
@@ -31,7 +31,6 @@ from .chern import (
     coboundary_check,
 )
 from .classes import (
-    ClassReport,
     bi_characteristic,
     chain_pair,
     modular_form,

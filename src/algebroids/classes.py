@@ -5,39 +5,30 @@ constructions plus the transgression identities; no cohomology spaces are
 computed.  The secondary classes are all one construction: for a chain
 A -alpha-> B -beta-> C, transgress from the metric reference connection on
 B + C* to the bracket-induced connection [alpha a, b] + dual of
-[beta alpha a, c] (`chain_pair`).  Each bracket-induced connection has the
-closed form omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t)
-(`morphism_target_connection`).  The class of a morphism phi is the chain
-(id, phi) (`mu_form`), the class of psi relative to phi is (phi, psi)
-(`relative_mu`), and the jet class of phi is `relative_mu` on (pi, phi), with
-pi = `jet_prolong(phi.source).projection()` the jet projection J1 A -> A.
-"""
+[beta alpha a, c] (`chain_pair`, whose second member is `chain_connection`).
+Each bracket-induced connection has the closed form
+omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t)
+(`morphism_target_connection`).  The class of psi relative to phi is the
+chain (phi, psi) (`relative_mu`), the class of a morphism phi is the chain
+(id, phi) (`mu_form`), the jet class of phi is `relative_mu` on (pi, phi),
+with pi = `jet_prolong(phi.source).projection()` the jet projection
+J1 A -> A, and the bi-characteristic form of phi1, phi2 is Delta of their two
+(id, phi) connections.  Each function returns the form; callers name it."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .algebroid import AlgebroidChart, Morphism, pullback
 from .connections import (
     FormMatrix,
     QuasiMetric,
+    chain_connection,
     direct_sum,
     dual_connection,
-    morphism_sum_connection,
-    morphism_target_connection,
     orthogonal_connection,
 )
 from .chern import bott_delta
 from .expressions import ZERO, add
 from .forms import AForm
-
-
-@dataclass
-class ClassReport:
-    """A representative form and its identifier, e.g. `mu_3`."""
-
-    identifier: str
-    form: AForm
 
 
 def modular_form(chart: AlgebroidChart) -> AForm:
@@ -64,60 +55,43 @@ def modular_form_morphism(phi: Morphism) -> AForm:
     return modular_form(phi.source) - pullback(phi, modular_form(phi.target))
 
 
-def orthogonal_sum(chart: AlgebroidChart, rank_first: int, rank_second: int,
-                   g_first: QuasiMetric | None = None,
-                   g_second: QuasiMetric | None = None) -> FormMatrix:
-    """The metric reference connection on a sum E + F'*.
-
-    Orthogonal connections on the two summands (a `None` metric is the
-    identity), the second one dualized.
-    """
-    first = orthogonal_connection(chart, g_first or QuasiMetric.identity(rank_first))
-    second = orthogonal_connection(chart, g_second or QuasiMetric.identity(rank_second))
-    return direct_sum(first, dual_connection(second))
-
-
 def chain_pair(alpha: Morphism, beta: Morphism, g_mid: QuasiMetric | None = None,
                g_far: QuasiMetric | None = None) -> tuple[FormMatrix, FormMatrix]:
     """The pair (d0, d1) on B + C* of a chain A -alpha-> B -beta-> C, over A.
 
-    d0 is the orthogonal sum for the metrics g_mid on B and g_far on C; d1 is
-    [alpha a, b] on B plus the dual of [beta alpha a, c] on C.
+    d0 is the metric reference connection: orthogonal connections for g_mid
+    on B and g_far on C (a `None` metric is the identity), the second one
+    dualized.  d1 is `chain_connection(alpha, beta)`.
     """
-    composite = beta.compose(alpha)  # a ValueError unless beta starts where alpha ends
-    d1 = direct_sum(morphism_target_connection(alpha),
-                    dual_connection(morphism_target_connection(composite)))
-    d0 = orthogonal_sum(alpha.source, alpha.target.rank, beta.target.rank, g_mid, g_far)
+    d1 = chain_connection(alpha, beta)
+    g_mid = g_mid or QuasiMetric.identity(alpha.target.rank)
+    g_far = g_far or QuasiMetric.identity(beta.target.rank)
+    d0 = direct_sum(orthogonal_connection(alpha.source, g_mid),
+                    dual_connection(orthogonal_connection(alpha.source, g_far)))
     return d0, d1
-
-
-def _transgression_class(name: str, c0: FormMatrix, c1: FormMatrix,
-                         h: int) -> ClassReport:
-    """Delta(c0, c1)c_{2h-1}, reported as `name_{2h-1}`."""
-    return ClassReport(f"{name}_{2 * h - 1}", bott_delta([c0, c1], 2 * h - 1))
-
-
-def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
-            g_target: QuasiMetric | None = None) -> ClassReport:
-    """Secondary characteristic form of a base-preserving morphism: the chain
-    (id, phi).  A degree beyond the bundle rank yields the zero form (not an
-    error)."""
-    pair = chain_pair(Morphism.identity(phi.source), phi, g_source, g_target)
-    return _transgression_class("mu", *pair, h)
-
-
-def bi_characteristic(phi1: Morphism, phi2: Morphism, h: int) -> ClassReport:
-    """Delta(nabla_phi1, nabla_phi2)c_{2h-1} of a parallel pair of morphisms."""
-    if phi1.source is not phi2.source or phi1.target is not phi2.target:
-        raise ValueError("bi-characteristic forms need a parallel pair of morphisms")
-    return _transgression_class("bi", morphism_sum_connection(phi1),
-                                morphism_sum_connection(phi2), h)
 
 
 def relative_mu(phi: Morphism, psi: Morphism, h: int,
                 g_mid: QuasiMetric | None = None,
-                g_far: QuasiMetric | None = None) -> ClassReport:
-    """Characteristic form of psi: A' -> A'' modulo phi: A -> A', on A: the
-    chain (phi, psi)."""
-    return _transgression_class("relative", *chain_pair(phi, psi, g_mid, g_far), h)
+                g_far: QuasiMetric | None = None) -> AForm:
+    """Delta(d0, d1)c_{2h-1} of the chain (phi, psi): the characteristic form of
+    psi: A' -> A'' modulo phi: A -> A', on A.  A degree beyond the bundle rank
+    yields the zero form (not an error)."""
+    return bott_delta(chain_pair(phi, psi, g_mid, g_far), 2 * h - 1)
 
+
+def mu_form(phi: Morphism, h: int, g_source: QuasiMetric | None = None,
+            g_target: QuasiMetric | None = None) -> AForm:
+    """Secondary characteristic form of a base-preserving morphism: the chain
+    (id, phi)."""
+    return relative_mu(Morphism.identity(phi.source), phi, h, g_source, g_target)
+
+
+def bi_characteristic(phi1: Morphism, phi2: Morphism, h: int) -> AForm:
+    """Delta(nabla_phi1, nabla_phi2)c_{2h-1} of a parallel pair of morphisms,
+    nabla_phi the connection of the chain (id, phi)."""
+    if phi1.source is not phi2.source or phi1.target is not phi2.target:
+        raise ValueError("bi-characteristic forms need a parallel pair of morphisms")
+    identity = Morphism.identity(phi1.source)
+    return bott_delta([chain_connection(identity, phi1),
+                       chain_connection(identity, phi2)], 2 * h - 1)

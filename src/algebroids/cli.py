@@ -38,12 +38,12 @@ from .connections import (
     FormMatrix,
     adapted_frame,
     bracket_connection,
+    chain_connection,
     connection_from_coefficients,
     curvature,
     k_flatness_check,
     kernel_frame_on_S,
     metric_compat_check,
-    morphism_sum_connection,
     morphism_target_connection,
     orthogonal_connection,
     quasi_metric_frame_check,
@@ -186,7 +186,7 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> 
         report.add(_bianchi_record(f"bianchi[{name}].random", random_conn,
                                    points, opt.tol))
     for name, phi in fixture.morphisms.items():
-        conn_S = morphism_sum_connection(phi)
+        conn_S = chain_connection(Morphism.identity(phi.source), phi)
         g_plus, g_minus = quasi_metric_on_S(phi)
         for g, label in ((g_plus, "sym"), (g_minus, "skew")):
             record = metric_compat_check(conn_S, g, points, opt.tol)
@@ -230,18 +230,18 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw) -> None
     # form only).
     points = draw[:opt.points]
     for name, phi in fixture.morphisms.items():
-        rep1 = mu_form(phi, 1)
+        mu1 = mu_form(phi, 1)
         target = modular_form_morphism(phi)
         report.add(CheckRecord(
             f"mu1_equals_modular[{name}]",
-            (rep1.form - target).max_abs(points), opt.tight_tol, len(points),
+            (mu1 - target).max_abs(points), opt.tight_tol, len(points),
         ))
         report.add(_closed_record(f"closed_modular[{name}]", points, opt.tol,
                                   modular_form(phi.source), modular_form(phi.target),
                                   target))
-        report.add(_closed_record(f"closed_mu1[{name}]", points, opt.tol, rep1.form))
+        report.add(_closed_record(f"closed_mu1[{name}]", points, opt.tol, mu1))
         report.add(_closed_record(f"closed_mu3[{name}]", points, opt.tol,
-                                  mu_form(phi, 2).form))
+                                  mu_form(phi, 2)))
     by_signature: dict[tuple[str, str], list[str]] = {}
     for name, phi in fixture.morphisms.items():
         by_signature.setdefault((phi.source.name, phi.target.name), []).append(name)
@@ -249,11 +249,11 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw) -> None
         for first, second in combinations(names, 2):
             phi1, phi2 = fixture.morphism(first), fixture.morphism(second)
             nabla0, nabla1 = _transgression_pair(fixture, phi1)
-            _, nabla2 = _transgression_pair(fixture, phi2)
+            nabla2 = chain_connection(Morphism.identity(phi2.source), phi2)
             # Bott's cocycle identity: mu_phi1 - mu_phi2 = d Delta(nabla0, nabla1, nabla2) - bi
-            bi = bi_characteristic(phi1, phi2, 1).form
+            bi = bi_characteristic(phi1, phi2, 1)
             correction = d_A(bott_delta([nabla0, nabla1, nabla2], 1))
-            lhs = mu_form(phi1, 1).form - mu_form(phi2, 1).form
+            lhs = mu_form(phi1, 1) - mu_form(phi2, 1)
             report.add(CheckRecord(f"bi_characteristic[{first},{second}]",
                                    (lhs - (correction - bi)).max_abs(points),
                                    opt.loose_tol, len(points)))
@@ -274,10 +274,10 @@ def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw) -> 
             g_a = fixture.metric_for(phi.source.name)
             g_b = fixture.metric_for(phi.target.name)
             g_c = fixture.metric_for(psi.target.name)
-            mu_comp = mu_form(composite, 1, g_source=g_a, g_target=g_c).form
-            mu_phi = mu_form(phi, 1, g_source=g_a, g_target=g_b).form
-            mu_psi = mu_form(psi, 1, g_source=g_b, g_target=g_c).form
-            rel = relative_mu(phi, psi, 1, g_mid=g_b, g_far=g_c).form
+            mu_comp = mu_form(composite, 1, g_source=g_a, g_target=g_c)
+            mu_phi = mu_form(phi, 1, g_source=g_a, g_target=g_b)
+            mu_psi = mu_form(psi, 1, g_source=g_b, g_target=g_c)
+            rel = relative_mu(phi, psi, 1, g_mid=g_b, g_far=g_c)
             label = f"{second}.{first}"
             report.add(CheckRecord(
                 f"composition_relative[{label}]",
@@ -317,11 +317,11 @@ def _suite_jet(fixture: Fixture, report: Report, opt: Options, draw) -> None:
         ))
         g_source = fixture.metric_for(phi.source.name)
         g_target = fixture.metric_for(phi.target.name)
-        rep = relative_mu(projection, phi, 1, g_mid=g_source, g_far=g_target)
+        rel = relative_mu(projection, phi, 1, g_mid=g_source, g_far=g_target)
         absolute = mu_form(phi, 1, g_source=g_source, g_target=g_target)
-        pulled = pullback(projection, absolute.form)
+        pulled = pullback(projection, absolute)
         report.add(CheckRecord(
-            f"jet_relative_pullback[{name}]", (rep.form - pulled).max_abs(points),
+            f"jet_relative_pullback[{name}]", (rel - pulled).max_abs(points),
             opt.tol, len(points),
         ))
 
@@ -386,13 +386,12 @@ def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
     phi = fixture.morphism(morphism)
     points = _probe_points(fixture, opt)[:opt.points]
     report = Report(__version__, fixture.name, opt.seed, opt.points)
-    rep = mu_form(phi, h,
-                  g_source=fixture.metric_for(phi.source.name),
-                  g_target=fixture.metric_for(phi.target.name))
-    report.add(_closed_record(f"closed_{rep.identifier}[{morphism}]", points, opt.tol,
-                              rep.form))
-    name = f"{rep.identifier}[{morphism}]"
-    report.forms[name] = _form_dump(name, rep.form, points[:10])
+    form = mu_form(phi, h,
+                   g_source=fixture.metric_for(phi.source.name),
+                   g_target=fixture.metric_for(phi.target.name))
+    name = f"mu_{2 * h - 1}[{morphism}]"
+    report.add(_closed_record(f"closed_{name}", points, opt.tol, form))
+    report.forms[name] = _form_dump(name, form, points[:10])
     return report
 
 

@@ -2,8 +2,8 @@
 
 A scalar field is an immutable expression tree over named base coordinates.
 Node kinds: constant, coordinate, sum, difference, product, quotient, integer
-power, sin, cos, exp (plus an internal square root used when orthonormalizing
-metric frames).  Differentiation is symbolic and closed under these node
+power, sin, cos, exp and sqrt (the square root that orthonormalizing metric
+frames builds).  Differentiation is symbolic and closed under these node
 kinds, so identities downstream fail only through floating-point evaluation,
 never through truncation.  No canonicalization is attempted beyond cheap
 constant folding; equality of fields is always decided pointwise.  A fold
@@ -12,11 +12,13 @@ Jacobiator or a cancelling sum folds to are a single node to every walk;
 -0.0 and every other value get a `Const` of their own.
 
 The algebra built on the folding constructors reuses subtrees, so a tree is
-in fact a DAG: one node object can sit under many parents.  Evaluation and
-differentiation are each one children-first walk (`_schedule`) over its
-distinct nodes (by identity), with each node kind's rules side by side in
-`_eval_node` and `_diff_node`, so `diff` costs time linear in the DAG, not
-the tree.  Numbers come out by one route: `evaluate` (values) and
+in fact a DAG: one node object can sit under many parents.  Evaluation,
+differentiation and printing are each one children-first walk (`_schedule`,
+on its own stack, so a tree of any depth is walked) over its distinct nodes
+(by identity), with each node kind's rules side by side in `_eval_node`,
+`_diff_node` and `_str_node`, so `diff` costs time linear in the DAG, not
+the tree; printed text is still the tree's, in the grammar the parser reads.
+Numbers come out by one route: `evaluate` (values) and
 `field_maxima`/`residual` (max |value|) share one numpy walk over an
 (N, dim) array of probe points, which drops each node's values once its last
 parent has read them and reduces each root as soon as it is computed.  A NaN
@@ -24,9 +26,11 @@ or infinite value, including one hidden by a later division, exponential or
 negative power, stays non-finite, so a maximum over it is inf and no check
 passes on it.  Every check and every form dump goes this way, metric
 matrices and form matrices on frame tuples included; `max_abs_finite`
-applies the same rule to numeric arrays.  The recursive walks over the tree
-are kept only as test oracles in `tests/expression_oracle.py`: `scalar_eval`
-(one point, Python floats and `math`) and `recursive_diff`.
+applies the same rule to numeric arrays.  The recursive walks are kept only
+as test oracles in `tests/expression_oracle.py`: `scalar_eval` (one point,
+Python floats and `math`), `recursive_diff`, `recursive_schedule` and
+`recursive_str`.  The parser recurses once per parenthesis, so it rejects
+nesting past `MAX_NESTING` with a located `ExpressionError`.
 
 An empty point set is an error, never a maximum of 0.0.  Nodes define no
 `__eq__` or `__hash__`, so the walks' memos, keyed by node, key by identity.
@@ -35,6 +39,7 @@ An empty point set is an error, never a maximum of 0.0.  Nodes define no
 from __future__ import annotations
 
 import math
+import re
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -98,6 +103,16 @@ class ScalarField:
     def __neg__(self):
         return sub(ZERO, self)
 
+    def __str__(self):
+        """Text that re-parses to this value, up to the rounding of a sum that
+        re-associates (`a + (b - c)` prints as `a + b - c`)."""
+        order, pending = _schedule((self,))
+        strings: dict[ScalarField, str] = {}
+        for node in order:
+            strings[node] = _str_node(node, strings)
+            _release(_children(node), pending, strings)
+        return strings[self]
+
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
@@ -114,9 +129,6 @@ class Const(ScalarField):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def __str__(self):
-        return _format_number(self.value)
-
 
 class Coord(ScalarField):
     __slots__ = ("index", "name")
@@ -124,9 +136,6 @@ class Coord(ScalarField):
     def __init__(self, index: int, name: str):
         self.index = index
         self.name = name
-
-    def __str__(self):
-        return self.name
 
 
 class _Binary(ScalarField):
@@ -140,29 +149,17 @@ class _Binary(ScalarField):
 class Add(_Binary):
     __slots__ = ()
 
-    def __str__(self):
-        return f"{self.left} + {self.right}"
-
 
 class Sub(_Binary):
     __slots__ = ()
-
-    def __str__(self):
-        return f"{self.left} - {_paren_additive(self.right)}"
 
 
 class Mul(_Binary):
     __slots__ = ()
 
-    def __str__(self):
-        return f"{_paren_additive(self.left)}*{_paren_additive(self.right)}"
-
 
 class Div(_Binary):
     __slots__ = ()
-
-    def __str__(self):
-        return f"{_paren_additive(self.left)}/{_paren_tight(self.right)}"
 
 
 class Pow(ScalarField):
@@ -172,18 +169,12 @@ class Pow(ScalarField):
         self.base = base
         self.exponent = int(exponent)
 
-    def __str__(self):
-        return f"{_paren_tight(self.base)}^{self.exponent}"
-
 
 class _Unary(ScalarField):
     __slots__ = ("arg",)
 
     def __init__(self, arg: ScalarField):
         self.arg = arg
-
-    def __str__(self):
-        return f"{self._name}({self.arg})"
 
 
 class Sin(_Unary):
@@ -202,8 +193,6 @@ class Exp(_Unary):
 
 
 class Sqrt(_Unary):
-    """Internal node used by metric orthonormalization; not part of the grammar."""
-
     __slots__ = ()
     _name = "sqrt"
 
@@ -328,27 +317,31 @@ def _children(node: ScalarField) -> tuple[ScalarField, ...]:
     return ()
 
 
-def _enter(node: ScalarField, pending: dict, order: list) -> None:
-    """Register `node` and every unregistered node under it, children first.
-
-    `pending[n]` counts the parent edges into n registered so far.  Recursion
-    goes as deep as the tree.
-    """
-    pending[node] = 0
-    for kid in _children(node):
-        if kid not in pending:
-            _enter(kid, pending, order)
-        pending[kid] += 1
-    order.append(node)
-
-
 def _schedule(roots: Iterable[ScalarField]) -> tuple[list[ScalarField], dict]:
-    """Distinct nodes under `roots`, children first, and each one's parent-edge count."""
+    """Distinct nodes under `roots`, children first, and each one's parent-edge count.
+
+    Depth first on an explicit stack of (node, unread children), so a tree
+    of any depth is walked without recursion.
+    """
     pending: dict[ScalarField, int] = {}
     order: list[ScalarField] = []
     for root in roots:
-        if root not in pending:
-            _enter(root, pending, order)
+        if root in pending:
+            continue
+        pending[root] = 0
+        stack = [(root, iter(_children(root)))]
+        while stack:
+            node, kids = stack[-1]
+            for kid in kids:
+                if kid in pending:
+                    pending[kid] += 1
+                else:
+                    pending[kid] = 1
+                    stack.append((kid, iter(_children(kid))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
     return order, pending
 
 
@@ -426,6 +419,37 @@ def _diff_node(node: ScalarField, index: int, partials: dict) -> ScalarField:
     return div(d_arg, mul(Const(2.0), node))  # Sqrt
 
 
+_ADDITIVE = (Add, Sub)
+_TIGHT = (Add, Sub, Mul, Div, Pow)
+
+
+def _str_node(node: ScalarField, strings: dict) -> str:
+    """The text of `node` from its children's texts; a child's kind alone
+    decides its parentheses."""
+    kind = type(node)
+    if kind is Const:
+        return _format_number(node.value)
+    if kind is Coord:
+        return node.name
+    if kind is Pow:
+        return f"{_paren(node.base, _TIGHT, strings)}^{node.exponent}"
+    if isinstance(node, _Unary):
+        return f"{node._name}({strings[node.arg]})"
+    left, right = node.left, node.right
+    if kind is Add:
+        return f"{strings[left]} + {strings[right]}"
+    if kind is Sub:
+        return f"{strings[left]} - {_paren(right, _ADDITIVE, strings)}"
+    if kind is Mul:
+        return f"{_paren(left, _ADDITIVE, strings)}*{_paren(right, _ADDITIVE, strings)}"
+    return f"{_paren(left, _ADDITIVE, strings)}/{_paren(right, _TIGHT, strings)}"
+
+
+def _paren(kid: ScalarField, kinds: tuple, strings: dict) -> str:
+    text = strings[kid]
+    return f"({text})" if isinstance(kid, kinds) else text
+
+
 def max_abs_finite(values) -> float:
     """Largest magnitude in an array; inf if any entry is NaN or infinite."""
     values = np.asarray(values, dtype=float)
@@ -486,27 +510,21 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def _paren_additive(node: ScalarField) -> str:
-    if isinstance(node, (Add, Sub)):
-        return f"({node})"
-    return str(node)
-
-
-def _paren_tight(node: ScalarField) -> str:
-    if isinstance(node, (Add, Sub, Mul, Div, Pow)):
-        return f"({node})"
-    return str(node)
-
-
 # --------------------------------------------------------------------------
 # Parser for the coefficient grammar:
 #   expr   := term { ("+" | "-") term }
 #   term   := factor { ("*" | "/") factor }
 #   factor := atom [ "^" integer ] | "-" factor
-#   atom   := number | ident | "(" expr ")" | ("sin"|"cos"|"exp") "(" expr ")"
+#   atom   := number | ident | "(" expr ")"
+#           | ("sin"|"cos"|"exp"|"sqrt") "(" expr ")"
+#   number := digits with an optional point and exponent, as `repr` prints
+#             a float: 2, 0.3, 1e+16, 1.1564823173178719e-17
+# Parentheses, a function call's included, nest at most MAX_NESTING deep.
 # --------------------------------------------------------------------------
 
-_FUNCTIONS = {"sin": sine, "cos": cosine, "exp": exponential}
+_FUNCTIONS = {"sin": sine, "cos": cosine, "exp": exponential, "sqrt": square_root}
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(\.)?")
+MAX_NESTING = 150  # five parser frames a level stay well inside Python's stack
 
 
 class _Tokenizer:
@@ -534,18 +552,13 @@ class _Tokenizer:
             self.pos += 1
             return ("op", ch, start)
         if ch.isdigit() or ch == ".":
-            j = self.pos
-            seen_dot = False
-            while j < len(self.text) and (self.text[j].isdigit() or self.text[j] == "."):
-                if self.text[j] == ".":
-                    if seen_dot:
-                        raise ExpressionError("malformed number", j)
-                    seen_dot = True
-                j += 1
-            literal = self.text[self.pos:j]
-            if literal == ".":
-                raise ExpressionError("malformed number", start)
-            self.pos = j
+            match = _NUMBER.match(self.text, start)
+            if match is None or match.group(1):  # "." alone, or a second point
+                raise ExpressionError("malformed number", match.start(1) if match else start)
+            literal = match.group()
+            if not math.isfinite(float(literal)):
+                raise ExpressionError("number out of range", start)
+            self.pos = match.end()
             return ("number", literal, start)
         if ch.isalpha() or ch == "_":
             j = self.pos
@@ -561,6 +574,7 @@ class _Parser:
     def __init__(self, text: str, coords: Sequence[str]):
         self.tokens = _Tokenizer(text)
         self.coords = {name: i for i, name in enumerate(coords)}
+        self.depth = 0
 
     def parse(self) -> ScalarField:
         node = self._expr()
@@ -592,15 +606,16 @@ class _Parser:
                 return node
 
     def _factor(self) -> ScalarField:
-        kind, value, pos = self.tokens.peek()
-        if kind == "op" and value == "-":
+        signs = 0  # "-" factor, read as a loop so that no run of signs recurses
+        while self.tokens.peek()[:2] == ("op", "-"):
             self.tokens.next()
-            return sub(ZERO, self._factor())
+            signs += 1
         node = self._atom()
-        kind, value, pos = self.tokens.peek()
-        if kind == "op" and value == "^":
+        if self.tokens.peek()[:2] == ("op", "^"):
             self.tokens.next()
             node = power(node, self._integer())
+        for _ in range(signs):
+            node = sub(ZERO, node)
         return node
 
     def _integer(self) -> int:
@@ -609,7 +624,7 @@ class _Parser:
         if kind == "op" and value == "-":
             sign = -1
             kind, value, pos = self.tokens.next()
-        if kind != "number" or "." in value:
+        if kind != "number" or not value.isdigit():
             raise ExpressionError("exponent must be an integer", pos)
         return sign * int(value)
 
@@ -622,17 +637,23 @@ class _Parser:
                 kind2, value2, pos2 = self.tokens.next()
                 if kind2 != "op" or value2 != "(":
                     raise ExpressionError(f"{value} must be followed by '('", pos2)
-                inner = self._expr()
-                self._expect_close()
-                return _FUNCTIONS[value](inner)
+                return _FUNCTIONS[value](self._group(pos2))
             if value in self.coords:
                 return Coord(self.coords[value], value)
             raise ExpressionError(f"unknown identifier {value!r}", pos)
         if kind == "op" and value == "(":
-            inner = self._expr()
-            self._expect_close()
-            return inner
+            return self._group(pos)
         raise ExpressionError(f"expected a value, found {value!r}", pos)
+
+    def _group(self, pos: int) -> ScalarField:
+        """The `expr ")"` after the "(" at `pos`: one level deeper, at most MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise ExpressionError(f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        inner = self._expr()
+        self._expect_close()
+        self.depth -= 1
+        return inner
 
     def _expect_close(self):
         kind, value, pos = self.tokens.next()

@@ -2,8 +2,8 @@
 
 Frame changes of connections, covariant derivatives of bundle sections,
 partition-of-unity gluing, the vanishing of odd Chern classes on o(q) and
-sp(q), 1-jets of sections, covectors of a frame, and values of forms on
-sections at a point.  Tests use them to check what `algebroids` builds: that
+sp(q), 1-jets of sections, covectors of a frame, values of forms on sections
+at a point, and the connection on A + A'* of a morphism alone.  Tests use them to check what `algebroids` builds: that
 Chern forms do not change under a frame change, that glued metric connections
 stay metric, and so on.
 """
@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from algebroids.algebroid import AlgebroidChart, JetChart, d_A
-from algebroids.connections import FormMatrix, QuasiMetric, invert_field_matrix
+from algebroids.algebroid import AlgebroidChart, JetChart, Morphism, d_A
+from algebroids.connections import FormMatrix, QuasiMetric, chain_connection, invert_field_matrix
 from algebroids.expressions import Const, ScalarField, ZERO, add, evaluate, max_abs_finite, mul
 from algebroids.forms import AForm, _require_same_chart
 from algebroids.sampling import sample_points
@@ -65,6 +65,11 @@ def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",
     if residual > membership_tol:
         raise ValueError(f"matrix is not in {algebra}({r}) (residual {residual:.3g})")
     return abs(chern_scalar(matrix, 2 * l - 1))
+
+
+def sum_connection(phi: Morphism) -> FormMatrix:
+    """The connection on A + A'* of phi: `chain_connection` of the chain (id, phi)."""
+    return chain_connection(Morphism.identity(phi.source), phi)
 
 
 def covariant_derivative(conn: FormMatrix, a: Section,

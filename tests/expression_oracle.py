@@ -11,6 +11,12 @@ same values, to the last bits numpy's kernels may change.
 rules unchanged; it re-derives a shared subtree at every use, so its cost is
 exponential in the depth of the sharing.  Tests require the pass to build the
 same trees (node kinds, constants and child order).
+
+`recursive_schedule` is the recursive registration that `_schedule` replaced
+with an explicit stack, and `recursive_str` the per-node-class `__str__` that
+one children-first pass (`_str_node`) replaced.  Both recurse once per level
+of depth.  Tests require the same node order and parent-edge counts, and the
+same text.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from algebroids.expressions import (
     Sub,
     ONE,
     ZERO,
+    _children,
+    _format_number,
     add,
     div,
     mul,
@@ -120,3 +128,56 @@ def tree_shape(field: ScalarField):
         if isinstance(value := getattr(field, slot, None), ScalarField)
     )
     return (type(field).__name__, getattr(field, "exponent", None), kids)
+
+
+def recursive_schedule(roots) -> tuple[list[ScalarField], dict]:
+    """Distinct nodes under `roots`, children first, and each one's parent-edge count."""
+    pending: dict[ScalarField, int] = {}
+    order: list[ScalarField] = []
+
+    def enter(node: ScalarField) -> None:
+        pending[node] = 0
+        for kid in _children(node):
+            if kid not in pending:
+                enter(kid)
+            pending[kid] += 1
+        order.append(node)
+
+    for root in roots:
+        if root not in pending:
+            enter(root)
+    return order, pending
+
+
+def _paren_additive(node: ScalarField) -> str:
+    if isinstance(node, (Add, Sub)):
+        return f"({recursive_str(node)})"
+    return recursive_str(node)
+
+
+def _paren_tight(node: ScalarField) -> str:
+    if isinstance(node, (Add, Sub, Mul, Div, Pow)):
+        return f"({recursive_str(node)})"
+    return recursive_str(node)
+
+
+def recursive_str(node: ScalarField) -> str:
+    """The text of an expression, by recursion over the tree."""
+    if isinstance(node, Const):
+        return _format_number(node.value)
+    if isinstance(node, Coord):
+        return node.name
+    if isinstance(node, Add):
+        return f"{recursive_str(node.left)} + {recursive_str(node.right)}"
+    if isinstance(node, Sub):
+        return f"{recursive_str(node.left)} - {_paren_additive(node.right)}"
+    if isinstance(node, Mul):
+        return f"{_paren_additive(node.left)}*{_paren_additive(node.right)}"
+    if isinstance(node, Div):
+        return f"{_paren_additive(node.left)}/{_paren_tight(node.right)}"
+    if isinstance(node, Pow):
+        return f"{_paren_tight(node.base)}^{node.exponent}"
+    for kind, name in ((Sin, "sin"), (Cos, "cos"), (Exp, "exp"), (Sqrt, "sqrt")):
+        if isinstance(node, kind):
+            return f"{name}({recursive_str(node.arg)})"
+    raise TypeError(f"unknown node {node!r}")

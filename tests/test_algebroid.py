@@ -288,7 +288,7 @@ class TestPullbackMatchesDenseOracle:
     def test_degree_five_jet_pullback_is_fast_and_evaluates_on_images(self, sa3):
         # The dense expansion took minutes here: 26,334 source keys x 8 keys x 5!.
         phi = sa3.morphism("zero")
-        mu_3 = mu_form(phi, 2).form
+        mu_3 = mu_form(phi, 2)
         projection = jet_prolong(phi.source).projection()
         start = time.perf_counter()
         pulled = pullback(projection, mu_3)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import algebroids.forms
-from algebroids.algebroid import AlgebroidChart
+from algebroids.algebroid import AlgebroidChart, Morphism
 
 from algebroids.algebroid import d_A, jet_prolong
 from algebroids.chern import (
@@ -23,10 +23,9 @@ from algebroids.chern import (
     gauss_legendre_01,
     simplex_rule,
 )
-from algebroids.classes import orthogonal_sum
+from algebroids.classes import chain_pair
 from algebroids.connections import (
     FormMatrix,
-    morphism_sum_connection,
     QuasiMetric,
     bracket_connection,
     curvature,
@@ -45,7 +44,8 @@ from chern_oracle import (
     form_matrix_wedge_reference,
     trace_wedge_reference,
 )
-from constructions import chern_scalar, conjugate_form_matrix, odd_vanishing_check
+from constructions import (chern_scalar, conjugate_form_matrix, odd_vanishing_check,
+                          sum_connection)
 from expression_oracle import scalar_eval, tree_shape
 from transgression_oracle import (
     NonPolynomialError,
@@ -256,10 +256,8 @@ def _argument_pattern(pattern, chart, size, h, rng):
 def _sa3_mu_pair(sa3):
     """The connections (c0, c1) whose transgression is `mu sa3 --morphism zero`."""
     phi = sa3.morphism("zero")
-    c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank,
-                        sa3.metric_for(phi.source.name),
-                        sa3.metric_for(phi.target.name))
-    return c0, morphism_sum_connection(phi)
+    return chain_pair(Morphism.identity(phi.source), phi,
+                      sa3.metric_for(phi.source.name), sa3.metric_for(phi.target.name))
 
 
 class TestChernAgainstPermutationSum:
@@ -518,7 +516,7 @@ class TestBottDelta:
                                                          so3, line_points):
         for fixture, name in ((solvable2d, "phi"), (so3, "id")):
             phi = fixture.morphism(name)
-            c1 = morphism_sum_connection(phi)
+            c1 = sum_connection(phi)
             c0 = FormMatrix.zero(phi.source, c1.size, 1)
             for h in (1, 2, 3):
                 direct = bott_delta([c0, c1], h)
@@ -527,7 +525,7 @@ class TestBottDelta:
 
     def test_quadrature_node_doubling_is_stable(self, so3, line_points):
         phi = so3.morphism("id")
-        c1 = morphism_sum_connection(phi)
+        c1 = sum_connection(phi)
         c0 = FormMatrix.zero(phi.source, 6, 1)
         for h in (2, 3):
             base = bott_delta([c0, c1], h)
@@ -546,8 +544,8 @@ class TestBottDelta:
     def test_three_connection_transposition_flips_sign(self, so3_double,
                                                        line_points):
         p1, p2 = so3_double.morphism("id"), so3_double.morphism("rot")
-        c1 = morphism_sum_connection(p1)
-        c2 = morphism_sum_connection(p2)
+        c1 = sum_connection(p1)
+        c2 = sum_connection(p2)
         c0 = FormMatrix.zero(p1.source, 6, 1)
         for h in (1, 2):
             abc = bott_delta([c0, c1, c2], h)
@@ -561,8 +559,7 @@ class TestBottDeltaAgainstReference:
     def test_links_match_fiber_integration(self, solvable2d, so3, line_points):
         for fixture, name in ((solvable2d, "phi"), (so3, "id")):
             phi = fixture.morphism(name)
-            c1 = morphism_sum_connection(phi)
-            c0 = orthogonal_sum(phi.source, phi.source.rank, phi.target.rank)
+            c0, c1 = chain_pair(Morphism.identity(phi.source), phi)
             for h in (1, 2, 3):
                 new = bott_delta([c0, c1], h)
                 old = bott_delta_reference([c0, c1], h)
@@ -601,7 +598,7 @@ class TestBottDeltaAgainstReference:
 
     def test_sa3_third_polynomial_matches_relative_to_size(self, sa3, line_points):
         phi = sa3.morphism("zero")
-        c1 = morphism_sum_connection(phi)
+        c1 = sum_connection(phi)
         c0 = FormMatrix.zero(phi.source, c1.size, 1)
         new = bott_delta([c0, c1], 3)
         old = bott_delta_reference([c0, c1], 3)
@@ -615,8 +612,8 @@ class TestBottDeltaAgainstReference:
         for fixture, first, second in ((solvable2d, "phi", "phi2"),
                                        (so3_double, "id", "rot")):
             p1, p2 = fixture.morphism(first), fixture.morphism(second)
-            c0 = orthogonal_sum(p1.source, p1.source.rank, p1.target.rank)
-            c1, c2 = morphism_sum_connection(p1), morphism_sum_connection(p2)
+            c0, c1 = chain_pair(Morphism.identity(p1.source), p1)
+            c2 = sum_connection(p2)
             for h in (1, 2):
                 new = bott_delta([c0, c1, c2], h)
                 old = bott_delta_reference([c0, c1, c2], h)
@@ -629,7 +626,7 @@ class TestBottDeltaAgainstReference:
         # Delta(c0, ..., ck)c_h has degree 2h - k: an error for h < 1 or k > 2h,
         # and the zero form for h < k <= 2h, where c_h has too few arguments.
         p1, p2 = so3_double.morphism("id"), so3_double.morphism("rot")
-        c1, c2 = morphism_sum_connection(p1), morphism_sum_connection(p2)
+        c1, c2 = sum_connection(p1), sum_connection(p2)
         c0 = FormMatrix.zero(p1.source, c1.size, 1)
         for connections in ([c0], [c0, c1], [c0, c1, c2]):
             with pytest.raises(ValueError, match="at least 1"):
@@ -674,8 +671,8 @@ class TestSimplexRoute:
         for fixture, first, second in ((solvable2d, "phi", "phi2"),
                                        (so3_double, "id", "rot")):
             p1, p2 = fixture.morphism(first), fixture.morphism(second)
-            c0 = orthogonal_sum(p1.source, p1.source.rank, p1.target.rank)
-            connections = [c0, morphism_sum_connection(p1), morphism_sum_connection(p2)]
+            connections = [*chain_pair(Morphism.identity(p1.source), p1),
+                           sum_connection(p2)]
             for h in (1, 2):
                 new = bott_delta(connections, h)
                 old = bott_delta_branch_reference(connections, h)
@@ -780,7 +777,7 @@ class TestIdentities:
         ]
         for fixture, name in cases:
             phi = fixture.morphism(name)
-            c1 = morphism_sum_connection(phi)
+            c1 = sum_connection(phi)
             rank = c1.size
             c0 = direct_sum(
                 orthogonal_connection(phi.source, QuasiMetric.identity(phi.source.rank)),
@@ -822,8 +819,8 @@ class TestIdentities:
 
     def test_cocycle_identity_three_connections(self, so3_double):
         p1, p2 = so3_double.morphism("id"), so3_double.morphism("rot")
-        c1 = morphism_sum_connection(p1)
-        c2 = morphism_sum_connection(p2)
+        c1 = sum_connection(p1)
+        c2 = sum_connection(p2)
         c0 = direct_sum(
             orthogonal_connection(p1.source, QuasiMetric.identity(3)),
             dual_connection(orthogonal_connection(p1.source, QuasiMetric.identity(3))),
@@ -833,7 +830,7 @@ class TestIdentities:
             assert record.passed, (h, record.residual)
 
     def test_equal_connections_cocycle_trivial(self, so3, line_points):
-        conn = morphism_sum_connection(so3.morphism("id"))
+        conn = sum_connection(so3.morphism("id"))
         record = coboundary_check([conn, conn, conn], 2, sample_points(1, 30, 42), 1e-12)
         assert record.residual == 0.0
 
@@ -855,7 +852,7 @@ class TestBetaFactor:
         # On a zero-anchor fixture the whole tau integral collapses to
         # 1/10 times the polarized contraction of the difference matrix.
         phi = sa3.morphism("zero")
-        c1 = morphism_sum_connection(phi)
+        c1 = sum_connection(phi)
         c0 = FormMatrix.zero(phi.source, c1.size, 1)
         out = bott_delta([c0, c1], 3)
         alpha = c1

@@ -17,14 +17,13 @@ from algebroids.connections import (
     curvature,
     direct_sum,
     dual_connection,
-    morphism_sum_connection,
     morphism_target_connection,
     QuasiMetric,
     orthogonal_connection,
 )
 from algebroids.expressions import ZERO, Const
 from algebroids.sampling import sample_points
-from constructions import basis_covector
+from constructions import basis_covector, sum_connection
 from expression_oracle import scalar_eval
 
 
@@ -34,7 +33,7 @@ def _jet_points(phi):
 
 def _jet_pullback_residual(form, phi, h):
     """Distance from a form on the jet chart to the pullback of mu_form(phi, h)."""
-    pulled = pullback(form.chart.projection(), mu_form(phi, h).form)
+    pulled = pullback(form.chart.projection(), mu_form(phi, h))
     return (form - pulled).max_abs(_jet_points(phi))
 
 
@@ -98,30 +97,30 @@ class TestMuForm:
                               (action_x, "sharp"), (chain, "phi"),
                               (chain, "psi")):
             phi = fixture.morphism(name)
-            rep = mu_form(phi, 1)
+            form = mu_form(phi, 1)
             target = modular_form_morphism(phi)
-            assert (rep.form - target).max_abs(line_points) < 1e-10, name
+            assert (form - target).max_abs(line_points) < 1e-10, name
 
     def test_solvable_class_is_the_dual_generator(self, solvable2d, line_points):
-        rep = mu_form(solvable2d.morphism("phi"), 1)
-        assert rep.identifier == "mu_1"
-        coeff = rep.form.coeff((0,))
+        form = mu_form(solvable2d.morphism("phi"), 1)
+        assert form.degree == 1
+        coeff = form.coeff((0,))
         for point in line_points[:20]:
             assert abs(scalar_eval(coeff, point) - 1.0) < 1e-12
-        assert len(rep.form.table) == 1
+        assert len(form.table) == 1
 
     def test_isomorphism_classes_vanish(self, so3, line_points):
         ident = so3.morphism("id")
         for h in (1, 2):
-            rep = mu_form(ident, h)
-            assert rep.form.max_abs(line_points) <= 1e-12
+            form = mu_form(ident, h)
+            assert form.max_abs(line_points) <= 1e-12
 
     def test_isomorphism_with_matching_connection_choice(self, so3, line_points):
         # The compatible sum is already orthogonal for the invariant metric,
         # so it is a legitimate metric-connection choice; the difference
         # matrix then vanishes identically.
         ident = so3.morphism("id")
-        nabla1 = morphism_sum_connection(ident)
+        nabla1 = sum_connection(ident)
         _, d1 = chain_pair(Morphism.identity(ident.source), ident)
         form = bott_delta([nabla1, d1], 3)
         assert form.max_abs(line_points) == 0.0
@@ -131,28 +130,27 @@ class TestMuForm:
         # Every class builder shares this branch: c_5 on a rank-3 bundle is
         # the zero form of degree 4h - 3 = 9, not an error.
         phi = solvable2d.morphism("phi")
-        reps = [
-            mu_form(phi, 3),
-            bi_characteristic(phi, solvable2d.morphism("phi2"), 3),
-            relative_mu(chain.morphism("phi"), chain.morphism("psi"), 3),
-            relative_mu(jet_prolong(phi.source).projection(), phi, 3),
-        ]
-        for rep in reps:
-            assert rep.identifier.endswith("_5"), rep.identifier
-            assert rep.form.is_zero(), rep.identifier
-            assert rep.form.degree == 9, rep.identifier
+        forms = {
+            "mu": mu_form(phi, 3),
+            "bi": bi_characteristic(phi, solvable2d.morphism("phi2"), 3),
+            "relative": relative_mu(chain.morphism("phi"), chain.morphism("psi"), 3),
+            "jet": relative_mu(jet_prolong(phi.source).projection(), phi, 3),
+        }
+        for name, form in forms.items():
+            assert form.is_zero(), name
+            assert form.degree == 9, name
 
     def test_representatives_are_closed(self, sa3, line_points):
-        rep = mu_form(sa3.morphism("zero"), 2)
-        assert not rep.form.is_zero()
-        assert d_A(rep.form).max_abs(sample_points(rep.form.chart.dim, 40, 5)) < 1e-9
+        form = mu_form(sa3.morphism("zero"), 2)
+        assert not form.is_zero()
+        assert d_A(form).max_abs(sample_points(form.chart.dim, 40, 5)) < 1e-9
 
     def test_changing_metric_shifts_by_exact_form(self, action_x, line_points):
         # Different orthogonal connections move the representative by an
         # exact form: here the difference is d_A(x).
         phi = action_x.morphism("sharp")
-        standard = mu_form(phi, 1).form
-        weighted = mu_form(phi, 1, g_source=action_x.metric_for("action")).form
+        standard = mu_form(phi, 1)
+        weighted = mu_form(phi, 1, g_source=action_x.metric_for("action"))
         chart = phi.source
         exact = d_A(chart.function_form(chart.coordinate_field(0)))
         assert ((standard - weighted) - exact).max_abs(line_points) < 1e-10
@@ -161,16 +159,15 @@ class TestMuForm:
 class TestBiCharacteristic:
     def test_equal_morphisms_vanish(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
-        rep = bi_characteristic(phi, phi, 1)
-        assert rep.form.max_abs(line_points) == 0.0
+        form = bi_characteristic(phi, phi, 1)
+        assert form.max_abs(line_points) == 0.0
 
     def test_scaled_pair_matches_trace_difference(self, solvable2d, line_points):
         phi1 = solvable2d.morphism("phi")
         phi2 = solvable2d.morphism("phi2")
-        rep = bi_characteristic(phi1, phi2, 1)
-        trace_diff = (morphism_sum_connection(phi2)
-                      - morphism_sum_connection(phi1)).trace()
-        assert (rep.form - trace_diff).max_abs(line_points) == 0.0
+        form = bi_characteristic(phi1, phi2, 1)
+        trace_diff = (sum_connection(phi2) - sum_connection(phi1)).trace()
+        assert (form - trace_diff).max_abs(line_points) == 0.0
 
     def test_difference_identity_at_form_level(self, solvable2d, so3_double,
                                                line_points):
@@ -182,8 +179,8 @@ class TestBiCharacteristic:
         for phi1, phi2 in ((solvable2d.morphism("phi"), solvable2d.morphism("phi2")),
                            (so3_double.morphism("id"), so3_double.morphism("rot")),
                            (Morphism.identity(chart), scaled)):
-            n1 = morphism_sum_connection(phi1)
-            n2 = morphism_sum_connection(phi2)
+            n1 = sum_connection(phi1)
+            n2 = sum_connection(phi2)
             rank_a = phi1.source.rank
             rank_b = phi1.target.rank
             n0 = direct_sum(
@@ -191,8 +188,8 @@ class TestBiCharacteristic:
                 dual_connection(orthogonal_connection(
                     phi1.source, QuasiMetric.identity(rank_b))),
             )
-            bi = bi_characteristic(phi1, phi2, 1).form
-            lhs = mu_form(phi1, 1).form - mu_form(phi2, 1).form
+            bi = bi_characteristic(phi1, phi2, 1)
+            lhs = mu_form(phi1, 1) - mu_form(phi2, 1)
             rhs = d_A(bott_delta([n0, n1, n2], 1)) - bi
             assert (lhs - rhs).max_abs(line_points) < 1e-8
             bi_sizes.append(bi.max_abs(line_points))
@@ -208,28 +205,28 @@ class TestRelativeClasses:
         phi, psi = chain.morphism("phi"), chain.morphism("psi")
         rel = relative_mu(phi, psi, 1)
         absolute = mu_form(psi, 1)
-        pulled = pullback(phi, absolute.form)
-        assert (rel.form - pulled).max_abs(line_points) < 1e-9
+        pulled = pullback(phi, absolute)
+        assert (rel - pulled).max_abs(line_points) < 1e-9
 
     def test_composition_identity(self, chain, line_points):
         phi, psi = chain.morphism("phi"), chain.morphism("psi")
         composite = psi.compose(phi)
-        lhs = mu_form(composite, 1).form
-        rhs = mu_form(phi, 1).form + relative_mu(phi, psi, 1).form
+        lhs = mu_form(composite, 1)
+        rhs = mu_form(phi, 1) + relative_mu(phi, psi, 1)
         assert (lhs - rhs).max_abs(line_points) < 1e-9
 
     def test_full_composition_law(self, chain, line_points):
         phi, psi = chain.morphism("phi"), chain.morphism("psi")
         composite = psi.compose(phi)
-        lhs = mu_form(composite, 1).form
-        rhs = mu_form(phi, 1).form + pullback(phi, mu_form(psi, 1).form)
+        lhs = mu_form(composite, 1)
+        rhs = mu_form(phi, 1) + pullback(phi, mu_form(psi, 1))
         assert (lhs - rhs).max_abs(line_points) < 1e-9
 
     def test_identity_downstream_morphism(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
         ident = Morphism.identity(phi.target)
         rel = relative_mu(phi, ident, 1)
-        assert rel.form.max_abs(line_points) == 0.0
+        assert rel.max_abs(line_points) == 0.0
 
     def test_non_composable_pair_rejected(self, solvable2d):
         phi = solvable2d.morphism("phi")
@@ -241,18 +238,18 @@ class TestJetRelative:
     def test_solvable_class_pulls_back_along_projection(self, solvable2d,
                                                         line_points):
         phi = solvable2d.morphism("phi")
-        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
-        assert _jet_pullback_residual(rep.form, phi, 1) < 1e-9
+        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        assert _jet_pullback_residual(form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10
-        jet = rep.form.chart
+        jet = form.chart
         expected = pullback(jet.projection(),
                             basis_covector(phi.source, 0))
-        assert (rep.form - expected).max_abs(line_points) < 1e-9
+        assert (form - expected).max_abs(line_points) < 1e-9
 
     def test_identity_morphism_gives_zero(self, so3, line_points):
         phi = so3.morphism("id")
-        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
-        assert rep.form.max_abs(line_points) == 0.0
+        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        assert form.max_abs(line_points) == 0.0
 
     def test_flat_jet_connections(self, so3, action_x):
         for fixture, chart_name, morphism_name in ((so3, "so3", "zero"),
@@ -277,13 +274,13 @@ class TestJetRelative:
     def test_degree_five_class_has_exactly_the_keys_of_its_pullback(self, sa3):
         # The split jet frame builds no cancelling terms, so no key is dead.
         phi = sa3.morphism("zero")
-        form = relative_mu(jet_prolong(phi.source).projection(), phi, 2).form
-        pulled = pullback(form.chart.projection(), mu_form(phi, 2).form)
+        form = relative_mu(jet_prolong(phi.source).projection(), phi, 2)
+        pulled = pullback(form.chart.projection(), mu_form(phi, 2))
         assert set(form.table) == set(pulled.table) and len(pulled.table) == 8
         assert (form - pulled).max_abs(_jet_points(phi)) <= 1e-12
 
     def test_anchored_fixture(self, action_x):
         phi = action_x.morphism("sharp")
-        rep = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
-        assert _jet_pullback_residual(rep.form, phi, 1) < 1e-9
+        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        assert _jet_pullback_residual(form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10

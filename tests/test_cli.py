@@ -17,6 +17,7 @@ from algebroids.cli import (
     main,
     run_suite,
 )
+from algebroids.expressions import MAX_NESTING, evaluate, parse_expression
 from algebroids.fixtures import (
     FixtureError,
     builtin_fixture_names,
@@ -533,6 +534,85 @@ def test_dumps_match_the_scalar_walk(argv, monkeypatch, capsys):
             for key, value in sample["values"].items():
                 expected = scalar_eval(coeffs[key], sample["point"])
                 assert abs(value - expected) <= 4 * np.spacing(abs(expected))
+
+
+# The fixtures the CI byte-stability step writes out, as JSON.
+LEIBNIZ2 = {"base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["1"], ["0"]],
+                                 "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "x"}}]}}}
+
+
+def _one_anchor(text):
+    """A rank-1 chart over x whose anchor is `text`."""
+    return {"base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1"], "anchor": [[text]], "brackets": []}}}
+
+
+REPARSE_RTOL = 1e-12  # a printed a + (b - c) re-parses as (a + b) - c
+
+
+@pytest.mark.parametrize("argv", [
+    ["mu", "sa3", "--morphism", "zero", "--h", "2"],
+    ["mu", "sa3", "--morphism", "zero", "--h", "3"],
+    ["jet", "leibniz2", "--algebroid", "A"],
+    ["mu", "solvable2d", "--morphism", "phi", "--h", "1"],
+    ["jet", "so3", "--algebroid", "so3"],
+    ["modular", "solvable2d", "--algebroid", "solvable"],
+    ["mu", "action_x", "--morphism", "sharp", "--h", "1"],
+], ids=" ".join)
+def test_dumped_coefficients_reparse(argv, tmp_path, capsys):
+    """Every coefficient string of the CI dump commands parses back.
+
+    A form coefficient re-parsed gives its dumped samples, a jet entry the
+    values of the chart's own entry at the probe points, within REPARSE_RTOL
+    of their magnitude.  `mu sa3 --h 3` dumps the zero form."""
+    if argv[1] == "leibniz2":
+        path = tmp_path / "leibniz2.json"
+        path.write_text(json.dumps(LEIBNIZ2))
+        argv = [argv[0], str(path), *argv[2:]]
+    assert main(argv) == 0
+    dumped = json.loads(capsys.readouterr().out)["forms"]
+    fixture = resolve_fixture(argv[1])
+    for dump in dumped.values():
+        if argv[0] == "jet":
+            jet = jet_prolong(fixture.chart(argv[3]))
+            pairs = [(text, entry) for texts, row in zip(dump["anchor"], jet.anchor)
+                     for text, entry in zip(texts, row)]
+            pairs += [(dump["brackets"][f"{i + 1},{j + 1}"][str(k + 1)], coeff)
+                      for (i, j), row in jet.brackets.items() for k, coeff in row.items()]
+            texts = [text for text, _ in pairs]
+            points = cli._probe_points(fixture, Options())[:10]
+            expected = evaluate([entry for _, entry in pairs], points)
+        else:
+            texts = list(dump["coefficients"].values())
+            points = np.array([sample["point"] for sample in dump["samples"]])
+            expected = np.array([[sample["values"][key] for sample in dump["samples"]]
+                                 for key in dump["coefficients"]])
+        again = evaluate([parse_expression(t, fixture.coords) for t in texts], points)
+        np.testing.assert_allclose(again, expected.reshape(again.shape),
+                                   rtol=REPARSE_RTOL, atol=0.0)
+
+
+def test_a_3000_term_anchor_verifies_and_dumps(tmp_path, capsys):
+    # The recursive walks died near 991 terms, one Python frame per term.
+    path = tmp_path / "long_anchor.json"
+    path.write_text(json.dumps(_one_anchor("+".join(["x"] * 3000))))
+    assert main(["verify", str(path), "--suite", "all"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert main(["jet", str(path), "--algebroid", "A"]) == 0
+    dump = json.loads(capsys.readouterr().out)["forms"]["jet[A]"]
+    assert dump["anchor"][0] == [" + ".join(["x"] * 3000)]
+
+
+def test_deeply_nested_parentheses_are_a_located_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(_one_anchor("(" * 300 + "x" + ")" * 300)))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: algebroid 'A' anchor[1][1]: parentheses nest deeper than "
+        f"{MAX_NESTING} levels (at position {MAX_NESTING})\n")
+    path.write_text(json.dumps(_one_anchor("(" * 100 + "x" + ")" * 100)))
+    assert main(["verify", str(path), "--suite", "axioms"]) == 0
 
 
 def _reject_constant(token):

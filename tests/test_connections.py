@@ -15,7 +15,6 @@ from algebroids.connections import (
     k_flatness_check,
     kernel_frame_on_S,
     metric_compat_check,
-    morphism_sum_connection,
     morphism_target_connection,
     orthogonal_connection,
     quasi_metric_frame_check,
@@ -30,6 +29,7 @@ from constructions import (
     conjugate_form_matrix,
     covariant_derivative,
     glue,
+    sum_connection,
     symmetry_residual,
 )
 import dense_oracle
@@ -236,7 +236,7 @@ class TestDistinguishedPair:
     def test_sum_matrix_reproduces_block_formulas(self, action_x, line_points):
         # The A'* block must carry -phi_i^t gamma'_tu^s + rho'_u d(phi_i^s)
         phi = action_x.morphism("sharp")
-        conn = morphism_sum_connection(phi)
+        conn = sum_connection(phi)
         entry = conn.entries[1][1].coeff((0,))
         for point in line_points[:10]:
             assert scalar_eval(entry, point) == pytest.approx(1.0)
@@ -298,7 +298,7 @@ class TestMetricLayerMatchesEntryLoops:
                 # Not metric: its residual is far from zero.
                 cases.append((_random_connection(chart, metric.rank, seed), metric))
             for phi in fixture.morphisms.values():
-                conn = morphism_sum_connection(phi)
+                conn = sum_connection(phi)
                 cases.extend((conn, g) for g in quasi_metric_on_S(phi))
             for conn, g in cases:
                 new = metric_compat_check(conn, g, points).residual
@@ -524,7 +524,7 @@ class TestQuasiMetrics:
     def test_distinguished_sum_is_metric_compatible(self, solvable2d, action_x):
         for fixture, name in ((solvable2d, "phi"), (action_x, "sharp")):
             phi = fixture.morphism(name)
-            conn = morphism_sum_connection(phi)
+            conn = sum_connection(phi)
             g_plus, g_minus = quasi_metric_on_S(phi)
             points = sample_points(1, 60, 42)
             assert metric_compat_check(conn, g_plus, points, 1e-9).passed
@@ -532,7 +532,7 @@ class TestQuasiMetrics:
 
     def test_perturbed_connection_breaks_compatibility(self, solvable2d):
         phi = solvable2d.morphism("phi")
-        conn = morphism_sum_connection(phi)
+        conn = sum_connection(phi)
         chart = phi.source
         bump = AForm(chart, 1, {(0,): Const(1.0)})
         rows = [list(row) for row in conn.entries]
@@ -546,14 +546,14 @@ class TestQuasiMetrics:
 class TestKFlatness:
     def test_distinguished_pair_is_kernel_flat(self, solvable2d):
         phi = solvable2d.morphism("phi")
-        conn = morphism_sum_connection(phi)
+        conn = sum_connection(phi)
         ker, coker = solvable2d.kernel_rows("phi")
         record = k_flatness_check(conn, phi, ker, coker, sample_points(1, 60, 42), 1e-10)
         assert record.passed and record.residual == 0.0
 
     def test_identity_morphism_vacuous_pass(self, so3):
         ident = Morphism.identity(so3.chart("so3"))
-        conn = morphism_sum_connection(ident)
+        conn = sum_connection(ident)
         record = k_flatness_check(conn, ident, [], [], sample_points(1, 40, 42), 1e-10)
         assert record.passed
 
@@ -569,7 +569,7 @@ class TestKFlatness:
 class TestAdaptedFrames:
     def test_solvable_morphism_blocks(self, solvable2d):
         phi = solvable2d.morphism("phi")
-        conn = morphism_sum_connection(phi)
+        conn = sum_connection(phi)
         g_plus, g_minus = quasi_metric_on_S(phi)
         ker, coker = solvable2d.kernel_rows("phi")
         frame = kernel_frame_on_S(phi, ker, coker)
@@ -580,7 +580,7 @@ class TestAdaptedFrames:
 
     def test_full_kernel_case(self, so3):
         phi = so3.morphism("zero")
-        conn = morphism_sum_connection(phi)
+        conn = sum_connection(phi)
         g_plus, _ = quasi_metric_on_S(phi)
         ker, coker = so3.kernel_rows("zero")
         frame = kernel_frame_on_S(phi, ker, coker)

@@ -1,6 +1,7 @@
 """Parser and exact-differentiation tests for the coefficient DSL."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,12 +10,14 @@ from algebroids.expressions import (
     ONE,
     ZERO,
     Const,
+    MAX_NESTING,
     ExpressionError,
     _format_number,
     add,
     balanced_sum,
     cosine,
     div,
+    evaluate,
     exponential,
     mul,
     parse_expression,
@@ -182,6 +185,58 @@ def test_rendering_round_trips_through_parser():
     again = parse_expression(str(field), COORDS)
     for point in [(0.3, -0.7), (1.1, 0.2)]:
         assert scalar_eval(field, point) == pytest.approx(scalar_eval(again, point), rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_constant_round_trips(value):
+    # repr prints exponents (1e+16, 1.1564823173178719e-17); the grammar reads them.
+    again = parse_expression(str(Const(value)), COORDS)
+    assert again.value == value
+
+
+def test_square_root_and_exponent_numbers_parse():
+    field = parse_expression("sqrt(x + 1e+16) - 1.5E-3*y/2e2", COORDS)
+    expected = math.sqrt(0.25 + 1e16) - 1.5e-3 * -0.5 / 200.0
+    assert scalar_eval(field, (0.25, -0.5)) == expected
+    assert str(field) == "sqrt(x + 1e+16) - 0.0015*y/200"
+
+
+@pytest.mark.parametrize("source,message,position", [
+    ("x^1e2", "exponent must be an integer", 2),
+    ("x^2.0", "exponent must be an integer", 2),
+    ("1e400*x", "number out of range", 0),
+    ("1.2.3", "malformed number", 3),
+    ("x*\u00b2", "malformed number", 2),  # a digit to str.isdigit, not to float
+    ("2e*x", "unexpected trailing input 'e'", 1),
+    ("sqrt x", "sqrt must be followed by '('", 5),
+])
+def test_number_and_call_errors_are_located(source, message, position):
+    with pytest.raises(ExpressionError, match=re.escape(message)) as err:
+        parse_expression(source, COORDS)
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("depth", [100, MAX_NESTING])
+def test_nesting_up_to_the_limit_parses(depth):
+    assert str(parse_expression("(" * depth + "x" + ")" * depth, COORDS)) == "x"
+    assert str(parse_expression("sin(" * depth + "x" + ")" * depth, COORDS)).count("sin") == depth
+
+
+def test_a_run_of_signs_is_not_nesting():
+    field = parse_expression("-" * 5001 + "x", COORDS)
+    assert evaluate([field], [(2.0, 0.0)]).tolist() == [[-2.0]]
+
+
+@pytest.mark.parametrize("source", ["(" * 300 + "x" + ")" * 300,
+                                    "exp(" * 300 + "x" + ")" * 300,
+                                    "-(" * 300 + "x" + ")" * 300])
+def test_nesting_past_the_limit_is_located(source):
+    # The recursive-descent parser would run out of Python's stack near 245 levels.
+    with pytest.raises(ExpressionError,
+                       match=f"parentheses nest deeper than {MAX_NESTING} levels") as err:
+        parse_expression(source, COORDS)
+    assert 0 < err.value.position < len(source)
 
 
 @pytest.mark.parametrize("value,text", [

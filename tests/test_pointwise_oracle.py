@@ -18,14 +18,13 @@ from algebroids.connections import (
     curvature,
     k_flatness_check,
     kernel_frame_on_S,
-    morphism_sum_connection,
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
 from algebroids.expressions import Const, cosine, exponential, sine
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
-from constructions import symmetry_residual
+from constructions import sum_connection, symmetry_residual
 
 CASES = [("so3", "zero"), ("sl2aff", "zero"), ("solvable2d", "phi"),
          ("solvable2d", "phi2")]
@@ -63,7 +62,7 @@ def _case(request, fixture_name: str, morphism: str):
     fixture = request.getfixturevalue(fixture_name)
     phi = fixture.morphism(morphism)
     ker, coker = fixture.kernel_rows(morphism)
-    conn = morphism_sum_connection(phi)
+    conn = sum_connection(phi)
     return phi, ker, coker, [conn, _random_connection(phi.source, conn.size, 5)]
 
 

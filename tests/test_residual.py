@@ -41,7 +41,8 @@ from algebroids.expressions import (
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import glue, odd_vanishing_check, symmetry_residual
-from expression_oracle import recursive_diff, scalar_eval, tree_shape
+from expression_oracle import (recursive_diff, recursive_schedule, recursive_str, scalar_eval,
+                               tree_shape)
 from transgression_oracle import subs
 
 X, Y = Coord(0, "x"), Coord(1, "y")
@@ -280,3 +281,42 @@ class TestDiffOverDistinctNodes:
             field = mul(sine(field), field)
         distinct = len(expressions._schedule([field])[0])
         assert len(expressions._schedule([field.diff(0)])[0]) <= 4 * distinct
+
+
+class TestWalksWithoutRecursion:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dags())
+    def test_schedule_matches_the_recursive_registration(self, roots):
+        order, pending = expressions._schedule(roots)
+        old_order, old_pending = recursive_schedule(roots)
+        assert [id(node) for node in order] == [id(node) for node in old_order]
+        assert pending == old_pending
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(dags())
+    def test_text_matches_the_recursive_printer(self, roots):
+        for root in roots:
+            assert str(root) == recursive_str(root)
+
+    def test_text_matches_the_recursive_printer_on_every_pair_of_kinds(self):
+        e = expressions
+        kids = [Const(-2.0), X, e.Add(X, Y), e.Sub(X, Y), e.Mul(X, Y), e.Div(X, Y),
+                e.Pow(X, 2), e.Sqrt(X)]
+        for a in kids:
+            for b in kids:
+                for node in (e.Add(a, b), e.Sub(a, b), e.Mul(a, b), e.Div(a, b),
+                             e.Pow(a, -3), e.Cos(a)):
+                    assert str(node) == recursive_str(node)
+
+    def test_depth_is_not_bounded_by_the_interpreter_stack(self):
+        # 20000 levels, twenty times Python's default recursion limit.
+        term = mul(X, Y)
+        field = X
+        for _ in range(20000):
+            field = add(field, term)
+        assert len(expressions._schedule([field])[0]) == 20003
+        assert str(field) == " + ".join(["x"] + ["x*y"] * 20000)
+        slope = field.diff(0)  # 1 + y + ... + y
+        assert str(slope) == " + ".join(["1"] + ["y"] * 20000)
+        expected = np.abs(1.0 + 20000.0 * POINTS[:, 1]).max()
+        assert field_maxima([slope], POINTS)[0] == pytest.approx(expected, rel=1e-9)
