@@ -126,14 +126,14 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
     draw equals a smaller draw with the same seed.  Checks take the first N
     rows, the adapted-frame checks min(N, 50), the jet suite max(10, N // 2)
     and form dumps min(N, 10).  Before any check runs, every fixture metric
-    is validated on the first N rows, and the kernel rows of each morphism
-    must give an adapted frame of g+ and g- on the rows the adapted-frame
-    checks take.
+    is validated on every row of the draw, which holds each row a check
+    takes, and the kernel rows of each morphism must give an adapted frame
+    of g+ and g- on the rows the adapted-frame checks take.
     """
     points = sample_points(len(fixture.coords), max(opt.points, 10), opt.seed)
     for name, (_, metric) in fixture.metrics.items():
         try:
-            metric.validate(points[:opt.points])
+            metric.validate(points)
         except ValueError as exc:
             raise FixtureError(f"metric {name!r} is {exc}") from exc
     for name, (ker, coker) in fixture.kernels.items():

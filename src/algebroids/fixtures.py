@@ -120,10 +120,16 @@ def _brackets(entries, rank: int, coords, where: str) -> dict:
     for entry in entries:
         try:
             i, j = _json_int(entry["i"]) - 1, _json_int(entry["j"]) - 1
-            texts = {int(k) - 1: text for k, text in entry.get("coeffs", {}).items()}
+            keyed = [(int(k) - 1, k, text) for k, text in entry.get("coeffs", {}).items()]
         except (AttributeError, KeyError, TypeError, ValueError):
             raise FixtureError(f"{where}: bracket {entry!r} needs integer i and j "
                                "and coefficients keyed by integers")
+        texts, keys = {}, {}
+        for k, key, text in keyed:  # "2" and "02" name one index
+            if k in texts:
+                raise FixtureError(f"{where}: bracket ({i + 1},{j + 1}) keys {keys[k]!r} "
+                                   f"and {key!r} name coefficient {k + 1} twice")
+            texts[k], keys[k] = text, key
         coeffs = {k: _parse_entry(text, coords, f"{where} bracket ({i + 1},{j + 1})")
                   for k, text in texts.items()}
         if not (0 <= i < rank and 0 <= j < rank) or any(not 0 <= k < rank for k in coeffs):
@@ -135,6 +141,16 @@ def _brackets(entries, rank: int, coords, where: str) -> dict:
     return brackets
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The members of one JSON object; json.loads would keep the last of two equal keys."""
+    table = {}
+    for key, value in pairs:
+        if key in table:
+            raise FixtureError(f"key {key!r} repeats in one JSON object")
+        table[key] = value
+    return table
+
+
 def load_fixture(path: str | Path) -> Fixture:
     """Load and shape-check a fixture file; all expressions are parsed eagerly.
 
@@ -142,11 +158,13 @@ def load_fixture(path: str | Path) -> Fixture:
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except OSError as exc:  # a directory, a missing or an unreadable file
         raise FixtureError(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FixtureError(f"{path}: not valid JSON ({exc})") from exc
+    except FixtureError as exc:
+        raise FixtureError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or "coords" not in _object(raw.get("base", {}), "base"):
         raise FixtureError(f"{path}: missing base.coords")
     coords = _names(raw["base"]["coords"], "base.coords")

@@ -1,27 +1,21 @@
-"""Reference routes for the Chern polynomials: the generalized-delta sums.
+"""Reference routes for the Chern polynomials and the difference forms.
 
-c_h is evaluated by traces: Newton's identities on matrix powers for
-`constructions.chern_scalar`, and the cycle expansion over S_h with graded
-signs for `algebroids.chern.chern_polarized`.  This module keeps the permutation sums they replaced,
-unchanged: every injective index map sigma and every rearrangement kappa of
-it, r!/(r - h)! * h! pairs, each with its own Kronecker-delta sign and wedge
-chain.  `chern_polarized_reference` is the old `chern_polarized` and
-`chern_scalar_reference` the old `chern_scalar`.  Tests require the routes to
-agree.
-
-It also keeps the matrix products and the transgression slice that built an
-intermediate form per summand, unchanged: `form_matrix_wedge_reference` and
-`trace_wedge_reference` are the old `FormMatrix.wedge` and
-`FormMatrix.trace_wedge` (`self` is the left factor), folding
-`acc = acc + a.wedge(b)`, and `bott_delta_link_reference` is the old k = 1
-branch of `bott_delta`, which took the curvature of the link afresh at each
-Gauss node.  The new products must build the same coefficient trees.
-
-`bott_delta_branch_reference` is the whole `bott_delta` that had one branch
-per simplex: c_h(Omega) for k = 0, the Gauss-node transgression for k = 1
-(with c_1(alpha) as a shortcut), and the closed forms 0 and c_2(alpha_1,
-alpha_2) for k = 2.  The simplex formula must build the same trees for
-k = 0 and k = 1, and the same values for k = 2.
+- `chern_polarized_reference` guards `chern.chern_polarized`.  It is the
+  generalized-delta sum that the cycle expansion over S_h replaced: every
+  injective index map sigma and every rearrangement kappa of it,
+  r!/(r - h)! * h! pairs, each with its own Kronecker-delta sign and wedge
+  chain.  Tests require equal values.
+- `form_matrix_wedge_reference` and `trace_wedge_reference` guard
+  `FormMatrix.wedge` and `FormMatrix.trace_wedge` (`self` is the left
+  factor).  They are the old products, which built an intermediate form per
+  summand by folding `acc = acc + a.wedge(b)`.  Tests require the same
+  coefficient trees.
+- `bott_delta_branch_reference` guards `chern.bott_delta`.  It is the whole
+  `bott_delta` that had one branch per simplex: c_h(Omega) for k = 0, the
+  Gauss-node transgression for k = 1 (with c_1(alpha) as a shortcut), and the
+  closed forms 0 and c_2(alpha_1, alpha_2) for k = 2.  Tests require the
+  simplex formula to build the same trees for k = 0 and k = 1, and the same
+  values for k = 2.
 """
 
 from __future__ import annotations
@@ -30,32 +24,11 @@ import math
 from itertools import permutations
 from typing import Sequence
 
-import numpy as np
-
 from algebroids.chern import chern_polarized, gauss_legendre_01
 from algebroids.connections import FormMatrix, _require_connection, curvature
 from algebroids.expressions import Const, ScalarField, balanced_sum, mul
 from algebroids.forms import AForm
 from dense_oracle import generalized_delta
-
-
-def chern_scalar_reference(matrix: np.ndarray, h: int) -> float:
-    """c_h(F) = (1/h!) delta^{v...}_{u...} F^u_v ... = sum of principal h-minors."""
-    matrix = np.asarray(matrix, dtype=float)
-    r = matrix.shape[0]
-    if matrix.shape != (r, r):
-        raise ValueError("chern_scalar needs a square matrix")
-    if not 1 <= h <= r:
-        raise ValueError(f"c_{h} is out of range for {r}x{r} matrices")
-    total = 0.0
-    for sigma in permutations(range(r), h):
-        for kappa in permutations(sigma):
-            sign = generalized_delta(sigma, kappa)
-            term = float(sign)
-            for s, k in zip(sigma, kappa):
-                term *= matrix[s, k]
-            total += term
-    return total / math.factorial(h)
 
 
 def chern_polarized_reference(args: Sequence[FormMatrix]) -> AForm:
@@ -137,24 +110,6 @@ def trace_wedge_reference(self: FormMatrix, other: FormMatrix) -> AForm:
                 continue
             acc = acc + a.wedge(b)
     return acc
-
-
-def bott_delta_link_reference(connections: Sequence[FormMatrix], h: int) -> AForm:
-    """Delta(omega0, omega1)c_h with the link curvature rebuilt at every node."""
-    if h < 1:
-        raise ValueError(f"c_{h} is not a Chern polynomial: the degree must be at least 1")
-    for conn in connections:
-        _require_connection(conn)
-    c0 = connections[0]
-    chart = c0.chart
-    alpha = connections[1] - c0
-    if h == 1:  # c_1(alpha) does not depend on the link parameter
-        return chern_polarized([alpha])
-    total = chart.zero_form(2 * h - 1)
-    for x, w in zip(*gauss_legendre_01(h)):
-        omega_x = curvature(c0 + alpha.scale(float(x)))
-        total = total + chern_polarized([alpha] + [omega_x] * (h - 1)).scale(float(w))
-    return total.scale(float(h))
 
 
 def bott_delta_branch_reference(connections: Sequence[FormMatrix], h: int) -> AForm:

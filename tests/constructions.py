@@ -1,70 +1,45 @@
 """Constructions that the tests exercise but no command of the CLI reaches.
 
-Frame changes of connections, covariant derivatives of bundle sections,
-partition-of-unity gluing, the vanishing of odd Chern classes on o(q) and
-sp(q), 1-jets of sections, covectors of a frame, values of forms on sections
-at a point, and the connection on A + A'* of a morphism alone.  Tests use them to check what `algebroids` builds: that
-Chern forms do not change under a frame change, that glued metric connections
-stay metric, and so on.
+Each one guards the `algebroids` route named after it:
+
+- `chern_scalar`: c_h of a numeric matrix, the sum of its principal minors;
+  guards `chern.chern_polarized` on constant matrices.
+- `sum_connection`: the connection on A + A'* of a morphism alone; it is
+  `connections.chain_connection` of the chain (id, phi), the input of most
+  class and transgression tests.
+- `covariant_derivative`: a connection acting on bundle sections; guards the
+  compatibility of `connections.bracket_connection` and
+  `morphism_target_connection` with a morphism.
+- `conjugate_connection` and `conjugate_form_matrix`: frame changes; guard
+  `connections.curvature` (it conjugates) and `chern.chern_polarized` (it
+  does not change).
+- `lift`: the 1-jet of a section; guards the split frame of
+  `algebroid.jet_prolong` (`JetChart.cotangent_rows`).
+- `basis_covector`: the 1-form dual to a frame section, an input of the
+  `algebroid.d_A`, `algebroid.pullback` and `classes.modular_form` tests.
+- `evaluate_on`: the value of a form on sections at a point; guards
+  `algebroid.pullback` on the images of frame sections.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from algebroids.algebroid import AlgebroidChart, JetChart, Morphism, d_A
-from algebroids.connections import FormMatrix, QuasiMetric, chain_connection, invert_field_matrix
-from algebroids.expressions import Const, ScalarField, ZERO, add, evaluate, max_abs_finite, mul
+from algebroids.connections import FormMatrix, chain_connection, invert_field_matrix
+from algebroids.expressions import Const, ScalarField, ZERO, add, mul
 from algebroids.forms import AForm, _require_same_chart
-from algebroids.sampling import sample_points
 from dense_oracle import Section, alternating_assignments, anchor_apply
 from expression_oracle import scalar_eval
 
 
 def chern_scalar(matrix: np.ndarray, h: int) -> float:
-    """c_h(F), the sum of principal h-minors, by Newton's identities.
-
-    k e_k = sum_{i=1}^{k} (-1)^{i-1} e_{k-i} p_i with the power sums
-    p_i = tr(F^i).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    r = matrix.shape[0]
-    if matrix.shape != (r, r):
-        raise ValueError("chern_scalar needs a square matrix")
-    if not 1 <= h <= r:
-        raise ValueError(f"c_{h} is out of range for {r}x{r} matrices")
-    power = np.eye(r)
-    power_sums = []
-    elementary = [1.0]
-    for k in range(1, h + 1):
-        power = power @ matrix
-        power_sums.append(float(np.trace(power)))
-        elementary.append(sum((-1) ** (i - 1) * elementary[k - i] * power_sums[i - 1]
-                              for i in range(1, k + 1)) / k)
-    return elementary[h]
-
-
-def odd_vanishing_check(matrix: np.ndarray, l: int, algebra: str = "o",
-                        membership_tol: float = 1e-9) -> float:
-    """|c_{2l-1}| of a matrix in o(q) or sp(q, R); rejects foreign input."""
-    matrix = np.asarray(matrix, dtype=float)
-    r = matrix.shape[0]
-    if algebra == "o":
-        residual = max_abs_finite(matrix + matrix.T)
-    elif algebra == "sp":
-        if r % 2:
-            raise ValueError("sp(q) needs even dimension")
-        half = r // 2
-        j = np.block([[np.zeros((half, half)), np.eye(half)],
-                      [-np.eye(half), np.zeros((half, half))]])
-        residual = max_abs_finite(matrix.T @ j + j @ matrix)
-    else:
-        raise ValueError("algebra must be 'o' or 'sp'")
-    if residual > membership_tol:
-        raise ValueError(f"matrix is not in {algebra}({r}) (residual {residual:.3g})")
-    return abs(chern_scalar(matrix, 2 * l - 1))
+    """c_h(F) by its definition: the sum of the principal h x h minors of F."""
+    return sum(np.linalg.det(matrix[np.ix_(rows, rows)])
+               for rows in combinations(range(len(matrix)), h))
 
 
 def sum_connection(phi: Morphism) -> FormMatrix:
@@ -141,34 +116,6 @@ def conjugate_form_matrix(m: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> 
             row.append(acc)
         rows.append(row)
     return FormMatrix(m.chart, rows, m.degree)
-
-
-def glue(connections: Sequence[FormMatrix], weights: Sequence[ScalarField]) -> FormMatrix:
-    """Convex combination of connections by a partition of unity."""
-    if len(connections) != len(weights) or not connections:
-        raise ValueError("need matching nonempty connections and weights")
-    chart = connections[0].chart
-    rank = connections[0].size
-    for conn in connections:
-        if conn.chart is not chart or conn.size != rank:
-            raise ValueError("glued connections must share chart and rank")
-    points = sample_points(chart.dim, 16, 11)
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN sum, rejected below
-        totals = evaluate(weights, points).sum(axis=0)
-    for point, total in zip(points.tolist(), totals):
-        if not abs(total - 1.0) <= 1e-9:  # a NaN weight is not a partition of unity
-            raise ValueError(f"weights sum to {total} at {tuple(point)}, not a partition of unity")
-    matrix = FormMatrix.zero(chart, rank, 1)
-    for conn, weight in zip(connections, weights):
-        matrix = matrix + conn.scale(weight)
-    return matrix
-
-
-def symmetry_residual(g: QuasiMetric, points) -> float:
-    """Largest |g - sign * g^T| over the points; inf if any entry is non-finite."""
-    values = g.values(points)
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN: an infinite residual
-        return max_abs_finite(values - g.sign * np.swapaxes(values, 1, 2))
 
 
 def lift(jet: JetChart, a: Section) -> Section:

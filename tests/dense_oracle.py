@@ -1,57 +1,61 @@
-"""Dense reference versions of `d_A`, `bracket_connection` and `modular_form`,
-the section algebra they rest on, and the per-case connection builders that
-`morphism_target_connection` replaced.
+"""Dense and section-by-section reference versions of `algebroids` routes.
 
-`Section`, `basis_section`, `anchor_apply` and `bracket` are the general
-section algebra (sections xi^i b_i, the anchor acting on functions, the
-Leibniz extension of the frame brackets), which `algebroids` no longer needs:
-it reads the bracket-induced connection off the structure functions in closed
-form, omega_u^t(b_i) = sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t), and
-builds the jet class as `relative_mu` on the chain (pi, phi).
-`target_connection` is that connection as the bracket [phi b_i, b'_u] of
-sections.  The dense versions scan every frame index through the structure
-functions `gamma` and `bracket_basis` (once methods of `AlgebroidChart`) and
-every anchor entry.  Tests require the sparse routes of `algebroids`, which
-visit only the chart's nonzero bracket and anchor terms, to build the same
-coefficient trees as these.
+`algebroids` has no section algebra: it reads the bracket-induced
+connection off the structure functions in closed form, omega_u^t(b_i) =
+sum_s phi_i^s c'_su^t - rho'(b'_u)(phi_i^t), and builds the jet class as
+`relative_mu` on the chain (pi, phi).  This module keeps the general section
+algebra and the dense loops that the sparse routes replaced.  Each function
+guards the route named with it:
 
-`HolonomicJet` is the former `algebroids.JetChart`: the first jet in the frame
-of holonomic sections j1(b_i), j1(x^h b_i), built by bracketing those
-sections and decomposing the result (`jet_decompose_section`).  Tests require
-the split frame of `jet_prolong` to give the same anchors, brackets and flat
-jet connections under dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i), pointwise.
-
-`jet_bracket_connection`, `jet_morphism_connection`, `distinguished_pair` and
-`morphism_sum_connection` are the former `algebroids.connections` builders,
-bodies unchanged; here `bracket`, `bracket_connection` and `dual_connection`
-resolve to the versions in this module.  Tests require
-`morphism_target_connection` of the identity, of a `HolonomicJet` projection
-and of a morphism composed with one, and the chain (id, phi), to build the
-same trees as these.
-
-`metric_compat_check`, `orthogonal_connection` and `dual_connection` are the
-former entry-by-entry loops of the metric layer, bodies unchanged; their
-`anchor_apply` and `d_A` are the dense ones above, which build the sparse
-ones' trees.  Tests require the `FormMatrix` products that replaced them to
-give equal residuals and the same trees.
-
-`pullback` is the former multilinear expansion of `algebroids.pullback`, body
-unchanged: every increasing source key against every target key and all k!
-orderings of it, signed by `generalized_delta` through
-`alternating_assignments`.  Tests require the wedge route that replaced it to
-give the same keys and equal values.
-
-`verify_axioms` and `check_morphism` are the former frame-by-frame axiom
-checks: the anchor loop over every frame pair and coordinate, the Jacobiator
-of every frame triple (`frame_jacobiators`, inner brackets built once per
-ordered pair), and the bracket of morphism images on every frame pair.  Bodies
-are unchanged, except that `section_sum` and `apply` are the former
-`Section.__add__` and `Morphism.apply`, and `sparse_bracket` is the former
-`algebroids.bracket`, reading the signed table `AlgebroidChart.structure`
-(the dense `bracket` builds its trees, about ten times slower on J1(sa3)).
-Tests require the d_A^2 = 0 and phi^* d = d phi^* routes that replaced them
-to give the same passed flags and failing triples, and residuals equal up to
-rounding.
+- `generalized_delta` and `alternating_assignments`: the multi-index
+  Kronecker delta and the signed orderings of a key; guard
+  `forms.shuffle_sign` and `AForm.coeff_signed`, and are the signs of the
+  permutation sums here and in `chern_oracle`.
+- `pullback`: the multilinear expansion over all k! orderings of each key;
+  guards `algebroid.pullback` (same keys, equal values).
+- `Section`, `basis_section`, `apply` and `section_sum`: sections xi^i b_i,
+  frame sections, the image phi(a) and the sum (the former
+  `Morphism.apply` and `Section.__add__`); the section algebra under the
+  references below, and the input of the jet and covariant-derivative tests.
+- `gamma`: c_ij^k with antisymmetry; guards `AlgebroidChart.structure`.
+- `anchor_apply`: rho(a) acting on a function, every partial derivative
+  taken before the anchor is read; guards the anchor terms of
+  `algebroid.d_A` through `d_A` below.  `test_algebroid.TestAnchorApply`
+  pins it to values known by hand.
+- `bracket`: the Leibniz extension of the frame brackets over every frame
+  index and anchor entry; guards `morphism_target_connection` through
+  `target_connection` below, and the brackets of `algebroid.jet_prolong`;
+  `test_algebroid.TestBracket` pins it to brackets known by hand.
+  `sparse_bracket` is the same over the nonzero terms of `structure` only,
+  the same trees about ten times faster on J1(sa3); it stays for that speed
+  in the axiom checks and `HolonomicJet`.
+- `d_A`: the Cartan coefficient formula over every key; guards
+  `algebroid.d_A` (same trees).
+- `frame_jacobiators`, `verify_axioms` and `check_morphism`: the
+  frame-by-frame axiom checks (the anchor loop over every frame pair and
+  coordinate, the Jacobiator of every frame triple, the bracket of morphism
+  images on every frame pair); guard the d_A^2 = 0 and phi^* d = d phi^*
+  routes of `algebroid.verify_axioms` and `algebroid.check_morphism` (same
+  passed flags and failing triples, residuals equal up to rounding).
+- `modular_form`: the dense scan through `gamma`; guards
+  `classes.modular_form` (same trees).
+- `target_connection`: [phi b_i, b'_u] by the dense `bracket`; guards
+  `connections.morphism_target_connection` (same trees): the bracket
+  connection (phi the identity), a target with its own anchor and brackets,
+  and the flat jet connections (phi a `HolonomicJet` projection, alone and
+  composed with a morphism).
+- `morphism_sum_connection`: the former builder of the connection on
+  A + A'*; guards `connections.chain_connection` of the chain (id, phi).
+- `HolonomicJet`, `_section_anchor_row` and `jet_decompose_section`: the
+  former `JetChart`, in the frame of holonomic sections j1(b_i), j1(x^h b_i),
+  built by bracketing those sections and decomposing the result; guard the
+  split frame of `algebroid.jet_prolong` under
+  dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i) (same anchors, brackets and flat
+  jet connections, pointwise).
+- `metric_compat_check`, `orthogonal_connection` and `dual_connection`:
+  the former entry-by-entry loops of the metric layer; guard the
+  `FormMatrix` products of `connections` that replaced them (equal
+  residuals, same trees).
 """
 
 from __future__ import annotations
@@ -163,10 +167,6 @@ def gamma(chart: AlgebroidChart, i: int, j: int, k: int) -> ScalarField:
     return mul(Const(-1.0), coeff) if not coeff.is_zero() else ZERO
 
 
-def bracket_basis(chart: AlgebroidChart, i: int, j: int) -> list[ScalarField]:
-    return [gamma(chart, i, j, k) for k in range(chart.rank)]
-
-
 def anchor_apply(a: Section, f: ScalarField) -> ScalarField:
     """The anchor image of `a` acting on a base function: xi^i rho_i^j df/dx^j."""
     chart = a.chart
@@ -252,7 +252,8 @@ def d_A(omega: AForm) -> AForm:
                     i_r, i_t = index[r], index[t]
                     rest = tuple(v for p, v in enumerate(index) if p not in (r, t))
                     pair_sign = -1.0 if (r + t) % 2 else 1.0
-                    for m, coeff in enumerate(bracket_basis(chart, i_r, i_t)):
+                    for m in range(chart.rank):
+                        coeff = gamma(chart, i_r, i_t, m)
                         if coeff.is_zero():
                             continue
                         value = omega.coeff_signed((m,) + rest)
@@ -360,13 +361,6 @@ def check_morphism(phi: Morphism, points, tol: float = 1e-9) -> CheckRecord:
     )
 
 
-def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
-    """The connection nabla_{b_i} b_j = [b_i, b_j] on the algebroid itself."""
-    return connection_from_coefficients(
-        chart, chart.rank, lambda i, u, t: gamma(chart, i, u, t)
-    )
-
-
 def modular_form(chart: AlgebroidChart) -> AForm:
     """Coefficient on b*^i: sum_k gamma_ik^k + sum_j d(rho_i^j)/dx^j (unchecked)."""
     table = {}
@@ -391,15 +385,11 @@ def target_connection(phi: Morphism) -> FormMatrix:
     )
 
 
-def distinguished_pair(phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
-    """Bracket connection on the source and the induced one on the target."""
-    return bracket_connection(phi.source), morphism_target_connection(phi)
-
-
 def morphism_sum_connection(phi: Morphism) -> FormMatrix:
-    """The compatible connection on A + A'* built from a distinguished pair."""
-    nabla, nabla_prime = distinguished_pair(phi)
-    return direct_sum(nabla, dual_connection(nabla_prime))
+    """The compatible connection on A + A'*: the bracket connection on the
+    source and the dual of the one induced on the target."""
+    return direct_sum(target_connection(Morphism.identity(phi.source)),
+                      dual_connection(morphism_target_connection(phi)))
 
 
 class HolonomicJet(AlgebroidChart):
@@ -480,36 +470,6 @@ def jet_decompose_section(base: AlgebroidChart, a: Section) -> dict[int, ScalarF
         if not leading.is_zero():
             coeffs[k] = add(coeffs.get(k, ZERO), leading)
     return coeffs
-
-
-def jet_bracket_connection(jet: HolonomicJet) -> FormMatrix:
-    """Flat jet-algebroid connection on the underlying bundle.
-
-    Covariant derivative along each jet frame element is the bracket with its
-    defining section.
-    """
-    base = jet.base_chart
-    table = []
-    for sec in jet.defining:
-        table.append([bracket(sec, basis_section(base, j)).comps for j in range(base.rank)])
-    return connection_from_coefficients(
-        jet, base.rank, lambda p, u, t: table[p][u][t]
-    )
-
-
-def jet_morphism_connection(jet: HolonomicJet, phi: Morphism) -> FormMatrix:
-    """Flat jet-algebroid connection on the morphism target bundle."""
-    if phi.source is not jet.base_chart:
-        raise ValueError("morphism must start at the jet's underlying chart")
-    target = phi.target
-    table = []
-    for sec in jet.defining:
-        image = apply(phi, sec)
-        table.append([bracket(image, basis_section(target, u)).comps
-                      for u in range(target.rank)])
-    return connection_from_coefficients(
-        jet, target.rank, lambda p, u, t: table[p][u][t]
-    )
 
 
 def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,

@@ -1,22 +1,24 @@
-"""Reference expression evaluation and differentiation, and the tree shape
-that tests compare.
+"""Reference expression walks, and the tree comparison that tests use.
 
-`scalar_eval` is the per-node-class recursive `eval` that
-`algebroids.expressions` replaced with a numpy walk over distinct nodes; it
-revisits a shared subtree at every use.  Tests require the walk to return the
-same values, to the last bits numpy's kernels may change.
-
-`recursive_diff` is the per-node-class recursive `diff` that
-`ScalarField.diff` replaced with one children-first pass over distinct nodes,
-rules unchanged; it re-derives a shared subtree at every use, so its cost is
-exponential in the depth of the sharing.  Tests require the pass to build the
-same trees (node kinds, constants and child order).
-
-`recursive_schedule` is the recursive registration that `_schedule` replaced
-with an explicit stack, and `recursive_str` the per-node-class `__str__` that
-one children-first pass (`_str_node`) replaced.  Both recurse once per level
-of depth.  Tests require the same node order and parent-edge counts, and the
-same text.
+- `scalar_eval` guards `expressions.evaluate`, `field_maxima` and `residual`.
+  It is the per-node-class recursive `eval` that the numpy walk over
+  distinct nodes replaced, and revisits a shared subtree at every use.  Tests
+  require the walk to return the same values, to the last bits numpy's
+  kernels may change; many tests also read single values with it.
+- `recursive_diff` guards `ScalarField.diff`.  It is the per-node-class
+  recursive `diff` that one children-first pass over distinct nodes
+  replaced, rules unchanged; it re-derives a shared subtree at every use, so
+  its cost is exponential in the depth of the sharing.  Tests require the
+  pass to build the same trees.
+- `recursive_schedule` guards `expressions._schedule`, the registration that
+  an explicit stack replaced, and `recursive_str` (with `_paren_additive`
+  and `_paren_tight`) guards `ScalarField.__str__`, the per-node-class text
+  that one children-first pass replaced.  Both recurse once per level of
+  depth.  Tests require the same node order and parent-edge counts, and the
+  same text.
+- `same_tree` is how tests compare the trees of two routes (node kinds,
+  constants, coordinates, exponents and child order, so also the text), in
+  time linear in the distinct nodes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from algebroids.expressions import (
     ZERO,
     _children,
     _format_number,
+    _schedule,
     add,
     div,
     mul,
@@ -115,19 +118,27 @@ def recursive_diff(node: ScalarField, index: int) -> ScalarField:
     raise TypeError(f"unknown node {node!r}")
 
 
-def tree_shape(field: ScalarField):
-    """Node kinds, constants and child order of an expression tree."""
-    if isinstance(field, Const):
-        return ("Const", repr(field.value))
-    if isinstance(field, Coord):
-        return ("Coord", field.index)
-    kids = tuple(
-        tree_shape(value)
-        for cls in type(field).__mro__
-        for slot in getattr(cls, "__slots__", ())
-        if isinstance(value := getattr(field, slot, None), ScalarField)
-    )
-    return (type(field).__name__, getattr(field, "exponent", None), kids)
+def same_tree(a: ScalarField, b: ScalarField) -> bool:
+    """Whether `a` and `b` have the same tree: node kinds, constants (by
+    `repr`), coordinates (index and name), exponents and child order, hence
+    also the same text.
+
+    Each distinct node is numbered by its shape, with its children's numbers
+    in place of the children, so the cost is linear in the distinct nodes,
+    not in the size of the trees they expand to.
+    """
+    numbers: dict[ScalarField, int] = {}
+    shapes: dict[tuple, int] = {}
+    for node in _schedule((a, b))[0]:
+        if isinstance(node, Const):
+            shape = ("Const", repr(node.value))
+        elif isinstance(node, Coord):
+            shape = ("Coord", node.index, node.name)
+        else:
+            shape = (type(node).__name__, getattr(node, "exponent", None),
+                     *(numbers[kid] for kid in _children(node)))
+        numbers[node] = shapes.setdefault(shape, len(shapes))
+    return numbers[a] == numbers[b]
 
 
 def recursive_schedule(roots) -> tuple[list[ScalarField], dict]:

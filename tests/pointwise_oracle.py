@@ -4,9 +4,15 @@ These are the per-point loops that `algebroids.connections` replaced with
 array operations on all probe points at once: each value comes from the
 scalar tree walk (`expression_oracle.scalar_eval`), one probe point at a
 time.  They are kept unchanged, as functions of the object they were
-methods of, and draw their probe points as tuples of Python floats, as the
+methods of, and take their probe points as lists of Python floats, as the
 library did while it used them, so the scalar walk raises on overflow as it
-did then.  Tests require the array route to give the same residuals.
+did then.  Tests require the array route to give the same residuals:
+
+- `eval_on` guards `FormMatrix.eval_on`;
+- `metric_eval` guards `QuasiMetric.values`;
+- `k_flatness_check` guards `connections.k_flatness_check`;
+- `quasi_metric_frame_check` guards `connections.quasi_metric_frame_check`
+  and the `adapted_frame` it builds.
 """
 
 from __future__ import annotations
@@ -18,14 +24,8 @@ import numpy as np
 from algebroids.connections import adapted_frame, curvature, kernel_frame_on_S
 from algebroids.expressions import max_abs_finite
 from algebroids.reports import CheckRecord
+from algebroids.sampling import sample_points
 from expression_oracle import scalar_eval
-
-
-def sample_points(dimension: int, count: int, seed: int) -> list[tuple[float, ...]]:
-    """Uniform points in [-1, 1]^dimension from a seeded generator."""
-    rng = np.random.default_rng(seed)
-    grid = rng.uniform(-1.0, 1.0, (count, dimension))
-    return [tuple(float(v) for v in row) for row in grid]
 
 
 def eval_on(matrix, frame_indices: tuple[int, ...], point) -> np.ndarray:
@@ -44,20 +44,12 @@ def metric_eval(g, point) -> np.ndarray:
     return np.array([[scalar_eval(e, point) for e in row] for row in g.matrix])
 
 
-def symmetry_residual(g, points) -> float:
-    worst = 0.0
-    for point in points:
-        m = metric_eval(g, point)
-        worst = max(worst, max_abs_finite(m - g.sign * m.T))
-    return worst
-
-
 def k_flatness_check(conn_S, phi, ker_rows, coker_rows, n_points: int = 100,
                      seed: int = 42, tol: float = 1e-10) -> CheckRecord:
     """Curvature of the sum connection applied to the annihilator frame."""
     chart = conn_S.chart
     vectors = kernel_frame_on_S(phi, ker_rows, coker_rows)
-    points = sample_points(chart.dim, n_points, seed)
+    points = sample_points(chart.dim, n_points, seed).tolist()
     omega = curvature(conn_S)
     worst = 0.0
     evaluated = 0
@@ -79,7 +71,7 @@ def quasi_metric_frame_check(conn, g, kernel_vectors, n_points: int = 50,
                              seed: int = 42, tol: float = 1e-9) -> list[CheckRecord]:
     """Pointwise checks in an adapted frame for a quasi-metric connection."""
     chart = conn.chart
-    points = sample_points(chart.dim, n_points, seed)
+    points = sample_points(chart.dim, n_points, seed).tolist()
     s_frame, canonical, t_frame = adapted_frame(g, kernel_vectors, points)
     frame = np.vstack([s_frame, t_frame]) if len(t_frame) else s_frame
     frame_inv = np.linalg.inv(frame)

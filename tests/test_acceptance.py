@@ -36,7 +36,7 @@ from algebroids.connections import (
 )
 from algebroids.expressions import Const, parse_expression
 from algebroids.sampling import sample_points
-from constructions import chern_scalar, odd_vanishing_check, sum_connection
+from constructions import sum_connection
 from expression_oracle import scalar_eval
 from transgression_oracle import integrate_unit_interval
 
@@ -104,20 +104,27 @@ def test_criterion_02_bianchi(tangent_r2, so3, solvable2d, action_x, chain,
     _report(2, f"Bianchi identity on {checked} connections across all fixtures")
 
 
-def test_criterion_03_odd_chern_vanishing():
+def _chern_of_constant(chart, matrix, h: int) -> float:
+    """c_h of a numeric matrix, by `chern_polarized` on constant 0-forms."""
+    constant = FormMatrix.of_functions(chart, [[Const(float(v)) for v in row] for row in matrix])
+    return scalar_eval(chern_polarized([constant] * h).coeff(()), (0.0,))
+
+
+def test_criterion_03_odd_chern_vanishing(so3):
+    chart = so3.chart("so3")
     rng = np.random.default_rng(SEED)
     for r in (2, 3, 4):
         for _ in range(100):
             raw = rng.normal(size=(r, r))
             skew = raw - raw.T
-            assert odd_vanishing_check(skew, 1) <= 1e-12
+            assert abs(_chern_of_constant(chart, skew, 1)) <= 1e-12
             if r >= 3:
-                assert odd_vanishing_check(skew, 2) <= 1e-12
-            assert abs(chern_scalar(skew, 2)) > 1e-12
+                assert abs(_chern_of_constant(chart, skew, 3)) <= 1e-12
+            assert abs(_chern_of_constant(chart, skew, 2)) > 1e-12
     for _ in range(100):
         a, b, c = rng.normal(size=3)
         sp2 = np.array([[a, b], [c, -a]])
-        assert odd_vanishing_check(sp2, 1, algebra="sp") <= 1e-12
+        assert abs(_chern_of_constant(chart, sp2, 1)) <= 1e-12
     _report(3, "c1 and c3 vanish on o(2), o(3), o(4), sp(2, R); c2 does not")
 
 

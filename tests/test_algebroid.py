@@ -1,4 +1,5 @@
-"""Charts, brackets, the exterior differential, morphisms, links, and jets."""
+"""Charts, brackets, the exterior differential, axiom checks, morphisms, pullbacks,
+parameter charts, and jets."""
 
 import time
 from itertools import combinations
@@ -27,7 +28,7 @@ import dense_oracle
 from dense_oracle import (Section, anchor_apply, apply, basis_section, bracket, gamma,
                           pullback as dense_pullback)
 from expression_oracle import scalar_eval
-from transgression_oracle import build_link_chart
+from transgression_oracle import extend_with_parameters
 
 
 def _field(chart, text):
@@ -65,6 +66,8 @@ def _tied_jacobi_chart():
 
 
 class TestAnchorApply:
+    """The dense `anchor_apply` of `dense_oracle` on vector fields with known values."""
+
     def test_de_rham_case(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
         a = basis_section(chart, 0)
@@ -86,6 +89,8 @@ class TestAnchorApply:
 
 
 class TestBracket:
+    """The dense section `bracket` of `dense_oracle` against brackets known by hand."""
+
     def test_antisymmetry_on_self(self, solvable2d, line_points):
         chart = solvable2d.chart("solvable")
         a = Section(chart, [_field(chart, "x"), _field(chart, "1+x^2")])
@@ -418,9 +423,11 @@ class TestAxiomChecksMatchDenseOracle:
 
 
 class TestLinkChart:
+    """The product with the unit-interval tangent algebroid that the parameter-chart
+    reference integrates over, and `verify_axioms` on it."""
+
     def test_zero_anchor_block_structure(self, so3):
-        chart = so3.chart("so3")
-        link = build_link_chart(chart)
+        link = extend_with_parameters(so3.chart("so3"), ["tau"])
         assert link.rank == 4 and link.dim == 2
         for i in range(3):
             assert link.anchor[i][1].is_zero()
@@ -428,12 +435,11 @@ class TestLinkChart:
         assert link.anchor[3][0].is_zero()
 
     def test_tangent_line_extends_to_plane(self, action_x):
-        chart = action_x.chart("tangent")
-        link = build_link_chart(chart)
+        link = extend_with_parameters(action_x.chart("tangent"), ["tau"])
         assert all(r.passed for r in verify_axioms(link, sample_points(link.dim, 40, 42)))
 
     def test_linked_so3_passes_axioms(self, so3):
-        link = build_link_chart(so3.chart("so3"))
+        link = extend_with_parameters(so3.chart("so3"), ["tau"])
         assert all(r.passed for r in verify_axioms(link, sample_points(link.dim, 40, 42)))
 
 

@@ -1,12 +1,13 @@
 """Chern polynomials, fiber integration, difference forms, and identities.
 
-Fiber integration and the parameter-chart route to difference forms live in
-`transgression_oracle`; `bott_delta` is checked against them.
+The parameter-chart route to difference forms lives in `transgression_oracle`
+and the branch per simplex in `chern_oracle`; `bott_delta` is checked against
+both.
 """
 
 import math
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -38,104 +39,76 @@ from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from chern_oracle import (
     bott_delta_branch_reference,
-    bott_delta_link_reference,
     chern_polarized_reference,
-    chern_scalar_reference,
     form_matrix_wedge_reference,
     trace_wedge_reference,
 )
-from constructions import (chern_scalar, conjugate_form_matrix, odd_vanishing_check,
-                          sum_connection)
-from expression_oracle import scalar_eval, tree_shape
+from constructions import chern_scalar, conjugate_form_matrix, sum_connection
+from expression_oracle import same_tree, scalar_eval
 from transgression_oracle import (
-    NonPolynomialError,
     bott_delta_reference,
-    bott_delta_via_fiber_integration,
-    build_link_chart,
     extend_with_parameters,
     fiber_integrate,
     integrate_unit_interval,
 )
 
 
-def _minor_chern(matrix, h):
-    """Independent oracle: sum of principal h x h minors via determinants."""
-    total = 0.0
-    for rows in combinations(range(len(matrix)), h):
-        sub = matrix[np.ix_(rows, rows)]
-        total += np.linalg.det(sub)
-    return total
+def _constant_matrix(chart, values):
+    """A numeric matrix as a matrix of constant 0-forms on `chart`."""
+    rows = []
+    for row in values:
+        rows.append([chart.function_form(Const(float(v))) for v in row])
+    return FormMatrix(chart, rows, 0)
 
 
 class TestChernScalar:
-    def test_first_polynomial_is_trace(self):
+    """The reference `chern_scalar` and `chern_polarized` on constant matrices,
+    both against closed forms."""
+
+    @staticmethod
+    def _both(chart, values, h):
+        out = chern_polarized([_constant_matrix(chart, values)] * h)
+        return chern_scalar(values, h), scalar_eval(out.coeff(()), (0.0,))
+
+    def test_first_polynomial_is_trace(self, so3):
+        chart = so3.chart("so3")
         rng = np.random.default_rng(0)
         for _ in range(10):
             m = rng.normal(size=(4, 4))
-            assert chern_scalar(m, 1) == pytest.approx(np.trace(m))
+            for value in self._both(chart, m, 1):
+                assert value == pytest.approx(np.trace(m))
 
-    def test_identity_gives_binomials(self):
-        for r in (2, 3, 4):
-            for h in range(1, r + 1):
-                assert chern_scalar(np.eye(r), h) == pytest.approx(
-                    math.comb(r, h))
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_identity_gives_binomials(self, so3, r):
+        chart = so3.chart("so3")
+        for h in range(1, r + 1):
+            for value in self._both(chart, np.eye(r), h):
+                assert value == pytest.approx(math.comb(r, h))
 
-    def test_diagonal_second_minors(self):
-        assert chern_scalar(np.diag([1.0, 2.0, 3.0]), 2) == pytest.approx(11.0)
+    def test_diagonal_second_minors(self, so3):
+        for value in self._both(so3.chart("so3"), np.diag([1.0, 2.0, 3.0]), 2):
+            assert value == pytest.approx(11.0)
 
-    def test_matches_minor_oracle(self):
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_minor_oracle(self, so3, r):
+        chart = so3.chart("so3")
         rng = np.random.default_rng(7)
-        for r in (2, 3, 4):
-            for h in range(1, r + 1):
-                m = rng.normal(size=(r, r))
-                assert chern_scalar(m, h) == pytest.approx(
-                    _minor_chern(m, h), rel=1e-10)
+        for h in range(1, r + 1):
+            m = rng.normal(size=(r, r))
+            reference, value = self._both(chart, m, h)
+            assert value == pytest.approx(reference, rel=1e-10)
 
-    def test_matches_permutation_sum(self):
-        rng = np.random.default_rng(17)
-        for r in (1, 2, 3, 4, 5):
-            for h in range(1, r + 1):
-                m = rng.normal(size=(r, r))
-                assert chern_scalar(m, h) == pytest.approx(
-                    chern_scalar_reference(m, h), rel=1e-10, abs=1e-12)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            chern_scalar(np.eye(2), 3)
-        with pytest.raises(ValueError):
-            chern_scalar(np.eye(2), 0)
-        with pytest.raises(ValueError):
-            chern_scalar(np.eye(4), 5)
-
-
-class TestOddVanishing:
-    def test_skew_matrices_kill_odd_polynomials(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            raw = rng.normal(size=(4, 4))
-            skew = raw - raw.T
-            assert odd_vanishing_check(skew, 1) < 1e-12
-            assert odd_vanishing_check(skew, 2) < 1e-12
-            assert abs(chern_scalar(skew, 2)) > 1e-12
-
-    def test_symplectic_two_by_two(self):
+    def test_symplectic_two_by_two(self, so3):
+        # c_1 vanishes on sp(2, R): the trace of [[a, b], [c, -a]].
+        chart = so3.chart("so3")
         rng = np.random.default_rng(13)
         for _ in range(20):
             a, b, c = rng.normal(size=3)
-            m = np.array([[a, b], [c, -a]])
-            assert odd_vanishing_check(m, 1, algebra="sp") < 1e-14
-
-    def test_foreign_matrix_rejected(self):
-        with pytest.raises(ValueError, match="not in o"):
-            odd_vanishing_check(np.diag([1.0, -2.0]), 1)
+            for value in self._both(chart, np.array([[a, b], [c, -a]]), 1):
+                assert abs(value) < 1e-14
 
 
 class TestChernPolarized:
-    def _constant_matrix(self, chart, values):
-        rows = []
-        for row in values:
-            rows.append([chart.function_form(Const(float(v))) for v in row])
-        return FormMatrix(chart, rows, 0)
 
     def test_single_argument_is_trace(self, so3, line_points):
         chart = so3.chart("so3")
@@ -148,44 +121,42 @@ class TestChernPolarized:
         rng = np.random.default_rng(3)
         for h in (1, 2, 3):
             values = rng.normal(size=(3, 3))
-            matrix = self._constant_matrix(chart, values)
+            matrix = _constant_matrix(chart, values)
             out = chern_polarized([matrix] * h)
             assert scalar_eval(out.coeff(()), (0.0,)) == pytest.approx(
                 chern_scalar(values, h), rel=1e-12)
 
     def test_two_diagonal_arguments_by_hand(self, so3):
         chart = so3.chart("so3")
-        a = self._constant_matrix(chart, np.diag([2.0, 5.0]))
-        b = self._constant_matrix(chart, np.diag([7.0, 3.0]))
+        a = _constant_matrix(chart, np.diag([2.0, 5.0]))
+        b = _constant_matrix(chart, np.diag([7.0, 3.0]))
         out = chern_polarized([a, b])
         # (1/2)(a1 b2 + a2 b1)
         assert scalar_eval(out.coeff(()), (0.0,)) == pytest.approx(0.5 * (2 * 3 + 5 * 7))
 
-    def test_polarization_consistency_brute_force(self, so3):
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_polarization_consistency_brute_force(self, so3, h):
         # All arguments equal to a matrix of even-degree forms reproduces the
         # formal minor expansion.
         chart = so3.chart("so3")
         conn = bracket_connection(chart)
         curv = curvature(direct_sum(conn, conn))
-        for h in (1, 2, 3):
-            lhs = chern_polarized([curv] * h)
-            rhs_table = {}
-            points = sample_points(1, 10, 42)
-            rhs = chart.zero_form(2 * h)
-            for rows in combinations(range(curv.size), h):
-                from itertools import permutations
-                for perm in permutations(range(h)):
-                    sign = 1
-                    for i in range(h):
-                        for j in range(i + 1, h):
-                            if perm[i] > perm[j]:
-                                sign = -sign
-                    term = None
-                    for i, p in enumerate(perm):
-                        entry = curv.entries[rows[i]][rows[p]]
-                        term = entry if term is None else term.wedge(entry)
-                    rhs = rhs + term.scale(float(sign))
-            assert (lhs - rhs).max_abs(points) < 1e-10
+        lhs = chern_polarized([curv] * h)
+        points = sample_points(1, 10, 42)
+        rhs = chart.zero_form(2 * h)
+        for rows in combinations(range(curv.size), h):
+            for perm in permutations(range(h)):
+                sign = 1
+                for i in range(h):
+                    for j in range(i + 1, h):
+                        if perm[i] > perm[j]:
+                            sign = -sign
+                term = None
+                for i, p in enumerate(perm):
+                    entry = curv.entries[rows[i]][rows[p]]
+                    term = entry if term is None else term.wedge(entry)
+                rhs = rhs + term.scale(float(sign))
+        assert (lhs - rhs).max_abs(points) < 1e-10
 
     def test_ad_invariance_of_chern_forms(self, so3, line_points):
         chart = so3.chart("so3")
@@ -202,8 +173,8 @@ class TestChernPolarized:
 
     def test_dimension_mismatch_rejected(self, so3):
         chart = so3.chart("so3")
-        a = self._constant_matrix(chart, np.eye(2))
-        b = self._constant_matrix(chart, np.eye(3))
+        a = _constant_matrix(chart, np.eye(2))
+        b = _constant_matrix(chart, np.eye(3))
         with pytest.raises(ValueError):
             chern_polarized([a, b])
 
@@ -319,18 +290,28 @@ def _anchored_plane_chart():
                           [[one, ZERO] if i % 2 == 0 else [ZERO, one] for i in range(7)])
 
 
+CHARTS = ["sl2aff", "action_x", "plane", "anchored_plane"]
+
+
+def _chart(name, sl2aff, action_x):
+    """One of `CHARTS`: two fixture charts and the two rank-6 and rank-7 planes above."""
+    if name == "sl2aff":
+        return sl2aff.chart("sl2aff")
+    if name == "action_x":
+        return action_x.chart("action")
+    return _plane_chart() if name == "plane" else _anchored_plane_chart()
+
+
+def _assert_same_trees(new: AForm, old: AForm, label=None) -> None:
+    """Same degree, keys in the same order, and the same tree per key."""
+    assert new.degree == old.degree
+    assert list(new.table) == list(old.table), label
+    for key, coeff in old.table.items():
+        assert same_tree(new.table[key], coeff), (label, key)
+
+
 class TestProductsAgainstIntermediateForms:
     """Matrix products without intermediate forms against `acc = acc + a.wedge(b)`."""
-
-    CHARTS = ["sl2aff", "action_x", "plane", "anchored_plane"]
-
-    @staticmethod
-    def _chart(name, sl2aff, action_x):
-        if name == "sl2aff":
-            return sl2aff.chart("sl2aff")
-        if name == "action_x":
-            return action_x.chart("action")
-        return _plane_chart() if name == "plane" else _anchored_plane_chart()
 
     @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4),
            degrees=st.tuples(st.integers(0, 2), st.integers(0, 2)),
@@ -338,7 +319,7 @@ class TestProductsAgainstIntermediateForms:
     @settings(max_examples=40, deadline=None)
     def test_products_build_the_same_trees(self, sl2aff, action_x, chart_name, size,
                                            degrees, seed):
-        chart = self._chart(chart_name, sl2aff, action_x)
+        chart = _chart(chart_name, sl2aff, action_x)
         rng = np.random.default_rng(seed)
         a, b = (_random_form_matrix(chart, size, min(d, chart.rank), rng) for d in degrees)
         product, old = a.wedge(b), form_matrix_wedge_reference(a, b)
@@ -347,25 +328,7 @@ class TestProductsAgainstIntermediateForms:
                  for new, ref in zip(new_row, ref_row)]
         pairs.append((a.trace_wedge(b), trace_wedge_reference(a, b)))
         for new, ref in pairs:
-            assert list(new.table) == list(ref.table)
-            for key, coeff in ref.table.items():
-                assert str(new.table[key]) == str(coeff), key
-                assert tree_shape(new.table[key]) == tree_shape(coeff), key
-
-    @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4), h=st.integers(2, 4),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_transgression_matches_rebuilt_link_curvature(self, sl2aff, action_x,
-                                                          chart_name, size, h, seed):
-        chart = self._chart(chart_name, sl2aff, action_x)
-        rng = np.random.default_rng(seed)
-        c0, c1 = (_random_form_matrix(chart, size, 1, rng, density=0.5, keys_per_entry=2)
-                  for _ in range(2))
-        points = sample_points(chart.dim, 20, seed % 1000)
-        new = bott_delta([c0, c1], h)
-        old = bott_delta_link_reference([c0, c1], h)
-        assert new.degree == old.degree == 2 * h - 1
-        assert (new - old).max_abs(points) <= 1e-12 * max(1.0, old.max_abs(points))
+            _assert_same_trees(new, ref)
 
 
 class TestTransgressionWork:
@@ -407,53 +370,38 @@ class TestTransgressionWork:
 
 
 class TestFiberIntegration:
+    """`fiber_integrate`, the 2-simplex integral of the parameter-chart reference."""
+
+    @staticmethod
+    def _product(tangent_r2):
+        chart = tangent_r2.chart("TR2")
+        return chart, extend_with_parameters(chart, ["t1", "t2"])
+
     def test_no_parameter_component_integrates_to_zero(self, tangent_r2):
-        chart = tangent_r2.chart("TR2")
-        link = build_link_chart(chart)
-        form = AForm(link, 1, {(0,): Const(1.0)})
-        out = fiber_integrate(form, 1, chart)
-        assert out.is_zero()
-
-    def test_unit_interval_volume(self, tangent_r2, plane_points):
-        chart = tangent_r2.chart("TR2")
-        link = build_link_chart(chart)
-        x = parse_expression("x", link.coords)
-        form = AForm(link, 2, {(0, 2): x})
-        out = fiber_integrate(form, 1, chart)
-        expected = AForm(chart, 1, {(0,): parse_expression("x", chart.coords)})
-        assert (out - expected).max_abs(plane_points) < 1e-14
-
-    def test_tau_polynomial_weight(self, tangent_r2):
-        chart = tangent_r2.chart("TR2")
-        link = build_link_chart(chart)
-        tau = link.coordinate_field(2)
-        weight = tau * (Const(1.0) - tau)
-        form = AForm(link, 1, {(2,): weight})
-        out = fiber_integrate(form, 1, chart)
-        assert scalar_eval(out.coeff(()), (0.0, 0.0)) == pytest.approx(1.0 / 6.0)
+        chart, product_chart = self._product(tangent_r2)
+        form = AForm(product_chart, 2, {(0, 2): Const(1.0)})
+        out = fiber_integrate(form, chart)
+        assert out.is_zero() and out.degree == 0
 
     def test_non_polynomial_coefficients_rejected(self, tangent_r2):
-        chart = tangent_r2.chart("TR2")
-        link = build_link_chart(chart)
-        form = AForm(link, 1, {(2,): parse_expression(
-            "sin(tau)", link.coords)})
-        with pytest.raises(NonPolynomialError):
-            fiber_integrate(form, 1, chart)
+        chart, product_chart = self._product(tangent_r2)
+        form = AForm(product_chart, 2, {(2, 3): parse_expression(
+            "sin(t1)", product_chart.coords)})
+        with pytest.raises(ValueError, match="not polynomial"):
+            fiber_integrate(form, chart)
 
     def test_simplex_area(self, tangent_r2):
-        chart = tangent_r2.chart("TR2")
-        product = extend_with_parameters(chart, ["t1", "t2"])
-        form = AForm(product, 2, {(2, 3): Const(1.0)})
-        out = fiber_integrate(form, 2, chart)
+        chart, product_chart = self._product(tangent_r2)
+        form = AForm(product_chart, 2, {(2, 3): Const(1.0)})
+        out = fiber_integrate(form, chart)
         assert scalar_eval(out.coeff(()), (0.0, 0.0)) == pytest.approx(0.5)
 
     def test_simplex_polynomial_moments(self, tangent_r2):
-        chart = tangent_r2.chart("TR2")
-        product = extend_with_parameters(chart, ["t1", "t2"])
-        t1 = product.coordinate_field(2)
-        t2 = product.coordinate_field(3)
-        form = AForm(product, 2, {(2, 3): t1 * t2})
-        out = fiber_integrate(form, 2, chart)
+        chart, product_chart = self._product(tangent_r2)
+        t1 = product_chart.coordinate_field(2)
+        t2 = product_chart.coordinate_field(3)
+        form = AForm(product_chart, 2, {(2, 3): t1 * t2})
+        out = fiber_integrate(form, chart)
         assert scalar_eval(out.coeff(()), (0.0, 0.0)) == pytest.approx(1.0 / 24.0)
 
 
@@ -512,17 +460,6 @@ class TestBottDelta:
         alpha_trace = (c1 - c0).trace()
         assert (out - alpha_trace).max_abs(line_points) == 0.0
 
-    def test_closed_form_route_matches_fiber_integration(self, solvable2d,
-                                                         so3, line_points):
-        for fixture, name in ((solvable2d, "phi"), (so3, "id")):
-            phi = fixture.morphism(name)
-            c1 = sum_connection(phi)
-            c0 = FormMatrix.zero(phi.source, c1.size, 1)
-            for h in (1, 2, 3):
-                direct = bott_delta([c0, c1], h)
-                via_simplex = bott_delta_via_fiber_integration([c0, c1], h)
-                assert (direct - via_simplex).max_abs(line_points) < 1e-12
-
     def test_quadrature_node_doubling_is_stable(self, so3, line_points):
         phi = so3.morphism("id")
         c1 = sum_connection(phi)
@@ -566,6 +503,20 @@ class TestBottDeltaAgainstReference:
                 assert new.degree == old.degree == 2 * h - 1
                 assert (new - old).max_abs(line_points) <= 1e-12, (fixture.name, h)
 
+    @pytest.mark.parametrize("fixture_name, first, second",
+                             [("solvable2d", "phi", "phi2"), ("so3_double", "id", "rot")])
+    def test_triangles_match_fiber_integration(self, request, line_points, fixture_name,
+                                               first, second):
+        fixture = request.getfixturevalue(fixture_name)
+        p1, p2 = fixture.morphism(first), fixture.morphism(second)
+        c0, c1 = chain_pair(Morphism.identity(p1.source), p1)
+        c2 = sum_connection(p2)
+        for h in (1, 2):
+            new = bott_delta([c0, c1, c2], h)
+            old = bott_delta_reference([c0, c1, c2], h)
+            assert new.degree == old.degree == 2 * h - 2
+            assert (new - old).max_abs(line_points) <= 1e-13, h
+
     def test_curving_links_on_an_anchored_chart(self, tangent_r2):
         # The fixtures' nonzero links sit on zero-anchor charts; here d_A of
         # the link matrix has anchor terms and both endpoints curve.
@@ -607,21 +558,6 @@ class TestBottDeltaAgainstReference:
         assert scale > 0.1
         assert (new - old).max_abs(points) <= 1e-12 * scale
 
-    def test_triangles_match_fiber_integration(self, solvable2d, so3_double,
-                                               line_points):
-        for fixture, first, second in ((solvable2d, "phi", "phi2"),
-                                       (so3_double, "id", "rot")):
-            p1, p2 = fixture.morphism(first), fixture.morphism(second)
-            c0, c1 = chain_pair(Morphism.identity(p1.source), p1)
-            c2 = sum_connection(p2)
-            for h in (1, 2):
-                new = bott_delta([c0, c1, c2], h)
-                old = bott_delta_reference([c0, c1, c2], h)
-                assert new.degree == old.degree == 2 * h - 2
-                assert (new - old).max_abs(line_points) <= 1e-13, (fixture.name, h)
-        # so3_double's pair is not proportional, so its c_2 form is far from zero.
-        assert bott_delta([c0, c1, c2], 2).max_abs(line_points) > 0.1
-
     def test_degree_bounds_of_the_simplex_formula(self, so3_double):
         # Delta(c0, ..., ck)c_h has degree 2h - k: an error for h < 1 or k > 2h,
         # and the zero form for h < k <= 2h, where c_h has too few arguments.
@@ -656,15 +592,24 @@ class TestSimplexRoute:
         compared = 0
         for name, (c0, c1) in self._pairs(sl2aff, action_x, sa3):
             for connections in ([c0], [c1], [c0, c1]):
-                new = bott_delta(connections, h)
                 old = bott_delta_branch_reference(connections, h)
-                assert new.degree == old.degree
-                assert list(new.table) == list(old.table), (name, len(connections))
-                for key, coeff in old.table.items():
-                    assert str(new.table[key]) == str(coeff), (name, key)
-                    assert tree_shape(new.table[key]) == tree_shape(coeff), (name, key)
+                _assert_same_trees(bott_delta(connections, h), old, (name, len(connections)))
                 compared += len(old.table)
         assert compared > 0
+
+    @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4), h=st.integers(2, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_links_build_the_same_trees(self, sl2aff, action_x, chart_name, size, h,
+                                               seed):
+        # Curving links on anchored and zero-anchor charts, up to c_4.
+        chart = _chart(chart_name, sl2aff, action_x)
+        rng = np.random.default_rng(seed)
+        c0, c1 = (_random_form_matrix(chart, size, 1, rng, density=0.5, keys_per_entry=2)
+                  for _ in range(2))
+        new, old = bott_delta([c0, c1], h), bott_delta_branch_reference([c0, c1], h)
+        assert new.degree == 2 * h - 1
+        _assert_same_trees(new, old)
 
     def test_three_connections_match_the_closed_forms(self, solvable2d, so3_double,
                                                       line_points):
@@ -678,6 +623,8 @@ class TestSimplexRoute:
                 old = bott_delta_branch_reference(connections, h)
                 assert new.degree == old.degree == 2 * h - 2
                 assert (new - old).max_abs(line_points) == 0.0, (fixture.name, h)
+        # so3_double's pair is not proportional, so its c_2 form is far from zero.
+        assert bott_delta(connections, 2).max_abs(line_points) > 0.1
 
     @pytest.mark.parametrize("k, h", [(1, 1), (2, 2), (3, 3), (0, 1), (1, 2), (2, 3)])
     def test_d_only_for_the_curvature_and_once_per_connection(self, sl2aff, monkeypatch,
@@ -769,26 +716,6 @@ class TestIdentities:
                 closed = d_A(chern_polarized([curvature(conn)] * h))
                 assert closed.max_abs(line_points) < 1e-9
 
-    def test_transgression_on_morphism_pairs(self, solvable2d, so3, chain,
-                                             sl2aff):
-        cases = [
-            (solvable2d, "phi"), (so3, "id"), (chain, "phi"), (chain, "psi"),
-            (sl2aff, "zero"),
-        ]
-        for fixture, name in cases:
-            phi = fixture.morphism(name)
-            c1 = sum_connection(phi)
-            rank = c1.size
-            c0 = direct_sum(
-                orthogonal_connection(phi.source, QuasiMetric.identity(phi.source.rank)),
-                dual_connection(orthogonal_connection(
-                    phi.source, QuasiMetric.identity(phi.target.rank))),
-            )
-            for h in (1, 2):
-                record = coboundary_check(
-                    [c0, c1], h, sample_points(phi.source.dim, 60, 42), 1e-8)
-                assert record.passed, (fixture.name, name, h, record.residual)
-
     def test_transgression_with_curving_connections(self, tangent_r2):
         # Random polynomial endpoints exercise nonzero curvature on both sides.
         chart = tangent_r2.chart("TR2")
@@ -817,7 +744,25 @@ class TestIdentities:
         points = sample_points(2, 20, 4)
         assert lhs.max_abs(points) > 0.1  # genuinely nonzero on both sides
 
-    def test_cocycle_identity_three_connections(self, so3_double):
+    @pytest.mark.parametrize("fixture_name, name", [
+        ("solvable2d", "phi"), ("so3", "id"), ("chain", "phi"), ("chain", "psi"),
+        ("sl2aff", "zero"),
+    ])
+    def test_transgression_on_morphism_pairs(self, request, fixture_name, name):
+        phi = request.getfixturevalue(fixture_name).morphism(name)
+        c1 = sum_connection(phi)
+        c0 = direct_sum(
+            orthogonal_connection(phi.source, QuasiMetric.identity(phi.source.rank)),
+            dual_connection(orthogonal_connection(
+                phi.source, QuasiMetric.identity(phi.target.rank))),
+        )
+        for h in (1, 2):
+            record = coboundary_check(
+                [c0, c1], h, sample_points(phi.source.dim, 60, 42), 1e-8)
+            assert record.passed, (h, record.residual)
+
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_cocycle_identity_three_connections(self, so3_double, h):
         p1, p2 = so3_double.morphism("id"), so3_double.morphism("rot")
         c1 = sum_connection(p1)
         c2 = sum_connection(p2)
@@ -825,9 +770,8 @@ class TestIdentities:
             orthogonal_connection(p1.source, QuasiMetric.identity(3)),
             dual_connection(orthogonal_connection(p1.source, QuasiMetric.identity(3))),
         )
-        for h in (1, 2):
-            record = coboundary_check([c0, c1, c2], h, sample_points(1, 60, 42), 1e-8)
-            assert record.passed, (h, record.residual)
+        record = coboundary_check([c0, c1, c2], h, sample_points(1, 60, 42), 1e-8)
+        assert record.passed, record.residual
 
     def test_equal_connections_cocycle_trivial(self, so3, line_points):
         conn = sum_connection(so3.morphism("id"))
@@ -836,16 +780,16 @@ class TestIdentities:
 
 
 class TestBetaFactor:
-    def test_tau_weight_matches_beta_oracle(self):
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_tau_weight_matches_beta_oracle(self, h):
         # The h-dependent tau factor is (2h-1) B(2h-1, 2h-1); h = 2 gives 1/10.
-        for h in (1, 2, 3):
-            order = 2 * h - 1
-            tau = parse_expression("t", ["t"])
-            integrand = (tau * (Const(1.0) - tau)) ** (order - 1)
-            nodes = max(1, math.ceil((2 * (order - 1) + 1) / 2))
-            value = order * scalar_eval(integrate_unit_interval(integrand, 0, nodes), ())
-            beta = math.gamma(order) ** 2 / math.gamma(2 * order)
-            assert value == pytest.approx(order * beta, rel=1e-12)
+        order = 2 * h - 1
+        tau = parse_expression("t", ["t"])
+        integrand = (tau * (Const(1.0) - tau)) ** (order - 1)
+        nodes = max(1, math.ceil((2 * (order - 1) + 1) / 2))
+        value = order * scalar_eval(integrate_unit_interval(integrand, 0, nodes), ())
+        beta = math.gamma(order) ** 2 / math.gamma(2 * order)
+        assert value == pytest.approx(order * beta, rel=1e-12)
         assert 3 * math.gamma(3) ** 2 / math.gamma(6) == pytest.approx(0.1)
 
     def test_flat_pair_reduces_to_scaled_contraction(self, sa3, line_points):

@@ -109,11 +109,10 @@ class TestMuForm:
             assert abs(scalar_eval(coeff, point) - 1.0) < 1e-12
         assert len(form.table) == 1
 
-    def test_isomorphism_classes_vanish(self, so3, line_points):
-        ident = so3.morphism("id")
-        for h in (1, 2):
-            form = mu_form(ident, h)
-            assert form.max_abs(line_points) <= 1e-12
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_isomorphism_classes_vanish(self, so3, line_points, h):
+        form = mu_form(so3.morphism("id"), h)
+        assert form.max_abs(line_points) <= 1e-12
 
     def test_isomorphism_with_matching_connection_choice(self, so3, line_points):
         # The compatible sum is already orthogonal for the invariant metric,

@@ -1,6 +1,7 @@
 """Fixture loading, suites, report determinism, and the command line."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -114,13 +115,16 @@ class TestFixtureLoading:
         assert "error: metric 'gA' is not finite at probe point (" in err
         assert "Traceback" not in err
 
-    def test_indefinite_metric_is_a_located_error(self, tmp_path, capsys):
-        # Negative near x = 0.05: a metric connection does not exist there.
+    @pytest.mark.parametrize("options", [[], ["--suite", "jet", "--points", "3", "--seed", "0"]],
+                             ids=["defaults", "jet-points3"])
+    def test_indefinite_metric_is_a_located_error(self, tmp_path, capsys, options):
+        # Negative near x = 0.05: a metric connection does not exist there.  With
+        # 3 points the jet suite evaluates 10 rows, the first bad one at row 9.
         fixture = json.loads(builtin_fixture_path("action_x").read_text())
         fixture["metrics"]["g_exp"]["matrix"] = [["(x-0.05)^2-0.01"]]
         bad = tmp_path / "indefinite_metric.json"
         bad.write_text(json.dumps(fixture))
-        code = main(["verify", str(bad)])
+        code = main(["verify", str(bad), *options])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -156,6 +160,45 @@ class TestFixtureLoading:
         assert captured.out == ""
         assert "cannot be evaluated at probe point" in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text, key", [
+        # A second algebroid A: alone, the first one fails its anchor axiom.
+        ('{"base": {"coords": ["x"]}, "algebroids": {'
+         '"A": {"basis": ["b1", "b2"], "anchor": [["1"], ["x"]], "brackets": []}, '
+         '"A": {"basis": ["b1"], "anchor": [["1"]], "brackets": []}}}', "A"),
+        ('{"base": {"coords": ["x"]}, "algebroids": {"A": {"basis": ["b1", "b2"], '
+         '"anchor": [["0"], ["0"]], "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1", '
+         '"2": "0"}}]}}}', "2"),
+    ], ids=["algebroid", "bracket-coefficient"])
+    def test_repeated_json_key_is_a_fixture_error(self, tmp_path, capsys, text, key):
+        # json.loads keeps the last value of a repeated key, so a check could pass
+        # on a fixture that says two things.
+        bad = tmp_path / "repeated_key.json"
+        bad.write_text(text)
+        with pytest.raises(FixtureError, match=f"key '{key}' repeats in one JSON object"):
+            load_fixture(bad)
+        assert main(["verify", str(bad), "--suite", "axioms"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: key '{key}' repeats in one JSON object\n"
+
+    @pytest.mark.parametrize("key", ["02", " 2", "+2"], ids=["leading-zero", "space", "plus"])
+    def test_repeated_bracket_index_is_a_fixture_error(self, tmp_path, capsys, key):
+        # Two JSON keys, one frame index: the last coefficient would silently win.
+        bad = tmp_path / "repeated_index.json"
+        bad.write_text(json.dumps({
+            "base": {"coords": ["x"]},
+            "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["0"], ["0"]],
+                                 "brackets": [{"i": 1, "j": 2,
+                                               "coeffs": {"2": "1", key: "0"}}]}},
+        }))
+        message = f"algebroid 'A': bracket (1,2) keys '2' and {key!r} name coefficient 2 twice"
+        with pytest.raises(FixtureError, match=re.escape(message)):
+            load_fixture(bad)
+        assert main(["modular", str(bad), "--algebroid", "A"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_undecodable_fixture_is_a_fixture_error(self, tmp_path, capsys):
         bad = tmp_path / "binary.json"

@@ -20,7 +20,7 @@ from algebroids.connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from algebroids.expressions import Const, evaluate, parse_expression
+from algebroids.expressions import Const, parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
@@ -28,13 +28,11 @@ from constructions import (
     conjugate_connection,
     conjugate_form_matrix,
     covariant_derivative,
-    glue,
     sum_connection,
-    symmetry_residual,
 )
 import dense_oracle
 from dense_oracle import Section, anchor_apply, apply, basis_section, gamma
-from expression_oracle import scalar_eval, tree_shape
+from expression_oracle import same_tree, scalar_eval
 from transgression_oracle import ConnectionFamily, link_curvature
 
 
@@ -249,8 +247,7 @@ def _assert_same_entries(new: FormMatrix, old: FormMatrix) -> None:
         for new_entry, old_entry in zip(new_row, old_row):
             assert list(new_entry.table) == list(old_entry.table)
             for key, coeff in old_entry.table.items():
-                assert str(new_entry.table[key]) == str(coeff)
-                assert tree_shape(new_entry.table[key]) == tree_shape(coeff)
+                assert same_tree(new_entry.table[key], coeff)
 
 
 class TestMetricLayerMatchesEntryLoops:
@@ -353,7 +350,7 @@ class TestOrthogonalConnection:
     def test_rank_five_tridiagonal_metric_on_an_anchored_chart(self):
         # Gram-Schmidt on this metric shares subtrees so deeply that the largest
         # omega entry has 848 distinct nodes but about 1.5e8 tree nodes, so the
-        # oracle is compared by value, not by `str` or `tree_shape`.
+        # oracle is compared by `same_tree`, which numbers distinct nodes, not by `str`.
         one, zero = Const(1.0), Const(0.0)
         x = parse_expression("x", ["x"])
         chart = AlgebroidChart("A", ["x"], ["b1", "b2", "b3", "b4", "b5"],
@@ -370,8 +367,7 @@ class TestOrthogonalConnection:
         old = [entry.table for row in dense_oracle.orthogonal_connection(chart, g).entries
                for entry in row]
         assert [list(table) for table in new] == [list(table) for table in old]
-        assert np.array_equal(evaluate([c for table in new for c in table.values()], points),
-                              evaluate([c for table in old for c in table.values()], points))
+        assert all(same_tree(a[key], b[key]) for a, b in zip(new, old) for key in b)
 
     def test_degenerate_metric_rejected(self, tangent_r2):
         chart = tangent_r2.chart("TR2")
@@ -383,67 +379,9 @@ class TestOrthogonalConnection:
             g.validate(sample_points(2, 8, 7))
 
 
-class TestGlue:
-    def test_single_unit_weight(self, so3, line_points):
-        conn = bracket_connection(so3.chart("so3"))
-        glued = glue([conn], [Const(1.0)])
-        assert (glued - conn).max_abs(line_points) == 0.0
-
-    def test_equal_halves_idempotent(self, so3, line_points):
-        conn = bracket_connection(so3.chart("so3"))
-        glued = glue([conn, conn], [Const(0.5), Const(0.5)])
-        assert (glued - conn).max_abs(line_points) < 1e-15
-
-    def test_affine_average(self, so3, line_points):
-        chart = so3.chart("so3")
-        c0 = FormMatrix.zero(chart, 3, 1)
-        c1 = bracket_connection(chart)
-        glued = glue([c0, c1], [Const(0.5), Const(0.5)])
-        assert (glued - c1.scale(0.5)).max_abs(line_points) < 1e-15
-
-    def test_partition_of_unity_enforced(self, so3):
-        chart = so3.chart("so3")
-        conn = bracket_connection(chart)
-        with pytest.raises(ValueError, match="partition of unity"):
-            glue([conn, conn], [Const(0.5), Const(0.6)])
-
-    def test_gluing_metric_connections_stays_metric(self, tangent_r2):
-        chart = tangent_r2.chart("TR2")
-        g = QuasiMetric(2, 1, [
-            [_field(chart, "exp(2*x)"), Const(0.0)],
-            [Const(0.0), Const(1.0)],
-        ])
-        conn = orthogonal_connection(chart, g)
-        theta = _field(chart, "1/(2+x^2)")
-        glued = glue([conn, conn], [theta, Const(1.0) - theta])
-        assert metric_compat_check(glued, g, sample_points(2, 60, 42), 1e-10).passed
-
-
 class TestLinks:
-    def test_affine_link_transverse_curvature_is_difference(self, so3):
-        chart = so3.chart("so3")
-        c0 = FormMatrix.zero(chart, 3, 1)
-        c1 = bracket_connection(chart)
-        family = ConnectionFamily.affine_link(c0, c1)
-        _, lam = link_curvature(family)
-        alpha = c1 - c0
-        points = sample_points(family.product_chart.dim, 30, 42)
-        worst = 0.0
-        for u in range(3):
-            for t in range(3):
-                for i in range(3):
-                    a = alpha.entries[u][t].coeff((i,))
-                    l = lam.entries[u][t].coeff((i,))
-                    for point in points[:10]:
-                        worst = max(worst, abs(scalar_eval(l, point) - scalar_eval(a, point[:1])))
-        assert worst < 1e-14
-
-    def test_constant_family_has_no_transverse_curvature(self, so3, line_points):
-        conn = bracket_connection(so3.chart("so3"))
-        family = ConnectionFamily.affine_link(conn, conn)
-        _, lam = link_curvature(family)
-        points = sample_points(family.product_chart.dim, 20, 7)
-        assert lam.max_abs(points) == 0.0
+    """The curvature Omega_tau of an affine link, the integrand of the parameter-chart
+    reference for Delta(c0, c1)c_h."""
 
     def test_zero_anchor_affine_link_curvature(self, so3):
         # Omega_tau = tau (1 - tau) alpha ^ alpha for a flat affine pair.
@@ -451,7 +389,7 @@ class TestLinks:
         c0 = FormMatrix.zero(chart, 3, 1)
         c1 = bracket_connection(chart)
         family = ConnectionFamily.affine_link(c0, c1)
-        omega_tau, _ = link_curvature(family)
+        omega_tau = link_curvature(family)
         link = family.product_chart
         points = sample_points(link.dim, 25, 42)
         alpha = c1 - c0
@@ -467,35 +405,24 @@ class TestLinks:
                         worst = max(worst, abs(scalar_eval(coeff, point) - expected))
         assert worst < 1e-12
 
-    def test_full_connection_slices_back_to_endpoints(self, so3, line_points):
-        chart = so3.chart("so3")
-        c0 = FormMatrix.zero(chart, 3, 1)
-        c1 = bracket_connection(chart)
-        family = ConnectionFamily.affine_link(c0, c1)
-        for value, endpoint in ((0.0, c0), (1.0, c1)):
-            sliced = family.slice_at([value])
-            assert (sliced - endpoint).max_abs(line_points) < 1e-14
-
-    def test_product_curvature_transverse_block_sign(self, so3):
-        # Under this library's ordering, the b*^i ^ dtau block carries -Lambda.
-        chart = so3.chart("so3")
-        c0 = FormMatrix.zero(chart, 3, 1)
-        c1 = bracket_connection(chart)
-        family = ConnectionFamily.affine_link(c0, c1)
-        full_curv = curvature(family.full_connection())
-        _, lam = link_curvature(family)
-        points = sample_points(family.product_chart.dim, 20, 42)
-        worst = 0.0
-        for u in range(3):
-            for t in range(3):
-                for (i, j), coeff in full_curv.entries[u][t].table.items():
-                    if j != 3:
-                        continue
-                    lam_value = lam.entries[u][t].coeff((i,))
+    def test_constant_family_curvature_is_the_endpoint_curvature(self, tangent_r2):
+        # On an anchored chart, (1 - tau) c + tau c has the curvature of c at every tau.
+        conn = _random_connection(tangent_r2.chart("TR2"), 2, 5)
+        family = ConnectionFamily.affine_link(conn, conn)
+        omega_tau, curv = link_curvature(family), curvature(conn)
+        points = sample_points(family.product_chart.dim, 20, 7)
+        worst, scale = 0.0, 0.0
+        for link_row, row in zip(omega_tau.entries, curv.entries):
+            for link_entry, entry in zip(link_row, row):
+                assert set(link_entry.table) <= set(entry.table)
+                for key, coeff in entry.table.items():
                     for point in points:
-                        worst = max(worst, abs(scalar_eval(coeff, point)
-                                               + scalar_eval(lam_value, point)))
-        assert worst < 1e-12
+                        value = scalar_eval(coeff, point[:-1])
+                        scale = max(scale, abs(value))
+                        worst = max(worst, abs(scalar_eval(link_entry.coeff(key), point)
+                                               - value))
+        assert scale > 0.1
+        assert worst <= 1e-12 * scale
 
 
 class TestQuasiMetrics:
@@ -515,11 +442,14 @@ class TestQuasiMetrics:
                     assert np.max(np.abs(values @ matrix)) < 1e-12
 
     def test_symmetry_signs(self, solvable2d):
-        phi = solvable2d.morphism("phi")
-        g_plus, g_minus = quasi_metric_on_S(phi)
+        # g+ is symmetric and g- skew, exactly, at every point.
         points = sample_points(1, 10, 42)
-        assert symmetry_residual(g_plus, points) == 0.0
-        assert symmetry_residual(g_minus, points) == 0.0
+        signs = []
+        for g in quasi_metric_on_S(solvable2d.morphism("phi")):
+            values = g.values(points)
+            assert np.array_equal(values, g.sign * np.swapaxes(values, 1, 2))
+            signs.append(g.sign)
+        assert signs == [1, -1]
 
     def test_distinguished_sum_is_metric_compatible(self, solvable2d, action_x):
         for fixture, name in ((solvable2d, "phi"), (action_x, "sharp")):

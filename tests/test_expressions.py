@@ -27,7 +27,7 @@ from algebroids.expressions import (
     sub,
 )
 from expression_oracle import scalar_eval
-from transgression_oracle import subs, tau_degree
+from transgression_oracle import substitute, tau_degree
 
 COORDS = ["x", "y"]
 
@@ -125,7 +125,7 @@ def test_mixed_partials_commute(px, py):
 
 def test_substitution_folds_constants():
     f = parse_expression("x*y + y^2", COORDS)
-    g = subs(f, 1, 2.0)
+    (g,) = substitute(f, 1, [2.0])
     assert scalar_eval(g, (3.0, 999.0)) == pytest.approx(10.0)
 
 

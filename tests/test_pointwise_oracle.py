@@ -24,7 +24,7 @@ from algebroids.connections import (
 from algebroids.expressions import Const, cosine, exponential, sine
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
-from constructions import sum_connection, symmetry_residual
+from constructions import sum_connection
 
 CASES = [("so3", "zero"), ("sl2aff", "zero"), ("solvable2d", "phi"),
          ("solvable2d", "phi2")]
@@ -37,7 +37,7 @@ def _same(new: float, old: float) -> None:
         assert new == pytest.approx(old, rel=1e-12, abs=0.0)
 
 
-def _random_connection(chart, rank: int, seed: int) -> FormMatrix:
+def _transcendental_connection(chart, rank: int, seed: int) -> FormMatrix:
     """Coefficients a + b*x + c*sin(x) + d*exp(x)*cos(x) with small random integers."""
     rng = np.random.default_rng(seed)
     x = chart.coordinate_field(0)
@@ -63,7 +63,7 @@ def _case(request, fixture_name: str, morphism: str):
     phi = fixture.morphism(morphism)
     ker, coker = fixture.kernel_rows(morphism)
     conn = sum_connection(phi)
-    return phi, ker, coker, [conn, _random_connection(phi.source, conn.size, 5)]
+    return phi, ker, coker, [conn, _transcendental_connection(phi.source, conn.size, 5)]
 
 
 @pytest.mark.parametrize("fixture_name, morphism", CASES)
@@ -84,15 +84,13 @@ def test_eval_on_matches_the_scalar_walk(request, fixture_name, morphism):
 
 
 @pytest.mark.parametrize("fixture_name, morphism", CASES)
-def test_metric_values_and_symmetry(request, fixture_name, morphism):
+def test_metric_values_match_the_scalar_walk(request, fixture_name, morphism):
     phi, _, _, _ = _case(request, fixture_name, morphism)
     points = sample_points(phi.source.dim, 10, 42)
     for g in quasi_metric_on_S(phi):
         values = g.values(points)
         for matrix, point in zip(values, points.tolist()):
             np.testing.assert_array_equal(matrix, oracle.metric_eval(g, point))
-        _same(symmetry_residual(g, points),
-              oracle.symmetry_residual(g, points.tolist()))
 
 
 @pytest.mark.parametrize("fixture_name, morphism", CASES)

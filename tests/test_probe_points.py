@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from algebroids import expressions, reports, sampling
+from algebroids import cli, expressions, reports, sampling
 from algebroids.cli import Options, emit_class, emit_jet, emit_modular, run_suite
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.sampling import sample_points
@@ -27,8 +27,8 @@ class _RunSpy:
     def __init__(self, monkeypatch):
         self.draws, self.walks, self.records = [], [], []
         self._since_record = []
-        original_sample, original_walk, original_add = (
-            sampling.sample_points, expressions._walk, reports.Report.add)
+        original_sample, original_walk, original_add, original_probe = (
+            sampling.sample_points, expressions._walk, reports.Report.add, cli._probe_points)
 
         def spy_sample(dimension, count, seed):
             points = original_sample(dimension, count, seed)
@@ -45,12 +45,18 @@ class _RunSpy:
             self._since_record = []
             return original_add(report, record)
 
+        def spy_probe(fixture, opt):
+            points = original_probe(fixture, opt)
+            self._since_record = []  # validating the inputs on the whole draw is no check
+            return points
+
         for name, module in list(sys.modules.items()):
             if (name == "algebroids" or name.startswith("algebroids.")) \
                     and getattr(module, "sample_points", None) is original_sample:
                 monkeypatch.setattr(module, "sample_points", spy_sample)
         monkeypatch.setattr(expressions, "_walk", spy_walk)
         monkeypatch.setattr(reports.Report, "add", spy_add)
+        monkeypatch.setattr(cli, "_probe_points", spy_probe)
 
     def assert_one_probe_set(self, label):
         assert len(self.draws) == 1, label

@@ -1,12 +1,13 @@
-"""The sparse `d_A`, `bracket_connection` and `modular_form` against the dense
-oracle, and the one bracket-induced connection builder against the per-case
-builders it replaced and against the bracket of sections.
+"""The sparse `d_A` and `modular_form` against the dense oracle, and the one
+bracket-induced connection builder against the bracket of sections.
 
 `morphism_target_connection` reads omega_u^t(b_i) = sum_s phi_i^s c'_su^t -
 rho'(b'_u)(phi_i^t) off the target's structure functions and anchor; the
-oracle brackets the sections phi b_i and b'_u with the dense `bracket`, also
-for a target with its own anchor and brackets.  The jet class is
-`relative_mu` on the chain (pi, phi) and needs no builder of its own.
+oracle brackets the sections phi b_i and b'_u with the dense `bracket`: for
+the identity (`bracket_connection`), for a target with its own anchor and
+brackets, and for the projection of the holonomic jet and a morphism
+composed with it (the flat jet connections).  The jet class is `relative_mu`
+on the chain (pi, phi) and needs no builder of its own.
 
 The sparse routes must build the very expression trees of the dense loops:
 same table keys, same node kinds, constants and child order, hence
@@ -19,7 +20,7 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 
 import dense_oracle
-from expression_oracle import tree_shape as _tree
+from expression_oracle import same_tree
 from algebroids.algebroid import (
     AlgebroidChart,
     Morphism,
@@ -50,8 +51,7 @@ JET_RANK_CAP = 9
 def _assert_same_table(new: dict, old: dict) -> None:
     assert list(new) == list(old)
     for key in old:
-        assert str(new[key]) == str(old[key])
-        assert _tree(new[key]) == _tree(old[key])
+        assert same_tree(new[key], old[key])
 
 
 def _assert_same_connection(new, old) -> None:
@@ -111,7 +111,7 @@ def test_sparse_routes_match_dense_oracle(chart, data):
         for coefficients in (fields, _constants(chart.coords)):
             _assert_same_d_A(_draw_form(data, chart, degree, coefficients))
     _assert_same_connection(bracket_connection(chart),
-                            dense_oracle.bracket_connection(chart))
+                            dense_oracle.target_connection(Morphism.identity(chart)))
     _assert_same_table(modular_form(chart).table,
                        dense_oracle.modular_form(chart).table)
     phi = Morphism(chart, chart, [data.draw(st.lists(fields, min_size=chart.rank,
@@ -131,12 +131,10 @@ def test_sparse_routes_match_dense_oracle(chart, data):
         for degree in (0, 1, 2):
             for coefficients in (fields, _constants(chart.coords)):
                 _assert_same_d_A(_draw_form(data, jet, degree, coefficients, max_keys=8))
-        holonomic = dense_oracle.HolonomicJet(chart)
-        projection = holonomic.projection()
-        _assert_same_connection(morphism_target_connection(projection),
-                                dense_oracle.jet_bracket_connection(holonomic))
-        _assert_same_connection(morphism_target_connection(phi.compose(projection)),
-                                dense_oracle.jet_morphism_connection(holonomic, phi))
+        projection = dense_oracle.HolonomicJet(chart).projection()
+        for jet_map in (projection, phi.compose(projection)):
+            _assert_same_connection(morphism_target_connection(jet_map),
+                                    dense_oracle.target_connection(jet_map))
 
 
 def _sa3_forms(chart):

@@ -1,13 +1,23 @@
-"""Reference routes for the difference forms Delta(c0, ..., ck)c_h.
+"""The parameter-chart reference route for the difference forms Delta(c0, ..., ck)c_h.
 
 `algebroids.chern.bott_delta` works on the base chart only: it slices the
 link omega0 + sum t_i alpha_i at the nodes of a Gauss rule on the k-simplex.
-This module keeps the parameter-chart route it replaced, unchanged: product
-charts with extra tau (or t1, t2) coordinates, connection families on them,
-polynomial degrees inferred from the coefficient trees, and coefficient trees
-rebuilt at every Gauss node.  `bott_delta_reference` is the old `bott_delta`;
-`bott_delta_via_fiber_integration` is the generic simplex formula specialized
-to k = 1.  Tests require the routes to agree.
+This module keeps the parameter-chart route it replaced: product charts with
+extra tau (or t1, t2) coordinates, connection families on them, polynomial
+degrees inferred from the coefficient trees, and coefficient trees rebuilt at
+every Gauss node.  `bott_delta_reference` is the old `bott_delta` for k = 0,
+1 and 2; tests require the two routes to give the same values.  Every other
+function here is a step of it and guards `chern.bott_delta` through it:
+
+- `substitute` and `integrate_unit_interval`: coefficients at the Gauss
+  nodes of a parameter, and their weighted sum;
+- `tau_degree` (with `_degree`) and `_parameter_degree`: the polynomial
+  degree in a parameter, which sets the node count;
+- `extend_with_parameters`, `lift_matrix`, `pure_part` and
+  `ConnectionFamily`: the product chart and the affine (k = 1) and
+  barycentric (k = 2) families on it;
+- `link_curvature`: the base part of the curvature of a 1-parameter family;
+- `fiber_integrate`: the integral over the 2-simplex.
 """
 
 from __future__ import annotations
@@ -91,11 +101,6 @@ def substitute(field: ScalarField, index: int,
     return result or [field] * len(values)
 
 
-def subs(field: ScalarField, index: int, value: float) -> ScalarField:
-    """Substitute a constant for coordinate `index`, folding constants."""
-    return substitute(field, index, (value,))[0]
-
-
 def tau_degree(field: ScalarField, index: int) -> int | None:
     """Polynomial degree of `field` in coordinate `index`, or None if not polynomial.
 
@@ -164,21 +169,9 @@ def extend_with_parameters(chart: AlgebroidChart, names: Sequence[str]) -> Algeb
                           anchor, brackets)
 
 
-def build_link_chart(chart: AlgebroidChart, parameter: str = "tau") -> AlgebroidChart:
-    """Product of the chart with the unit-interval tangent algebroid."""
-    return extend_with_parameters(chart, [parameter])
-
-
-def lift_form(form: AForm, chart: AlgebroidChart) -> AForm:
-    """Reinterpret a form on a sub-frame as a form on an extended chart."""
-    if form.chart.rank > chart.rank:
-        raise ValueError("target chart has smaller rank")
-    return AForm(chart, form.degree, dict(form.table))
-
-
 def lift_matrix(m: FormMatrix, chart: AlgebroidChart) -> FormMatrix:
-    """Entrywise `lift_form` of a form matrix onto an extended chart."""
-    rows = [[lift_form(e, chart) for e in row] for row in m.entries]
+    """A form matrix on a sub-frame, entry by entry on an extended chart."""
+    rows = [[AForm(chart, e.degree, dict(e.table)) for e in row] for row in m.entries]
     return FormMatrix(chart, rows, m.degree)
 
 
@@ -205,10 +198,9 @@ class ConnectionFamily:
     """
 
     def __init__(self, base_chart: AlgebroidChart, product_chart: AlgebroidChart,
-                 rank: int, omega: FormMatrix):
+                 omega: FormMatrix):
         self.base_chart = base_chart
         self.product_chart = product_chart
-        self.rank = rank
         self.omega = omega
         self.n_params = product_chart.rank - base_chart.rank
 
@@ -218,13 +210,13 @@ class ConnectionFamily:
         if c0.chart is not c1.chart or c0.size != c1.size:
             raise ValueError("link endpoints must share chart and rank")
         chart = c0.chart
-        link = build_link_chart(chart, "tau")
+        link = extend_with_parameters(chart, ["tau"])
         tau = link.coordinate_field(chart.dim)
         one_minus = sub(Const(1.0), tau)
         m0 = lift_matrix(c0, link)
         m1 = lift_matrix(c1, link)
         omega = m0.scale(one_minus) + m1.scale(tau)
-        return cls(chart, link, c0.size, omega)
+        return cls(chart, link, omega)
 
     @classmethod
     def barycentric(cls, connections: Sequence[FormMatrix]) -> "ConnectionFamily":
@@ -241,59 +233,15 @@ class ConnectionFamily:
         for c in range(1, k + 1):
             t_c = product.coordinate_field(chart.dim + c - 1)
             omega = omega + (lifted[c] - lifted[0]).scale(t_c)
-        return cls(chart, product, connections[0].size, omega)
-
-    def full_connection(self) -> FormMatrix:
-        """The family as one connection on the product chart."""
-        product = self.product_chart
-        return FormMatrix(product, self.omega.entries, 1)
-
-    def slice_at(self, values: Sequence[float]) -> FormMatrix:
-        """The member connection at fixed parameter values."""
-        base = self.base_chart
-        rows = []
-        for u in range(self.rank):
-            row = []
-            for t in range(self.rank):
-                entry = self.omega.entries[u][t]
-                table = {}
-                for idx, coeff in entry.table.items():
-                    if any(i >= base.rank for i in idx):
-                        continue
-                    for c, value in enumerate(values):
-                        coeff = subs(coeff, base.dim + c, value)
-                    if not coeff.is_zero():
-                        table[idx] = coeff
-                row.append(AForm(base, 1, table))
-            rows.append(row)
-        return FormMatrix(base, rows, 1)
+        return cls(chart, product, omega)
 
 
-def link_curvature(family: ConnectionFamily) -> tuple[FormMatrix, FormMatrix]:
-    """Per-parameter curvature and transverse curvature of a 1-parameter link.
-
-    Returns (Omega_tau, Lambda) with Lambda = d(omega)/d(tau).  Under this
-    library's ordering of the product frame the full product curvature
-    carries -Lambda on the transverse slots; the pure base part is Omega_tau.
-    """
+def link_curvature(family: ConnectionFamily) -> FormMatrix:
+    """Omega_tau, the curvature of a 1-parameter link on the base frame at each tau."""
     if family.n_params != 1:
         raise ValueError("link curvature needs a 1-parameter family")
-    chart = family.product_chart
-    tau_index = family.base_chart.dim
     omega = family.omega
-    omega_tau = pure_part(omega.d(), family.base_chart.rank) - omega.wedge(omega)
-    rows = []
-    for row in omega.entries:
-        out = []
-        for entry in row:
-            table = {}
-            for idx, c in entry.table.items():
-                derivative = c.diff(tau_index)
-                if not derivative.is_zero():
-                    table[idx] = derivative
-            out.append(AForm(chart, 1, table))
-        rows.append(out)
-    return omega_tau, FormMatrix(chart, rows, 1)
+    return pure_part(omega.d(), family.base_chart.rank) - omega.wedge(omega)
 
 
 # --------------------------------------------------------------------------
@@ -311,58 +259,33 @@ def integrate_unit_interval(field: ScalarField, coord_index: int,
     return acc
 
 
-class NonPolynomialError(ValueError):
-    """Raised when coefficients are not polynomial in the simplex parameters."""
-
-
 def _parameter_degree(form: AForm, coord_indices: Sequence[int]) -> int:
     worst = 0
     for coeff in form.table.values():
         for index in coord_indices:
             degree = tau_degree(coeff, index)
             if degree is None:
-                raise NonPolynomialError(
+                raise ValueError(
                     f"coefficient {coeff} is not polynomial in parameter {index}"
                 )
             worst = max(worst, degree)
     return worst
 
 
-def fiber_integrate(form: AForm, k: int, base_chart: AlgebroidChart,
-                    nodes: int | None = None) -> AForm:
-    """Integrate the full-simplex-volume component of a form over the k-simplex.
+def fiber_integrate(form: AForm, base_chart: AlgebroidChart) -> AForm:
+    """Integrate the component along both parameter slots over the 2-simplex.
 
-    Components without all k parameter slots integrate to zero.  Coefficients
-    must be polynomial in the parameters; their degree is inferred exactly
-    from the expression trees.
+    Components without both parameter slots integrate to zero.  The
+    collapsed-square transform t1 = u, t2 = v(1 - u) has Jacobian (1 - u).
+    Coefficients must be polynomial in the parameters; their degree, inferred
+    exactly from the expression trees, sets the node counts.
     """
-    if k == 0:
-        table = {idx: c for idx, c in form.table.items()
-                 if all(i < base_chart.rank for i in idx)}
-        return AForm(base_chart, form.degree, table)
-    if k not in (1, 2):
-        raise ValueError("fiber integration is implemented for k in {0, 1, 2}")
-    s = base_chart.rank
-    m = base_chart.dim
-    param_slots = tuple(s + c for c in range(k))
-    param_coords = tuple(m + c for c in range(k))
+    s, m = base_chart.rank, base_chart.dim
+    param_slots, param_coords = (s, s + 1), (m, m + 1)
     degree = _parameter_degree(form, param_coords)
+    us, wus = gauss_legendre_01(max(1, math.ceil((degree + 2) / 2)))
+    vs, wvs = gauss_legendre_01(max(1, math.ceil((degree + 1) / 2)))
     table: dict[tuple[int, ...], ScalarField] = {}
-    if k == 1:
-        n = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
-        for index, coeff in form.table.items():
-            if index[-1:] != (param_slots[0],) or any(i >= s for i in index[:-1]):
-                continue
-            value = integrate_unit_interval(coeff, param_coords[0], n)
-            if not value.is_zero():
-                key = index[:-1]
-                table[key] = add(table.get(key, ZERO), value)
-        return AForm(base_chart, form.degree - 1, table)
-    # k == 2: collapsed-square transform t1 = u, t2 = v(1 - u), Jacobian (1 - u).
-    n_u = nodes if nodes is not None else max(1, math.ceil((degree + 2) / 2))
-    n_v = nodes if nodes is not None else max(1, math.ceil((degree + 1) / 2))
-    us, wus = gauss_legendre_01(n_u)
-    vs, wvs = gauss_legendre_01(n_v)
     for index, coeff in form.table.items():
         if index[-2:] != param_slots or any(i >= s for i in index[:-2]):
             continue
@@ -401,7 +324,7 @@ def bott_delta_reference(connections: Sequence[FormMatrix], h: int,
         family = ConnectionFamily.affine_link(c0, c1)
         link = family.product_chart
         alpha = lift_matrix(c1 - c0, link)
-        omega_tau, _ = link_curvature(family)
+        omega_tau = link_curvature(family)
         integrand = chern_polarized([alpha] + [omega_tau] * (h - 1))
         base = family.base_chart
         if integrand.is_zero():
@@ -420,22 +343,8 @@ def bott_delta_reference(connections: Sequence[FormMatrix], h: int,
     if k == 2:
         family = ConnectionFamily.barycentric(list(connections))
         base = family.base_chart
-        full = family.full_connection()
-        omega_tilde = curvature(full)
+        omega_tilde = curvature(family.omega)
         integrand = chern_polarized([omega_tilde] * h)
         sign = -1.0 if ((k + 1) // 2) % 2 else 1.0
-        return fiber_integrate(integrand, 2, base, nodes=nodes).scale(sign)
+        return fiber_integrate(integrand, base).scale(sign)
     raise ValueError("bott_delta supports k in {0, 1, 2}")
-
-
-def bott_delta_via_fiber_integration(connections: Sequence[FormMatrix], h: int,
-                                     nodes: int | None = None) -> AForm:
-    """The k = 1 case computed from the generic simplex formula (for cross-checks)."""
-    if len(connections) != 2:
-        raise ValueError("this route is the two-connection specialization")
-    family = ConnectionFamily.affine_link(*connections)
-    full = family.full_connection()
-    omega_tilde = curvature(full)
-    integrand = chern_polarized([omega_tilde] * h)
-    sign = -1.0  # (-1)^{floor((k+1)/2)} with k = 1
-    return fiber_integrate(integrand, 1, family.base_chart, nodes=nodes).scale(sign)
