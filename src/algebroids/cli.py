@@ -49,7 +49,7 @@ from .connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from .expressions import Const, ScalarField, ZERO, add, evaluate, mul
+from .expressions import Const, ScalarField, ZERO, add, balanced_sum, evaluate, mul
 from .fixtures import Fixture, FixtureError, resolve_fixture
 from .forms import AForm
 from .reports import CheckRecord, Report
@@ -127,8 +127,9 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
     rows, the adapted-frame checks min(N, 50), the jet suite max(10, N // 2)
     and form dumps min(N, 10).  Before any check runs, every fixture metric
     is validated on every row of the draw, which holds each row a check
-    takes, and the kernel rows of each morphism must give an adapted frame
-    of g+ and g- on the rows the adapted-frame checks take.
+    takes; the kernel rows of each morphism must lie in its kernel (and the
+    cokernel rows in its transpose's) on every row of the draw, and give an
+    adapted frame of g+ and g- on the rows the adapted-frame checks take.
     """
     points = sample_points(len(fixture.coords), max(opt.points, 10), opt.seed)
     for name, (_, metric) in fixture.metrics.items():
@@ -140,13 +141,34 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
         if not (ker or coker):
             continue
         phi = fixture.morphism(name)
+        _check_kernel_rows(name, phi, ker, coker, points)
         frame = kernel_frame_on_S(phi, ker, coker)
-        for g in quasi_metric_on_S(phi):
+        for g, label in zip(quasi_metric_on_S(phi), ("g+", "g-")):
             try:
                 adapted_frame(g, frame, points[:min(opt.points, 50)])
             except ValueError as exc:  # kernel rows that admit no adapted frame
-                raise FixtureError(str(exc)) from exc
+                raise FixtureError(f"{exc} (morphism {name!r}, quasi-metric {label})") from exc
     return points
+
+
+def _check_kernel_rows(name: str, phi: Morphism, ker, coker, points) -> None:
+    """A FixtureError at the first kernel row v with |phi(v)| > 1e-10, or
+    cokernel row nu with |phi^T(nu)| > 1e-10, or a value not finite, at a point."""
+    source, target = range(phi.source.rank), range(phi.target.rank)
+    images = [(f"kernel row {k + 1}", "phi", "v",
+               [balanced_sum([mul(v[i], phi.matrix[i][u]) for i in source]) for u in target])
+              for k, v in enumerate(ker)]
+    images += [(f"cokernel row {k + 1}", "phi^T", "nu",
+                [balanced_sum([mul(phi.matrix[i][u], nu[u]) for u in target]) for i in source])
+               for k, nu in enumerate(coker)]
+    for row, op, arg, image in images:
+        magnitude = np.abs(evaluate(image, points)).max(axis=0)  # one value per point
+        bad = ~(magnitude <= 1e-10)  # NaN compares false
+        if bad.any():
+            n = int(bad.argmax())
+            raise FixtureError(
+                f"{row} of {name!r} is not in the kernel of {op}: |{op}({arg})| = "
+                f"{magnitude[n]:.3g} at probe point {tuple(points[n].tolist())}")
 
 
 def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw) -> None:

@@ -281,17 +281,6 @@ class QuasiMetric:
         return cls(rank, 1, [[Const(1.0) if i == j else ZERO for j in range(rank)]
                              for i in range(rank)])
 
-    def pairing(self, v: Sequence[ScalarField], w: Sequence[ScalarField]) -> ScalarField:
-        acc = ZERO
-        for a in range(self.rank):
-            if v[a].is_zero():
-                continue
-            for b in range(self.rank):
-                if w[b].is_zero() or self.matrix[a][b].is_zero():
-                    continue
-                acc = add(acc, mul(v[a], mul(self.matrix[a][b], w[b])))
-        return acc
-
     def values(self, points) -> np.ndarray:
         """The matrix at each point, shape (N, rank, rank)."""
         flat = evaluate([e for row in self.matrix for e in row], points)
@@ -313,55 +302,34 @@ class QuasiMetric:
 
 
 def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
-    """Metric connection: zero matrix in the orthonormalized frame.
+    """Metric connection: zero matrix in the orthonormal frame G = L^-1.
 
-    Gram-Schmidt runs symbolically on the metric coefficients; the resulting
-    frame-change matrix G (lower triangular) gives omega = -G^-1 dG in the
-    working frame, which satisfies nabla g = 0.  `g` must be positive
-    definite (`QuasiMetric.validate`); elsewhere the frame is not finite.
+    L is the Cholesky factor of g = L L^T, built symbolically row by row:
+    L_ut = (g_ut - sum_{s<t} L_us L_ts) / L_tt, L_uu = sqrt(g_uu - sum_{s<u} L_us^2),
+    and G by forward substitution, G_u = (e_u - sum_{t<u} L_ut G_t) / L_uu.  Then
+    omega = -G^-1 dG = dL ^ G satisfies nabla g = 0.  `g` must be positive
+    definite (`QuasiMetric.validate`); elsewhere L is not finite.
     """
     if g.sign != 1:
         raise ValueError("orthogonal connections need a symmetric metric")
     rank = g.rank
-    frame: list[list[ScalarField]] = []
+    factor: list[list[ScalarField]] = []  # factor[u][t] is L_u^t
+    frame: list[list[ScalarField]] = []  # frame[u][t] is G_u^t
     for u in range(rank):
+        row = [ZERO] * rank
+        factor.append(row)
+        for t in range(u + 1):
+            acc = g.matrix[u][t]
+            for s in range(t):
+                acc = sub(acc, mul(row[s], factor[t][s]))
+            row[t] = square_root(acc) if t == u else div(acc, factor[t][t])
         vec = [Const(1.0) if a == u else ZERO for a in range(rank)]
-        for prev in frame:
-            proj = g.pairing(vec, prev)
-            if not proj.is_zero():
-                vec = [sub(v, mul(proj, p)) for v, p in zip(vec, prev)]
-        norm = square_root(g.pairing(vec, vec))
-        frame.append([div(v, norm) for v in vec])
-    G = FormMatrix.of_functions(chart, frame)  # frame[u][t] is G_u^t
-    inverse = FormMatrix.of_functions(chart, invert_field_matrix(frame))
-    return inverse.wedge(G.d()).scale(-1.0)
-
-
-def invert_field_matrix(m: Sequence[Sequence[ScalarField]]) -> list[list[ScalarField]]:
-    """Gauss-Jordan inverse over scalar fields; pivots must be structurally nonzero."""
-    n = len(m)
-    work = [list(row) for row in m]
-    inv = [[Const(1.0) if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not work[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise ValueError("matrix is structurally singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        work[col] = [div(e, pivot) for e in work[col]]
-        inv[col] = [div(e, pivot) for e in inv[col]]
-        for r in range(n):
-            if r == col or work[r][col].is_zero():
-                continue
-            factor = work[r][col]
-            work[r] = [sub(a, mul(factor, b)) for a, b in zip(work[r], work[col])]
-            inv[r] = [sub(a, mul(factor, b)) for a, b in zip(inv[r], inv[col])]
-    return inv
+        for t in range(u):
+            if not row[t].is_zero():
+                vec = [sub(v, mul(row[t], w)) for v, w in zip(vec, frame[t])]
+        frame.append([div(v, row[u]) for v in vec])
+    return (FormMatrix.of_functions(chart, factor).d()
+            .wedge(FormMatrix.of_functions(chart, frame)))
 
 
 # --------------------------------------------------------------------------
@@ -502,7 +470,7 @@ def _symplectic_basis(gram: np.ndarray, complement: np.ndarray) -> tuple[np.ndar
             coeff_e = float(basis[c] @ gram @ f)
             coeff_f = float(basis[c] @ gram @ e)
             basis[c] = basis[c] - coeff_e * e + coeff_f * f
-            work = basis @ gram @ basis.T
+        work = basis @ gram @ basis.T
     rows = [vec for pair in pairs for vec in pair]
     s_frame = np.array(rows) @ complement
     half = len(pairs)

@@ -13,6 +13,10 @@ Each one guards the `algebroids` route named after it:
 - `conjugate_connection` and `conjugate_form_matrix`: frame changes; guard
   `connections.curvature` (it conjugates) and `chern.chern_polarized` (it
   does not change).
+- `invert_field_matrix`: the Gauss-Jordan inverse over scalar fields, the
+  inverse frame of the two frame changes above and of
+  `dense_oracle.orthogonal_connection`, which guards the Cholesky route of
+  `connections.orthogonal_connection`.
 - `lift`: the 1-jet of a section; guards the split frame of
   `algebroid.jet_prolong` (`JetChart.cotangent_rows`).
 - `basis_covector`: the 1-form dual to a frame section, an input of the
@@ -29,8 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from algebroids.algebroid import AlgebroidChart, JetChart, Morphism, d_A
-from algebroids.connections import FormMatrix, chain_connection, invert_field_matrix
-from algebroids.expressions import Const, ScalarField, ZERO, add, mul
+from algebroids.connections import FormMatrix, chain_connection
+from algebroids.expressions import Const, ScalarField, ZERO, add, div, mul, sub
 from algebroids.forms import AForm, _require_same_chart
 from dense_oracle import Section, alternating_assignments, anchor_apply
 from expression_oracle import scalar_eval
@@ -116,6 +120,33 @@ def conjugate_form_matrix(m: FormMatrix, p: Sequence[Sequence[ScalarField]]) -> 
             row.append(acc)
         rows.append(row)
     return FormMatrix(m.chart, rows, m.degree)
+
+
+def invert_field_matrix(m: Sequence[Sequence[ScalarField]]) -> list[list[ScalarField]]:
+    """Gauss-Jordan inverse over scalar fields; pivots must be structurally nonzero."""
+    n = len(m)
+    work = [list(row) for row in m]
+    inv = [[Const(1.0) if i == j else ZERO for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = None
+        for r in range(col, n):
+            if not work[r][col].is_zero():
+                pivot_row = r
+                break
+        if pivot_row is None:
+            raise ValueError("matrix is structurally singular")
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
+        pivot = work[col][col]
+        work[col] = [div(e, pivot) for e in work[col]]
+        inv[col] = [div(e, pivot) for e in inv[col]]
+        for r in range(n):
+            if r == col or work[r][col].is_zero():
+                continue
+            factor = work[r][col]
+            work[r] = [sub(a, mul(factor, b)) for a, b in zip(work[r], work[col])]
+            inv[r] = [sub(a, mul(factor, b)) for a, b in zip(inv[r], inv[col])]
+    return inv
 
 
 def lift(jet: JetChart, a: Section) -> Section:

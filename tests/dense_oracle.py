@@ -52,10 +52,15 @@ guards the route named with it:
   split frame of `algebroid.jet_prolong` under
   dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i) (same anchors, brackets and flat
   jet connections, pointwise).
-- `metric_compat_check`, `orthogonal_connection` and `dual_connection`:
-  the former entry-by-entry loops of the metric layer; guard the
-  `FormMatrix` products of `connections` that replaced them (equal
-  residuals, same trees).
+- `metric_compat_check` and `dual_connection`: the former entry-by-entry
+  loops of the metric layer; guard the `FormMatrix` products of
+  `connections` that replaced them (equal residuals, same trees).
+- `pairing` and `orthogonal_connection`: the former metric connection,
+  modified Gram-Schmidt through the pairing of g, then the Gauss-Jordan
+  inverse of the frame (`constructions.invert_field_matrix`) and
+  omega = -G^-1 dG entry by entry; guard the Cholesky route of
+  `connections.orthogonal_connection` (same keys, values within relative
+  1e-12).
 """
 
 from __future__ import annotations
@@ -66,8 +71,7 @@ from typing import Iterable, Sequence
 
 from algebroids.algebroid import AlgebroidChart, Morphism, _require_same_chart
 from algebroids.connections import (FormMatrix, QuasiMetric, connection_from_coefficients,
-                                    direct_sum, invert_field_matrix,
-                                    morphism_target_connection)
+                                    direct_sum, morphism_target_connection)
 from algebroids.expressions import (Const, ScalarField, ZERO, add, div, field_maxima, mul,
                                     residual, square_root, sub)
 from algebroids.forms import AForm, permutation_sign
@@ -494,14 +498,30 @@ def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,
                        len(points))
 
 
+def pairing(g: QuasiMetric, v: Sequence[ScalarField], w: Sequence[ScalarField]) -> ScalarField:
+    """g(v, w) = v^a g_ab w^b over the nonzero terms, by ascending a then b."""
+    acc = ZERO
+    for a in range(g.rank):
+        if v[a].is_zero():
+            continue
+        for b in range(g.rank):
+            if w[b].is_zero() or g.matrix[a][b].is_zero():
+                continue
+            acc = add(acc, mul(v[a], mul(g.matrix[a][b], w[b])))
+    return acc
+
+
 def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
     """Metric connection: zero matrix in the orthonormalized frame.
 
-    Gram-Schmidt runs symbolically on the metric coefficients; the resulting
-    frame-change matrix G (lower triangular) gives omega = -G^-1 dG in the
-    working frame, which satisfies nabla g = 0.  `g` must be positive
-    definite (`QuasiMetric.validate`); elsewhere the frame is not finite.
+    Modified Gram-Schmidt runs symbolically through `pairing`; the resulting
+    frame-change matrix G (lower triangular) is inverted by Gauss-Jordan and
+    gives omega = -G^-1 dG in the working frame, which satisfies nabla g = 0.
+    `g` must be positive definite (`QuasiMetric.validate`).
     """
+    # constructions imports this module, so its Gauss-Jordan is imported here.
+    from constructions import invert_field_matrix
+
     if g.sign != 1:
         raise ValueError("orthogonal connections need a symmetric metric")
     rank = g.rank
@@ -509,10 +529,10 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
     for u in range(rank):
         vec = [Const(1.0) if a == u else ZERO for a in range(rank)]
         for prev in frame:
-            proj = g.pairing(vec, prev)
+            proj = pairing(g, vec, prev)
             if not proj.is_zero():
                 vec = [sub(v, mul(proj, p)) for v, p in zip(vec, prev)]
-        norm = square_root(g.pairing(vec, vec))
+        norm = square_root(pairing(g, vec, vec))
         frame.append([div(v, norm) for v in vec])
     inverse = invert_field_matrix(frame)  # frame[u][t] is G_u^t
     rows = []

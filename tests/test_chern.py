@@ -337,7 +337,7 @@ class TestTransgressionWork:
     @pytest.mark.parametrize("h", [2, 3, 4])
     def test_d_is_taken_twice_whatever_the_node_count(self, sa3, monkeypatch, h):
         # Rebuilding the link curvature at each of the h Gauss nodes took d h times.
-        # The pair is built first: `orthogonal_connection` takes d of its frame.
+        # The pair is built first: `orthogonal_connection` takes d of its Cholesky factor.
         pair = list(_sa3_mu_pair(sa3))
         calls = 0
         d = FormMatrix.d

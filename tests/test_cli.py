@@ -579,10 +579,24 @@ def test_dumps_match_the_scalar_walk(argv, monkeypatch, capsys):
                 assert abs(value - expected) <= 4 * np.spacing(abs(expected))
 
 
-# The fixtures the CI byte-stability step writes out, as JSON.
-LEIBNIZ2 = {"base": {"coords": ["x"]},
-            "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["1"], ["0"]],
-                                 "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "x"}}]}}}
+# The fixtures the CI byte-stability step writes out and dumps from, as JSON.
+_TRIDIAGONAL = [["2+x^2" if a == b else "0.3*x" if abs(a - b) == 1 else "0" for b in range(5)]
+                for a in range(5)]
+TEMPORARY_FIXTURES = {
+    "leibniz2": {"base": {"coords": ["x"]},
+                 "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["1"], ["0"]],
+                                      "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "x"}}]}}},
+    "tridiag5_anchor": {
+        "base": {"coords": ["x"]},
+        "algebroids": {"A": {"basis": ["b1", "b2", "b3", "b4", "b5"],
+                             "anchor": [["1"], ["x"], ["0"], ["0"], ["0"]],
+                             "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "1"}},
+                                          {"i": 3, "j": 4, "coeffs": {"5": "1"}}]},
+                       "T": {"basis": ["d"], "anchor": [["1"]], "brackets": []}},
+        "morphisms": {"anchor": {"from": "A", "to": "T",
+                                 "matrix": [["1"], ["x"], ["0"], ["0"], ["0"]]}},
+        "metrics": {"g": {"on": "A", "matrix": _TRIDIAGONAL}}},
+}
 
 
 def _one_anchor(text):
@@ -602,6 +616,7 @@ REPARSE_RTOL = 1e-12  # a printed a + (b - c) re-parses as (a + b) - c
     ["jet", "so3", "--algebroid", "so3"],
     ["modular", "solvable2d", "--algebroid", "solvable"],
     ["mu", "action_x", "--morphism", "sharp", "--h", "1"],
+    ["mu", "tridiag5_anchor", "--morphism", "anchor", "--h", "1"],
 ], ids=" ".join)
 def test_dumped_coefficients_reparse(argv, tmp_path, capsys):
     """Every coefficient string of the CI dump commands parses back.
@@ -609,9 +624,9 @@ def test_dumped_coefficients_reparse(argv, tmp_path, capsys):
     A form coefficient re-parsed gives its dumped samples, a jet entry the
     values of the chart's own entry at the probe points, within REPARSE_RTOL
     of their magnitude.  `mu sa3 --h 3` dumps the zero form."""
-    if argv[1] == "leibniz2":
-        path = tmp_path / "leibniz2.json"
-        path.write_text(json.dumps(LEIBNIZ2))
+    if argv[1] in TEMPORARY_FIXTURES:
+        path = tmp_path / f"{argv[1]}.json"
+        path.write_text(json.dumps(TEMPORARY_FIXTURES[argv[1]]))
         argv = [argv[0], str(path), *argv[2:]]
     assert main(argv) == 0
     dumped = json.loads(capsys.readouterr().out)["forms"]
@@ -704,6 +719,7 @@ class TestNonFiniteProbeValues:
         assert code == 2
         assert err.startswith("error: adapted frame: ")
         assert "not finite at probe point (" in err
+        assert err.endswith(" (morphism 'phi', quasi-metric g+)\n")
         assert "Traceback" not in err
 
     def test_kernel_rows_are_checked_before_any_suite(self, tmp_path, capsys):
@@ -736,6 +752,38 @@ class TestNonFiniteProbeValues:
         assert err.startswith("error: metric 'gA' is not finite at probe point (")
         assert "not symmetric" not in err
         assert "Warning" not in err
+
+
+class TestKernelRows:
+    """Kernel rows must lie in the kernel and give an adapted frame, else the
+    run exits 2 naming the morphism, the row or quasi-metric, and the point."""
+
+    @pytest.mark.parametrize("key, rows, message", [
+        # k_flatness[phi] passed at 0.0 on this row; only an adapted block failed.
+        ("ker", [["1", "1"]], "kernel row 1 of 'phi' is not in the kernel of phi: "
+                              "|phi(v)| = 1 at probe point ("),
+        ("ker", [["0", "1"], ["sqrt(x-2)", "0"]],
+         "kernel row 2 of 'phi' is not in the kernel of phi: |phi(v)| = nan at probe point ("),
+        ("coker", [["1"]], "cokernel row 1 of 'phi' is not in the kernel of phi^T: "
+                           "|phi^T(nu)| = 1 at probe point ("),
+    ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_row_outside_the_kernel(self, tmp_path, capsys, key, rows, message):
+        path = _solvable2d_with(tmp_path, "kernels", "phi", key, rows)
+        code = main(["verify", path, "--suite", "axioms"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_rows_that_admit_no_adapted_frame(self, tmp_path, capsys):
+        # Each row is in the kernel, but together they span one direction of two.
+        path = _solvable2d_with(tmp_path, "kernels", "phi", "ker", [["0", "1"], ["0", "2"]])
+        code = main(["verify", path, "--suite", "axioms"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: kernel vectors do not span the annihilator "
+            "(morphism 'phi', quasi-metric g+)\n")
 
 
 def test_console_script_round_trip(tmp_path):

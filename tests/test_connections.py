@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids.algebroid import AlgebroidChart, Morphism
 from algebroids.chern import bott_delta
@@ -20,7 +21,8 @@ from algebroids.connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from algebroids.expressions import Const, parse_expression
+from algebroids.expressions import (Const, _children, _schedule, evaluate, exponential,
+                                    parse_expression)
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
@@ -250,6 +252,65 @@ def _assert_same_entries(new: FormMatrix, old: FormMatrix) -> None:
                 assert same_tree(new_entry.table[key], coeff)
 
 
+def _assert_same_values(new: FormMatrix, old: FormMatrix, points) -> None:
+    """Same chart, size, degree and keys in every entry, and every coefficient
+    within relative 1e-12 of the other's at the points."""
+    assert (new.chart, new.size, new.degree) == (old.chart, old.size, old.degree)
+    got, want = [], []
+    for new_row, old_row in zip(new.entries, old.entries):
+        for new_entry, old_entry in zip(new_row, old_row):
+            assert list(new_entry.table) == list(old_entry.table)
+            got.extend(new_entry.table.values())
+            want.extend(old_entry.table.values())
+    want = evaluate(want, points)
+    np.testing.assert_allclose(evaluate(got, points), want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max(initial=0.0))
+
+
+def _tree_sizes(fields) -> tuple[int, list[int]]:
+    """Distinct nodes under `fields`, and each field's node count as a tree,
+    by one children-first pass that sums the children's counts."""
+    order, _ = _schedule(fields)
+    size: dict = {}
+    for node in order:
+        size[node] = 1 + sum(size[kid] for kid in _children(node))
+    return len(order), [size[field] for field in fields]
+
+
+_X = parse_expression("x", ["x"])
+
+
+def _anchored_chart(rank: int) -> AlgebroidChart:
+    """Rank `rank` over x with anchor rows 1 and x and [b1, b2] = b1, the rest zero."""
+    one, zero = Const(1.0), Const(0.0)
+    anchor = [[one], [_X]][:rank] + [[zero]] * (rank - 2)
+    brackets = {(0, 1): {0: one}} if rank > 1 else {}
+    return AlgebroidChart("A", ["x"], [f"b{u + 1}" for u in range(rank)], anchor, brackets)
+
+
+def _tridiagonal_chart_and_metric() -> tuple[AlgebroidChart, QuasiMetric]:
+    """The rank-5 anchored chart with diagonal 2 + x^2 and off-diagonal 0.3x."""
+    diagonal, beside = parse_expression("2+x^2", ["x"]), parse_expression("0.3*x", ["x"])
+    return _anchored_chart(5), QuasiMetric(5, 1, [
+        [diagonal if a == b else beside if abs(a - b) == 1 else Const(0.0)
+         for b in range(5)] for a in range(5)])
+
+
+@st.composite
+def _spd_metrics(draw):
+    """An anchored chart of rank 1 to 5 and a metric on it that is positive
+    definite on [-1, 1]: entries p + qx off the diagonal, |p|, |q| <= 1/2, and
+    rank + exp(cx) on it, so strictly diagonally dominant."""
+    rank = draw(st.integers(1, 5))
+    eighths = st.integers(-4, 4).map(lambda n: Const(n / 8))
+    matrix = [[Const(0.0)] * rank for _ in range(rank)]
+    for a in range(rank):
+        matrix[a][a] = Const(float(rank)) + exponential(draw(eighths) * _X)
+        for b in range(a):
+            matrix[a][b] = matrix[b][a] = draw(eighths) + draw(eighths) * _X
+    return _anchored_chart(rank), QuasiMetric(rank, 1, matrix)
+
+
 class TestMetricLayerMatchesEntryLoops:
     """The metric layer's `FormMatrix` products against the loops they replaced."""
 
@@ -272,15 +333,21 @@ class TestMetricLayerMatchesEntryLoops:
     @pytest.mark.parametrize("name", builtin_fixture_names())
     def test_connections_build_the_same_trees(self, name):
         fixture = resolve_fixture(name)
-        for chart_name, chart in fixture.charts.items():
-            metric = fixture.metric_for(chart_name)
-            _assert_same_entries(orthogonal_connection(chart, metric),
-                                 dense_oracle.orthogonal_connection(chart, metric))
+        for chart in fixture.charts.values():
             conn = bracket_connection(chart)
             _assert_same_entries(dual_connection(conn), dense_oracle.dual_connection(conn))
         for phi in fixture.morphisms.values():
             conn = morphism_target_connection(phi)
             _assert_same_entries(dual_connection(conn), dense_oracle.dual_connection(conn))
+
+    @pytest.mark.parametrize("name", builtin_fixture_names())
+    def test_orthogonal_connection_matches_gram_schmidt(self, name):
+        fixture = resolve_fixture(name)
+        points = sample_points(len(fixture.coords), 20, 0)
+        for chart_name, chart in fixture.charts.items():
+            metric = fixture.metric_for(chart_name)
+            _assert_same_values(orthogonal_connection(chart, metric),
+                                dense_oracle.orthogonal_connection(chart, metric), points)
 
     @pytest.mark.parametrize("name", builtin_fixture_names())
     def test_metric_compat_residuals_are_equal(self, name):
@@ -310,7 +377,7 @@ class TestMetricLayerMatchesEntryLoops:
         points = sample_points(2, 20, 3)
         g.validate(points)
         orth = orthogonal_connection(chart, g)
-        _assert_same_entries(orth, dense_oracle.orthogonal_connection(chart, g))
+        _assert_same_values(orth, dense_oracle.orthogonal_connection(chart, g), points)
         for conn in (orth, _random_connection(chart, 2, 3)):
             assert (metric_compat_check(conn, g, points).residual
                     == dense_oracle.metric_compat_check(conn, g, points).residual)
@@ -348,26 +415,32 @@ class TestOrthogonalConnection:
         assert metric_compat_check(conn, g, sample_points(2, 60, 42), 1e-10).passed
 
     def test_rank_five_tridiagonal_metric_on_an_anchored_chart(self):
-        # Gram-Schmidt on this metric shares subtrees so deeply that the largest
-        # omega entry has 848 distinct nodes but about 1.5e8 tree nodes, so the
-        # oracle is compared by `same_tree`, which numbers distinct nodes, not by `str`.
-        one, zero = Const(1.0), Const(0.0)
-        x = parse_expression("x", ["x"])
-        chart = AlgebroidChart("A", ["x"], ["b1", "b2", "b3", "b4", "b5"],
-                               [[one], [x], [zero], [zero], [zero]],
-                               {(0, 1): {0: one}, (2, 3): {4: one}})
-        diagonal, beside = parse_expression("2+x^2", ["x"]), parse_expression("0.3*x", ["x"])
-        g = QuasiMetric(5, 1, [[diagonal if a == b else beside if abs(a - b) == 1 else zero
-                                for b in range(5)] for a in range(5)])
+        chart, g = _tridiagonal_chart_and_metric()
         points = sample_points(1, 50, 42)
         g.validate(points)
         conn = orthogonal_connection(chart, g)
         assert metric_compat_check(conn, g, points, 1e-10).passed
-        new = [entry.table for row in conn.entries for entry in row]
-        old = [entry.table for row in dense_oracle.orthogonal_connection(chart, g).entries
-               for entry in row]
-        assert [list(table) for table in new] == [list(table) for table in old]
-        assert all(same_tree(a[key], b[key]) for a, b in zip(new, old) for key in b)
+        _assert_same_values(conn, dense_oracle.orthogonal_connection(chart, g), points)
+
+    def test_tridiagonal_cholesky_connection_stays_small(self):
+        # Gram-Schmidt through the pairing built 5,618 distinct nodes here, and
+        # its largest coefficient expanded to about 1.5e8 tree nodes.
+        chart, g = _tridiagonal_chart_and_metric()
+        coeffs = [coeff for row in orthogonal_connection(chart, g).entries
+                  for entry in row for coeff in entry.table.values()]
+        distinct, sizes = _tree_sizes(coeffs)
+        assert distinct <= 1000
+        assert max(sizes) <= 1e5
+
+    @settings(max_examples=12, deadline=None)
+    @given(_spd_metrics())
+    def test_random_spd_metric_on_an_anchored_chart(self, case):
+        chart, g = case
+        points = sample_points(1, 20, 0)
+        g.validate(points)
+        conn = orthogonal_connection(chart, g)
+        assert metric_compat_check(conn, g, points).residual <= 1e-10
+        _assert_same_values(conn, dense_oracle.orthogonal_connection(chart, g), points)
 
     def test_degenerate_metric_rejected(self, tangent_r2):
         chart = tangent_r2.chart("TR2")
