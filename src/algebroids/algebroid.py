@@ -160,7 +160,7 @@ def d_A(omega: AForm) -> AForm:
                         total = add(total, mul(Const(pair_sign), mul(coeff, value)))
         if not total.is_zero():
             table[index] = total
-    return AForm(chart, k + 1, table)
+    return _trusted_form(chart, k + 1, table)
 
 
 def _reached_keys(omega: AForm) -> set[tuple[int, ...]]:
@@ -204,17 +204,18 @@ class Morphism:
         return cls(chart, chart, matrix, name)
 
     def compose(self, inner: "Morphism") -> "Morphism":
-        """self o inner, i.e. inner maps into self's source."""
+        """self o inner, i.e. inner maps into self's source.  Entry (i, w) adds
+        inner_i^t self_t^w by ascending t where both factors are nonzero."""
         if inner.target is not self.source:
             raise ValueError("morphisms are not composable")
+        rows = [[(w, e) for w, e in enumerate(row) if not e.is_zero()] for row in self.matrix]
         matrix = []
-        for i in range(inner.source.rank):
-            row = []
-            for w in range(self.target.rank):
-                acc = ZERO
-                for t in range(self.source.rank):
-                    acc = add(acc, mul(inner.matrix[i][t], self.matrix[t][w]))
-                row.append(acc)
+        for inner_row in inner.matrix:
+            row = [ZERO] * self.target.rank
+            for a, nonzero in zip(inner_row, rows):
+                if not a.is_zero():
+                    for w, b in nonzero:
+                        row[w] = add(row[w], mul(a, b))
             matrix.append(row)
         return Morphism(inner.source, self.target,
                         matrix, f"{self.name}.{inner.name}")

@@ -10,7 +10,9 @@ Delta(omega0, ..., omegak)c_h are Bott's simplex formula on the base chart:
 the link omega0 + sum t_i alpha_i is sliced at the nodes of a Gauss rule on
 the k-simplex, exact for the integrand's degree 2(h - k) in t, and its
 curvature d(omega0) + sum t_i d(alpha_i) - link ^ link takes each d once.
-`coboundary_check` is the one residual of Bott's cocycle identity.
+The rule is numpy's Gauss-Legendre rule, computed here by its own steps, so
+no command imports `numpy.polynomial`.  `coboundary_check` is the one
+residual of Bott's cocycle identity.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .algebroid import d_A
 from .connections import FormMatrix, _require_connection
 from .expressions import Const, ScalarField, balanced_sum, mul
-from .forms import AForm
+from .forms import AForm, _trusted_form
 from .reports import CheckRecord
 
 
@@ -85,7 +87,7 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
         key: mul(Const(scale), balanced_sum(terms))
         for key, terms in pending.items()
     }
-    return AForm(chart, degree, table)
+    return _trusted_form(chart, degree, table)
 
 
 def _word_trace(args: Sequence[FormMatrix], word: tuple[int, ...],
@@ -135,9 +137,31 @@ def _koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
 
 
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n - 1."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n - 1: numpy's
+    `leggauss` step for step, so bit for bit (companion eigenvalues of P_n, one
+    Newton step, weights 1 / (P_n' P_(n-1)) summing to 2, symmetrization)."""
+    scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scale[:n - 1] * scale[1:n]
+    nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = [0.0] * n + [1.0]
+    slope = _legendre_series(nodes, [(n - k) % 2 * (2.0 * k + 1) for k in range(n)])
+    nodes -= _legendre_series(nodes, p_n) / slope
+    below = _legendre_series(nodes, p_n[1:])
+    weights = 1 / (below / np.abs(below).max() * (slope / np.abs(slope).max()))
+    weights = (weights + weights[::-1]) / 2
+    nodes = (nodes - nodes[::-1]) / 2
+    weights *= 2. / weights.sum()
     return (nodes + 1.0) / 2.0, weights / 2.0
+
+
+def _legendre_series(x: np.ndarray, c: Sequence[float]) -> np.ndarray:
+    """sum_k c_k P_k(x) by the Clenshaw recursion of numpy's `legval`, op for op."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def simplex_rule(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ Conventions fixed once and used everywhere:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,32 +35,47 @@ from .algebroid import (
     _frame_derivative,
     d_A,
 )
-from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, div, evaluate,
+from .expressions import (Const, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
-from .forms import AForm, _accumulate, _trusted_form
+from .forms import AForm, _accumulate, _form, _trusted_form
 from .reports import CheckRecord
 from .sampling import first_point
 
 
 class FormMatrix:
-    """Square matrix of forms of one homogeneous degree on a shared chart."""
+    """Square matrix of forms of one homogeneous degree on a shared chart.
+
+    The constructor checks every entry.  The matrix's own operations (sums,
+    scalings, `wedge`, `d`, `transpose`) build valid matrices by construction
+    and skip those checks.  Products are row-sparse: the nonzero entries of
+    each row of the right factor are listed once, and A_u^s ^ B_s^t is added
+    into the table of (AB)_u^t by ascending s, over nonzero pairs only, so
+    each entry has the coefficient trees of `acc = acc + a.wedge(b)`.
+    """
 
     __slots__ = ("chart", "size", "degree", "entries")
 
     def __init__(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
                  degree: int):
-        self.chart = chart
-        self.size = len(entries)
-        if any(len(row) != self.size for row in entries):
+        if any(len(row) != len(entries) for row in entries):
             raise ValueError("form matrix must be square")
-        self.degree = degree
         for row in entries:
             for entry in row:
                 if entry.chart is not chart:
                     raise ValueError("all entries must live on the shared chart")
                 if not entry.is_zero() and entry.degree != degree:
                     raise ValueError("entries must share one degree")
+        self._set(chart, entries, degree)
+
+    def _set(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
+             degree: int) -> "FormMatrix":
+        self.chart, self.size, self.degree = chart, len(entries), degree
         self.entries = tuple(tuple(row) for row in entries)
+        return self
+
+    def _result(self, entries: Sequence[Sequence[AForm]], degree: int) -> "FormMatrix":
+        """A matrix on this chart from entries that are valid by construction."""
+        return FormMatrix.__new__(FormMatrix)._set(self.chart, entries, degree)
 
     @classmethod
     def zero(cls, chart: AlgebroidChart, size: int, degree: int) -> "FormMatrix":
@@ -74,61 +89,68 @@ class FormMatrix:
         return cls(chart, [[chart.function_form(f) for f in row] for row in rows], 0)
 
     def transpose(self) -> "FormMatrix":
-        return FormMatrix(self.chart, list(zip(*self.entries)), self.degree)
+        return self._result(list(zip(*self.entries)), self.degree)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         self._check_compatible(other)
-        return FormMatrix(
-            self.chart,
+        return self._result(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
             self.degree,
         )
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
         self._check_compatible(other)
-        return FormMatrix(
-            self.chart,
+        return self._result(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
             self.degree,
         )
 
     def scale(self, factor) -> "FormMatrix":
-        return FormMatrix(
-            self.chart,
-            [[e.scale(factor) for e in row] for row in self.entries],
-            self.degree,
-        )
+        return self._result([[e.scale(factor) for e in row] for row in self.entries],
+                            self.degree)
 
     def wedge(self, other: "FormMatrix") -> "FormMatrix":
-        """Matrix product with entrywise wedge: (AB)_u^t = A_u^s ^ B_s^t."""
+        """Matrix product with entrywise wedge: (AB)_u^t = A_u^s ^ B_s^t; zero,
+        with nothing built, when the degree exceeds the chart rank."""
         self._check_compatible(other, same_degree=False)
         degree = self.degree + other.degree
-        columns = tuple(zip(*other.entries))
-        out = [[_trusted_form(self.chart, degree, _add_wedges({}, zip(row, column)))
-                for column in columns] for row in self.entries]
-        return FormMatrix(self.chart, out, degree)
+        zero = self.chart.zero_form(degree)
+        if degree > self.chart.rank:
+            return self._result([[zero] * self.size] * self.size, degree)
+        rows = [[(t, b) for t, b in enumerate(row) if b.table] for row in other.entries]
+        out = []
+        for row in self.entries:
+            tables: dict[int, dict[tuple[int, ...], ScalarField]] = {}
+            for a, nonzero in zip(row, rows):
+                if a.table:
+                    for t, b in nonzero:
+                        a.wedge_into(b, tables.setdefault(t, {}))
+            out.append([_form(self.chart, degree, tables[t]) if t in tables else zero
+                        for t in range(self.size)])
+        return self._result(out, degree)
 
     def d(self) -> "FormMatrix":
-        return FormMatrix(
-            self.chart,
-            [[d_A(e) for e in row] for row in self.entries],
-            self.degree + 1,
-        )
+        return self._result([[d_A(e) for e in row] for row in self.entries], self.degree + 1)
 
     def trace(self) -> AForm:
         table: dict[tuple[int, ...], ScalarField] = {}
         for u in range(self.size):
             for key, coeff in self.entries[u][u].table.items():
                 _accumulate(table, key, coeff)
-        return _trusted_form(self.chart, self.degree, table)
+        return _form(self.chart, self.degree, table)
 
     def trace_wedge(self, other: "FormMatrix") -> AForm:
-        """tr(self ^ other), building only the diagonal of the product."""
+        """tr(self ^ other), building only the diagonal of the product: the
+        products A_u^s ^ B_s^u of nonzero pairs, added by ascending (u, s)."""
         self._check_compatible(other, same_degree=False)
-        n = self.size
-        table = _add_wedges({}, ((self.entries[u][s], other.entries[s][u])
-                                 for u in range(n) for s in range(n)))
-        return _trusted_form(self.chart, self.degree + other.degree, table)
+        degree = self.degree + other.degree
+        table: dict[tuple[int, ...], ScalarField] = {}
+        if degree <= self.chart.rank:
+            for u, row in enumerate(self.entries):
+                for a, b_row in zip(row, other.entries):
+                    if a.table and b_row[u].table:
+                        a.wedge_into(b_row[u], table)
+        return _form(self.chart, degree, table)
 
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
         """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
@@ -147,24 +169,6 @@ class FormMatrix:
             raise ValueError("form matrices are not compatible")
         if same_degree and self.degree != other.degree:
             raise ValueError("form matrices must share a degree")
-
-
-def _add_wedges(table: dict[tuple[int, ...], ScalarField],
-                pairs: Iterable[tuple[AForm, AForm]]) -> dict[tuple[int, ...], ScalarField]:
-    """Add the coefficients of a ^ b for each pair, in order, into `table`.
-
-    Each product's terms are summed by `balanced_sum` and the products are
-    added left to right with `AForm.__add__`'s rule, so the trees are those of
-    `acc = acc + a.wedge(b)` without the intermediate forms.
-    """
-    for a, b in pairs:
-        if a.is_zero() or b.is_zero():
-            continue
-        pending: dict[tuple[int, ...], list[ScalarField]] = {}
-        a.wedge_terms(b, pending)
-        for key, terms in pending.items():
-            _accumulate(table, key, balanced_sum(terms))
-    return table
 
 
 def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:

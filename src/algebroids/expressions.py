@@ -212,11 +212,12 @@ def _folded(value: float) -> Const:
 
 
 def add(a: ScalarField, b: ScalarField) -> ScalarField:
-    if isinstance(a, Const) and isinstance(b, Const):
+    a_const, b_const = type(a) is Const, type(b) is Const
+    if a_const and b_const:
         return _folded(a.value + b.value)
-    if a.is_zero():
+    if a_const and a.value == 0.0:
         return b
-    if b.is_zero():
+    if b_const and b.value == 0.0:
         return a
     return Add(a, b)
 
@@ -230,14 +231,15 @@ def sub(a: ScalarField, b: ScalarField) -> ScalarField:
 
 
 def mul(a: ScalarField, b: ScalarField) -> ScalarField:
-    if isinstance(a, Const) and isinstance(b, Const):
+    a_const, b_const = type(a) is Const, type(b) is Const
+    if a_const and b_const:
         return _folded(a.value * b.value)
-    if a.is_zero() or b.is_zero():
-        return ZERO
-    if isinstance(a, Const) and a.value == 1.0:
-        return b
-    if isinstance(b, Const) and b.value == 1.0:
-        return a
+    if a_const or b_const:
+        value = a.value if a_const else b.value
+        if value == 0.0:
+            return ZERO
+        if value == 1.0:
+            return b if a_const else a
     return Mul(a, b)
 
 

@@ -4,14 +4,16 @@ A degree-k form maps increasing k-tuples of frame indices (0-based) to scalar
 fields; absent keys are zero.  The determinant convention is used throughout:
 the stored coefficient *is* the value on the increasing frame tuple, with no
 1/k! normalization anywhere.
+
+Products go through `AForm.wedge_into`: a ^ b added into a table with the
+trees of `acc + a.wedge(b)`, each key pair's merge read from `MERGES`.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .expressions import Const, ScalarField, ZERO, add, balanced_sum, mul, residual
+from .expressions import Const, ScalarField, ZERO, _folded, add, balanced_sum, mul, residual
 
 if TYPE_CHECKING:
     from .algebroid import AlgebroidChart
@@ -38,12 +40,26 @@ def shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-@lru_cache(maxsize=None)
 def merge_indices(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
     """Merge disjoint increasing tuples; None if they share an index."""
     if set(left) & set(right):
         return None
     return shuffle_sign(left, right), tuple(sorted(left + right))
+
+
+class _Memo(dict):
+    """A dict that computes each missing value from its key, once."""
+
+    def __init__(self, compute):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+# MERGES[left][right] is merge_indices(left, right): one lookup per key pair.
+MERGES = _Memo(lambda left: _Memo(lambda right: merge_indices(left, right)))
 
 
 def check_multi_index(index: tuple[int, ...], rank: int) -> None:
@@ -104,16 +120,26 @@ class AForm:
         return not self.table
 
     def __add__(self, other: "AForm") -> "AForm":
+        return self._add_scaled(other, None)
+
+    def __sub__(self, other: "AForm") -> "AForm":
+        """One pass with the trees of `self + other.scale(-1.0)`."""
+        return self._add_scaled(other, Const(-1.0))
+
+    def _add_scaled(self, other: "AForm", factor: Const | None) -> "AForm":
+        """self + factor * other (None: 1); a zero summand returns the other
+        form itself, whose trees are those the sum would build."""
         _require_same_chart(self.chart, other.chart)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
+        if not other.table:
+            return self
+        if not self.table and factor is None:
+            return other
         table = dict(self.table)
         for index, coeff in other.table.items():
-            _accumulate(table, index, coeff)
-        return _trusted_form(self.chart, self.degree, table)
-
-    def __sub__(self, other: "AForm") -> "AForm":
-        return self + other.scale(Const(-1.0))
+            _accumulate(table, index, coeff if factor is None else mul(factor, coeff))
+        return _form(self.chart, self.degree, table)
 
     def scale(self, factor: ScalarField | float) -> "AForm":
         if not isinstance(factor, ScalarField):
@@ -123,30 +149,41 @@ class AForm:
 
     def wedge(self, other: "AForm") -> "AForm":
         """Exterior product (signed shuffle convolution of the tables)."""
-        pending: dict[tuple[int, ...], list[ScalarField]] = {}
-        self.wedge_terms(other, pending)
-        table = {key: balanced_sum(terms) for key, terms in pending.items()}
-        return _trusted_form(self.chart, self.degree + other.degree, table)
+        table: dict[tuple[int, ...], ScalarField] = {}
+        self.wedge_into(other, table)
+        return _form(self.chart, self.degree + other.degree, table)
 
-    def wedge_terms(self, other: "AForm",
-                    pending: dict[tuple[int, ...], list[ScalarField]]) -> None:
-        """Append the signed products f * g of `self ^ other` to `pending[key]`.
-
-        Nothing is appended when the degree of the product exceeds the rank.
-        """
+    def wedge_into(self, other: "AForm", table: dict[tuple[int, ...], ScalarField]) -> None:
+        """table += self ^ other, with the trees of `acc + self.wedge(other)`:
+        each key's signed products f * g (a constant product folded with its
+        sign in one step) summed by `balanced_sum`, then added with `__add__`'s
+        rule.  Nothing is added when the degree exceeds the rank."""
         _require_same_chart(self.chart, other.chart)
         if self.degree + other.degree > self.chart.rank:
             return
+        # With a one-key factor each product key has one term: no grouping.
+        pending = None if len(self.table) == 1 or len(other.table) == 1 else {}
         for left, f in self.table.items():
+            f_const = type(f) is Const
+            merges = MERGES[left]
             for right, g in other.table.items():
-                merged = merge_indices(left, right)
+                merged = merges[right]
                 if merged is None:
                     continue
                 sign, key = merged
-                term = mul(f, g)
-                if sign < 0:
-                    term = mul(Const(-1.0), term)
-                pending.setdefault(key, []).append(term)
+                if f_const and type(g) is Const:
+                    value = f.value * g.value
+                    term = _folded(-1.0 * value if sign < 0 else value)
+                else:
+                    term = mul(f, g)
+                    if sign < 0:
+                        term = mul(Const(-1.0), term)
+                if pending is None:
+                    _accumulate(table, key, term)
+                else:
+                    pending.setdefault(key, []).append(term)
+        for key, terms in (pending or {}).items():
+            _accumulate(table, key, terms[0] if len(terms) == 1 else balanced_sum(terms))
 
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
@@ -165,21 +202,31 @@ def _trusted_form(chart: "AlgebroidChart", degree: int,
 
     Zero coefficients are still dropped.
     """
+    return _form(chart, degree, {k: c for k, c in table.items() if not c.is_zero()})
+
+
+def _form(chart: "AlgebroidChart", degree: int,
+          table: dict[tuple[int, ...], ScalarField]) -> AForm:
+    """An `AForm` owning `table`: valid keys, no zero coefficient (`_accumulate`'s)."""
     form = AForm.__new__(AForm)
     form.chart = chart
     form.degree = degree
-    form.table = {index: coeff for index, coeff in table.items() if not coeff.is_zero()}
+    form.table = table
     return form
 
 
 def _accumulate(table: dict[tuple[int, ...], ScalarField], key: tuple[int, ...],
                 term: ScalarField) -> None:
     """table[key] += term, dropping the key when the sum is zero."""
-    if term.is_zero():
+    if type(term) is Const and term.value == 0.0:
         return
-    total = add(table.get(key, ZERO), term)
-    if total.is_zero():
-        table.pop(key, None)
+    total = table.get(key)
+    if total is None:
+        table[key] = term  # the tree that add(ZERO, term) builds
+        return
+    total = add(total, term)
+    if type(total) is Const and total.value == 0.0:
+        del table[key]
     else:
         table[key] = total
 

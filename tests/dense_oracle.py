@@ -18,6 +18,9 @@ guards the route named with it:
   `Morphism.apply` and `Section.__add__`); the section algebra under the
   references below, and the input of the jet and covariant-derivative tests.
 - `gamma`: c_ij^k with antisymmetry; guards `AlgebroidChart.structure`.
+- `compose_reference`: outer o inner by the dense loop over every inner
+  index, zero products included; guards the row-sparse `Morphism.compose`
+  (same trees).
 - `anchor_apply`: rho(a) acting on a function, every partial derivative
   taken before the anchor is read; guards the anchor terms of
   `algebroid.d_A` through `d_A` below.  `test_algebroid.TestAnchorApply`
@@ -101,6 +104,22 @@ def alternating_assignments(index: tuple[int, ...]):
     """All orderings of an increasing tuple with their permutation signs."""
     for perm in permutations(index):
         yield perm, generalized_delta(index, perm)
+
+
+def compose_reference(outer: Morphism, inner: Morphism) -> Morphism:
+    """outer o inner: entry (i, w) sums inner_i^t outer_t^w over every t."""
+    if inner.target is not outer.source:
+        raise ValueError("morphisms are not composable")
+    matrix = []
+    for i in range(inner.source.rank):
+        row = []
+        for w in range(outer.target.rank):
+            acc = ZERO
+            for t in range(outer.source.rank):
+                acc = add(acc, mul(inner.matrix[i][t], outer.matrix[t][w]))
+            row.append(acc)
+        matrix.append(row)
+    return Morphism(inner.source, outer.target, matrix, f"{outer.name}.{inner.name}")
 
 
 def pullback(phi: Morphism, omega: AForm) -> AForm:

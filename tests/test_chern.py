@@ -32,6 +32,7 @@ from algebroids.connections import (
     curvature,
     direct_sum,
     dual_connection,
+    morphism_target_connection,
     orthogonal_connection,
 )
 from algebroids.expressions import ZERO, Const, parse_expression
@@ -265,17 +266,18 @@ class TestChernAgainstPermutationSum:
 
     def test_wedge_count_does_not_grow_like_rank_to_the_h(self, sa3, monkeypatch):
         # Delta(c0, c1)c_3 of `mu sa3 --h 2`: 11,301 form wedges by the
-        # permutation sum, 1,959 by the cycle expansion.
+        # permutation sum, 1,959 by the cycle expansion.  Every form wedge,
+        # matrix products included, goes through `AForm.wedge_into`.
         c0, c1 = _sa3_mu_pair(sa3)
         calls = 0
-        wedge = AForm.wedge
+        wedge_into = AForm.wedge_into
 
-        def counted(self, other):
+        def counted(self, other, table):
             nonlocal calls
             calls += 1
-            return wedge(self, other)
+            return wedge_into(self, other, table)
 
-        monkeypatch.setattr(AForm, "wedge", counted)
+        monkeypatch.setattr(AForm, "wedge_into", counted)
         bott_delta([c0, c1], 3)
         assert 0 < calls <= 3000
 
@@ -313,6 +315,15 @@ def _assert_same_trees(new: AForm, old: AForm, label=None) -> None:
 class TestProductsAgainstIntermediateForms:
     """Matrix products without intermediate forms against `acc = acc + a.wedge(b)`."""
 
+    @staticmethod
+    def _assert_same_products(a, b):
+        product, old = a.wedge(b), form_matrix_wedge_reference(a, b)
+        assert product.degree == old.degree and product.size == old.size
+        for new_row, ref_row in zip(product.entries, old.entries):
+            for new, ref in zip(new_row, ref_row):
+                _assert_same_trees(new, ref)
+        _assert_same_trees(a.trace_wedge(b), trace_wedge_reference(a, b))
+
     @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4),
            degrees=st.tuples(st.integers(0, 2), st.integers(0, 2)),
            seed=st.integers(0, 2**32 - 1))
@@ -322,13 +333,70 @@ class TestProductsAgainstIntermediateForms:
         chart = _chart(chart_name, sl2aff, action_x)
         rng = np.random.default_rng(seed)
         a, b = (_random_form_matrix(chart, size, min(d, chart.rank), rng) for d in degrees)
-        product, old = a.wedge(b), form_matrix_wedge_reference(a, b)
-        assert product.degree == old.degree
-        pairs = [(new, ref) for new_row, ref_row in zip(product.entries, old.entries)
-                 for new, ref in zip(new_row, ref_row)]
-        pairs.append((a.trace_wedge(b), trace_wedge_reference(a, b)))
-        for new, ref in pairs:
-            _assert_same_trees(new, ref)
+        self._assert_same_products(a, b)
+
+    def test_products_of_the_mu_sa3_transgression(self, sa3, monkeypatch):
+        # Rank-12 matrices over the rank-11 chart: alpha ^ alpha, alpha ^ Omega_t,
+        # and every product that the words of c_3(alpha, Omega_t, Omega_t) build.
+        c0, c1 = _sa3_mu_pair(sa3)
+        alpha = c1 - c0
+        assert (alpha.size, alpha.chart.rank) == (12, 11)
+        omega = curvature(c0 + alpha.scale(float(gauss_legendre_01(3)[0][1])))
+        pairs = [(alpha, alpha), (alpha, omega)]
+
+        def recorded(method):
+            def record(self, other):
+                pairs.append((self, other))
+                return method(self, other)
+            return record
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FormMatrix, "wedge", recorded(FormMatrix.wedge))
+            patch.setattr(FormMatrix, "trace_wedge", recorded(FormMatrix.trace_wedge))
+            chern_polarized([alpha, omega, omega])
+        assert len(pairs) > 4
+        for a, b in pairs:
+            self._assert_same_products(a, b)
+
+    def test_products_of_the_sa3_jet_flat_connection(self, sa3):
+        flat = morphism_target_connection(jet_prolong(sa3.chart("sa3")).projection())
+        assert flat.chart.rank == 22
+        self._assert_same_products(flat, flat)
+        self._assert_same_products(flat.d(), flat)
+
+    def test_products_above_the_chart_rank_are_zero(self, sl2aff):
+        chart = sl2aff.chart("sl2aff")
+        rng = np.random.default_rng(3)
+        a, b = (_random_form_matrix(chart, 3, 3, rng, density=1.0) for _ in range(2))
+        assert a.degree + b.degree > chart.rank
+        self._assert_same_products(a, b)
+        assert all(entry.is_zero() for row in a.wedge(b).entries for entry in row)
+
+    def test_products_with_zero_rows_and_columns(self, sa3):
+        c0, c1 = _sa3_mu_pair(sa3)
+        alpha = c1 - c0
+        zero = alpha.chart.zero_form(1)
+        holes = FormMatrix(alpha.chart, [[zero if u in (0, 5) or t in (3, 11) else entry
+                                          for t, entry in enumerate(row)]
+                                         for u, row in enumerate(alpha.entries)], 1)
+        for a, b in ((holes, holes), (holes, alpha), (alpha, holes)):
+            self._assert_same_products(a, b)
+
+    @given(chart_name=st.sampled_from(CHARTS), size=st.integers(1, 4),
+           degrees=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_results_pass_the_constructor_checks(self, sl2aff, action_x, chart_name, size,
+                                                 degrees, seed):
+        # The matrix's own operations skip the checks of `FormMatrix(...)`.
+        chart = _chart(chart_name, sl2aff, action_x)
+        rng = np.random.default_rng(seed)
+        a, b, c = (_random_form_matrix(chart, size, min(d, chart.rank), rng)
+                   for d in (degrees[0], degrees[1], degrees[0]))
+        for out in (a.wedge(b), a + c, a - c, a.scale(-0.5), a.scale(0.0), a.d(),
+                    a.transpose()):
+            checked = FormMatrix(out.chart, out.entries, out.degree)
+            assert checked.size == out.size == size
 
 
 class TestTransgressionWork:
@@ -413,6 +481,13 @@ class TestGaussQuadrature:
             for d in range(2 * n):
                 value = float(np.sum(ws * xs ** d))
                 assert value == pytest.approx(1.0 / (d + 1), rel=1e-13)
+
+    def test_rule_is_numpys_leggauss_to_the_bit(self):
+        # numpy.polynomial is the oracle, imported by this test only.
+        for n in range(1, 13):
+            nodes, weights = np.polynomial.legendre.leggauss(n)
+            for got, want in zip(gauss_legendre_01(n), ((nodes + 1.0) / 2.0, weights / 2.0)):
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), n
 
     def test_simplex_rule_reproduces_dirichlet_moments(self):
         # integral of t^a over the k-simplex = a! / (|a| + k)!, exact for |a| <= 2n - k;

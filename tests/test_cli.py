@@ -786,6 +786,24 @@ class TestKernelRows:
             "(morphism 'phi', quasi-metric g+)\n")
 
 
+@pytest.mark.parametrize("argv", [["mu", "sa3", "--morphism", "zero", "--h", "2"],
+                                  ["verify", "so3", "--suite", "transgression"]])
+def test_commands_import_no_numpy_polynomial(argv):
+    # The Gauss rule is computed in the package.  Modules are compared before
+    # and after `main`, so numpy versions that import the package eagerly pass.
+    code = ("import contextlib, io, json, sys\n"
+            "from algebroids.cli import main\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    status = main({argv!r})\n"
+            "added = sorted(name for name in set(sys.modules) - before\n"
+            "               if name.split('.')[:2] == ['numpy', 'polynomial'])\n"
+            "print(json.dumps([status, added]))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, []]
+
+
 def test_console_script_round_trip(tmp_path):
     out = tmp_path / "cli.json"
     result = subprocess.run(

@@ -31,6 +31,7 @@ from algebroids.algebroid import (
 from algebroids.classes import chain_pair, modular_form
 from algebroids.connections import bracket_connection, morphism_target_connection
 from algebroids.expressions import parse_expression
+from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 
@@ -126,15 +127,42 @@ def test_sparse_routes_match_dense_oracle(chart, data):
                                    for _ in range(chart.rank)])
     _assert_same_connection(morphism_target_connection(psi),
                             dense_oracle.target_connection(psi))
+    _assert_same_morphism(psi.compose(phi), dense_oracle.compose_reference(psi, phi))
     if chart.rank * (1 + chart.dim) <= JET_RANK_CAP:
         jet = jet_prolong(chart)
         for degree in (0, 1, 2):
             for coefficients in (fields, _constants(chart.coords)):
                 _assert_same_d_A(_draw_form(data, jet, degree, coefficients, max_keys=8))
         projection = dense_oracle.HolonomicJet(chart).projection()
+        _assert_same_morphism(phi.compose(projection),
+                              dense_oracle.compose_reference(phi, projection))
         for jet_map in (projection, phi.compose(projection)):
             _assert_same_connection(morphism_target_connection(jet_map),
                                     dense_oracle.target_connection(jet_map))
+
+
+def _assert_same_morphism(new: Morphism, old: Morphism) -> None:
+    assert (new.source, new.target, new.name) == (old.source, old.target, old.name)
+    for new_row, old_row in zip(new.matrix, old.matrix, strict=True):
+        for new_entry, old_entry in zip(new_row, old_row, strict=True):
+            assert same_tree(new_entry, old_entry)
+
+
+def test_compose_matches_dense_oracle():
+    # Every composable pair of bundled morphisms, and every phi o pi that the
+    # jet suite builds from the jet projection pi of phi's source.
+    composed = 0
+    for name in builtin_fixture_names():
+        morphisms = list(resolve_fixture(name).morphisms.values())
+        jets = {phi.source: jet_prolong(phi.source) for phi in morphisms}
+        pairs = [(psi, phi) for phi in morphisms for psi in morphisms
+                 if psi.source is phi.target]
+        composed += len(pairs)
+        pairs += [(phi, jets[phi.source].projection()) for phi in morphisms]
+        for outer, inner in pairs:
+            _assert_same_morphism(outer.compose(inner),
+                                  dense_oracle.compose_reference(outer, inner))
+    assert composed > 0
 
 
 def _sa3_forms(chart):
