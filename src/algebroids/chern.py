@@ -10,8 +10,8 @@ Delta(omega0, ..., omegak)c_h are Bott's simplex formula on the base chart:
 the link omega0 + sum t_i alpha_i is sliced at the nodes of a Gauss rule on
 the k-simplex, exact for the integrand's degree 2(h - k) in t, and its
 curvature d(omega0) + sum t_i d(alpha_i) - link ^ link takes each d once.
-The rule is numpy's Gauss-Legendre rule, computed here by its own steps, so
-no command imports `numpy.polynomial`.  `coboundary_check` is the one
+The rule is numpy's Gauss-Legendre algorithm, computed here by its own steps,
+so no command imports `numpy.polynomial`.  `coboundary_check` is the one
 residual of Bott's cocycle identity.
 """
 
@@ -138,8 +138,11 @@ def _koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
 
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [0, 1], exact to degree 2n - 1: numpy's
-    `leggauss` step for step, so bit for bit (companion eigenvalues of P_n, one
-    Newton step, weights 1 / (P_n' P_(n-1)) summing to 2, symmetrization)."""
+    `leggauss` algorithm step for step (companion eigenvalues of P_n, one Newton
+    step, weights 1 / (P_n' P_(n-1)) summing to 2, symmetrization).  The Clenshaw
+    sums round as numpy 2.4's `legval` does, so on numpy 2.4 (the oldest release
+    checked) and later the rule is numpy's bit for bit; elsewhere it may differ in
+    the last bit."""
     scale = 1.0 / np.sqrt(2 * np.arange(n) + 1)
     off = np.arange(1, n) * scale[:n - 1] * scale[1:n]
     nodes = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
@@ -155,7 +158,7 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _legendre_series(x: np.ndarray, c: Sequence[float]) -> np.ndarray:
-    """sum_k c_k P_k(x) by the Clenshaw recursion of numpy's `legval`, op for op."""
+    """sum_k c_k P_k(x) by the Clenshaw recursion of numpy 2.4's `legval`, op for op."""
     if len(c) == 1:
         return c[0] + 0 * x
     c0, c1 = c[-2], c[-1]

@@ -161,8 +161,7 @@ class AForm:
         _require_same_chart(self.chart, other.chart)
         if self.degree + other.degree > self.chart.rank:
             return
-        # With a one-key factor each product key has one term: no grouping.
-        pending = None if len(self.table) == 1 or len(other.table) == 1 else {}
+        pending: dict[tuple[int, ...], list[ScalarField]] = {}
         for left, f in self.table.items():
             f_const = type(f) is Const
             merges = MERGES[left]
@@ -178,11 +177,8 @@ class AForm:
                     term = mul(f, g)
                     if sign < 0:
                         term = mul(Const(-1.0), term)
-                if pending is None:
-                    _accumulate(table, key, term)
-                else:
-                    pending.setdefault(key, []).append(term)
-        for key, terms in (pending or {}).items():
+                pending.setdefault(key, []).append(term)
+        for key, terms in pending.items():
             _accumulate(table, key, terms[0] if len(terms) == 1 else balanced_sum(terms))
 
     def max_abs(self, points) -> float:

@@ -482,6 +482,8 @@ class TestGaussQuadrature:
                 value = float(np.sum(ws * xs ** d))
                 assert value == pytest.approx(1.0 / (d + 1), rel=1e-13)
 
+    @pytest.mark.skipif(tuple(int(p) for p in np.__version__.split(".")[:2]) < (2, 4),
+                        reason="the rule rounds as numpy 2.4's legval, the oldest release checked")
     def test_rule_is_numpys_leggauss_to_the_bit(self):
         # numpy.polynomial is the oracle, imported by this test only.
         for n in range(1, 13):
