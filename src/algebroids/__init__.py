@@ -15,7 +15,6 @@ from .connections import (
     FormMatrix,
     QuasiMetric,
     bracket_connection,
-    chain_connection,
     connection_from_coefficients,
     curvature,
     direct_sum,
@@ -30,14 +29,7 @@ from .chern import (
     chern_polarized,
     coboundary_check,
 )
-from .classes import (
-    bi_characteristic,
-    chain_pair,
-    modular_form,
-    modular_form_morphism,
-    mu_form,
-    relative_mu,
-)
+from .classes import ClassBuilder, modular_form, modular_form_morphism, mu_form
 from .fixtures import Fixture, FixtureError, load_fixture, resolve_fixture
 
 __version__ = "0.1.0"

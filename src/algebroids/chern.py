@@ -224,15 +224,16 @@ def bott_delta(connections: Sequence[FormMatrix], h: int) -> AForm:
 
 
 def coboundary_check(connections: Sequence[FormMatrix], h: int, points,
-                     tol: float = 1e-8) -> CheckRecord:
+                     tol: float = 1e-8, delta=bott_delta) -> CheckRecord:
     """Residual of Bott's cocycle identity on k + 1 connections, sum_i (-1)^i
     Delta(..., c_i omitted, ...)c_h = d Delta(c0, ..., ck)c_h.  k = 1 is the
     transgression Delta(c1)c_h - Delta(c0)c_h = d Delta(c0, c1)c_h, and k = 0,
-    with no faces, the closedness of c_h(Omega)."""
+    with no faces, the closedness of c_h(Omega).  Each Delta is `delta(list, h)`,
+    so a caller that builds its forms once passes its own."""
     k = len(connections) - 1
     total = connections[0].chart.zero_form(2 * h - k + 1)
     for i in range(k + 1 if k else 0):
-        face = bott_delta([c for j, c in enumerate(connections) if j != i], h)
+        face = delta([c for j, c in enumerate(connections) if j != i], h)
         total = total - face if i % 2 else total + face
-    residual = total - d_A(bott_delta(connections, h))
+    residual = total - d_A(delta(connections, h))
     return CheckRecord(f"coboundary_c{h}", residual.max_abs(points), tol, len(points))

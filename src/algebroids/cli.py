@@ -1,8 +1,9 @@
 """Command-line verification suites over fixture files.
 
-Commands: `verify` (named suites of residual checks), `modular`, `mu`, `jet`
-(form and chart dumps), and `identities` (the identity battery: the `all`
-suite without `axioms`).  Reports are deterministic JSON; exit status is 0
+Commands: `verify` (named suites of residual checks; a run's suites share one
+`ClassBuilder`, which builds each connection and class form once), `modular`,
+`mu`, `jet` (form and chart dumps) and `identities` (the identity battery:
+`all` without `axioms`).  Reports are deterministic JSON; exit status is 0
 when every check passes, 1 when any fails, 2 on usage or fixture errors.
 """
 
@@ -25,27 +26,17 @@ from .algebroid import (
     pullback,
     verify_axioms,
 )
-from .chern import bott_delta, coboundary_check
-from .classes import (
-    bi_characteristic,
-    chain_pair,
-    modular_form,
-    modular_form_morphism,
-    mu_form,
-    relative_mu,
-)
+from .chern import coboundary_check
+from .classes import ClassBuilder, modular_form, modular_form_morphism, mu_form
 from .connections import (
     FormMatrix,
+    QuasiMetric,
     adapted_frame,
-    bracket_connection,
-    chain_connection,
     connection_from_coefficients,
     curvature,
     k_flatness_check,
     kernel_frame_on_S,
     metric_compat_check,
-    morphism_target_connection,
-    orthogonal_connection,
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
@@ -118,6 +109,11 @@ def _closed_record(name: str, points, tol: float, *forms: AForm) -> CheckRecord:
                        len(points))
 
 
+def _metrics(fixture: Fixture, forms: ClassBuilder, *charts) -> list[QuasiMetric]:
+    """Each chart's fixture metric, else the builder's identity metric of its rank."""
+    return [fixture.metric_for(c.name, forms.identity_metric(c.rank)) for c in charts]
+
+
 def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
     """The run's one draw of probe points, max(N, 10) rows.
 
@@ -171,7 +167,7 @@ def _check_kernel_rows(name: str, phi: Morphism, ker, coker, points) -> None:
                 f"{magnitude[n]:.3g} at probe point {tuple(points[n].tolist())}")
 
 
-def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     rng = np.random.default_rng(opt.seed)
     points = draw[:opt.points]
     for name, chart in fixture.charts.items():
@@ -191,14 +187,14 @@ def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw) -> None:
         report.add(record)
 
 
-def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     rng = np.random.default_rng(opt.seed + 1)
     points = draw[:opt.points]
     for name, chart in fixture.charts.items():
-        report.add(_bianchi_record(f"bianchi[{name}].bracket",
-                                   bracket_connection(chart), points, opt.tol))
-        metric = fixture.metric_for(name)
-        orth = orthogonal_connection(chart, metric)
+        bracket = forms.target_connection(forms.identity(chart))
+        report.add(_bianchi_record(f"bianchi[{name}].bracket", bracket, points, opt.tol))
+        [metric] = _metrics(fixture, forms, chart)
+        orth = forms.orthogonal(chart, metric)
         report.add(_bianchi_record(f"bianchi[{name}].orthogonal", orth, points,
                                    opt.tol))
         record = metric_compat_check(orth, metric, points, opt.tight_tol)
@@ -208,7 +204,7 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> 
         report.add(_bianchi_record(f"bianchi[{name}].random", random_conn,
                                    points, opt.tol))
     for name, phi in fixture.morphisms.items():
-        conn_S = chain_connection(Morphism.identity(phi.source), phi)
+        conn_S = forms.chain_connection(forms.identity(phi.source), phi)
         g_plus, g_minus = quasi_metric_on_S(phi)
         for g, label in ((g_plus, "sym"), (g_minus, "skew")):
             record = metric_compat_check(conn_S, g, points, opt.tol)
@@ -227,32 +223,27 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw) -> 
                     report.add(rec)
 
 
-def _transgression_pair(fixture: Fixture, phi: Morphism) -> tuple[FormMatrix, FormMatrix]:
-    """The pair of the chain (id, phi) with the fixture's metrics."""
-    return chain_pair(Morphism.identity(phi.source), phi,
-                      fixture.metric_for(phi.source.name),
-                      fixture.metric_for(phi.target.name))
-
-
-def _suite_transgression(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+def _suite_transgression(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     points = draw[:opt.points]
     for name, phi in fixture.morphisms.items():
-        nabla0, nabla1 = _transgression_pair(fixture, phi)
+        nabla0, nabla1 = forms.chain_pair(forms.identity(phi.source), phi,
+                                          *_metrics(fixture, forms, phi.source, phi.target))
         for h in (1, 2):
-            record = coboundary_check([nabla0, nabla1], h, points, opt.loose_tol)
+            record = coboundary_check([nabla0, nabla1], h, points, opt.loose_tol,
+                                      forms.delta)
             record.name = f"transgression[{name}].c{h}"
             report.add(record)
             report.add(_closed_record(f"closed_chern[{name}].c{h}", points, opt.tol,
-                                      bott_delta([nabla1], h)))
+                                      forms.delta([nabla1], h)))
 
 
-def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     # Identity metrics keep the frames orthonormal, which is what makes the
     # modular identity hold at form level (other metrics shift it by an exact
     # form only).
     points = draw[:opt.points]
     for name, phi in fixture.morphisms.items():
-        mu1 = mu_form(phi, 1)
+        mu1 = mu_form(phi, 1, builder=forms)
         target = modular_form_morphism(phi)
         report.add(CheckRecord(
             f"mu1_equals_modular[{name}]",
@@ -263,43 +254,43 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw) -> None
                                   target))
         report.add(_closed_record(f"closed_mu1[{name}]", points, opt.tol, mu1))
         report.add(_closed_record(f"closed_mu3[{name}]", points, opt.tol,
-                                  mu_form(phi, 2)))
+                                  mu_form(phi, 2, builder=forms)))
     by_signature: dict[tuple[str, str], list[str]] = {}
     for name, phi in fixture.morphisms.items():
         by_signature.setdefault((phi.source.name, phi.target.name), []).append(name)
     for (src, tgt), names in by_signature.items():
         for first, second in combinations(names, 2):
             phi1, phi2 = fixture.morphism(first), fixture.morphism(second)
-            nabla0, nabla1 = _transgression_pair(fixture, phi1)
-            nabla2 = chain_connection(Morphism.identity(phi2.source), phi2)
+            identity = forms.identity(phi1.source)
+            nabla0, nabla1 = forms.chain_pair(
+                identity, phi1, *_metrics(fixture, forms, phi1.source, phi1.target))
+            nabla2 = forms.chain_connection(identity, phi2)
             # Bott's cocycle identity: mu_phi1 - mu_phi2 = d Delta(nabla0, nabla1, nabla2) - bi
-            bi = bi_characteristic(phi1, phi2, 1)
-            correction = d_A(bott_delta([nabla0, nabla1, nabla2], 1))
-            lhs = mu_form(phi1, 1) - mu_form(phi2, 1)
+            bi = forms.bi_characteristic(phi1, phi2, 1)
+            correction = d_A(forms.delta([nabla0, nabla1, nabla2], 1))
+            lhs = mu_form(phi1, 1, builder=forms) - mu_form(phi2, 1, builder=forms)
             report.add(CheckRecord(f"bi_characteristic[{first},{second}]",
                                    (lhs - (correction - bi)).max_abs(points),
                                    opt.loose_tol, len(points)))
             for h in (1, 2):
                 record = coboundary_check([nabla0, nabla1, nabla2], h, points,
-                                          opt.loose_tol)
+                                          opt.loose_tol, forms.delta)
                 record.name = f"cocycle[{first},{second}].c{h}"
                 report.add(record)
 
 
-def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     points = draw[:opt.points]
     for first, phi in fixture.morphisms.items():
         for second, psi in fixture.morphisms.items():
             if psi.source is not phi.target or phi.source is psi.target:
                 continue
-            composite = psi.compose(phi)
-            g_a = fixture.metric_for(phi.source.name)
-            g_b = fixture.metric_for(phi.target.name)
-            g_c = fixture.metric_for(psi.target.name)
-            mu_comp = mu_form(composite, 1, g_source=g_a, g_target=g_c)
-            mu_phi = mu_form(phi, 1, g_source=g_a, g_target=g_b)
-            mu_psi = mu_form(psi, 1, g_source=g_b, g_target=g_c)
-            rel = relative_mu(phi, psi, 1, g_mid=g_b, g_far=g_c)
+            composite = forms.compose(psi, phi)
+            g_a, g_b, g_c = _metrics(fixture, forms, phi.source, phi.target, psi.target)
+            mu_comp = mu_form(composite, 1, g_a, g_c, forms)
+            mu_phi = mu_form(phi, 1, g_a, g_b, forms)
+            mu_psi = mu_form(psi, 1, g_b, g_c, forms)
+            rel = forms.relative_mu(phi, psi, 1, g_b, g_c)
             label = f"{second}.{first}"
             report.add(CheckRecord(
                 f"composition_relative[{label}]",
@@ -317,30 +308,28 @@ def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw) -> 
             ))
 
 
-def _suite_jet(fixture: Fixture, report: Report, opt: Options, draw) -> None:
+def _suite_jet(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     points = draw[:max(10, opt.points // 2)]
-    jets = {}
     for name, chart in fixture.charts.items():
-        jet = jets[chart] = jet_prolong(chart)
-        for record in verify_axioms(jet, points, opt.tol):
+        projection = forms.projection(chart)
+        for record in verify_axioms(projection.source, points, opt.tol):
             record.name = f"jet_axioms[{name}].{record.name}"
             report.add(record)
-        flat = morphism_target_connection(jet.projection())
+        flat = forms.target_connection(projection)
         report.add(CheckRecord(
             f"jet_flat[{name}]", curvature(flat).max_abs(points),
             opt.tight_tol, len(points),
         ))
     for name, phi in fixture.morphisms.items():
-        projection = jets[phi.source].projection()
-        far = morphism_target_connection(phi.compose(projection))
+        projection = forms.projection(phi.source)
+        far = forms.target_connection(forms.compose(phi, projection))
         report.add(CheckRecord(
             f"jet_flat_target[{name}]", curvature(far).max_abs(points),
             opt.tight_tol, len(points),
         ))
-        g_source = fixture.metric_for(phi.source.name)
-        g_target = fixture.metric_for(phi.target.name)
-        rel = relative_mu(projection, phi, 1, g_mid=g_source, g_far=g_target)
-        absolute = mu_form(phi, 1, g_source=g_source, g_target=g_target)
+        g_source, g_target = _metrics(fixture, forms, phi.source, phi.target)
+        rel = forms.relative_mu(projection, phi, 1, g_source, g_target)
+        absolute = mu_form(phi, 1, g_source, g_target, forms)
         pulled = pullback(projection, absolute)
         report.add(CheckRecord(
             f"jet_relative_pullback[{name}]", (rel - pulled).max_abs(points),
@@ -368,8 +357,9 @@ def run_suite(fixture: Fixture, suite: str, opt: Options | None = None) -> Repor
     opt = opt or Options()
     draw = _probe_points(fixture, opt)
     report = Report(__version__, fixture.name, opt.seed, opt.points)
+    forms = ClassBuilder()
     for runner in _SUITE_RUNNERS[suite]:
-        runner(fixture, report, opt, draw)
+        runner(fixture, report, opt, draw, forms)
     return report
 
 
@@ -408,9 +398,8 @@ def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
     phi = fixture.morphism(morphism)
     points = _probe_points(fixture, opt)[:opt.points]
     report = Report(__version__, fixture.name, opt.seed, opt.points)
-    form = mu_form(phi, h,
-                   g_source=fixture.metric_for(phi.source.name),
-                   g_target=fixture.metric_for(phi.target.name))
+    forms = ClassBuilder()
+    form = mu_form(phi, h, *_metrics(fixture, forms, phi.source, phi.target), forms)
     name = f"mu_{2 * h - 1}[{morphism}]"
     report.add(_closed_record(f"closed_{name}", points, opt.tol, form))
     report.forms[name] = _form_dump(name, form, points[:10])

@@ -250,17 +250,6 @@ def morphism_target_connection(phi: Morphism) -> FormMatrix:
     )
 
 
-def chain_connection(alpha: Morphism, beta: Morphism) -> FormMatrix:
-    """The bracket-induced connection on B + C* of a chain A -alpha-> B -beta-> C.
-
-    [alpha a, b] on B plus the dual of [beta alpha a, c] on C, over A.  The
-    chain (id, phi) gives the compatible connection on A + A'* of phi.
-    """
-    composite = beta.compose(alpha)  # a ValueError unless beta starts where alpha ends
-    return direct_sum(morphism_target_connection(alpha),
-                      dual_connection(morphism_target_connection(composite)))
-
-
 # --------------------------------------------------------------------------
 # Metrics
 # --------------------------------------------------------------------------

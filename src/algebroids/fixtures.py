@@ -46,12 +46,13 @@ class Fixture:
         except KeyError:
             raise FixtureError(f"fixture {self.name!r} has no morphism {name!r}")
 
-    def metric_for(self, chart_name: str) -> QuasiMetric:
-        """The chart's metric (at most one, checked on load), identity otherwise."""
+    def metric_for(self, chart_name: str, identity: QuasiMetric | None = None) -> QuasiMetric:
+        """The chart's metric (at most one, checked on load); otherwise `identity`,
+        by default a new identity metric of the chart's rank."""
         for on, metric in self.metrics.values():
             if on == chart_name:
                 return metric
-        return QuasiMetric.identity(self.charts[chart_name].rank)
+        return identity or QuasiMetric.identity(self.charts[chart_name].rank)
 
     def kernel_rows(self, morphism_name: str) -> tuple[list, list]:
         return self.kernels.get(morphism_name, ([], []))

@@ -5,7 +5,7 @@ Each one guards the `algebroids` route named after it:
 - `chern_scalar`: c_h of a numeric matrix, the sum of its principal minors;
   guards `chern.chern_polarized` on constant matrices.
 - `sum_connection`: the connection on A + A'* of a morphism alone; it is
-  `connections.chain_connection` of the chain (id, phi), the input of most
+  `ClassBuilder.chain_connection` of the chain (id, phi), the input of most
   class and transgression tests.
 - `covariant_derivative`: a connection acting on bundle sections; guards the
   compatibility of `connections.bracket_connection` and
@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from algebroids.algebroid import AlgebroidChart, JetChart, Morphism, d_A
-from algebroids.connections import FormMatrix, chain_connection
+from algebroids.classes import ClassBuilder
+from algebroids.connections import FormMatrix
 from algebroids.expressions import Const, ScalarField, ZERO, add, div, mul, sub
 from algebroids.forms import AForm, _require_same_chart
 from dense_oracle import Section, alternating_assignments, anchor_apply
@@ -48,7 +49,7 @@ def chern_scalar(matrix: np.ndarray, h: int) -> float:
 
 def sum_connection(phi: Morphism) -> FormMatrix:
     """The connection on A + A'* of phi: `chain_connection` of the chain (id, phi)."""
-    return chain_connection(Morphism.identity(phi.source), phi)
+    return ClassBuilder().chain_connection(Morphism.identity(phi.source), phi)
 
 
 def covariant_derivative(conn: FormMatrix, a: Section,

@@ -48,7 +48,7 @@ guards the route named with it:
   and the flat jet connections (phi a `HolonomicJet` projection, alone and
   composed with a morphism).
 - `morphism_sum_connection`: the former builder of the connection on
-  A + A'*; guards `connections.chain_connection` of the chain (id, phi).
+  A + A'*; guards `ClassBuilder.chain_connection` of the chain (id, phi).
 - `HolonomicJet`, `_section_anchor_row` and `jet_decompose_section`: the
   former `JetChart`, in the frame of holonomic sections j1(b_i), j1(x^h b_i),
   built by bracketing those sections and decomposing the result; guard the

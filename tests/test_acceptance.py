@@ -15,13 +15,7 @@ from algebroids.chern import (
     chern_polarized,
     coboundary_check,
 )
-from algebroids.classes import (
-    bi_characteristic,
-    chain_pair,
-    modular_form_morphism,
-    mu_form,
-    relative_mu,
-)
+from algebroids.classes import ClassBuilder, modular_form_morphism, mu_form
 from algebroids.cli import Options, _random_connection, _random_form, emit_class, run_suite
 from algebroids.connections import (
     FormMatrix,
@@ -183,7 +177,7 @@ def test_criterion_06_cocycle_and_bi_characteristic(solvable2d, so3_double):
         # bi = Delta(nabla_phi1, nabla_phi2).
         lhs = mu_form(phi1, 1) - mu_form(phi2, 1)
         rhs = d_A(bott_delta([nabla0, nabla1, nabla2], 1)) \
-            - bi_characteristic(phi1, phi2, 1)
+            - ClassBuilder().bi_characteristic(phi1, phi2, 1)
         assert (lhs - rhs).max_abs(points) <= 1e-8, fixture.name
     _report(6, "two-simplex cocycle and bi-characteristic identities")
 
@@ -212,7 +206,7 @@ def test_criterion_08_isomorphism_vanishing(so3):
         form = mu_form(ident, h, g_source=g, g_target=g)
         assert form.max_abs(points) <= 1e-12, h
     # The compatible sum as the metric reference connection of mu_3.
-    _, d1 = chain_pair(Morphism.identity(ident.source), ident)
+    _, d1 = ClassBuilder().chain_pair(Morphism.identity(ident.source), ident)
     matched = bott_delta([sum_connection(ident), d1], 3)
     assert matched.max_abs(points) <= 1e-12
     _report(8, "identity on so(3) with the invariant metric has zero classes")
@@ -235,7 +229,7 @@ def test_criterion_10_composition_laws(chain):
     mu_comp = mu_form(composite, 1)
     mu_phi = mu_form(phi, 1)
     mu_psi = mu_form(psi, 1)
-    rel = relative_mu(phi, psi, 1)
+    rel = ClassBuilder().relative_mu(phi, psi, 1)
     assert (rel - pullback(phi, mu_psi)).max_abs(points) <= 1e-9
     assert (mu_comp - (mu_phi + rel)).max_abs(points) <= 1e-9
     assert (mu_comp - (mu_phi + pullback(phi, mu_psi))).max_abs(points) <= 1e-9
@@ -245,7 +239,7 @@ def test_criterion_10_composition_laws(chain):
 def test_criterion_11_jet_theorem(solvable2d, action_x, so3):
     for fixture, name in ((solvable2d, "phi"), (action_x, "sharp")):
         phi = fixture.morphism(name)
-        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        form = ClassBuilder().relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         jet = form.chart
         points = sample_points(jet.dim, POINTS, SEED)
         pulled = pullback(jet.projection(), mu_form(phi, 1))

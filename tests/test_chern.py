@@ -24,7 +24,7 @@ from algebroids.chern import (
     gauss_legendre_01,
     simplex_rule,
 )
-from algebroids.classes import chain_pair
+from algebroids.classes import ClassBuilder
 from algebroids.connections import (
     FormMatrix,
     QuasiMetric,
@@ -228,7 +228,7 @@ def _argument_pattern(pattern, chart, size, h, rng):
 def _sa3_mu_pair(sa3):
     """The connections (c0, c1) whose transgression is `mu sa3 --morphism zero`."""
     phi = sa3.morphism("zero")
-    return chain_pair(Morphism.identity(phi.source), phi,
+    return ClassBuilder().chain_pair(Morphism.identity(phi.source), phi,
                       sa3.metric_for(phi.source.name), sa3.metric_for(phi.target.name))
 
 
@@ -573,7 +573,7 @@ class TestBottDeltaAgainstReference:
     def test_links_match_fiber_integration(self, solvable2d, so3, line_points):
         for fixture, name in ((solvable2d, "phi"), (so3, "id")):
             phi = fixture.morphism(name)
-            c0, c1 = chain_pair(Morphism.identity(phi.source), phi)
+            c0, c1 = ClassBuilder().chain_pair(Morphism.identity(phi.source), phi)
             for h in (1, 2, 3):
                 new = bott_delta([c0, c1], h)
                 old = bott_delta_reference([c0, c1], h)
@@ -586,7 +586,7 @@ class TestBottDeltaAgainstReference:
                                                first, second):
         fixture = request.getfixturevalue(fixture_name)
         p1, p2 = fixture.morphism(first), fixture.morphism(second)
-        c0, c1 = chain_pair(Morphism.identity(p1.source), p1)
+        c0, c1 = ClassBuilder().chain_pair(Morphism.identity(p1.source), p1)
         c2 = sum_connection(p2)
         for h in (1, 2):
             new = bott_delta([c0, c1, c2], h)
@@ -693,7 +693,7 @@ class TestSimplexRoute:
         for fixture, first, second in ((solvable2d, "phi", "phi2"),
                                        (so3_double, "id", "rot")):
             p1, p2 = fixture.morphism(first), fixture.morphism(second)
-            connections = [*chain_pair(Morphism.identity(p1.source), p1),
+            connections = [*ClassBuilder().chain_pair(Morphism.identity(p1.source), p1),
                            sum_connection(p2)]
             for h in (1, 2):
                 new = bott_delta(connections, h)

@@ -4,14 +4,7 @@ import pytest
 
 from algebroids.algebroid import Morphism, d_A, jet_prolong, pullback
 from algebroids.chern import bott_delta
-from algebroids.classes import (
-    bi_characteristic,
-    chain_pair,
-    modular_form,
-    modular_form_morphism,
-    mu_form,
-    relative_mu,
-)
+from algebroids.classes import ClassBuilder, modular_form, modular_form_morphism, mu_form
 from algebroids.connections import (
     FormMatrix,
     curvature,
@@ -120,7 +113,7 @@ class TestMuForm:
         # matrix then vanishes identically.
         ident = so3.morphism("id")
         nabla1 = sum_connection(ident)
-        _, d1 = chain_pair(Morphism.identity(ident.source), ident)
+        _, d1 = ClassBuilder().chain_pair(Morphism.identity(ident.source), ident)
         form = bott_delta([nabla1, d1], 3)
         assert form.max_abs(line_points) == 0.0
 
@@ -131,9 +124,9 @@ class TestMuForm:
         phi = solvable2d.morphism("phi")
         forms = {
             "mu": mu_form(phi, 3),
-            "bi": bi_characteristic(phi, solvable2d.morphism("phi2"), 3),
-            "relative": relative_mu(chain.morphism("phi"), chain.morphism("psi"), 3),
-            "jet": relative_mu(jet_prolong(phi.source).projection(), phi, 3),
+            "bi": ClassBuilder().bi_characteristic(phi, solvable2d.morphism("phi2"), 3),
+            "relative": ClassBuilder().relative_mu(chain.morphism("phi"), chain.morphism("psi"), 3),
+            "jet": ClassBuilder().relative_mu(jet_prolong(phi.source).projection(), phi, 3),
         }
         for name, form in forms.items():
             assert form.is_zero(), name
@@ -158,13 +151,13 @@ class TestMuForm:
 class TestBiCharacteristic:
     def test_equal_morphisms_vanish(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
-        form = bi_characteristic(phi, phi, 1)
+        form = ClassBuilder().bi_characteristic(phi, phi, 1)
         assert form.max_abs(line_points) == 0.0
 
     def test_scaled_pair_matches_trace_difference(self, solvable2d, line_points):
         phi1 = solvable2d.morphism("phi")
         phi2 = solvable2d.morphism("phi2")
-        form = bi_characteristic(phi1, phi2, 1)
+        form = ClassBuilder().bi_characteristic(phi1, phi2, 1)
         trace_diff = (sum_connection(phi2) - sum_connection(phi1)).trace()
         assert (form - trace_diff).max_abs(line_points) == 0.0
 
@@ -187,7 +180,7 @@ class TestBiCharacteristic:
                 dual_connection(orthogonal_connection(
                     phi1.source, QuasiMetric.identity(rank_b))),
             )
-            bi = bi_characteristic(phi1, phi2, 1)
+            bi = ClassBuilder().bi_characteristic(phi1, phi2, 1)
             lhs = mu_form(phi1, 1) - mu_form(phi2, 1)
             rhs = d_A(bott_delta([n0, n1, n2], 1)) - bi
             assert (lhs - rhs).max_abs(line_points) < 1e-8
@@ -196,13 +189,13 @@ class TestBiCharacteristic:
 
     def test_mismatched_pair_rejected(self, solvable2d, so3):
         with pytest.raises(ValueError):
-            bi_characteristic(solvable2d.morphism("phi"), so3.morphism("id"), 1)
+            ClassBuilder().bi_characteristic(solvable2d.morphism("phi"), so3.morphism("id"), 1)
 
 
 class TestRelativeClasses:
     def test_relative_is_pullback_of_absolute(self, chain, line_points):
         phi, psi = chain.morphism("phi"), chain.morphism("psi")
-        rel = relative_mu(phi, psi, 1)
+        rel = ClassBuilder().relative_mu(phi, psi, 1)
         absolute = mu_form(psi, 1)
         pulled = pullback(phi, absolute)
         assert (rel - pulled).max_abs(line_points) < 1e-9
@@ -211,7 +204,7 @@ class TestRelativeClasses:
         phi, psi = chain.morphism("phi"), chain.morphism("psi")
         composite = psi.compose(phi)
         lhs = mu_form(composite, 1)
-        rhs = mu_form(phi, 1) + relative_mu(phi, psi, 1)
+        rhs = mu_form(phi, 1) + ClassBuilder().relative_mu(phi, psi, 1)
         assert (lhs - rhs).max_abs(line_points) < 1e-9
 
     def test_full_composition_law(self, chain, line_points):
@@ -224,20 +217,20 @@ class TestRelativeClasses:
     def test_identity_downstream_morphism(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
         ident = Morphism.identity(phi.target)
-        rel = relative_mu(phi, ident, 1)
+        rel = ClassBuilder().relative_mu(phi, ident, 1)
         assert rel.max_abs(line_points) == 0.0
 
     def test_non_composable_pair_rejected(self, solvable2d):
         phi = solvable2d.morphism("phi")
         with pytest.raises(ValueError):
-            relative_mu(phi, phi, 1)
+            ClassBuilder().relative_mu(phi, phi, 1)
 
 
 class TestJetRelative:
     def test_solvable_class_pulls_back_along_projection(self, solvable2d,
                                                         line_points):
         phi = solvable2d.morphism("phi")
-        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        form = ClassBuilder().relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         assert _jet_pullback_residual(form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10
         jet = form.chart
@@ -247,7 +240,7 @@ class TestJetRelative:
 
     def test_identity_morphism_gives_zero(self, so3, line_points):
         phi = so3.morphism("id")
-        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        form = ClassBuilder().relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         assert form.max_abs(line_points) == 0.0
 
     def test_flat_jet_connections(self, so3, action_x):
@@ -266,20 +259,20 @@ class TestJetRelative:
         # jet projection.
         ident = so3.morphism("id")
         projection = jet_prolong(ident.source).projection()
-        pair = chain_pair(Morphism.identity(ident.source), ident)
+        pair = ClassBuilder().chain_pair(Morphism.identity(ident.source), ident)
         form = bott_delta([_pullback_connection(projection, c) for c in pair], 3)
         assert _jet_pullback_residual(form, ident, 2) < 1e-12
 
     def test_degree_five_class_has_exactly_the_keys_of_its_pullback(self, sa3):
         # The split jet frame builds no cancelling terms, so no key is dead.
         phi = sa3.morphism("zero")
-        form = relative_mu(jet_prolong(phi.source).projection(), phi, 2)
+        form = ClassBuilder().relative_mu(jet_prolong(phi.source).projection(), phi, 2)
         pulled = pullback(form.chart.projection(), mu_form(phi, 2))
         assert set(form.table) == set(pulled.table) and len(pulled.table) == 8
         assert (form - pulled).max_abs(_jet_points(phi)) <= 1e-12
 
     def test_anchored_fixture(self, action_x):
         phi = action_x.morphism("sharp")
-        form = relative_mu(jet_prolong(phi.source).projection(), phi, 1)
+        form = ClassBuilder().relative_mu(jet_prolong(phi.source).projection(), phi, 1)
         assert _jet_pullback_residual(form, phi, 1) < 1e-9
         assert _jet_flatness(phi) < 1e-10

@@ -4,12 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from algebroids import cli
+from algebroids import chern, cli, connections
 from algebroids.algebroid import JetChart, jet_prolong
+from algebroids.classes import ClassBuilder, mu_form
 from algebroids.cli import (
     Options,
     emit_class,
@@ -814,3 +816,96 @@ def test_console_script_round_trip(tmp_path):
     assert result.returncode == 0, result.stderr
     body = json.loads(out.read_text())
     assert body["passed"] is True
+
+
+# The fixtures of the CI byte-stability steps `mu_tridiag5_anchor` (rank 5, a
+# tridiagonal fixture metric, a morphism onto a rank-1 chart) and
+# `verify_leibniz2` (jet Leibniz rows).
+_TRIDIAG5_ANCHOR = {
+    "base": {"coords": ["x"]},
+    "algebroids": {
+        "A": {"basis": ["b1", "b2", "b3", "b4", "b5"],
+              "anchor": [["1"], ["x"], ["0"], ["0"], ["0"]],
+              "brackets": [{"i": 1, "j": 2, "coeffs": {"1": "1"}},
+                           {"i": 3, "j": 4, "coeffs": {"5": "1"}}]},
+        "T": {"basis": ["d"], "anchor": [["1"]], "brackets": []},
+    },
+    "metrics": {"g": {"on": "A",
+                      "matrix": [["2+x^2", "0.3*x", "0", "0", "0"],
+                                 ["0.3*x", "2+x^2", "0.3*x", "0", "0"],
+                                 ["0", "0.3*x", "2+x^2", "0.3*x", "0"],
+                                 ["0", "0", "0.3*x", "2+x^2", "0.3*x"],
+                                 ["0", "0", "0", "0.3*x", "2+x^2"]]}},
+    "morphisms": {"anchor": {"from": "A", "to": "T",
+                             "matrix": [["1"], ["x"], ["0"], ["0"], ["0"]]}},
+}
+_LEIBNIZ2 = {
+    "base": {"coords": ["x"]},
+    "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["1"], ["0"]],
+                         "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "x"}}]}},
+}
+
+
+class TestOneBuilderPerRun:
+    """`run_suite` shares one `ClassBuilder` among its suites: each connection
+    and Delta form is built once per run, and nothing carries between runs."""
+
+    @pytest.mark.parametrize("name", builtin_fixture_names() + ["tridiag5_anchor", "leibniz2"])
+    def test_all_is_the_single_suites_in_order(self, name, tmp_path):
+        written = {"tridiag5_anchor": _TRIDIAG5_ANCHOR, "leibniz2": _LEIBNIZ2}
+        if name in written:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(written[name]))
+            name = str(path)
+        fixture = resolve_fixture(name)
+
+        def records(suite):  # each record as text, so a NaN residual equals itself
+            return [json.dumps(c.to_dict()) for c in run_suite(fixture, suite).checks]
+
+        alone = {suite: records(suite) for suite in cli.SUITES if suite != "all"}
+        assert records("all") == [r for rs in alone.values() for r in rs]
+        assert records("identities") == [r for suite, rs in alone.items() if suite != "axioms"
+                                         for r in rs]
+
+    def test_a_run_builds_each_connection_and_form_once(self, monkeypatch, capsys):
+        counts = Counter()
+        package = [module for key, module in sys.modules.items()
+                   if key == "algebroids" or key.startswith("algebroids.")]
+        for home, name in ((connections, "morphism_target_connection"),
+                           (connections, "orthogonal_connection"), (chern, "bott_delta")):
+            original = getattr(home, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            for module in package:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted)
+        once = {"morphism_target_connection": 6, "orthogonal_connection": 5, "bott_delta": 8}
+        for _ in range(2):  # main resolves the fixture afresh each time
+            counts.clear()
+            assert main(["verify", "sa3", "--suite", "all"]) == 0
+            assert counts == once
+        capsys.readouterr()
+        sa3 = resolve_fixture("sa3")
+        for _ in range(2):  # the same objects twice: a memo that outlived its run would hit
+            counts.clear()
+            assert run_suite(sa3, "all").passed
+            assert counts == once
+
+    def test_identity_and_fixture_metrics_are_never_one_key(self, action_x, line_points):
+        # action_x's metric exp(2x) on `action` moves mu_1 of sharp off lambda_phi.
+        phi = action_x.morphism("sharp")
+        forms = ClassBuilder()
+        standard = mu_form(phi, 1, builder=forms)
+        weighted = mu_form(phi, 1, *cli._metrics(action_x, forms, phi.source, phi.target),
+                           forms)
+        assert (standard - weighted).max_abs(line_points) == pytest.approx(0.985, abs=1e-3)
+        records = {c.name: c.to_dict() for c in run_suite(action_x, "all").checks}
+        assert records["mu1_equals_modular[sharp]"] == {
+            "name": "mu1_equals_modular[sharp]", "residual": 0.0, "tolerance": 1e-10,
+            "passed": True, "probes": 100}
+        assert records["jet_relative_pullback[sharp]"] == {
+            "name": "jet_relative_pullback[sharp]", "residual": 0.0, "tolerance": 1e-9,
+            "passed": True, "probes": 50}

@@ -28,7 +28,7 @@ from algebroids.algebroid import (
     jet_prolong,
     verify_axioms,
 )
-from algebroids.classes import chain_pair, modular_form
+from algebroids.classes import ClassBuilder, modular_form
 from algebroids.connections import bracket_connection, morphism_target_connection
 from algebroids.expressions import parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
@@ -118,7 +118,7 @@ def test_sparse_routes_match_dense_oracle(chart, data):
     phi = Morphism(chart, chart, [data.draw(st.lists(fields, min_size=chart.rank,
                                                      max_size=chart.rank))
                                   for _ in range(chart.rank)])
-    _, d1 = chain_pair(Morphism.identity(chart), phi)
+    _, d1 = ClassBuilder().chain_pair(Morphism.identity(chart), phi)
     _assert_same_connection(d1, dense_oracle.morphism_sum_connection(phi))
     # A target with its own anchor and brackets: the -rho'(b'_u)(phi_i^t) term.
     target = data.draw(charts(chart.coords))
