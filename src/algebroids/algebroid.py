@@ -5,8 +5,8 @@ algebroid is its rank, an anchor matrix of scalar fields, and antisymmetric
 structure functions.  The whole structure is encoded in the differential
 `d_A`: the algebroid axioms are d_A^2 = 0 on the coordinate functions and the
 dual frame, and a morphism is a phi with phi^* d_B = d_A phi^* on the same
-generators.  `verify_axioms` and `check_morphism` test exactly these,
-numerically at probe points; constructors never assume them.
+generators.  `verify_axioms` and `check_morphism` give the residuals of exactly
+these (the command line records them); constructors never assume them.
 
 A chart is its anchor rho_i^h and its structure functions c_ij^k; nothing
 here brackets general sections.  The bracket-induced connection reads
@@ -23,7 +23,6 @@ from typing import Sequence
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
                           residual)
 from .forms import AForm, _require_same_chart, _trusted_form
-from .reports import CheckRecord
 
 
 class AlgebroidChart:
@@ -229,7 +228,8 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
 
     phi^*(f theta^{u_1} ^ ... ^ theta^{u_k}) = f phi^*theta^{u_1} ^ ... ^
     phi^*theta^{u_k}, where phi^*theta^u = sum_i phi_i^u theta^i is column u
-    of the matrix, read as a sparse 1-form.
+    of the matrix, read as a sparse 1-form.  A key whose wedge chain is zero
+    before its last factor adds nothing.
     """
     _require_same_chart(omega.chart, phi.target)
     chart = phi.source
@@ -248,7 +248,8 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
             if chain.is_zero():
                 break
             chain = chain.wedge(columns[u])
-        total = total + chain.scale(coeff)
+        else:
+            total = total + chain.scale(coeff)
     return total
 
 
@@ -262,8 +263,7 @@ def _dual_frame(chart: AlgebroidChart, m: int) -> AForm:
     return AForm(chart, 1, {(m,): Const(1.0)})
 
 
-def verify_axioms(chart: AlgebroidChart, points,
-                  tol: float = 1e-9) -> list[CheckRecord]:
+def verify_axioms(chart: AlgebroidChart, points) -> tuple[float, float, tuple[int, ...] | None]:
     """The algebroid axioms as d_A^2 = 0 on generators, at the probe points (N, dim).
 
     (a) The (i, j) coefficient of d_A(d_A x^l) is rho_i(rho_j^l) - rho_j(rho_i^l)
@@ -271,9 +271,9 @@ def verify_axioms(chart: AlgebroidChart, points,
     brackets exactly when it vanishes for every coordinate l.  (b) The
     (i, j, k) coefficient of d_A(d_A theta^m) is theta^m of the Jacobiator
     [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], whether or not
-    (a) holds; one walk per m.  The failing triple is the smallest key that
-    reaches the worst value.  A non-finite value counts as an infinite
-    residual.
+    (a) holds; one walk per m.  Returns (worst anchor value, worst Jacobiator
+    value, the smallest triple that reaches the worst Jacobiator value, or None
+    when d_A^2 leaves no triple).  A non-finite value counts as inf.
     """
     anchor_fields = [c for l in range(chart.dim)
                      for c in d_A(d_A(_coordinate(chart, l))).table.values()]
@@ -284,25 +284,17 @@ def verify_axioms(chart: AlgebroidChart, points,
         for key, value in zip(table, field_maxima(table.values(), points)):
             maxima[key] = max(maxima.get(key, 0.0), value)
     worst_jacobi = max(maxima.values(), default=0.0)
-    records = [
-        CheckRecord("anchor_bracket_morphism", worst_anchor, tol, len(points),
-                    {"chart": chart.name}),
-        CheckRecord("jacobi_identity", worst_jacobi, tol, len(points),
-                    {"chart": chart.name}),
-    ]
-    if worst_jacobi > tol:
-        worst_triple = min(key for key, value in maxima.items() if value == worst_jacobi)
-        records[1].details["failing_triple"] = list(worst_triple)
-    return records
+    triple = min((key for key, value in maxima.items() if value == worst_jacobi),
+                 default=None)
+    return worst_anchor, worst_jacobi, triple
 
 
-def check_morphism(phi: Morphism, points, tol: float = 1e-9) -> CheckRecord:
-    """Test phi^* d_B = d_A phi^* on generators at the probe points.
+def check_morphism(phi: Morphism) -> list[AForm]:
+    """The forms that vanish exactly when phi^* d_B = d_A phi^* on generators.
 
     On the coordinates, d_A x^l - phi^*(d_B x^l) vanishes exactly when phi
     preserves anchors; on the dual frame, d_A(phi^* theta^u) - phi^*(d_B
-    theta^u) then vanishes exactly when it preserves frame brackets.  A
-    non-finite value counts as an infinite residual.
+    theta^u) then vanishes exactly when it preserves frame brackets.
     """
     source, target = phi.source, phi.target
     differences = [d_A(_coordinate(source, l)) - pullback(phi, d_A(_coordinate(target, l)))
@@ -310,11 +302,7 @@ def check_morphism(phi: Morphism, points, tol: float = 1e-9) -> CheckRecord:
     for u in range(target.rank):
         theta = _dual_frame(target, u)
         differences.append(d_A(pullback(phi, theta)) - pullback(phi, d_A(theta)))
-    fields = [c for form in differences for c in form.table.values()]
-    return CheckRecord(
-        f"morphism_{phi.name}", residual(fields, points), tol, len(points),
-        {"from": source.name, "to": target.name},
-    )
+    return differences
 
 
 class JetChart(AlgebroidChart):

@@ -5,6 +5,8 @@ Commands: `verify` (named suites of residual checks; a run's suites share one
 `mu`, `jet` (form and chart dumps) and `identities` (the identity battery:
 `all` without `axioms`).  Reports are deterministic JSON; exit status is 0
 when every check passes, 1 when any fails, 2 on usage or fixture errors.
+The math layers return residuals; `_check` alone names, reduces and records
+them, so every `CheckRecord` is built in one place.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from .connections import (
     quasi_metric_frame_check,
     quasi_metric_on_S,
 )
-from .expressions import Const, ScalarField, ZERO, add, balanced_sum, evaluate, mul
+from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, evaluate,
+                          max_abs_finite, mul, residual)
 from .fixtures import Fixture, FixtureError, resolve_fixture
 from .forms import AForm
 from .reports import CheckRecord, Report
@@ -97,16 +100,37 @@ def _random_connection(chart: AlgebroidChart, rank: int, rng) -> FormMatrix:
         lambda i, u, t: _random_polynomial(chart, rng) if rng.integers(0, 2) else ZERO)
 
 
-def _bianchi_record(name: str, conn: FormMatrix, points, tol: float) -> CheckRecord:
-    curv = curvature(conn)
-    residual_matrix = curv.d() - (conn.wedge(curv) - curv.wedge(conn))
-    return CheckRecord(name, residual_matrix.max_abs(points), tol, len(points))
+def _check(report: Report, name: str, tol: float, points,
+           *residuals: AForm | FormMatrix | float, details: dict | None = None) -> CheckRecord:
+    """Add the record `name`: the largest |value| of `residuals` at the probe points.
+
+    A residual is an `AForm`, a `FormMatrix` or a float already reduced over the
+    points; every coefficient of the forms and matrices is reduced in one walk.
+    A non-finite value, a NaN float included, makes the residual inf.
+    """
+    fields, reduced = [], []
+    for value in residuals:
+        if isinstance(value, FormMatrix):
+            fields += [c for row in value.entries for entry in row
+                       for c in entry.table.values()]
+        elif isinstance(value, AForm):
+            fields += value.table.values()
+        else:
+            reduced.append(value)
+    worst = max(residual(fields, points), max_abs_finite(reduced))
+    return report.add(CheckRecord(name, worst, tol, len(points), details or {}))
 
 
-def _closed_record(name: str, points, tol: float, *forms: AForm) -> CheckRecord:
-    """The largest |d_A form| over `forms` at the probe points."""
-    return CheckRecord(name, max(d_A(form).max_abs(points) for form in forms), tol,
-                       len(points))
+def _check_axioms(report: Report, prefix: str, chart: AlgebroidChart, points,
+                  tol: float) -> None:
+    """The two axiom records of a chart; the failing triple only when Jacobi fails."""
+    worst_anchor, worst_jacobi, triple = verify_axioms(chart, points)
+    _check(report, f"{prefix}.anchor_bracket_morphism", tol, points, worst_anchor,
+           details={"chart": chart.name})
+    details = {"chart": chart.name}
+    if worst_jacobi > tol:
+        details["failing_triple"] = list(triple)
+    _check(report, f"{prefix}.jacobi_identity", tol, points, worst_jacobi, details=details)
 
 
 def _metrics(fixture: Fixture, forms: ClassBuilder, *charts) -> list[QuasiMetric]:
@@ -171,56 +195,46 @@ def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw, forms) -
     rng = np.random.default_rng(opt.seed)
     points = draw[:opt.points]
     for name, chart in fixture.charts.items():
-        for record in verify_axioms(chart, points, opt.tol):
-            record.name = f"axioms[{name}].{record.name}"
-            report.add(record)
-        worst = 0.0
-        for degree in (0, 1):
-            for _ in range(3):
-                form = _random_form(chart, degree, rng)
-                worst = max(worst, d_A(d_A(form)).max_abs(points))
-        report.add(CheckRecord(f"axioms[{name}].d_squared", worst, opt.tol,
-                               len(points)))
+        _check_axioms(report, f"axioms[{name}]", chart, points, opt.tol)
+        _check(report, f"axioms[{name}].d_squared", opt.tol, points,
+               *[d_A(d_A(_random_form(chart, degree, rng)))
+                 for degree in (0, 1) for _ in range(3)])
     for name, phi in fixture.morphisms.items():
-        record = check_morphism(phi, points, opt.tol)
-        record.name = f"axioms.morphism[{name}]"
-        report.add(record)
+        _check(report, f"axioms.morphism[{name}]", opt.tol, points, *check_morphism(phi),
+               details={"from": phi.source.name, "to": phi.target.name})
 
 
 def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     rng = np.random.default_rng(opt.seed + 1)
     points = draw[:opt.points]
     for name, chart in fixture.charts.items():
-        bracket = forms.target_connection(forms.identity(chart))
-        report.add(_bianchi_record(f"bianchi[{name}].bracket", bracket, points, opt.tol))
         [metric] = _metrics(fixture, forms, chart)
         orth = forms.orthogonal(chart, metric)
-        report.add(_bianchi_record(f"bianchi[{name}].orthogonal", orth, points,
-                                   opt.tol))
-        record = metric_compat_check(orth, metric, points, opt.tight_tol)
-        record.name = f"metric_parallel[{name}]"
-        report.add(record)
-        random_conn = _random_connection(chart, 2, rng)
-        report.add(_bianchi_record(f"bianchi[{name}].random", random_conn,
-                                   points, opt.tol))
+        _check(report, f"metric_parallel[{name}]", opt.tight_tol, points,
+               metric_compat_check(orth, metric))
+        for label, conn in (("bracket", forms.target_connection(forms.identity(chart))),
+                            ("orthogonal", orth),
+                            ("random", _random_connection(chart, 2, rng))):
+            curv = curvature(conn)
+            _check(report, f"bianchi[{name}].{label}", opt.tol, points,
+                   curv.d() - (conn.wedge(curv) - curv.wedge(conn)))
     for name, phi in fixture.morphisms.items():
         conn_S = forms.chain_connection(forms.identity(phi.source), phi)
         g_plus, g_minus = quasi_metric_on_S(phi)
         for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-            record = metric_compat_check(conn_S, g, points, opt.tol)
-            record.name = f"compat[{name}].{label}"
-            report.add(record)
+            _check(report, f"compat[{name}].{label}", opt.tol, points,
+                   metric_compat_check(conn_S, g))
         ker, coker = fixture.kernel_rows(name)
         if ker or coker:
-            record = k_flatness_check(conn_S, phi, ker, coker, points, opt.tight_tol)
-            record.name = f"k_flatness[{name}]"
-            report.add(record)
+            _check(report, f"k_flatness[{name}]", opt.tight_tol, points,
+                   k_flatness_check(conn_S, phi, ker, coker, points),
+                   details={"kernel_vectors": len(ker) + len(coker)})
             frame = kernel_frame_on_S(phi, ker, coker)
             for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-                for rec in quasi_metric_frame_check(conn_S, g, frame, points[:50],
-                                                    opt.tol):
-                    rec.name = f"adapted[{name}].{label}.{rec.name}"
-                    report.add(rec)
+                blocks = quasi_metric_frame_check(conn_S, g, frame, points[:50])
+                for block, worst in blocks.items():
+                    _check(report, f"adapted[{name}].{label}.{block}", opt.tol,
+                           points[:50], worst)
 
 
 def _suite_transgression(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
@@ -229,12 +243,10 @@ def _suite_transgression(fixture: Fixture, report: Report, opt: Options, draw, f
         nabla0, nabla1 = forms.chain_pair(forms.identity(phi.source), phi,
                                           *_metrics(fixture, forms, phi.source, phi.target))
         for h in (1, 2):
-            record = coboundary_check([nabla0, nabla1], h, points, opt.loose_tol,
-                                      forms.delta)
-            record.name = f"transgression[{name}].c{h}"
-            report.add(record)
-            report.add(_closed_record(f"closed_chern[{name}].c{h}", points, opt.tol,
-                                      forms.delta([nabla1], h)))
+            _check(report, f"transgression[{name}].c{h}", opt.loose_tol, points,
+                   coboundary_check([nabla0, nabla1], h, forms.delta))
+            _check(report, f"closed_chern[{name}].c{h}", opt.tol, points,
+                   d_A(forms.delta([nabla1], h)))
 
 
 def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
@@ -245,16 +257,12 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw, forms) 
     for name, phi in fixture.morphisms.items():
         mu1 = mu_form(phi, 1, builder=forms)
         target = modular_form_morphism(phi)
-        report.add(CheckRecord(
-            f"mu1_equals_modular[{name}]",
-            (mu1 - target).max_abs(points), opt.tight_tol, len(points),
-        ))
-        report.add(_closed_record(f"closed_modular[{name}]", points, opt.tol,
-                                  modular_form(phi.source), modular_form(phi.target),
-                                  target))
-        report.add(_closed_record(f"closed_mu1[{name}]", points, opt.tol, mu1))
-        report.add(_closed_record(f"closed_mu3[{name}]", points, opt.tol,
-                                  mu_form(phi, 2, builder=forms)))
+        _check(report, f"mu1_equals_modular[{name}]", opt.tight_tol, points, mu1 - target)
+        _check(report, f"closed_modular[{name}]", opt.tol, points,
+               d_A(modular_form(phi.source)), d_A(modular_form(phi.target)), d_A(target))
+        _check(report, f"closed_mu1[{name}]", opt.tol, points, d_A(mu1))
+        _check(report, f"closed_mu3[{name}]", opt.tol, points,
+               d_A(mu_form(phi, 2, builder=forms)))
     by_signature: dict[tuple[str, str], list[str]] = {}
     for name, phi in fixture.morphisms.items():
         by_signature.setdefault((phi.source.name, phi.target.name), []).append(name)
@@ -269,14 +277,11 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw, forms) 
             bi = forms.bi_characteristic(phi1, phi2, 1)
             correction = d_A(forms.delta([nabla0, nabla1, nabla2], 1))
             lhs = mu_form(phi1, 1, builder=forms) - mu_form(phi2, 1, builder=forms)
-            report.add(CheckRecord(f"bi_characteristic[{first},{second}]",
-                                   (lhs - (correction - bi)).max_abs(points),
-                                   opt.loose_tol, len(points)))
+            _check(report, f"bi_characteristic[{first},{second}]", opt.loose_tol, points,
+                   lhs - (correction - bi))
             for h in (1, 2):
-                record = coboundary_check([nabla0, nabla1, nabla2], h, points,
-                                          opt.loose_tol, forms.delta)
-                record.name = f"cocycle[{first},{second}].c{h}"
-                report.add(record)
+                _check(report, f"cocycle[{first},{second}].c{h}", opt.loose_tol, points,
+                       coboundary_check([nabla0, nabla1, nabla2], h, forms.delta))
 
 
 def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
@@ -292,49 +297,30 @@ def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw, for
             mu_psi = mu_form(psi, 1, g_b, g_c, forms)
             rel = forms.relative_mu(phi, psi, 1, g_b, g_c)
             label = f"{second}.{first}"
-            report.add(CheckRecord(
-                f"composition_relative[{label}]",
-                (mu_comp - (mu_phi + rel)).max_abs(points), opt.tol, len(points),
-            ))
-            report.add(CheckRecord(
-                f"relative_is_pullback[{label}]",
-                (rel - pullback(phi, mu_psi)).max_abs(points), opt.tol,
-                len(points),
-            ))
-            report.add(CheckRecord(
-                f"composition_total[{label}]",
-                (mu_comp - (mu_phi + pullback(phi, mu_psi))).max_abs(points),
-                opt.tol, len(points),
-            ))
+            _check(report, f"composition_relative[{label}]", opt.tol, points,
+                   mu_comp - (mu_phi + rel))
+            _check(report, f"relative_is_pullback[{label}]", opt.tol, points,
+                   rel - pullback(phi, mu_psi))
+            _check(report, f"composition_total[{label}]", opt.tol, points,
+                   mu_comp - (mu_phi + pullback(phi, mu_psi)))
 
 
 def _suite_jet(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
     points = draw[:max(10, opt.points // 2)]
     for name, chart in fixture.charts.items():
         projection = forms.projection(chart)
-        for record in verify_axioms(projection.source, points, opt.tol):
-            record.name = f"jet_axioms[{name}].{record.name}"
-            report.add(record)
-        flat = forms.target_connection(projection)
-        report.add(CheckRecord(
-            f"jet_flat[{name}]", curvature(flat).max_abs(points),
-            opt.tight_tol, len(points),
-        ))
+        _check_axioms(report, f"jet_axioms[{name}]", projection.source, points, opt.tol)
+        _check(report, f"jet_flat[{name}]", opt.tight_tol, points,
+               curvature(forms.target_connection(projection)))
     for name, phi in fixture.morphisms.items():
         projection = forms.projection(phi.source)
         far = forms.target_connection(forms.compose(phi, projection))
-        report.add(CheckRecord(
-            f"jet_flat_target[{name}]", curvature(far).max_abs(points),
-            opt.tight_tol, len(points),
-        ))
+        _check(report, f"jet_flat_target[{name}]", opt.tight_tol, points, curvature(far))
         g_source, g_target = _metrics(fixture, forms, phi.source, phi.target)
         rel = forms.relative_mu(projection, phi, 1, g_source, g_target)
         absolute = mu_form(phi, 1, g_source, g_target, forms)
-        pulled = pullback(projection, absolute)
-        report.add(CheckRecord(
-            f"jet_relative_pullback[{name}]", (rel - pulled).max_abs(points),
-            opt.tol, len(points),
-        ))
+        _check(report, f"jet_relative_pullback[{name}]", opt.tol, points,
+               rel - pullback(projection, absolute))
 
 
 _SUITE_RUNNERS = {
@@ -387,7 +373,7 @@ def emit_modular(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     points = _probe_points(fixture, opt)[:opt.points]
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     form = modular_form(chart)
-    report.add(_closed_record(f"closed_modular[{algebroid}]", points, opt.tol, form))
+    _check(report, f"closed_modular[{algebroid}]", opt.tol, points, d_A(form))
     name = f"modular[{algebroid}]"
     report.forms[name] = _form_dump(name, form, points[:10])
     return report
@@ -401,7 +387,7 @@ def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
     forms = ClassBuilder()
     form = mu_form(phi, h, *_metrics(fixture, forms, phi.source, phi.target), forms)
     name = f"mu_{2 * h - 1}[{morphism}]"
-    report.add(_closed_record(f"closed_{name}", points, opt.tol, form))
+    _check(report, f"closed_{name}", opt.tol, points, d_A(form))
     report.forms[name] = _form_dump(name, form, points[:10])
     return report
 
@@ -411,9 +397,7 @@ def emit_jet(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     points = _probe_points(fixture, opt)[:opt.points]
     jet = jet_prolong(chart)
     report = Report(__version__, fixture.name, opt.seed, opt.points)
-    for record in verify_axioms(jet, points, opt.tol):
-        record.name = f"jet_axioms[{algebroid}].{record.name}"
-        report.add(record)
+    _check_axioms(report, f"jet_axioms[{algebroid}]", jet, points, opt.tol)
     report.forms[f"jet[{algebroid}]"] = {
         "rank": jet.rank,
         "basis": list(jet.basis),

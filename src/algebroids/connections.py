@@ -38,7 +38,6 @@ from .algebroid import (
 from .expressions import (Const, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
 from .forms import AForm, _accumulate, _form, _trusted_form
-from .reports import CheckRecord
 from .sampling import first_point
 
 
@@ -351,16 +350,14 @@ def quasi_metric_on_S(phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
     return build(1), build(-1)
 
 
-def metric_compat_check(conn: FormMatrix, g: QuasiMetric, points,
-                        tol: float = 1e-9) -> CheckRecord:
-    """Residual of dG - omega ^ G - G ^ omega^T, G the 0-form matrix of g.
+def metric_compat_check(conn: FormMatrix, g: QuasiMetric) -> FormMatrix:
+    """The residual matrix dG - omega ^ G - G ^ omega^T, G the 0-form matrix of g.
 
     On b_i its (a, b) entry is anchor(g(b_a, b_b)) - g(nabla b_a, b_b) -
     g(b_a, nabla b_b) with nabla_{b_i} b_a = omega_a^c(b_i) b_c.
     """
     G = FormMatrix.of_functions(conn.chart, g.matrix)
-    parallel = G.d() - conn.wedge(G) - G.wedge(conn.transpose())
-    return CheckRecord("metric_compatibility", parallel.max_abs(points), tol, len(points))
+    return G.d() - conn.wedge(G) - G.wedge(conn.transpose())
 
 
 def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
@@ -382,17 +379,16 @@ def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
 def k_flatness_check(conn_S: FormMatrix, phi: Morphism,
                      ker_rows: Sequence[Sequence[ScalarField]],
                      coker_rows: Sequence[Sequence[ScalarField]],
-                     points, tol: float = 1e-10) -> CheckRecord:
-    """Curvature of the sum connection applied to the annihilator frame."""
+                     points) -> float:
+    """Largest entry of the sum connection's curvature applied to the annihilator
+    frame, at the probe points; inf if any value is non-finite."""
     chart = conn_S.chart
     vectors = kernel_frame_on_S(phi, ker_rows, coker_rows)
     omega = curvature(conn_S).eval_on(list(combinations(range(chart.rank), 2)), points)
     values = evaluate([c for vec in vectors for c in vec], points)
     values = values.T.reshape(len(points), len(vectors), conn_S.size)
     with np.errstate(all="ignore"):  # a non-finite value makes the residual inf
-        worst = max_abs_finite(values @ omega)
-    return CheckRecord("k_flatness", worst, tol, len(points),
-                       {"kernel_vectors": len(vectors)})
+        return max_abs_finite(values @ omega)
 
 
 def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]],
@@ -476,12 +472,14 @@ def _symplectic_basis(gram: np.ndarray, complement: np.ndarray) -> tuple[np.ndar
 
 def quasi_metric_frame_check(conn: FormMatrix, g: QuasiMetric,
                              kernel_vectors: Sequence[Sequence[ScalarField]],
-                             points, tol: float = 1e-9) -> list[CheckRecord]:
-    """Pointwise checks in an adapted frame for a quasi-metric connection.
+                             points) -> dict[str, float]:
+    """Pointwise residuals in an adapted frame for a quasi-metric connection.
 
-    Verifies that derivatives of the kernel frame stay in the kernel, and that
-    the complement blocks of the connection and curvature matrices preserve
-    the canonical Gram (orthogonal/symplectic valued).
+    The worst value at the probe points of each block, by name: the kernel
+    blocks, which vanish when derivatives of the kernel frame stay in the
+    kernel, and the algebra defects, which vanish when the complement blocks
+    of the connection and curvature matrices preserve the canonical Gram
+    (orthogonal/symplectic valued).  A non-finite value counts as inf.
     """
     chart = conn.chart
     s_frame, canonical, t_frame = adapted_frame(g, kernel_vectors, points)
@@ -502,10 +500,9 @@ def quasi_metric_frame_check(conn: FormMatrix, g: QuasiMetric,
     worst_curv_kernel, worst_curv_algebra = worst_blocks(
         curvature(conn), list(combinations(range(chart.rank), 2)))
     label = "orthogonal" if g.sign == 1 else "symplectic"
-    n = len(points)
-    return [
-        CheckRecord("adapted_frame_kernel_block", worst_kernel, tol, n),
-        CheckRecord(f"adapted_frame_{label}_block", worst_algebra, tol, n),
-        CheckRecord("adapted_frame_curvature_kernel_block", worst_curv_kernel, tol, n),
-        CheckRecord(f"adapted_frame_curvature_{label}_block", worst_curv_algebra, tol, n),
-    ]
+    return {
+        "adapted_frame_kernel_block": worst_kernel,
+        f"adapted_frame_{label}_block": worst_algebra,
+        "adapted_frame_curvature_kernel_block": worst_curv_kernel,
+        f"adapted_frame_curvature_{label}_block": worst_curv_algebra,
+    }

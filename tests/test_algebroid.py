@@ -39,6 +39,16 @@ def _max_diff(form_a, form_b, points):
     return (form_a - form_b).max_abs(points)
 
 
+def _axioms_hold(chart, points, tol=1e-9):
+    worst_anchor, worst_jacobi, _ = verify_axioms(chart, points)
+    return worst_anchor <= tol and worst_jacobi <= tol
+
+
+def _morphism_residual(phi, points):
+    """The largest |value| of `check_morphism`'s forms at the points."""
+    return max((form.max_abs(points) for form in check_morphism(phi)), default=0.0)
+
+
 def _nan_jacobi_chart():
     """[b0,b1] = c b2 with c = inf - inf (NaN) at every probe, [b0,b2] = b0."""
     coords = ["x"]
@@ -176,38 +186,35 @@ class TestExteriorDifferential:
 
 class TestVerifyAxioms:
     def test_so3_passes(self, so3, line_points):
-        records = verify_axioms(so3.chart("so3"), line_points)
-        assert all(r.passed and r.residual == 0.0 for r in records)
+        anchor, jacobi, _ = verify_axioms(so3.chart("so3"), line_points)
+        assert anchor == jacobi == 0.0
 
     def test_tangent_passes(self, tangent_r2, plane_points):
-        assert all(r.passed for r in verify_axioms(tangent_r2.chart("TR2"), plane_points))
+        assert _axioms_hold(tangent_r2.chart("TR2"), plane_points)
 
     def test_corrupted_bracket_fails(self, broken_jacobi, line_points):
-        records = verify_axioms(broken_jacobi.chart("broken"), line_points)
-        jacobi = next(r for r in records if "jacobi" in r.name)
-        assert not jacobi.passed
-        assert jacobi.residual >= 0.1
-        assert jacobi.details["failing_triple"] == [0, 1, 2]
+        _, jacobi, triple = verify_axioms(broken_jacobi.chart("broken"), line_points)
+        assert jacobi >= 0.1
+        assert triple == (0, 1, 2)
 
     def test_nan_jacobiator_fails(self, line_points):
-        anchor, jacobi = verify_axioms(_nan_jacobi_chart(), line_points)
-        assert anchor.passed and anchor.residual == 0.0
-        assert not jacobi.passed
-        assert jacobi.residual == float("inf")
-        assert jacobi.details["failing_triple"] == [0, 1, 2]
+        anchor, jacobi, triple = verify_axioms(_nan_jacobi_chart(), line_points)
+        assert anchor == 0.0
+        assert jacobi == float("inf")
+        assert triple == (0, 1, 2)
 
     @pytest.mark.parametrize("coords", [("x",), ("x", "y")])
     def test_anchor_only_violation_fails(self, coords):
         # rho(b_0) = d/dx and rho(b_1) = x d/dx have bracket d/dx, but [b_0, b_1] = 0.
         points = sample_points(len(coords), 100, 42)
-        anchor, jacobi = verify_axioms(_anchor_only_chart(coords), points)
-        assert not anchor.passed and anchor.residual == 1.0
-        assert jacobi.passed and jacobi.residual == 0.0
+        anchor, jacobi, _ = verify_axioms(_anchor_only_chart(coords), points)
+        assert anchor == 1.0
+        assert jacobi == 0.0
 
     def test_failing_triple_is_the_first_that_reaches_the_worst_value(self, line_points):
-        _, jacobi = verify_axioms(_tied_jacobi_chart(), line_points)
-        assert jacobi.residual == 1.0
-        assert jacobi.details["failing_triple"] == [0, 1, 3]
+        _, jacobi, triple = verify_axioms(_tied_jacobi_chart(), line_points)
+        assert jacobi == 1.0
+        assert triple == (0, 1, 3)
 
 
 class TestPullback:
@@ -223,6 +230,15 @@ class TestPullback:
                         [[Const(0.0)], [Const(0.0)]], "zero")
         covector = basis_covector(phi.target, 0)
         assert pullback(zero, covector).is_zero()
+
+    def test_zero_column_kills_a_two_form(self):
+        # Each key's wedge chain of pulled-back columns is zero before its last
+        # factor; adding that 1-form chain to the 2-form total raised ValueError.
+        chart = AlgebroidChart("A", ["x"], ["b1", "b2"], [[Const(0.0)], [Const(0.0)]],
+                               {(0, 1): {1: Const(1.0)}})
+        zero = Morphism(chart, chart, [[Const(0.0)] * 2] * 2, "zero")
+        pulled = pullback(zero, AForm(chart, 2, {(0, 1): _field(chart, "1+x")}))
+        assert pulled.degree == 2 and pulled.is_zero()
 
     def test_solvable_to_abelian_transpose_action(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
@@ -318,31 +334,26 @@ class TestPullbackMatchesDenseOracle:
 
 class TestCheckMorphism:
     def test_identity_passes(self, so3, line_points):
-        assert check_morphism(Morphism.identity(so3.chart("so3")), line_points).passed
+        assert _morphism_residual(Morphism.identity(so3.chart("so3")), line_points) <= 1e-9
 
     def test_solvable_to_abelian_passes(self, solvable2d, line_points):
-        record = check_morphism(solvable2d.morphism("phi"), line_points)
-        assert record.passed and record.residual == 0.0
+        assert _morphism_residual(solvable2d.morphism("phi"), line_points) == 0.0
 
     def test_bracket_violation_detected(self, solvable2d, line_points):
         phi = solvable2d.morphism("phi")
         bad = Morphism(phi.source, phi.target,
                        [[Const(1.0)], [Const(1.0)]], "bad")
-        record = check_morphism(bad, line_points)
-        assert not record.passed
-        assert record.residual >= 0.5
+        assert _morphism_residual(bad, line_points) >= 0.5
 
     def test_anchor_violation_detected(self, tangent_r2, plane_points):
         chart = tangent_r2.chart("TR2")
         double = Morphism(chart, chart, [[Const(2.0), Const(0.0)],
                                          [Const(0.0), Const(2.0)]], "double")
-        record = check_morphism(double, plane_points)
-        assert not record.passed and record.residual == 1.0
+        assert _morphism_residual(double, plane_points) == 1.0
 
     def test_nan_bracket_residual_fails(self, line_points):
-        record = check_morphism(Morphism.identity(_nan_jacobi_chart()), line_points)
-        assert not record.passed
-        assert record.residual == float("inf")
+        phi = Morphism.identity(_nan_jacobi_chart())
+        assert _morphism_residual(phi, line_points) == float("inf")
 
 
 def _axiom_charts():
@@ -375,12 +386,14 @@ _TRIPLE_CHARTS = [(label, chart) for label, chart in _AXIOM_CHARTS if chart.rank
 _MORPHISMS = _morphisms()
 
 
-def _assert_same_record(new, old):
-    assert (new.name, new.passed, new.details) == (old.name, old.passed, old.details)
+def _assert_same_residual(new, old):
+    """A residual against the oracle's record: within 1e-14 where the record
+    passes, equal where it fails."""
+    assert (new <= old.tolerance) == old.passed
     if old.passed:
-        assert abs(new.residual - old.residual) <= 1e-14
+        assert abs(new - old.residual) <= 1e-14
     else:
-        assert new.residual == old.residual
+        assert new == old.residual
 
 
 class TestAxiomChecksMatchDenseOracle:
@@ -390,16 +403,19 @@ class TestAxiomChecksMatchDenseOracle:
                              ids=[label for label, _ in _AXIOM_CHARTS])
     def test_verify_axioms(self, label, chart):
         points = sample_points(chart.dim, 100, 42)
-        for new, old in zip(verify_axioms(chart, points),
-                            dense_oracle.verify_axioms(chart, points), strict=True):
-            _assert_same_record(new, old)
+        anchor, jacobi, triple = verify_axioms(chart, points)
+        old_anchor, old_jacobi = dense_oracle.verify_axioms(chart, points)
+        _assert_same_residual(anchor, old_anchor)
+        _assert_same_residual(jacobi, old_jacobi)
+        if not old_jacobi.passed:
+            assert list(triple) == old_jacobi.details["failing_triple"]
 
     @pytest.mark.parametrize("label, phi", _MORPHISMS,
                              ids=[label for label, _ in _MORPHISMS])
     def test_check_morphism(self, label, phi):
         points = sample_points(phi.source.dim, 100, 42)
-        _assert_same_record(check_morphism(phi, points),
-                            dense_oracle.check_morphism(phi, points))
+        _assert_same_residual(_morphism_residual(phi, points),
+                              dense_oracle.check_morphism(phi, points))
 
     @pytest.mark.parametrize("label, chart", _TRIPLE_CHARTS,
                              ids=[label for label, _ in _TRIPLE_CHARTS])
@@ -436,11 +452,11 @@ class TestLinkChart:
 
     def test_tangent_line_extends_to_plane(self, action_x):
         link = extend_with_parameters(action_x.chart("tangent"), ["tau"])
-        assert all(r.passed for r in verify_axioms(link, sample_points(link.dim, 40, 42)))
+        assert _axioms_hold(link, sample_points(link.dim, 40, 42))
 
     def test_linked_so3_passes_axioms(self, so3):
         link = extend_with_parameters(so3.chart("so3"), ["tau"])
-        assert all(r.passed for r in verify_axioms(link, sample_points(link.dim, 40, 42)))
+        assert _axioms_hold(link, sample_points(link.dim, 40, 42))
 
 
 class TestJets:
@@ -479,11 +495,11 @@ class TestJets:
             {"so3": "so3", "solvable2d": "solvable2d", "action_x": "action_x",
              "tangent_r2": "tangent_r2"}[fixture_name])
         jet = jet_prolong(fixture.chart(chart_name))
-        assert all(r.passed for r in verify_axioms(jet, sample_points(jet.dim, 40, 42)))
+        assert _axioms_hold(jet, sample_points(jet.dim, 40, 42))
 
     def test_jet_projection_is_a_morphism(self, solvable2d):
         jet = jet_prolong(solvable2d.chart("solvable"))
-        assert check_morphism(jet.projection(), sample_points(jet.dim, 40, 42)).passed
+        assert _morphism_residual(jet.projection(), sample_points(jet.dim, 40, 42)) <= 1e-9
 
 
 class TestFormEvaluation:

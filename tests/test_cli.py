@@ -1,16 +1,20 @@
 """Fixture loading, suites, report determinism, and the command line."""
 
+import ast
+import inspect
 import json
+import math
 import re
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from algebroids import chern, cli, connections
-from algebroids.algebroid import JetChart, jet_prolong
+from algebroids import algebroid, chern, classes, cli, connections, expressions, forms
+from algebroids.algebroid import AlgebroidChart, JetChart, jet_prolong
 from algebroids.classes import ClassBuilder, mu_form
 from algebroids.cli import (
     Options,
@@ -20,7 +24,8 @@ from algebroids.cli import (
     main,
     run_suite,
 )
-from algebroids.expressions import MAX_NESTING, evaluate, parse_expression
+from algebroids.connections import FormMatrix
+from algebroids.expressions import MAX_NESTING, Const, evaluate, parse_expression
 from algebroids.fixtures import (
     FixtureError,
     builtin_fixture_names,
@@ -28,6 +33,8 @@ from algebroids.fixtures import (
     load_fixture,
     resolve_fixture,
 )
+from algebroids.forms import AForm
+from algebroids.reports import Report
 from expression_oracle import scalar_eval
 
 
@@ -284,15 +291,16 @@ class TestSuites:
         assert report.passed
         assert any(c.name.startswith("composition") for c in report.checks)
 
-    def test_identities_is_all_without_axioms(self, chain, capsys):
-        def records(report):
-            return [(c.name, c.residual, c.passed) for c in report.checks]
-
-        opt = Options(points=20)
-        everything = [r for r in records(run_suite(chain, "all", opt))
-                      if not r[0].startswith("axioms")]
-        assert records(run_suite(chain, "identities", opt)) == everything
-        assert main(["identities", "chain", "--points", "20"]) == 0
+    def test_zero_morphism_passes_every_suite(self, tmp_path, capsys):
+        # Pulling a 2-form back through a zero column added a 1-form to the
+        # 2-form total, and the axioms suite ended in a ValueError.
+        path = tmp_path / "zero_column.json"
+        path.write_text(json.dumps(_ZERO_COLUMN))
+        assert main(["verify", str(path), "--suite", "all"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        checks = json.loads(captured.out)["checks"]
+        assert len(checks) == 23 and all(c["residual"] == 0.0 for c in checks)
 
     @pytest.mark.parametrize("name", ["sa3", "chain"])
     def test_jet_suite_builds_one_jet_per_chart(self, name, monkeypatch):
@@ -844,6 +852,18 @@ _LEIBNIZ2 = {
     "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["1"], ["0"]],
                          "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "x"}}]}},
 }
+# The fixture of the CI step `verify_zero_column`: [b1, b2] = b2, zero anchor,
+# and the zero morphism A -> A.
+_ZERO_COLUMN = {
+    "base": {"coords": ["x"]},
+    "algebroids": {"A": {"basis": ["b1", "b2"], "anchor": [["0"], ["0"]],
+                         "brackets": [{"i": 1, "j": 2, "coeffs": {"2": "1"}}]}},
+    "morphisms": {"zero": {"from": "A", "to": "A", "matrix": [["0", "0"], ["0", "0"]]}},
+}
+# Each record of `verify <fixture> --suite all` at seed 42 without its residual,
+# sorted by name, as the report lists them: names, tolerances, probe counts,
+# passed flags and details do not depend on numpy's last bits.
+_RECORD_SHAPES = json.loads((Path(__file__).parent / "record_shapes.json").read_text())
 
 
 class TestOneBuilderPerRun:
@@ -853,6 +873,7 @@ class TestOneBuilderPerRun:
     @pytest.mark.parametrize("name", builtin_fixture_names() + ["tridiag5_anchor", "leibniz2"])
     def test_all_is_the_single_suites_in_order(self, name, tmp_path):
         written = {"tridiag5_anchor": _TRIDIAG5_ANCHOR, "leibniz2": _LEIBNIZ2}
+        label = name
         if name in written:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(written[name]))
@@ -863,9 +884,16 @@ class TestOneBuilderPerRun:
             return [json.dumps(c.to_dict()) for c in run_suite(fixture, suite).checks]
 
         alone = {suite: records(suite) for suite in cli.SUITES if suite != "all"}
-        assert records("all") == [r for rs in alone.values() for r in rs]
-        assert records("identities") == [r for suite, rs in alone.items() if suite != "axioms"
-                                         for r in rs]
+        everything = records("all")
+        assert everything == [r for rs in alone.values() for r in rs]
+        identities = records("identities")
+        assert identities == [r for suite, rs in alone.items() if suite != "axioms"
+                              for r in rs]
+        passed = all(json.loads(r)["passed"] for r in identities)
+        assert main(["identities", name]) == (0 if passed else 1)
+        shapes = [{key: value for key, value in json.loads(r).items() if key != "residual"}
+                  for r in everything]
+        assert sorted(shapes, key=lambda r: r["name"]) == _RECORD_SHAPES[label]
 
     def test_a_run_builds_each_connection_and_form_once(self, monkeypatch, capsys):
         counts = Counter()
@@ -909,3 +937,47 @@ class TestOneBuilderPerRun:
         assert records["jet_relative_pullback[sharp]"] == {
             "name": "jet_relative_pullback[sharp]", "residual": 0.0, "tolerance": 1e-9,
             "passed": True, "probes": 50}
+
+
+class TestOneRecordRoute:
+    """`cli._check` is the one place that builds a `CheckRecord`; the math
+    layers return residuals and know nothing of records."""
+
+    @pytest.mark.parametrize("module", [algebroid, connections, chern, forms, expressions,
+                                        classes], ids=lambda module: module.__name__)
+    def test_math_layers_build_no_records(self, module):
+        assert "CheckRecord" not in vars(module)
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+                imported.add(getattr(node, "module", None) or "")
+        assert "reports" not in {part for name in imported for part in name.split(".")}
+
+    @staticmethod
+    def _chart():
+        return AlgebroidChart("A", ["x"], ["b1", "b2"], [[Const(0.0)], [Const(0.0)]])
+
+    @pytest.mark.parametrize("as_matrix", [False, True])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_and_an_inf_coefficient_fail_closed(self, as_matrix):
+        chart = self._chart()
+        form = AForm(chart, 1, {(0,): parse_expression("sqrt(x-2)", chart.coords),
+                                (1,): parse_expression("exp(2000*x)", chart.coords)})
+        point = np.array([[0.5]])
+        values = evaluate(form.table.values(), point)[:, 0]
+        assert np.isnan(values[0]) and values[1] == math.inf
+        residual = FormMatrix(chart, [[form]], 1) if as_matrix else form
+        report = Report("0", "nonfinite", 0, 1)
+        record = cli._check(report, "nonfinite", 1.0, point, residual)
+        assert record.residual == math.inf and not record.passed
+        assert report.checks == [record]
+
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_nan_float_fails_closed_in_any_position(self, position):
+        residuals = [0.0, 0.5, self._chart().zero_form(1)]
+        residuals.insert(position, math.nan)
+        record = cli._check(Report("0", "nan", 0, 1), "nan", 1.0, np.array([[0.5]]),
+                            *residuals)
+        assert record.residual == math.inf and not record.passed

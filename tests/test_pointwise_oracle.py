@@ -97,11 +97,11 @@ def test_metric_values_match_the_scalar_walk(request, fixture_name, morphism):
 def test_k_flatness_matches_oracle(request, fixture_name, morphism):
     phi, ker, coker, connections = _case(request, fixture_name, morphism)
     for conn in connections:
-        new = k_flatness_check(conn, phi, ker, coker, sample_points(phi.source.dim, 30, 42),
-                               1e-10)
+        new = k_flatness_check(conn, phi, ker, coker, sample_points(phi.source.dim, 30, 42))
         old = oracle.k_flatness_check(conn, phi, ker, coker, 30, 42, 1e-10)
-        _same(new.residual, old.residual)
-        assert new.details == {k: v for k, v in old.details.items() if k != "seed"}
+        _same(new, old.residual)
+        # The command line records the same count as `kernel_vectors`.
+        assert old.details["kernel_vectors"] == len(ker) + len(coker)
     # The random connection is curved: the comparison is not between zeros.
     assert old.residual > 1e-3
 
@@ -114,11 +114,11 @@ def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
     for conn in connections:
         for g in quasi_metric_on_S(phi):
             new = quasi_metric_frame_check(conn, g, frame,
-                                           sample_points(phi.source.dim, 20, 42), 1e-9)
+                                           sample_points(phi.source.dim, 20, 42))
             old = oracle.quasi_metric_frame_check(conn, g, frame, 20, 42, 1e-9)
-            assert [r.name for r in new] == [r.name for r in old]
-            for a, b in zip(new, old):
-                _same(a.residual, b.residual)
+            assert list(new) == [r.name for r in old]
+            for a, b in zip(new.values(), old):
+                _same(a, b.residual)
                 nonzero += b.residual > 0.0
     # The random connection leaves nonzero blocks, unless the kernel frame
     # spans the whole bundle (zero morphisms), where every block is empty.

@@ -206,7 +206,7 @@ def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, tangent_r2, monkeypatch):
         _assert_same_table(d_A(omega).table, table)
     assert d_A(chart.zero_form(2)).is_zero()
     for small in sl2aff.charts.values():
-        assert all(r.passed for r in verify_axioms(small, sample_points(small.dim, 5, 42)))
+        assert max(verify_axioms(small, sample_points(small.dim, 5, 42))[:2]) <= 1e-9
     # On a one-key 1-form, d_A runs a body only on the keys a Cartan term
     # reaches: the bracket pairs with an m-term, and with a non-constant
     # coefficient {m, i} for each anchored i.
