@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
                           residual)
-from .forms import AForm, _require_same_chart, _trusted_form
+from .forms import AForm, _form, _require_same_chart, _trusted_form
 
 
 class AlgebroidChart:
@@ -159,7 +159,7 @@ def d_A(omega: AForm) -> AForm:
                         total = add(total, mul(Const(pair_sign), mul(coeff, value)))
         if not total.is_zero():
             table[index] = total
-    return _trusted_form(chart, k + 1, table)
+    return _form(chart, k + 1, table)
 
 
 def _reached_keys(omega: AForm) -> set[tuple[int, ...]]:

@@ -226,12 +226,12 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw, for
                    metric_compat_check(conn_S, g))
         ker, coker = fixture.kernel_rows(name)
         if ker or coker:
+            frame, curv = kernel_frame_on_S(phi, ker, coker), curvature(conn_S)
             _check(report, f"k_flatness[{name}]", opt.tight_tol, points,
-                   k_flatness_check(conn_S, phi, ker, coker, points),
-                   details={"kernel_vectors": len(ker) + len(coker)})
-            frame = kernel_frame_on_S(phi, ker, coker)
+                   k_flatness_check(curv, frame, points),
+                   details={"kernel_vectors": len(frame)})
             for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-                blocks = quasi_metric_frame_check(conn_S, g, frame, points[:50])
+                blocks = quasi_metric_frame_check(conn_S, curv, g, frame, points[:50])
                 for block, worst in blocks.items():
                     _check(report, f"adapted[{name}].{label}.{block}", opt.tol,
                            points[:50], worst)

@@ -376,17 +376,14 @@ def kernel_frame_on_S(phi: Morphism, ker_rows: Sequence[Sequence[ScalarField]],
     return vectors
 
 
-def k_flatness_check(conn_S: FormMatrix, phi: Morphism,
-                     ker_rows: Sequence[Sequence[ScalarField]],
-                     coker_rows: Sequence[Sequence[ScalarField]],
+def k_flatness_check(curv: FormMatrix, vectors: Sequence[Sequence[ScalarField]],
                      points) -> float:
-    """Largest entry of the sum connection's curvature applied to the annihilator
-    frame, at the probe points; inf if any value is non-finite."""
-    chart = conn_S.chart
-    vectors = kernel_frame_on_S(phi, ker_rows, coker_rows)
-    omega = curvature(conn_S).eval_on(list(combinations(range(chart.rank), 2)), points)
+    """Largest entry of a curvature matrix applied to the annihilator frame
+    `vectors` (`kernel_frame_on_S`), at the probe points; inf if any value is
+    non-finite."""
+    omega = curv.eval_on(list(combinations(range(curv.chart.rank), 2)), points)
     values = evaluate([c for vec in vectors for c in vec], points)
-    values = values.T.reshape(len(points), len(vectors), conn_S.size)
+    values = values.T.reshape(len(points), len(vectors), curv.size)
     with np.errstate(all="ignore"):  # a non-finite value makes the residual inf
         return max_abs_finite(values @ omega)
 
@@ -395,9 +392,13 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
                   probe_points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical constant frame (s_h | t_l) for a constant-coefficient quasi-metric.
 
-    Returns (s_frame rows, canonical Gram of the s part, t_frame rows).  The
-    s-part Gram is diag(+/-1) in the symmetric case and the standard block
-    skew form in the skew case.  Raises if g is not constant over the probes.
+    Returns (s_frame rows, canonical Gram of the s part, t_frame rows).  Both
+    signs take one Hermitian eigendecomposition of the Gram matrix on a
+    complement of the kernel: of gram itself when g is symmetric, which gives
+    an orthonormal frame with Gram diag(+/-1), and of i * gram when g is skew.
+    There each eigenvalue lambda > 0 with eigenvector a + ib gives the pair
+    sqrt(2 / lambda) (a, -b) with Gram [[0, 1], [-1, 0]], so the s-part Gram is
+    the block skew form.  Raises if g is not constant over the probes.
     """
     r = g.rank
     metric = g.values(probe_points)
@@ -423,57 +424,29 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
     if q == 0:
         return np.zeros((0, r)), np.zeros((0, 0)), t_frame
     gram = complement @ g0 @ complement.T
+    eigvals, eigvecs = np.linalg.eigh(gram if g.sign == 1 else 1j * gram)
+    if np.min(np.abs(eigvals)) < 1e-10 or g.sign == -1 and q % 2:
+        raise ValueError("metric is degenerate beyond the supplied kernel")
     if g.sign == 1:
-        eigvals, eigvecs = np.linalg.eigh(gram)
         order = np.argsort(-eigvals)
         eigvals, eigvecs = eigvals[order], eigvecs[:, order]
-        if np.min(np.abs(eigvals)) < 1e-10:
-            raise ValueError("metric is degenerate beyond the supplied kernel")
         s_frame = (eigvecs / np.sqrt(np.abs(eigvals))).T @ complement
         canonical = np.diag(np.sign(eigvals))
     else:
-        s_frame, canonical = _symplectic_basis(gram, complement)
+        positive = eigvals > 0
+        scaled = (eigvecs[:, positive] * np.sqrt(2 / eigvals[positive])).T
+        rows = np.empty((q, q))
+        rows[0::2], rows[1::2] = scaled.real, -scaled.imag
+        s_frame = rows @ complement
+        canonical = np.kron(np.eye(q // 2), [[0.0, 1.0], [-1.0, 0.0]])
     return s_frame, canonical, t_frame
 
 
-def _symplectic_basis(gram: np.ndarray, complement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q = len(gram)
-    if q % 2:
-        raise ValueError("skew metric has odd rank on the complement")
-    remaining = list(range(q))
-    pairs = []
-    work = gram.copy()
-    basis = np.eye(q)
-    while remaining:
-        a = remaining[0]
-        row = [(abs(work[a, b]), b) for b in remaining[1:]]
-        _, b = max(row)
-        if abs(work[a, b]) < 1e-10:
-            raise ValueError("skew metric is degenerate beyond the supplied kernel")
-        e = basis[a] / work[a, b]
-        f = basis[b]
-        pairs.append((e, f))
-        remaining.remove(a)
-        remaining.remove(b)
-        for c in list(remaining):
-            coeff_e = float(basis[c] @ gram @ f)
-            coeff_f = float(basis[c] @ gram @ e)
-            basis[c] = basis[c] - coeff_e * e + coeff_f * f
-        work = basis @ gram @ basis.T
-    rows = [vec for pair in pairs for vec in pair]
-    s_frame = np.array(rows) @ complement
-    half = len(pairs)
-    canonical = np.zeros((q, q))
-    for p in range(half):
-        canonical[2 * p, 2 * p + 1] = 1.0
-        canonical[2 * p + 1, 2 * p] = -1.0
-    return s_frame, canonical
-
-
-def quasi_metric_frame_check(conn: FormMatrix, g: QuasiMetric,
+def quasi_metric_frame_check(conn: FormMatrix, curv: FormMatrix, g: QuasiMetric,
                              kernel_vectors: Sequence[Sequence[ScalarField]],
                              points) -> dict[str, float]:
-    """Pointwise residuals in an adapted frame for a quasi-metric connection.
+    """Pointwise residuals in an adapted frame for a quasi-metric connection
+    and its curvature `curv`.
 
     The worst value at the probe points of each block, by name: the kernel
     blocks, which vanish when derivatives of the kernel frame stay in the
@@ -498,7 +471,7 @@ def quasi_metric_frame_check(conn: FormMatrix, g: QuasiMetric,
     worst_kernel, worst_algebra = worst_blocks(
         conn, [(i,) for i in range(chart.rank)])
     worst_curv_kernel, worst_curv_algebra = worst_blocks(
-        curvature(conn), list(combinations(range(chart.rank), 2)))
+        curv, list(combinations(range(chart.rank), 2)))
     label = "orthogonal" if g.sign == 1 else "symplectic"
     return {
         "adapted_frame_kernel_block": worst_kernel,

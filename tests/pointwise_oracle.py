@@ -12,17 +12,25 @@ did then.  Tests require the array route to give the same residuals:
 - `metric_eval` guards `QuasiMetric.values`;
 - `k_flatness_check` guards `connections.k_flatness_check`;
 - `quasi_metric_frame_check` guards `connections.quasi_metric_frame_check`
-  and the `adapted_frame` it builds.
+  and the `adapted_frame` it builds;
+- `pivoting_adapted_frame` is the frame construction `connections.adapted_frame`
+  replaced, kept verbatim: the same orthonormal eigenframe for a symmetric g,
+  and for a skew g `symplectic_basis`, a pivoting symplectic Gram-Schmidt on
+  a complement of the kernel.  `adapted_frame` now takes one Hermitian
+  eigendecomposition for both signs; tests require both routes to give the
+  canonical Gram and an invertible frame.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from algebroids.connections import adapted_frame, curvature, kernel_frame_on_S
-from algebroids.expressions import max_abs_finite
+from algebroids.connections import (QuasiMetric, adapted_frame, curvature,
+                                    kernel_frame_on_S)
+from algebroids.expressions import ScalarField, evaluate, max_abs_finite
 from algebroids.reports import CheckRecord
 from algebroids.sampling import sample_points
 from expression_oracle import scalar_eval
@@ -111,3 +119,84 @@ def quasi_metric_frame_check(conn, g, kernel_vectors, n_points: int = 50,
         CheckRecord(f"adapted_frame_curvature_{label}_block", worst_curv_algebra,
                     tol, n_points),
     ]
+
+
+def pivoting_adapted_frame(g: QuasiMetric,
+                           kernel_vectors: Sequence[Sequence[ScalarField]],
+                           probe_points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical constant frame (s_h | t_l) for a constant-coefficient quasi-metric,
+    by the route `connections.adapted_frame` replaced.
+
+    Returns (s_frame rows, canonical Gram of the s part, t_frame rows).  The
+    s-part Gram is diag(+/-1) in the symmetric case and the standard block
+    skew form in the skew case.  Raises if g is not constant over the probes.
+    """
+    r = g.rank
+    metric = g.values(probe_points)
+    g0 = metric[0]
+    t_frame = evaluate([c for vec in kernel_vectors for c in vec],
+                       probe_points[:1]).reshape(len(kernel_vectors), r)
+    if not (np.isfinite(g0).all() and np.isfinite(t_frame).all()):
+        raise ValueError("adapted frame: the metric or a kernel vector is not finite at "
+                         f"probe point {tuple(float(v) for v in probe_points[0])}")
+    if max_abs_finite(metric - g0) > 1e-10:
+        raise ValueError("adapted frames are only computed for constant metrics")
+    q = r - len(t_frame)
+    # Complement of the kernel: columns of the identity completing t_frame.
+    basis = list(t_frame)
+    complement = []
+    for e in np.eye(r):
+        trial = np.array(basis + complement + [e])
+        if np.linalg.matrix_rank(trial, tol=1e-9) == len(trial):
+            complement.append(e)
+    complement = np.array(complement[:q]) if complement else np.zeros((0, r))
+    if len(complement) != q:
+        raise ValueError("kernel vectors do not span the annihilator")
+    if q == 0:
+        return np.zeros((0, r)), np.zeros((0, 0)), t_frame
+    gram = complement @ g0 @ complement.T
+    if g.sign == 1:
+        eigvals, eigvecs = np.linalg.eigh(gram)
+        order = np.argsort(-eigvals)
+        eigvals, eigvecs = eigvals[order], eigvecs[:, order]
+        if np.min(np.abs(eigvals)) < 1e-10:
+            raise ValueError("metric is degenerate beyond the supplied kernel")
+        s_frame = (eigvecs / np.sqrt(np.abs(eigvals))).T @ complement
+        canonical = np.diag(np.sign(eigvals))
+    else:
+        s_frame, canonical = symplectic_basis(gram, complement)
+    return s_frame, canonical, t_frame
+
+
+def symplectic_basis(gram: np.ndarray, complement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    q = len(gram)
+    if q % 2:
+        raise ValueError("skew metric has odd rank on the complement")
+    remaining = list(range(q))
+    pairs = []
+    work = gram.copy()
+    basis = np.eye(q)
+    while remaining:
+        a = remaining[0]
+        row = [(abs(work[a, b]), b) for b in remaining[1:]]
+        _, b = max(row)
+        if abs(work[a, b]) < 1e-10:
+            raise ValueError("skew metric is degenerate beyond the supplied kernel")
+        e = basis[a] / work[a, b]
+        f = basis[b]
+        pairs.append((e, f))
+        remaining.remove(a)
+        remaining.remove(b)
+        for c in list(remaining):
+            coeff_e = float(basis[c] @ gram @ f)
+            coeff_f = float(basis[c] @ gram @ e)
+            basis[c] = basis[c] - coeff_e * e + coeff_f * f
+        work = basis @ gram @ basis.T
+    rows = [vec for pair in pairs for vec in pair]
+    s_frame = np.array(rows) @ complement
+    half = len(pairs)
+    canonical = np.zeros((q, q))
+    for p in range(half):
+        canonical[2 * p, 2 * p + 1] = 1.0
+        canonical[2 * p + 1, 2 * p] = -1.0
+    return s_frame, canonical

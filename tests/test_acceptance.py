@@ -25,6 +25,7 @@ from algebroids.connections import (
     direct_sum,
     dual_connection,
     k_flatness_check,
+    kernel_frame_on_S,
     morphism_target_connection,
     orthogonal_connection,
 )
@@ -215,7 +216,8 @@ def test_criterion_09_k_flatness(solvable2d):
     phi = solvable2d.morphism("phi")
     conn = sum_connection(phi)
     ker, coker = solvable2d.kernel_rows("phi")
-    worst = k_flatness_check(conn, phi, ker, coker, sample_points(phi.source.dim, POINTS, SEED))
+    worst = k_flatness_check(curvature(conn), kernel_frame_on_S(phi, ker, coker),
+                             sample_points(phi.source.dim, POINTS, SEED))
     assert worst <= 1e-10, worst
     _report(9, "distinguished sum connection is flat on the annihilator")
 

@@ -922,6 +922,29 @@ class TestOneBuilderPerRun:
             assert run_suite(sa3, "all").passed
             assert counts == once
 
+    def test_connections_suite_builds_each_curvature_once(self, monkeypatch, capsys):
+        # One curvature per connection: the kernel-flatness and both adapted-frame
+        # checks of a morphism with kernel rows share the curvature of its sum.
+        calls = []  # [connection, count], by first call
+        original = connections.curvature
+
+        def counted(conn):
+            for entry in calls:
+                if entry[0] is conn:
+                    entry[1] += 1
+                    break
+            else:
+                calls.append([conn, 1])
+            return original(conn)
+
+        for module in [module for key, module in sys.modules.items()
+                       if key == "algebroids" or key.startswith("algebroids.")]:
+            if vars(module).get("curvature") is original:
+                monkeypatch.setattr(module, "curvature", counted)
+        assert main(["verify", "solvable2d", "--suite", "connections"]) == 0
+        capsys.readouterr()
+        assert [count for _, count in calls] == [1] * 8
+
     def test_identity_and_fixture_metrics_are_never_one_key(self, action_x, line_points):
         # action_x's metric exp(2x) on `action` moves mu_1 of sharp off lambda_phi.
         phi = action_x.morphism("sharp")

@@ -9,6 +9,7 @@ from algebroids.chern import bott_delta
 from algebroids.connections import (
     FormMatrix,
     QuasiMetric,
+    adapted_frame,
     bracket_connection,
     curvature,
     direct_sum,
@@ -550,18 +551,21 @@ class TestKFlatness:
         phi = solvable2d.morphism("phi")
         conn = sum_connection(phi)
         ker, coker = solvable2d.kernel_rows("phi")
-        assert k_flatness_check(conn, phi, ker, coker, sample_points(1, 60, 42)) == 0.0
+        frame = kernel_frame_on_S(phi, ker, coker)
+        assert k_flatness_check(curvature(conn), frame, sample_points(1, 60, 42)) == 0.0
 
     def test_identity_morphism_vacuous_pass(self, so3):
         ident = Morphism.identity(so3.chart("so3"))
         conn = sum_connection(ident)
-        assert k_flatness_check(conn, ident, [], [], sample_points(1, 40, 42)) <= 1e-10
+        assert k_flatness_check(curvature(conn), [], sample_points(1, 40, 42)) <= 1e-10
 
     def test_generic_connection_is_not_kernel_flat(self, solvable2d):
         phi = solvable2d.morphism("phi")
         ker, coker = solvable2d.kernel_rows("phi")
         random_conn = _random_connection(phi.source, 3, 23)
-        assert k_flatness_check(random_conn, phi, ker, coker, sample_points(1, 60, 42)) > 1e-10
+        frame = kernel_frame_on_S(phi, ker, coker)
+        assert k_flatness_check(curvature(random_conn), frame,
+                                sample_points(1, 60, 42)) > 1e-10
 
 
 class TestAdaptedFrames:
@@ -572,7 +576,8 @@ class TestAdaptedFrames:
         ker, coker = solvable2d.kernel_rows("phi")
         frame = kernel_frame_on_S(phi, ker, coker)
         for g in (g_plus, g_minus):
-            blocks = quasi_metric_frame_check(conn, g, frame, sample_points(1, 40, 42))
+            blocks = quasi_metric_frame_check(conn, curvature(conn), g, frame,
+                                              sample_points(1, 40, 42))
             for block, worst in blocks.items():
                 assert worst <= 1e-9, block
 
@@ -582,5 +587,17 @@ class TestAdaptedFrames:
         g_plus, _ = quasi_metric_on_S(phi)
         ker, coker = so3.kernel_rows("zero")
         frame = kernel_frame_on_S(phi, ker, coker)
-        blocks = quasi_metric_frame_check(conn, g_plus, frame, sample_points(1, 20, 42))
+        blocks = quasi_metric_frame_check(conn, curvature(conn), g_plus, frame,
+                                          sample_points(1, 20, 42))
         assert all(worst <= 1e-9 for worst in blocks.values())
+
+    @pytest.mark.parametrize("sign, rows", [
+        (1, [[1, 1, 2], [1, 1, 2], [2, 2, 4]]),
+        (-1, [[0, 1, 2], [-1, 0, 3], [-2, -3, 0]]),
+        # i * gram of this odd skew form has its zero eigenvalue computed as 1e-9
+        (-1, [[0, 1e7, 2e7], [-1e7, 0, 3e7], [-2e7, -3e7, 0]]),
+    ])
+    def test_degenerate_complement_is_one_error(self, sign, rows):
+        g = QuasiMetric(3, sign, [[Const(float(v)) for v in row] for row in rows])
+        with pytest.raises(ValueError, match="^metric is degenerate beyond the supplied kernel$"):
+            adapted_frame(g, [], sample_points(1, 3, 42))

@@ -5,16 +5,23 @@ Where the oracle's residual is 0 the array route must give 0 as well;
 otherwise the two agree within 1e-12 relative.  numpy's `sin`/`exp` may
 differ from `math`'s in the last bit, and batched matrix products may sum in
 another order, so exact equality is not required of nonzero values.
+
+The adapted frames themselves are checked on both routes, the Hermitian
+eigendecomposition of `connections.adapted_frame` and the pivoting route it
+replaced: each must give the canonical Gram and an invertible frame.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pointwise_oracle as oracle
 from algebroids.connections import (
     FormMatrix,
+    QuasiMetric,
+    adapted_frame,
     curvature,
     k_flatness_check,
     kernel_frame_on_S,
@@ -26,6 +33,7 @@ from algebroids.forms import AForm
 from algebroids.sampling import sample_points
 from constructions import sum_connection
 
+# Every bundled morphism with kernel rows.
 CASES = [("so3", "zero"), ("sl2aff", "zero"), ("solvable2d", "phi"),
          ("solvable2d", "phi2")]
 
@@ -97,7 +105,8 @@ def test_metric_values_match_the_scalar_walk(request, fixture_name, morphism):
 def test_k_flatness_matches_oracle(request, fixture_name, morphism):
     phi, ker, coker, connections = _case(request, fixture_name, morphism)
     for conn in connections:
-        new = k_flatness_check(conn, phi, ker, coker, sample_points(phi.source.dim, 30, 42))
+        new = k_flatness_check(curvature(conn), kernel_frame_on_S(phi, ker, coker),
+                               sample_points(phi.source.dim, 30, 42))
         old = oracle.k_flatness_check(conn, phi, ker, coker, 30, 42, 1e-10)
         _same(new, old.residual)
         # The command line records the same count as `kernel_vectors`.
@@ -113,7 +122,7 @@ def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
     nonzero = 0
     for conn in connections:
         for g in quasi_metric_on_S(phi):
-            new = quasi_metric_frame_check(conn, g, frame,
+            new = quasi_metric_frame_check(conn, curvature(conn), g, frame,
                                            sample_points(phi.source.dim, 20, 42))
             old = oracle.quasi_metric_frame_check(conn, g, frame, 20, 42, 1e-9)
             assert list(new) == [r.name for r in old]
@@ -123,3 +132,56 @@ def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
     # The random connection leaves nonzero blocks, unless the kernel frame
     # spans the whole bundle (zero morphisms), where every block is empty.
     assert nonzero or len(frame) == connections[0].size
+
+
+def _assert_canonical_frames(g: QuasiMetric, vectors, points) -> None:
+    """Both frame routes give s g0 s^T = canonical, the canonical Gram of g's
+    sign, and an invertible [s; t]; for a symmetric g they agree to the bit."""
+    g0 = g.values(points)[0]
+    frames = [route(g, vectors, points)
+              for route in (adapted_frame, oracle.pivoting_adapted_frame)]
+    for s_frame, canonical, t_frame in frames:
+        q = len(s_frame)
+        if g.sign == 1:
+            assert np.array_equal(np.abs(np.diag(canonical)), np.ones(q))
+            assert np.array_equal(canonical, np.diag(np.diag(canonical)))
+        else:
+            assert np.array_equal(canonical, np.kron(np.eye(q // 2), [[0, 1], [-1, 0]]))
+        np.testing.assert_allclose(s_frame @ g0 @ s_frame.T, canonical, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(g0).max()))
+        assert np.linalg.matrix_rank(np.vstack([s_frame, t_frame])) == g.rank
+    if g.sign == 1:
+        for new, old in zip(*frames):
+            assert np.array_equal(new, old)
+
+
+@pytest.mark.parametrize("fixture_name, morphism", CASES)
+def test_adapted_frames_of_bundled_kernel_morphisms_are_canonical(request, fixture_name,
+                                                                  morphism):
+    fixture = request.getfixturevalue(fixture_name)
+    phi = fixture.morphism(morphism)
+    vectors = kernel_frame_on_S(phi, *fixture.kernel_rows(morphism))
+    for g in quasi_metric_on_S(phi):
+        _assert_canonical_frames(g, vectors, sample_points(phi.source.dim, 50, 42))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.sampled_from([1, -1]), st.integers(0, 2**32 - 1))
+def test_adapted_frames_of_random_constant_quasi_metrics_are_canonical(rank, sign, seed):
+    # g0 = B^T C B with integer entries, so g0 is exactly symmetric or skew;
+    # B has full rank q < rank, and the kernel rows span the null space of B.
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(0, rank))
+    if sign == -1:
+        q -= q % 2
+        core = np.kron(np.diag(rng.integers(1, 4, q // 2)), [[0, 1], [-1, 0]])
+    else:
+        core = np.diag(rng.choice([-2, -1, 1, 2], q))
+    b = rng.integers(-2, 3, (q, rank))
+    while np.linalg.matrix_rank(b) < q:
+        b = rng.integers(-2, 3, (q, rank))
+    g0 = (b.T @ core @ b).astype(float)
+    kernel = np.linalg.svd(b.astype(float))[2][q:] if q else np.eye(rank)
+    g = QuasiMetric(rank, sign, [[Const(float(v)) for v in row] for row in g0])
+    vectors = [[Const(float(v)) for v in row] for row in kernel]
+    _assert_canonical_frames(g, vectors, sample_points(1, 3, 42))
