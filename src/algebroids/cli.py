@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import random
 import sys
 from itertools import combinations
 
@@ -70,22 +71,27 @@ class Options:
         return self.tol / 10.0
 
 
-def _random_polynomial(chart: AlgebroidChart, rng) -> ScalarField:
+def _small_integer(rng: random.Random) -> float:
+    """floor(5 * random()) - 2, one of -2, ..., 2 (`randrange` promises no fixed algorithm)."""
+    return float(int(5.0 * rng.random()) - 2)
+
+
+def _random_polynomial(chart: AlgebroidChart, rng: random.Random) -> ScalarField:
     """Random quadratic polynomial with small integer coefficients."""
-    field: ScalarField = Const(float(rng.integers(-2, 3)))
+    field: ScalarField = Const(_small_integer(rng))
     for i in range(chart.dim):
-        c = float(rng.integers(-2, 3))
+        c = _small_integer(rng)
         if c:
             field = add(field, mul(Const(c), chart.coordinate_field(i)))
         for j in range(i, chart.dim):
-            c2 = float(rng.integers(-2, 3))
+            c2 = _small_integer(rng)
             if c2:
                 field = add(field, mul(Const(c2), mul(chart.coordinate_field(i),
                                                       chart.coordinate_field(j))))
     return field
 
 
-def _random_form(chart: AlgebroidChart, degree: int, rng) -> AForm:
+def _random_form(chart: AlgebroidChart, degree: int, rng: random.Random) -> AForm:
     if degree == 0:
         return chart.function_form(_random_polynomial(chart, rng))
     table = {}
@@ -94,10 +100,11 @@ def _random_form(chart: AlgebroidChart, degree: int, rng) -> AForm:
     return AForm(chart, degree, table)
 
 
-def _random_connection(chart: AlgebroidChart, rank: int, rng) -> FormMatrix:
+def _random_connection(chart: AlgebroidChart, rank: int, rng: random.Random) -> FormMatrix:
+    """Each entry is a random polynomial when floor(2 * random()) is 1, else zero."""
     return connection_from_coefficients(
         chart, rank,
-        lambda i, u, t: _random_polynomial(chart, rng) if rng.integers(0, 2) else ZERO)
+        lambda i, u, t: _random_polynomial(chart, rng) if int(2.0 * rng.random()) else ZERO)
 
 
 def _check(report: Report, name: str, tol: float, points,
@@ -192,7 +199,7 @@ def _check_kernel_rows(name: str, phi: Morphism, ker, coker, points) -> None:
 
 
 def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
-    rng = np.random.default_rng(opt.seed)
+    rng = random.Random(opt.seed)
     points = draw[:opt.points]
     for name, chart in fixture.charts.items():
         _check_axioms(report, f"axioms[{name}]", chart, points, opt.tol)
@@ -205,7 +212,7 @@ def _suite_axioms(fixture: Fixture, report: Report, opt: Options, draw, forms) -
 
 
 def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
-    rng = np.random.default_rng(opt.seed + 1)
+    rng = random.Random(opt.seed + 1)
     points = draw[:opt.points]
     for name, chart in fixture.charts.items():
         [metric] = _metrics(fixture, forms, chart)

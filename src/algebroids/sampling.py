@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 
 def sample_points(dimension: int, count: int, seed: int) -> np.ndarray:
-    """Uniform points in [-1, 1]^dimension from a seeded generator, shape (count, dimension)."""
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, (count, dimension))
+    """Uniform points in [-1, 1]^dimension, shape (count, dimension).
+
+    Entry (i, j) is -1 + 2*u[i*dimension + j], where u[k] is the k-th value of
+    `random.Random(seed).random()`.  Python documents that stream as the same
+    for a seed on every version; rows fill in order, so a draw's first rows
+    equal a smaller draw with the same seed.
+    """
+    u = random.Random(seed).random
+    return np.array([-1.0 + 2.0 * u() for _ in range(count * dimension)]).reshape(count, dimension)
 
 
 def first_point(flags, points) -> tuple[float, ...] | None:

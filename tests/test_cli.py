@@ -35,6 +35,7 @@ from algebroids.fixtures import (
 )
 from algebroids.forms import AForm
 from algebroids.reports import Report
+from algebroids.sampling import sample_points
 from expression_oracle import scalar_eval
 
 
@@ -127,8 +128,11 @@ class TestFixtureLoading:
     @pytest.mark.parametrize("options", [[], ["--suite", "jet", "--points", "3", "--seed", "0"]],
                              ids=["defaults", "jet-points3"])
     def test_indefinite_metric_is_a_located_error(self, tmp_path, capsys, options):
-        # Negative near x = 0.05: a metric connection does not exist there.  With
-        # 3 points the jet suite evaluates 10 rows, the first bad one at row 9.
+        # Negative for -0.05 < x < 0.15: a metric connection does not exist there.
+        # With 3 points the jet suite evaluates 10 rows; the first bad one is the
+        # fifth (x = 0.023), past the 3 rows the other suites take.
+        x = sample_points(1, 10, 0)[:, 0]
+        assert list(abs(x - 0.05) < 0.1).index(True) == 4
         fixture = json.loads(builtin_fixture_path("action_x").read_text())
         fixture["metrics"]["g_exp"]["matrix"] = [["(x-0.05)^2-0.01"]]
         bad = tmp_path / "indefinite_metric.json"
@@ -142,11 +146,13 @@ class TestFixtureLoading:
         assert "Traceback" not in captured.err
 
     def test_overflowing_form_dump_is_a_located_error(self, tmp_path, capsys):
-        # The modular form 800*exp(800*x) is not finite in the dump for x > 0.88.
+        # The modular form 1000*exp(1000*x) is not finite in the dump for x > 0.703,
+        # and the dump's 10 rows reach past that.
+        assert 1000 * sample_points(1, 10, 42).max() > 709.79
         bad = tmp_path / "overflow_anchor.json"
         bad.write_text(json.dumps({
             "base": {"coords": ["x"]},
-            "algebroids": {"A": {"basis": ["b1"], "anchor": [["exp(800*x)"]],
+            "algebroids": {"A": {"basis": ["b1"], "anchor": [["exp(1000*x)"]],
                                  "brackets": []}},
         }))
         code = main(["modular", str(bad), "--algebroid", "A"])
@@ -160,7 +166,7 @@ class TestFixtureLoading:
         bad.write_text(json.dumps({
             "base": {"coords": ["x"]},
             "algebroids": {"A": {"basis": ["b1"],
-                                 "anchor": [["exp(800*x) - exp(800*x)"]],
+                                 "anchor": [["exp(1000*x) - exp(1000*x)"]],
                                  "brackets": []}},
         }))
         code = main(["modular", str(bad), "--algebroid", "A"])
@@ -722,8 +728,10 @@ class TestNonFiniteProbeValues:
         assert "argument --tol: must be a positive finite number" in captured.err
 
     def test_kernel_vector_overflowing_at_the_frame_base_point(self, tmp_path, capsys):
+        # The frame is built at the first probe point, where exp(2600*x) overflows.
+        assert 2600 * sample_points(1, 1, 42)[0, 0] > 709.79
         path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
-                                [["0", "exp(1300*x)"]])
+                                [["0", "exp(2600*x)"]])
         code = main(["verify", path, "--suite", "connections"])
         err = capsys.readouterr().err
         assert code == 2
@@ -734,8 +742,9 @@ class TestNonFiniteProbeValues:
 
     def test_kernel_rows_are_checked_before_any_suite(self, tmp_path, capsys):
         # The axioms suite builds no adapted frame; the probe set is checked first.
+        assert 2600 * sample_points(1, 1, 42)[0, 0] > 709.79
         path = _solvable2d_with(tmp_path, "kernels", "phi", "ker",
-                                [["0", "exp(1300*x)"]])
+                                [["0", "exp(2600*x)"]])
         code = main(["verify", path, "--suite", "axioms"])
         captured = capsys.readouterr()
         assert code == 2
@@ -797,17 +806,20 @@ class TestKernelRows:
 
 
 @pytest.mark.parametrize("argv", [["mu", "sa3", "--morphism", "zero", "--h", "2"],
-                                  ["verify", "so3", "--suite", "transgression"]])
-def test_commands_import_no_numpy_polynomial(argv):
-    # The Gauss rule is computed in the package.  Modules are compared before
-    # and after `main`, so numpy versions that import the package eagerly pass.
+                                  ["verify", "so3", "--suite", "transgression"],
+                                  ["verify", "sa3", "--suite", "all"]])
+def test_commands_import_no_numpy_polynomial_or_random(argv):
+    # The Gauss rule is computed in the package, and probe points and random
+    # forms come from the standard library's `random`.  Modules are compared
+    # before and after `main`, so numpy versions that import them eagerly pass.
     code = ("import contextlib, io, json, sys\n"
             "from algebroids.cli import main\n"
             "before = set(sys.modules)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    status = main({argv!r})\n"
             "added = sorted(name for name in set(sys.modules) - before\n"
-            "               if name.split('.')[:2] == ['numpy', 'polynomial'])\n"
+            "               if name.split('.')[:2] in (['numpy', 'polynomial'],\n"
+            "                                          ['numpy', 'random']))\n"
             "print(json.dumps([status, added]))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -952,7 +964,8 @@ class TestOneBuilderPerRun:
         standard = mu_form(phi, 1, builder=forms)
         weighted = mu_form(phi, 1, *cli._metrics(action_x, forms, phi.source, phi.target),
                            forms)
-        assert (standard - weighted).max_abs(line_points) == pytest.approx(0.985, abs=1e-3)
+        assert (standard - weighted).max_abs(line_points) == pytest.approx(
+            np.abs(line_points).max(), abs=1e-3)
         records = {c.name: c.to_dict() for c in run_suite(action_x, "all").checks}
         assert records["mu1_equals_modular[sharp]"] == {
             "name": "mu1_equals_modular[sharp]", "residual": 0.0, "tolerance": 1e-10,

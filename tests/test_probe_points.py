@@ -1,5 +1,6 @@
 """One probe set per run: every check evaluates on a prefix of one seeded draw."""
 
+import random
 import sys
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids import cli, expressions, reports, sampling
-from algebroids.cli import Options, emit_class, emit_jet, emit_modular, run_suite
+from algebroids.algebroid import AlgebroidChart
+from algebroids.cli import (Options, _random_polynomial, emit_class, emit_jet, emit_modular,
+                            run_suite)
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
+from algebroids.expressions import Const
 from algebroids.sampling import sample_points
 
 
@@ -19,6 +23,18 @@ def test_a_smaller_draw_is_a_prefix_of_a_larger_one(dimension, counts, seed):
     n, m = sorted(counts)
     np.testing.assert_array_equal(sample_points(dimension, n, seed),
                                   sample_points(dimension, m, seed)[:n])
+
+
+def test_the_draws_are_pinned():
+    # Python documents random.Random(seed).random() as the same on every version,
+    # so these literals hold on every Python and numpy a report is made with.
+    assert sample_points(2, 2, 42).tolist() == [[0.2788535969157675, -0.9499784895546661],
+                                                [-0.4499413632617615, -0.5535785237023545]]
+    chart = AlgebroidChart("A", ["x", "y"], ["b1"], [[Const(1.0), Const(0.0)]])
+    # The integers 1, -2, -1, -1, 1, 1: floor(5 * random()) - 2 in the order
+    # constant, x, x*x, x*y, y, y*y.
+    assert str(_random_polynomial(chart, random.Random(42))) == \
+        "1 + -2*x + -1*x*x + -1*x*y + y + y*y"
 
 
 class _RunSpy:
