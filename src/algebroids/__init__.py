@@ -32,4 +32,4 @@ from .chern import (
 from .classes import ClassBuilder, modular_form, modular_form_morphism, mu_form
 from .fixtures import Fixture, FixtureError, load_fixture, resolve_fixture
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"

@@ -14,7 +14,9 @@ chain (phi, psi) (`relative_mu`), the class of a morphism phi is the chain
 with pi = `jet_prolong(phi.source).projection()` the jet projection
 J1 A -> A, and the bi-characteristic form of phi1, phi2 is Delta of their two
 (id, phi) connections.  `ClassBuilder` builds each of these forms and what it is
-made of once per builder, and a run of checks shares one builder."""
+made of once per builder, and a run of checks shares one builder; so do the
+quasi-metrics, kernel frames and adapted frames that the run's probe-set
+validation builds and its connections suite checks."""
 
 from __future__ import annotations
 
@@ -22,13 +24,16 @@ from .algebroid import AlgebroidChart, Morphism, jet_prolong, pullback
 from .connections import (
     FormMatrix,
     QuasiMetric,
+    adapted_frame,
     direct_sum,
     dual_connection,
+    kernel_frame_on_S,
     morphism_target_connection,
     orthogonal_connection,
+    quasi_metric_on_S,
 )
 from .chern import bott_delta
-from .expressions import ZERO, add
+from .expressions import ZERO, ScalarField, add
 from .forms import AForm
 
 
@@ -43,7 +48,7 @@ class ClassBuilder:
     def __init__(self):
         self._built: dict[tuple, tuple] = {}
 
-    def _once(self, kind: str, make, *args):
+    def _once(self, kind, make, *args):
         key = (kind, *map(id, args))
         if key not in self._built:
             self._built[key] = (args, make(*args))
@@ -88,6 +93,19 @@ class ClassBuilder:
             alpha.source, g_mid or self.identity_metric(alpha.target.rank),
             g_far or self.identity_metric(beta.target.rank))
         return d0, d1
+
+    def quasi_metrics(self, phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
+        """`quasi_metric_on_S(phi)`: g+ and g- on A + A'*."""
+        return self._once("quasi_metrics", quasi_metric_on_S, phi)
+
+    def kernel_frame(self, phi: Morphism, ker, coker) -> list[list[ScalarField]]:
+        """`kernel_frame_on_S(phi, ker, coker)`."""
+        return self._once("kernel_frame", kernel_frame_on_S, phi, ker, coker)
+
+    def adapted_frame(self, g: QuasiMetric, frame, points):
+        """`adapted_frame(g, frame, points)`, once per g, frame and probe rows (by value)."""
+        return self._once(("adapted", points.shape, points.tobytes()),
+                          lambda g, frame: adapted_frame(g, frame, points), g, frame)
 
     def delta(self, connections, h: int) -> AForm:
         """`bott_delta(connections, h)`."""

@@ -34,14 +34,11 @@ from .classes import ClassBuilder, modular_form, modular_form_morphism, mu_form
 from .connections import (
     FormMatrix,
     QuasiMetric,
-    adapted_frame,
     connection_from_coefficients,
     curvature,
     k_flatness_check,
-    kernel_frame_on_S,
     metric_compat_check,
     quasi_metric_frame_check,
-    quasi_metric_on_S,
 )
 from .expressions import (Const, ScalarField, ZERO, add, balanced_sum, evaluate,
                           max_abs_finite, mul, residual)
@@ -145,7 +142,7 @@ def _metrics(fixture: Fixture, forms: ClassBuilder, *charts) -> list[QuasiMetric
     return [fixture.metric_for(c.name, forms.identity_metric(c.rank)) for c in charts]
 
 
-def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
+def _probe_points(fixture: Fixture, opt: Options, forms: ClassBuilder) -> np.ndarray:
     """The run's one draw of probe points, max(N, 10) rows.
 
     Every chart of a fixture, jets included, has the fixture's coordinates,
@@ -157,6 +154,7 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
     takes; the kernel rows of each morphism must lie in its kernel (and the
     cokernel rows in its transpose's) on every row of the draw, and give an
     adapted frame of g+ and g- on the rows the adapted-frame checks take.
+    The run's builder `forms` keeps those frames for the checks.
     """
     points = sample_points(len(fixture.coords), max(opt.points, 10), opt.seed)
     for name, (_, metric) in fixture.metrics.items():
@@ -169,10 +167,10 @@ def _probe_points(fixture: Fixture, opt: Options) -> np.ndarray:
             continue
         phi = fixture.morphism(name)
         _check_kernel_rows(name, phi, ker, coker, points)
-        frame = kernel_frame_on_S(phi, ker, coker)
-        for g, label in zip(quasi_metric_on_S(phi), ("g+", "g-")):
+        frame = forms.kernel_frame(phi, ker, coker)
+        for g, label in zip(forms.quasi_metrics(phi), ("g+", "g-")):
             try:
-                adapted_frame(g, frame, points[:min(opt.points, 50)])
+                forms.adapted_frame(g, frame, points[:min(opt.points, 50)])
             except ValueError as exc:  # kernel rows that admit no adapted frame
                 raise FixtureError(f"{exc} (morphism {name!r}, quasi-metric {label})") from exc
     return points
@@ -227,18 +225,19 @@ def _suite_connections(fixture: Fixture, report: Report, opt: Options, draw, for
                    curv.d() - (conn.wedge(curv) - curv.wedge(conn)))
     for name, phi in fixture.morphisms.items():
         conn_S = forms.chain_connection(forms.identity(phi.source), phi)
-        g_plus, g_minus = quasi_metric_on_S(phi)
+        g_plus, g_minus = forms.quasi_metrics(phi)
         for g, label in ((g_plus, "sym"), (g_minus, "skew")):
             _check(report, f"compat[{name}].{label}", opt.tol, points,
                    metric_compat_check(conn_S, g))
         ker, coker = fixture.kernel_rows(name)
         if ker or coker:
-            frame, curv = kernel_frame_on_S(phi, ker, coker), curvature(conn_S)
+            frame, curv = forms.kernel_frame(phi, ker, coker), curvature(conn_S)
             _check(report, f"k_flatness[{name}]", opt.tight_tol, points,
                    k_flatness_check(curv, frame, points),
                    details={"kernel_vectors": len(frame)})
             for g, label in ((g_plus, "sym"), (g_minus, "skew")):
-                blocks = quasi_metric_frame_check(conn_S, curv, g, frame, points[:50])
+                blocks = quasi_metric_frame_check(
+                    conn_S, curv, g, forms.adapted_frame(g, frame, points[:50]), points[:50])
                 for block, worst in blocks.items():
                     _check(report, f"adapted[{name}].{label}.{block}", opt.tol,
                            points[:50], worst)
@@ -348,9 +347,9 @@ def run_suite(fixture: Fixture, suite: str, opt: Options | None = None) -> Repor
     if suite not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; choose from {tuple(_SUITE_RUNNERS)}")
     opt = opt or Options()
-    draw = _probe_points(fixture, opt)
-    report = Report(__version__, fixture.name, opt.seed, opt.points)
     forms = ClassBuilder()
+    draw = _probe_points(fixture, opt, forms)
+    report = Report(__version__, fixture.name, opt.seed, opt.points)
     for runner in _SUITE_RUNNERS[suite]:
         runner(fixture, report, opt, draw, forms)
     return report
@@ -377,7 +376,7 @@ def _form_dump(name: str, form: AForm, points) -> dict:
 
 def emit_modular(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     chart = fixture.chart(algebroid)
-    points = _probe_points(fixture, opt)[:opt.points]
+    points = _probe_points(fixture, opt, ClassBuilder())[:opt.points]
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     form = modular_form(chart)
     _check(report, f"closed_modular[{algebroid}]", opt.tol, points, d_A(form))
@@ -389,9 +388,9 @@ def emit_modular(fixture: Fixture, algebroid: str, opt: Options) -> Report:
 def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
     """Secondary-class form dump with coefficient strings and probe values."""
     phi = fixture.morphism(morphism)
-    points = _probe_points(fixture, opt)[:opt.points]
-    report = Report(__version__, fixture.name, opt.seed, opt.points)
     forms = ClassBuilder()
+    points = _probe_points(fixture, opt, forms)[:opt.points]
+    report = Report(__version__, fixture.name, opt.seed, opt.points)
     form = mu_form(phi, h, *_metrics(fixture, forms, phi.source, phi.target), forms)
     name = f"mu_{2 * h - 1}[{morphism}]"
     _check(report, f"closed_{name}", opt.tol, points, d_A(form))
@@ -401,7 +400,7 @@ def emit_class(fixture: Fixture, morphism: str, h: int, opt: Options) -> Report:
 
 def emit_jet(fixture: Fixture, algebroid: str, opt: Options) -> Report:
     chart = fixture.chart(algebroid)
-    points = _probe_points(fixture, opt)[:opt.points]
+    points = _probe_points(fixture, opt, ClassBuilder())[:opt.points]
     jet = jet_prolong(chart)
     report = Report(__version__, fixture.name, opt.seed, opt.points)
     _check_axioms(report, f"jet_axioms[{algebroid}]", jet, points, opt.tol)

@@ -443,10 +443,10 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
 
 
 def quasi_metric_frame_check(conn: FormMatrix, curv: FormMatrix, g: QuasiMetric,
-                             kernel_vectors: Sequence[Sequence[ScalarField]],
+                             adapted: tuple[np.ndarray, np.ndarray, np.ndarray],
                              points) -> dict[str, float]:
-    """Pointwise residuals in an adapted frame for a quasi-metric connection
-    and its curvature `curv`.
+    """Pointwise residuals for a quasi-metric connection and its curvature
+    `curv` in `adapted`, the `adapted_frame` of g and the kernel vectors.
 
     The worst value at the probe points of each block, by name: the kernel
     blocks, which vanish when derivatives of the kernel frame stay in the
@@ -455,7 +455,7 @@ def quasi_metric_frame_check(conn: FormMatrix, curv: FormMatrix, g: QuasiMetric,
     (orthogonal/symplectic valued).  A non-finite value counts as inf.
     """
     chart = conn.chart
-    s_frame, canonical, t_frame = adapted_frame(g, kernel_vectors, points)
+    s_frame, canonical, t_frame = adapted
     frame = np.vstack([s_frame, t_frame])
     frame_inv = np.linalg.inv(frame)
     q = len(s_frame)

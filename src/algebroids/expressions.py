@@ -5,11 +5,21 @@ Node kinds: constant, coordinate, sum, difference, product, quotient, integer
 power, sin, cos, exp and sqrt (the square root that orthonormalizing metric
 frames builds).  Differentiation is symbolic and closed under these node
 kinds, so identities downstream fail only through floating-point evaluation,
-never through truncation.  No canonicalization is attempted beyond cheap
-constant folding; equality of fields is always decided pointwise.  A fold
-whose value is +0.0 returns the one shared `ZERO` node, so the zeros that a
-Jacobiator or a cancelling sum folds to are a single node to every walk;
--0.0 and every other value get a `Const` of their own.
+never through truncation.  The constructors fold constants and three sign
+patterns, nothing more; equality of fields is always decided pointwise.  A
+fold whose value is +0.0 returns the one shared `ZERO` node, so the zeros
+that a Jacobiator or a cancelling sum folds to are a single node to every
+walk; -0.0 and every other value get a `Const` of their own.  The sign rules
+come after every constant fold, and each keeps every value to the bit,
+because IEEE 754 negation is exact and its rounding is symmetric in sign:
+
+- `mul` of a constant c and Mul(Const(d), y), either factor on either side,
+  is Mul(Const(c*d), y) when c or d is +-1, and y itself when c*d is 1:
+  with c = +-1, c*(d*y) and (c*d)*y are both the rounded d*y with the sign
+  of c, and likewise with d = +-1;
+- `add(a, Mul(Const(-1), x))`, either way round, is Sub(a, x): IEEE 754
+  defines a - x as a + (-x);
+- `sub(a, Mul(Const(-1), x))` is Add(a, x), since -(-x) is x.
 
 The algebra built on the folding constructors reuses subtrees, so a tree is
 in fact a DAG: one node object can sit under many parents.  Evaluation,
@@ -219,6 +229,10 @@ def add(a: ScalarField, b: ScalarField) -> ScalarField:
         return b
     if b_const and b.value == 0.0:
         return a
+    if _is_negation(b):
+        return Sub(a, b.right)
+    if _is_negation(a):
+        return Sub(b, a.right)
     return Add(a, b)
 
 
@@ -227,6 +241,8 @@ def sub(a: ScalarField, b: ScalarField) -> ScalarField:
         return _folded(a.value - b.value)
     if b.is_zero():
         return a
+    if _is_negation(b):
+        return Add(a, b.right)
     return Sub(a, b)
 
 
@@ -235,12 +251,23 @@ def mul(a: ScalarField, b: ScalarField) -> ScalarField:
     if a_const and b_const:
         return _folded(a.value * b.value)
     if a_const or b_const:
-        value = a.value if a_const else b.value
+        value, other = (a.value, b) if a_const else (b.value, a)
         if value == 0.0:
             return ZERO
         if value == 1.0:
-            return b if a_const else a
+            return other
+        if type(other) is Mul:
+            inner, rest = ((other.left, other.right) if type(other.left) is Const
+                           else (other.right, other.left))
+            if type(inner) is Const and (abs(value) == 1.0 or abs(inner.value) == 1.0):
+                product = value * inner.value
+                return rest if product == 1.0 else Mul(_folded(product), rest)
     return Mul(a, b)
+
+
+def _is_negation(node: ScalarField) -> bool:
+    """Whether `node` is Mul(Const(-1), x), which `add` and `sub` fold into their sign."""
+    return type(node) is Mul and type(node.left) is Const and node.left.value == -1.0
 
 
 def div(a: ScalarField, b: ScalarField) -> ScalarField:

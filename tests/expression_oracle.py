@@ -16,6 +16,11 @@
   that one children-first pass replaced.  Both recurse once per level of
   depth.  Tests require the same node order and parent-edge counts, and the
   same text.
+- `plain_add`, `plain_sub` and `plain_mul` guard `expressions.add`, `sub`
+  and `mul`.  They are those constructors before the sign rules, which fold
+  a factor of +-1 into a neighbouring constant factor and Mul(Const(-1), x)
+  into the sign of a sum or difference.  Tests require a tree built through
+  either set to evaluate to the same bits, NaN for NaN, at every point.
 - `same_tree` is how tests compare the trees of two routes (node kinds,
   constants, coordinates, exponents and child order, so also the text), in
   time linear in the distinct nodes.
@@ -41,6 +46,7 @@ from algebroids.expressions import (
     ONE,
     ZERO,
     _children,
+    _folded,
     _format_number,
     _schedule,
     add,
@@ -116,6 +122,38 @@ def recursive_diff(node: ScalarField, index: int) -> ScalarField:
     if isinstance(node, Sqrt):
         return div(recursive_diff(node.arg, index), mul(Const(2.0), node))
     raise TypeError(f"unknown node {node!r}")
+
+
+def plain_add(a: ScalarField, b: ScalarField) -> ScalarField:
+    a_const, b_const = type(a) is Const, type(b) is Const
+    if a_const and b_const:
+        return _folded(a.value + b.value)
+    if a_const and a.value == 0.0:
+        return b
+    if b_const and b.value == 0.0:
+        return a
+    return Add(a, b)
+
+
+def plain_sub(a: ScalarField, b: ScalarField) -> ScalarField:
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _folded(a.value - b.value)
+    if b.is_zero():
+        return a
+    return Sub(a, b)
+
+
+def plain_mul(a: ScalarField, b: ScalarField) -> ScalarField:
+    a_const, b_const = type(a) is Const, type(b) is Const
+    if a_const and b_const:
+        return _folded(a.value * b.value)
+    if a_const or b_const:
+        value = a.value if a_const else b.value
+        if value == 0.0:
+            return ZERO
+        if value == 1.0:
+            return b if a_const else a
+    return Mul(a, b)
 
 
 def same_tree(a: ScalarField, b: ScalarField) -> bool:

@@ -655,7 +655,7 @@ def test_dumped_coefficients_reparse(argv, tmp_path, capsys):
             pairs += [(dump["brackets"][f"{i + 1},{j + 1}"][str(k + 1)], coeff)
                       for (i, j), row in jet.brackets.items() for k, coeff in row.items()]
             texts = [text for text, _ in pairs]
-            points = cli._probe_points(fixture, Options())[:10]
+            points = cli._probe_points(fixture, Options(), ClassBuilder())[:10]
             expected = evaluate([entry for _, entry in pairs], points)
         else:
             texts = list(dump["coefficients"].values())
@@ -826,6 +826,25 @@ def test_commands_import_no_numpy_polynomial_or_random(argv):
     assert json.loads(result.stdout) == [0, []]
 
 
+def test_sign_factors_stay_folded_in_the_largest_run(monkeypatch, capsys):
+    # The distinct nodes of each `field_maxima` walk, summed over the run:
+    # 21,563 while add, sub and mul kept the sign products Mul(Const(+-1), x),
+    # 12,686 with them folded, most of both in bianchi[sa3].random.  The count
+    # repeats exactly, so a change that brings the sign products back fails.
+    walked = []
+    original = expressions.field_maxima
+
+    def counted(fields, points):
+        fields = list(fields)
+        walked.append(len(expressions._schedule(fields)[0]))
+        return original(fields, points)
+
+    _rebind(monkeypatch, expressions, "field_maxima", counted)
+    assert main(["verify", "sa3", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert sum(walked) <= 13_000
+
+
 def test_console_script_round_trip(tmp_path):
     out = tmp_path / "cli.json"
     result = subprocess.run(
@@ -878,6 +897,27 @@ _ZERO_COLUMN = {
 _RECORD_SHAPES = json.loads((Path(__file__).parent / "record_shapes.json").read_text())
 
 
+def _rebind(monkeypatch, home, name: str, replacement) -> None:
+    """Bind `replacement` for `home.name` in every `algebroids` module that binds it."""
+    original = getattr(home, name)
+    for key, module in list(sys.modules.items()):
+        if ((key == "algebroids" or key.startswith("algebroids."))
+                and vars(module).get(name) is original):
+            monkeypatch.setattr(module, name, replacement)
+
+
+def _count_calls(monkeypatch, *targets) -> Counter:
+    """Calls of each (module, function) of `targets`, by function name."""
+    counts = Counter()
+    for home, name in targets:
+        def counted(*args, _name=name, _original=getattr(home, name)):
+            counts[_name] += 1
+            return _original(*args)
+
+        _rebind(monkeypatch, home, name, counted)
+    return counts
+
+
 class TestOneBuilderPerRun:
     """`run_suite` shares one `ClassBuilder` among its suites: each connection
     and Delta form is built once per run, and nothing carries between runs."""
@@ -908,20 +948,8 @@ class TestOneBuilderPerRun:
         assert sorted(shapes, key=lambda r: r["name"]) == _RECORD_SHAPES[label]
 
     def test_a_run_builds_each_connection_and_form_once(self, monkeypatch, capsys):
-        counts = Counter()
-        package = [module for key, module in sys.modules.items()
-                   if key == "algebroids" or key.startswith("algebroids.")]
-        for home, name in ((connections, "morphism_target_connection"),
-                           (connections, "orthogonal_connection"), (chern, "bott_delta")):
-            original = getattr(home, name)
-
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
-
-            for module in package:
-                if vars(module).get(name) is original:
-                    monkeypatch.setattr(module, name, counted)
+        counts = _count_calls(monkeypatch, (connections, "morphism_target_connection"),
+                              (connections, "orthogonal_connection"), (chern, "bott_delta"))
         once = {"morphism_target_connection": 6, "orthogonal_connection": 5, "bott_delta": 8}
         for _ in range(2):  # main resolves the fixture afresh each time
             counts.clear()
@@ -949,13 +977,20 @@ class TestOneBuilderPerRun:
                 calls.append([conn, 1])
             return original(conn)
 
-        for module in [module for key, module in sys.modules.items()
-                       if key == "algebroids" or key.startswith("algebroids.")]:
-            if vars(module).get("curvature") is original:
-                monkeypatch.setattr(module, "curvature", counted)
+        _rebind(monkeypatch, connections, "curvature", counted)
         assert main(["verify", "solvable2d", "--suite", "connections"]) == 0
         capsys.readouterr()
         assert [count for _, count in calls] == [1] * 8
+
+    def test_a_run_builds_each_adapted_frame_once(self, monkeypatch, capsys):
+        # The probe set's validation builds the kernel frame, g+, g- and both
+        # adapted frames of each morphism with kernel rows; the connections
+        # suite reads them from the run's builder.
+        counts = _count_calls(monkeypatch, *((connections, name) for name in (
+            "quasi_metric_on_S", "kernel_frame_on_S", "adapted_frame")))
+        assert main(["verify", "solvable2d", "--suite", "connections"]) == 0
+        capsys.readouterr()
+        assert counts == {"quasi_metric_on_S": 2, "kernel_frame_on_S": 2, "adapted_frame": 4}
 
     def test_identity_and_fixture_metrics_are_never_one_key(self, action_x, line_points):
         # action_x's metric exp(2x) on `action` moves mu_1 of sharp off lambda_phi.

@@ -575,9 +575,10 @@ class TestAdaptedFrames:
         g_plus, g_minus = quasi_metric_on_S(phi)
         ker, coker = solvable2d.kernel_rows("phi")
         frame = kernel_frame_on_S(phi, ker, coker)
+        points = sample_points(1, 40, 42)
         for g in (g_plus, g_minus):
-            blocks = quasi_metric_frame_check(conn, curvature(conn), g, frame,
-                                              sample_points(1, 40, 42))
+            blocks = quasi_metric_frame_check(conn, curvature(conn), g,
+                                              adapted_frame(g, frame, points), points)
             for block, worst in blocks.items():
                 assert worst <= 1e-9, block
 
@@ -587,8 +588,9 @@ class TestAdaptedFrames:
         g_plus, _ = quasi_metric_on_S(phi)
         ker, coker = so3.kernel_rows("zero")
         frame = kernel_frame_on_S(phi, ker, coker)
-        blocks = quasi_metric_frame_check(conn, curvature(conn), g_plus, frame,
-                                          sample_points(1, 20, 42))
+        points = sample_points(1, 20, 42)
+        blocks = quasi_metric_frame_check(conn, curvature(conn), g_plus,
+                                          adapted_frame(g_plus, frame, points), points)
         assert all(worst <= 1e-9 for worst in blocks.values())
 
     @pytest.mark.parametrize("sign, rows", [

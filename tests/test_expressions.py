@@ -1,16 +1,22 @@
 """Parser and exact-differentiation tests for the coefficient DSL."""
 
+import itertools
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algebroids.expressions import (
     ONE,
     ZERO,
+    Add,
     Const,
+    Coord,
     MAX_NESTING,
+    Mul,
+    Sub,
     ExpressionError,
     _format_number,
     add,
@@ -26,7 +32,7 @@ from algebroids.expressions import (
     square_root,
     sub,
 )
-from expression_oracle import scalar_eval
+from expression_oracle import plain_add, plain_mul, plain_sub, same_tree, scalar_eval
 from transgression_oracle import substitute, tau_degree
 
 COORDS = ["x", "y"]
@@ -177,6 +183,85 @@ def test_negative_zero_and_other_folds_keep_their_bits():
                           (cosine(Const(0.0)), 1.0)):
         assert repr(folded) == repr(Const(value))
         assert repr(folded.value) == repr(value)
+
+
+def test_sign_factors_fold_into_the_constructors():
+    x, y = Coord(0, "x"), Coord(1, "y")
+    minus_x = mul(Const(-1.0), x)
+    assert same_tree(minus_x, Mul(Const(-1.0), x))
+    # A factor of +-1 next to a constant factor, either one on either side.
+    for outer, inner in ((-1.0, 2.0), (2.0, -1.0), (-1.0, -3.0), (1e308, -1.0)):
+        expected = Mul(Const(outer * inner), x)
+        assert same_tree(mul(Const(outer), Mul(Const(inner), x)), expected)
+        assert same_tree(mul(Mul(x, Const(inner)), Const(outer)), expected)
+    assert mul(Const(-1.0), minus_x) is x
+    assert same_tree(mul(Const(2.0), Mul(Const(3.0), x)), Mul(Const(2.0), Mul(Const(3.0), x)))
+    # Mul(Const(-1), x) in a sum or a difference becomes its sign.
+    assert same_tree(add(y, minus_x), Sub(y, x))
+    assert same_tree(add(minus_x, y), Sub(y, x))
+    assert same_tree(sub(y, minus_x), Add(y, x))
+    # A zero operand keeps its own fold: 0 - x would turn -0.0 into +0.0.
+    assert add(ZERO, minus_x) is minus_x and add(minus_x, Const(-0.0)) is minus_x
+
+
+SIGN_CONSTANTS = (1.0, -1.0, 2.0, -2.0, 0.5, 0.0, -0.0, 1e308, -1e308,
+                  math.inf, -math.inf, math.nan)
+SIGN_POINTS = np.array(list(itertools.product(
+    (0.0, -0.0, 1.5, -3.0, 1e308, math.inf, -math.inf), repeat=2)))
+CONSTRUCTORS = {"add": (add, plain_add), "sub": (sub, plain_sub),
+                "mul": (mul, plain_mul), "div": (div, div)}
+
+
+def _assert_same_bits(new_values, old_values):
+    nan = np.isnan(old_values)
+    np.testing.assert_array_equal(np.isnan(new_values), nan)
+    np.testing.assert_array_equal(new_values[~nan].view(np.uint64),
+                                  old_values[~nan].view(np.uint64))
+
+
+def test_sign_rules_keep_every_value_of_the_small_trees():
+    # Each of add, sub and mul on every pair of small trees: the constants, x,
+    # and x times each constant on either side, through both constructor sets.
+    x = Coord(0, "x")
+    values = []
+    for constructors in (0, 1):
+        times = CONSTRUCTORS["mul"][constructors]
+        small = [Const(c) for c in SIGN_CONSTANTS] + [x]
+        small += [product for c in SIGN_CONSTANTS for product in (times(Const(c), x),
+                                                                  times(x, Const(c)))]
+        values.append(evaluate([CONSTRUCTORS[name][constructors](a, b)
+                                for name in ("add", "sub", "mul") for a in small for b in small],
+                               SIGN_POINTS))
+    _assert_same_bits(*values)
+
+
+# A node is x (0), y (1) or, for k < 0, the one built -k steps back; an
+# operand is a node or a constant.  Repeats weight -1 and the last node, of
+# which the sign rules read products Mul(Const(-1), x).
+NODES = st.sampled_from((-1, -1, -1, -2, 0, 1))
+OPERANDS = st.sampled_from((*SIGN_CONSTANTS, *[-1.0] * 6, 1.0, 1.0, 0.0, -0.0, -1, -1, -2, 0, 1))
+
+
+def _built(recipe, constructors: int) -> list:
+    """Each step puts a constructor (0: folding, 1: plain) to a node and an
+    operand, swapped or not."""
+    nodes = [Coord(0, "x"), Coord(1, "y")]
+    for name, k, operand, swap in recipe:
+        left = nodes[k % len(nodes)]
+        right = Const(operand) if isinstance(operand, float) else nodes[operand % len(nodes)]
+        if swap:
+            left, right = right, left
+        nodes.append(CONSTRUCTORS[name][constructors](left, right))
+    return nodes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(("add", "sub", "mul", "mul", "div")), NODES,
+                          OPERANDS, st.booleans()), min_size=10, max_size=40))
+def test_sign_rules_keep_every_value_to_the_bit(recipe):
+    # The same recipe through the folding constructors and the plain ones.
+    _assert_same_bits(evaluate(_built(recipe, 0), SIGN_POINTS),
+                      evaluate(_built(recipe, 1), SIGN_POINTS))
 
 
 def test_rendering_round_trips_through_parser():

@@ -119,11 +119,12 @@ def test_k_flatness_matches_oracle(request, fixture_name, morphism):
 def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
     phi, ker, coker, connections = _case(request, fixture_name, morphism)
     frame = kernel_frame_on_S(phi, ker, coker)
+    points = sample_points(phi.source.dim, 20, 42)
     nonzero = 0
     for conn in connections:
         for g in quasi_metric_on_S(phi):
-            new = quasi_metric_frame_check(conn, curvature(conn), g, frame,
-                                           sample_points(phi.source.dim, 20, 42))
+            new = quasi_metric_frame_check(conn, curvature(conn), g,
+                                           adapted_frame(g, frame, points), points)
             old = oracle.quasi_metric_frame_check(conn, g, frame, 20, 42, 1e-9)
             assert list(new) == [r.name for r in old]
             for a, b in zip(new.values(), old):

@@ -32,9 +32,10 @@ def test_the_draws_are_pinned():
                                                 [-0.4499413632617615, -0.5535785237023545]]
     chart = AlgebroidChart("A", ["x", "y"], ["b1"], [[Const(1.0), Const(0.0)]])
     # The integers 1, -2, -1, -1, 1, 1: floor(5 * random()) - 2 in the order
-    # constant, x, x*x, x*y, y, y*y.
+    # constant, x, x*x, x*y, y, y*y.  `add` folds a -1 coefficient into a
+    # subtraction.
     assert str(_random_polynomial(chart, random.Random(42))) == \
-        "1 + -2*x + -1*x*x + -1*x*y + y + y*y"
+        "1 + -2*x - x*x - x*y + y + y*y"
 
 
 class _RunSpy:
@@ -61,8 +62,8 @@ class _RunSpy:
             self._since_record = []
             return original_add(report, record)
 
-        def spy_probe(fixture, opt):
-            points = original_probe(fixture, opt)
+        def spy_probe(fixture, opt, forms):
+            points = original_probe(fixture, opt, forms)
             self._since_record = []  # validating the inputs on the whole draw is no check
             return points
 
