@@ -392,9 +392,13 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
                   probe_points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical constant frame (s_h | t_l) for a constant-coefficient quasi-metric.
 
-    Returns (s_frame rows, canonical Gram of the s part, t_frame rows).  Both
-    signs take one Hermitian eigendecomposition of the Gram matrix on a
-    complement of the kernel: of gram itself when g is symmetric, which gives
+    Returns (s_frame rows, canonical Gram of the s part, t_frame rows).  The
+    complement of the kernel is orthonormal, the right singular vectors of the
+    kernel rows past their count, from one SVD that also rejects dependent
+    rows.  Where the kernel rows span g0's null space the complement spans
+    g0's range, so the 1e-10 degeneracy test sees g0's own nonzero
+    eigenvalues.  Both signs take one Hermitian eigendecomposition of the Gram
+    matrix on the complement: of gram itself when g is symmetric, which gives
     an orthonormal frame with Gram diag(+/-1), and of i * gram when g is skew.
     There each eigenvalue lambda > 0 with eigenvector a + ib gives the pair
     sqrt(2 / lambda) (a, -b) with Gram [[0, 1], [-1, 0]], so the s-part Gram is
@@ -410,22 +414,15 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
                          f"probe point {tuple(float(v) for v in probe_points[0])}")
     if max_abs_finite(metric - g0) > 1e-10:
         raise ValueError("adapted frames are only computed for constant metrics")
-    q = r - len(t_frame)
-    # Complement of the kernel: columns of the identity completing t_frame.
-    basis = list(t_frame)
-    complement = []
-    for e in np.eye(r):
-        trial = np.array(basis + complement + [e])
-        if np.linalg.matrix_rank(trial, tol=1e-9) == len(trial):
-            complement.append(e)
-    complement = np.array(complement[:q]) if complement else np.zeros((0, r))
-    if len(complement) != q:
+    # More rows than r, or a singular value <= 1e-9: the rows are dependent.
+    _, sigma, vt = np.linalg.svd(t_frame)
+    if len(sigma) < len(t_frame) or sigma.min(initial=np.inf) <= 1e-9:
         raise ValueError("kernel vectors do not span the annihilator")
-    if q == 0:
-        return np.zeros((0, r)), np.zeros((0, 0)), t_frame
+    complement = vt[len(t_frame):]
+    q = len(complement)
     gram = complement @ g0 @ complement.T
     eigvals, eigvecs = np.linalg.eigh(gram if g.sign == 1 else 1j * gram)
-    if np.min(np.abs(eigvals)) < 1e-10 or g.sign == -1 and q % 2:
+    if np.abs(eigvals).min(initial=np.inf) < 1e-10 or g.sign == -1 and q % 2:
         raise ValueError("metric is degenerate beyond the supplied kernel")
     if g.sign == 1:
         order = np.argsort(-eigvals)

@@ -14,11 +14,15 @@ did then.  Tests require the array route to give the same residuals:
 - `quasi_metric_frame_check` guards `connections.quasi_metric_frame_check`
   and the `adapted_frame` it builds;
 - `pivoting_adapted_frame` is the frame construction `connections.adapted_frame`
-  replaced, kept verbatim: the same orthonormal eigenframe for a symmetric g,
-  and for a skew g `symplectic_basis`, a pivoting symplectic Gram-Schmidt on
-  a complement of the kernel.  `adapted_frame` now takes one Hermitian
-  eigendecomposition for both signs; tests require both routes to give the
-  canonical Gram and an invertible frame.
+  replaced, kept verbatim: a complement of the kernel from the identity
+  columns that pass a rank test one at a time, then an orthonormal eigenframe
+  for a symmetric g and for a skew g `symplectic_basis`, a pivoting
+  symplectic Gram-Schmidt.  `adapted_frame` now takes an orthonormal
+  complement from one SVD and one Hermitian eigendecomposition for both
+  signs.  The two routes pick different complements, so their frames differ;
+  tests require both to give the canonical Gram and an invertible frame, and
+  the same canonical Gram (Sylvester's law of inertia), and require the SVD
+  complement to meet the bound on a case the identity columns miss.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ def pivoting_adapted_frame(g: QuasiMetric,
                            kernel_vectors: Sequence[Sequence[ScalarField]],
                            probe_points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical constant frame (s_h | t_l) for a constant-coefficient quasi-metric,
-    by the route `connections.adapted_frame` replaced.
+    by the route `connections.adapted_frame` replaced, on a complement of
+    identity columns picked greedily.
 
     Returns (s_frame rows, canonical Gram of the s part, t_frame rows).  The
     s-part Gram is diag(+/-1) in the symmetric case and the standard block

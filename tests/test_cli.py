@@ -804,6 +804,46 @@ class TestKernelRows:
             "error: kernel vectors do not span the annihilator "
             "(morphism 'phi', quasi-metric g+)\n")
 
+    @pytest.mark.parametrize("argv", [["verify", "--suite", "all"],
+                                      ["verify", "--suite", "connections"],
+                                      ["mu", "--morphism", "zero", "--h", "1"]])
+    def test_dependent_rows_as_many_as_the_rank(self, tmp_path, capsys, argv):
+        # Three kernel rows and one cokernel row for rank 3 + 1, so no complement
+        # is left to count, but the third row is the sum of the first two: verify
+        # ended in a singular-matrix traceback and mu accepted the rows.
+        fixture = json.loads(builtin_fixture_path("so3").read_text())
+        fixture["kernels"]["zero"]["ker"] = [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"]]
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(fixture))
+        code = main([argv[0], str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: kernel vectors do not span the annihilator "
+                                "(morphism 'zero', quasi-metric g+)\n")
+
+
+def _bundled_commands():
+    """`verify --suite all`, `mu --h 1` for each morphism, and `modular` and
+    `jet` for each algebroid, on every bundled fixture."""
+    for name in builtin_fixture_names():
+        fixture = resolve_fixture(name)
+        yield ["verify", name, "--suite", "all"]
+        for morphism in fixture.morphisms:
+            yield ["mu", name, "--morphism", morphism, "--h", "1"]
+        for algebroid in fixture.charts:
+            yield ["modular", name, "--algebroid", algebroid]
+            yield ["jet", name, "--algebroid", algebroid]
+
+
+@pytest.mark.parametrize("argv", list(_bundled_commands()), ids=" ".join)
+def test_every_bundled_fixture_command_exits_without_error(argv, capsys):
+    # broken_jacobi's Jacobi identity fails, so its checks exit 1; every other
+    # command passes, and none raises or writes to stderr.
+    expected = 1 if argv[1] == "broken_jacobi" else 0
+    assert main([*argv, "--points", "20"]) == expected
+    assert capsys.readouterr().err == ""
+
 
 @pytest.mark.parametrize("argv", [["mu", "sa3", "--morphism", "zero", "--h", "2"],
                                   ["verify", "so3", "--suite", "transgression"],

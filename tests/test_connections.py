@@ -603,3 +603,15 @@ class TestAdaptedFrames:
         g = QuasiMetric(3, sign, [[Const(float(v)) for v in row] for row in rows])
         with pytest.raises(ValueError, match="^metric is degenerate beyond the supplied kernel$"):
             adapted_frame(g, [], sample_points(1, 3, 42))
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0], [0, 1], [1, 1]],  # more rows than the rank
+        [[1, 2], [2, 4]],  # as many rows as the rank, one direction
+        [[1, 0], [1, 1e-10]],  # independent only below the 1e-9 tolerance
+    ])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_dependent_kernel_rows_are_one_error(self, rows, sign):
+        g = QuasiMetric(2, sign, [[Const(0.0)] * 2 for _ in range(2)])
+        vectors = [[Const(float(v)) for v in row] for row in rows]
+        with pytest.raises(ValueError, match="^kernel vectors do not span the annihilator$"):
+            adapted_frame(g, vectors, sample_points(1, 3, 42))

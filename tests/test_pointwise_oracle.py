@@ -6,9 +6,10 @@ otherwise the two agree within 1e-12 relative.  numpy's `sin`/`exp` may
 differ from `math`'s in the last bit, and batched matrix products may sum in
 another order, so exact equality is not required of nonzero values.
 
-The adapted frames themselves are checked on both routes, the Hermitian
-eigendecomposition of `connections.adapted_frame` and the pivoting route it
-replaced: each must give the canonical Gram and an invertible frame.
+The adapted frames themselves are checked on both routes, the SVD complement
+and Hermitian eigendecomposition of `connections.adapted_frame` and the
+identity-column, pivoting route it replaced: each must give the canonical Gram
+and an invertible frame, and both the same canonical Gram.
 """
 
 from itertools import combinations
@@ -137,7 +138,8 @@ def test_adapted_frame_checks_match_oracle(request, fixture_name, morphism):
 
 def _assert_canonical_frames(g: QuasiMetric, vectors, points) -> None:
     """Both frame routes give s g0 s^T = canonical, the canonical Gram of g's
-    sign, and an invertible [s; t]; for a symmetric g they agree to the bit."""
+    sign, and an invertible [s; t]; their canonical Grams are equal, since by
+    Sylvester's law of inertia any complement gives the same signature."""
     g0 = g.values(points)[0]
     frames = [route(g, vectors, points)
               for route in (adapted_frame, oracle.pivoting_adapted_frame)]
@@ -151,9 +153,7 @@ def _assert_canonical_frames(g: QuasiMetric, vectors, points) -> None:
         np.testing.assert_allclose(s_frame @ g0 @ s_frame.T, canonical, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(g0).max()))
         assert np.linalg.matrix_rank(np.vstack([s_frame, t_frame])) == g.rank
-    if g.sign == 1:
-        for new, old in zip(*frames):
-            assert np.array_equal(new, old)
+    assert np.array_equal(frames[0][1], frames[1][1])
 
 
 @pytest.mark.parametrize("fixture_name, morphism", CASES)
@@ -166,11 +166,12 @@ def test_adapted_frames_of_bundled_kernel_morphisms_are_canonical(request, fixtu
         _assert_canonical_frames(g, vectors, sample_points(phi.source.dim, 50, 42))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.integers(1, 8), st.sampled_from([1, -1]), st.integers(0, 2**32 - 1))
-def test_adapted_frames_of_random_constant_quasi_metrics_are_canonical(rank, sign, seed):
-    # g0 = B^T C B with integer entries, so g0 is exactly symmetric or skew;
-    # B has full rank q < rank, and the kernel rows span the null space of B.
+def _random_constant_quasi_metric(rank: int, sign: int, seed: int):
+    """A constant quasi-metric of `rank` and `sign` and its kernel rows.
+
+    g0 = B^T C B with integer entries, so g0 is exactly symmetric or skew;
+    B has full rank q < rank, and the kernel rows span the null space of B.
+    """
     rng = np.random.default_rng(seed)
     q = int(rng.integers(0, rank))
     if sign == -1:
@@ -184,5 +185,28 @@ def test_adapted_frames_of_random_constant_quasi_metrics_are_canonical(rank, sig
     g0 = (b.T @ core @ b).astype(float)
     kernel = np.linalg.svd(b.astype(float))[2][q:] if q else np.eye(rank)
     g = QuasiMetric(rank, sign, [[Const(float(v)) for v in row] for row in g0])
-    vectors = [[Const(float(v)) for v in row] for row in kernel]
-    _assert_canonical_frames(g, vectors, sample_points(1, 3, 42))
+    return g, [[Const(float(v)) for v in row] for row in kernel]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 8), st.sampled_from([1, -1]), st.integers(0, 2**32 - 1))
+def test_adapted_frames_of_random_constant_quasi_metrics_are_canonical(rank, sign, seed):
+    _assert_canonical_frames(*_random_constant_quasi_metric(rank, sign, seed),
+                             sample_points(1, 3, 42))
+
+
+def test_adapted_frame_does_not_inherit_an_ill_conditioned_complement():
+    # Seed 169 at rank 8 (q = 7): the identity columns that the pivoting route
+    # completes the kernel row with give a complement whose frame misses the
+    # canonical Gram by 1.9e-11 relative.  The SVD complement is orthonormal,
+    # and by Sylvester's law of inertia both give the same canonical Gram.
+    g, vectors = _random_constant_quasi_metric(8, 1, 169)
+    points = sample_points(1, 3, 42)
+    g0 = g.values(points)[0]
+    (s_frame, canonical, t_frame), (old_s, old_canonical, _) = [
+        route(g, vectors, points) for route in (adapted_frame, oracle.pivoting_adapted_frame)]
+    atol = 1e-12 * max(1.0, np.abs(g0).max())
+    assert np.abs(old_s @ g0 @ old_s.T - old_canonical).max() > atol
+    np.testing.assert_allclose(s_frame @ g0 @ s_frame.T, canonical, rtol=0, atol=atol)
+    assert np.array_equal(canonical, old_canonical)
+    assert np.linalg.matrix_rank(np.vstack([s_frame, t_frame])) == g.rank
