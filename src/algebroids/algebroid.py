@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .expressions import (Const, Coord, ScalarField, ZERO, add, field_maxima, mul,
-                          residual)
-from .forms import AForm, _form, _require_same_chart, _trusted_form
+from .expressions import (Const, Coord, MINUS_ONE, ONE, ScalarField, ZERO, _folded, add,
+                          field_maxima, mul, residual)
+from .forms import AForm, _Memo, _form, _require_same_chart, _trusted_form
 
 
 class AlgebroidChart:
@@ -32,12 +32,18 @@ class AlgebroidChart:
     section; brackets are stored canonically on pairs i < j as sparse maps
     k -> nonzero coefficient, in ascending k.  `structure[i, j]` is the same
     map of c_ij^k for every ordered pair, c_ji^k = -c_ij^k.  `anchor_terms[i]`
-    lists the nonzero entries (j, rho) of anchor row i in ascending j, and
-    `bracket_sources[m]` the pairs (a, b) whose bracket has a nonzero m-term.
-    `d_A` and `_frame_derivative` iterate only these sparse terms, in the
-    order of the dense loops over every frame and coordinate index, so they
-    build the same coefficient trees; `d_A` visits only the output keys that
-    some term reaches.
+    lists the nonzero entries (j, rho) of anchor row i in ascending j,
+    `anchored` the frame indices i whose row has one, and `bracket_sources[m]`
+    the pairs (a, b) whose bracket has a nonzero m-term.  `d_A` and
+    `_frame_derivative` iterate only these sparse terms, in the order of the
+    dense loops over every frame and coordinate index, so they build the same
+    coefficient trees.
+
+    Two memos, each entry computed on first use (see `_cartan_terms` and
+    `_bracket_reach`), hold what `d_A` would otherwise re-derive per call:
+    `cartan[index]` the bracket terms of the output key `index`, and
+    `reach[key]` the output keys that the bracket terms of an input key
+    reach.
     """
 
     def __init__(
@@ -70,7 +76,7 @@ class AlgebroidChart:
             for k, coeff in coeffs.items():
                 if not (0 <= k < self.rank):
                     raise ValueError(f"bracket target {k} out of range")
-                signed = mul(Const(-1.0), coeff) if flip else coeff
+                signed = mul(MINUS_ONE, coeff) if flip else coeff
                 row[k] = add(row.get(k, ZERO), signed)
         self.brackets = {
             key: {k: c for k, c in sorted(row.items()) if not c.is_zero()}
@@ -79,7 +85,7 @@ class AlgebroidChart:
         self.structure: dict[tuple[int, int], dict[int, ScalarField]] = {}
         for (i, j), terms in self.brackets.items():
             self.structure[i, j] = terms
-            self.structure[j, i] = {k: mul(Const(-1.0), c) for k, c in terms.items()}
+            self.structure[j, i] = {k: mul(MINUS_ONE, c) for k, c in terms.items()}
         self.anchor_terms = tuple(
             tuple((j, rho) for j, rho in enumerate(row) if not rho.is_zero())
             for row in self.anchor
@@ -89,6 +95,51 @@ class AlgebroidChart:
             for m in terms:
                 sources.setdefault(m, []).append(pair)
         self.bracket_sources = {m: tuple(pairs) for m, pairs in sources.items()}
+        self.anchored = tuple(i for i, terms in enumerate(self.anchor_terms) if terms)
+        self.cartan = _Memo(self._cartan_terms)
+        self.reach = _Memo(self._bracket_reach)
+
+    def _cartan_terms(self, index: tuple[int, ...]) -> tuple:
+        """The bracket terms of d_A on the output key `index`, in the order
+        of the Cartan sum: slot pairs r < t, then ascending target m.
+
+        Each is (source, sign, pair_sign, coeff, signed): the increasing key
+        of (m,) + rest, rest being `index` without slots r and t; the `Const`
+        +-1 of that order; the `Const` (-1)^(r+t); c_{i_r i_t}^m; and, when
+        c is constant, the product of the three as a float, else None.  A
+        target m already in rest is left out: its key would repeat an index.
+        """
+        terms = []
+        for r in range(len(index)):
+            for t in range(r + 1, len(index)):
+                bracket = self.brackets.get((index[r], index[t]))
+                if not bracket:
+                    continue
+                rest = index[:r] + index[r + 1:t] + index[t + 1:]
+                pair_odd = (r + t) % 2
+                for m, coeff in bracket.items():
+                    if m in rest:
+                        continue
+                    position = sum(v < m for v in rest)
+                    sign_odd = position % 2
+                    signed = None
+                    if type(coeff) is Const:
+                        signed = -coeff.value if pair_odd != sign_odd else coeff.value
+                    terms.append((rest[:position] + (m,) + rest[position:],
+                                  MINUS_ONE if sign_odd else ONE,
+                                  MINUS_ONE if pair_odd else ONE, coeff, signed))
+        return tuple(terms)
+
+    def _bracket_reach(self, key: tuple[int, ...]) -> frozenset:
+        """The keys (key - {m}) + {a, b}, for m in `key` and (a, b) in
+        `bracket_sources[m]` disjoint from the rest of `key`."""
+        reached = set()
+        for p, m in enumerate(key):
+            rest = key[:p] + key[p + 1:]
+            reached.update(tuple(sorted(rest + pair))
+                           for pair in self.bracket_sources.get(m, ())
+                           if pair[0] not in rest and pair[1] not in rest)
+        return frozenset(reached)
 
     def coordinate_field(self, index: int) -> ScalarField:
         return Coord(index, self.coords[index])
@@ -121,61 +172,51 @@ def _frame_derivative(chart: AlgebroidChart, i: int, f: ScalarField) -> ScalarFi
 def d_A(omega: AForm) -> AForm:
     """Exterior differential from the Cartan coefficient formula.
 
-    The anchor terms visit only nonzero anchor entries and non-constant
-    coefficients; the bracket terms visit only the stored terms of each pair,
-    by ascending target index.  Both keep the summation order of the dense
-    formula over every frame index.  Only the output keys that some term
-    reaches are visited, in the order of `combinations`: K + {i} for a
-    non-constant coefficient on K and an anchored i not in K, and
-    (K - {m}) + {a, b} for m in K and a pair (a, b) in `bracket_sources[m]`.
+    The anchor terms visit only anchored slots and non-constant
+    coefficients; the bracket terms of each output key are read from
+    `chart.cartan`.  Both keep the summation order of the dense formula over
+    every frame index, so they build its trees.  A constant structure
+    coefficient on a constant form coefficient adds the one folded product
+    that the three sign and coefficient products fold to (each sign is +-1,
+    so the bits agree).  Only the output keys that some term reaches are
+    visited, in the order of `combinations`: K + {i} for a non-constant
+    coefficient on K and an anchored i not in K, and `chart.reach[K]`.
     """
     chart = omega.chart
     k = omega.degree
-    if k + 1 > chart.rank or omega.is_zero():
+    coeffs = omega.table
+    if k + 1 > chart.rank or not coeffs:
         return chart.zero_form(k + 1)
+    keys = set()
+    for key, coeff in coeffs.items():
+        if type(coeff) is not Const:
+            keys.update(tuple(sorted(key + (i,))) for i in chart.anchored if i not in key)
+        keys.update(chart.reach[key])
+    anchor_terms, cartan = chart.anchor_terms, chart.cartan
     table: dict[tuple[int, ...], ScalarField] = {}
-    for index in sorted(_reached_keys(omega)):
+    for index in sorted(keys):
         total = ZERO
         for r, i_r in enumerate(index):
-            inner = omega.coeff(index[:r] + index[r + 1:])
-            if isinstance(inner, Const):
+            if not anchor_terms[i_r]:
+                continue
+            inner = coeffs.get(index[:r] + index[r + 1:])
+            if inner is None or type(inner) is Const:
                 continue
             term = _frame_derivative(chart, i_r, inner)
             if r % 2:
-                term = mul(Const(-1.0), term)
+                term = mul(MINUS_ONE, term)
             total = add(total, term)
-        if k:
-            for r in range(k + 1):
-                for t in range(r + 1, k + 1):
-                    terms = chart.brackets.get((index[r], index[t]))
-                    if not terms:
-                        continue
-                    rest = tuple(v for p, v in enumerate(index) if p not in (r, t))
-                    pair_sign = -1.0 if (r + t) % 2 else 1.0
-                    for m, coeff in terms.items():
-                        value = omega.coeff_signed((m,) + rest)
-                        if value.is_zero():
-                            continue
-                        total = add(total, mul(Const(pair_sign), mul(coeff, value)))
+        for source, sign, pair_sign, coeff, signed in cartan[index]:
+            base = coeffs.get(source)
+            if base is None:
+                continue
+            if signed is not None and type(base) is Const:
+                total = add(total, _folded(signed * base.value))
+            else:
+                total = add(total, mul(pair_sign, mul(coeff, mul(sign, base))))
         if not total.is_zero():
             table[index] = total
     return _form(chart, k + 1, table)
-
-
-def _reached_keys(omega: AForm) -> set[tuple[int, ...]]:
-    """The keys of d_A(omega) on which some Cartan term can be nonzero."""
-    chart = omega.chart
-    anchored = [i for i, terms in enumerate(chart.anchor_terms) if terms]
-    keys = set()
-    for key, coeff in omega.table.items():
-        if not isinstance(coeff, Const):
-            keys.update(tuple(sorted(key + (i,))) for i in anchored if i not in key)
-        for p, m in enumerate(key):
-            rest = key[:p] + key[p + 1:]
-            keys.update(tuple(sorted(rest + pair))
-                        for pair in chart.bracket_sources.get(m, ())
-                        if pair[0] not in rest and pair[1] not in rest)
-    return keys
 
 
 class Morphism:
@@ -355,7 +396,7 @@ class JetChart(AlgebroidChart):
             for q, h, j in cotangent:
                 if p < q:
                     put(p, q, e(g, j), base_chart.anchor[i][h])
-                    put(p, q, e(h, i), mul(Const(-1.0), base_chart.anchor[j][g]))
+                    put(p, q, e(h, i), mul(MINUS_ONE, base_chart.anchor[j][g]))
         basis = [f"j.{name}" for name in base_chart.basis]
         basis += [f"d{coord}.{name}" for coord in base_chart.coords
                   for name in base_chart.basis]

@@ -35,7 +35,7 @@ from .algebroid import (
     _frame_derivative,
     d_A,
 )
-from .expressions import (Const, ScalarField, ZERO, add, div, evaluate,
+from .expressions import (Const, MINUS_ONE, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
 from .forms import AForm, _accumulate, _form, _trusted_form
 from .sampling import first_point
@@ -344,7 +344,7 @@ def quasi_metric_on_S(phi: Morphism) -> tuple[QuasiMetric, QuasiMetric]:
                 entry = phi.matrix[i][u]
                 if not entry.is_zero():
                     matrix[i][s + u] = entry
-                    matrix[s + u][i] = entry if sign == 1 else mul(Const(-1.0), entry)
+                    matrix[s + u][i] = entry if sign == 1 else mul(MINUS_ONE, entry)
         return QuasiMetric(total, sign, matrix)
 
     return build(1), build(-1)

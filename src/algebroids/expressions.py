@@ -9,7 +9,9 @@ never through truncation.  The constructors fold constants and three sign
 patterns, nothing more; equality of fields is always decided pointwise.  A
 fold whose value is +0.0 returns the one shared `ZERO` node, so the zeros
 that a Jacobiator or a cancelling sum folds to are a single node to every
-walk; -0.0 and every other value get a `Const` of their own.  The sign rules
+walk; -0.0 and every other value get a `Const` of their own.  The -1 sign
+factors that the form, chart and connection layers build are likewise the
+one shared `MINUS_ONE` node (and a +1 factor is `ONE`).  The sign rules
 come after every constant fold, and each keeps every value to the bit,
 because IEEE 754 negation is exact and its rounding is symmetric in sign:
 
@@ -209,6 +211,7 @@ class Sqrt(_Unary):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+MINUS_ONE = Const(-1.0)
 
 
 def _folded(value: float) -> Const:

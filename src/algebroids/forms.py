@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .expressions import Const, ScalarField, ZERO, _folded, add, balanced_sum, mul, residual
+from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, _folded, add, balanced_sum,
+                          mul, residual)
 
 if TYPE_CHECKING:
     from .algebroid import AlgebroidChart
@@ -100,9 +101,9 @@ class AForm:
     def coeff_signed(self, index: tuple[int, ...]) -> ScalarField:
         """Value on an arbitrary (possibly unsorted) frame tuple.
 
-        `d_A` asks for (m,) + rest with `rest` increasing; the sign of that
-        order is the parity of m's position in the sorted tuple.  Other orders
-        count inversions.
+        For (m,) + rest with `rest` increasing, the sign of that order is the
+        parity of m's position in the sorted tuple.  Other orders count
+        inversions.
         """
         index = tuple(index)
         ordered = tuple(sorted(index))
@@ -111,10 +112,10 @@ class AForm:
             return ZERO
         position = ordered.index(index[0]) if index else 0
         if ordered[:position] + ordered[position + 1:] == index[1:]:
-            sign = -1.0 if position % 2 else 1.0
+            odd = position % 2
         else:
-            sign = float(permutation_sign([ordered.index(v) for v in index]))
-        return mul(Const(sign), base)
+            odd = permutation_sign([ordered.index(v) for v in index]) < 0
+        return mul(MINUS_ONE if odd else ONE, base)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -124,7 +125,7 @@ class AForm:
 
     def __sub__(self, other: "AForm") -> "AForm":
         """One pass with the trees of `self + other.scale(-1.0)`."""
-        return self._add_scaled(other, Const(-1.0))
+        return self._add_scaled(other, MINUS_ONE)
 
     def _add_scaled(self, other: "AForm", factor: Const | None) -> "AForm":
         """self + factor * other (None: 1); a zero summand returns the other
@@ -176,7 +177,7 @@ class AForm:
                 else:
                     term = mul(f, g)
                     if sign < 0:
-                        term = mul(Const(-1.0), term)
+                        term = mul(MINUS_ONE, term)
                 pending.setdefault(key, []).append(term)
         for key, terms in pending.items():
             _accumulate(table, key, terms[0] if len(terms) == 1 else balanced_sum(terms))

@@ -36,6 +36,7 @@ from algebroids.fixtures import (
 from algebroids.forms import AForm
 from algebroids.reports import Report
 from algebroids.sampling import sample_points
+import cartan_oracle
 from expression_oracle import scalar_eval
 
 
@@ -869,8 +870,11 @@ def test_commands_import_no_numpy_polynomial_or_random(argv):
 def test_sign_factors_stay_folded_in_the_largest_run(monkeypatch, capsys):
     # The distinct nodes of each `field_maxima` walk, summed over the run:
     # 21,563 while add, sub and mul kept the sign products Mul(Const(+-1), x),
-    # 12,686 with them folded, most of both in bianchi[sa3].random.  The count
-    # repeats exactly, so a change that brings the sign products back fails.
+    # 12,686 with them folded, most of both in bianchi[sa3].random, and
+    # 12,511 once d_A folded each constant bracket term into one node and
+    # every -1 sign factor became the one shared `MINUS_ONE`.  The count
+    # repeats exactly, so a change that brings the sign products or the
+    # per-use -1 constants back fails.
     walked = []
     original = expressions.field_maxima
 
@@ -882,7 +886,59 @@ def test_sign_factors_stay_folded_in_the_largest_run(monkeypatch, capsys):
     _rebind(monkeypatch, expressions, "field_maxima", counted)
     assert main(["verify", "sa3", "--suite", "all"]) == 0
     capsys.readouterr()
-    assert sum(walked) <= 13_000
+    assert sum(walked) <= 12_550
+
+
+@pytest.mark.parametrize("name", builtin_fixture_names())
+def test_verify_reports_match_the_per_call_d_A_oracle(name, monkeypatch, capsys):
+    # The same report, byte for byte, with every d_A of the run replaced by
+    # the route that re-derived each key's bracket terms on every call.
+    status = main(["verify", name, "--suite", "all"])
+    report = capsys.readouterr().out
+    for module in (algebroid, connections, chern, cli):
+        monkeypatch.setattr(module, "d_A", cartan_oracle.d_A)
+    assert main(["verify", name, "--suite", "all"]) == status
+    assert capsys.readouterr().out == report
+
+
+def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
+    # Counted on `verify sa3 --suite all` at seed 42; the counts repeat
+    # exactly.  Each output key's bracket terms are built once per chart
+    # (182 keys on sa3 and 371 on its jet), and the mul and add calls made
+    # while d_A runs fell from 12,208 and 6,077 with the terms re-derived on
+    # every call to 4,998 and 3,786.
+    built = Counter()
+    terms = AlgebroidChart._cartan_terms
+
+    def counted(chart, index):
+        built[chart] += 1
+        return terms(chart, index)
+
+    monkeypatch.setattr(AlgebroidChart, "_cartan_terms", counted)
+    inside = 0
+    calls = Counter()
+
+    def entered(omega, _original=algebroid.d_A):
+        nonlocal inside
+        inside += 1
+        try:
+            return _original(omega)
+        finally:
+            inside -= 1
+
+    _rebind(monkeypatch, algebroid, "d_A", entered)
+    for name in ("mul", "add"):
+        def tallied(*args, _name=name, _original=getattr(expressions, name)):
+            calls[_name] += inside > 0
+            return _original(*args)
+
+        _rebind(monkeypatch, expressions, name, tallied)
+    assert main(["verify", "sa3", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert all(count == len(chart.cartan) for chart, count in built.items())
+    assert sorted((chart.name, count) for chart, count in built.items()) == [
+        ("J1(sa3)", 371), ("sa3", 182)]
+    assert calls["mul"] <= 4_998 and calls["add"] <= 3_786
 
 
 def test_console_script_round_trip(tmp_path):

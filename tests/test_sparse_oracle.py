@@ -11,7 +11,10 @@ on the chain (pi, phi) and needs no builder of its own.
 
 The sparse routes must build the very expression trees of the dense loops:
 same table keys, same node kinds, constants and child order, hence
-`str()`-equal coefficients and byte-identical reports.
+`str()`-equal coefficients and byte-identical reports.  `d_A`, which reads
+each key's bracket terms from the chart's `cartan` memo, must also build the
+trees of the per-call route it replaced (`cartan_oracle.d_A`), keys in the
+same order.
 """
 
 from itertools import combinations
@@ -19,6 +22,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
+import cartan_oracle
 import dense_oracle
 from expression_oracle import same_tree
 from algebroids.algebroid import (
@@ -141,6 +145,27 @@ def test_sparse_routes_match_dense_oracle(chart, data):
                                     dense_oracle.target_connection(jet_map))
 
 
+@given(charts(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_d_A_matches_the_per_call_oracle(chart, data):
+    # Every degree, on the chart and (when small enough) on its jet, whose
+    # structure functions include derivatives; coefficients constant (unit,
+    # non-unit and negative: the folded-product step), fields, or both.
+    constants = st.sampled_from(CONSTANTS + ["1", "-1", "-0.25"]).map(
+        lambda text: parse_expression(text, chart.coords))
+    fields = _fields(chart.coords)
+    targets = [chart]
+    if chart.rank * (1 + chart.dim) <= JET_RANK_CAP:
+        targets.append(jet_prolong(chart))
+    for target in targets:
+        for degree in range(target.rank + 1):
+            for coefficients in (constants, fields, st.one_of(constants, fields)):
+                omega = _draw_form(data, target, degree, coefficients, max_keys=8)
+                new, old = d_A(omega), cartan_oracle.d_A(omega)
+                assert new.degree == old.degree
+                _assert_same_table(new.table, old.table)
+
+
 def _assert_same_morphism(new: Morphism, old: Morphism) -> None:
     assert (new.source, new.target, new.name) == (old.source, old.target, old.name)
     for new_row, old_row in zip(new.matrix, old.matrix, strict=True):
@@ -179,23 +204,28 @@ def _sa3_forms(chart):
     ]
 
 
+class _CountedReads:
+    """A view of a chart's `cartan` memo that counts the keys read from it."""
+
+    def __init__(self, memo):
+        self.memo = memo
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.memo[index]
+
+
 def _d_A_bodies(monkeypatch, omega: AForm) -> tuple[AForm, int]:
     """d_A(omega) and the number of per-key bodies it ran.
 
-    Each body reads one coefficient of omega per slot of its key.
+    Each body reads the bracket terms of its key from `chart.cartan` once.
     """
-    reads = 0
-    coeff = AForm.coeff
-
-    def counted(self, index):
-        nonlocal reads
-        reads += self is omega
-        return coeff(self, index)
-
+    counted = _CountedReads(omega.chart.cartan)
     with monkeypatch.context() as patch:
-        patch.setattr(AForm, "coeff", counted)
+        patch.setattr(omega.chart, "cartan", counted)
         out = d_A(omega)
-    return out, reads // (omega.degree + 1)
+    return out, counted.reads
 
 
 def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, tangent_r2, monkeypatch):
