@@ -13,6 +13,19 @@ plus, on a jet source, the Leibniz term -rho'_u^h phi(j1 b_i) on each row
 dx^h (x) b_i of the split jet frame.  The jet class of phi is `relative_mu` on
 the chain (pi, phi), with pi: J1 A -> A the jet projection.
 
+Constant connections are unboxed.  On a chart with zero anchor and constant
+structure functions every connection of a class form, and every link,
+curvature and Chern word built from them, has constant coefficients.  When
+every coefficient of both operands is a `Const`, a `FormMatrix` sum,
+difference, scaling by a number, product or trace runs on tables of floats
+and yields a float matrix; the floats are bit for bit the values of the
+`Const` nodes the tree route would fold, with the same keys in the same
+order.  A float matrix builds `Const`-coefficient `AForm`s only when its
+`entries` are read (by `d`, `eval_on`, `max_abs` and `cli._check`), once, and
+traces come out as boxed `AForm`s.  Any other pair of operands, such as a
+random connection or field coefficients on an anchored chart, runs on trees.
+The tree-only routes are the oracle `tests/matrix_oracle.py`.
+
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
   * curvature Omega = d(omega) - omega ^ omega,
@@ -37,7 +50,8 @@ from .algebroid import (
 )
 from .expressions import (Const, MINUS_ONE, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
-from .forms import AForm, _accumulate, _form, _trusted_form
+from .forms import (AForm, _accumulate, _form, _scaled_table, _sum_tables, _trusted_form,
+                    wedge_into)
 from .sampling import first_point
 
 
@@ -45,14 +59,23 @@ class FormMatrix:
     """Square matrix of forms of one homogeneous degree on a shared chart.
 
     The constructor checks every entry.  The matrix's own operations (sums,
-    scalings, `wedge`, `d`, `transpose`) build valid matrices by construction
-    and skip those checks.  Products are row-sparse: the nonzero entries of
-    each row of the right factor are listed once, and A_u^s ^ B_s^t is added
-    into the table of (AB)_u^t by ascending s, over nonzero pairs only, so
-    each entry has the coefficient trees of `acc = acc + a.wedge(b)`.
+    scalings, `wedge`, `trace`, `d`, `transpose`) build valid matrices by
+    construction and skip those checks.  They run on the rows of coefficient
+    tables, through the table kernels of `forms`.  Products are row-sparse:
+    the nonzero entries of each row of the right factor are listed once, and
+    A_u^s ^ B_s^t is added into the table of (AB)_u^t by ascending s, over
+    nonzero pairs only, so each entry has the coefficient trees of
+    `acc = acc + a.wedge(b)`.
+
+    Unboxed constants (see the module docstring): the first operation that
+    finds every coefficient of a matrix built from `AForm`s to be a `Const`
+    replaces its tables by tables of their values; the `AForm`s stay for
+    `entries`.  A matrix built from floats boxes its `entries` on the first
+    read.  An operand pair that is not all-constant runs on trees, with a
+    float matrix boxed first.
     """
 
-    __slots__ = ("chart", "size", "degree", "entries")
+    __slots__ = ("chart", "size", "degree", "_rows", "_floats", "_entries")
 
     def __init__(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
                  degree: int):
@@ -69,12 +92,64 @@ class FormMatrix:
     def _set(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
              degree: int) -> "FormMatrix":
         self.chart, self.size, self.degree = chart, len(entries), degree
-        self.entries = tuple(tuple(row) for row in entries)
+        self._entries = tuple(tuple(row) for row in entries)
+        self._rows = tuple(tuple(entry.table for entry in row) for row in self._entries)
+        self._floats = None  # not yet known whether every coefficient is a Const
         return self
 
     def _result(self, entries: Sequence[Sequence[AForm]], degree: int) -> "FormMatrix":
         """A matrix on this chart from entries that are valid by construction."""
         return FormMatrix.__new__(FormMatrix)._set(self.chart, entries, degree)
+
+    def _made(self, rows, degree: int, floats: bool | None) -> "FormMatrix":
+        """A matrix on this chart from rows of valid tables, of floats when `floats`."""
+        out = FormMatrix.__new__(FormMatrix)
+        out.chart, out.size, out.degree = self.chart, len(rows), degree
+        out._rows = tuple(tuple(row) for row in rows)
+        out._floats = True if floats else None
+        out._entries = None
+        return out
+
+    @property
+    def entries(self) -> tuple[tuple[AForm, ...], ...]:
+        """The entries as `AForm`s; a float matrix boxes them on the first read."""
+        if self._entries is None:
+            zero = self.chart.zero_form(self.degree)
+            self._entries = tuple(tuple(self._boxed(table, self.degree, self._floats)
+                                        if table else zero for table in row)
+                                  for row in self._rows)
+        return self._entries
+
+    def _constant(self) -> bool:
+        """Whether every coefficient is a constant; the first time it is, the
+        rows' tables are replaced by tables of their values."""
+        if self._floats is None:
+            self._floats = all(type(coeff) is Const for row in self._rows
+                               for table in row for coeff in table.values())
+            if self._floats:
+                self._rows = tuple(tuple({key: coeff.value for key, coeff in table.items()}
+                                         if table else table for table in row)
+                                   for row in self._rows)
+        return self._floats
+
+    def _tree_rows(self):
+        """The rows' tables of trees; a float matrix's are those of its boxed entries."""
+        if not self._floats:
+            return self._rows
+        return tuple(tuple(entry.table for entry in row) for row in self.entries)
+
+    def _operands(self, other: "FormMatrix"):
+        """(rows of self, rows of other, floats): float tables when both matrices
+        are constant, else tree tables."""
+        if self._constant() and other._constant():
+            return self._rows, other._rows, True
+        return self._tree_rows(), other._tree_rows(), False
+
+    def _boxed(self, table: dict, degree: int, floats: bool) -> AForm:
+        """`table` as a form on this chart; a float table's values become `Const`s."""
+        if floats:
+            table = {key: Const(value) for key, value in table.items()}
+        return _form(self.chart, degree, table)
 
     @classmethod
     def zero(cls, chart: AlgebroidChart, size: int, degree: int) -> "FormMatrix":
@@ -88,68 +163,80 @@ class FormMatrix:
         return cls(chart, [[chart.function_form(f) for f in row] for row in rows], 0)
 
     def transpose(self) -> "FormMatrix":
-        return self._result(list(zip(*self.entries)), self.degree)
+        if self._entries is None:
+            return self._made(list(zip(*self._rows)), self.degree, self._floats)
+        return self._result(list(zip(*self._entries)), self.degree)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
-        self._check_compatible(other)
-        return self._result(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.degree,
-        )
+        return self._add(other, False)
 
     def __sub__(self, other: "FormMatrix") -> "FormMatrix":
+        return self._add(other, True)
+
+    def _add(self, other: "FormMatrix", negate: bool) -> "FormMatrix":
         self._check_compatible(other)
-        return self._result(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.degree,
-        )
+        left, right, floats = self._operands(other)
+        return self._made([[_sum_tables(a, b, negate) for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(left, right)], self.degree, floats)
 
     def scale(self, factor) -> "FormMatrix":
-        return self._result([[e.scale(factor) for e in row] for row in self.entries],
-                            self.degree)
+        """factor times each entry; on floats when the factor is a number and the
+        matrix is constant."""
+        if not isinstance(factor, ScalarField) and self._constant():
+            return self._made([[_scaled_table(table, float(factor)) for table in row]
+                               for row in self._rows], self.degree, True)
+        if not isinstance(factor, ScalarField):
+            factor = Const(factor)
+        return self._made([[_scaled_table(table, factor) for table in row]
+                           for row in self._tree_rows()], self.degree, False)
 
     def wedge(self, other: "FormMatrix") -> "FormMatrix":
         """Matrix product with entrywise wedge: (AB)_u^t = A_u^s ^ B_s^t; zero,
         with nothing built, when the degree exceeds the chart rank."""
         self._check_compatible(other, same_degree=False)
         degree = self.degree + other.degree
-        zero = self.chart.zero_form(degree)
         if degree > self.chart.rank:
-            return self._result([[zero] * self.size] * self.size, degree)
-        rows = [[(t, b) for t, b in enumerate(row) if b.table] for row in other.entries]
+            return self._made([[{}] * self.size] * self.size, degree, True)
+        left, right, floats = self._operands(other)
+        nonzero_rows = [[(t, b) for t, b in enumerate(row) if b] for row in right]
         out = []
-        for row in self.entries:
-            tables: dict[int, dict[tuple[int, ...], ScalarField]] = {}
-            for a, nonzero in zip(row, rows):
-                if a.table:
+        for row in left:
+            tables: dict[int, dict] = {}
+            for a, nonzero in zip(row, nonzero_rows):
+                if a:
                     for t, b in nonzero:
-                        a.wedge_into(b, tables.setdefault(t, {}))
-            out.append([_form(self.chart, degree, tables[t]) if t in tables else zero
-                        for t in range(self.size)])
-        return self._result(out, degree)
+                        wedge_into(a, b, tables.setdefault(t, {}))
+            out.append([tables.get(t, {}) for t in range(self.size)])
+        return self._made(out, degree, floats)
 
     def d(self) -> "FormMatrix":
-        return self._result([[d_A(e) for e in row] for row in self.entries], self.degree + 1)
+        """Entrywise d_A; each zero entry gives one shared zero form, with no d_A call."""
+        zero = self.chart.zero_form(self.degree + 1)
+        return self._result([[d_A(e) if e.table else zero for e in row]
+                             for row in self.entries], self.degree + 1)
 
     def trace(self) -> AForm:
-        table: dict[tuple[int, ...], ScalarField] = {}
+        floats = self._constant()
+        table: dict = {}
         for u in range(self.size):
-            for key, coeff in self.entries[u][u].table.items():
+            for key, coeff in self._rows[u][u].items():
                 _accumulate(table, key, coeff)
-        return _form(self.chart, self.degree, table)
+        return self._boxed(table, self.degree, floats)
 
     def trace_wedge(self, other: "FormMatrix") -> AForm:
         """tr(self ^ other), building only the diagonal of the product: the
         products A_u^s ^ B_s^u of nonzero pairs, added by ascending (u, s)."""
         self._check_compatible(other, same_degree=False)
         degree = self.degree + other.degree
-        table: dict[tuple[int, ...], ScalarField] = {}
-        if degree <= self.chart.rank:
-            for u, row in enumerate(self.entries):
-                for a, b_row in zip(row, other.entries):
-                    if a.table and b_row[u].table:
-                        a.wedge_into(b_row[u], table)
-        return _form(self.chart, degree, table)
+        if degree > self.chart.rank:
+            return self.chart.zero_form(degree)
+        left, right, floats = self._operands(other)
+        table: dict = {}
+        for u, row in enumerate(left):
+            for a, b_row in zip(row, right):
+                if a and b_row[u]:
+                    wedge_into(a, b_row[u], table)
+        return self._boxed(table, degree, floats)
 
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
         """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
@@ -197,14 +284,16 @@ def direct_sum(c1: FormMatrix, c2: FormMatrix) -> FormMatrix:
     """Block-diagonal connection on the sum of the two bundles."""
     if c1.chart is not c2.chart:
         raise ValueError("chart mismatch in connection sum")
+    _require_connection(c1)
+    _require_connection(c2)
+    top, bottom, floats = c1._operands(c2)
     size = c1.size + c2.size
-    zero = c1.chart.zero_form(1)
-    out = [[zero] * size for _ in range(size)]
-    for u, row in enumerate(c1.entries):
+    out = [[{}] * size for _ in range(size)]
+    for u, row in enumerate(top):
         out[u][:c1.size] = row
-    for u, row in enumerate(c2.entries):
+    for u, row in enumerate(bottom):
         out[c1.size + u][c1.size:] = row
-    return FormMatrix(c1.chart, out, 1)
+    return c1._made(out, 1, floats)
 
 
 def bracket_connection(chart: AlgebroidChart) -> FormMatrix:

@@ -5,8 +5,14 @@ fields; absent keys are zero.  The determinant convention is used throughout:
 the stored coefficient *is* the value on the increasing frame tuple, with no
 1/k! normalization anywhere.
 
-Products go through `AForm.wedge_into`: a ^ b added into a table with the
-trees of `acc + a.wedge(b)`, each key pair's merge read from `MERGES`.
+Sums, scalings and products are table kernels shared with `FormMatrix`:
+`_sum_tables`, `_scaled_table` and `wedge_into` (a ^ b added into a table with
+the trees of `acc + a.wedge(b)`, each key pair's merge read from `MERGES`).
+A table holds trees, or, in an all-constant `FormMatrix`, floats: the values
+of the `Const` nodes that the tree route would fold.  On floats each kernel
+does the IEEE operations of the tree route's folds, in the same order, and
+drops and re-inserts the same keys, so boxing a float table into `Const`
+coefficients gives the tree route's table bit for bit.
 """
 
 from __future__ import annotations
@@ -121,66 +127,39 @@ class AForm:
         return not self.table
 
     def __add__(self, other: "AForm") -> "AForm":
-        return self._add_scaled(other, None)
+        return self._add(other, False)
 
     def __sub__(self, other: "AForm") -> "AForm":
         """One pass with the trees of `self + other.scale(-1.0)`."""
-        return self._add_scaled(other, MINUS_ONE)
+        return self._add(other, True)
 
-    def _add_scaled(self, other: "AForm", factor: Const | None) -> "AForm":
-        """self + factor * other (None: 1); a zero summand returns the other
-        form itself, whose trees are those the sum would build."""
+    def _add(self, other: "AForm", negate: bool) -> "AForm":
+        """self - other when `negate`, else self + other; a zero summand returns
+        the other form itself, whose trees are those the sum would build."""
         _require_same_chart(self.chart, other.chart)
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
-        if not other.table:
+        table = _sum_tables(self.table, other.table, negate)
+        if table is self.table:
             return self
-        if not self.table and factor is None:
+        if table is other.table:
             return other
-        table = dict(self.table)
-        for index, coeff in other.table.items():
-            _accumulate(table, index, coeff if factor is None else mul(factor, coeff))
         return _form(self.chart, self.degree, table)
 
     def scale(self, factor: ScalarField | float) -> "AForm":
         if not isinstance(factor, ScalarField):
             factor = Const(factor)
-        return _trusted_form(self.chart, self.degree,
-                             {k: mul(factor, c) for k, c in self.table.items()})
+        return _form(self.chart, self.degree, _scaled_table(self.table, factor))
 
     def wedge(self, other: "AForm") -> "AForm":
-        """Exterior product (signed shuffle convolution of the tables)."""
-        table: dict[tuple[int, ...], ScalarField] = {}
-        self.wedge_into(other, table)
-        return _form(self.chart, self.degree + other.degree, table)
-
-    def wedge_into(self, other: "AForm", table: dict[tuple[int, ...], ScalarField]) -> None:
-        """table += self ^ other, with the trees of `acc + self.wedge(other)`:
-        each key's signed products f * g (a constant product folded with its
-        sign in one step) summed by `balanced_sum`, then added with `__add__`'s
-        rule.  Nothing is added when the degree exceeds the rank."""
+        """Exterior product (signed shuffle convolution of the tables); zero, with
+        nothing built, when the degree exceeds the rank."""
         _require_same_chart(self.chart, other.chart)
-        if self.degree + other.degree > self.chart.rank:
-            return
-        pending: dict[tuple[int, ...], list[ScalarField]] = {}
-        for left, f in self.table.items():
-            f_const = type(f) is Const
-            merges = MERGES[left]
-            for right, g in other.table.items():
-                merged = merges[right]
-                if merged is None:
-                    continue
-                sign, key = merged
-                if f_const and type(g) is Const:
-                    value = f.value * g.value
-                    term = _folded(-1.0 * value if sign < 0 else value)
-                else:
-                    term = mul(f, g)
-                    if sign < 0:
-                        term = mul(MINUS_ONE, term)
-                pending.setdefault(key, []).append(term)
-        for key, terms in pending.items():
-            _accumulate(table, key, terms[0] if len(terms) == 1 else balanced_sum(terms))
+        degree = self.degree + other.degree
+        table: dict[tuple[int, ...], ScalarField] = {}
+        if degree <= self.chart.rank:
+            wedge_into(self.table, other.table, table)
+        return _form(self.chart, degree, table)
 
     def max_abs(self, points) -> float:
         """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
@@ -212,9 +191,23 @@ def _form(chart: "AlgebroidChart", degree: int,
     return form
 
 
-def _accumulate(table: dict[tuple[int, ...], ScalarField], key: tuple[int, ...],
-                term: ScalarField) -> None:
-    """table[key] += term, dropping the key when the sum is zero."""
+def _accumulate(table: dict[tuple[int, ...], ScalarField | float], key: tuple[int, ...],
+                term: ScalarField | float) -> None:
+    """table[key] += term, dropping the key when the sum is zero (a float
+    table's sum is the value of the folded `Const` of a tree table's)."""
+    if type(term) is float:
+        if term == 0.0:
+            return
+        total = table.get(key)
+        if total is None:
+            table[key] = term
+            return
+        total += term
+        if total == 0.0:
+            del table[key]
+        else:
+            table[key] = total
+        return
     if type(term) is Const and term.value == 0.0:
         return
     total = table.get(key)
@@ -226,6 +219,87 @@ def _accumulate(table: dict[tuple[int, ...], ScalarField], key: tuple[int, ...],
         del table[key]
     else:
         table[key] = total
+
+
+def _sum_tables(x: dict, y: dict, negate: bool) -> dict:
+    """x - y when `negate`, else x + y: x copied, then each term of y (times -1)
+    added by `_accumulate`.  A zero summand returns the other table itself."""
+    if not y:
+        return x
+    if not x and not negate:
+        return y
+    table = dict(x)
+    for key, coeff in y.items():
+        if negate:
+            coeff = -1.0 * coeff if type(coeff) is float else mul(MINUS_ONE, coeff)
+        _accumulate(table, key, coeff)
+    return table
+
+
+def _scaled_table(table: dict, factor: ScalarField | float) -> dict:
+    """factor * each coefficient, zero products dropped: a float factor for a
+    float table, a field for a tree table."""
+    if type(factor) is float:
+        return {key: value for key, coeff in table.items()
+                if (value := factor * coeff) != 0.0}
+    return {key: value for key, coeff in table.items()
+            if not (value := mul(factor, coeff)).is_zero()}
+
+
+def wedge_into(left: dict, right: dict, table: dict) -> None:
+    """table += left ^ right for the tables of two forms whose degrees sum to at
+    most the rank, with the trees of `acc + a.wedge(b)`: each key's signed
+    products f * g summed by `balanced_sum`, then added by `_accumulate`.
+
+    Two float tables multiply and sum their floats.  In tree tables a product
+    of two constants is folded with its sign in one step, as a float product
+    is; every other pair builds `mul` trees."""
+    pending: dict[tuple[int, ...], list] = {}
+    for lkey, f in left.items():
+        merges = MERGES[lkey]
+        if type(f) is float:
+            for rkey, g in right.items():
+                merged = merges[rkey]
+                if merged is not None:
+                    sign, key = merged
+                    value = f * g
+                    pending.setdefault(key, []).append(-1.0 * value if sign < 0 else value)
+            continue
+        f_const = type(f) is Const
+        for rkey, g in right.items():
+            merged = merges[rkey]
+            if merged is None:
+                continue
+            sign, key = merged
+            if f_const and type(g) is Const:
+                value = f.value * g.value
+                term = _folded(-1.0 * value if sign < 0 else value)
+            else:
+                term = mul(f, g)
+                if sign < 0:
+                    term = mul(MINUS_ONE, term)
+            pending.setdefault(key, []).append(term)
+    for key, terms in pending.items():
+        if len(terms) == 1:
+            total = terms[0]
+        elif type(terms[0]) is float:
+            total = _float_sum(terms)
+        else:
+            total = balanced_sum(terms)
+        _accumulate(table, key, total)
+
+
+def _float_sum(terms: list[float]) -> float:
+    """`balanced_sum` on floats: zero terms dropped, then adjacent pairs added."""
+    terms = [term for term in terms if term != 0.0]
+    if not terms:
+        return 0.0
+    while len(terms) > 1:
+        paired = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return terms[0]
 
 
 def _require_same_chart(a: "AlgebroidChart", b: "AlgebroidChart") -> None:

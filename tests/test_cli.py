@@ -37,6 +37,7 @@ from algebroids.forms import AForm
 from algebroids.reports import Report
 from algebroids.sampling import sample_points
 import cartan_oracle
+import matrix_oracle
 from expression_oracle import scalar_eval
 
 
@@ -889,6 +890,55 @@ def test_sign_factors_stay_folded_in_the_largest_run(monkeypatch, capsys):
     assert sum(walked) <= 12_550
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (["mu", "sa3", "--morphism", "zero", "--h", "2"], 1_150),
+    (["verify", "sa3", "--suite", "all"], 6_100),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
+def test_constant_matrices_build_no_const_nodes(argv, bound, monkeypatch, capsys):
+    # `Const` nodes built by the whole run, fixture parse included: 10,763 and
+    # 20,895 while every product, sum, scaling and trace of a constant
+    # `FormMatrix` folded its coefficients into new `Const` nodes, 1,119 and
+    # 6,025 with those run on float tables that are boxed only when read.
+    # The counts repeat exactly.
+    built = 0
+    init = expressions.Const.__init__
+
+    def counted(self, value):
+        nonlocal built
+        built += 1
+        init(self, value)
+
+    monkeypatch.setattr(expressions.Const, "__init__", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built <= bound
+
+
+_MATRIX_ORACLE_RUNS = [["verify", name, "--suite", "all"] for name in builtin_fixture_names()]
+_MATRIX_ORACLE_RUNS += [["mu", "sa3", "--morphism", "zero", "--h", h] for h in ("2", "3")]
+
+
+@pytest.mark.parametrize("argv", _MATRIX_ORACLE_RUNS, ids=" ".join)
+def test_reports_match_the_tree_matrix_oracle(argv, monkeypatch, capsys):
+    # The same report, byte for byte, with the float tables of constant
+    # matrices and the table kernels replaced by the tree-only arithmetic.
+    status = main(argv)
+    report = capsys.readouterr().out
+    for cls, methods in (
+            (FormMatrix, {"__add__": matrix_oracle.matrix_add,
+                          "__sub__": matrix_oracle.matrix_sub,
+                          "scale": matrix_oracle.matrix_scale,
+                          "wedge": matrix_oracle.matrix_wedge,
+                          "trace": matrix_oracle.matrix_trace,
+                          "trace_wedge": matrix_oracle.matrix_trace_wedge}),
+            (AForm, {"__add__": matrix_oracle.form_add, "__sub__": matrix_oracle.form_sub,
+                     "scale": matrix_oracle.form_scale, "wedge": matrix_oracle.form_wedge})):
+        for name, method in methods.items():
+            monkeypatch.setattr(cls, name, method)
+    assert main(argv) == status
+    assert capsys.readouterr().out == report
+
+
 @pytest.mark.parametrize("name", builtin_fixture_names())
 def test_verify_reports_match_the_per_call_d_A_oracle(name, monkeypatch, capsys):
     # The same report, byte for byte, with every d_A of the run replaced by
@@ -906,7 +956,9 @@ def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
     # exactly.  Each output key's bracket terms are built once per chart
     # (182 keys on sa3 and 371 on its jet), and the mul and add calls made
     # while d_A runs fell from 12,208 and 6,077 with the terms re-derived on
-    # every call to 4,998 and 3,786.
+    # every call to 4,998 and 3,786.  d_A itself ran 2,551 times while
+    # `FormMatrix.d` also took d_A of each zero entry, and 505 times since
+    # every zero entry shares one zero form of the next degree.
     built = Counter()
     terms = AlgebroidChart._cartan_terms
 
@@ -921,6 +973,7 @@ def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
     def entered(omega, _original=algebroid.d_A):
         nonlocal inside
         inside += 1
+        calls["d_A"] += 1
         try:
             return _original(omega)
         finally:
@@ -939,6 +992,7 @@ def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
     assert sorted((chart.name, count) for chart, count in built.items()) == [
         ("J1(sa3)", 371), ("sa3", 182)]
     assert calls["mul"] <= 4_998 and calls["add"] <= 3_786
+    assert calls["d_A"] == 505
 
 
 def test_console_script_round_trip(tmp_path):

@@ -14,16 +14,20 @@ same table keys, same node kinds, constants and child order, hence
 `str()`-equal coefficients and byte-identical reports.  `d_A`, which reads
 each key's bracket terms from the chart's `cartan` memo, must also build the
 trees of the per-call route it replaced (`cartan_oracle.d_A`), keys in the
-same order.
+same order.  A constant `FormMatrix` computes its sums, scalings, products
+and traces on float tables; boxed, they must be the trees of the tree-only
+routes in `matrix_oracle`, every constant to the bit.
 """
 
+import struct
 from itertools import combinations
-from math import comb
+from math import comb, pi, sqrt
 
 from hypothesis import given, settings, strategies as st
 
 import cartan_oracle
 import dense_oracle
+import matrix_oracle
 from expression_oracle import same_tree
 from algebroids.algebroid import (
     AlgebroidChart,
@@ -33,8 +37,8 @@ from algebroids.algebroid import (
     verify_axioms,
 )
 from algebroids.classes import ClassBuilder, modular_form
-from algebroids.connections import bracket_connection, morphism_target_connection
-from algebroids.expressions import parse_expression
+from algebroids.connections import FormMatrix, bracket_connection, morphism_target_connection
+from algebroids.expressions import Const, parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
@@ -259,3 +263,139 @@ def test_d_A_never_scans_the_dense_frame(sa3, sl2aff, tangent_r2, monkeypatch):
                 assert set(out.table) <= reached
                 if m in (0, big.rank - 1):
                     _assert_same_table(out.table, dense_oracle.d_A(omega).table)
+
+
+# Unit, non-unit, negative, dyadic and irrational values, and tiny ones whose
+# products underflow to +-0.0; opposite values cancel to exactly 0.0.
+VALUES = [1.0, -1.0, 2.0, -3.0, 0.5, -0.25, 0.1, sqrt(2.0), -pi, 1.0 / 3.0,
+          1e-200, -1e-200]
+
+
+def _assert_same_form(new: AForm, old: AForm) -> None:
+    """Same degree, the same keys in the same order, the same tree per key and
+    every constant to the bit."""
+    assert new.degree == old.degree
+    _assert_same_table(new.table, old.table)
+    for key, coeff in old.table.items():
+        if type(coeff) is Const:
+            assert struct.pack("<d", new.table[key].value) == struct.pack("<d", coeff.value)
+
+
+def _assert_same_matrix(new: FormMatrix, old: FormMatrix) -> None:
+    assert (new.chart, new.size, new.degree) == (old.chart, old.size, old.degree)
+    for new_row, old_row in zip(new.entries, old.entries, strict=True):
+        for new_entry, old_entry in zip(new_row, old_row, strict=True):
+            _assert_same_form(new_entry, old_entry)
+
+
+def _constant_matrix(data, chart, size: int, degree: int) -> FormMatrix:
+    keys = list(combinations(range(chart.rank), degree))
+    values = st.sampled_from(VALUES).map(Const)
+    return FormMatrix(chart, [[AForm(chart, degree, data.draw(st.dictionaries(
+        st.sampled_from(keys), values, max_size=4))) for _ in range(size)]
+        for _ in range(size)], degree)
+
+
+def _assert_same_arithmetic(a: FormMatrix, b: FormMatrix, c: FormMatrix, factor: float,
+                            floats: bool = True) -> None:
+    """Every matrix operation with unboxed constants against `matrix_oracle`, on
+    `a` and `c` of one degree and `b`, and chained on the results.  `a` and `c`
+    are constant; `floats` says whether `b` is, and so whether its products
+    must run on float tables."""
+    oracle = matrix_oracle
+    product = a.wedge(b)
+    difference = (a - c).wedge(b)
+    # Read at once: a later use may find a tree-route result all-constant.  A
+    # product above the chart rank is an empty float matrix, with nothing built.
+    route = True if floats or a.degree + b.degree > a.chart.rank else None
+    assert product._floats is route and difference._floats is route
+    for new, old in [(a + c, oracle.matrix_add(a, c)), (a - c, oracle.matrix_sub(a, c)),
+                     (c - a, oracle.matrix_sub(c, a)),
+                     (a.scale(factor), oracle.matrix_scale(a, factor))]:
+        assert new._floats is True
+        _assert_same_matrix(new, old)
+    chained = product - (a + c).wedge(b).scale(factor)
+    for new, old in [
+            (product, oracle.matrix_wedge(a, b)),
+            (difference, oracle.matrix_wedge(oracle.matrix_sub(a, c), b)),
+            (chained, oracle.matrix_sub(oracle.matrix_wedge(a, b), oracle.matrix_scale(
+                oracle.matrix_wedge(oracle.matrix_add(a, c), b), factor)))]:
+        _assert_same_matrix(new, old)
+    _assert_same_form(a.trace(), oracle.matrix_trace(a))
+    _assert_same_form(product.trace(), oracle.matrix_trace(product))
+    _assert_same_form(a.trace_wedge(b), oracle.matrix_trace_wedge(a, b))
+    _assert_same_form((a - c).trace_wedge(b),
+                      oracle.matrix_trace_wedge(oracle.matrix_sub(a, c), b))
+
+
+@given(charts(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_float_tables_match_the_tree_matrix_oracle(chart, data):
+    # Constant matrices of sizes 1-5 and degrees 0-3 on the chart and (when small
+    # enough) its jet run on float tables, and must give the tree route's keys,
+    # key order and constants bit for bit; with one field coefficient the
+    # same operations run on trees.
+    targets = [chart]
+    if chart.rank * (1 + chart.dim) <= JET_RANK_CAP:
+        targets.append(jet_prolong(chart))
+    for target in targets:
+        size = data.draw(st.integers(1, 5))
+        low, high = (data.draw(st.integers(0, min(3, target.rank))) for _ in range(2))
+        a, c = (_constant_matrix(data, target, size, low) for _ in range(2))
+        b = _constant_matrix(data, target, size, high)
+        factor = data.draw(st.sampled_from(VALUES + [0.0, 1e-200]))
+        _assert_same_arithmetic(a, b, c, factor)
+        rows = [list(row) for row in b.entries]
+        u, t = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        key = data.draw(st.sampled_from(list(combinations(range(target.rank), high))))
+        rows[u][t] = rows[u][t] + AForm(target, high, {key: target.coordinate_field(0)})
+        mixed = FormMatrix(target, rows, high)
+        _assert_same_arithmetic(a, mixed, c, factor, floats=False)
+
+
+def _flat_chart(rank: int) -> AlgebroidChart:
+    """A rank-`rank` chart over x with zero anchor and no brackets."""
+    zero = parse_expression("0", ["x"])
+    return AlgebroidChart(f"flat{rank}", ["x"], [f"b{i}" for i in range(rank)],
+                          [[zero] for _ in range(rank)])
+
+
+def _matrix(chart, degree: int, rows) -> FormMatrix:
+    return FormMatrix(chart, [[AForm(chart, degree, {key: Const(value)
+                                                     for key, value in entry.items()})
+                               for entry in row] for row in rows], degree)
+
+
+def test_float_tables_keep_cancelled_underflowed_and_dropped_terms():
+    chart = _flat_chart(4)
+    e0 = {(0,): 1.0}
+    # (AB)_0^0 = e0 ^ (e1 + 3 e2) + e0 ^ (-e1) + e0 ^ (0.5 e1): the e01 coefficient
+    # cancels to exactly 0.0, leaves the table and re-enters after e02.
+    a = _matrix(chart, 1, [[e0, e0, e0], [{}, {}, {}], [{}, {}, {}]])
+    b = _matrix(chart, 1, [[{(1,): 1.0, (2,): 3.0}, {}, {}], [{(1,): -1.0}, {}, {}],
+                           [{(1,): 0.5}, {}, {}]])
+    product = a.wedge(b)
+    assert product.entries[0][0].table.keys() == {(0, 2): 0, (0, 1): 0}.keys()
+    assert list(product.entries[0][0].table) == [(0, 2), (0, 1)]
+    # Products of tiny constants underflow to +0.0 and, with a shuffle sign or a
+    # negative factor, to -0.0; both leave no key.
+    tiny = _matrix(chart, 1, [[{(0,): 1e-200, (1,): 1e-200}, {(1,): -1e-200}],
+                              [{}, {(2,): 1e-200}]])
+    assert all(entry.is_zero() for row in tiny.wedge(tiny).entries for entry in row)
+    assert all(entry.is_zero() for row in tiny.scale(1e-200).entries for entry in row)
+    # The four terms of e0123 in (2-form ^ 2-form) are 1, -0.0 (underflowed), 1e-16
+    # and 1e-16: summed pairwise with the zero kept, 1 + 2e-16 rounds up; with it
+    # dropped, as `balanced_sum` drops it, (1 + 1e-16) + 1e-16 is 1.0.
+    left = _matrix(chart, 2, [[{(0, 1): 1.0, (0, 2): 1e-200, (1, 2): 1e-16, (0, 3): 1e-16}]])
+    right = _matrix(chart, 2, [[{(2, 3): 1.0, (1, 3): 1e-200, (0, 3): 1.0, (1, 2): 1.0}]])
+    assert left.wedge(right).entries[0][0].table[(0, 1, 2, 3)].value == 1.0
+    assert left.trace_wedge(right).table[(0, 1, 2, 3)].value == 1.0
+    # Terms 1, 1e-16, 1e-16 and 1e-16 are paired: (1 + 1e-16) + 2e-16 rounds up to
+    # 1 + 2^-52, where a running sum would stay at 1.0.
+    paired = _matrix(chart, 2, [[{(0, 1): 1.0, (0, 2): 1e-16, (0, 3): 1e-16, (1, 2): 1e-16}]])
+    signs = _matrix(chart, 2, [[{(2, 3): 1.0, (1, 3): -1.0, (1, 2): 1.0, (0, 3): 1.0}]])
+    assert paired.wedge(signs).entries[0][0].table[(0, 1, 2, 3)].value == 1.0 + 2.0 ** -52
+    cases = [(a, b, a.scale(-1.0)), (tiny, tiny, tiny.scale(3.0)),
+             (left, right, left.scale(sqrt(2.0))), (paired, signs, left)]
+    for x, y, z in cases:
+        _assert_same_arithmetic(x, y, z, -0.5)
