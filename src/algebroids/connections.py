@@ -15,12 +15,13 @@ the chain (pi, phi), with pi: J1 A -> A the jet projection.
 
 Constant connections are unboxed.  On a chart with zero anchor and constant
 structure functions every connection of a class form, and every link,
-curvature and Chern word built from them, has constant coefficients.  When
-every coefficient of both operands is a `Const`, a `FormMatrix` sum,
-difference, scaling by a number, product or trace runs on tables of floats
-and yields a float matrix; the floats are bit for bit the values of the
-`Const` nodes the tree route would fold, with the same keys in the same
-order.  A float matrix builds `Const`-coefficient `AForm`s only when its
+curvature and Chern word built from them, has constant coefficients.  A
+`FormMatrix` is built on floats or on trees, once: when every coefficient is
+a `Const`, its tables are tables of their values from the start.  A sum,
+difference, scaling by a number, product or trace of float matrices runs on
+the floats and yields a float matrix; the floats are bit for bit the values
+of the `Const` nodes the tree route would fold, with the same keys in the
+same order.  A float matrix builds `Const`-coefficient `AForm`s only when its
 `entries` are read (by `d`, `eval_on`, `max_abs` and `cli._check`), once, and
 traces come out as boxed `AForm`s.  Any other pair of operands, such as a
 random connection or field coefficients on an anchored chart, runs on trees.
@@ -67,12 +68,13 @@ class FormMatrix:
     nonzero pairs only, so each entry has the coefficient trees of
     `acc = acc + a.wedge(b)`.
 
-    Unboxed constants (see the module docstring): the first operation that
-    finds every coefficient of a matrix built from `AForm`s to be a `Const`
-    replaces its tables by tables of their values; the `AForm`s stay for
-    `entries`.  A matrix built from floats boxes its `entries` on the first
-    read.  An operand pair that is not all-constant runs on trees, with a
-    float matrix boxed first.
+    Unboxed constants (see the module docstring): `_init` decides once, when
+    the matrix is built, whether it holds floats or trees.  A matrix whose
+    every coefficient is a `Const` holds tables of their values, and its
+    tables never change afterwards; a matrix built from `AForm`s keeps them
+    as its `entries`, and any other boxes its `entries` on the first read.
+    An operand pair that is not all-constant runs on trees, with a float
+    matrix boxed first.
     """
 
     __slots__ = ("chart", "size", "degree", "_rows", "_floats", "_entries")
@@ -87,50 +89,38 @@ class FormMatrix:
                     raise ValueError("all entries must live on the shared chart")
                 if not entry.is_zero() and entry.degree != degree:
                     raise ValueError("entries must share one degree")
-        self._set(chart, entries, degree)
-
-    def _set(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
-             degree: int) -> "FormMatrix":
-        self.chart, self.size, self.degree = chart, len(entries), degree
+        self._init(chart, [[entry.table for entry in row] for row in entries], degree, False)
         self._entries = tuple(tuple(row) for row in entries)
-        self._rows = tuple(tuple(entry.table for entry in row) for row in self._entries)
-        self._floats = None  # not yet known whether every coefficient is a Const
+
+    def _init(self, chart: AlgebroidChart, rows, degree: int, floats: bool) -> "FormMatrix":
+        """Set this matrix from rows of valid tables, of floats when `floats`;
+        tables of trees whose every coefficient is a `Const` become tables of
+        their values.  The one place that sets `_rows` and `_floats`."""
+        rows = tuple(tuple(row) for row in rows)
+        if not floats:
+            floats = all(type(coeff) is Const for row in rows
+                         for table in row for coeff in table.values())
+            if floats:
+                rows = tuple(tuple({key: coeff.value for key, coeff in table.items()}
+                                   if table else table for table in row) for row in rows)
+        self.chart, self.size, self.degree = chart, len(rows), degree
+        self._rows, self._floats, self._entries = rows, floats, None
         return self
 
-    def _result(self, entries: Sequence[Sequence[AForm]], degree: int) -> "FormMatrix":
-        """A matrix on this chart from entries that are valid by construction."""
-        return FormMatrix.__new__(FormMatrix)._set(self.chart, entries, degree)
-
-    def _made(self, rows, degree: int, floats: bool | None) -> "FormMatrix":
+    def _made(self, rows, degree: int, floats: bool) -> "FormMatrix":
         """A matrix on this chart from rows of valid tables, of floats when `floats`."""
-        out = FormMatrix.__new__(FormMatrix)
-        out.chart, out.size, out.degree = self.chart, len(rows), degree
-        out._rows = tuple(tuple(row) for row in rows)
-        out._floats = True if floats else None
-        out._entries = None
-        return out
+        return FormMatrix.__new__(FormMatrix)._init(self.chart, rows, degree, floats)
 
     @property
     def entries(self) -> tuple[tuple[AForm, ...], ...]:
-        """The entries as `AForm`s; a float matrix boxes them on the first read."""
+        """The entries as `AForm`s, built on the first read from tables of a
+        matrix that was not built from `AForm`s."""
         if self._entries is None:
             zero = self.chart.zero_form(self.degree)
-            self._entries = tuple(tuple(self._boxed(table, self.degree, self._floats)
-                                        if table else zero for table in row)
-                                  for row in self._rows)
+            self._entries = tuple(tuple(
+                _form(self.chart, self.degree, _boxed(table) if self._floats else table)
+                if table else zero for table in row) for row in self._rows)
         return self._entries
-
-    def _constant(self) -> bool:
-        """Whether every coefficient is a constant; the first time it is, the
-        rows' tables are replaced by tables of their values."""
-        if self._floats is None:
-            self._floats = all(type(coeff) is Const for row in self._rows
-                               for table in row for coeff in table.values())
-            if self._floats:
-                self._rows = tuple(tuple({key: coeff.value for key, coeff in table.items()}
-                                         if table else table for table in row)
-                                   for row in self._rows)
-        return self._floats
 
     def _tree_rows(self):
         """The rows' tables of trees; a float matrix's are those of its boxed entries."""
@@ -141,15 +131,9 @@ class FormMatrix:
     def _operands(self, other: "FormMatrix"):
         """(rows of self, rows of other, floats): float tables when both matrices
         are constant, else tree tables."""
-        if self._constant() and other._constant():
+        if self._floats and other._floats:
             return self._rows, other._rows, True
         return self._tree_rows(), other._tree_rows(), False
-
-    def _boxed(self, table: dict, degree: int, floats: bool) -> AForm:
-        """`table` as a form on this chart; a float table's values become `Const`s."""
-        if floats:
-            table = {key: Const(value) for key, value in table.items()}
-        return _form(self.chart, degree, table)
 
     @classmethod
     def zero(cls, chart: AlgebroidChart, size: int, degree: int) -> "FormMatrix":
@@ -163,9 +147,7 @@ class FormMatrix:
         return cls(chart, [[chart.function_form(f) for f in row] for row in rows], 0)
 
     def transpose(self) -> "FormMatrix":
-        if self._entries is None:
-            return self._made(list(zip(*self._rows)), self.degree, self._floats)
-        return self._result(list(zip(*self._entries)), self.degree)
+        return self._made(list(zip(*self._rows)), self.degree, self._floats)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         return self._add(other, False)
@@ -182,7 +164,7 @@ class FormMatrix:
     def scale(self, factor) -> "FormMatrix":
         """factor times each entry; on floats when the factor is a number and the
         matrix is constant."""
-        if not isinstance(factor, ScalarField) and self._constant():
+        if not isinstance(factor, ScalarField) and self._floats:
             return self._made([[_scaled_table(table, float(factor)) for table in row]
                                for row in self._rows], self.degree, True)
         if not isinstance(factor, ScalarField):
@@ -210,18 +192,16 @@ class FormMatrix:
         return self._made(out, degree, floats)
 
     def d(self) -> "FormMatrix":
-        """Entrywise d_A; each zero entry gives one shared zero form, with no d_A call."""
-        zero = self.chart.zero_form(self.degree + 1)
-        return self._result([[d_A(e) if e.table else zero for e in row]
-                             for row in self.entries], self.degree + 1)
+        """Entrywise d_A; a zero entry stays zero, with no d_A call."""
+        return self._made([[d_A(e).table if e.table else {} for e in row]
+                           for row in self.entries], self.degree + 1, False)
 
     def trace(self) -> AForm:
-        floats = self._constant()
         table: dict = {}
         for u in range(self.size):
             for key, coeff in self._rows[u][u].items():
                 _accumulate(table, key, coeff)
-        return self._boxed(table, self.degree, floats)
+        return _form(self.chart, self.degree, _boxed(table) if self._floats else table)
 
     def trace_wedge(self, other: "FormMatrix") -> AForm:
         """tr(self ^ other), building only the diagonal of the product: the
@@ -236,7 +216,7 @@ class FormMatrix:
             for a, b_row in zip(row, right):
                 if a and b_row[u]:
                     wedge_into(a, b_row[u], table)
-        return self._boxed(table, degree, floats)
+        return _form(self.chart, degree, _boxed(table) if floats else table)
 
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
         """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
@@ -255,6 +235,11 @@ class FormMatrix:
             raise ValueError("form matrices are not compatible")
         if same_degree and self.degree != other.degree:
             raise ValueError("form matrices must share a degree")
+
+
+def _boxed(table: dict) -> dict:
+    """A float table with its values as `Const` nodes."""
+    return {key: Const(value) for key, value in table.items()}
 
 
 def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:
@@ -374,7 +359,9 @@ class QuasiMetric:
         point = first_point(~np.isfinite(g), points)
         if point is not None:
             raise ValueError(f"not finite at probe point {point}")
-        point = first_point(np.abs(g - np.swapaxes(g, 1, 2)) > 1e-9, points)
+        with np.errstate(over="ignore"):  # an overflowed difference is not symmetric
+            asymmetry = np.abs(g - np.swapaxes(g, 1, 2))
+        point = first_point(asymmetry > 1e-9, points)
         if point is not None:
             raise ValueError(f"not symmetric at probe point {point}")
         point = first_point(np.linalg.eigvalsh(g)[:, 0] <= 1e-12, points)
@@ -501,7 +488,9 @@ def adapted_frame(g: QuasiMetric, kernel_vectors: Sequence[Sequence[ScalarField]
     if not (np.isfinite(g0).all() and np.isfinite(t_frame).all()):
         raise ValueError("adapted frame: the metric or a kernel vector is not finite at "
                          f"probe point {tuple(float(v) for v in probe_points[0])}")
-    if max_abs_finite(metric - g0) > 1e-10:
+    with np.errstate(over="ignore"):  # an overflowed difference is not constant
+        variation = max_abs_finite(metric - g0)
+    if variation > 1e-10:
         raise ValueError("adapted frames are only computed for constant metrics")
     # More rows than r, or a singular value <= 1e-9: the rows are dependent.
     _, sigma, vt = np.linalg.svd(t_frame)

@@ -124,7 +124,8 @@ def _accumulate(table: dict[tuple[int, ...], ScalarField], key: tuple[int, ...],
 
 def matrix_add(self: FormMatrix, other: FormMatrix) -> FormMatrix:
     self._check_compatible(other)
-    return self._result(
+    return FormMatrix(
+        self.chart,
         [[form_add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         self.degree,
     )
@@ -132,15 +133,16 @@ def matrix_add(self: FormMatrix, other: FormMatrix) -> FormMatrix:
 
 def matrix_sub(self: FormMatrix, other: FormMatrix) -> FormMatrix:
     self._check_compatible(other)
-    return self._result(
+    return FormMatrix(
+        self.chart,
         [[form_sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         self.degree,
     )
 
 
 def matrix_scale(self: FormMatrix, factor) -> FormMatrix:
-    return self._result([[form_scale(e, factor) for e in row] for row in self.entries],
-                        self.degree)
+    return FormMatrix(self.chart, [[form_scale(e, factor) for e in row] for row in self.entries],
+                      self.degree)
 
 
 def matrix_wedge(self: FormMatrix, other: FormMatrix) -> FormMatrix:
@@ -150,7 +152,7 @@ def matrix_wedge(self: FormMatrix, other: FormMatrix) -> FormMatrix:
     degree = self.degree + other.degree
     zero = self.chart.zero_form(degree)
     if degree > self.chart.rank:
-        return self._result([[zero] * self.size] * self.size, degree)
+        return FormMatrix(self.chart, [[zero] * self.size] * self.size, degree)
     rows = [[(t, b) for t, b in enumerate(row) if b.table] for row in other.entries]
     out = []
     for row in self.entries:
@@ -161,7 +163,7 @@ def matrix_wedge(self: FormMatrix, other: FormMatrix) -> FormMatrix:
                     wedge_into(a, b, tables.setdefault(t, {}))
         out.append([_form(self.chart, degree, tables[t]) if t in tables else zero
                     for t in range(self.size)])
-    return self._result(out, degree)
+    return FormMatrix(self.chart, out, degree)
 
 
 def matrix_trace(self: FormMatrix) -> AForm:

@@ -1,17 +1,22 @@
 """Fixture loading, suites, report determinism, and the command line."""
 
 import ast
+import contextlib
+import copy
 import inspect
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algebroids import algebroid, chern, classes, cli, connections, expressions, forms
 from algebroids.algebroid import AlgebroidChart, JetChart, jet_prolong
@@ -769,6 +774,89 @@ class TestNonFiniteProbeValues:
         assert err.startswith("error: metric 'gA' is not finite at probe point (")
         assert "not symmetric" not in err
         assert "Warning" not in err
+
+
+    @pytest.mark.parametrize("section, name, key, value, message", [
+        # |g - g^T| overflows to inf, which is not symmetric.
+        ("metrics", "gA", "matrix", [["1", "1.7e308"], ["-1.7e308", "1"]],
+         "metric 'gA' is not symmetric at probe point (0.2788535969157675,)"),
+        # g+ holds 1.7e308*x off its diagonal: finite at every probe point, but its
+        # difference between points of opposite sign overflows, so it is not constant.
+        ("morphisms", "phi", "matrix", [["1.7e308*x"], ["0"]],
+         "adapted frames are only computed for constant metrics "
+         "(morphism 'phi', quasi-metric g+)"),
+    ], ids=["asymmetric-metric", "nonconstant-quasi-metric"])
+    def test_overflowing_difference_is_a_located_error(self, tmp_path, capsys, section,
+                                                       name, key, value, message):
+        path = _solvable2d_with(tmp_path, section, name, key, value)
+        code = main(["verify", path])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def _paths(value, path=()):
+    """The path of every member and item under `value`, containers included."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield (*path, key)
+        yield from _paths(item, (*path, key))
+
+
+_FUZZED = {name: json.loads(builtin_fixture_path(name).read_text())
+           for name in ("solvable2d", "action_x")}
+# A JSON value of each type; expressions that overflow, divide by zero or leave
+# the reals at a probe point; and an asymmetric metric of huge entries.
+_JSON_VALUES = [None, True, False, 0, -1, 2.5, 1e308, "", "x", "b1", [], [[]], [["0"]],
+                {}, {"0": "1"}]
+_EXPRESSIONS = ["1.7e308*x", "x/0", "sqrt(-1)", "exp(1000*x)", "(x-x)^-2"]
+_HUGE_ASYMMETRIC = [["1", "1.7e308"], ["-1.7e308", "1"]]
+
+
+@st.composite
+def _edited_fixtures(draw):
+    """Bundled solvable2d or action_x with one member or item replaced: a
+    matrix entry by an expression, its matrix by the huge asymmetric one, or
+    any member or item by a JSON value."""
+    fixture = copy.deepcopy(_FUZZED[draw(st.sampled_from(sorted(_FUZZED)))])
+    paths = list(_paths(fixture))
+    if draw(st.booleans()):
+        # Entries of anchors, morphisms, metrics and kernel rows: [..., row, column].
+        path = draw(st.sampled_from([path for path in paths if len(path) > 2 and all(
+            type(key) is int for key in path[-2:])]))
+        value = draw(st.sampled_from([*_EXPRESSIONS, _HUGE_ASYMMETRIC]))
+        if value is _HUGE_ASYMMETRIC:
+            path = path[:-2]
+    else:
+        path = draw(st.sampled_from(paths))
+        value = draw(st.sampled_from(_JSON_VALUES))
+    *parents, last = path
+    container = fixture
+    for key in parents:
+        container = container[key]
+    container[last] = value
+    return fixture
+
+
+@given(_edited_fixtures())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_edited_fixture_verifies_or_is_a_located_error(fixture):
+    # No edit ends in an exception or a warning: the run passes or fails with
+    # an empty stderr, or exits 2 with a single located error line.
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "edited.json"
+        path.write_text(json.dumps(fixture))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", str(path), "--suite", "all", "--points", "12"])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]+\n", err.getvalue())
+    else:
+        assert err.getvalue() == ""
 
 
 class TestKernelRows:

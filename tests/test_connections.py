@@ -318,9 +318,10 @@ class TestMetricLayerMatchesEntryLoops:
     def test_transpose(self, so3):
         conn = _random_connection(so3.chart("so3"), 3, 5)
         transposed = conn.transpose()
-        assert all(transposed.entries[u][t] is conn.entries[t][u]
+        assert all(transposed.entries[u][t].table is conn.entries[t][u].table
                    for u in range(3) for t in range(3))
-        assert transposed.transpose().entries == conn.entries
+        assert all(new.table is old.table for new_row, old_row in zip(
+            transposed.transpose().entries, conn.entries) for new, old in zip(new_row, old_row))
         _assert_same_entries(dual_connection(conn), transposed.scale(-1.0))
 
     def test_of_functions(self, tangent_r2):

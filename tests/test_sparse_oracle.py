@@ -16,13 +16,16 @@ each key's bracket terms from the chart's `cartan` memo, must also build the
 trees of the per-call route it replaced (`cartan_oracle.d_A`), keys in the
 same order.  A constant `FormMatrix` computes its sums, scalings, products
 and traces on float tables; boxed, they must be the trees of the tree-only
-routes in `matrix_oracle`, every constant to the bit.
+routes in `matrix_oracle`, every constant to the bit.  Every matrix a run
+builds keeps the tables it was built with, of floats exactly when every
+coefficient is a constant.
 """
 
 import struct
 from itertools import combinations
 from math import comb, pi, sqrt
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cartan_oracle
@@ -37,6 +40,7 @@ from algebroids.algebroid import (
     verify_axioms,
 )
 from algebroids.classes import ClassBuilder, modular_form
+from algebroids.cli import main
 from algebroids.connections import FormMatrix, bracket_connection, morphism_target_connection
 from algebroids.expressions import Const, parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
@@ -296,25 +300,39 @@ def _constant_matrix(data, chart, size: int, degree: int) -> FormMatrix:
         for _ in range(size)], degree)
 
 
+def _assert_floats_or_trees(matrix: FormMatrix) -> None:
+    """`_floats` is a bool, true exactly when no coefficient is a tree other
+    than a `Const`: a float matrix holds only floats, any other at least one
+    such tree."""
+    values = [value for row in matrix._rows for table in row for value in table.values()]
+    assert type(matrix._floats) is bool
+    if matrix._floats:
+        assert all(type(value) is float for value in values)
+    else:
+        assert any(type(value) not in (float, Const) for value in values)
+
+
 def _assert_same_arithmetic(a: FormMatrix, b: FormMatrix, c: FormMatrix, factor: float,
                             floats: bool = True) -> None:
     """Every matrix operation with unboxed constants against `matrix_oracle`, on
     `a` and `c` of one degree and `b`, and chained on the results.  `a` and `c`
     are constant; `floats` says whether `b` is, and so whether its products
-    must run on float tables."""
+    must run on float tables.  Every result holds floats or trees as its
+    coefficients say."""
     oracle = matrix_oracle
     product = a.wedge(b)
     difference = (a - c).wedge(b)
-    # Read at once: a later use may find a tree-route result all-constant.  A
-    # product above the chart rank is an empty float matrix, with nothing built.
-    route = True if floats or a.degree + b.degree > a.chart.rank else None
-    assert product._floats is route and difference._floats is route
+    # A product above the chart rank is an empty float matrix, with nothing built.
+    if floats or a.degree + b.degree > a.chart.rank:
+        assert product._floats is True and difference._floats is True
     for new, old in [(a + c, oracle.matrix_add(a, c)), (a - c, oracle.matrix_sub(a, c)),
                      (c - a, oracle.matrix_sub(c, a)),
                      (a.scale(factor), oracle.matrix_scale(a, factor))]:
         assert new._floats is True
         _assert_same_matrix(new, old)
     chained = product - (a + c).wedge(b).scale(factor)
+    for matrix in (a, b, c, product, difference, chained):
+        _assert_floats_or_trees(matrix)
     for new, old in [
             (product, oracle.matrix_wedge(a, b)),
             (difference, oracle.matrix_wedge(oracle.matrix_sub(a, c), b)),
@@ -399,3 +417,29 @@ def test_float_tables_keep_cancelled_underflowed_and_dropped_terms():
              (left, right, left.scale(sqrt(2.0))), (paired, signs, left)]
     for x, y, z in cases:
         _assert_same_arithmetic(x, y, z, -0.5)
+
+
+_RUNS = [["verify", name, "--suite", "all"] for name in builtin_fixture_names()]
+_RUNS.append(["mu", "sa3", "--morphism", "zero", "--h", "2"])
+
+
+@pytest.mark.parametrize("argv", _RUNS, ids=" ".join)
+def test_every_matrix_keeps_the_tables_it_was_built_with(argv, monkeypatch, capsys):
+    # Every `FormMatrix` the run builds, including those memoized and shared
+    # between suites, still holds its first tables at the end of the run, of
+    # floats exactly when no coefficient is a tree other than a `Const`.
+    built = []
+    init = FormMatrix._init
+
+    def recorded(self, *args):
+        init(self, *args)
+        built.append((self, self._rows))
+        return self
+
+    monkeypatch.setattr(FormMatrix, "_init", recorded)
+    assert main(argv) == (1 if argv[1] == "broken_jacobi" else 0)
+    capsys.readouterr()
+    assert built
+    for matrix, rows in built:
+        assert matrix._rows is rows
+        _assert_floats_or_trees(matrix)
