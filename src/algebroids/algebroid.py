@@ -238,7 +238,7 @@ class Morphism:
     @classmethod
     def identity(cls, chart: AlgebroidChart, name: str = "id") -> "Morphism":
         matrix = [
-            [Const(1.0) if i == j else ZERO for j in range(chart.rank)]
+            [ONE if i == j else ZERO for j in range(chart.rank)]
             for i in range(chart.rank)
         ]
         return cls(chart, chart, matrix, name)
@@ -301,7 +301,7 @@ def _coordinate(chart: AlgebroidChart, l: int) -> AForm:
 
 def _dual_frame(chart: AlgebroidChart, m: int) -> AForm:
     """theta^m, the 1-form dual to the frame section b_m."""
-    return AForm(chart, 1, {(m,): Const(1.0)})
+    return AForm(chart, 1, {(m,): ONE})
 
 
 def verify_axioms(chart: AlgebroidChart, points) -> tuple[float, float, tuple[int, ...] | None]:
@@ -409,7 +409,7 @@ class JetChart(AlgebroidChart):
     def projection(self) -> Morphism:
         """pi: J_i -> b_i, E_{h,i} -> 0, as a base-preserving morphism."""
         base = self.base_chart
-        matrix = [[Const(1.0) if u == p else ZERO for u in range(base.rank)]
+        matrix = [[ONE if u == p else ZERO for u in range(base.rank)]
                   for p in range(self.rank)]
         return Morphism(self, base, matrix, name=f"proj_{base.name}")
 

@@ -2,7 +2,8 @@
 
 Chern polynomials are computed from traces.  `chern_polarized` is the cycle
 expansion over S_h: traces of matrix words, each term with the Koszul sign of
-moving its wedge factors from argument order into cycle order, so it is exact
+moving its wedge factors from argument order into cycle order (the
+`permutation_sign` of the odd-degree factors in cycle order), so it is exact
 for arguments of any degree and costs at most h! terms whatever the rank.  The
 polarized evaluation keeps the single odd-degree argument first, so all signs
 in mixed contractions are pinned by one convention.  Difference forms
@@ -25,7 +26,7 @@ import numpy as np
 from .algebroid import d_A
 from .connections import FormMatrix, _require_connection
 from .expressions import Const, ScalarField, balanced_sum, mul
-from .forms import AForm, _trusted_form
+from .forms import AForm, _trusted_form, permutation_sign
 
 
 def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
@@ -40,9 +41,11 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
 
     each cycle read (i, pi(i), pi^2(i), ...) from its smallest index.  eps(pi)
     is the Koszul sign of moving the wedge factors from argument order into
-    cycle order.  The sum over all index maps, not only injective ones, is
-    exact: a repeated index pairs pi with a transposition of it, and the two
-    terms cancel because their wedge order is fixed by argument position.
+    cycle order: only two odd factors passing each other change the sign, so
+    it is `permutation_sign` of the odd-degree arguments in cycle order.  The
+    sum over all index maps, not only injective ones, is exact: a repeated
+    index pairs pi with a transposition of it, and the two terms cancel
+    because their wedge order is fixed by argument position.
     Permutations with the same trace words are summed before any wedge, and
     matrix words are built once per call, keyed by which arguments are the
     same object, so the work does not grow like r^h.
@@ -127,12 +130,7 @@ def _cycle_forms(indices: tuple[int, ...]):
 
 def _koszul_sign(order: Sequence[int], degrees: Sequence[int]) -> int:
     """Sign of reordering wedge factors of these degrees from 0, 1, ... into `order`."""
-    sign = 1
-    for p in range(len(order)):
-        for q in range(p + 1, len(order)):
-            if order[p] > order[q] and degrees[order[p]] * degrees[order[q]] % 2:
-                sign = -sign
-    return sign
+    return permutation_sign([i for i in order if degrees[i] % 2])
 
 
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from .algebroid import (
     _frame_derivative,
     d_A,
 )
-from .expressions import (Const, MINUS_ONE, ScalarField, ZERO, add, div, evaluate,
+from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
 from .forms import (AForm, _accumulate, _form, _scaled_table, _sum_tables, _trusted_form,
                     wedge_into)
@@ -344,7 +344,7 @@ class QuasiMetric:
 
     @classmethod
     def identity(cls, rank: int) -> "QuasiMetric":
-        return cls(rank, 1, [[Const(1.0) if i == j else ZERO for j in range(rank)]
+        return cls(rank, 1, [[ONE if i == j else ZERO for j in range(rank)]
                              for i in range(rank)])
 
     def values(self, points) -> np.ndarray:
@@ -391,7 +391,7 @@ def orthogonal_connection(chart: AlgebroidChart, g: QuasiMetric) -> FormMatrix:
             for s in range(t):
                 acc = sub(acc, mul(row[s], factor[t][s]))
             row[t] = square_root(acc) if t == u else div(acc, factor[t][t])
-        vec = [Const(1.0) if a == u else ZERO for a in range(rank)]
+        vec = [ONE if a == u else ZERO for a in range(rank)]
         for t in range(u):
             if not row[t].is_zero():
                 vec = [sub(v, mul(row[t], w)) for v, w in zip(vec, frame[t])]

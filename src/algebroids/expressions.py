@@ -116,8 +116,9 @@ class ScalarField:
         return sub(ZERO, self)
 
     def __str__(self):
-        """Text that re-parses to this value, up to the rounding of a sum that
-        re-associates (`a + (b - c)` prints as `a + b - c`)."""
+        """Text that re-parses to this value, up to the rounding of a sum or a
+        product that re-associates (`a + (b - c)` prints as `a + b - c`, and
+        `a*(b/c)` as `a*b/c`)."""
         order, pending = _schedule((self,))
         strings: dict[ScalarField, str] = {}
         for node in order:

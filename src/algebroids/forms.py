@@ -9,25 +9,28 @@ Sums, scalings and products are table kernels shared with `FormMatrix`:
 `_sum_tables`, `_scaled_table` and `wedge_into` (a ^ b added into a table with
 the trees of `acc + a.wedge(b)`, each key pair's merge read from `MERGES`).
 A table holds trees, or, in an all-constant `FormMatrix`, floats: the values
-of the `Const` nodes that the tree route would fold.  On floats each kernel
-does the IEEE operations of the tree route's folds, in the same order, and
-drops and re-inserts the same keys, so boxing a float table into `Const`
-coefficients gives the tree route's table bit for bit.
+of the `Const` nodes that the tree route would fold.  These are the only two
+constant routes: on trees a constant folds only in the `expressions`
+constructors (`add`, `mul`), and on floats each kernel does the IEEE
+operations of those folds, in the same order, and drops and re-inserts the
+same keys, so boxing a float table into `Const` coefficients gives the tree
+route's table bit for bit.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, _folded, add, balanced_sum,
-                          mul, residual)
+from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, add, balanced_sum, mul,
+                          residual)
 
 if TYPE_CHECKING:
     from .algebroid import AlgebroidChart
 
 
 def permutation_sign(perm: Iterable[int]) -> int:
-    """Parity of a permutation given as a list of positions."""
+    """Parity of the inversions of a sequence of distinct integers: the sign
+    of the permutation that sorts it."""
     perm = list(perm)
     sign = 1
     for i in range(len(perm)):
@@ -105,23 +108,12 @@ class AForm:
         return self.table.get(tuple(index), ZERO)
 
     def coeff_signed(self, index: tuple[int, ...]) -> ScalarField:
-        """Value on an arbitrary (possibly unsorted) frame tuple.
-
-        For (m,) + rest with `rest` increasing, the sign of that order is the
-        parity of m's position in the sorted tuple.  Other orders count
-        inversions.
-        """
-        index = tuple(index)
-        ordered = tuple(sorted(index))
-        base = self.table.get(ordered)  # stored keys never repeat an index
+        """Value on an arbitrary (possibly unsorted) frame tuple: the stored
+        coefficient times the sign of the order, `permutation_sign(index)`."""
+        base = self.table.get(tuple(sorted(index)))  # stored keys never repeat an index
         if base is None:
             return ZERO
-        position = ordered.index(index[0]) if index else 0
-        if ordered[:position] + ordered[position + 1:] == index[1:]:
-            odd = position % 2
-        else:
-            odd = permutation_sign([ordered.index(v) for v in index]) < 0
-        return mul(MINUS_ONE if odd else ONE, base)
+        return mul(MINUS_ONE if permutation_sign(index) < 0 else ONE, base)
 
     def is_zero(self) -> bool:
         return not self.table
@@ -251,9 +243,10 @@ def wedge_into(left: dict, right: dict, table: dict) -> None:
     most the rank, with the trees of `acc + a.wedge(b)`: each key's signed
     products f * g summed by `balanced_sum`, then added by `_accumulate`.
 
-    Two float tables multiply and sum their floats.  In tree tables a product
-    of two constants is folded with its sign in one step, as a float product
-    is; every other pair builds `mul` trees."""
+    Two float tables multiply and sum their floats; tree tables build
+    `mul(f, g)`, times `MINUS_ONE` for a negative merge sign, so a product of
+    two constants folds in `mul` through the IEEE operations of the float
+    route."""
     pending: dict[tuple[int, ...], list] = {}
     for lkey, f in left.items():
         merges = MERGES[lkey]
@@ -265,19 +258,14 @@ def wedge_into(left: dict, right: dict, table: dict) -> None:
                     value = f * g
                     pending.setdefault(key, []).append(-1.0 * value if sign < 0 else value)
             continue
-        f_const = type(f) is Const
         for rkey, g in right.items():
             merged = merges[rkey]
             if merged is None:
                 continue
             sign, key = merged
-            if f_const and type(g) is Const:
-                value = f.value * g.value
-                term = _folded(-1.0 * value if sign < 0 else value)
-            else:
-                term = mul(f, g)
-                if sign < 0:
-                    term = mul(MINUS_ONE, term)
+            term = mul(f, g)
+            if sign < 0:
+                term = mul(MINUS_ONE, term)
             pending.setdefault(key, []).append(term)
     for key, terms in pending.items():
         if len(terms) == 1:

@@ -5,6 +5,10 @@
   injective index map sigma and every rearrangement kappa of it,
   r!/(r - h)! * h! pairs, each with its own Kronecker-delta sign and wedge
   chain.  Tests require equal values.
+- `koszul_sign_reference` guards `chern._koszul_sign`.  It is the double
+  loop over pairs of wedge factors that the parity of the odd-degree factors'
+  inversions replaced.  Tests require the same sign for every order and
+  degree vector up to h = 5.
 - `form_matrix_wedge_reference` and `trace_wedge_reference` guard
   `FormMatrix.wedge` and `FormMatrix.trace_wedge` (`self` is the left
   factor).  They are the old products, which built an intermediate form per
@@ -75,6 +79,16 @@ def chern_polarized_reference(args: Sequence[FormMatrix]) -> AForm:
         for key, terms in pending.items()
     }
     return AForm(chart, degree, table)
+
+
+def koszul_sign_reference(order: Sequence[int], degrees: Sequence[int]) -> int:
+    """Sign of reordering wedge factors of these degrees from 0, 1, ... into `order`."""
+    sign = 1
+    for p in range(len(order)):
+        for q in range(p + 1, len(order)):
+            if order[p] > order[q] and degrees[order[p]] * degrees[order[q]] % 2:
+                sign = -sign
+    return sign
 
 
 def form_matrix_wedge_reference(self: FormMatrix, other: FormMatrix) -> FormMatrix:

@@ -19,6 +19,7 @@ from algebroids.algebroid import AlgebroidChart, Morphism
 
 from algebroids.algebroid import d_A, jet_prolong
 from algebroids.chern import (
+    _koszul_sign,
     bott_delta,
     chern_polarized,
     coboundary_check,
@@ -43,6 +44,7 @@ from chern_oracle import (
     bott_delta_branch_reference,
     chern_polarized_reference,
     form_matrix_wedge_reference,
+    koszul_sign_reference,
     trace_wedge_reference,
 )
 from constructions import chern_scalar, conjugate_form_matrix, sum_connection
@@ -179,6 +181,14 @@ class TestChernPolarized:
         b = _constant_matrix(chart, np.eye(3))
         with pytest.raises(ValueError):
             chern_polarized([a, b])
+
+
+def test_koszul_sign_is_the_parity_of_the_odd_factors():
+    # Every order of up to five wedge factors and every parity of their degrees.
+    for h in range(6):
+        for degrees in product((1, 2), repeat=h):
+            for order in permutations(range(h)):
+                assert _koszul_sign(order, degrees) == koszul_sign_reference(order, degrees)
 
 
 @cache

@@ -974,15 +974,17 @@ def test_sign_factors_stay_folded_in_the_largest_run(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["mu", "sa3", "--morphism", "zero", "--h", "2"], 1_150),
-    (["verify", "sa3", "--suite", "all"], 6_100),
+    (["mu", "sa3", "--morphism", "zero", "--h", "2"], 1_100),
+    (["verify", "sa3", "--suite", "all"], 5_950),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
 def test_constant_matrices_build_no_const_nodes(argv, bound, monkeypatch, capsys):
     # `Const` nodes built by the whole run, fixture parse included: 10,763 and
     # 20,895 while every product, sum, scaling and trace of a constant
     # `FormMatrix` folded its coefficients into new `Const` nodes, 1,119 and
-    # 6,025 with those run on float tables that are boxed only when read.
-    # The counts repeat exactly.
+    # 6,025 with those run on float tables that are boxed only when read, and
+    # 1,092 and 5,935 with every unit coefficient the shared `ONE` (a tree
+    # wedge's constant product now folds in `mul`, one more `Const` for each
+    # negative sign).  The counts repeat exactly.
     built = 0
     init = expressions.Const.__init__
 
