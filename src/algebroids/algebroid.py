@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .expressions import (Const, Coord, MINUS_ONE, ONE, ScalarField, ZERO, _folded, add,
                           field_maxima, mul, residual)
-from .forms import AForm, _Memo, _form, _require_same_chart, _trusted_form
+from .forms import AForm, _Memo, _form, _require_same_chart
 
 
 class AlgebroidChart:
@@ -109,6 +109,9 @@ class AlgebroidChart:
         c is constant, the product of the three as a float, else None.  A
         target m already in rest is left out: its key would repeat an index.
         """
+        # `forms.MERGES[(m,)][rest]` gives the same keys and signs for one more
+        # line and an import, and slower memo fills, paid by every fresh process:
+        # median 3.3 against 2.3 ms of `d_A` in `mu sa3 --h 2` (cProfile, 6 pairs).
         terms = []
         for r in range(len(index)):
             for t in range(r + 1, len(index)):
@@ -280,7 +283,8 @@ def pullback(phi: Morphism, omega: AForm) -> AForm:
     if k > chart.rank:
         return chart.zero_form(k)
     needed = {u for key in omega.table for u in key}
-    columns = {u: _trusted_form(chart, 1, {(i,): row[u] for i, row in enumerate(phi.matrix)})
+    columns = {u: _form(chart, 1, {(i,): row[u] for i, row in enumerate(phi.matrix)
+                                   if not row[u].is_zero()})
                for u in needed}
     total = chart.zero_form(k)
     for key, coeff in omega.table.items():
@@ -312,18 +316,18 @@ def verify_axioms(chart: AlgebroidChart, points) -> tuple[float, float, tuple[in
     brackets exactly when it vanishes for every coordinate l.  (b) The
     (i, j, k) coefficient of d_A(d_A theta^m) is theta^m of the Jacobiator
     [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j], whether or not
-    (a) holds; one walk per m.  Returns (worst anchor value, worst Jacobiator
+    (a) holds; every m in one walk.  Returns (worst anchor value, worst Jacobiator
     value, the smallest triple that reaches the worst Jacobiator value, or None
     when d_A^2 leaves no triple).  A non-finite value counts as inf.
     """
     anchor_fields = [c for l in range(chart.dim)
                      for c in d_A(d_A(_coordinate(chart, l))).table.values()]
     worst_anchor = residual(anchor_fields, points)
+    jacobiators = [(key, c) for m in range(chart.rank)
+                   for key, c in d_A(d_A(_dual_frame(chart, m))).table.items()]
     maxima: dict[tuple[int, ...], float] = {}
-    for m in range(chart.rank):
-        table = d_A(d_A(_dual_frame(chart, m))).table
-        for key, value in zip(table, field_maxima(table.values(), points)):
-            maxima[key] = max(maxima.get(key, 0.0), value)
+    for (key, _), value in zip(jacobiators, field_maxima([c for _, c in jacobiators], points)):
+        maxima[key] = max(maxima.get(key, 0.0), value)
     worst_jacobi = max(maxima.values(), default=0.0)
     triple = min((key for key, value in maxima.items() if value == worst_jacobi),
                  default=None)

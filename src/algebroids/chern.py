@@ -26,7 +26,7 @@ import numpy as np
 from .algebroid import d_A
 from .connections import FormMatrix, _require_connection
 from .expressions import Const, ScalarField, balanced_sum, mul
-from .forms import AForm, _trusted_form, permutation_sign
+from .forms import AForm, _form, permutation_sign
 
 
 def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
@@ -85,11 +85,9 @@ def chern_polarized(args: Sequence[FormMatrix]) -> AForm:
         for key, coeff in term.table.items():
             pending.setdefault(key, []).append(mul(Const(float(weight)), coeff))
     scale = 1.0 / math.factorial(h)
-    table = {
-        key: mul(Const(scale), balanced_sum(terms))
-        for key, terms in pending.items()
-    }
-    return _trusted_form(chart, degree, table)
+    table = {key: value for key, terms in pending.items()
+             if not (value := mul(Const(scale), balanced_sum(terms))).is_zero()}
+    return _form(chart, degree, table)
 
 
 def _word_trace(args: Sequence[FormMatrix], word: tuple[int, ...],

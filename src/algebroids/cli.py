@@ -269,25 +269,22 @@ def _suite_classes(fixture: Fixture, report: Report, opt: Options, draw, forms) 
         _check(report, f"closed_mu1[{name}]", opt.tol, points, d_A(mu1))
         _check(report, f"closed_mu3[{name}]", opt.tol, points,
                d_A(mu_form(phi, 2, builder=forms)))
-    by_signature: dict[tuple[str, str], list[str]] = {}
-    for name, phi in fixture.morphisms.items():
-        by_signature.setdefault((phi.source.name, phi.target.name), []).append(name)
-    for (src, tgt), names in by_signature.items():
-        for first, second in combinations(names, 2):
-            phi1, phi2 = fixture.morphism(first), fixture.morphism(second)
-            identity = forms.identity(phi1.source)
-            nabla0, nabla1 = forms.chain_pair(
-                identity, phi1, *_metrics(fixture, forms, phi1.source, phi1.target))
-            nabla2 = forms.chain_connection(identity, phi2)
-            # Bott's cocycle identity: mu_phi1 - mu_phi2 = d Delta(nabla0, nabla1, nabla2) - bi
-            bi = forms.bi_characteristic(phi1, phi2, 1)
-            correction = d_A(forms.delta([nabla0, nabla1, nabla2], 1))
-            lhs = mu_form(phi1, 1, builder=forms) - mu_form(phi2, 1, builder=forms)
-            _check(report, f"bi_characteristic[{first},{second}]", opt.loose_tol, points,
-                   lhs - (correction - bi))
-            for h in (1, 2):
-                _check(report, f"cocycle[{first},{second}].c{h}", opt.loose_tol, points,
-                       coboundary_check([nabla0, nabla1, nabla2], h, forms.delta))
+    for (first, phi1), (second, phi2) in combinations(fixture.morphisms.items(), 2):
+        if (phi1.source, phi1.target) != (phi2.source, phi2.target):
+            continue
+        identity = forms.identity(phi1.source)
+        nabla0, nabla1 = forms.chain_pair(
+            identity, phi1, *_metrics(fixture, forms, phi1.source, phi1.target))
+        nabla2 = forms.chain_connection(identity, phi2)
+        # Bott's cocycle identity: mu_phi1 - mu_phi2 = d Delta(nabla0, nabla1, nabla2) - bi
+        bi = forms.bi_characteristic(phi1, phi2, 1)
+        correction = d_A(forms.delta([nabla0, nabla1, nabla2], 1))
+        lhs = mu_form(phi1, 1, builder=forms) - mu_form(phi2, 1, builder=forms)
+        _check(report, f"bi_characteristic[{first},{second}]", opt.loose_tol, points,
+               lhs - (correction - bi))
+        for h in (1, 2):
+            _check(report, f"cocycle[{first},{second}].c{h}", opt.loose_tol, points,
+                   coboundary_check([nabla0, nabla1, nabla2], h, forms.delta))
 
 
 def _suite_composition(fixture: Fixture, report: Report, opt: Options, draw, forms) -> None:
@@ -462,18 +459,25 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named check suite")
     _add_common(verify)
     verify.add_argument("--suite", choices=SUITES, default="all")
+    verify.set_defaults(run=lambda fixture, args, opt: run_suite(fixture, args.suite, opt))
     modular = sub.add_parser("modular", help="dump the modular form of an algebroid")
     _add_common(modular)
     modular.add_argument("--algebroid", required=True)
+    modular.set_defaults(
+        run=lambda fixture, args, opt: emit_modular(fixture, args.algebroid, opt))
     mu = sub.add_parser("mu", help="dump a secondary characteristic class form")
     _add_common(mu)
     mu.add_argument("--morphism", required=True)
     mu.add_argument("--h", type=_integer(1, "positive"), default=1)
+    mu.set_defaults(
+        run=lambda fixture, args, opt: emit_class(fixture, args.morphism, args.h, opt))
     jet = sub.add_parser("jet", help="dump the first jet prolongation of an algebroid")
     _add_common(jet)
     jet.add_argument("--algebroid", required=True)
+    jet.set_defaults(run=lambda fixture, args, opt: emit_jet(fixture, args.algebroid, opt))
     identities = sub.add_parser("identities", help="run the identity battery")
     _add_common(identities)
+    identities.set_defaults(run=lambda fixture, args, opt: run_suite(fixture, "identities", opt))
     return parser
 
 
@@ -485,17 +489,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     opt = Options(points=args.points, seed=args.seed, tol=args.tol)
     try:
-        fixture = resolve_fixture(args.fixture)
-        if args.command == "verify":
-            report = run_suite(fixture, args.suite, opt)
-        elif args.command == "modular":
-            report = emit_modular(fixture, args.algebroid, opt)
-        elif args.command == "mu":
-            report = emit_class(fixture, args.morphism, args.h, opt)
-        elif args.command == "jet":
-            report = emit_jet(fixture, args.algebroid, opt)
-        else:
-            report = run_suite(fixture, "identities", opt)
+        report = args.run(resolve_fixture(args.fixture), args, opt)
     except FixtureError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

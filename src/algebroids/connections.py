@@ -51,8 +51,7 @@ from .algebroid import (
 )
 from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
-from .forms import (AForm, _accumulate, _form, _scaled_table, _sum_tables, _trusted_form,
-                    wedge_into)
+from .forms import AForm, _accumulate, _form, _scaled_table, _sum_tables, wedge_into
 from .sampling import first_point
 
 
@@ -244,8 +243,8 @@ def _boxed(table: dict) -> dict:
 
 def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:
     """The rank x rank connection matrix with coeff(i, u, t) -> omega_u^t on b_i."""
-    return FormMatrix(chart, [[_trusted_form(chart, 1, {(i,): coeff(i, u, t)
-                                                        for i in range(chart.rank)})
+    return FormMatrix(chart, [[_form(chart, 1, {(i,): c for i in range(chart.rank)
+                                                if not (c := coeff(i, u, t)).is_zero()})
                                for t in range(rank)] for u in range(rank)], 1)
 
 

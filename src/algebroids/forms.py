@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, add, balanced_sum, mul,
-                          residual)
+from .expressions import Const, MINUS_ONE, ONE, ScalarField, ZERO, balanced_sum, mul, residual
 
 if TYPE_CHECKING:
     from .algebroid import AlgebroidChart
@@ -42,6 +41,9 @@ def permutation_sign(perm: Iterable[int]) -> int:
 
 def shuffle_sign(left: tuple[int, ...], right: tuple[int, ...]) -> int:
     """Sign of interleaving two disjoint increasing tuples into sorted order."""
+    # `permutation_sign(left + right)` gives the same sign at 0.6-1.8 us a call
+    # against 0.16-0.37 us here (keys of 1 to 3 indices), and every `MERGES`
+    # miss pays it: about 0.5 ms more of a 17 ms `mu sa3 --h 2`, no line saved.
     inversions = 0
     for i in left:
         for j in right:
@@ -164,15 +166,6 @@ class AForm:
         return f"AForm({self.chart.name!r}, degree={self.degree}, {{{parts}}})"
 
 
-def _trusted_form(chart: "AlgebroidChart", degree: int,
-                  table: Mapping[tuple[int, ...], ScalarField]) -> AForm:
-    """An `AForm` from keys taken from valid forms of this degree: no key checks.
-
-    Zero coefficients are still dropped.
-    """
-    return _form(chart, degree, {k: c for k, c in table.items() if not c.is_zero()})
-
-
 def _form(chart: "AlgebroidChart", degree: int,
           table: dict[tuple[int, ...], ScalarField]) -> AForm:
     """An `AForm` owning `table`: valid keys, no zero coefficient (`_accumulate`'s)."""
@@ -187,30 +180,20 @@ def _accumulate(table: dict[tuple[int, ...], ScalarField | float], key: tuple[in
                 term: ScalarField | float) -> None:
     """table[key] += term, dropping the key when the sum is zero (a float
     table's sum is the value of the folded `Const` of a tree table's)."""
-    if type(term) is float:
-        if term == 0.0:
-            return
-        total = table.get(key)
-        if total is None:
-            table[key] = term
-            return
-        total += term
-        if total == 0.0:
-            del table[key]
-        else:
-            table[key] = total
-        return
-    if type(term) is Const and term.value == 0.0:
+    if _is_zero(term):
         return
     total = table.get(key)
     if total is None:
         table[key] = term  # the tree that add(ZERO, term) builds
-        return
-    total = add(total, term)
-    if type(total) is Const and total.value == 0.0:
+    elif _is_zero(total := total + term):  # `add` on trees, through `ScalarField.__add__`
         del table[key]
     else:
         table[key] = total
+
+
+def _is_zero(value: ScalarField | float) -> bool:
+    """A float table's zero, or a tree table's: a folded `Const` of value 0."""
+    return value == 0.0 if type(value) is float else value.is_zero()
 
 
 def _sum_tables(x: dict, y: dict, negate: bool) -> dict:
@@ -230,12 +213,8 @@ def _sum_tables(x: dict, y: dict, negate: bool) -> dict:
 
 def _scaled_table(table: dict, factor: ScalarField | float) -> dict:
     """factor * each coefficient, zero products dropped: a float factor for a
-    float table, a field for a tree table."""
-    if type(factor) is float:
-        return {key: value for key, coeff in table.items()
-                if (value := factor * coeff) != 0.0}
-    return {key: value for key, coeff in table.items()
-            if not (value := mul(factor, coeff)).is_zero()}
+    float table, a field for a tree table (`mul`, through `ScalarField.__mul__`)."""
+    return {key: value for key, coeff in table.items() if not _is_zero(value := factor * coeff)}
 
 
 def wedge_into(left: dict, right: dict, table: dict) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from algebroids.connections import FormMatrix
 from algebroids.expressions import Const, MINUS_ONE, ScalarField, _folded, add, balanced_sum, mul
-from algebroids.forms import MERGES, AForm, _form, _require_same_chart, _trusted_form
+from algebroids.forms import MERGES, AForm, _form, _require_same_chart
 
 
 # --------------------------------------------------------------------------
@@ -61,8 +61,8 @@ def _add_scaled(self: AForm, other: AForm, factor: Const | None) -> AForm:
 def form_scale(self: AForm, factor: ScalarField | float) -> AForm:
     if not isinstance(factor, ScalarField):
         factor = Const(factor)
-    return _trusted_form(self.chart, self.degree,
-                         {k: mul(factor, c) for k, c in self.table.items()})
+    return _form(self.chart, self.degree, {k: value for k, c in self.table.items()
+                                           if not (value := mul(factor, c)).is_zero()})
 
 
 def form_wedge(self: AForm, other: AForm) -> AForm:

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import copy
+import functools
 import inspect
 import io
 import json
@@ -999,16 +1000,9 @@ def test_constant_matrices_build_no_const_nodes(argv, bound, monkeypatch, capsys
     assert built <= bound
 
 
-_MATRIX_ORACLE_RUNS = [["verify", name, "--suite", "all"] for name in builtin_fixture_names()]
-_MATRIX_ORACLE_RUNS += [["mu", "sa3", "--morphism", "zero", "--h", h] for h in ("2", "3")]
-
-
-@pytest.mark.parametrize("argv", _MATRIX_ORACLE_RUNS, ids=" ".join)
-def test_reports_match_the_tree_matrix_oracle(argv, monkeypatch, capsys):
-    # The same report, byte for byte, with the float tables of constant
-    # matrices and the table kernels replaced by the tree-only arithmetic.
-    status = main(argv)
-    report = capsys.readouterr().out
+def _bind_tree_matrix_oracle(monkeypatch) -> None:
+    """The float tables of constant matrices and the table kernels replaced by
+    the tree-only arithmetic."""
     for cls, methods in (
             (FormMatrix, {"__add__": matrix_oracle.matrix_add,
                           "__sub__": matrix_oracle.matrix_sub,
@@ -1020,20 +1014,51 @@ def test_reports_match_the_tree_matrix_oracle(argv, monkeypatch, capsys):
                      "scale": matrix_oracle.form_scale, "wedge": matrix_oracle.form_wedge})):
         for name, method in methods.items():
             monkeypatch.setattr(cls, name, method)
-    assert main(argv) == status
-    assert capsys.readouterr().out == report
 
 
-@pytest.mark.parametrize("name", builtin_fixture_names())
-def test_verify_reports_match_the_per_call_d_A_oracle(name, monkeypatch, capsys):
-    # The same report, byte for byte, with every d_A of the run replaced by
-    # the route that re-derived each key's bracket terms on every call.
-    status = main(["verify", name, "--suite", "all"])
-    report = capsys.readouterr().out
+def _bind_per_call_d_A_oracle(monkeypatch) -> None:
+    """Every d_A of the run replaced by the route that re-derived each key's
+    bracket terms on every call."""
     for module in (algebroid, connections, chern, cli):
         monkeypatch.setattr(module, "d_A", cartan_oracle.d_A)
-    assert main(["verify", name, "--suite", "all"]) == status
+
+
+@functools.cache
+def _unpatched_run(argv: tuple[str, ...]) -> tuple[int, str]:
+    """Exit status and report of a command with nothing bound, run once per session."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        status = main(list(argv))
+    return status, out.getvalue()
+
+
+_ORACLE_RUNS = [(("verify", name, "--suite", "all"), bind)
+                for bind in (_bind_tree_matrix_oracle, _bind_per_call_d_A_oracle)
+                for name in builtin_fixture_names()]
+_ORACLE_RUNS += [(("mu", "sa3", "--morphism", "zero", "--h", h), _bind_tree_matrix_oracle)
+                 for h in ("2", "3")]
+
+
+@pytest.mark.parametrize("argv, bind", _ORACLE_RUNS, ids=lambda value: (
+    " ".join(value) if isinstance(value, tuple) else value.__name__.removeprefix("_bind_")))
+def test_reports_match_the_oracles(argv, bind, monkeypatch, capsys):
+    # The same report, byte for byte, with an oracle bound in place of the
+    # route it guards; each command runs unpatched once, whatever it is
+    # compared with.
+    status, report = _unpatched_run(argv)
+    bind(monkeypatch)
+    assert main(list(argv)) == status
     assert capsys.readouterr().out == report
+
+
+def test_verify_axioms_walks_the_jacobiators_once_per_chart(monkeypatch, capsys):
+    # `expressions._walk` calls on `verify sa3 --suite all` at seed 42: 73
+    # while `verify_axioms` walked the d_A^2 theta^m coefficients of each
+    # frame index m on their own, 41 with a chart's reduced in one walk.  The
+    # count repeats exactly.
+    counts = _count_calls(monkeypatch, (expressions, "_walk"))
+    assert main(["verify", "sa3", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert counts["_walk"] <= 41
 
 
 def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
