@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .expressions import (Const, Coord, MINUS_ONE, ONE, ScalarField, ZERO, _folded, add,
                           field_maxima, mul, residual)
-from .forms import AForm, _Memo, _form, _require_same_chart
+from .forms import AForm, _Memo, _boxed, _form, _require_same_chart, d_numbers
 
 
 class AlgebroidChart:
@@ -37,7 +37,9 @@ class AlgebroidChart:
     the pairs (a, b) whose bracket has a nonzero m-term.  `d_A` and
     `_frame_derivative` iterate only these sparse terms, in the order of the
     dense loops over every frame and coordinate index, so they build the same
-    coefficient trees.
+    coefficient trees.  A chart is `constant` when no slot is anchored and
+    every structure function is a `Const`: there d_A never differentiates a
+    coefficient, and number tables run on `forms.d_numbers`.
 
     Two memos, each entry computed on first use (see `_cartan_terms` and
     `_bracket_reach`), hold what `d_A` would otherwise re-derive per call:
@@ -96,6 +98,8 @@ class AlgebroidChart:
                 sources.setdefault(m, []).append(pair)
         self.bracket_sources = {m: tuple(pairs) for m, pairs in sources.items()}
         self.anchored = tuple(i for i, terms in enumerate(self.anchor_terms) if terms)
+        self.constant = not self.anchored and all(
+            type(c) is Const for terms in self.brackets.values() for c in terms.values())
         self.cartan = _Memo(self._cartan_terms)
         self.reach = _Memo(self._bracket_reach)
 
@@ -175,21 +179,29 @@ def _frame_derivative(chart: AlgebroidChart, i: int, f: ScalarField) -> ScalarFi
 def d_A(omega: AForm) -> AForm:
     """Exterior differential from the Cartan coefficient formula.
 
-    The anchor terms visit only anchored slots and non-constant
+    On a constant chart (`chart.constant`), a number table, or a table whose
+    every coefficient is a `Const`, runs on `forms.d_numbers`; the latter is
+    boxed back, with the `Const` values that the tree route would fold.  On
+    trees, the anchor terms visit only anchored slots and non-constant
     coefficients; the bracket terms of each output key are read from
     `chart.cartan`.  Both keep the summation order of the dense formula over
-    every frame index, so they build its trees.  A constant structure
-    coefficient on a constant form coefficient adds the one folded product
-    that the three sign and coefficient products fold to (each sign is +-1,
-    so the bits agree).  Only the output keys that some term reaches are
-    visited, in the order of `combinations`: K + {i} for a non-constant
-    coefficient on K and an anchored i not in K, and `chart.reach[K]`.
+    every frame index, so they build its trees.  On an anchored chart, a
+    constant structure coefficient on a constant form coefficient adds the
+    one folded product that the three sign and coefficient products fold to
+    (each sign is +-1, so the bits agree).  Only the output keys that some
+    term reaches are visited, in the order of `combinations`: K + {i} for a
+    non-constant coefficient on K and an anchored i not in K, and
+    `chart.reach[K]`.
     """
     chart = omega.chart
     k = omega.degree
     coeffs = omega.table
     if k + 1 > chart.rank or not coeffs:
         return chart.zero_form(k + 1)
+    numbers = not isinstance(next(iter(coeffs.values())), ScalarField)
+    if chart.constant and (numbers or all(type(c) is Const for c in coeffs.values())):
+        table = d_numbers(chart, coeffs if numbers else {key: c.value for key, c in coeffs.items()})
+        return _form(chart, k + 1, table if numbers else _boxed(table))
     keys = set()
     for key, coeff in coeffs.items():
         if type(coeff) is not Const:

@@ -14,18 +14,24 @@ dx^h (x) b_i of the split jet frame.  The jet class of phi is `relative_mu` on
 the chain (pi, phi), with pi: J1 A -> A the jet projection.
 
 Constant connections are unboxed.  On a chart with zero anchor and constant
-structure functions every connection of a class form, and every link,
-curvature and Chern word built from them, has constant coefficients.  A
-`FormMatrix` is built on floats or on trees, once: when every coefficient is
-a `Const`, its tables are tables of their values from the start.  A sum,
-difference, scaling by a number, product or trace of float matrices runs on
-the floats and yields a float matrix; the floats are bit for bit the values
-of the `Const` nodes the tree route would fold, with the same keys in the
-same order.  A float matrix builds `Const`-coefficient `AForm`s only when its
-`entries` are read (by `d`, `eval_on`, `max_abs` and `cli._check`), once, and
-traces come out as boxed `AForm`s.  Any other pair of operands, such as a
-random connection or field coefficients on an anchored chart, runs on trees.
-The tree-only routes are the oracle `tests/matrix_oracle.py`.
+structure functions (`AlgebroidChart.constant`) every connection of a class
+form, and every link, curvature and Chern word built from them, has constant
+coefficients, and `morphism_target_connection` of a constant morphism builds
+its floats directly.  A `FormMatrix` holds trees or numbers, the two routes
+of `forms`, decided once, when it is built: when no coefficient is a tree
+other than a `Const`, its tables are number tables from the start, each
+`Const` its value.  A sum, difference, scaling by a number, product or (on
+a constant chart) `d` of number matrices runs on the numbers and yields a
+number matrix, with the tree route's keys in the same order and its values
+bit for bit, under the zero rule of `forms` (a float 0.0 is dropped, an
+array never): floats, or, for the random connection of a constant chart
+(`cli._probe_values`), arrays of values at the probe points.  `eval_on`,
+`max_abs` and `cli._check` read the numbers themselves.  A float matrix
+builds `Const`-coefficient `AForm`s only when its `entries` are read, and
+traces come out as boxed `AForm`s; a matrix that holds arrays has no trees
+to box, and reading its `entries` or its trace is a ValueError.  Any other
+pair of operands, such as field coefficients on an anchored chart, runs on
+trees.  The tree-only routes are the oracle `tests/matrix_oracle.py`.
 
 Conventions fixed once and used everywhere:
   * matrix wedge product (A ^ B)_u^t = A_u^s ^ B_s^t,
@@ -51,7 +57,8 @@ from .algebroid import (
 )
 from .expressions import (Const, MINUS_ONE, ONE, ScalarField, ZERO, add, div, evaluate,
                           max_abs_finite, mul, residual, square_root, sub)
-from .forms import AForm, _accumulate, _form, _scaled_table, _sum_tables, wedge_into
+from .forms import (AForm, _accumulate, _boxed, _form, _scaled_table, _sum_tables, d_numbers,
+                    permutation_sign, wedge_into)
 from .sampling import first_point
 
 
@@ -68,15 +75,15 @@ class FormMatrix:
     `acc = acc + a.wedge(b)`.
 
     Unboxed constants (see the module docstring): `_init` decides once, when
-    the matrix is built, whether it holds floats or trees.  A matrix whose
-    every coefficient is a `Const` holds tables of their values, and its
-    tables never change afterwards; a matrix built from `AForm`s keeps them
-    as its `entries`, and any other boxes its `entries` on the first read.
-    An operand pair that is not all-constant runs on trees, with a float
-    matrix boxed first.
+    the matrix is built, whether it holds numbers or trees.  A matrix whose
+    every coefficient is a number or a `Const` holds number tables, and its
+    tables never change afterwards; a matrix built from `AForm`s of trees
+    keeps them as its `entries`, and any other float matrix boxes its
+    `entries` on the first read.  An operand pair that is not all-numbers runs on trees, with
+    a float matrix boxed first.
     """
 
-    __slots__ = ("chart", "size", "degree", "_rows", "_floats", "_entries")
+    __slots__ = ("chart", "size", "degree", "_rows", "_numbers", "_entries")
 
     def __init__(self, chart: AlgebroidChart, entries: Sequence[Sequence[AForm]],
                  degree: int):
@@ -89,48 +96,55 @@ class FormMatrix:
                 if not entry.is_zero() and entry.degree != degree:
                     raise ValueError("entries must share one degree")
         self._init(chart, [[entry.table for entry in row] for row in entries], degree, False)
-        self._entries = tuple(tuple(row) for row in entries)
+        if not any(isinstance(next(iter(entry.table.values()), ZERO), (float, np.ndarray))
+                   for row in entries for entry in row):  # tree entries are kept as they are
+            self._entries = tuple(tuple(row) for row in entries)
 
-    def _init(self, chart: AlgebroidChart, rows, degree: int, floats: bool) -> "FormMatrix":
-        """Set this matrix from rows of valid tables, of floats when `floats`;
-        tables of trees whose every coefficient is a `Const` become tables of
-        their values.  The one place that sets `_rows` and `_floats`."""
+    def _init(self, chart: AlgebroidChart, rows, degree: int, numbers: bool) -> "FormMatrix":
+        """Set this matrix from rows of valid tables, of numbers when `numbers`;
+        tables whose every coefficient is a number or a `Const` become number
+        tables.  The one place that sets `_rows` and `_numbers`."""
         rows = tuple(tuple(row) for row in rows)
-        if not floats:
-            floats = all(type(coeff) is Const for row in rows
-                         for table in row for coeff in table.values())
-            if floats:
-                rows = tuple(tuple({key: coeff.value for key, coeff in table.items()}
+        if not numbers:
+            numbers = all(type(coeff) is Const or not isinstance(coeff, ScalarField)
+                          for row in rows for table in row for coeff in table.values())
+            if numbers:
+                rows = tuple(tuple({key: coeff.value if type(coeff) is Const else coeff
+                                    for key, coeff in table.items()}
                                    if table else table for table in row) for row in rows)
         self.chart, self.size, self.degree = chart, len(rows), degree
-        self._rows, self._floats, self._entries = rows, floats, None
+        self._rows, self._numbers, self._entries = rows, numbers, None
         return self
 
-    def _made(self, rows, degree: int, floats: bool) -> "FormMatrix":
-        """A matrix on this chart from rows of valid tables, of floats when `floats`."""
-        return FormMatrix.__new__(FormMatrix)._init(self.chart, rows, degree, floats)
+    def _made(self, rows, degree: int, numbers: bool) -> "FormMatrix":
+        """A matrix on this chart from rows of valid tables, of numbers when `numbers`."""
+        return FormMatrix.__new__(FormMatrix)._init(self.chart, rows, degree, numbers)
 
     @property
     def entries(self) -> tuple[tuple[AForm, ...], ...]:
         """The entries as `AForm`s, built on the first read from tables of a
-        matrix that was not built from `AForm`s."""
+        matrix that was not built from tree `AForm`s; probe values raise."""
         if self._entries is None:
             zero = self.chart.zero_form(self.degree)
             self._entries = tuple(tuple(
-                _form(self.chart, self.degree, _boxed(table) if self._floats else table)
+                _form(self.chart, self.degree, _boxed(table) if self._numbers else table)
                 if table else zero for table in row) for row in self._rows)
         return self._entries
 
+    def coefficients(self):
+        """Every coefficient of every entry, trees or numbers, none boxed."""
+        return (coeff for row in self._rows for table in row for coeff in table.values())
+
     def _tree_rows(self):
         """The rows' tables of trees; a float matrix's are those of its boxed entries."""
-        if not self._floats:
+        if not self._numbers:
             return self._rows
         return tuple(tuple(entry.table for entry in row) for row in self.entries)
 
     def _operands(self, other: "FormMatrix"):
-        """(rows of self, rows of other, floats): float tables when both matrices
-        are constant, else tree tables."""
-        if self._floats and other._floats:
+        """(rows of self, rows of other, numbers): number tables when both
+        matrices hold numbers, else tree tables."""
+        if self._numbers and other._numbers:
             return self._rows, other._rows, True
         return self._tree_rows(), other._tree_rows(), False
 
@@ -146,7 +160,7 @@ class FormMatrix:
         return cls(chart, [[chart.function_form(f) for f in row] for row in rows], 0)
 
     def transpose(self) -> "FormMatrix":
-        return self._made(list(zip(*self._rows)), self.degree, self._floats)
+        return self._made(list(zip(*self._rows)), self.degree, self._numbers)
 
     def __add__(self, other: "FormMatrix") -> "FormMatrix":
         return self._add(other, False)
@@ -156,14 +170,14 @@ class FormMatrix:
 
     def _add(self, other: "FormMatrix", negate: bool) -> "FormMatrix":
         self._check_compatible(other)
-        left, right, floats = self._operands(other)
+        left, right, numbers = self._operands(other)
         return self._made([[_sum_tables(a, b, negate) for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(left, right)], self.degree, floats)
+                           for r1, r2 in zip(left, right)], self.degree, numbers)
 
     def scale(self, factor) -> "FormMatrix":
-        """factor times each entry; on floats when the factor is a number and the
-        matrix is constant."""
-        if not isinstance(factor, ScalarField) and self._floats:
+        """factor times each entry; on numbers when the factor is a number and
+        the matrix holds numbers."""
+        if not isinstance(factor, ScalarField) and self._numbers:
             return self._made([[_scaled_table(table, float(factor)) for table in row]
                                for row in self._rows], self.degree, True)
         if not isinstance(factor, ScalarField):
@@ -178,7 +192,7 @@ class FormMatrix:
         degree = self.degree + other.degree
         if degree > self.chart.rank:
             return self._made([[{}] * self.size] * self.size, degree, True)
-        left, right, floats = self._operands(other)
+        left, right, numbers = self._operands(other)
         nonzero_rows = [[(t, b) for t, b in enumerate(row) if b] for row in right]
         out = []
         for row in left:
@@ -188,10 +202,14 @@ class FormMatrix:
                     for t, b in nonzero:
                         wedge_into(a, b, tables.setdefault(t, {}))
             out.append([tables.get(t, {}) for t in range(self.size)])
-        return self._made(out, degree, floats)
+        return self._made(out, degree, numbers)
 
     def d(self) -> "FormMatrix":
-        """Entrywise d_A; a zero entry stays zero, with no d_A call."""
+        """Entrywise d_A; a zero entry stays zero, with nothing called.  A
+        number matrix on a constant chart runs `d_numbers` on its tables."""
+        if self._numbers and self.chart.constant:
+            return self._made([[d_numbers(self.chart, table) if table else {} for table in row]
+                               for row in self._rows], self.degree + 1, True)
         return self._made([[d_A(e).table if e.table else {} for e in row]
                            for row in self.entries], self.degree + 1, False)
 
@@ -200,7 +218,7 @@ class FormMatrix:
         for u in range(self.size):
             for key, coeff in self._rows[u][u].items():
                 _accumulate(table, key, coeff)
-        return _form(self.chart, self.degree, _boxed(table) if self._floats else table)
+        return _form(self.chart, self.degree, _boxed(table) if self._numbers else table)
 
     def trace_wedge(self, other: "FormMatrix") -> AForm:
         """tr(self ^ other), building only the diagonal of the product: the
@@ -209,36 +227,43 @@ class FormMatrix:
         degree = self.degree + other.degree
         if degree > self.chart.rank:
             return self.chart.zero_form(degree)
-        left, right, floats = self._operands(other)
+        left, right, numbers = self._operands(other)
         table: dict = {}
         for u, row in enumerate(left):
             for a, b_row in zip(row, right):
                 if a and b_row[u]:
                     wedge_into(a, b_row[u], table)
-        return _form(self.chart, degree, _boxed(table) if floats else table)
+        return _form(self.chart, degree, _boxed(table) if numbers else table)
 
     def eval_on(self, frames: Sequence[tuple[int, ...]], points) -> np.ndarray:
-        """Entry values on each frame tuple at each point, shape (frames, N, size, size)."""
-        values = evaluate([entry.coeff_signed(frame) for frame in frames
-                           for row in self.entries for entry in row], points)
+        """Entry values on each frame tuple at each point, shape (frames, N, size, size).
+
+        A number matrix fills its numbers in, each times the sign of the
+        frame's order as `AForm.coeff_signed` multiplies it, with nothing boxed."""
+        if self._numbers:
+            values = np.zeros((len(frames) * self.size * self.size, len(points)))
+            tables = [table for row in self._rows for table in row]
+            for f, frame in enumerate(frames):
+                key, sign = tuple(sorted(frame)), float(permutation_sign(frame))
+                for n, table in enumerate(tables, f * len(tables)):
+                    if (value := table.get(key)) is not None:
+                        values[n] = sign * value
+        else:
+            values = evaluate([entry.coeff_signed(frame) for frame in frames
+                               for row in self.entries for entry in row], points)
         shape = (len(frames), self.size, self.size, len(points))
         return np.ascontiguousarray(values.reshape(shape).transpose(0, 3, 1, 2))
 
     def max_abs(self, points) -> float:
-        """Largest coefficient magnitude of any entry; inf if any is non-finite."""
-        return residual([coeff for row in self.entries for entry in row
-                         for coeff in entry.table.values()], points)
+        """Largest coefficient magnitude of any entry (`residual`); inf if any is
+        non-finite."""
+        return residual(self.coefficients(), points)
 
     def _check_compatible(self, other: "FormMatrix", same_degree: bool = True):
         if self.chart is not other.chart or self.size != other.size:
             raise ValueError("form matrices are not compatible")
         if same_degree and self.degree != other.degree:
             raise ValueError("form matrices must share a degree")
-
-
-def _boxed(table: dict) -> dict:
-    """A float table with its values as `Const` nodes."""
-    return {key: Const(value) for key, value in table.items()}
 
 
 def connection_from_coefficients(chart: AlgebroidChart, rank: int, coeff) -> FormMatrix:
@@ -270,14 +295,14 @@ def direct_sum(c1: FormMatrix, c2: FormMatrix) -> FormMatrix:
         raise ValueError("chart mismatch in connection sum")
     _require_connection(c1)
     _require_connection(c2)
-    top, bottom, floats = c1._operands(c2)
+    top, bottom, numbers = c1._operands(c2)
     size = c1.size + c2.size
     out = [[{}] * size for _ in range(size)]
     for u, row in enumerate(top):
         out[u][:c1.size] = row
     for u, row in enumerate(bottom):
         out[c1.size + u][c1.size:] = row
-    return c1._made(out, 1, floats)
+    return c1._made(out, 1, numbers)
 
 
 def bracket_connection(chart: AlgebroidChart) -> FormMatrix:
@@ -294,8 +319,25 @@ def morphism_target_connection(phi: Morphism) -> FormMatrix:
     a jet source each row E = dx^h (x) b_i = j1(x^h b_i) - x^h j1(b_i) also
     carries the Leibniz term -rho'_u^h phi(j1 b_i), so that the connection
     along j1(x^h b_i) is [phi j1(x^h b_i), b'_u] like along every holonomic
-    frame section."""
+    frame section.
+
+    A constant target chart has no anchor term, and a constant morphism then
+    gives constant sums: their floats are added in the same order, straight
+    into the tables of a number matrix."""
     target = phi.target
+    if target.constant and all(type(entry) is Const for row in phi.matrix for entry in row):
+        rows = [[{} for _ in range(target.rank)] for _ in range(target.rank)]
+        for i, row in enumerate(phi.matrix):
+            for u in range(target.rank):
+                values = [0.0] * target.rank
+                for s, entry in enumerate(row):
+                    if entry.value != 0.0:
+                        for t, coeff in target.structure.get((s, u), {}).items():
+                            values[t] += entry.value * coeff.value
+                for t, value in enumerate(values):
+                    if value != 0.0:
+                        rows[u][t][(i,)] = value
+        return FormMatrix.__new__(FormMatrix)._init(phi.source, rows, 1, True)
     columns = []
     for u in range(target.rank):
         column = []

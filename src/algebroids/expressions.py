@@ -532,9 +532,19 @@ def field_maxima(fields: Iterable[ScalarField], points) -> list[float]:
     return _walk(list(fields), points, max_abs_finite)
 
 
-def residual(fields: Iterable[ScalarField], points) -> float:
-    """Largest |value| of any field at any point; inf if any value is non-finite."""
-    return max(field_maxima(fields, points), default=0.0)
+def residual(values: Iterable, points) -> float:
+    """Largest |value| at any point of any field or number; inf if any value is
+    non-finite.  A number is a float, constant over the points, or an (N,)
+    array of values at the N points.  The fields are reduced in one walk and
+    the numbers together, so no number is boxed into a tree.
+    """
+    if not len(points):
+        raise ValueError("no probe points to evaluate on")
+    fields, numbers = [], []
+    for value in values:
+        (fields if isinstance(value, ScalarField) else numbers).append(value)
+    worst = max(field_maxima(fields, points)) if fields else 0.0
+    return max(worst, max_abs_finite(np.hstack(numbers)) if numbers else 0.0)
 
 
 def _format_number(value: float) -> str:

@@ -5,16 +5,22 @@ fields; absent keys are zero.  The determinant convention is used throughout:
 the stored coefficient *is* the value on the increasing frame tuple, with no
 1/k! normalization anywhere.
 
-Sums, scalings and products are table kernels shared with `FormMatrix`:
-`_sum_tables`, `_scaled_table` and `wedge_into` (a ^ b added into a table with
-the trees of `acc + a.wedge(b)`, each key pair's merge read from `MERGES`).
-A table holds trees, or, in an all-constant `FormMatrix`, floats: the values
-of the `Const` nodes that the tree route would fold.  These are the only two
-constant routes: on trees a constant folds only in the `expressions`
-constructors (`add`, `mul`), and on floats each kernel does the IEEE
-operations of those folds, in the same order, and drops and re-inserts the
-same keys, so boxing a float table into `Const` coefficients gives the tree
-route's table bit for bit.
+Sums, scalings, products and the differential on a constant chart are table
+kernels shared with `FormMatrix`: `_sum_tables`, `_scaled_table`, `wedge_into`
+(a ^ b added into a table with the trees of `acc + a.wedge(b)`, each key
+pair's merge read from `MERGES`) and `d_numbers`.  A table holds trees or
+numbers, never both.  A number is a float, the value of the `Const` node
+that the tree route would fold, or an (N,) float64 array, the values at a
+run's N probe points of a tree that is not a `Const`.  Trees and number
+tables are the only two routes: on trees a constant folds only in the
+`expressions` constructors (`add`, `mul`), and on numbers each kernel does
+the IEEE operations of those folds and of the walk that evaluates the
+trees, in the same order, and drops and re-inserts the same keys.  The zero
+rule is `add`'s and `mul`'s: a number is zero only when it is the float 0.0,
+and an array, like a tree that is not a `Const`, is never zero, so no
+kernel drops it (`_plus`, `_times`).  Boxing a float table into `Const`
+coefficients gives the tree route's table bit for bit, and each array is
+the tree route's values at the probe points bit for bit.
 """
 
 from __future__ import annotations
@@ -86,7 +92,9 @@ class AForm:
     """A degree-k form on an algebroid chart: a sparse alternating table.
 
     Keys are increasing k-tuples of frame indices below `chart.rank`; zero
-    coefficients are dropped on construction.
+    coefficients are dropped on construction.  The kernels also run on a
+    form whose table holds numbers (see the module docstring), built by
+    `_form`: `+`, `-`, `wedge`, `max_abs` and `algebroid.d_A`.
     """
 
     __slots__ = ("chart", "degree", "table")
@@ -156,7 +164,8 @@ class AForm:
         return _form(self.chart, degree, table)
 
     def max_abs(self, points) -> float:
-        """Largest coefficient magnitude over the sample points; inf if any is non-finite."""
+        """Largest coefficient magnitude over the sample points, of trees or
+        numbers (`residual`); inf if any is non-finite."""
         return residual(self.table.values(), points)
 
     def __repr__(self):
@@ -176,10 +185,10 @@ def _form(chart: "AlgebroidChart", degree: int,
     return form
 
 
-def _accumulate(table: dict[tuple[int, ...], ScalarField | float], key: tuple[int, ...],
-                term: ScalarField | float) -> None:
-    """table[key] += term, dropping the key when the sum is zero (a float
-    table's sum is the value of the folded `Const` of a tree table's)."""
+def _accumulate(table: dict, key: tuple[int, ...], term) -> None:
+    """table[key] += term, dropping the key when the sum is zero (a number
+    table's sum is the value of the folded `Const` or the values of the tree
+    of a tree table's)."""
     if _is_zero(term):
         return
     total = table.get(key)
@@ -191,9 +200,28 @@ def _accumulate(table: dict[tuple[int, ...], ScalarField | float], key: tuple[in
         table[key] = total
 
 
-def _is_zero(value: ScalarField | float) -> bool:
-    """A float table's zero, or a tree table's: a folded `Const` of value 0."""
-    return value == 0.0 if type(value) is float else value.is_zero()
+def _is_zero(value) -> bool:
+    """A number table's zero, the float 0.0, or a tree table's, a folded `Const`
+    of value 0; an array is never zero."""
+    return value == 0.0 if type(value) is float else type(value) is Const and value.value == 0.0
+
+
+def _plus(a, b):
+    """a + b on numbers by `add`'s rule: a zero summand gives the other one."""
+    if type(a) is float and a == 0.0:
+        return b
+    if type(b) is float and b == 0.0:
+        return a
+    return a + b
+
+
+def _times(a, b):
+    """a * b by `mul`'s rule: on trees `mul`; on numbers the IEEE product,
+    except that a float 0.0 times an array is 0.0, as `mul` folds a tree
+    times `ZERO` to `ZERO` (a float times a float folds, NaN included)."""
+    if type(a) is not type(b) and (_is_zero(a) or _is_zero(b)):
+        return 0.0
+    return a * b
 
 
 def _sum_tables(x: dict, y: dict, negate: bool) -> dict:
@@ -206,15 +234,17 @@ def _sum_tables(x: dict, y: dict, negate: bool) -> dict:
     table = dict(x)
     for key, coeff in y.items():
         if negate:
-            coeff = -1.0 * coeff if type(coeff) is float else mul(MINUS_ONE, coeff)
+            coeff = mul(MINUS_ONE, coeff) if isinstance(coeff, ScalarField) else -1.0 * coeff
         _accumulate(table, key, coeff)
     return table
 
 
-def _scaled_table(table: dict, factor: ScalarField | float) -> dict:
+def _scaled_table(table: dict, factor) -> dict:
     """factor * each coefficient, zero products dropped: a float factor for a
-    float table, a field for a tree table (`mul`, through `ScalarField.__mul__`)."""
-    return {key: value for key, coeff in table.items() if not _is_zero(value := factor * coeff)}
+    number table (`_times`), a field for a tree table (`mul`, through
+    `ScalarField.__mul__`)."""
+    return {key: value for key, coeff in table.items()
+            if not _is_zero(value := _times(factor, coeff))}
 
 
 def wedge_into(left: dict, right: dict, table: dict) -> None:
@@ -222,14 +252,14 @@ def wedge_into(left: dict, right: dict, table: dict) -> None:
     most the rank, with the trees of `acc + a.wedge(b)`: each key's signed
     products f * g summed by `balanced_sum`, then added by `_accumulate`.
 
-    Two float tables multiply and sum their floats; tree tables build
-    `mul(f, g)`, times `MINUS_ONE` for a negative merge sign, so a product of
-    two constants folds in `mul` through the IEEE operations of the float
-    route."""
+    Two number tables multiply and sum their numbers (`_number_sum`); tree
+    tables build `mul(f, g)`, times `MINUS_ONE` for a negative merge sign, so a
+    product of two constants folds in `mul` through the IEEE operations of the
+    number route."""
     pending: dict[tuple[int, ...], list] = {}
     for lkey, f in left.items():
         merges = MERGES[lkey]
-        if type(f) is float:
+        if not isinstance(f, ScalarField):
             for rkey, g in right.items():
                 merged = merges[rkey]
                 if merged is not None:
@@ -249,24 +279,57 @@ def wedge_into(left: dict, right: dict, table: dict) -> None:
     for key, terms in pending.items():
         if len(terms) == 1:
             total = terms[0]
-        elif type(terms[0]) is float:
-            total = _float_sum(terms)
-        else:
+        elif isinstance(terms[0], ScalarField):
             total = balanced_sum(terms)
+        else:
+            total = _number_sum(terms)
         _accumulate(table, key, total)
 
 
-def _float_sum(terms: list[float]) -> float:
-    """`balanced_sum` on floats: zero terms dropped, then adjacent pairs added."""
-    terms = [term for term in terms if term != 0.0]
+def _number_sum(terms: list):
+    """`balanced_sum` on numbers: zero terms dropped, then adjacent pairs added
+    by `_plus`, whose zero rule is that of `add` on a pair that cancelled."""
+    terms = [term for term in terms if not _is_zero(term)]
     if not terms:
         return 0.0
     while len(terms) > 1:
-        paired = [terms[i] + terms[i + 1] for i in range(0, len(terms) - 1, 2)]
+        paired = [_plus(terms[i], terms[i + 1]) for i in range(0, len(terms) - 1, 2)]
         if len(terms) % 2:
             paired.append(terms[-1])
         terms = paired
     return terms[0]
+
+
+def d_numbers(chart: "AlgebroidChart", table: dict) -> dict:
+    """The table of d_A of a number table on a constant chart (`chart.constant`).
+
+    There d_A has no anchor term and every bracket term of an output key has
+    its `signed` product in `chart.cartan`, so each key in `chart.reach` of
+    an input key sums signed * coefficient in d_A's order, by `_plus`, and is
+    dropped when the sum is zero.  Each sign is +-1, so the products are
+    those of d_A's trees to the bit."""
+    keys = set()
+    for key in table:
+        keys.update(chart.reach[key])
+    out = {}
+    for index in sorted(keys):
+        total = 0.0
+        for source, _, _, _, signed in chart.cartan[index]:
+            base = table.get(source)
+            if base is not None:
+                total = _plus(total, signed * base)
+        if not _is_zero(total):
+            out[index] = total
+    return out
+
+
+def _boxed(table: dict) -> dict:
+    """A float table with its values as `Const` nodes.  Probe values have no
+    tree to box, so a table that holds an array is a ValueError."""
+    boxed = {key: Const(value) for key, value in table.items() if type(value) is float}
+    if len(boxed) < len(table):
+        raise ValueError("a table of probe values cannot be boxed into Const coefficients")
+    return boxed
 
 
 def _require_same_chart(a: "AlgebroidChart", b: "AlgebroidChart") -> None:

@@ -1,15 +1,19 @@
 """The tree-only form and form-matrix arithmetic that unboxed constants replaced.
 
-`FormMatrix` now runs sums, scalings, products and traces on float tables
-when every coefficient of its operands is a `Const`, and `AForm`'s sums,
-scalings and wedges go through the table kernels of `forms`.  These are the
-routes they replaced, kept verbatim as functions of `self`; each builds
-`Const` trees by folding, with the `AForm` arithmetic of this module, never
-the kernels of `forms`.
+`FormMatrix` now runs sums, scalings, products, traces and `d` on number
+tables when every coefficient of its operands is a `Const` or a number, and
+`AForm`'s sums, scalings and wedges go through the table kernels of `forms`.
+These are the routes they replaced, kept verbatim as functions of `self`;
+each builds `Const` trees by folding, with the `AForm` arithmetic of this
+module, never the kernels of `forms` (but for the `d_A` that `matrix_d`
+calls).
 
 - `matrix_add`, `matrix_sub`, `matrix_scale`, `matrix_wedge`, `matrix_trace`
   and `matrix_trace_wedge` guard `FormMatrix.__add__`, `__sub__`, `scale`,
   `wedge`, `trace` and `trace_wedge`.
+- `matrix_d` guards `FormMatrix.d`, which runs `forms.d_numbers` on number
+  tables: it is `d_A` of each entry, read as `algebroid.d_A` when called,
+  so that a bound d_A oracle serves it too.
 - `form_add`, `form_sub`, `form_scale`, `form_wedge` and `wedge_into` guard
   `AForm.__add__`, `AForm.__sub__`, `AForm.scale`, `AForm.wedge` and the table
   kernel `forms.wedge_into` (`AForm.wedge_into` before it became that kernel);
@@ -23,6 +27,7 @@ functions bound in place of the methods.
 
 from __future__ import annotations
 
+from algebroids import algebroid
 from algebroids.connections import FormMatrix
 from algebroids.expressions import Const, MINUS_ONE, ScalarField, _folded, add, balanced_sum, mul
 from algebroids.forms import MERGES, AForm, _form, _require_same_chart
@@ -143,6 +148,11 @@ def matrix_sub(self: FormMatrix, other: FormMatrix) -> FormMatrix:
 def matrix_scale(self: FormMatrix, factor) -> FormMatrix:
     return FormMatrix(self.chart, [[form_scale(e, factor) for e in row] for row in self.entries],
                       self.degree)
+
+
+def matrix_d(self: FormMatrix) -> FormMatrix:
+    return FormMatrix(self.chart, [[algebroid.d_A(e) for e in row] for row in self.entries],
+                      self.degree + 1)
 
 
 def matrix_wedge(self: FormMatrix, other: FormMatrix) -> FormMatrix:

@@ -88,7 +88,7 @@ def test_criterion_02_bianchi(tangent_r2, so3, solvable2d, action_x, chain,
             connections = [
                 bracket_connection(chart),
                 orthogonal_connection(chart, fixture.metric_for(name)),
-                _random_connection(chart, 2, rng),
+                _random_connection(chart, 2, rng, points),
             ]
             for conn in connections:
                 omega, curv = conn, curvature(conn)

@@ -44,6 +44,7 @@ from algebroids.reports import Report
 from algebroids.sampling import sample_points
 import cartan_oracle
 import matrix_oracle
+from counting import counting, rebind
 from expression_oracle import scalar_eval
 
 # Fixture files that these tests and the CI byte-stability step both read.
@@ -957,26 +958,29 @@ def test_sign_factors_stay_folded_in_the_largest_run(monkeypatch, capsys):
     # 21,563 while add, sub and mul kept the sign products Mul(Const(+-1), x),
     # 12,686 with them folded, most of both in bianchi[sa3].random, and
     # 12,511 once d_A folded each constant bracket term into one node and
-    # every -1 sign factor became the one shared `MINUS_ONE`.  The count
-    # repeats exactly, so a change that brings the sign products or the
-    # per-use -1 constants back fails.
-    walked = []
-    original = expressions.field_maxima
-
-    def counted(fields, points):
-        fields = list(fields)
-        walked.append(len(expressions._schedule(fields)[0]))
-        return original(fields, points)
-
-    _rebind(monkeypatch, expressions, "field_maxima", counted)
+    # every -1 sign factor became the one shared `MINUS_ONE` (bound 12,550).
+    # 9 since the random data of a constant chart are probe values, whose
+    # trees `evaluate` walks once.  The count repeats exactly, so a change
+    # that brings the sign products or the per-use -1 constants back fails.
+    counts = counting(monkeypatch)
     assert main(["verify", "sa3", "--suite", "all"]) == 0
     capsys.readouterr()
-    assert sum(walked) <= 12_550
+    assert counts["walked"] <= 9
+
+
+def test_no_residual_walk_holds_a_tree_in_the_largest_run(monkeypatch, capsys):
+    # 12,166 of the 12,511 walked nodes were not `Const`s, in the two walks of
+    # the random test data, until that data became probe values: every
+    # record of `verify sa3` is then reduced from constants and numbers.
+    counts = counting(monkeypatch)
+    assert main(["verify", "sa3", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert counts["walked_trees"] == 0
 
 
 @pytest.mark.parametrize("argv, bound", [
-    (["mu", "sa3", "--morphism", "zero", "--h", "2"], 1_100),
-    (["verify", "sa3", "--suite", "all"], 5_950),
+    (["mu", "sa3", "--morphism", "zero", "--h", "2"], 421),
+    (["verify", "sa3", "--suite", "all"], 1_311),
 ], ids=lambda value: " ".join(value) if isinstance(value, list) else str(value))
 def test_constant_matrices_build_no_const_nodes(argv, bound, monkeypatch, capsys):
     # `Const` nodes built by the whole run, fixture parse included: 10,763 and
@@ -985,24 +989,27 @@ def test_constant_matrices_build_no_const_nodes(argv, bound, monkeypatch, capsys
     # 6,025 with those run on float tables that are boxed only when read, and
     # 1,092 and 5,935 with every unit coefficient the shared `ONE` (a tree
     # wedge's constant product now folds in `mul`, one more `Const` for each
-    # negative sign).  The counts repeat exactly.
-    built = 0
-    init = expressions.Const.__init__
-
-    def counted(self, value):
-        nonlocal built
-        built += 1
-        init(self, value)
-
-    monkeypatch.setattr(expressions.Const, "__init__", counted)
+    # negative sign; bounds 1,100 and 5,950).  421 and 1,311 since the
+    # connections of a constant morphism are built as floats, `d` runs on
+    # number tables without boxing, and the random data of a constant chart
+    # are probe values.  The counts repeat exactly.
+    counts = counting(monkeypatch)
     assert main(argv) == 0
     capsys.readouterr()
-    assert built <= bound
+    assert counts["Const"] <= bound
+
+
+def _bind_tree_random_data_oracle(monkeypatch) -> None:
+    """The random data of a constant chart kept as trees, not probe values,
+    and every `FormMatrix.d` taken by `d_A` on its (boxed) entries."""
+    monkeypatch.setattr(cli, "_probe_values", lambda points, forms: forms)
+    monkeypatch.setattr(FormMatrix, "d", matrix_oracle.matrix_d)
 
 
 def _bind_tree_matrix_oracle(monkeypatch) -> None:
-    """The float tables of constant matrices and the table kernels replaced by
-    the tree-only arithmetic."""
+    """The number tables of matrices and the table kernels replaced by the
+    tree-only arithmetic, which needs the random data as trees."""
+    _bind_tree_random_data_oracle(monkeypatch)
     for cls, methods in (
             (FormMatrix, {"__add__": matrix_oracle.matrix_add,
                           "__sub__": matrix_oracle.matrix_sub,
@@ -1017,8 +1024,10 @@ def _bind_tree_matrix_oracle(monkeypatch) -> None:
 
 
 def _bind_per_call_d_A_oracle(monkeypatch) -> None:
-    """Every d_A of the run replaced by the route that re-derived each key's
-    bracket terms on every call."""
+    """Every d_A of the run, `FormMatrix.d`'s and the random data's included,
+    replaced by the route that re-derived each key's bracket terms on every
+    call."""
+    _bind_tree_random_data_oracle(monkeypatch)
     for module in (algebroid, connections, chern, cli):
         monkeypatch.setattr(module, "d_A", cartan_oracle.d_A)
 
@@ -1036,10 +1045,16 @@ _ORACLE_RUNS = [(("verify", name, "--suite", "all"), bind)
                 for name in builtin_fixture_names()]
 _ORACLE_RUNS += [(("mu", "sa3", "--morphism", "zero", "--h", h), _bind_tree_matrix_oracle)
                  for h in ("2", "3")]
+_ORACLE_RUNS += [(("verify", name, "--suite", "all"), _bind_tree_random_data_oracle)
+                 for name in builtin_fixture_names()]
+_ORACLE_RUNS += [(argv, _bind_tree_random_data_oracle) for argv in (
+    ("verify", "sa3", "--suite", "all", "--seed", "7", "--points", "37"),
+    ("verify", str(DATA / "zero_column.json"), "--suite", "all"))]
 
 
 @pytest.mark.parametrize("argv, bind", _ORACLE_RUNS, ids=lambda value: (
-    " ".join(value) if isinstance(value, tuple) else value.__name__.removeprefix("_bind_")))
+    " ".join(Path(word).name for word in value) if isinstance(value, tuple)
+    else value.__name__.removeprefix("_bind_")))
 def test_reports_match_the_oracles(argv, bind, monkeypatch, capsys):
     # The same report, byte for byte, with an oracle bound in place of the
     # route it guards; each command runs unpatched once, whatever it is
@@ -1050,15 +1065,36 @@ def test_reports_match_the_oracles(argv, bind, monkeypatch, capsys):
     assert capsys.readouterr().out == report
 
 
+def test_overflowing_probe_values_keep_the_tree_report(tmp_path, monkeypatch, capsys):
+    # broken_jacobi with each structure constant times 1e200: d_A^2 of the
+    # random 1-forms overflows.  As probe values it overflows to inf without
+    # a warning, as the walk of the trees does, and the report is the same.
+    fixture = json.loads(builtin_fixture_path("broken_jacobi").read_text())
+    for algebra in fixture["algebroids"].values():
+        for bracket in algebra["brackets"]:
+            bracket["coeffs"] = {k: f"1e200*({v})" for k, v in bracket["coeffs"].items()}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(fixture))
+    argv = ["verify", str(path), "--suite", "all"]
+    assert main(argv) == 1
+    numbers = capsys.readouterr()
+    assert numbers.err == "" and '"residual": "inf"' in numbers.out
+    _bind_tree_random_data_oracle(monkeypatch)
+    assert main(argv) == 1
+    assert capsys.readouterr() == numbers
+
+
 def test_verify_axioms_walks_the_jacobiators_once_per_chart(monkeypatch, capsys):
     # `expressions._walk` calls on `verify sa3 --suite all` at seed 42: 73
     # while `verify_axioms` walked the d_A^2 theta^m coefficients of each
-    # frame index m on their own, 41 with a chart's reduced in one walk.  The
-    # count repeats exactly.
-    counts = _count_calls(monkeypatch, (expressions, "_walk"))
+    # frame index m on their own, 41 with a chart's reduced in one walk
+    # (bound 41), and 10 since the random data and the records that read them
+    # are reduced as probe values, with one walk per chart and kind of data
+    # to evaluate them.  The count repeats exactly.
+    counts = counting(monkeypatch, (expressions, "_walk"))
     assert main(["verify", "sa3", "--suite", "all"]) == 0
     capsys.readouterr()
-    assert counts["_walk"] <= 41
+    assert counts["_walk"] <= 10
 
 
 def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
@@ -1066,9 +1102,12 @@ def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
     # exactly.  Each output key's bracket terms are built once per chart
     # (182 keys on sa3 and 371 on its jet), and the mul and add calls made
     # while d_A runs fell from 12,208 and 6,077 with the terms re-derived on
-    # every call to 4,998 and 3,786.  d_A itself ran 2,551 times while
-    # `FormMatrix.d` also took d_A of each zero entry, and 505 times since
-    # every zero entry shares one zero form of the next degree.
+    # every call to 4,998 and 3,786, and to none since both charts are
+    # constant and d_A runs `forms.d_numbers` on their number and `Const`
+    # tables.  d_A itself ran 2,551 times while `FormMatrix.d` also took d_A
+    # of each zero entry, 505 times since every zero entry shares one zero
+    # form of the next degree, and 117 since `FormMatrix.d` runs
+    # `d_numbers` on number matrices itself.
     built = Counter()
     terms = AlgebroidChart._cartan_terms
 
@@ -1089,20 +1128,20 @@ def test_d_A_reads_each_cartan_stencil_once_per_chart(monkeypatch, capsys):
         finally:
             inside -= 1
 
-    _rebind(monkeypatch, algebroid, "d_A", entered)
+    rebind(monkeypatch, algebroid, "d_A", entered)
     for name in ("mul", "add"):
         def tallied(*args, _name=name, _original=getattr(expressions, name)):
             calls[_name] += inside > 0
             return _original(*args)
 
-        _rebind(monkeypatch, expressions, name, tallied)
+        rebind(monkeypatch, expressions, name, tallied)
     assert main(["verify", "sa3", "--suite", "all"]) == 0
     capsys.readouterr()
     assert all(count == len(chart.cartan) for chart, count in built.items())
     assert sorted((chart.name, count) for chart, count in built.items()) == [
         ("J1(sa3)", 371), ("sa3", 182)]
-    assert calls["mul"] <= 4_998 and calls["add"] <= 3_786
-    assert calls["d_A"] == 505
+    assert calls["mul"] == calls["add"] == 0
+    assert calls["d_A"] == 117
 
 
 def test_console_script_round_trip(tmp_path):
@@ -1121,27 +1160,6 @@ def test_console_script_round_trip(tmp_path):
 # sorted by name, as the report lists them: names, tolerances, probe counts,
 # passed flags and details do not depend on numpy's last bits.
 _RECORD_SHAPES = json.loads((Path(__file__).parent / "record_shapes.json").read_text())
-
-
-def _rebind(monkeypatch, home, name: str, replacement) -> None:
-    """Bind `replacement` for `home.name` in every `algebroids` module that binds it."""
-    original = getattr(home, name)
-    for key, module in list(sys.modules.items()):
-        if ((key == "algebroids" or key.startswith("algebroids."))
-                and vars(module).get(name) is original):
-            monkeypatch.setattr(module, name, replacement)
-
-
-def _count_calls(monkeypatch, *targets) -> Counter:
-    """Calls of each (module, function) of `targets`, by function name."""
-    counts = Counter()
-    for home, name in targets:
-        def counted(*args, _name=name, _original=getattr(home, name)):
-            counts[_name] += 1
-            return _original(*args)
-
-        _rebind(monkeypatch, home, name, counted)
-    return counts
 
 
 class TestOneBuilderPerRun:
@@ -1169,19 +1187,19 @@ class TestOneBuilderPerRun:
         assert sorted(shapes, key=lambda r: r["name"]) == _RECORD_SHAPES[label]
 
     def test_a_run_builds_each_connection_and_form_once(self, monkeypatch, capsys):
-        counts = _count_calls(monkeypatch, (connections, "morphism_target_connection"),
-                              (connections, "orthogonal_connection"), (chern, "bott_delta"))
+        counts = counting(monkeypatch, (connections, "morphism_target_connection"),
+                          (connections, "orthogonal_connection"), (chern, "bott_delta"))
         once = {"morphism_target_connection": 6, "orthogonal_connection": 5, "bott_delta": 8}
         for _ in range(2):  # main resolves the fixture afresh each time
             counts.clear()
             assert main(["verify", "sa3", "--suite", "all"]) == 0
-            assert counts == once
+            assert {name: counts[name] for name in once} == once
         capsys.readouterr()
         sa3 = resolve_fixture("sa3")
         for _ in range(2):  # the same objects twice: a memo that outlived its run would hit
             counts.clear()
             assert run_suite(sa3, "all").passed
-            assert counts == once
+            assert {name: counts[name] for name in once} == once
 
     def test_connections_suite_builds_each_curvature_once(self, monkeypatch, capsys):
         # One curvature per connection: the kernel-flatness and both adapted-frame
@@ -1198,7 +1216,7 @@ class TestOneBuilderPerRun:
                 calls.append([conn, 1])
             return original(conn)
 
-        _rebind(monkeypatch, connections, "curvature", counted)
+        rebind(monkeypatch, connections, "curvature", counted)
         assert main(["verify", "solvable2d", "--suite", "connections"]) == 0
         capsys.readouterr()
         assert [count for _, count in calls] == [1] * 8
@@ -1207,11 +1225,12 @@ class TestOneBuilderPerRun:
         # The probe set's validation builds the kernel frame, g+, g- and both
         # adapted frames of each morphism with kernel rows; the connections
         # suite reads them from the run's builder.
-        counts = _count_calls(monkeypatch, *((connections, name) for name in (
+        counts = counting(monkeypatch, *((connections, name) for name in (
             "quasi_metric_on_S", "kernel_frame_on_S", "adapted_frame")))
         assert main(["verify", "solvable2d", "--suite", "connections"]) == 0
         capsys.readouterr()
-        assert counts == {"quasi_metric_on_S": 2, "kernel_frame_on_S": 2, "adapted_frame": 4}
+        once = {"quasi_metric_on_S": 2, "kernel_frame_on_S": 2, "adapted_frame": 4}
+        assert {name: counts[name] for name in once} == once
 
     def test_identity_and_fixture_metrics_are_never_one_key(self, action_x, line_points):
         # action_x's metric exp(2x) on `action` moves mu_1 of sharp off lambda_phi.

@@ -14,17 +14,19 @@ same table keys, same node kinds, constants and child order, hence
 `str()`-equal coefficients and byte-identical reports.  `d_A`, which reads
 each key's bracket terms from the chart's `cartan` memo, must also build the
 trees of the per-call route it replaced (`cartan_oracle.d_A`), keys in the
-same order.  A constant `FormMatrix` computes its sums, scalings, products
-and traces on float tables; boxed, they must be the trees of the tree-only
-routes in `matrix_oracle`, every constant to the bit.  Every matrix a run
-builds keeps the tables it was built with, of floats exactly when every
-coefficient is a constant.
+same order.  A constant `FormMatrix` computes its sums, scalings, products,
+traces and (on a constant chart) `d` on float tables; boxed, they must be
+the trees of the tree-only routes in `matrix_oracle` and `cartan_oracle`,
+every constant to the bit.  Every matrix a run
+builds keeps the tables it was built with, of numbers exactly when every
+coefficient is a constant or a probe value.
 """
 
 import struct
 from itertools import combinations
 from math import comb, pi, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +44,7 @@ from algebroids.algebroid import (
 from algebroids.classes import ClassBuilder, modular_form
 from algebroids.cli import main
 from algebroids.connections import FormMatrix, bracket_connection, morphism_target_connection
-from algebroids.expressions import Const, parse_expression
+from algebroids.expressions import Const, ScalarField, parse_expression
 from algebroids.fixtures import builtin_fixture_names, resolve_fixture
 from algebroids.forms import AForm
 from algebroids.sampling import sample_points
@@ -300,16 +302,17 @@ def _constant_matrix(data, chart, size: int, degree: int) -> FormMatrix:
         for _ in range(size)], degree)
 
 
-def _assert_floats_or_trees(matrix: FormMatrix) -> None:
-    """`_floats` is a bool, true exactly when no coefficient is a tree other
-    than a `Const`: a float matrix holds only floats, any other at least one
-    such tree."""
+def _assert_numbers_or_trees(matrix: FormMatrix) -> None:
+    """`_numbers` is a bool, true exactly when no coefficient is a tree other
+    than a `Const`: a number matrix holds only floats and probe-value arrays,
+    any other at least one such tree."""
     values = [value for row in matrix._rows for table in row for value in table.values()]
-    assert type(matrix._floats) is bool
-    if matrix._floats:
-        assert all(type(value) is float for value in values)
+    assert type(matrix._numbers) is bool
+    if matrix._numbers:
+        assert all(type(value) in (float, np.ndarray) for value in values)
     else:
-        assert any(type(value) not in (float, Const) for value in values)
+        assert any(isinstance(value, ScalarField) and type(value) is not Const
+                   for value in values)
 
 
 def _assert_same_arithmetic(a: FormMatrix, b: FormMatrix, c: FormMatrix, factor: float,
@@ -324,21 +327,24 @@ def _assert_same_arithmetic(a: FormMatrix, b: FormMatrix, c: FormMatrix, factor:
     difference = (a - c).wedge(b)
     # A product above the chart rank is an empty float matrix, with nothing built.
     if floats or a.degree + b.degree > a.chart.rank:
-        assert product._floats is True and difference._floats is True
+        assert product._numbers is True and difference._numbers is True
     for new, old in [(a + c, oracle.matrix_add(a, c)), (a - c, oracle.matrix_sub(a, c)),
                      (c - a, oracle.matrix_sub(c, a)),
                      (a.scale(factor), oracle.matrix_scale(a, factor))]:
-        assert new._floats is True
+        assert new._numbers is True
         _assert_same_matrix(new, old)
     chained = product - (a + c).wedge(b).scale(factor)
     for matrix in (a, b, c, product, difference, chained):
-        _assert_floats_or_trees(matrix)
+        _assert_numbers_or_trees(matrix)
     for new, old in [
             (product, oracle.matrix_wedge(a, b)),
             (difference, oracle.matrix_wedge(oracle.matrix_sub(a, c), b)),
             (chained, oracle.matrix_sub(oracle.matrix_wedge(a, b), oracle.matrix_scale(
                 oracle.matrix_wedge(oracle.matrix_add(a, c), b), factor)))]:
         _assert_same_matrix(new, old)
+    # `d` runs `forms.d_numbers` on a number matrix of a constant chart.
+    _assert_same_matrix(a.d(), FormMatrix(a.chart, [[cartan_oracle.d_A(e) for e in row]
+                                                    for row in a.entries], a.degree + 1))
     _assert_same_form(a.trace(), oracle.matrix_trace(a))
     _assert_same_form(product.trace(), oracle.matrix_trace(product))
     _assert_same_form(a.trace_wedge(b), oracle.matrix_trace_wedge(a, b))
@@ -369,6 +375,25 @@ def test_float_tables_match_the_tree_matrix_oracle(chart, data):
         rows[u][t] = rows[u][t] + AForm(target, high, {key: target.coordinate_field(0)})
         mixed = FormMatrix(target, rows, high)
         _assert_same_arithmetic(a, mixed, c, factor, floats=False)
+
+
+@pytest.mark.parametrize("name", ["sa3", "sl2aff", "so3", "so3_double", "solvable2d"])
+def test_constant_target_connections_match_the_tree_builder(name, monkeypatch):
+    # A constant morphism into a constant chart builds its connection's float
+    # tables directly; the tree builder, reached by taking the target as not
+    # constant, must give the same keys in the same order and the same
+    # constants bit for bit.  The jet projections have constant targets too.
+    fixture = resolve_fixture(name)
+    charts = list(fixture.charts.values())
+    morphisms = ([Morphism.identity(chart) for chart in charts] + list(fixture.morphisms.values())
+                 + [jet_prolong(chart).projection() for chart in charts])
+    for phi in morphisms:
+        new = morphism_target_connection(phi)
+        assert new._numbers
+        with monkeypatch.context() as patched:
+            patched.setattr(phi.target, "constant", False)
+            old = morphism_target_connection(phi)
+        _assert_same_matrix(new, old)
 
 
 def _flat_chart(rank: int) -> AlgebroidChart:
@@ -427,7 +452,7 @@ _RUNS.append(["mu", "sa3", "--morphism", "zero", "--h", "2"])
 def test_every_matrix_keeps_the_tables_it_was_built_with(argv, monkeypatch, capsys):
     # Every `FormMatrix` the run builds, including those memoized and shared
     # between suites, still holds its first tables at the end of the run, of
-    # floats exactly when no coefficient is a tree other than a `Const`.
+    # numbers exactly when no coefficient is a tree other than a `Const`.
     built = []
     init = FormMatrix._init
 
@@ -442,4 +467,4 @@ def test_every_matrix_keeps_the_tables_it_was_built_with(argv, monkeypatch, caps
     assert built
     for matrix, rows in built:
         assert matrix._rows is rows
-        _assert_floats_or_trees(matrix)
+        _assert_numbers_or_trees(matrix)
